@@ -7,20 +7,35 @@
 //! holding the request and its reply completion), scatter one handle to
 //! every shard's [`Batcher`], and go straight back to reading their
 //! sockets. Every shard dispatcher runs the same collection policy, from
-//! the first queued request: wait for more **only while the batch is
-//! below [`target_fill`](crate::ServerConfig::target_fill)**, and within
-//! that window dispatch early when
+//! the first queued request: hold the batch open for more arrivals
+//! **only while one is possible and the batch is below
+//! [`target_fill`](crate::ServerConfig::target_fill)**, and within that
+//! window dispatch early when
 //! [`max_wait`](crate::ServerConfig::max_wait) has elapsed since the
 //! **oldest** queued request or when no new request arrived for
 //! [`idle_gap`](crate::ServerConfig::idle_gap); at dispatch it drains up
 //! to [`max_batch`](crate::ServerConfig::max_batch) requests into one
 //! per-shard multi-query pass
 //! ([`ShardedBypass::scan_shard`](feedbackbypass::ShardedBypass::scan_shard)).
-//! Under light load a lone request pays at most one idle gap of extra
-//! latency; in the bursty think-time regime the gap cutoff dispatches
-//! the moment a burst ends; under saturation each batcher is
-//! work-conserving and its fill self-tunes to
-//! `arrival rate × per-shard pass time`.
+//!
+//! *Possible* is decided from evidence, not from a timer. The protocol
+//! allows **at most one `Knn` in flight per connection** (replies are
+//! written by the dispatcher onto the connection's socket, so a client
+//! must read one before sending the next), hence once the admitted,
+//! unanswered requests number at least the live connections
+//! ([`Load::every_conn_waiting`]) every client is blocked on a reply and
+//! the only thing a longer window can add is latency. The window closes
+//! at that instant — two closed-loop clients coalesce into fill 2 and
+//! dispatch the moment the second request lands, a lone client never
+//! pays a gap. The timers still govern whenever some connection is idle
+//! or busy with a non-`Knn` round trip (feedback, stats): a lone request
+//! then pays at most one idle gap; in the bursty think-time regime the
+//! gap cutoff dispatches the moment a burst ends; under saturation each
+//! batcher is work-conserving and its fill self-tunes to
+//! `arrival rate × per-shard pass time`. All `S` shard batchers read the
+//! same server-wide pair: a request stays in flight until its last
+//! shard delivered, so "no arrival possible" holds for every queue at
+//! once.
 //!
 //! Shards batch **independently** — shard 0 may serve requests {A, B}
 //! in one pass while shard 1 serves A and B in two — and the reply is
@@ -48,7 +63,7 @@ use fbp_vecdb::{
 };
 use feedbackbypass::{KnnRequest, ShardedBypass};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -205,6 +220,73 @@ impl Gather {
     }
 }
 
+/// The two server-wide counts the window-close rule reads: admitted
+/// `Knn` requests whose reply has not fired, and connections whose
+/// thread is alive. The server owns the writes; every shard's
+/// [`Batcher`] holds the same `Arc` and only reads.
+///
+/// A leak would fail silently in either direction — `inflight` stuck
+/// high keeps every window closed (no coalescing), `live_conns` stuck
+/// high never closes one early (the old timer wait) — so both are
+/// released by drop guards only: [`InFlight`] here, the connection
+/// thread's guard in the server (it also has batchers to wake).
+#[derive(Default)]
+pub(crate) struct Load {
+    inflight: AtomicUsize,
+    live_conns: AtomicUsize,
+}
+
+/// One admitted request's claim on [`Load`]'s in-flight count, released
+/// on drop — by the reply completion, or by whatever drops the
+/// completion unfired.
+pub(crate) struct InFlight(Arc<Load>);
+
+impl Load {
+    /// Admit one request unless `capacity` are in flight already.
+    pub(crate) fn admit(self: &Arc<Self>, capacity: usize) -> Option<InFlight> {
+        if self.inflight.fetch_add(1, Ordering::SeqCst) >= capacity {
+            self.inflight.fetch_sub(1, Ordering::SeqCst);
+            return None;
+        }
+        Some(InFlight(Arc::clone(self)))
+    }
+
+    /// Count one more live connection.
+    pub(crate) fn connect(&self) {
+        self.live_conns.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Uncount a connection [`Self::connect`] counted (the server calls
+    /// this from its connection guard's `Drop`, nowhere else).
+    pub(crate) fn disconnect(&self) {
+        self.live_conns.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Whether every live connection already has its one allowed `Knn`
+    /// admitted and unanswered — no further arrival is possible until a
+    /// reply fires. Also true when connections died with their requests
+    /// still queued (`inflight > live_conns`): nobody is left to wait
+    /// for.
+    pub(crate) fn every_conn_waiting(&self) -> bool {
+        self.inflight.load(Ordering::SeqCst) >= self.live_conns.load(Ordering::SeqCst)
+    }
+
+    /// `(inflight, live_conns)` right now.
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        (
+            self.inflight.load(Ordering::SeqCst),
+            self.live_conns.load(Ordering::SeqCst),
+        )
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Why an enqueue was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EnqueueError {
@@ -219,13 +301,15 @@ struct Inner<T> {
 
 /// Bounded-by-admission queue + wakeup plumbing shared by connection
 /// threads and one shard's dispatcher. Capacity is enforced at the
-/// *admission* layer (`Shared::inflight` in the server), not here: every
+/// *admission* layer ([`Load::admit`] in the server), not here: every
 /// admitted request lands once in every shard's queue, so a per-queue
 /// bound would either double-count the global bound or leave a request
 /// half-scattered on overflow.
 pub(crate) struct Batcher<T> {
     inner: Mutex<Inner<T>>,
     cv: Condvar,
+    /// Read-only here: the evidence that ends a collection window.
+    load: Arc<Load>,
     max_batch: usize,
     target_fill: usize,
     max_wait: Duration,
@@ -234,6 +318,7 @@ pub(crate) struct Batcher<T> {
 
 impl<T> Batcher<T> {
     pub(crate) fn new(
+        load: Arc<Load>,
         max_batch: usize,
         target_fill: usize,
         max_wait: Duration,
@@ -246,6 +331,7 @@ impl<T> Batcher<T> {
                 shutdown: false,
             }),
             cv: Condvar::new(),
+            load,
             max_batch,
             target_fill: target_fill.clamp(1, max_batch),
             max_wait,
@@ -254,6 +340,8 @@ impl<T> Batcher<T> {
     }
 
     /// Enqueue one item (stamped now); fails only once shutting down.
+    /// The item's [`InFlight`] claim must already be held, so the
+    /// dispatcher this wakes sees it counted.
     pub(crate) fn enqueue(&self, item: T) -> Result<(), EnqueueError> {
         let mut g = self.inner.lock().expect("batcher lock");
         if g.shutdown {
@@ -270,12 +358,24 @@ impl<T> Batcher<T> {
         self.cv.notify_all();
     }
 
+    /// Make a collecting dispatcher re-read [`Load`]: a connection just
+    /// left, which can close the window without any arrival. Taking the
+    /// lock orders this after the dispatcher's last check, so the
+    /// wakeup cannot fall between its check and its wait.
+    pub(crate) fn recheck(&self) {
+        // Called from a `Drop`: a poisoned lock still serializes, and
+        // must not turn an unwinding connection thread into an abort.
+        let _g = self.inner.lock();
+        self.cv.notify_all();
+    }
+
     /// Block until a batch is ready, returning each item with its
     /// enqueue instant. Returns `None` once shut down **and** drained.
     ///
-    /// Collection policy, from the first queued item: wait for more
-    /// **only while the batch is below `target_fill`**, and within that,
-    /// dispatch as soon as one of
+    /// Collection policy, from the first queued item: hold the batch
+    /// open **only while the batch is below `target_fill` and another
+    /// arrival is possible** ([`Load::every_conn_waiting`] is false),
+    /// and within that, dispatch as soon as one of
     ///
     /// * `max_wait` elapsed since the oldest queued item, or
     /// * no new item arrived for `idle_gap` — think-time traffic is
@@ -298,30 +398,22 @@ impl<T> Batcher<T> {
         }
         // Collect the burst. Shutdown cuts every wait short.
         let deadline = g.queue.front().expect("non-empty").0 + self.max_wait;
-        'collect: while g.queue.len() < self.target_fill && !g.shutdown {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
+        let mut seen = 0;
+        let mut gap_end = deadline;
+        while g.queue.len() < self.target_fill && !g.shutdown && !self.load.every_conn_waiting() {
+            if g.queue.len() > seen {
+                // A new arrival restarts the idle-gap clock.
+                seen = g.queue.len();
+                gap_end = std::cmp::min(Instant::now() + self.idle_gap, deadline);
             }
-            let gap_end = std::cmp::min(now + self.idle_gap, deadline);
-            let len_before = g.queue.len();
-            // Wait out one idle gap; a new arrival restarts the clock.
-            loop {
-                if g.queue.len() > len_before {
-                    continue 'collect;
-                }
-                if g.shutdown {
-                    break 'collect;
-                }
-                let Some(remaining) = gap_end
-                    .checked_duration_since(Instant::now())
-                    .filter(|d| !d.is_zero())
-                else {
-                    break 'collect; // gap (or deadline) ran out quiet
-                };
-                let (guard, _timeout) = self.cv.wait_timeout(g, remaining).expect("batcher lock");
-                g = guard;
-            }
+            let Some(remaining) = gap_end
+                .checked_duration_since(Instant::now())
+                .filter(|d| !d.is_zero())
+            else {
+                break; // gap (or deadline) ran out quiet
+            };
+            let (guard, _timeout) = self.cv.wait_timeout(g, remaining).expect("batcher lock");
+            g = guard;
         }
         let take = g.queue.len().min(self.max_batch);
         Some(g.queue.drain(..take).collect())
@@ -341,12 +433,8 @@ pub(crate) fn run_shard_dispatcher(
     scan_mode: ScanMode,
     metrics: Arc<Metrics>,
 ) {
-    let log_timing = std::env::var("FBP_SERVE_TRACE").is_ok();
-    let (mut t_scan, mut t_complete, mut t_idle, mut n_req) = (0u128, 0u128, 0u128, 0u64);
-    let mut last_done = Instant::now();
     while let Some(batch) = batcher.next_batch() {
         let dispatched = Instant::now();
-        t_idle += dispatched.duration_since(last_done).as_nanos();
         let waits: Vec<Duration> = batch
             .iter()
             .map(|(enqueued, _)| dispatched.saturating_duration_since(*enqueued))
@@ -377,8 +465,6 @@ pub(crate) fn run_shard_dispatcher(
         let partials =
             bypass.scan_shard_prepared(&scan, shard, &points, &pass_metrics, &ks, Some(&seeds));
         let scanned = Instant::now();
-        t_scan += scanned.duration_since(dispatched).as_nanos();
-        n_req += waits.len() as u64;
         metrics.record_pass(&waits);
         // Traced requests get their span stamped *before* delivery, so
         // the delivery that completes the gather already sees it.
@@ -397,18 +483,6 @@ pub(crate) fn run_shard_dispatcher(
         for (gather, partial) in gathers.iter().zip(partials) {
             gather.complete_shard(shard, Ok(partial));
         }
-        t_complete += scanned.elapsed().as_nanos();
-        last_done = Instant::now();
-    }
-    if log_timing && n_req > 0 {
-        eprintln!(
-            "[dispatcher shard {}] {} req: scan {:.0}us/req, complete {:.0}us/req, idle {:.1}ms total",
-            shard,
-            n_req,
-            t_scan as f64 / 1000.0 / n_req as f64,
-            t_complete as f64 / 1000.0 / n_req as f64,
-            t_idle as f64 / 1e6,
-        );
     }
 }
 
@@ -416,14 +490,66 @@ pub(crate) fn run_shard_dispatcher(
 mod tests {
     use super::*;
 
+    /// Timers no correct rule ever waits out: a test that needs one of
+    /// them to expire hangs into its own elapsed-time assertion.
+    const NEVER: Duration = Duration::from_secs(10);
+    /// What "at once" may cost on a loaded test host.
+    const PROMPT: Duration = Duration::from_secs(5);
+
+    /// A batcher over `conns` live connections; `admit` hands back the
+    /// claims that keep queued items counted in flight.
+    fn rig(conns: usize, max_wait: Duration, idle_gap: Duration) -> (Arc<Load>, Batcher<u32>) {
+        let load = Arc::new(Load::default());
+        for _ in 0..conns {
+            load.connect();
+        }
+        let b = Batcher::new(Arc::clone(&load), 16, 4, max_wait, idle_gap);
+        (load, b)
+    }
+
+    fn admit(load: &Arc<Load>, b: &Batcher<u32>, item: u32) -> InFlight {
+        let claim = load.admit(usize::MAX).expect("unbounded admission");
+        b.enqueue(item).unwrap();
+        claim
+    }
+
+    fn items(batch: Vec<(Instant, u32)>) -> Vec<u32> {
+        batch.into_iter().map(|(_, item)| item).collect()
+    }
+
+    /// A dispatcher thread making `calls` `next_batch` calls, each
+    /// outcome reported with the instant it returned.
+    fn dispatcher<'s>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        b: &'s Batcher<u32>,
+        calls: usize,
+    ) -> std::sync::mpsc::Receiver<(Option<Vec<u32>>, Instant)> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        scope.spawn(move || {
+            for _ in 0..calls {
+                let batch = b.next_batch().map(items);
+                tx.send((batch, Instant::now())).unwrap();
+            }
+        });
+        rx
+    }
+
+    /// The dispatcher is holding its window open: nothing comes back.
+    fn assert_held(rx: &std::sync::mpsc::Receiver<(Option<Vec<u32>>, Instant)>, why: &str) {
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "{why}"
+        );
+    }
+
     #[test]
     fn batch_fills_to_max_batch_without_waiting() {
-        let b = Batcher::new(4, 4, Duration::from_secs(10), Duration::from_secs(10));
-        for i in 0..6 {
-            b.enqueue(i).unwrap();
-        }
-        // 6 queued, max_batch 4: the first batch takes 4 immediately
-        // with no deadline wait.
+        let load = Arc::new(Load::default());
+        (0..8).for_each(|_| load.connect());
+        let b = Batcher::new(Arc::clone(&load), 4, 4, NEVER, NEVER);
+        let _claims: Vec<InFlight> = (0..6).map(|i| admit(&load, &b, i)).collect();
+        // 6 queued of 8 possible, max_batch 4: the first batch takes 4
+        // immediately with no deadline wait.
         let first = b.next_batch().unwrap();
         assert_eq!(first.len(), 4);
         assert_eq!(first[0].1, 0, "FIFO order");
@@ -431,9 +557,10 @@ mod tests {
 
     #[test]
     fn deadline_drains_partial_batch() {
-        let b = Batcher::new(64, 64, Duration::from_millis(5), Duration::from_millis(5));
-        b.enqueue(1).unwrap();
-        b.enqueue(2).unwrap();
+        // A third connection could still send, so the timers decide.
+        let gap = Duration::from_millis(5);
+        let (load, b) = rig(3, gap, gap);
+        let _claims = [admit(&load, &b, 1), admit(&load, &b, 2)];
         let t0 = Instant::now();
         let batch = b.next_batch().unwrap();
         assert_eq!(batch.len(), 2);
@@ -444,13 +571,116 @@ mod tests {
     }
 
     #[test]
+    fn lone_connection_dispatches_at_once() {
+        let (load, b) = rig(1, NEVER, NEVER);
+        let _claim = admit(&load, &b, 7);
+        let t0 = Instant::now();
+        assert_eq!(items(b.next_batch().unwrap()), [7]);
+        assert!(
+            t0.elapsed() < PROMPT,
+            "paid a timer with nobody to wait for"
+        );
+    }
+
+    #[test]
+    fn second_of_two_connections_closes_the_window() {
+        let (load, b) = rig(2, NEVER, NEVER);
+        let _first = admit(&load, &b, 1);
+        std::thread::scope(|scope| {
+            let rx = dispatcher(scope, &b, 1);
+            // The other connection may still send: the first request is
+            // held (a rule that dispatched it alone would answer here).
+            assert_held(
+                &rx,
+                "dispatched without waiting for the possible batch-mate",
+            );
+            let t0 = Instant::now();
+            let _second = admit(&load, &b, 2);
+            let (batch, at) = rx.recv_timeout(NEVER * 2).unwrap();
+            assert_eq!(batch.unwrap(), [1, 2]);
+            assert!(at.duration_since(t0) < PROMPT, "window outlived its use");
+        });
+    }
+
+    #[test]
+    fn idle_third_connection_keeps_the_gap_wait() {
+        let gap = Duration::from_millis(30);
+        let (load, b) = rig(3, NEVER, gap);
+        let _claims = [admit(&load, &b, 1), admit(&load, &b, 2)];
+        let t0 = Instant::now();
+        assert_eq!(items(b.next_batch().unwrap()), [1, 2]);
+        let waited = t0.elapsed();
+        assert!(waited >= gap, "closed after {waited:?} with a sender left");
+        assert!(waited < PROMPT, "idle gap ignored");
+    }
+
+    #[test]
+    fn requests_outliving_their_connections_dispatch_at_once() {
+        // Two connections queued one request each, then one died:
+        // inflight 2 > live 1.
+        let (load, b) = rig(2, NEVER, NEVER);
+        let _claims = [admit(&load, &b, 1), admit(&load, &b, 2)];
+        load.disconnect();
+        let t0 = Instant::now();
+        assert_eq!(items(b.next_batch().unwrap()), [1, 2]);
+        assert!(t0.elapsed() < PROMPT);
+    }
+
+    #[test]
+    fn departing_connection_closes_an_open_window() {
+        let (load, b) = rig(2, NEVER, NEVER);
+        let _claim = admit(&load, &b, 1);
+        std::thread::scope(|scope| {
+            let rx = dispatcher(scope, &b, 1);
+            assert_held(&rx, "dispatched with a sender left");
+            // The idle connection leaves instead of sending.
+            load.disconnect();
+            b.recheck();
+            let (batch, _) = rx.recv_timeout(PROMPT).expect("window stayed open");
+            assert_eq!(batch.unwrap(), [1]);
+        });
+    }
+
+    #[test]
+    fn shutdown_cuts_an_open_window() {
+        let (load, b) = rig(2, NEVER, NEVER);
+        let _claim = admit(&load, &b, 1);
+        std::thread::scope(|scope| {
+            let rx = dispatcher(scope, &b, 2);
+            // Shut down before judging, so a dispatcher that did not
+            // hold cannot park on the emptied queue and hang the scope.
+            let held = rx.recv_timeout(Duration::from_millis(100)).is_err();
+            b.shutdown();
+            assert!(held, "dispatched with a sender left");
+            let (batch, _) = rx
+                .recv_timeout(PROMPT)
+                .expect("shutdown did not cut the wait");
+            assert_eq!(batch.unwrap(), [1]);
+            assert!(
+                rx.recv_timeout(PROMPT).unwrap().0.is_none(),
+                "drained ⇒ end"
+            );
+        });
+    }
+
+    #[test]
     fn shutdown_drains_then_ends() {
-        let b = Batcher::new(4, 4, Duration::from_secs(10), Duration::from_secs(10));
+        let (_, b) = rig(1, NEVER, NEVER);
         b.enqueue(7).unwrap();
         b.shutdown();
         assert_eq!(b.enqueue(8), Err(EnqueueError::ShuttingDown));
         assert_eq!(b.next_batch().unwrap().len(), 1);
         assert!(b.next_batch().is_none());
+    }
+
+    #[test]
+    fn refused_and_dropped_claims_leave_no_count() {
+        let load = Arc::new(Load::default());
+        let held = load.admit(1).expect("capacity 1 admits the first");
+        assert!(load.admit(1).is_none(), "second is refused");
+        assert_eq!(load.counts(), (1, 0), "the refusal left nothing behind");
+        drop(held);
+        assert_eq!(load.counts(), (0, 0));
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! accumulate, then serves the whole batch with one pass: under light
 //! load a request pays at most `max_wait` of extra latency, under heavy
 //! load batches fill instantly — batch fill adapts to the offered
-//! concurrency with no other tuning.
+//! concurrency with no other tuning. It never waits for a request that
+//! cannot come: a connection carries one `Knn` at a time, so once every
+//! live connection has one queued the batch dispatches on the spot.
 //!
 //! ## Sharded scatter/gather serving
 //!

@@ -20,7 +20,7 @@
 //! slice of a larger router-fronted deployment, answering sessionless
 //! shard-local k-bests with globally-offset indices.
 
-use crate::batcher::{run_shard_dispatcher, Batcher, EnqueueError, Gather};
+use crate::batcher::{run_shard_dispatcher, Batcher, EnqueueError, Gather, Load};
 use crate::metrics::Metrics;
 use crate::protocol::{
     error_code_for, read_frame, write_frame, DecodeError, ErrorCode, FrameError, Request, Response,
@@ -38,7 +38,7 @@ use feedbackbypass::{
 };
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -52,15 +52,27 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// Fill level at which the dispatcher stops waiting for more
     /// arrivals and goes work-conserving (it still drains up to
-    /// [`ServerConfig::max_batch`] at dispatch). Below it, collection is
-    /// bounded by `max_wait` / `idle_gap`.
+    /// [`ServerConfig::max_batch`] at dispatch). Below it, the batch is
+    /// held open only while another arrival is *possible*: the protocol
+    /// allows one `Knn` in flight per connection, so as soon as the
+    /// admitted, unanswered requests number at least the live
+    /// connections, every client is blocked on a reply and the batch
+    /// dispatches at once, whatever `max_wait` / `idle_gap` say. While
+    /// some connection is idle or mid-feedback, those two bound the
+    /// wait.
     pub target_fill: usize,
     /// Longest the dispatcher holds a batch open waiting for it to fill,
-    /// measured from the oldest queued request.
+    /// measured from the oldest queued request. Never reached once
+    /// every live connection has its `Knn` queued (see
+    /// [`ServerConfig::target_fill`]).
     pub max_wait: Duration,
     /// Arrival-burst cutoff: once no new request lands for this long,
     /// the batch dispatches early (think-time traffic arrives in bursts;
-    /// a quiet gap means waiting further buys latency, not fill).
+    /// a quiet gap means waiting further buys latency, not fill). It is
+    /// the price a request pays for a *possible* batch-mate — a
+    /// connection that is open but not currently waiting on a `Knn` —
+    /// and is not paid when there is none (see
+    /// [`ServerConfig::target_fill`]).
     pub idle_gap: Duration,
     /// Admission bound on **in-flight requests**: a `Knn` counts
     /// against this from admission until its gathered reply fires
@@ -163,11 +175,13 @@ struct Shared {
     /// `i`'s rows partition-contiguously; answers stay identical).
     partitions: Option<Arc<Vec<PartitionedCollection>>>,
     sharded_bypass: ShardedBypass,
-    /// Admission bound: requests mid-scatter/gather. Enforcing the
-    /// queue capacity here (instead of per batcher) keeps a request's
-    /// scatter atomic — it is either admitted to every shard queue or
-    /// refused outright with `Busy`.
-    inflight: AtomicUsize,
+    /// Requests mid-scatter/gather and live connections. The in-flight
+    /// count is the admission bound — enforcing the queue capacity here
+    /// (instead of per batcher) keeps a request's scatter atomic: it is
+    /// either admitted to every shard queue or refused outright with
+    /// `Busy` — and, against the connection count, the batchers'
+    /// evidence that no further arrival is possible.
+    load: Arc<Load>,
     metrics: Arc<Metrics>,
     next_conn: AtomicU64,
     /// Trace-id source for traced requests (ids are per-server unique,
@@ -280,8 +294,13 @@ pub fn serve(
     let shards = cfg.shards.max(1);
     // The shard split happens once at startup: each shard copies its
     // rows (and f32 mirror) into its own contiguous buffers, so the
-    // per-shard dispatchers stream disjoint memory.
-    let sharded_coll = Arc::new(ShardedCollection::split(&coll, shards));
+    // per-shard dispatchers stream disjoint memory. A flat server has
+    // nothing to separate and shares the collection it was given.
+    let sharded_coll = Arc::new(if shards == 1 {
+        ShardedCollection::whole(Arc::clone(&coll))
+    } else {
+        ShardedCollection::split(&coll, shards)
+    });
     // Partition layouts (opt-in) are likewise a startup cost: each
     // shard's rows are clustered and reordered once, and every pass
     // after that prunes against the same layout.
@@ -290,9 +309,11 @@ pub fn serve(
         .as_ref()
         .map(|p| Arc::new(sharded_coll.build_partitions(p)));
     let sharded_bypass = ShardedBypass::from_shared(bypass.clone());
+    let load = Arc::new(Load::default());
     let batchers: Vec<Arc<Batcher<Arc<Gather>>>> = (0..shards)
         .map(|_| {
             Arc::new(Batcher::new(
+                Arc::clone(&load),
                 cfg.max_batch,
                 cfg.target_fill,
                 cfg.max_wait,
@@ -313,7 +334,7 @@ pub fn serve(
         sharded_coll: Arc::clone(&sharded_coll),
         partitions: partitions.clone(),
         sharded_bypass: sharded_bypass.clone(),
-        inflight: AtomicUsize::new(0),
+        load,
         metrics: Arc::clone(&metrics),
         next_conn: AtomicU64::new(1),
         next_trace: AtomicU64::new(1),
@@ -390,7 +411,10 @@ pub fn serve(
 /// under the lock, so frames never interleave). A client must therefore
 /// keep at most one `Knn` in flight per connection before reading its
 /// reply — which a strict request/response client does by construction.
+/// The batchers lean on the same invariant: with as many requests in
+/// flight as there are live connections, nobody is left to send one.
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    let _live = LiveConnection::enter(shared);
     let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
@@ -469,6 +493,29 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         }
     }
     shared.store.drop_owned(&owned_sessions);
+}
+
+/// A connection's membership in the live count, held for the whole of
+/// [`handle_connection`] so that every way out of it — clean close,
+/// read error, oversized frame, shutdown, a panic — uncounts it. The
+/// batchers are told to look again: the departure may have been the
+/// only thing keeping a collection window open.
+struct LiveConnection<'a>(&'a Shared);
+
+impl<'a> LiveConnection<'a> {
+    fn enter(shared: &'a Shared) -> Self {
+        shared.load.connect();
+        LiveConnection(shared)
+    }
+}
+
+impl Drop for LiveConnection<'_> {
+    fn drop(&mut self) {
+        self.0.load.disconnect();
+        for batcher in &self.0.batchers {
+            batcher.recheck();
+        }
+    }
 }
 
 /// One reply frame under the connection's write lock.
@@ -665,10 +712,11 @@ fn handle_knn(
     // Admission: the queue bound applies to whole requests — a request
     // either scatters to every shard queue or is refused up front, so
     // no gather can ever be left half-scattered by backpressure.
-    if shared.inflight.fetch_add(1, Ordering::AcqRel) >= shared.cfg.queue_capacity {
-        shared.inflight.fetch_sub(1, Ordering::AcqRel);
+    // The claim is released when the reply fires (or its completion is
+    // dropped unfired), never by hand.
+    let Some(in_flight) = shared.load.admit(shared.cfg.queue_capacity) else {
         return Some(err(ErrorCode::Busy, "batch queue full"));
-    }
+    };
     shared.metrics.record_request();
 
     // Admission is t0: the trace's clock starts the moment the request
@@ -681,7 +729,9 @@ fn handle_knn(
         let writer = Arc::clone(writer);
         let req_trace = req_trace.clone();
         Box::new(move |outcome: Result<Vec<Neighbor>, String>| {
-            shared.inflight.fetch_sub(1, Ordering::AcqRel);
+            // Before the reply is written: the client's next request
+            // must never find this one still counted.
+            drop(in_flight);
             let response = match outcome {
                 Ok(neighbors) => {
                     let (mut flags, cycles) = shared.store.finish_knn(session, &neighbors);
@@ -782,8 +832,8 @@ fn handle_shard_knn(
         Some(parts) => scan.with_partitions(parts),
         None => scan,
     };
-    let mut parts: Vec<ShardPartial> = Vec::with_capacity(shared.sharded_coll.shards().len());
-    for s in 0..shared.sharded_coll.shards().len() {
+    let mut parts: Vec<ShardPartial> = Vec::with_capacity(shared.sharded_coll.shard_count());
+    for s in 0..shared.sharded_coll.shard_count() {
         let part = shared
             .sharded_bypass
             .scan_shard_prepared(
@@ -839,4 +889,123 @@ fn handle_restore_module(shared: &Shared, image: &[u8]) -> Response {
     }
     shared.store.bypass().replace(module);
     Response::ModuleRestored
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use fbp_vecdb::CollectionBuilder;
+    use feedbackbypass::BypassConfig;
+    use std::io::Write;
+    use std::time::Instant;
+
+    const DIM: usize = 6;
+
+    fn start(cfg: ServerConfig) -> ServerHandle {
+        let mut b = CollectionBuilder::new().with_f32_mirror();
+        for i in 0..200 {
+            let v: Vec<f64> = (0..DIM)
+                .map(|d| (((i * 13 + d * 7) as f64) * 0.37).sin().abs())
+                .collect();
+            b.push_unlabelled(&v).unwrap();
+        }
+        let bypass = SharedBypass::new(
+            FeedbackBypass::for_histograms(DIM, BypassConfig::default()).unwrap(),
+        );
+        serve("127.0.0.1:0", Arc::new(b.build()), bypass, cfg).unwrap()
+    }
+
+    fn send(raw: &mut TcpStream, req: &Request) {
+        write_frame(raw, &req.encode()).unwrap();
+    }
+
+    /// One client that leaves the way `exit` says, never cleanly.
+    fn vanish(addr: SocketAddr, exit: usize) {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        match exit % 4 {
+            // Connects and goes.
+            0 => {}
+            // Queues a `Knn` and goes without reading its reply.
+            1 => {
+                send(&mut raw, &Request::OpenSession);
+                let payload = read_frame(&mut raw, DEFAULT_MAX_FRAME_LEN, &mut || true)
+                    .unwrap()
+                    .expect("a reply frame");
+                let Response::SessionOpened { session, .. } = Response::decode(&payload).unwrap()
+                else {
+                    panic!("expected SessionOpened");
+                };
+                let query = vec![0.5; DIM];
+                send(
+                    &mut raw,
+                    &Request::Knn {
+                        session,
+                        k: 5,
+                        query,
+                    },
+                );
+            }
+            // Goes mid-frame (the read-error exit).
+            2 => raw.write_all(&[64, 0, 0, 0, 1, 2, 3]).unwrap(),
+            // Announces a frame past the limit (the refused-frame exit).
+            _ => raw.write_all(&u32::MAX.to_le_bytes()).unwrap(),
+        }
+    }
+
+    fn settle(load: &Load, want: (usize, usize)) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while load.counts() != want {
+            assert!(
+                Instant::now() < deadline,
+                "(inflight, live_conns) stuck at {:?}, want {want:?}",
+                load.counts()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn vanishing_clients_leak_neither_load_counter() {
+        // Timers long enough that paying one cannot be mistaken for
+        // scheduling noise; a capacity small enough that the storm also
+        // runs into `Busy` refusals.
+        let timer = Duration::from_secs(3);
+        let handle = start(ServerConfig {
+            shards: 2,
+            max_wait: timer,
+            idle_gap: timer,
+            queue_capacity: 2,
+            ..Default::default()
+        });
+        let addr = handle.local_addr();
+        let load = Arc::clone(&handle.shared.load);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                scope.spawn(move || (0..12).for_each(|i| vanish(addr, t + i)));
+            }
+        });
+        // Every connection thread has noticed its peer is gone and every
+        // abandoned request has been dispatched into its dead socket.
+        settle(&load, (0, 0));
+
+        // A leaked `live_conns` would make this lone request sit out
+        // `idle_gap` waiting for a batch-mate that cannot exist.
+        let mut client = Client::connect(addr).unwrap();
+        let (session, _) = client.open_session().unwrap();
+        let t0 = Instant::now();
+        let reply = client.knn(session, 3, &[0.5; DIM]).unwrap();
+        assert_eq!(reply.neighbors.len(), 3);
+        assert!(
+            t0.elapsed() < timer / 3,
+            "lone request took {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(load.counts(), (0, 1));
+
+        // The shutdown exit: the connection is still open when the
+        // server goes.
+        handle.shutdown();
+        assert_eq!(load.counts(), (0, 0));
+    }
 }

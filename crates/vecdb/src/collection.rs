@@ -22,6 +22,7 @@
 //! (`Distance::f32_key_slack`).
 
 use crate::{Result, VecdbError};
+use std::sync::Arc;
 
 /// Category identifier (index into the collection's category name table).
 pub type CategoryId = u32;
@@ -241,7 +242,9 @@ impl Collection {
 /// zero-work degenerate every consumer must tolerate.
 #[derive(Debug, Clone)]
 pub struct ShardedCollection {
-    shards: Vec<Collection>,
+    /// `Arc` so the one-shard case can share the caller's collection
+    /// ([`Self::whole`]) instead of holding a second copy of every row.
+    shards: Vec<Arc<Collection>>,
     /// Global start row per shard plus the total length (`S + 1`
     /// entries, ascending): shard `i` covers `offsets[i]..offsets[i+1]`.
     offsets: Vec<usize>,
@@ -261,13 +264,25 @@ impl ShardedCollection {
             let start = i * len / s;
             let end = (i + 1) * len / s;
             offsets.push(start);
-            shards.push(coll.slice_rows(start, end));
+            shards.push(Arc::new(coll.slice_rows(start, end)));
         }
         offsets.push(len);
         ShardedCollection {
             shards,
             offsets,
             dim: coll.dim(),
+        }
+    }
+
+    /// The one-shard split of `coll`, **sharing** it instead of copying
+    /// its rows: what `split(&coll, 1)` describes, at none of its
+    /// memory. A flat server holds the collection once this way, not
+    /// once for its sessions and once more for its only shard.
+    pub fn whole(coll: Arc<Collection>) -> Self {
+        ShardedCollection {
+            offsets: vec![0, coll.len()],
+            dim: coll.dim(),
+            shards: vec![coll],
         }
     }
 
@@ -282,7 +297,7 @@ impl ShardedCollection {
     }
 
     /// All shards in global row order.
-    pub fn shards(&self) -> &[Collection] {
+    pub fn shards(&self) -> &[Arc<Collection>] {
         &self.shards
     }
 
@@ -313,20 +328,24 @@ impl ShardedCollection {
     /// for a fully mirrored `F32Rescore` pass; shards without a mirror
     /// degrade to the f64 path individually, results identical).
     pub fn has_f32_mirror(&self) -> bool {
-        self.shards.iter().all(Collection::has_f32_mirror)
+        self.shards.iter().all(|s| s.has_f32_mirror())
     }
 
-    /// Build every shard's f32 mirror (idempotent per shard).
+    /// Build every shard's f32 mirror (idempotent per shard; a shard
+    /// shared through [`Self::whole`] is copied first if it needs one,
+    /// never mutated under its other owners).
     pub fn ensure_f32_mirror(&mut self) {
         for shard in &mut self.shards {
-            shard.ensure_f32_mirror();
+            if !shard.has_f32_mirror() {
+                Arc::make_mut(shard).ensure_f32_mirror();
+            }
         }
     }
 
     /// Heap bytes of all shards' vector payloads (f64 buffers plus f32
     /// mirrors), same accounting as [`Collection::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
-        self.shards.iter().map(Collection::memory_bytes).sum()
+        self.shards.iter().map(|s| s.memory_bytes()).sum()
     }
 
     /// Build one [`PartitionedCollection`] per shard with the same
@@ -1041,11 +1060,31 @@ mod tests {
             assert_eq!(sc.offset(s), 10);
             // S > len leaves (only) tail shards empty.
             if s > 10 {
-                assert!(sc.shards().iter().any(Collection::is_empty));
+                assert!(sc.shards().iter().any(|shard| shard.is_empty()));
             }
         }
         // Degenerate: 0 clamps to 1 shard.
         assert_eq!(ShardedCollection::split(&c, 0).shard_count(), 1);
+    }
+
+    #[test]
+    fn whole_shares_the_collection_and_matches_the_one_shard_split() {
+        let mut b = CollectionBuilder::new();
+        for i in 0..6 {
+            b.push_unlabelled(&[i as f64, 0.5]).unwrap();
+        }
+        let c = Arc::new(b.build());
+        let mut whole = ShardedCollection::whole(Arc::clone(&c));
+        let split = ShardedCollection::split(&c, 1);
+        assert!(Arc::ptr_eq(&whole.shards()[0], &c), "rows are not copied");
+        assert_eq!(whole.shard_count(), 1);
+        assert_eq!((whole.offset(0), whole.offset(1)), (0, 6));
+        assert_eq!((whole.len(), whole.dim()), (split.len(), split.dim()));
+        assert_eq!(whole.shard(0).vector(5), split.shard(0).vector(5));
+        // Mirroring a shared shard copies it; the other owner's
+        // collection is never mutated behind its back.
+        whole.ensure_f32_mirror();
+        assert!(whole.has_f32_mirror() && !c.has_f32_mirror());
     }
 
     #[test]

@@ -289,7 +289,8 @@ impl Distance for HierarchicalDistance {
         // The flattened form is exactly a weighted Euclidean with the
         // effective weights, so the same rounding budget applies.
         let w_max = self.effective_weights.iter().cloned().fold(0.0, f64::max);
-        super::weighted_f32_slack(dim, w_max, max_abs)
+        let w_sum = self.effective_weights.iter().sum();
+        super::weighted_f32_slack(dim, w_sum, w_max, max_abs)
     }
 
     fn eval_key_batch_f32(

@@ -1789,4 +1789,153 @@ mod tests {
             }
         }
     }
+
+    /// Weight vectors with `w_max / mean w` up to ~1e4: log-uniform
+    /// spreads over two and four decades, and a single dominant
+    /// component over a light floor.
+    fn skewed_weights(rng: &mut rand::rngs::StdRng, dim: usize, profile: usize) -> Vec<f64> {
+        use rand::Rng;
+        let mut w: Vec<f64> = match profile {
+            0 => (0..dim).map(|_| rng.gen_range(0.5..2.0)).collect(),
+            1 => (0..dim)
+                .map(|_| 10f64.powf(rng.gen_range(-2.0..0.0)))
+                .collect(),
+            2 => (0..dim)
+                .map(|_| 10f64.powf(rng.gen_range(-4.0..0.0)))
+                .collect(),
+            _ => (0..dim).map(|_| rng.gen_range(1e-4..2e-4)).collect(),
+        };
+        if profile >= 2 {
+            // Pin the dominant component so the skew is there at every
+            // dimensionality, not only when the draw happens to hit it.
+            let heavy = rng.gen_range(0..dim);
+            w[heavy] = 1.0;
+        }
+        w
+    }
+
+    /// A single-query block kernel bound to its block: `(weights, query,
+    /// keys out)`.
+    type BlockKernel<'a> = dyn Fn(&[f32], &[f32], &mut [f32]) + 'a;
+
+    #[test]
+    fn f32_keys_stay_within_sum_weight_slack_on_every_kernel_shape() {
+        use crate::distance::weighted_f32_slack;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // 3 queries × 3 rows: the block kernels run a row pair plus a
+        // single remainder row, the FMA multi kernel a 2×2 tile, a
+        // row-pair for the odd query, and single rows for the odd row.
+        const NQ: usize = 3;
+        const ROWS: usize = 3;
+        #[cfg(target_arch = "x86_64")]
+        let fma_host = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        let mut rng = StdRng::seed_from_u64(0x51ac);
+        let mut worst_use = 0.0f64;
+        for dim in 1..=130usize {
+            for profile in 0..4 {
+                for max_abs in [1.0f64, 37.5, 1e3] {
+                    // Components up to ±max_abs, a third of them pinned
+                    // to the extremes so differences reach 2·max_abs.
+                    let mut draw = |n: usize| -> Vec<f64> {
+                        (0..n)
+                            .map(|_| match rng.gen_range(0..6) {
+                                0 => max_abs,
+                                1 => -max_abs,
+                                _ => rng.gen_range(-max_abs..max_abs),
+                            })
+                            .collect()
+                    };
+                    let queries = draw(NQ * dim);
+                    let block = draw(ROWS * dim);
+                    let weights: Vec<f64> = (0..NQ)
+                        .flat_map(|_| skewed_weights(&mut rng, dim, profile))
+                        .collect();
+                    let q32: Vec<f32> = queries.iter().map(|&v| v as f32).collect();
+                    let b32: Vec<f32> = block.iter().map(|&v| v as f32).collect();
+                    let w32: Vec<f32> = weights.iter().map(|&v| v as f32).collect();
+                    let unbounded = [f32::INFINITY; NQ];
+
+                    // One single-query block call per query, laid out
+                    // like the multi kernels' output (`q·ROWS + r`).
+                    let per_query = |kernel: &BlockKernel| {
+                        let mut out = vec![0.0f32; NQ * ROWS];
+                        for (q, keys) in out.chunks_exact_mut(ROWS).enumerate() {
+                            let span = q * dim..(q + 1) * dim;
+                            kernel(&w32[span.clone()], &q32[span], keys);
+                        }
+                        out
+                    };
+                    let mut multi = vec![0.0f32; NQ * ROWS];
+                    f32_plain::weighted_sq_multi(
+                        &w32, dim, &q32, &b32, dim, &unbounded, &mut multi,
+                    );
+                    // f32::MAX is finite, so dims past one segment take
+                    // the segment-wise bounded accumulation.
+                    let mut shapes = vec![
+                        ("plain multi", multi.clone()),
+                        (
+                            "plain block",
+                            per_query(&|w, q, keys| {
+                                f32_plain::weighted_sq_block(w, q, &b32, dim, f32::INFINITY, keys)
+                            }),
+                        ),
+                        (
+                            "plain bounded",
+                            per_query(&|w, q, keys| {
+                                f32_plain::weighted_sq_block(w, q, &b32, dim, f32::MAX, keys)
+                            }),
+                        ),
+                    ];
+                    #[cfg(target_arch = "x86_64")]
+                    if fma_host {
+                        // SAFETY (both calls): avx2 + fma were detected
+                        // above.
+                        unsafe {
+                            f32_intr::weighted_sq_multi(
+                                &w32, dim, &q32, &b32, dim, &unbounded, &mut multi,
+                            );
+                        }
+                        shapes.push(("intr multi", multi));
+                        shapes.push((
+                            "intr block",
+                            per_query(&|w, q, keys| unsafe {
+                                f32_intr::weighted_sq_block(w, q, &b32, dim, f32::INFINITY, keys)
+                            }),
+                        ));
+                    }
+
+                    for q in 0..NQ {
+                        let w = &weights[q * dim..(q + 1) * dim];
+                        let w_sum: f64 = w.iter().sum();
+                        let w_max = w.iter().cloned().fold(0.0, f64::max);
+                        let slack = weighted_f32_slack(dim, w_sum, w_max, max_abs)
+                            .expect("magnitudes far below the overflow guard");
+                        for r in 0..ROWS {
+                            let key64 = weighted_sq_row(
+                                w,
+                                &queries[q * dim..(q + 1) * dim],
+                                &block[r * dim..(r + 1) * dim],
+                            );
+                            for (label, keys) in &shapes {
+                                let err = (keys[q * ROWS + r] as f64 - key64).abs();
+                                assert!(
+                                    err <= slack,
+                                    "{label} dim {dim} profile {profile} M {max_abs}: \
+                                     |key32 − key64| = {err} exceeds slack {slack} (key64 {key64})"
+                                );
+                                worst_use = worst_use.max(err / slack);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The budget is worst-case, so random draws use a small part of
+        // it — but not nothing: a vacuous bound would make this test
+        // (and the rescore it sizes) meaningless.
+        assert!(
+            worst_use > 0.02 && worst_use <= 1.0,
+            "slack use {worst_use}"
+        );
+    }
 }

@@ -361,19 +361,28 @@ pub(crate) const F32_KEY_OVERFLOW_GUARD: f64 = f32::MAX as f64 / 16.0;
 /// Worst-case `|key32 − key64|` for the diagonal weighted-squared family
 /// (`Σ wᵢ·(aᵢ−bᵢ)²`, covering Euclidean via `w ≡ 1` and hierarchical via
 /// the flattened effective weights), at dimensionality `dim` with
-/// component magnitudes ≤ `max_abs` and weights ≤ `w_max` — or `None`
-/// when the worst-case key could overflow f32
-/// ([`F32_KEY_OVERFLOW_GUARD`]), where no finite slack is sound.
+/// component magnitudes ≤ `max_abs`, weight sum `w_sum = Σ wᵢ` and
+/// weights ≤ `w_max` — or `None` when the worst-case key could overflow
+/// f32 ([`F32_KEY_OVERFLOW_GUARD`]), where no finite slack is sound.
 ///
 /// Error budget (u = 2⁻²⁴, M = `max_abs`, per-component difference
 /// `d = a − b` with `|d| ≤ 2M`):
 /// input conversion + subtraction give `|d32 − d| ≤ 4.1uM`; squaring and
-/// the weight product add ≤ `29·u·w·M²` per term; f32 accumulation of
-/// `dim` terms adds ≤ `dim·u` times the term-magnitude sum
-/// (≤ `dim·4.01·w_max·M²`), for any summation order. The total is
+/// the weight product add ≤ `29·u·wᵢ·M²` to term `i`, so the terms are
+/// off by ≤ `29·u·M²·Σ wᵢ` together; f32 accumulation of `dim` terms
+/// adds ≤ `dim·u` times the term-magnitude sum `Σ|tᵢ| ≤ 4.01·M²·Σ wᵢ`.
+/// Both parts charge each term by its **own** weight: the rescore then
+/// gathers a band as wide as the metric's total mass, not `dim` copies
+/// of its heaviest component — with skewed learned weights
+/// (`w_max ≫ mean w`) that is the difference between rescoring ~k rows
+/// and an order of magnitude more. The accumulation bound holds for any summation order
+/// (each partial sum is rounded once, and every partial sum of
+/// non-negative terms is ≤ `Σ|tᵢ|`), so it covers the portable lane
+/// tree, the row-pair and 2×2-tile FMA kernels alike. The total is
 /// doubled as a safety margin (it also absorbs the f64 reference key's
-/// own, far smaller, rounding error).
-pub(crate) fn weighted_f32_slack(dim: usize, w_max: f64, max_abs: f64) -> Option<f64> {
+/// own, far smaller, rounding error). The overflow guard stays on the
+/// coarser `dim·w_max` worst case: it decides eligibility, not Δ.
+pub(crate) fn weighted_f32_slack(dim: usize, w_sum: f64, w_max: f64, max_abs: f64) -> Option<f64> {
     let n = dim as f64;
     let m2 = max_abs * max_abs;
     // Worst-case key ≤ Σ|tᵢ| ≤ n·w_max·(2.01·M)²; also covers every
@@ -385,7 +394,7 @@ pub(crate) fn weighted_f32_slack(dim: usize, w_max: f64, max_abs: f64) -> Option
         return None;
     }
     let u = F32_UNIT_ROUNDOFF;
-    Some(2.0 * u * w_max * m2 * n * (29.0 + 4.1 * n))
+    Some(2.0 * u * w_sum * m2 * (29.0 + 4.1 * n))
 }
 
 #[cfg(test)]
@@ -394,14 +403,28 @@ mod slack_tests {
 
     #[test]
     fn weighted_slack_is_positive_and_scales() {
-        let s = weighted_f32_slack(64, 3.0, 1.0).unwrap();
+        let s = weighted_f32_slack(64, 64.0, 3.0, 1.0).unwrap();
         assert!(s > 0.0 && s.is_finite());
-        // More components, bigger weights, bigger values ⇒ looser bound.
-        assert!(weighted_f32_slack(128, 3.0, 1.0).unwrap() > s);
-        assert!(weighted_f32_slack(64, 6.0, 1.0).unwrap() > s);
-        assert!(weighted_f32_slack(64, 3.0, 2.0).unwrap() > s);
+        // More components, more weight mass, bigger values ⇒ looser bound.
+        assert!(weighted_f32_slack(128, 64.0, 3.0, 1.0).unwrap() > s);
+        assert!(weighted_f32_slack(64, 128.0, 3.0, 1.0).unwrap() > s);
+        assert!(weighted_f32_slack(64, 64.0, 3.0, 2.0).unwrap() > s);
         // Degenerate all-zero data ⇒ zero slack (keys are exactly 0).
-        assert_eq!(weighted_f32_slack(64, 3.0, 0.0), Some(0.0));
+        assert_eq!(weighted_f32_slack(64, 64.0, 3.0, 0.0), Some(0.0));
+    }
+
+    #[test]
+    fn slack_follows_the_weight_sum_not_the_heaviest_weight() {
+        // One dominant component among 63 light ones: Δ is sized by the
+        // metric's total mass (≈ 1 heavy weight), not by 64 copies of it.
+        let skewed = weighted_f32_slack(64, 100.0 + 63.0 * 0.01, 100.0, 1.0).unwrap();
+        let flat = weighted_f32_slack(64, 64.0 * 100.0, 100.0, 1.0).unwrap();
+        assert!(skewed * 60.0 < flat, "skewed {skewed} vs flat {flat}");
+        // w_max alone (same Σw) only gates eligibility.
+        assert_eq!(
+            weighted_f32_slack(64, 64.0, 1.0, 1.0),
+            weighted_f32_slack(64, 64.0, 50.0, 1.0)
+        );
     }
 
     #[test]
@@ -409,10 +432,10 @@ mod slack_tests {
         // Component magnitudes ~1e18 drive 64-d weighted keys toward
         // f32::MAX, where |key32 − key64| ≤ Δ no longer holds (key32
         // saturates to +∞). No finite slack is sound there.
-        assert_eq!(weighted_f32_slack(64, 1.0, 1e18), None);
-        assert_eq!(weighted_f32_slack(64, 1e6, 1e16), None);
+        assert_eq!(weighted_f32_slack(64, 64.0, 1.0, 1e18), None);
+        assert_eq!(weighted_f32_slack(64, 64e6, 1e6, 1e16), None);
         // Ordinary magnitudes stay eligible.
-        assert!(weighted_f32_slack(64, 10.0, 1e3).is_some());
+        assert!(weighted_f32_slack(64, 640.0, 10.0, 1e3).is_some());
     }
 }
 

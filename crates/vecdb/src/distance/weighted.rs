@@ -19,6 +19,9 @@ pub struct WeightedEuclidean {
     weights_f32: Vec<f32>,
     min_w: f64,
     max_w: f64,
+    /// `Σ wᵢ`, cached at construction: the serving path asks for
+    /// [`Distance::f32_key_slack`] once per request per pass.
+    sum_w: f64,
 }
 
 impl WeightedEuclidean {
@@ -34,12 +37,14 @@ impl WeightedEuclidean {
         }
         let min_w = weights.iter().cloned().fold(f64::INFINITY, f64::min);
         let max_w = weights.iter().cloned().fold(0.0, f64::max);
+        let sum_w = weights.iter().sum();
         let weights_f32 = weights.iter().map(|&w| w as f32).collect();
         Ok(WeightedEuclidean {
             weights,
             weights_f32,
             min_w,
             max_w,
+            sum_w,
         })
     }
 
@@ -50,6 +55,7 @@ impl WeightedEuclidean {
             weights_f32: vec![1.0; dim],
             min_w: 1.0,
             max_w: 1.0,
+            sum_w: dim as f64,
         }
     }
 
@@ -161,7 +167,7 @@ impl Distance for WeightedEuclidean {
     }
 
     fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
-        super::weighted_f32_slack(dim, self.max_w, max_abs)
+        super::weighted_f32_slack(dim, self.sum_w, self.max_w, max_abs)
     }
 
     fn eval_key_batch_f32(

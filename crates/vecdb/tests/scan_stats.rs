@@ -13,14 +13,19 @@ use fbp_vecdb::{
 const DIM: usize = 24;
 const N: usize = 900;
 
-fn collection(n: usize) -> fbp_vecdb::Collection {
+/// Deterministic uniform draws in `[0, 1)`.
+fn lcg() -> impl FnMut() -> f64 {
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
+    move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         (state >> 11) as f64 / (1u64 << 53) as f64
-    };
+    }
+}
+
+fn collection(n: usize) -> fbp_vecdb::Collection {
+    let mut next = lcg();
     let mut b = CollectionBuilder::new().with_f32_mirror();
     for _ in 0..n {
         let v: Vec<f64> = (0..DIM).map(|_| next()).collect();
@@ -170,5 +175,66 @@ fn seeded_shard_pass_counts_a_seed_prune_and_keeps_the_answer() {
             traced.scan_shard_multi(0, &refs, &[k], &w, Some(&[f64::INFINITY]))[0].clone();
         assert_eq!(seeded_inf.entries(), unseeded[0].entries());
         assert_eq!(sink.snapshot().seed_prunes, 1, "INFINITY cap not counted");
+    }
+}
+
+/// Cluster `c`'s lattice centre (the serving bench's generator shape).
+fn centre(c: usize, dim: usize) -> Vec<f64> {
+    (0..dim)
+        .map(|d| ((c * 31 + d * 7) % 97) as f64 / 97.0)
+        .collect()
+}
+
+/// Four dense clusters, ±0.08 spread around their centres.
+fn clustered(n: usize, dim: usize) -> fbp_vecdb::Collection {
+    let mut next = lcg();
+    let mut b = CollectionBuilder::new().with_f32_mirror();
+    for _ in 0..n {
+        let v: Vec<f64> = centre((next() * 4.0) as usize, dim)
+            .iter()
+            .map(|base| (base + (next() - 0.5) * 0.16).clamp(0.0, 1.0))
+            .collect();
+        b.push_unlabelled(&v).unwrap();
+    }
+    b.build()
+}
+
+#[test]
+fn skewed_learned_weights_rescore_about_k_rows() {
+    // Learned inverse-variance weights are normalized to geometric mean
+    // 1 and log-spread (ratio cap 1e4), so `w_max ≫ mean w`; a converged
+    // query sits in the dense middle of its cluster. The f32 slack must
+    // follow the metric's `Σw` there: sized by `dim·w_max` it widened
+    // the rescore band to ~8·k gathered rows per query on this shape.
+    // Batched only — the serving mode; a parallel pass filters per
+    // chunk, so its pool grows with the host's thread count.
+    const D: usize = 64;
+    let coll = clustered(20_000, D);
+    let k = 50usize;
+    let qs: Vec<Vec<f64>> = (0..8).map(|q| centre(q % 4, D)).collect();
+    let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
+    let metrics: Vec<WeightedEuclidean> = (0..qs.len())
+        .map(|q| {
+            let ln_w: Vec<f64> = (0..D)
+                .map(|i| 4.6 * ((q * 13 + i * 29) as f64 * 0.77).sin())
+                .collect();
+            let mean = ln_w.iter().sum::<f64>() / D as f64;
+            WeightedEuclidean::new(ln_w.iter().map(|l| (l - mean).exp()).collect()).unwrap()
+        })
+        .collect();
+    let scan = MultiQueryScan::with_mode(&coll, ScanMode::Batched);
+    let exact = scan.knn_weighted_per_query_k(&refs, &metrics, &vec![k; refs.len()]);
+    for (q, metric) in metrics.iter().enumerate() {
+        let sink = ScanStatsSink::new();
+        let got = scan
+            .with_precision(Precision::F32Rescore)
+            .with_scan_stats(&sink)
+            .knn_weighted_per_query_k(&refs[q..=q], std::slice::from_ref(metric), &[k]);
+        assert_eq!(got[0], exact[q], "query {q}");
+        let rescored = sink.snapshot().candidates_rescored;
+        assert!(
+            (k as u64..=4 * k as u64).contains(&rescored),
+            "query {q}: {rescored} candidates rescored for k = {k}"
+        );
     }
 }

@@ -19,8 +19,9 @@ use fbp_bench::{emit, is_fast, time_median_ns, write_bench_json};
 use fbp_eval::report::Figure;
 use fbp_eval::Series;
 use fbp_vecdb::{
-    CollectionBuilder, Distance, KnnEngine, LinearScan, MultiQueryScan, Precision, ScanMode,
-    WeightedEuclidean,
+    CollectionBuilder, Distance, KnnEngine, LinearScan, MultiQueryScan, Precision, QueryBatch,
+    QueryMetrics::{PerQuery, Shared},
+    ScanMode, WeightedEuclidean,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
@@ -97,7 +98,11 @@ fn main() {
         for q in QS {
             let ns = time_median_ns(warmup, samples, || {
                 for batch in refs.chunks(q) {
-                    black_box(multi.knn_multi(batch, K, &weighted).len());
+                    black_box(
+                        multi
+                            .knn(&QueryBatch::new(batch, Shared(&weighted), K))
+                            .len(),
+                    );
                 }
             }) / TOTAL_QUERIES as f64;
             sweep.push((q, ns));
@@ -110,7 +115,11 @@ fn main() {
     let multi = MultiQueryScan::with_mode(&coll, ScanMode::Batched);
     let per_query_ns = time_median_ns(warmup, samples, || {
         for (batch, dist_batch) in refs.chunks(16).zip(dists.chunks(16)) {
-            black_box(multi.knn_per_query(batch, dist_batch, K).len());
+            black_box(
+                multi
+                    .knn(&QueryBatch::new(batch, PerQuery(dist_batch), K))
+                    .len(),
+            );
         }
     }) / TOTAL_QUERIES as f64;
 

@@ -23,7 +23,8 @@
 use fbp_bench::{is_fast, is_full, time_median_ns, write_bench_json};
 use fbp_vecdb::{
     Collection, CollectionBuilder, MultiQueryScan, PartitionConfig, PartitionedCollection,
-    PartitionedScan, Precision, ScanMode, ScanStatsSink, WeightedEuclidean,
+    PartitionedScan, Precision, QueryBatch, QueryMetrics::Shared, ScanMode, ScanStatsSink,
+    WeightedEuclidean,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
@@ -118,12 +119,19 @@ fn measure(
     let flat_sink = ScanStatsSink::new();
     let flat = MultiQueryScan::with_mode(coll, ScanMode::Batched).with_scan_stats(&flat_sink);
     for q in qs {
-        black_box(flat.knn_multi(&[q.as_slice()], k, dist).len());
+        black_box(
+            flat.knn(&QueryBatch::new(&[q.as_slice()], Shared(dist), k))
+                .len(),
+        );
     }
     let pruned_sink = ScanStatsSink::new();
     let pruned = PartitionedScan::with_mode(part, ScanMode::Batched).with_scan_stats(&pruned_sink);
     for q in qs {
-        black_box(pruned.knn_multi(&[q.as_slice()], k, dist).len());
+        black_box(
+            pruned
+                .knn(&QueryBatch::new(&[q.as_slice()], Shared(dist), k))
+                .len(),
+        );
     }
     let flat_rows = flat_sink.snapshot().rows_visited;
     let pruned_stats = pruned_sink.snapshot();
@@ -131,20 +139,31 @@ fn measure(
     let flat = MultiQueryScan::with_mode(coll, ScanMode::Batched);
     let flat_ns = time_median_ns(warmup, samples, || {
         for q in qs {
-            black_box(flat.knn_multi(&[q.as_slice()], k, dist).len());
+            black_box(
+                flat.knn(&QueryBatch::new(&[q.as_slice()], Shared(dist), k))
+                    .len(),
+            );
         }
     }) / qs.len() as f64;
     let pruned = PartitionedScan::with_mode(part, ScanMode::Batched);
     let pruned_ns = time_median_ns(warmup, samples, || {
         for q in qs {
-            black_box(pruned.knn_multi(&[q.as_slice()], k, dist).len());
+            black_box(
+                pruned
+                    .knn(&QueryBatch::new(&[q.as_slice()], Shared(dist), k))
+                    .len(),
+            );
         }
     }) / qs.len() as f64;
     let pruned_f32 =
         PartitionedScan::with_mode(part, ScanMode::Batched).with_precision(Precision::F32Rescore);
     let pruned_f32_ns = time_median_ns(warmup, samples, || {
         for q in qs {
-            black_box(pruned_f32.knn_multi(&[q.as_slice()], k, dist).len());
+            black_box(
+                pruned_f32
+                    .knn(&QueryBatch::new(&[q.as_slice()], Shared(dist), k))
+                    .len(),
+            );
         }
     }) / qs.len() as f64;
 

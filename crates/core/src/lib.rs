@@ -70,7 +70,7 @@ pub use bypass::{BypassConfig, FeedbackBypass, PredictedParams};
 pub use query::{LoweredQuery, QuerySpec, QuerySpecBuilder, RequestError, RocchioWeights};
 pub use reduction::{PcaReducer, ReducedBypass};
 pub use session::{BypassSystem, QueryOutcome};
-pub use sharded::{GatherVerdict, ShardedBypass};
+pub use sharded::ShardedBypass;
 pub use shared::{KnnRequest, SharedBypass};
 
 // Re-export the substrate types users interact with.

@@ -5,19 +5,14 @@
 //! per-query k-bests merge back — bit-identical to the flat pass, and
 //! therefore to per-session [`LinearScan`](fbp_vecdb::LinearScan)s.
 //!
-//! Two consumption shapes:
-//!
-//! * **One-shot** ([`ShardedBypass::knn_batch`]) — validate once, fan
-//!   the batch out over shard worker threads, gather inline. This is
-//!   what `fbp-eval::sessions` and in-process callers use.
-//! * **Split** ([`ShardedBypass::scan_shard`] +
-//!   [`ShardedBypass::gather`]) — for serving stacks that schedule each
-//!   shard independently (the `fbp-server` per-shard micro-batchers):
-//!   each shard dispatcher runs `scan_shard` on whatever batch *its*
-//!   queue produced, and the request's reply is assembled by `gather`
-//!   once all shards delivered. Results do not depend on how requests
-//!   were grouped into shard passes — a [`ShardPartial`] is the exact
-//!   local k-best in key space regardless of its batch-mates.
+//! [`ShardedBypass::knn_batch`] validates once, fans the batch out
+//! over shard worker threads and gathers inline — what
+//! `fbp-eval::sessions` and in-process callers use. Serving stacks that
+//! schedule each shard independently (the `fbp-server` per-shard
+//! micro-batchers) call [`ShardedScan::scan_shard`] and
+//! [`merge_partials`](fbp_vecdb::merge_partials) directly: a
+//! [`ShardPartial`](fbp_vecdb::ShardPartial) is the exact local k-best
+//! in key space regardless of its batch-mates.
 //!
 //! The learned-module half (predict / insert / stats) is untouched by
 //! sharding — it delegates to the wrapped [`SharedBypass`], one module
@@ -28,14 +23,7 @@ use crate::query::QuerySpec;
 use crate::shared::{prepare_requests, resolve_precision, KnnRequest, SharedBypass};
 use crate::Result;
 use fbp_simplex_tree::InsertOutcome;
-use fbp_vecdb::{
-    merge_partials, merge_partials_policy, DegradedGather, FailurePolicy, GatherError, Neighbor,
-    Precision, ShardPartial, ShardedCollection, ShardedScan, WeightedEuclidean,
-};
-
-/// Outcome of a policy-checked gather: a (possibly degraded) merged
-/// answer, or the typed refusal the [`FailurePolicy`] demands.
-pub type GatherVerdict = std::result::Result<DegradedGather, GatherError>;
+use fbp_vecdb::{Neighbor, Precision, ShardedCollection, ShardedScan};
 
 /// Cloneable handle pairing the shared learned module with the
 /// scatter/gather serving front-end for sharded collections.
@@ -124,138 +112,9 @@ impl ShardedBypass {
         if coll.is_empty() {
             return Ok(vec![Vec::new(); requests.len()]);
         }
-        let refs: Vec<&KnnRequest> = requests.iter().collect();
-        let prep = prepare_requests(coll.dim(), &refs, k)?;
-        let scan = scan.with_precision(Self::effective_precision(scan, requests)?);
-        let points: Vec<&[f64]> = requests.iter().map(|r| r.point.as_slice()).collect();
-        if prep.shared_metric {
-            Ok(scan.knn_multi_k(&points, &prep.ks, &prep.metrics[0]))
-        } else {
-            Ok(scan.knn_weighted_per_query_k(&points, &prep.metrics, &prep.ks))
-        }
-    }
-
-    /// Scatter stage for external per-shard schedulers: run shard
-    /// `shard`'s pass for one batch of requests, returning one keyed
-    /// [`ShardPartial`] per request (request order). The batch given to
-    /// each shard may differ — each shard's micro-batcher drains its own
-    /// queue — because a partial is the shard's exact k-best for that
-    /// request no matter which requests shared its pass. Validation,
-    /// the per-request `k` rule, the shared-metric fast path, and the
-    /// precision rule match [`Self::knn_batch`].
-    ///
-    /// `seeds` (per request, optional) enable **cross-shard bound
-    /// propagation**: each entry must be a sound upper bound on that
-    /// request's global k-th key — typically
-    /// [`ShardPartial::bound_key`] from a shard that already finished
-    /// (the k-th best of any row subset bounds the global k-th from
-    /// above). A seeded pass early-abandons sooner, recovering most of
-    /// the pruning power a flat pass gets from its single running
-    /// threshold; it can never change the merged answer. `f64::INFINITY`
-    /// entries are no-ops.
-    pub fn scan_shard(
-        &self,
-        scan: &ShardedScan<'_>,
-        shard: usize,
-        requests: &[&KnnRequest],
-        k: usize,
-        seeds: Option<&[f64]>,
-    ) -> Result<Vec<ShardPartial>> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let coll = scan.collection();
         let prep = prepare_requests(coll.dim(), requests, k)?;
-        let scan = scan.with_precision(resolve_precision(
-            scan.precision(),
-            coll.has_f32_mirror(),
-            requests.iter().map(|r| r.precision),
-        )?);
-        let points: Vec<&[f64]> = requests.iter().map(|r| r.point.as_slice()).collect();
-        Ok(if prep.shared_metric {
-            scan.scan_shard_multi(shard, &points, &prep.ks, &prep.metrics[0], seeds)
-        } else {
-            scan.scan_shard_weighted(shard, &points, &prep.metrics, &prep.ks, seeds)
-        })
-    }
-
-    /// Scatter stage for schedulers that **prepared at admission**: the
-    /// points, metrics and result counts were validated and built once
-    /// (see [`KnnRequest::metric`]) and are shared by reference across
-    /// all `S` shard passes, instead of `scan_shard`'s rebuild-per-pass.
-    /// Semantics are otherwise identical to [`Self::scan_shard`] for
-    /// requests without precision pins (the prepared callers resolve
-    /// precision from the scan and collection alone); `seeds` as there.
-    pub fn scan_shard_prepared(
-        &self,
-        scan: &ShardedScan<'_>,
-        shard: usize,
-        points: &[&[f64]],
-        metrics: &[&WeightedEuclidean],
-        ks: &[usize],
-        seeds: Option<&[f64]>,
-    ) -> Vec<ShardPartial> {
-        if points.is_empty() {
-            return Vec::new();
-        }
-        let precision = resolve_precision(
-            scan.precision(),
-            scan.collection().has_f32_mirror(),
-            std::iter::empty(),
-        )
-        .expect("precision pins cannot conflict in an empty pin set");
-        let scan = scan.with_precision(precision);
-        let shared_metric = metrics
-            .split_first()
-            .is_some_and(|(first, rest)| rest.iter().all(|m| m.weights() == first.weights()));
-        if shared_metric {
-            scan.scan_shard_multi(shard, points, ks, metrics[0], seeds)
-        } else {
-            scan.scan_shard_weighted_refs(shard, points, metrics, ks, seeds)
-        }
-    }
-
-    /// Gather stage for external per-shard schedulers: merge one
-    /// request's per-shard partials (any arrival order) into its final
-    /// neighbor list under the request's own metric, honoring the
-    /// per-request `k` override against `default_k`.
-    pub fn gather<'p>(
-        request: &KnnRequest,
-        default_k: usize,
-        partials: impl IntoIterator<Item = &'p ShardPartial>,
-    ) -> Result<Vec<Neighbor>> {
-        let metric = WeightedEuclidean::new(request.weights.clone())
-            .map_err(|e| crate::BypassError::BadQuery(format!("request weights: {e}")))?;
-        Ok(merge_partials(
-            partials,
-            request.k.unwrap_or(default_k),
-            &metric,
-        ))
-    }
-
-    /// Gather stage **with missing shards**: `partials[i]` is shard
-    /// `i`'s delivery or `None` when it failed, and `policy` decides
-    /// between a (possibly degraded) merged answer and a typed refusal
-    /// — the router tier's partial-failure contract. The outer `Result`
-    /// reports invalid request weights; the inner [`GatherVerdict`] is
-    /// the policy's decision (see
-    /// [`merge_partials_policy`]).
-    ///
-    /// [`merge_partials_policy`]: fbp_vecdb::merge_partials_policy
-    pub fn gather_policy(
-        request: &KnnRequest,
-        default_k: usize,
-        partials: &[Option<ShardPartial>],
-        policy: FailurePolicy,
-    ) -> Result<GatherVerdict> {
-        let metric = WeightedEuclidean::new(request.weights.clone())
-            .map_err(|e| crate::BypassError::BadQuery(format!("request weights: {e}")))?;
-        Ok(merge_partials_policy(
-            partials,
-            request.k.unwrap_or(default_k),
-            &metric,
-            policy,
-        ))
+        let scan = scan.with_precision(Self::effective_precision(scan, requests)?);
+        Ok(prep.scan(requests, |batch| scan.knn(batch)))
     }
 
     /// Predict under a read lock (delegates to the shared module).
@@ -283,7 +142,9 @@ impl ShardedBypass {
 mod tests {
     use super::*;
     use crate::{BypassConfig, KnnRequest};
-    use fbp_vecdb::{CollectionBuilder, KnnEngine, LinearScan, MultiQueryScan, ScanMode};
+    use fbp_vecdb::{
+        CollectionBuilder, KnnEngine, LinearScan, MultiQueryScan, ScanMode, WeightedEuclidean,
+    };
 
     fn collection() -> fbp_vecdb::Collection {
         let mut b = CollectionBuilder::new().with_f32_mirror();
@@ -339,32 +200,6 @@ mod tests {
         for (req, res) in reqs.iter().zip(flat.iter()) {
             let w = WeightedEuclidean::new(req.weights.clone()).unwrap();
             assert_eq!(res, &single.knn(&req.point, req.k.unwrap_or(7), &w));
-        }
-    }
-
-    #[test]
-    fn split_scan_shard_plus_gather_matches_one_shot() {
-        let coll = collection();
-        let reqs = requests();
-        let sc = ShardedCollection::split(&coll, 3);
-        let scan = ShardedScan::with_mode(&sc, ScanMode::Batched);
-        let by = sharded();
-        let one_shot = by.knn_batch_lowered(&scan, &reqs, 7).unwrap();
-        // Per-shard batches grouped differently per shard: shard 0 sees
-        // the whole batch at once, shard 1 serves the requests as three
-        // singleton passes, shard 2 as a pair plus a singleton — the
-        // gathered replies must not care.
-        let refs: Vec<&KnnRequest> = reqs.iter().collect();
-        let p0 = by.scan_shard(&scan, 0, &refs, 7, None).unwrap();
-        let p1: Vec<_> = refs
-            .iter()
-            .map(|r| by.scan_shard(&scan, 1, &[*r], 7, None).unwrap().remove(0))
-            .collect();
-        let mut p2 = by.scan_shard(&scan, 2, &refs[..2], 7, None).unwrap();
-        p2.extend(by.scan_shard(&scan, 2, &refs[2..], 7, None).unwrap());
-        for (i, req) in reqs.iter().enumerate() {
-            let gathered = ShardedBypass::gather(req, 7, [&p1[i], &p2[i], &p0[i]]).unwrap();
-            assert_eq!(gathered, one_shot[i], "request {i}");
         }
     }
 

@@ -12,10 +12,11 @@
 //! same vectors, and on a memory-bandwidth-bound host those scans are
 //! the throughput ceiling. [`SharedBypass::knn_batch`] therefore
 //! coalesces the pending sessions' k-NN requests into **one**
-//! multi-query block pass ([`MultiQueryScan`]): requests still sharing a
-//! metric (e.g. first iterations under uniform weights) ride the
-//! shared-metric kernels, diverged per-session metrics share the block
-//! reads. Results are bit-identical to serving each request with its own
+//! multi-query block pass ([`MultiQueryScan::knn`] over one
+//! [`QueryBatch`]): requests still sharing a metric (e.g. first
+//! iterations under uniform weights) ride the shared-metric kernels,
+//! diverged per-session metrics the per-query-weight ones. Results are
+//! bit-identical to serving each request with its own
 //! [`LinearScan`](fbp_vecdb::LinearScan).
 
 use crate::bypass::{FeedbackBypass, PredictedParams};
@@ -23,8 +24,7 @@ use crate::query::{validate_weights, QuerySpec, RequestError};
 use crate::{BypassError, Result};
 use fbp_simplex_tree::InsertOutcome;
 use fbp_vecdb::{
-    Collection, MultiQueryScan, Neighbor, PartitionedCollection, PartitionedScan, Precision,
-    WeightedEuclidean,
+    Collection, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics, WeightedEuclidean,
 };
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -126,9 +126,23 @@ pub(crate) struct PreparedBatch {
     pub metrics: Vec<WeightedEuclidean>,
     /// Resolved per-request result counts (request `k` or the default).
     pub ks: Vec<usize>,
-    /// True when every request shares one weight vector (the
-    /// shared-metric kernel fast path).
-    pub shared_metric: bool,
+}
+
+impl PreparedBatch {
+    /// Run `scan` over the batch: the requests' points under their
+    /// weighted-Euclidean metrics and result counts as one
+    /// [`QueryBatch`] (which rides the shared-metric kernels when every
+    /// weight vector is equal — typically every session's first
+    /// iteration, before feedback diverges the metrics).
+    pub(crate) fn scan(
+        &self,
+        requests: &[KnnRequest],
+        scan: impl FnOnce(&QueryBatch<'_>) -> Vec<Vec<Neighbor>>,
+    ) -> Vec<Vec<Neighbor>> {
+        let points: Vec<&[f64]> = requests.iter().map(|r| r.point.as_slice()).collect();
+        let metrics: Vec<&WeightedEuclidean> = self.metrics.iter().collect();
+        scan(&QueryBatch::new(&points, QueryMetrics::Weighted(&metrics), 0).with_ks(&self.ks))
+    }
 }
 
 /// Validate a request batch against the served dimensionality and build
@@ -137,7 +151,7 @@ pub(crate) struct PreparedBatch {
 /// first.
 pub(crate) fn prepare_requests(
     dim: usize,
-    requests: &[&KnnRequest],
+    requests: &[KnnRequest],
     default_k: usize,
 ) -> Result<PreparedBatch> {
     for r in requests {
@@ -163,14 +177,7 @@ pub(crate) fn prepare_requests(
         })
         .collect::<Result<_>>()?;
     let ks: Vec<usize> = requests.iter().map(|r| r.k.unwrap_or(default_k)).collect();
-    let shared_metric = requests
-        .split_first()
-        .is_some_and(|(first, rest)| rest.iter().all(|r| r.weights == first.weights));
-    Ok(PreparedBatch {
-        metrics,
-        ks,
-        shared_metric,
-    })
+    Ok(PreparedBatch { metrics, ks })
 }
 
 /// The serving layer's one precision fallback rule, shared verbatim by
@@ -227,18 +234,6 @@ impl SharedBypass {
     /// serving layer opts in unconditionally.
     pub fn serving_scan(coll: &Collection) -> MultiQueryScan<'_> {
         MultiQueryScan::new(coll).with_precision(Precision::F32Rescore)
-    }
-
-    /// The partition-pruning counterpart of [`Self::serving_scan`]: the
-    /// scan a front-end hands to [`Self::knn_batch_partitioned`] after
-    /// opting into a [`PartitionConfig`](fbp_vecdb::PartitionConfig)
-    /// and building the layout once at load time
-    /// ([`fbp_vecdb::PartitionedCollection::build`]). Same mode-Auto,
-    /// f32-rescore-opt-in configuration; answers stay bit-identical to
-    /// [`Self::serving_scan`] over the source collection — partition
-    /// pruning only skips rows it can prove irrelevant.
-    pub fn serving_scan_partitioned(part: &PartitionedCollection) -> PartitionedScan<'_> {
-        PartitionedScan::new(part).with_precision(Precision::F32Rescore)
     }
 
     /// Predict under a read lock (concurrent with other predictions).
@@ -313,10 +308,10 @@ impl SharedBypass {
     ///
     /// Requests whose weight vectors are all identical — typically every
     /// session's first iteration, before feedback diverges the metrics —
-    /// take the shared-metric fast path
-    /// ([`MultiQueryScan::knn_multi_k`], one kernel call per block);
-    /// otherwise each request keeps its own learned metric and shares
-    /// the block reads ([`MultiQueryScan::knn_per_query_k`]).
+    /// take the shared-metric kernels (one kernel call per block);
+    /// otherwise each request keeps its own learned metric and the pass
+    /// rides the per-query-weight multi kernels. The [`QueryBatch`]
+    /// decides; this front-end only builds it.
     pub fn knn_batch_lowered(
         &self,
         scan: &MultiQueryScan<'_>,
@@ -330,70 +325,9 @@ impl SharedBypass {
         if coll.is_empty() {
             return Ok(vec![Vec::new(); requests.len()]);
         }
-        let refs: Vec<&KnnRequest> = requests.iter().collect();
-        let prep = prepare_requests(coll.dim(), &refs, k)?;
+        let prep = prepare_requests(coll.dim(), requests, k)?;
         let scan = scan.with_precision(Self::effective_precision(scan, requests)?);
-        let points: Vec<&[f64]> = requests.iter().map(|r| r.point.as_slice()).collect();
-        if prep.shared_metric {
-            Ok(scan.knn_multi_k(&points, &prep.ks, &prep.metrics[0]))
-        } else {
-            // Diverged metrics are all weighted-Euclidean by
-            // construction, so the pass rides the specialized
-            // per-query-weight multi kernels (one register-blocked
-            // kernel call per block instead of one per query) — results
-            // identical to the generic per-query path.
-            Ok(scan.knn_weighted_per_query_k(&points, &prep.metrics, &prep.ks))
-        }
-    }
-
-    /// [`Self::knn_batch`] through a partition-pruning scan: lower the
-    /// specs once, then serve the batch with
-    /// [`Self::knn_batch_lowered_partitioned`]. Bit-identical to
-    /// [`Self::knn_batch`] over the layout's source collection.
-    pub fn knn_batch_partitioned(
-        &self,
-        scan: &PartitionedScan<'_>,
-        specs: &[QuerySpec],
-        k: usize,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        let lowered: Vec<KnnRequest> = specs.iter().map(|s| s.lower().into_request()).collect();
-        self.knn_batch_lowered_partitioned(scan, &lowered, k)
-    }
-
-    /// [`Self::knn_batch_lowered`] through a partition-pruning scan:
-    /// identical validation, precision resolution (the shared fallback
-    /// rule, against the **inner** collection's mirror), shared-metric
-    /// fast path and per-query dispatch — only
-    /// the executor differs, and partition pruning is
-    /// answer-transparent, so the results are bit-identical to the flat
-    /// entry over the layout's source collection.
-    pub fn knn_batch_lowered_partitioned(
-        &self,
-        scan: &PartitionedScan<'_>,
-        requests: &[KnnRequest],
-        k: usize,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let part = scan.partitions();
-        if part.is_empty() {
-            return Ok(vec![Vec::new(); requests.len()]);
-        }
-        let refs: Vec<&KnnRequest> = requests.iter().collect();
-        let prep = prepare_requests(part.dim(), &refs, k)?;
-        let precision = resolve_precision(
-            scan.precision(),
-            part.has_f32_mirror(),
-            requests.iter().map(|r| r.precision),
-        )?;
-        let scan = scan.with_precision(precision);
-        let points: Vec<&[f64]> = requests.iter().map(|r| r.point.as_slice()).collect();
-        if prep.shared_metric {
-            Ok(scan.knn_multi_k(&points, &prep.ks, &prep.metrics[0]))
-        } else {
-            Ok(scan.knn_weighted_per_query_k(&points, &prep.metrics, &prep.ks))
-        }
+        Ok(prep.scan(requests, |batch| scan.knn(batch)))
     }
 
     /// Insert under a write lock.

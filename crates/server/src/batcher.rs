@@ -15,8 +15,7 @@
 //! **oldest** queued request or when no new request arrived for
 //! [`idle_gap`](crate::ServerConfig::idle_gap); at dispatch it drains up
 //! to [`max_batch`](crate::ServerConfig::max_batch) requests into one
-//! per-shard multi-query pass
-//! ([`ShardedBypass::scan_shard`](feedbackbypass::ShardedBypass::scan_shard)).
+//! per-shard multi-query pass ([`ShardedScan::scan_shard`]).
 //!
 //! *Possible* is decided from evidence, not from a timer. The protocol
 //! allows **at most one `Knn` in flight per connection** (replies are
@@ -42,7 +41,7 @@
 //! still exact: a [`ShardPartial`] is the shard's k-best for its request
 //! in key space regardless of batch-mates, and the gather merges
 //! partials by the deterministic `(key, index)` order
-//! ([`ShardedBypass::gather`](feedbackbypass::ShardedBypass::gather)).
+//! ([`merge_partials`]).
 //! The dispatcher thread that delivers the **last** partial runs the
 //! merge and the reply completion (session bookkeeping, encoding, the
 //! socket write), so no extra thread ever sits on the latency path.
@@ -58,8 +57,8 @@ use crate::metrics::Metrics;
 use crate::protocol::ShardSpan;
 use crate::trace::RequestTrace;
 use fbp_vecdb::{
-    merge_partials, Neighbor, PartitionedCollection, ScanMode, ShardPartial, ShardedCollection,
-    ShardedScan, WeightedEuclidean,
+    merge_partials, Neighbor, PartitionedCollection, QueryBatch, QueryMetrics, ScanMode,
+    ShardPartial, ShardedCollection, ShardedScan, WeightedEuclidean,
 };
 use feedbackbypass::{KnnRequest, ShardedBypass};
 use std::collections::VecDeque;
@@ -420,6 +419,32 @@ impl<T> Batcher<T> {
     }
 }
 
+/// The scan both server scan entry points (the shard dispatchers and
+/// the `ShardKnn` handler) run their passes on. It is rebuilt per pass
+/// (it is a couple of words); the serving precision rule
+/// ([`ShardedBypass::effective_precision`], no request pins) upgrades
+/// it to the f32 mirrors whenever every shard carries one, and the
+/// per-shard thread budget is an even share of the machine so S
+/// concurrent shard dispatchers cannot oversubscribe the host.
+/// Partition layouts (when the server opted in) redirect every shard
+/// pass through the pruning scan; the delivered partials — and
+/// therefore the gathered replies — are bit-identical.
+pub(crate) fn serving_scan<'a>(
+    coll: &'a ShardedCollection,
+    partitions: Option<&'a Vec<PartitionedCollection>>,
+    scan_mode: ScanMode,
+    metrics: &'a Metrics,
+) -> ShardedScan<'a> {
+    let scan = ShardedScan::with_mode(coll, scan_mode).with_scan_stats(metrics.scan_stats());
+    let precision = ShardedBypass::effective_precision(&scan, &[])
+        .expect("precision pins cannot conflict in an empty pin set");
+    let scan = scan.with_precision(precision);
+    match partitions {
+        Some(parts) => scan.with_partitions(parts),
+        None => scan,
+    }
+}
+
 /// One shard's dispatcher loop: drain batches from this shard's queue,
 /// run each as one per-shard scan pass, deliver every request's partial
 /// to its gather cell (the last shard to deliver fires the merged
@@ -429,7 +454,6 @@ pub(crate) fn run_shard_dispatcher(
     batcher: Arc<Batcher<Arc<Gather>>>,
     coll: Arc<ShardedCollection>,
     partitions: Option<Arc<Vec<PartitionedCollection>>>,
-    bypass: ShardedBypass,
     scan_mode: ScanMode,
     metrics: Arc<Metrics>,
 ) {
@@ -449,21 +473,9 @@ pub(crate) fn run_shard_dispatcher(
         // Cross-shard bound propagation: requests whose gathers already
         // hold another shard's k-th key prune against it from row one.
         let seeds: Vec<f64> = gathers.iter().map(|g| g.seed()).collect();
-        // The scan is rebuilt per pass (it is a couple of words); the
-        // scan_shard precision rule upgrades it to the f32 mirrors
-        // whenever every shard carries one, and the per-shard thread
-        // budget is an even share of the machine so S concurrent shard
-        // dispatchers cannot oversubscribe the host.
-        let scan = ShardedScan::with_mode(&coll, scan_mode).with_scan_stats(metrics.scan_stats());
-        // Partition layouts (when the server opted in) redirect every
-        // shard pass through the pruning scan; the delivered partials —
-        // and therefore the gathered replies — are bit-identical.
-        let scan = match &partitions {
-            Some(parts) => scan.with_partitions(parts),
-            None => scan,
-        };
-        let partials =
-            bypass.scan_shard_prepared(&scan, shard, &points, &pass_metrics, &ks, Some(&seeds));
+        let scan = serving_scan(&coll, partitions.as_deref(), scan_mode, &metrics);
+        let batch = QueryBatch::new(&points, QueryMetrics::Weighted(&pass_metrics), 0).with_ks(&ks);
+        let partials = scan.scan_shard(shard, &batch, Some(&seeds));
         let scanned = Instant::now();
         metrics.record_pass(&waits);
         // Traced requests get their span stamped *before* delivery, so
@@ -716,8 +728,12 @@ mod tests {
         let q: &[f64] = &[0.0, 0.0];
         let parts: Vec<ShardPartial> = (0..3)
             .map(|s| {
-                scan.scan_shard_weighted(s, &[q], std::slice::from_ref(&metric), &[5], None)
-                    .remove(0)
+                scan.scan_shard(
+                    s,
+                    &QueryBatch::new(&[q], QueryMetrics::Shared(&metric), 5),
+                    None,
+                )
+                .remove(0)
             })
             .collect();
         // Out-of-order delivery; the reply fires exactly once, on the
@@ -757,7 +773,11 @@ mod tests {
         let metric = fbp_vecdb::WeightedEuclidean::uniform(1);
         let q: &[f64] = &[0.0];
         let part = scan
-            .scan_shard_weighted(0, &[q], std::slice::from_ref(&metric), &[5], None)
+            .scan_shard(
+                0,
+                &QueryBatch::new(&[q], QueryMetrics::Shared(&metric), 5),
+                None,
+            )
             .remove(0);
         gather.complete_shard(0, Ok(part));
         gather.complete_shard(1, Err("pass failed".into()));

@@ -3,8 +3,11 @@
 //! Network serving subsystem for the FeedbackBypass stack: a threaded
 //! TCP front-end speaking a small length-prefixed binary protocol, with
 //! an **adaptive micro-batcher** at its core that coalesces concurrent
-//! sessions' k-NN requests into shared multi-query scan passes
-//! ([`SharedBypass::knn_batch`](feedbackbypass::SharedBypass::knn_batch)).
+//! sessions' k-NN requests into shared multi-query scan passes — one
+//! [`QueryBatch`](fbp_vecdb::QueryBatch) per pass, the same description
+//! of the operation the in-process front-end
+//! ([`SharedBypass::knn_batch`](feedbackbypass::SharedBypass::knn_batch))
+//! builds.
 //!
 //! ## Why a serving layer
 //!
@@ -31,7 +34,7 @@
 //! micro-batcher and dispatcher thread** under the same batching
 //! policy. Every `Knn` request is admitted once, scattered to all `S`
 //! queues, served by `S` independent per-shard passes
-//! ([`ShardedBypass::scan_shard`](feedbackbypass::ShardedBypass)), and
+//! ([`ShardedScan::scan_shard`](fbp_vecdb::ShardedScan::scan_shard)), and
 //! its reply is gathered — the per-shard k-bests merge in key space
 //! with a deterministic `(key, index)` order, so the answer is
 //! **bit-identical** to flat serving no matter how each shard happened
@@ -114,8 +117,8 @@
 //! a dead peer.
 //!
 //! Results over the wire are **bit-identical** to in-process serving:
-//! the batcher feeds the same `knn_batch` front-end, whose passes are
-//! pinned identical to per-session
+//! the batcher feeds the same scan entry the `knn_batch` front-end
+//! does, whose passes are pinned identical to per-session
 //! [`LinearScan`](fbp_vecdb::LinearScan)s — regardless of how requests
 //! happen to batch, and at whatever precision
 //! [`effective_precision`](feedbackbypass::SharedBypass::effective_precision)

@@ -20,7 +20,7 @@
 //! slice of a larger router-fronted deployment, answering sessionless
 //! shard-local k-bests with globally-offset indices.
 
-use crate::batcher::{run_shard_dispatcher, Batcher, EnqueueError, Gather, Load};
+use crate::batcher::{run_shard_dispatcher, serving_scan, Batcher, EnqueueError, Gather, Load};
 use crate::metrics::Metrics;
 use crate::protocol::{
     error_code_for, read_frame, write_frame, DecodeError, ErrorCode, FrameError, Request, Response,
@@ -29,12 +29,11 @@ use crate::protocol::{
 use crate::sessions::{err, ExampleSets, SessionStore};
 use crate::trace::{RequestTrace, TraceRing};
 use fbp_vecdb::{
-    combine_partials, Collection, Neighbor, PartitionConfig, PartitionedCollection, ScanMode,
-    ShardPartial, ShardedCollection, ShardedScan, WeightedEuclidean,
+    combine_partials, Collection, Neighbor, PartitionConfig, PartitionedCollection, QueryBatch,
+    QueryMetrics, ScanMode, ShardPartial, ShardedCollection, WeightedEuclidean,
 };
 use feedbackbypass::{
-    FeedbackBypass, FeedbackConfig, KnnRequest, QuerySpec, RocchioWeights, ShardedBypass,
-    SharedBypass,
+    FeedbackBypass, FeedbackConfig, KnnRequest, QuerySpec, RocchioWeights, SharedBypass,
 };
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -174,7 +173,6 @@ struct Shared {
     /// [`ServerConfig::partitions`] opted in (`parts[i]` reorders shard
     /// `i`'s rows partition-contiguously; answers stay identical).
     partitions: Option<Arc<Vec<PartitionedCollection>>>,
-    sharded_bypass: ShardedBypass,
     /// Requests mid-scatter/gather and live connections. The in-flight
     /// count is the admission bound — enforcing the queue capacity here
     /// (instead of per batcher) keeps a request's scatter atomic: it is
@@ -308,7 +306,6 @@ pub fn serve(
         .partitions
         .as_ref()
         .map(|p| Arc::new(sharded_coll.build_partitions(p)));
-    let sharded_bypass = ShardedBypass::from_shared(bypass.clone());
     let load = Arc::new(Load::default());
     let batchers: Vec<Arc<Batcher<Arc<Gather>>>> = (0..shards)
         .map(|_| {
@@ -333,7 +330,6 @@ pub fn serve(
         batchers: batchers.clone(),
         sharded_coll: Arc::clone(&sharded_coll),
         partitions: partitions.clone(),
-        sharded_bypass: sharded_bypass.clone(),
         load,
         metrics: Arc::clone(&metrics),
         next_conn: AtomicU64::new(1),
@@ -350,14 +346,9 @@ pub fn serve(
                 let batcher = Arc::clone(batcher);
                 let coll = Arc::clone(&sharded_coll);
                 let partitions = partitions.clone();
-                let bypass = sharded_bypass.clone();
                 let metrics = Arc::clone(&metrics);
                 let scan_mode = cfg.scan_mode;
-                move || {
-                    run_shard_dispatcher(
-                        shard, batcher, coll, partitions, bypass, scan_mode, metrics,
-                    )
-                }
+                move || run_shard_dispatcher(shard, batcher, coll, partitions, scan_mode, metrics)
             })
         })
         .collect();
@@ -826,25 +817,17 @@ fn handle_shard_knn(
     // A NaN seed would poison every key comparison; treat it as
     // unseeded.
     let mut cap = if seed.is_nan() { f64::INFINITY } else { seed };
-    let scan = ShardedScan::with_mode(&shared.sharded_coll, shared.cfg.scan_mode)
-        .with_scan_stats(shared.metrics.scan_stats());
-    let scan = match &shared.partitions {
-        Some(parts) => scan.with_partitions(parts),
-        None => scan,
-    };
+    let scan = serving_scan(
+        &shared.sharded_coll,
+        shared.partitions.as_deref(),
+        shared.cfg.scan_mode,
+        &shared.metrics,
+    );
+    let points = [point.as_slice()];
+    let batch = QueryBatch::new(&points, QueryMetrics::Shared(&metric), k);
     let mut parts: Vec<ShardPartial> = Vec::with_capacity(shared.sharded_coll.shard_count());
     for s in 0..shared.sharded_coll.shard_count() {
-        let part = shared
-            .sharded_bypass
-            .scan_shard_prepared(
-                &scan,
-                s,
-                &[point.as_slice()],
-                &[&metric],
-                &[k],
-                Some(&[cap]),
-            )
-            .remove(0);
+        let part = scan.scan_shard(s, &batch, Some(&[cap])).remove(0);
         // Serial internal shards: each finished shard's k-th key
         // tightens the next one's bound (answer-preserving, like the
         // dispatcher's cross-shard seeds).

@@ -104,8 +104,9 @@ fn l2_sq_seg(q: &[f64], r: &[f64]) -> f64 {
 
 // The row functions below all accumulate segment-by-segment so that the
 // bounded and unbounded paths produce BIT-IDENTICAL sums for rows that
-// survive the bound — engines mixing the two paths (trees push exact
-// keys, scans may abandon) must never disagree on a shared candidate.
+// survive the bound — passes mixing the two paths (the rescore pushes
+// exact keys, scans may abandon) must never disagree on a shared
+// candidate.
 
 /// Sum of `w·(q − r)²` over one row.
 #[inline(always)]

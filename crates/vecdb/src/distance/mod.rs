@@ -75,7 +75,8 @@ pub use weighted::WeightedEuclidean;
 ///
 /// Implementations must be symmetric and satisfy `d(x, x) = 0`; the
 /// metric ones (all of the above with positive parameters) also satisfy
-/// the triangle inequality, which the metric-tree engines rely on.
+/// the triangle inequality, which the triangle path of the partition
+/// bounds ([`Distance::partition_lower_key`]) relies on.
 pub trait Distance: Send + Sync {
     /// Evaluate `d(a, b)`.
     fn eval(&self, a: &[f64], b: &[f64]) -> f64;
@@ -87,8 +88,8 @@ pub trait Distance: Send + Sync {
     /// factors `(lo, hi)` with `lo·d₂(a,b) ≤ d(a,b) ≤ hi·d₂(a,b)` for all
     /// `a, b`, when such global factors exist.
     ///
-    /// Metric trees built under plain Euclidean use `lo` to prune exactly
-    /// for re-weighted queries: any candidate with
+    /// Partition layouts clustered under plain Euclidean use `lo` to
+    /// prune exactly for re-weighted queries: any candidate with
     /// `lo · d₂(q, x) > r` certainly has `d(q, x) > r`.
     fn euclidean_distortion(&self) -> Option<(f64, f64)> {
         None

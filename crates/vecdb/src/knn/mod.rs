@@ -1,32 +1,35 @@
-//! k-nearest-neighbor engines.
+//! k-nearest-neighbor scans.
 //!
-//! The paper's query-processing step "typically exploits index structures
-//! for high-dimensional data, such as X-trees and M-trees" (§2). Three
-//! interchangeable engines are provided:
+//! The paper asks one thing of its retrieval substrate (§2): the `k`
+//! nearest neighbours of a point under one member of a parameterised
+//! distance class. [`QueryBatch`] describes that operation — query
+//! points, a metric form ([`QueryMetrics`]), per-query result counts —
+//! and every layout has exactly **one** entry taking it:
 //!
-//! * [`LinearScan`] — exhaustive, works with any distance, the correctness
-//!   baseline;
-//! * [`VpTree`] — vantage-point tree built under Euclidean;
-//! * [`MTree`] — the M-tree of Ciaccia/Patella/Zezula (the paper's cited
-//!   access method), also built under Euclidean.
+//! * [`MultiQueryScan::knn`] — one blocked pass over a flat collection;
+//! * [`PartitionedScan::knn`] — the same pass, skipping partitions a
+//!   per-class lower bound proves irrelevant;
+//! * [`ShardedScan::knn`] — scatter/gather over row shards (flat or
+//!   partitioned per shard), and [`ShardedScan::scan_shard`] for
+//!   schedulers that run each shard's pass themselves and merge the
+//!   key-space [`ShardPartial`]s with [`merge_partials`].
 //!
-//! The feedback loop re-weights the metric *between* iterations, which
-//! would invalidate a naively built index. The metric trees stay exact by
-//! pruning with a **distortion bound**: for any query distance `d` with
-//! `lo·d₂(a,b) ≤ d(a,b)` ([`crate::Distance::euclidean_distortion`]), a
-//! subtree whose Euclidean lower bound `B` satisfies `lo·B > τ` cannot
-//! contain a result within `τ`. Distances without a bound degrade to
-//! `lo = 0`, disabling pruning but never correctness.
+//! [`LinearScan`] ([`KnnEngine`]) is the single-query flat f64 reference
+//! every one of them is pinned bit-identical to, and the engine the
+//! feedback loop drives. The feedback loop re-weights the metric
+//! *between* iterations, which is why the substrate scans instead of
+//! indexing: there is no structure a new metric could invalidate, and
+//! [`PartitionedScan`] recovers sub-linear passes with bounds that are
+//! derived per query metric at query time.
 
-mod mtree;
+mod batch;
 mod multi;
 mod partitioned;
 mod scan;
 mod sharded;
 mod stats;
-mod vptree;
 
-pub use mtree::{MTree, MTreeConfig};
+pub use batch::{QueryBatch, QueryMetrics};
 pub use multi::MultiQueryScan;
 pub use partitioned::PartitionedScan;
 pub use scan::{LinearScan, ScanMode};
@@ -35,7 +38,6 @@ pub use sharded::{
     GatherError, ShardPartial, ShardedScan,
 };
 pub use stats::{ScanStats, ScanStatsSink};
-pub use vptree::VpTree;
 
 use crate::collection::Collection;
 use crate::distance::Distance;
@@ -195,6 +197,63 @@ pub(crate) fn scan_threads(budget: Option<usize>, work_items: usize) -> usize {
         .max(1)
 }
 
+/// Execution settings every scan front-end carries, in one `Copy`
+/// value: the mode, the candidate-filtering precision, the worker-thread
+/// budget of the parallel path and the optional work-counter sink.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ScanConfig<'a> {
+    pub mode: ScanMode,
+    pub precision: Precision,
+    pub thread_budget: Option<usize>,
+    pub stats: Option<&'a ScanStatsSink>,
+}
+
+impl ScanConfig<'_> {
+    /// The mode `Auto` resolves to for `nq` concurrent queries over a
+    /// `rows × dim` layout: total work is `rows × dim × nq`
+    /// candidate-components, so more queries tip the same collection
+    /// into the parallel regime sooner. A sharded or partitioned layout
+    /// passes its **total** row count, so it always runs the kernels
+    /// its flat twin runs.
+    pub(crate) fn effective_mode(&self, rows: usize, dim: usize, nq: usize) -> ScanMode {
+        match self.mode {
+            ScanMode::Auto if rows * dim.max(1) * nq.max(1) >= PARALLEL_CUTOFF => {
+                ScanMode::Parallel
+            }
+            ScanMode::Auto => ScanMode::Batched,
+            m => m,
+        }
+    }
+
+    /// Worker-thread count for a parallel scan over `work_items`
+    /// block-sized items ([`scan_threads`] under this budget).
+    pub(crate) fn threads(&self, work_items: usize) -> usize {
+        scan_threads(self.thread_budget, work_items)
+    }
+
+    /// Flush one pass's tallies, when a sink is attached: passes
+    /// accumulate plain local tallies and record them with a few
+    /// relaxed `fetch_add`s at pass end, so a sink never perturbs the
+    /// per-row hot loops — and never changes an answer.
+    pub(crate) fn record_stats(&self, tally: ScanStats) {
+        if let Some(sink) = self.stats {
+            sink.record(&tally);
+        }
+    }
+
+    /// Count one seeded pass: the caller handed finite cross-request /
+    /// cross-shard caps, so this pass pruned against a bound tighter
+    /// than `+∞` from row one.
+    pub(crate) fn record_seeded_pass(&self, caps: Option<&[f64]>) {
+        if self.stats.is_some() && caps.is_some_and(|c| c.iter().any(|v| v.is_finite())) {
+            self.record_stats(ScanStats {
+                seed_prunes: 1,
+                ..Default::default()
+            });
+        }
+    }
+}
+
 /// One query answer: collection index + distance under the query metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
@@ -221,8 +280,6 @@ impl Neighbor {
 pub struct SearchStats {
     /// Distance evaluations under the query metric.
     pub distance_evals: u64,
-    /// Tree nodes visited (0 for scans).
-    pub nodes_visited: u64,
 }
 
 /// A k-NN engine over a fixed collection.
@@ -359,13 +416,6 @@ impl KBest {
         });
         v
     }
-}
-
-/// Lower distortion factor of a query metric vs Euclidean (0 ⇒ no pruning).
-#[inline]
-pub(crate) fn lower_factor(dist: &dyn Distance) -> f64 {
-    dist.euclidean_distortion()
-        .map_or(0.0, |(lo, _)| lo.max(0.0))
 }
 
 #[cfg(test)]

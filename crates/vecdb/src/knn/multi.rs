@@ -11,15 +11,19 @@
 //! [`Distance::eval_key_multi`]), dropping collection bytes per query by
 //! ~Q× until the scan turns compute-bound.
 //!
-//! Two entry points cover the serving shapes:
+//! One entry, [`MultiQueryScan::knn`], takes a [`QueryBatch`]; its
+//! metric form picks the kernels of the pass:
 //!
-//! * [`MultiQueryScan::knn_multi`] — Q queries under **one shared
-//!   metric** (e.g. a Q-sweep, or sessions that have not diverged yet).
-//!   Uses the specialized multi-query kernels.
-//! * [`MultiQueryScan::knn_per_query`] — Q queries each under **its own
-//!   metric** (concurrent sessions with per-session learned weights).
+//! * `Shared` — Q queries under **one metric** (a Q-sweep, or sessions
+//!   that have not diverged yet; an all-equal `Weighted` batch is this
+//!   form too). One multi-query kernel call per block.
+//! * `PerQuery` — each query under **its own metric**, any classes.
 //!   Shares the block pass; each query's distance runs its single-query
 //!   batch kernel on the hot block.
+//! * `Weighted` — per-query weighted-Euclidean metrics (sessions whose
+//!   learned weights diverged): every block goes through the Q×row
+//!   multi kernels in their per-query-weight layout (`w_stride = dim`),
+//!   one register-blocked call per block instead of one per query.
 //!
 //! Results are **bit-identical** to Q independent `LinearScan` runs in
 //! the same key-space mode: every (query, row) key is computed by the
@@ -39,17 +43,18 @@
 //! whose f32 key lands under the inflated bound; phase 2 rescores those
 //! candidates from the f64 buffer with the exact kernels. The inflation
 //! makes the candidate set a guaranteed superset of the true f64 top-k
-//! (see the proof sketch on [`MultiQueryScan::scan_range_shared_f32`]),
+//! (see the proof sketch on `MultiQueryScan::scan_range_shared_f32`),
 //! so results remain bit-identical to the pure-f64 scan while the bulk
 //! of the pass moves half the bytes.
 
 use super::stats::{ScanStats, ScanStatsSink};
 use super::{
-    f32_bound_up, finish_entries, rescore_f64_keyed, scan_threads, KBest, Neighbor, Precision,
-    ScanMode, SearchStats, BLOCK_ROWS, PARALLEL_CUTOFF,
+    f32_bound_up, rescore_f64_keyed, KBest, Neighbor, Precision, QueryBatch, QueryMetrics,
+    ScanConfig, ScanMode, BLOCK_ROWS,
 };
 use crate::collection::Collection;
-use crate::distance::{kernels, Distance, WeightedEuclidean};
+use crate::distance::{kernels, Distance};
+use std::ops::Range;
 
 /// Keyed (pre-[`Distance::finish_key`]) results of one multi-query
 /// pass: one ascending `(value, index)` k-best per query, plus whether
@@ -64,42 +69,59 @@ pub(crate) struct KeyedResults {
     pub finished: bool,
 }
 
-/// One f32 phase-1 chunk pass: scan a row range, tracking per-query
-/// k-bests (f32 keys) and `(index, key32)` candidate pools.
-type F32ChunkScan<'a> =
-    dyn Fn(std::ops::Range<usize>, &mut [KBest], &mut [Vec<(u32, f32)>]) + Sync + 'a;
+impl KeyedResults {
+    /// `nq` empty k-bests (an empty batch or an empty layout).
+    pub(crate) fn empty(nq: usize) -> Self {
+        KeyedResults {
+            entries: vec![Vec::new(); nq],
+            finished: true,
+        }
+    }
+
+    pub(crate) fn from_kbests(kbs: Vec<KBest>, finished: bool) -> Self {
+        KeyedResults {
+            entries: kbs.into_iter().map(KBest::into_sorted_entries).collect(),
+            finished,
+        }
+    }
+}
+
+/// Chunk scanner of an f64 pass: scan a row range, folding hits into
+/// the running k-bests under the optional per-query caps.
+pub(crate) type MergeChunk<'f> = dyn Fn(Range<usize>, &mut [KBest], Option<&[f64]>) + Sync + 'f;
+
+/// Chunk scanner of an f32 phase-1 pass: the k-bests track f32 keys,
+/// and the per-query `(scanned-row index, key32)` candidate pools are
+/// collected alongside.
+pub(crate) type CandidateChunk<'f> =
+    dyn Fn(Range<usize>, &mut [KBest], &mut [Vec<(u32, f32)>], Option<&[f64]>) + Sync + 'f;
 
 /// Multi-query scan engine borrowing a collection.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiQueryScan<'a> {
     coll: &'a Collection,
-    mode: ScanMode,
-    precision: Precision,
-    thread_budget: Option<usize>,
-    stats: Option<&'a ScanStatsSink>,
+    cfg: ScanConfig<'a>,
 }
 
 impl<'a> MultiQueryScan<'a> {
     /// New engine over `coll` with [`ScanMode::Auto`].
     pub fn new(coll: &'a Collection) -> Self {
-        MultiQueryScan {
-            coll,
-            mode: ScanMode::Auto,
-            precision: Precision::F64,
-            thread_budget: None,
-            stats: None,
-        }
+        Self::with_config(coll, ScanConfig::default())
     }
 
     /// New engine with an explicit execution mode.
     pub fn with_mode(coll: &'a Collection, mode: ScanMode) -> Self {
-        MultiQueryScan {
+        Self::with_config(
             coll,
-            mode,
-            precision: Precision::F64,
-            thread_budget: None,
-            stats: None,
-        }
+            ScanConfig {
+                mode,
+                ..Default::default()
+            },
+        )
+    }
+
+    pub(crate) fn with_config(coll: &'a Collection, cfg: ScanConfig<'a>) -> Self {
+        MultiQueryScan { coll, cfg }
     }
 
     /// Select the scan precision ([`Precision::F32Rescore`] silently
@@ -107,7 +129,7 @@ impl<'a> MultiQueryScan<'a> {
     /// distance class has no f32 kernel — results are identical either
     /// way, only bandwidth differs).
     pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
+        self.cfg.precision = precision;
         self
     }
 
@@ -115,36 +137,15 @@ impl<'a> MultiQueryScan<'a> {
     /// Set this when the caller already runs scans from several of its
     /// own threads, so nested parallelism cannot oversubscribe the host.
     pub fn with_thread_budget(mut self, threads: usize) -> Self {
-        self.thread_budget = Some(threads.max(1));
+        self.cfg.thread_budget = Some(threads.max(1));
         self
     }
 
-    /// Flush this scan's work counters into `sink` (see [`ScanStats`]):
-    /// passes accumulate plain local tallies and record them with a few
-    /// relaxed `fetch_add`s at pass end, so attaching a sink never
-    /// perturbs the per-row hot loops — and never changes an answer.
+    /// Flush this scan's work counters into `sink` (see [`ScanStats`]);
+    /// attaching a sink never changes an answer.
     pub fn with_scan_stats(mut self, sink: &'a ScanStatsSink) -> Self {
-        self.stats = Some(sink);
+        self.cfg.stats = Some(sink);
         self
-    }
-
-    /// Flush one pass's tallies, when a sink is attached.
-    fn record_stats(&self, tally: ScanStats) {
-        if let Some(sink) = self.stats {
-            sink.record(&tally);
-        }
-    }
-
-    /// Count one seeded pass: the caller handed finite cross-request /
-    /// cross-shard caps, so this pass pruned against a bound tighter
-    /// than `+∞` from row one.
-    fn record_seeded_pass(&self, caps: Option<&[f64]>) {
-        if self.stats.is_some() && caps.is_some_and(|c| c.iter().any(|v| v.is_finite())) {
-            self.record_stats(ScanStats {
-                seed_prunes: 1,
-                ..Default::default()
-            });
-        }
     }
 
     /// The underlying collection.
@@ -152,85 +153,52 @@ impl<'a> MultiQueryScan<'a> {
         self.coll
     }
 
-    /// The configured execution mode.
-    pub fn mode(&self) -> ScanMode {
-        self.mode
-    }
-
     /// The configured precision.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.cfg.precision
     }
 
-    /// The key-space rounding slack of an f32 phase-1 under `dist`, when
-    /// every precondition for the two-phase scan holds: `F32Rescore`
-    /// requested, mirror present, class exposes an f32 kernel with a
-    /// finite bound for this data/query magnitude.
-    pub(crate) fn f32_slack(&self, dist: &dyn Distance, queries: &[&[f64]]) -> Option<f64> {
-        if self.precision != Precision::F32Rescore {
+    /// Per-query key-space rounding slacks of an f32 phase-1 over this
+    /// collection, when every precondition for the two-phase scan holds:
+    /// `F32Rescore` requested, mirror present, and — all-or-nothing, so
+    /// the block loop reads exactly one of the two buffers — **every**
+    /// query's class exposes an f32 kernel with a finite bound for this
+    /// data/query magnitude.
+    pub(crate) fn f32_slacks(&self, batch: &QueryBatch<'_>) -> Option<Vec<f64>> {
+        if self.cfg.precision != Precision::F32Rescore {
             return None;
         }
         let m_coll = self.coll.max_abs()?; // None ⇔ no mirror
-        let m = queries
+        let m = batch
+            .queries()
             .iter()
             .flat_map(|q| q.iter())
             .fold(m_coll, |m, &v| m.max(v.abs()));
-        let slack = dist.f32_key_slack(self.coll.dim(), m)?;
-        slack.is_finite().then_some(slack)
-    }
-
-    /// The mode Auto resolves to for `nq` concurrent queries: total work
-    /// is `len × dim × nq` candidate-components, so more queries tip the
-    /// same collection into the parallel regime sooner.
-    fn effective_mode(&self, nq: usize) -> ScanMode {
-        match self.mode {
-            ScanMode::Auto => {
-                if self.coll.len() * self.coll.dim().max(1) * nq.max(1) >= PARALLEL_CUTOFF {
-                    ScanMode::Parallel
-                } else {
-                    ScanMode::Batched
-                }
-            }
-            m => m,
+        let slack = |dist: &dyn Distance| {
+            dist.f32_key_slack(self.coll.dim(), m)
+                .filter(|s| s.is_finite())
+        };
+        match batch.metrics() {
+            QueryMetrics::Shared(dist) => slack(dist).map(|s| vec![s; batch.len()]),
+            _ => (0..batch.len()).map(|q| slack(batch.metric(q))).collect(),
         }
     }
 
-    /// The `k` nearest neighbors of every query under one shared
-    /// `dist`, in one blocked pass over the collection. Queries must all
-    /// have the collection's dimensionality; result `i` is sorted
+    /// The nearest neighbors of every query of `batch` under its metric,
+    /// in one blocked pass over the collection. Result `i` is sorted
     /// ascending by `(dist, index)` exactly like
     /// [`KnnEngine::knn`](super::KnnEngine::knn) on query `i`.
-    pub fn knn_multi(
-        &self,
-        queries: &[&[f64]],
-        k: usize,
-        dist: &dyn Distance,
-    ) -> Vec<Vec<Neighbor>> {
-        self.knn_multi_k(queries, &vec![k; queries.len()], dist)
+    ///
+    /// # Panics
+    ///
+    /// Panics when the queries' dimensionality differs from the
+    /// collection's.
+    pub fn knn(&self, batch: &QueryBatch<'_>) -> Vec<Vec<Neighbor>> {
+        batch.finish(self.knn_keyed(batch, None))
     }
 
-    /// Like [`Self::knn_multi`] but with a **per-query** result count:
-    /// query `i` gets its `ks[i]` nearest neighbors, all still answered
-    /// in the same single blocked pass (concurrent sessions rarely agree
-    /// on `k`; forcing the batch to the maximum would make every smaller
-    /// request pay the widest k-best and return rows its session never
-    /// asked for).
-    pub fn knn_multi_k(
-        &self,
-        queries: &[&[f64]],
-        ks: &[usize],
-        dist: &dyn Distance,
-    ) -> Vec<Vec<Neighbor>> {
-        let keyed = self.knn_multi_k_keyed(queries, ks, dist, None);
-        keyed
-            .entries
-            .into_iter()
-            .map(|e| finish_entries(e, keyed.finished, dist))
-            .collect()
-    }
-
-    /// [`Self::knn_multi_k`] stopped before the `finish_key` step: the
-    /// pass's exact k-bests in selection space, for the sharded scan's
+    /// [`Self::knn`] stopped before the `finish_key` step: the pass's
+    /// exact k-bests in selection space, for the sharded scan's
     /// per-shard scatter stage.
     ///
     /// `caps` (one per query, when given) are **sound pruning seeds**:
@@ -241,506 +209,221 @@ impl<'a> MultiQueryScan<'a> {
     /// Rows beyond a cap never enter the result, which is exactly why a
     /// sound cap cannot change the merged global answer; an `INFINITY`
     /// cap is a no-op.
-    pub(crate) fn knn_multi_k_keyed(
-        &self,
-        queries: &[&[f64]],
-        ks: &[usize],
-        dist: &dyn Distance,
-        caps: Option<&[f64]>,
-    ) -> KeyedResults {
-        assert_eq!(queries.len(), ks.len(), "one k per query");
-        if queries.is_empty() || self.coll.is_empty() {
-            return KeyedResults {
-                entries: vec![Vec::new(); queries.len()],
-                finished: true,
-            };
+    pub(crate) fn knn_keyed(&self, batch: &QueryBatch<'_>, caps: Option<&[f64]>) -> KeyedResults {
+        let (len, dim, nq) = (self.coll.len(), self.coll.dim(), batch.len());
+        if nq == 0 || len == 0 {
+            return KeyedResults::empty(nq);
         }
-        let dim = self.coll.dim();
-        for q in queries {
-            assert_eq!(q.len(), dim, "query dimensionality mismatch");
-        }
-        self.record_seeded_pass(caps);
-        let mode = self.effective_mode(queries.len());
-        if mode != ScanMode::Scalar {
-            if let Some(slack) = self.f32_slack(dist, queries) {
-                return self.knn_multi_f32_keyed(queries, ks, dist, slack, mode, caps);
-            }
-        }
-        let (kbs, finished) = match mode {
-            ScanMode::Scalar => {
-                let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                for i in 0..self.coll.len() {
-                    let row = self.coll.vector(i);
-                    for (qi, (q, kb)) in queries.iter().zip(kbs.iter_mut()).enumerate() {
-                        let d = dist.eval(q, row);
-                        if d <= cap_of(caps, qi) {
-                            kb.push(i as u32, d);
-                        }
-                    }
-                }
-                self.record_stats(ScanStats {
-                    rows_visited: self.coll.len() as u64,
-                    ..Default::default()
-                });
-                // Scalar pushes true distances; finish is the identity.
-                (kbs, true)
-            }
-            ScanMode::Batched => {
-                let flat = flatten(queries);
-                let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                self.scan_range_shared(&flat, dist, 0..self.coll.len(), &mut kbs, caps, None);
-                (kbs, false)
-            }
-            ScanMode::Parallel => {
-                let flat = flatten(queries);
-                let kbs = self.parallel_merge(ks, &|range, kbs| {
-                    self.scan_range_shared(&flat, dist, range, kbs, caps, None)
-                });
-                (kbs, false)
-            }
-            ScanMode::Auto => unreachable!("effective_mode resolves Auto"),
-        };
-        KeyedResults {
-            entries: kbs.into_iter().map(KBest::into_sorted_entries).collect(),
-            finished,
-        }
-    }
-
-    /// Two-phase shared-metric scan: f32 phase-1 over the mirror
-    /// (batched or fanned out over threads), exact f64 rescore of the
-    /// surviving candidates per query — results still in key space.
-    fn knn_multi_f32_keyed(
-        &self,
-        queries: &[&[f64]],
-        ks: &[usize],
-        dist: &dyn Distance,
-        slack: f64,
-        mode: ScanMode,
-        caps: Option<&[f64]>,
-    ) -> KeyedResults {
-        let flat32 = flatten_f32(queries);
-        let slacks = vec![slack; ks.len()];
-        let cands = match mode {
-            ScanMode::Batched => {
-                let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); ks.len()];
-                self.scan_range_shared_f32(
-                    &flat32,
-                    dist,
-                    slack,
-                    ks,
-                    0..self.coll.len(),
-                    &mut kbs,
-                    &mut cands,
-                    caps,
-                );
-                filter_candidates(&kbs, &slacks, cands, caps, self.stats)
-            }
-            ScanMode::Parallel => {
-                self.parallel_candidates(ks, &slacks, caps, &|range, kbs, cands| {
-                    self.scan_range_shared_f32(&flat32, dist, slack, ks, range, kbs, cands, caps)
-                })
-            }
-            _ => unreachable!("f32 path only runs in kernel modes"),
-        };
-        KeyedResults {
-            entries: queries
-                .iter()
-                .zip(ks.iter())
-                .zip(cands.iter())
-                .map(|((q, &k), c)| {
-                    rescore_f64_keyed(self.coll, q, dist, c, k, None).into_sorted_entries()
-                })
-                .collect(),
-            finished: false,
-        }
-    }
-
-    /// Like [`Self::knn_multi`] but also reports the pass's work
-    /// counters (one distance evaluation per query per stored vector).
-    pub fn knn_multi_with_stats(
-        &self,
-        queries: &[&[f64]],
-        k: usize,
-        dist: &dyn Distance,
-    ) -> (Vec<Vec<Neighbor>>, SearchStats) {
-        let results = self.knn_multi(queries, k, dist);
-        (
-            results,
-            SearchStats {
-                distance_evals: (self.coll.len() * queries.len()) as u64,
-                nodes_visited: 0,
-            },
-        )
-    }
-
-    /// The `k` nearest neighbors of every query under its **own**
-    /// distance function (`dists[i]` for `queries[i]`), sharing one
-    /// blocked pass over the collection. This is the concurrent-session
-    /// serving shape: each session's learned metric differs, but every
-    /// block still gets read once for all of them.
-    pub fn knn_per_query(
-        &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        k: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        self.knn_per_query_k(queries, dists, &vec![k; queries.len()])
-    }
-
-    /// Like [`Self::knn_per_query`] but with a per-query result count
-    /// (`ks[i]` neighbors for `queries[i]`), still in one shared pass.
-    pub fn knn_per_query_k(
-        &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        ks: &[usize],
-    ) -> Vec<Vec<Neighbor>> {
-        let keyed = self.knn_per_query_k_keyed(queries, dists, ks, None);
-        keyed
-            .entries
-            .into_iter()
-            .zip(dists.iter())
-            .map(|(e, d)| finish_entries(e, keyed.finished, *d))
-            .collect()
-    }
-
-    /// [`Self::knn_per_query_k`] in selection space (pre-`finish_key`),
-    /// for the sharded scan's per-shard scatter stage. `caps` as on
-    /// [`Self::knn_multi_k_keyed`]: sound per-query upper bounds on the
-    /// global k-th key, used to prune earlier than the running k-best.
-    pub(crate) fn knn_per_query_k_keyed(
-        &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        ks: &[usize],
-        caps: Option<&[f64]>,
-    ) -> KeyedResults {
-        assert_eq!(
-            queries.len(),
-            dists.len(),
-            "one distance function per query"
-        );
-        assert_eq!(queries.len(), ks.len(), "one k per query");
-        if queries.is_empty() || self.coll.is_empty() {
-            return KeyedResults {
-                entries: vec![Vec::new(); queries.len()],
-                finished: true,
-            };
-        }
-        let dim = self.coll.dim();
-        for q in queries {
-            assert_eq!(q.len(), dim, "query dimensionality mismatch");
-        }
-        self.record_seeded_pass(caps);
-        let mode = self.effective_mode(queries.len());
-        if mode != ScanMode::Scalar {
-            // All-or-nothing: the f32 pass engages only when *every*
-            // request's metric certifies a rounding bound, so the block
-            // loop reads exactly one of the two buffers.
-            let slacks: Option<Vec<f64>> =
-                dists.iter().map(|d| self.f32_slack(*d, queries)).collect();
-            if let Some(slacks) = slacks {
-                return self.knn_per_query_f32_keyed(queries, dists, ks, &slacks, mode, caps);
-            }
-        }
-        let (kbs, finished) = match mode {
-            ScanMode::Scalar => {
-                let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                for i in 0..self.coll.len() {
-                    let row = self.coll.vector(i);
-                    for (q, ((query, d), kb)) in queries
-                        .iter()
-                        .zip(dists.iter())
-                        .zip(kbs.iter_mut())
-                        .enumerate()
-                    {
-                        let dist = d.eval(query, row);
-                        if dist <= cap_of(caps, q) {
-                            kb.push(i as u32, dist);
-                        }
-                    }
-                }
-                self.record_stats(ScanStats {
-                    rows_visited: self.coll.len() as u64,
-                    ..Default::default()
-                });
-                (kbs, true)
-            }
-            ScanMode::Batched => {
-                let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                self.scan_range_per_query(queries, dists, 0..self.coll.len(), &mut kbs, caps, None);
-                (kbs, false)
-            }
-            ScanMode::Parallel => {
-                let kbs = self.parallel_merge(ks, &|range, kbs| {
-                    self.scan_range_per_query(queries, dists, range, kbs, caps, None)
-                });
-                (kbs, false)
-            }
-            ScanMode::Auto => unreachable!("effective_mode resolves Auto"),
-        };
-        KeyedResults {
-            entries: kbs.into_iter().map(KBest::into_sorted_entries).collect(),
-            finished,
-        }
-    }
-
-    /// [`Self::knn_per_query_k`] specialized to **per-query
-    /// weighted-Euclidean metrics** — the serving shape after sessions'
-    /// learned weights diverge. Instead of one batch-kernel call per
-    /// (query, block), every block goes through the Q×row multi kernels
-    /// in their per-query-weight layout (`w_stride = dim`): one kernel
-    /// call scores the block against all queries with register-blocked
-    /// query/row tiles, which is what the compute-bound multi-query
-    /// regime wants. Results are bit-identical to
-    /// [`Self::knn_per_query_k`] with the same metrics (the per-
-    /// (query, row) key arithmetic is the same in every kernel shape),
-    /// and therefore to per-query [`LinearScan`](super::LinearScan)s.
-    pub fn knn_weighted_per_query_k(
-        &self,
-        queries: &[&[f64]],
-        metrics: &[WeightedEuclidean],
-        ks: &[usize],
-    ) -> Vec<Vec<Neighbor>> {
-        let refs: Vec<&WeightedEuclidean> = metrics.iter().collect();
-        let keyed = self.knn_weighted_per_query_k_keyed(queries, &refs, ks, None);
-        keyed
-            .entries
-            .into_iter()
-            .zip(metrics.iter())
-            .map(|(e, m)| finish_entries(e, keyed.finished, m))
-            .collect()
-    }
-
-    /// [`Self::knn_weighted_per_query_k`] in selection space
-    /// (pre-`finish_key`), for the sharded scan's per-shard scatter
-    /// stage. `caps` as on [`Self::knn_multi_k_keyed`].
-    pub(crate) fn knn_weighted_per_query_k_keyed(
-        &self,
-        queries: &[&[f64]],
-        metrics: &[&WeightedEuclidean],
-        ks: &[usize],
-        caps: Option<&[f64]>,
-    ) -> KeyedResults {
-        assert_eq!(queries.len(), metrics.len(), "one metric per query");
-        assert_eq!(queries.len(), ks.len(), "one k per query");
-        if queries.is_empty() || self.coll.is_empty() {
-            return KeyedResults {
-                entries: vec![Vec::new(); queries.len()],
-                finished: true,
-            };
-        }
-        let dim = self.coll.dim();
-        for q in queries {
-            assert_eq!(q.len(), dim, "query dimensionality mismatch");
-        }
-        for m in metrics {
-            assert_eq!(m.weights().len(), dim, "metric dimensionality mismatch");
-        }
-        let mode = self.effective_mode(queries.len());
+        let ks = batch.ks_for(len, dim);
+        self.cfg.record_seeded_pass(caps);
+        let mode = self.cfg.effective_mode(len, dim, nq);
         if mode == ScanMode::Scalar {
-            // The scalar reference has no kernel layout to specialize.
-            // (It records the seeded pass itself — don't double-count.)
-            let dists: Vec<&dyn Distance> = metrics.iter().map(|&m| m as &dyn Distance).collect();
-            return self.knn_per_query_k_keyed(queries, &dists, ks, caps);
+            return scalar_reference(self.coll, None, &self.cfg, batch, &ks, caps);
         }
-        self.record_seeded_pass(caps);
-        // All-or-nothing f32 eligibility, exactly like the generic path.
-        let slacks: Option<Vec<f64>> = metrics
-            .iter()
-            .map(|&m| self.f32_slack(m, queries))
-            .collect();
-        if let Some(slacks) = slacks {
-            let flat_q32 = flatten_f32(queries);
-            let flat_w32: Vec<f32> = metrics
-                .iter()
-                .flat_map(|m| m.weights_f32().to_vec())
-                .collect();
-            let nq = queries.len();
-            let scan_chunk =
-                |rows: std::ops::Range<usize>, kbs: &mut [KBest], cands: &mut [Vec<(u32, f32)>]| {
-                    let mut keys = vec![0.0f32; nq * BLOCK_ROWS];
-                    let mut bounds64 = vec![f64::INFINITY; nq];
-                    let mut bounds32 = vec![f32::INFINITY; nq];
-                    let mut start = rows.start;
-                    let mut tally = ScanStats::default();
-                    while start < rows.end {
-                        let end = (start + BLOCK_ROWS).min(rows.end);
-                        let n = end - start;
-                        tally.rows_visited += n as u64;
-                        let block = self
-                            .coll
-                            .block_f32(start, end)
-                            .expect("f32 path requires the mirror");
-                        for (q, ((b64, b32), kb)) in bounds64
-                            .iter_mut()
-                            .zip(bounds32.iter_mut())
-                            .zip(kbs.iter())
-                            .enumerate()
-                        {
-                            *b64 = if ks[q] == 0 {
-                                f64::NEG_INFINITY
-                            } else {
-                                kb.threshold().min(cap_of(caps, q)) + 2.0 * slacks[q]
-                            };
-                            *b32 = f32_bound_up(*b64);
-                        }
-                        kernels::weighted_sq_multi_block_f32(
-                            &flat_w32,
-                            dim,
-                            &flat_q32,
-                            block,
-                            dim,
-                            &bounds32,
-                            &mut keys[..nq * n],
-                        );
-                        let mut block_abandoned = false;
-                        for (q, (kb, cand)) in kbs.iter_mut().zip(cands.iter_mut()).enumerate() {
-                            for (offset, &key) in keys[q * n..(q + 1) * n].iter().enumerate() {
-                                if (key as f64) <= bounds64[q] {
-                                    cand.push(((start + offset) as u32, key));
-                                    kb.push((start + offset) as u32, key as f64);
-                                } else {
-                                    block_abandoned = true;
-                                }
-                            }
-                        }
-                        tally.blocks_abandoned += block_abandoned as u64;
-                        start = end;
-                    }
-                    self.record_stats(tally);
-                };
-            let cands = match mode {
-                ScanMode::Batched => {
-                    let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                    let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
-                    scan_chunk(0..self.coll.len(), &mut kbs, &mut cands);
-                    filter_candidates(&kbs, &slacks, cands, caps, self.stats)
-                }
-                ScanMode::Parallel => self.parallel_candidates(ks, &slacks, caps, &scan_chunk),
-                _ => unreachable!("f32 path only runs in kernel modes"),
-            };
-            return KeyedResults {
-                entries: queries
-                    .iter()
-                    .zip(metrics.iter().zip(ks.iter()))
-                    .zip(cands.iter())
-                    .map(|((q, (m, &k)), c)| {
-                        rescore_f64_keyed(self.coll, q, *m, c, k, None).into_sorted_entries()
-                    })
-                    .collect(),
-                finished: false,
-            };
+        if let Some(slacks) = self.f32_slacks(batch) {
+            let cands = self.with_f32_scanner(batch, &slacks, &ks, |scan| {
+                self.parallel_candidates(mode, &ks, &slacks, caps, scan)
+            });
+            return rescore(self.coll, batch, &ks, &cands, None);
         }
-        // Pure-f64 pass through the same multi-kernel layout.
-        let flat_q = flatten(queries);
-        let flat_w: Vec<f64> = metrics.iter().flat_map(|m| m.weights().to_vec()).collect();
-        let scan_chunk = |rows: std::ops::Range<usize>, kbs: &mut [KBest]| {
-            let nq = kbs.len();
-            let mut keys = vec![0.0f64; nq * BLOCK_ROWS];
-            let mut bounds = vec![f64::INFINITY; nq];
-            let mut start = rows.start;
-            let mut tally = ScanStats::default();
-            while start < rows.end {
-                let end = (start + BLOCK_ROWS).min(rows.end);
-                let n = end - start;
-                tally.rows_visited += n as u64;
-                let block = self.coll.block(start, end);
-                for (q, (b, kb)) in bounds.iter_mut().zip(kbs.iter()).enumerate() {
-                    *b = kb.threshold().min(cap_of(caps, q));
-                }
-                kernels::weighted_sq_multi_block(
-                    &flat_w,
-                    dim,
-                    &flat_q,
-                    block,
-                    dim,
-                    &bounds,
-                    &mut keys[..nq * n],
-                );
-                let mut block_abandoned = false;
-                for (q, kb) in kbs.iter_mut().enumerate() {
-                    for (offset, &key) in keys[q * n..(q + 1) * n].iter().enumerate() {
-                        // Capped pruning can abandon rows before the
-                        // k-best is full; the bound guard keeps their
-                        // partial-sum keys (> bound) out of the heap.
-                        if key <= bounds[q] {
-                            kb.push((start + offset) as u32, key);
-                        } else {
-                            block_abandoned = true;
-                        }
-                    }
-                }
-                tally.blocks_abandoned += block_abandoned as u64;
-                start = end;
+        let kbs = self.with_scanner(batch, None, |scan| {
+            self.parallel_merge(mode, &ks, caps, scan)
+        });
+        KeyedResults::from_kbests(kbs, false)
+    }
+
+    /// Lower `batch`'s metric form to the buffers its f64 kernels
+    /// consume — once per pass — and hand `drive` the chunk scanner of
+    /// that form. `perm` (the partitioned scan's reorder map) is
+    /// honoured by the `Shared` and `PerQuery` forms; the partitioned
+    /// pass never drives the `Weighted` one.
+    pub(crate) fn with_scanner<R>(
+        &self,
+        batch: &QueryBatch<'_>,
+        perm: Option<&[u32]>,
+        drive: impl FnOnce(&MergeChunk<'_>) -> R,
+    ) -> R {
+        let queries = batch.queries();
+        match batch.metrics() {
+            QueryMetrics::Shared(dist) => {
+                let flat = flatten(queries);
+                drive(&|rows, kbs, caps| self.scan_range_shared(&flat, dist, rows, kbs, caps, perm))
             }
-            self.record_stats(tally);
-        };
-        let kbs = match mode {
-            ScanMode::Batched => {
-                let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                scan_chunk(0..self.coll.len(), &mut kbs);
-                kbs
+            QueryMetrics::PerQuery(dists) => drive(&|rows, kbs, caps| {
+                self.scan_range_per_query(queries, dists, rows, kbs, caps, perm)
+            }),
+            QueryMetrics::Weighted(metrics) => {
+                assert!(perm.is_none(), "the weighted pass is flat-only");
+                let flat_q = flatten(queries);
+                let flat_w: Vec<f64> = metrics.iter().flat_map(|m| m.weights().to_vec()).collect();
+                drive(&|rows, kbs, caps| {
+                    self.scan_range_weighted(&flat_q, &flat_w, rows, kbs, caps)
+                })
             }
-            ScanMode::Parallel => self.parallel_merge(ks, &scan_chunk),
-            _ => unreachable!("scalar handled above"),
-        };
-        KeyedResults {
-            entries: kbs.into_iter().map(KBest::into_sorted_entries).collect(),
-            finished: false,
         }
     }
 
-    /// Two-phase per-query-metric scan (each query's own slack/kernels),
-    /// results still in key space.
-    fn knn_per_query_f32_keyed(
+    /// The f32 phase-1 counterpart of [`Self::with_scanner`]: queries
+    /// (and weights) rounded once to the layout the mirror kernels
+    /// consume; candidates speak scanned-row indices.
+    pub(crate) fn with_f32_scanner<R>(
         &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        ks: &[usize],
+        batch: &QueryBatch<'_>,
         slacks: &[f64],
-        mode: ScanMode,
-        caps: Option<&[f64]>,
-    ) -> KeyedResults {
-        let q32s: Vec<Vec<f32>> = queries
-            .iter()
-            .map(|q| q.iter().map(|&v| v as f32).collect())
-            .collect();
-        let cands = match mode {
-            ScanMode::Batched => {
-                let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); ks.len()];
-                self.scan_range_per_query_f32(
-                    &q32s,
-                    dists,
-                    slacks,
-                    ks,
-                    0..self.coll.len(),
-                    &mut kbs,
-                    &mut cands,
-                    caps,
-                );
-                filter_candidates(&kbs, slacks, cands, caps, self.stats)
-            }
-            ScanMode::Parallel => {
-                self.parallel_candidates(ks, slacks, caps, &|range, kbs, cands| {
-                    self.scan_range_per_query_f32(&q32s, dists, slacks, ks, range, kbs, cands, caps)
+        ks: &[usize],
+        drive: impl FnOnce(&CandidateChunk<'_>) -> R,
+    ) -> R {
+        let queries = batch.queries();
+        match batch.metrics() {
+            QueryMetrics::Shared(dist) => {
+                let flat32 = flatten_f32(queries);
+                drive(&|rows, kbs, cands, caps| {
+                    self.scan_range_shared_f32(&flat32, dist, slacks[0], ks, rows, kbs, cands, caps)
                 })
             }
-            _ => unreachable!("f32 path only runs in kernel modes"),
-        };
-        KeyedResults {
-            entries: queries
-                .iter()
-                .zip(dists.iter().zip(ks.iter()))
-                .zip(cands.iter())
-                .map(|((q, (d, &k)), c)| {
-                    rescore_f64_keyed(self.coll, q, *d, c, k, None).into_sorted_entries()
+            QueryMetrics::PerQuery(dists) => {
+                let q32s: Vec<Vec<f32>> = queries
+                    .iter()
+                    .map(|q| q.iter().map(|&v| v as f32).collect())
+                    .collect();
+                drive(&|rows, kbs, cands, caps| {
+                    self.scan_range_per_query_f32(&q32s, dists, slacks, ks, rows, kbs, cands, caps)
                 })
-                .collect(),
-            finished: false,
+            }
+            QueryMetrics::Weighted(metrics) => {
+                let flat_q32 = flatten_f32(queries);
+                let flat_w32: Vec<f32> = metrics
+                    .iter()
+                    .flat_map(|m| m.weights_f32().to_vec())
+                    .collect();
+                drive(&|rows, kbs, cands, caps| {
+                    self.scan_range_weighted_f32(
+                        &flat_q32, &flat_w32, slacks, ks, rows, kbs, cands, caps,
+                    )
+                })
+            }
         }
+    }
+
+    /// Per-query-weight f32 phase-1: one register-blocked multi-kernel
+    /// call scores the mirror block against all queries, each pruned by
+    /// its own `2·slack`-inflated bound (same containment argument as
+    /// [`Self::scan_range_shared_f32`], per query).
+    #[allow(clippy::too_many_arguments)]
+    fn scan_range_weighted_f32(
+        &self,
+        flat_q32: &[f32],
+        flat_w32: &[f32],
+        slacks: &[f64],
+        ks: &[usize],
+        rows: Range<usize>,
+        kbs: &mut [KBest],
+        cands: &mut [Vec<(u32, f32)>],
+        caps: Option<&[f64]>,
+    ) {
+        let dim = self.coll.dim();
+        let nq = kbs.len();
+        let mut keys = vec![0.0f32; nq * BLOCK_ROWS];
+        let mut bounds64 = vec![f64::INFINITY; nq];
+        let mut bounds32 = vec![f32::INFINITY; nq];
+        let mut start = rows.start;
+        let mut tally = ScanStats::default();
+        while start < rows.end {
+            let end = (start + BLOCK_ROWS).min(rows.end);
+            let n = end - start;
+            tally.rows_visited += n as u64;
+            let block = self
+                .coll
+                .block_f32(start, end)
+                .expect("f32 path requires the mirror");
+            for (q, ((b64, b32), kb)) in bounds64
+                .iter_mut()
+                .zip(bounds32.iter_mut())
+                .zip(kbs.iter())
+                .enumerate()
+            {
+                *b64 = if ks[q] == 0 {
+                    f64::NEG_INFINITY
+                } else {
+                    kb.threshold().min(cap_of(caps, q)) + 2.0 * slacks[q]
+                };
+                *b32 = f32_bound_up(*b64);
+            }
+            kernels::weighted_sq_multi_block_f32(
+                flat_w32,
+                dim,
+                flat_q32,
+                block,
+                dim,
+                &bounds32,
+                &mut keys[..nq * n],
+            );
+            let mut block_abandoned = false;
+            for (q, (kb, cand)) in kbs.iter_mut().zip(cands.iter_mut()).enumerate() {
+                for (offset, &key) in keys[q * n..(q + 1) * n].iter().enumerate() {
+                    if (key as f64) <= bounds64[q] {
+                        cand.push(((start + offset) as u32, key));
+                        kb.push((start + offset) as u32, key as f64);
+                    } else {
+                        block_abandoned = true;
+                    }
+                }
+            }
+            tally.blocks_abandoned += block_abandoned as u64;
+            start = end;
+        }
+        self.cfg.record_stats(tally);
+    }
+
+    /// Per-query-weight f64 pass through the same multi-kernel layout.
+    fn scan_range_weighted(
+        &self,
+        flat_q: &[f64],
+        flat_w: &[f64],
+        rows: Range<usize>,
+        kbs: &mut [KBest],
+        caps: Option<&[f64]>,
+    ) {
+        let dim = self.coll.dim();
+        let nq = kbs.len();
+        let mut keys = vec![0.0f64; nq * BLOCK_ROWS];
+        let mut bounds = vec![f64::INFINITY; nq];
+        let mut start = rows.start;
+        let mut tally = ScanStats::default();
+        while start < rows.end {
+            let end = (start + BLOCK_ROWS).min(rows.end);
+            let n = end - start;
+            tally.rows_visited += n as u64;
+            let block = self.coll.block(start, end);
+            for (q, (b, kb)) in bounds.iter_mut().zip(kbs.iter()).enumerate() {
+                *b = kb.threshold().min(cap_of(caps, q));
+            }
+            kernels::weighted_sq_multi_block(
+                flat_w,
+                dim,
+                flat_q,
+                block,
+                dim,
+                &bounds,
+                &mut keys[..nq * n],
+            );
+            let mut block_abandoned = false;
+            for (q, kb) in kbs.iter_mut().enumerate() {
+                for (offset, &key) in keys[q * n..(q + 1) * n].iter().enumerate() {
+                    // Capped pruning can abandon rows before the
+                    // k-best is full; the bound guard keeps their
+                    // partial-sum keys (> bound) out of the heap.
+                    if key <= bounds[q] {
+                        kb.push((start + offset) as u32, key);
+                    } else {
+                        block_abandoned = true;
+                    }
+                }
+            }
+            tally.blocks_abandoned += block_abandoned as u64;
+            start = end;
+        }
+        self.cfg.record_stats(tally);
     }
 
     /// Shared-metric blocked pass over one contiguous index range:
@@ -754,7 +437,7 @@ impl<'a> MultiQueryScan<'a> {
         &self,
         flat_queries: &[f64],
         dist: &dyn Distance,
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         kbs: &mut [KBest],
         caps: Option<&[f64]>,
         perm: Option<&[u32]>,
@@ -791,7 +474,7 @@ impl<'a> MultiQueryScan<'a> {
             tally.blocks_abandoned += block_abandoned as u64;
             start = end;
         }
-        self.record_stats(tally);
+        self.cfg.record_stats(tally);
     }
 
     /// Shared-metric f32 phase-1 over one contiguous index range of the
@@ -821,7 +504,7 @@ impl<'a> MultiQueryScan<'a> {
         dist: &dyn Distance,
         slack: f64,
         ks: &[usize],
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         kbs: &mut [KBest],
         cands: &mut [Vec<(u32, f32)>],
         caps: Option<&[f64]>,
@@ -872,7 +555,7 @@ impl<'a> MultiQueryScan<'a> {
             tally.blocks_abandoned += block_abandoned as u64;
             start = end;
         }
-        self.record_stats(tally);
+        self.cfg.record_stats(tally);
     }
 
     /// Per-query-metric f32 phase-1: one shared mirror-block read, one
@@ -886,7 +569,7 @@ impl<'a> MultiQueryScan<'a> {
         dists: &[&dyn Distance],
         slacks: &[f64],
         ks: &[usize],
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         kbs: &mut [KBest],
         cands: &mut [Vec<(u32, f32)>],
         caps: Option<&[f64]>,
@@ -928,7 +611,7 @@ impl<'a> MultiQueryScan<'a> {
             tally.blocks_abandoned += block_abandoned as u64;
             start = end;
         }
-        self.record_stats(tally);
+        self.cfg.record_stats(tally);
     }
 
     /// Per-query-metric blocked pass: one shared block read, one
@@ -938,7 +621,7 @@ impl<'a> MultiQueryScan<'a> {
         &self,
         queries: &[&[f64]],
         dists: &[&dyn Distance],
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         kbs: &mut [KBest],
         caps: Option<&[f64]>,
         perm: Option<&[u32]>,
@@ -973,25 +656,32 @@ impl<'a> MultiQueryScan<'a> {
             tally.blocks_abandoned += block_abandoned as u64;
             start = end;
         }
-        self.record_stats(tally);
+        self.cfg.record_stats(tally);
     }
 
-    /// Parallel driver shared by both entry points: fan contiguous row
-    /// chunks out to worker threads, each carrying a private k-best per
-    /// query, then fold every thread's candidates through one final
-    /// k-best per query by ascending `(key, index)` — deterministic
-    /// regardless of thread count, chunk boundaries or completion order,
-    /// and identical to what the single-threaded pass selects.
+    /// f64 driver of both kernel modes. Batched (or a one-worker budget)
+    /// scans the whole collection as one chunk on the calling thread;
+    /// Parallel fans contiguous row chunks out to worker threads, each
+    /// carrying a private k-best per query, then folds every thread's
+    /// candidates through one final k-best per query by ascending
+    /// `(key, index)` — deterministic regardless of thread count, chunk
+    /// boundaries or completion order, and identical to what the
+    /// single-threaded pass selects.
     fn parallel_merge(
         &self,
+        mode: ScanMode,
         ks: &[usize],
-        scan_chunk: &(dyn Fn(std::ops::Range<usize>, &mut [KBest]) + Sync),
+        caps: Option<&[f64]>,
+        scan_chunk: &MergeChunk<'_>,
     ) -> Vec<KBest> {
         let len = self.coll.len();
-        let threads = scan_threads(self.thread_budget, len.div_ceil(BLOCK_ROWS));
+        let threads = match mode {
+            ScanMode::Batched => 1,
+            _ => self.cfg.threads(len.div_ceil(BLOCK_ROWS)),
+        };
         if threads == 1 {
             let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-            scan_chunk(0..len, &mut kbs);
+            scan_chunk(0..len, &mut kbs, caps);
             return kbs;
         }
         let chunk = len.div_ceil(threads);
@@ -1003,7 +693,7 @@ impl<'a> MultiQueryScan<'a> {
                     let hi = ((t + 1) * chunk).min(len);
                     scope.spawn(move || {
                         let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                        scan_chunk(lo..hi, &mut kbs);
+                        scan_chunk(lo..hi, &mut kbs, caps);
                         kbs.iter()
                             .map(|kb| {
                                 let mut entries: Vec<(f64, u32)> = kb.entries().collect();
@@ -1036,7 +726,8 @@ impl<'a> MultiQueryScan<'a> {
         merged
     }
 
-    /// Parallel phase-1 driver for the f32 paths: fan contiguous row
+    /// f32 phase-1 driver of both kernel modes: one chunk on the calling
+    /// thread in Batched mode, otherwise fan contiguous row
     /// chunks out to worker threads, each collecting per-query candidate
     /// lists against its own (chunk-local, hence looser — still a
     /// superset) inflated bounds and filtering them against its final
@@ -1045,19 +736,23 @@ impl<'a> MultiQueryScan<'a> {
     /// thread count cannot change the final answer.
     fn parallel_candidates(
         &self,
+        mode: ScanMode,
         ks: &[usize],
         slacks: &[f64],
         caps: Option<&[f64]>,
-        scan_chunk: &F32ChunkScan<'_>,
+        scan_chunk: &CandidateChunk<'_>,
     ) -> Vec<Vec<u32>> {
         let len = self.coll.len();
         let nq = ks.len();
-        let threads = scan_threads(self.thread_budget, len.div_ceil(BLOCK_ROWS));
+        let threads = match mode {
+            ScanMode::Batched => 1,
+            _ => self.cfg.threads(len.div_ceil(BLOCK_ROWS)),
+        };
         if threads == 1 {
             let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
             let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
-            scan_chunk(0..len, &mut kbs, &mut cands);
-            return filter_candidates(&kbs, slacks, cands, caps, self.stats);
+            scan_chunk(0..len, &mut kbs, &mut cands, caps);
+            return filter_candidates(&kbs, slacks, cands, caps, self.cfg.stats);
         }
         let chunk = len.div_ceil(threads);
         let mut merged: Vec<Vec<u32>> = vec![Vec::new(); nq];
@@ -1069,8 +764,8 @@ impl<'a> MultiQueryScan<'a> {
                     scope.spawn(move || {
                         let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
                         let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
-                        scan_chunk(lo..hi, &mut kbs, &mut cands);
-                        filter_candidates(&kbs, slacks, cands, caps, self.stats)
+                        scan_chunk(lo..hi, &mut kbs, &mut cands, caps);
+                        filter_candidates(&kbs, slacks, cands, caps, self.cfg.stats)
                     })
                 })
                 .collect();
@@ -1086,6 +781,57 @@ impl<'a> MultiQueryScan<'a> {
             }
         });
         merged
+    }
+}
+
+/// The Scalar reference pass: one `dyn Distance::eval` per (row, query),
+/// true distances pushed (`finished = true`), no kernels, no pruning
+/// beyond the caller's caps — the anchor every kernel path is compared
+/// against. `perm` (the partitioned layout's reorder map) makes it push
+/// original row indices.
+pub(crate) fn scalar_reference(
+    coll: &Collection,
+    perm: Option<&[u32]>,
+    cfg: &ScanConfig<'_>,
+    batch: &QueryBatch<'_>,
+    ks: &[usize],
+    caps: Option<&[f64]>,
+) -> KeyedResults {
+    let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
+    for i in 0..coll.len() {
+        let row = coll.vector(i);
+        let index = perm.map_or(i as u32, |p| p[i]);
+        for (q, (query, kb)) in batch.queries().iter().zip(kbs.iter_mut()).enumerate() {
+            let d = batch.metric(q).eval(query, row);
+            if d <= cap_of(caps, q) {
+                kb.push(index, d);
+            }
+        }
+    }
+    cfg.record_stats(ScanStats {
+        rows_visited: coll.len() as u64,
+        ..Default::default()
+    });
+    KeyedResults::from_kbests(kbs, true)
+}
+
+/// Phase 2 for a whole batch: exact f64 rescore of every query's
+/// surviving candidates under its own metric ([`rescore_f64_keyed`];
+/// `perm` as there), results still in key space.
+pub(crate) fn rescore(
+    coll: &Collection,
+    batch: &QueryBatch<'_>,
+    ks: &[usize],
+    cands: &[Vec<u32>],
+    perm: Option<&[u32]>,
+) -> KeyedResults {
+    KeyedResults {
+        entries: (batch.queries().iter().zip(ks).zip(cands).enumerate())
+            .map(|(q, ((query, &k), c))| {
+                rescore_f64_keyed(coll, query, batch.metric(q), c, k, perm).into_sorted_entries()
+            })
+            .collect(),
+        finished: false,
     }
 }
 
@@ -1166,6 +912,7 @@ mod tests {
     use super::*;
     use crate::collection::CollectionBuilder;
     use crate::distance::{Euclidean, WeightedEuclidean};
+    use QueryMetrics::{PerQuery, Shared, Weighted};
 
     fn pseudo_random_collection(n: usize, dim: usize) -> Collection {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -1200,7 +947,8 @@ mod tests {
         let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
         let w = WeightedEuclidean::new((0..24).map(|i| 0.2 + (i % 5) as f64).collect()).unwrap();
         for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
-            let multi = MultiQueryScan::with_mode(&c, mode).knn_multi(&refs, 7, &w);
+            let multi =
+                MultiQueryScan::with_mode(&c, mode).knn(&QueryBatch::new(&refs, Shared(&w), 7));
             let single = LinearScan::with_mode(&c, mode);
             for (q, res) in refs.iter().zip(multi.iter()) {
                 assert_eq!(res, &single.knn(q, 7, &w), "mode {mode:?}");
@@ -1221,7 +969,11 @@ mod tests {
             .collect();
         let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
         for mode in [ScanMode::Batched, ScanMode::Parallel] {
-            let multi = MultiQueryScan::with_mode(&c, mode).knn_per_query(&refs, &dists, 5);
+            let multi = MultiQueryScan::with_mode(&c, mode).knn(&QueryBatch::new(
+                &refs,
+                PerQuery(&dists),
+                5,
+            ));
             for ((q, d), res) in refs.iter().zip(metrics.iter()).zip(multi.iter()) {
                 let expect = LinearScan::with_mode(&c, ScanMode::Batched).knn(q, 5, d);
                 assert_eq!(res, &expect, "mode {mode:?}");
@@ -1233,11 +985,13 @@ mod tests {
     fn empty_inputs() {
         let c = pseudo_random_collection(50, 4);
         let scan = MultiQueryScan::new(&c);
-        assert!(scan.knn_multi(&[], 3, &Euclidean).is_empty());
+        assert!(scan
+            .knn(&QueryBatch::new(&[], Shared(&Euclidean), 3))
+            .is_empty());
         let empty = CollectionBuilder::new().build();
         let scan = MultiQueryScan::new(&empty);
         let q: &[f64] = &[];
-        let res = scan.knn_multi(&[q, q], 3, &Euclidean);
+        let res = scan.knn(&QueryBatch::new(&[q, q], Shared(&Euclidean), 3));
         assert_eq!(res, vec![Vec::new(), Vec::new()]);
     }
 
@@ -1247,10 +1001,10 @@ mod tests {
         let queries = sample_queries(2, 6);
         let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
         let scan = MultiQueryScan::with_mode(&c, ScanMode::Batched);
-        for res in scan.knn_multi(&refs, 0, &Euclidean) {
+        for res in scan.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 0)) {
             assert!(res.is_empty());
         }
-        for res in scan.knn_multi(&refs, 100, &Euclidean) {
+        for res in scan.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 100)) {
             assert_eq!(res.len(), 30);
             for w in res.windows(2) {
                 assert!(w[0].dist <= w[1].dist);
@@ -1266,7 +1020,8 @@ mod tests {
         let ks = [1usize, 10, 50];
         let w = WeightedEuclidean::new((0..24).map(|i| 0.2 + (i % 5) as f64).collect()).unwrap();
         for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
-            let multi = MultiQueryScan::with_mode(&c, mode).knn_multi_k(&refs, &ks, &w);
+            let multi = MultiQueryScan::with_mode(&c, mode)
+                .knn(&QueryBatch::new(&refs, Shared(&w), 0).with_ks(&ks));
             let single = LinearScan::with_mode(&c, mode);
             for ((q, res), &k) in refs.iter().zip(multi.iter()).zip(ks.iter()) {
                 assert_eq!(res.len(), k, "mode {mode:?}");
@@ -1282,7 +1037,8 @@ mod tests {
             .collect();
         let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
         for mode in [ScanMode::Batched, ScanMode::Parallel] {
-            let multi = MultiQueryScan::with_mode(&c, mode).knn_per_query_k(&refs, &dists, &ks);
+            let multi = MultiQueryScan::with_mode(&c, mode)
+                .knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks));
             for (((q, d), res), &k) in refs
                 .iter()
                 .zip(metrics.iter())
@@ -1307,11 +1063,12 @@ mod tests {
             })
             .collect();
         let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
+        let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
         let ks = [1usize, 10, 50, 7, 3];
         for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
             let scan = MultiQueryScan::with_mode(&c, mode);
-            let specialized = scan.knn_weighted_per_query_k(&refs, &metrics, &ks);
-            let generic = scan.knn_per_query_k(&refs, &dists, &ks);
+            let specialized = scan.knn(&QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks));
+            let generic = scan.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks));
             assert_eq!(specialized, generic, "mode {mode:?}");
             for ((q, m), (res, &k)) in refs
                 .iter()
@@ -1328,13 +1085,13 @@ mod tests {
         // Empty inputs and empty collections behave like the generic
         // path.
         let scan = MultiQueryScan::new(&c);
-        assert!(scan.knn_weighted_per_query_k(&[], &[], &[]).is_empty());
+        assert!(scan.knn(&QueryBatch::new(&[], Weighted(&[]), 0)).is_empty());
         let empty = CollectionBuilder::new().build();
         let scan = MultiQueryScan::new(&empty);
         let q: &[f64] = &[];
         let m = [WeightedEuclidean::uniform(0)];
         assert_eq!(
-            scan.knn_weighted_per_query_k(&[q], &m[..1], &[3]),
+            scan.knn(&QueryBatch::new(&[q], Weighted(&[&m[0]]), 3)),
             vec![Vec::new()]
         );
     }
@@ -1345,8 +1102,8 @@ mod tests {
         // cutoff once enough queries share the pass.
         let c = pseudo_random_collection(400, 16); // 6400 components/query
         let scan = MultiQueryScan::new(&c);
-        assert_eq!(scan.effective_mode(1), ScanMode::Batched);
-        assert_eq!(scan.effective_mode(16), ScanMode::Parallel);
+        assert_eq!(scan.cfg.effective_mode(400, 16, 1), ScanMode::Batched);
+        assert_eq!(scan.cfg.effective_mode(400, 16, 16), ScanMode::Parallel);
     }
 
     #[test]
@@ -1357,20 +1114,10 @@ mod tests {
         let unbudgeted = MultiQueryScan::with_mode(&c, ScanMode::Parallel);
         let budgeted = MultiQueryScan::with_mode(&c, ScanMode::Parallel).with_thread_budget(2);
         let one = MultiQueryScan::with_mode(&c, ScanMode::Parallel).with_thread_budget(1);
-        let a = unbudgeted.knn_multi(&refs, 9, &Euclidean);
-        let b = budgeted.knn_multi(&refs, 9, &Euclidean);
-        let c2 = one.knn_multi(&refs, 9, &Euclidean);
+        let a = unbudgeted.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 9));
+        let b = budgeted.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 9));
+        let c2 = one.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 9));
         assert_eq!(a, b);
         assert_eq!(a, c2);
-    }
-
-    #[test]
-    fn stats_count_per_query_evals() {
-        let c = pseudo_random_collection(40, 4);
-        let queries = sample_queries(3, 4);
-        let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
-        let (_, stats) = MultiQueryScan::new(&c).knn_multi_with_stats(&refs, 2, &Euclidean);
-        assert_eq!(stats.distance_evals, 120);
-        assert_eq!(stats.nodes_visited, 0);
     }
 }

@@ -42,24 +42,17 @@
 //! (`crates/vecdb/tests/partitioned.rs`) pins all of this against the
 //! flat scans.
 
-use super::multi::{cap_of, filter_candidates, flatten, flatten_f32, KeyedResults};
+use super::multi::{
+    cap_of, filter_candidates, rescore, scalar_reference, CandidateChunk, KeyedResults, MergeChunk,
+};
 use super::stats::{ScanStats, ScanStatsSink};
 use super::{
-    finish_entries, rescore_f64_keyed, scan_threads, KBest, MultiQueryScan, Neighbor, Precision,
-    ScanMode, BLOCK_ROWS, PARALLEL_CUTOFF,
+    KBest, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics, ScanConfig, ScanMode,
+    BLOCK_ROWS,
 };
 use crate::collection::PartitionedCollection;
-use crate::distance::{Distance, WeightedEuclidean};
-
-/// Chunk scanner of the f64 merge path: scan `rows`, folding hits into
-/// the running k-bests under the optional per-query caps.
-type MergeChunk<'f> = dyn Fn(std::ops::Range<usize>, &mut [KBest], Option<&[f64]>) + Sync + 'f;
-
-/// Chunk scanner of the f32 phase-1 path: additionally collects the
-/// per-query `(inner index, f32 key)` candidate pools for the rescore.
-type CandidateChunk<'f> = dyn Fn(std::ops::Range<usize>, &mut [KBest], &mut [Vec<(u32, f32)>], Option<&[f64]>)
-    + Sync
-    + 'f;
+use crate::distance::Distance;
+use std::ops::Range;
 
 /// Partition-pruning k-NN engine borrowing a [`PartitionedCollection`].
 ///
@@ -70,128 +63,65 @@ type CandidateChunk<'f> = dyn Fn(std::ops::Range<usize>, &mut [KBest], &mut [Vec
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionedScan<'a> {
     part: &'a PartitionedCollection,
-    mode: ScanMode,
-    precision: Precision,
-    thread_budget: Option<usize>,
-    stats: Option<&'a ScanStatsSink>,
+    cfg: ScanConfig<'a>,
 }
 
 impl<'a> PartitionedScan<'a> {
     /// New engine over `part` with [`ScanMode::Auto`].
     pub fn new(part: &'a PartitionedCollection) -> Self {
-        PartitionedScan {
-            part,
-            mode: ScanMode::Auto,
-            precision: Precision::F64,
-            thread_budget: None,
-            stats: None,
-        }
+        Self::with_config(part, ScanConfig::default())
     }
 
     /// New engine with an explicit execution mode.
     pub fn with_mode(part: &'a PartitionedCollection, mode: ScanMode) -> Self {
-        PartitionedScan {
-            mode,
-            ..Self::new(part)
-        }
+        Self::with_config(
+            part,
+            ScanConfig {
+                mode,
+                ..Default::default()
+            },
+        )
+    }
+
+    pub(crate) fn with_config(part: &'a PartitionedCollection, cfg: ScanConfig<'a>) -> Self {
+        PartitionedScan { part, cfg }
     }
 
     /// Select the scan precision (same degrade rules as
     /// [`MultiQueryScan::with_precision`]).
     pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
+        self.cfg.precision = precision;
         self
     }
 
     /// Cap the parallel path at `threads` worker threads (at least 1).
     pub fn with_thread_budget(mut self, threads: usize) -> Self {
-        self.thread_budget = Some(threads.max(1));
+        self.cfg.thread_budget = Some(threads.max(1));
         self
     }
 
-    /// Flush this scan's work counters into `sink` — including the new
+    /// Flush this scan's work counters into `sink` — including
     /// [`ScanStats::partitions_pruned`], the sub-linearity witness.
     pub fn with_scan_stats(mut self, sink: &'a ScanStatsSink) -> Self {
-        self.stats = Some(sink);
+        self.cfg.stats = Some(sink);
         self
-    }
-
-    /// The underlying partitioned collection.
-    pub fn partitions(&self) -> &'a PartitionedCollection {
-        self.part
-    }
-
-    /// The configured precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// The inner (reordered) flat scan with this engine's precision,
-    /// budget and stats sink: the partitioned pass drives its
-    /// range-scan primitives directly, so every per-row code path is
-    /// *the* flat code path.
-    fn inner_scan(&self) -> MultiQueryScan<'a> {
-        let mut scan = MultiQueryScan::with_mode(self.part.collection(), ScanMode::Batched)
-            .with_precision(self.precision);
-        if let Some(budget) = self.thread_budget {
-            scan = scan.with_thread_budget(budget);
-        }
-        if let Some(sink) = self.stats {
-            scan = scan.with_scan_stats(sink);
-        }
-        scan
-    }
-
-    fn record_stats(&self, tally: ScanStats) {
-        if let Some(sink) = self.stats {
-            sink.record(&tally);
-        }
-    }
-
-    fn record_seeded_pass(&self, caps: Option<&[f64]>) {
-        if self.stats.is_some() && caps.is_some_and(|c| c.iter().any(|v| v.is_finite())) {
-            self.record_stats(ScanStats {
-                seed_prunes: 1,
-                ..Default::default()
-            });
-        }
-    }
-
-    /// Same Auto resolution as the flat scan (total work across the
-    /// whole collection — pruning-dependent savings are unknowable
-    /// up front).
-    fn effective_mode(&self, nq: usize) -> ScanMode {
-        match self.mode {
-            ScanMode::Auto => {
-                if self.part.len() * self.part.dim().max(1) * nq.max(1) >= PARALLEL_CUTOFF {
-                    ScanMode::Parallel
-                } else {
-                    ScanMode::Batched
-                }
-            }
-            m => m,
-        }
     }
 
     /// Per-(partition, query) key-space lower bounds, row-major by
     /// partition (`lbs[p · nq + q]`). `None` ⇔ query `q`'s class
     /// certifies no bound and can never prune partition `p`.
-    fn partition_lower_bounds(
-        &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-    ) -> Vec<Option<f64>> {
+    fn partition_lower_bounds(&self, batch: &QueryBatch<'_>) -> Vec<Option<f64>> {
         let p_count = self.part.partition_count();
-        let nq = queries.len();
+        let nq = batch.len();
         let mut lbs = Vec::with_capacity(p_count * nq);
         for p in 0..p_count {
             let centroid = self.part.centroid(p);
             let radius = self.part.radius(p);
-            for (q, d) in queries.iter().zip(dists.iter()) {
+            for (q, query) in batch.queries().iter().enumerate() {
                 lbs.push(if self.part.rows(p).is_empty() {
                     None // empty partitions are skipped, not "pruned"
                 } else {
-                    d.partition_lower_key(q, centroid, radius)
+                    batch.metric(q).partition_lower_key(query, centroid, radius)
                 });
             }
         }
@@ -250,252 +180,62 @@ impl<'a> PartitionedScan<'a> {
         })
     }
 
-    /// The `k` nearest neighbors of every query under one shared
-    /// metric — flat-scan semantics ([`MultiQueryScan::knn_multi`]),
-    /// partition-pruned execution.
-    pub fn knn_multi(
-        &self,
-        queries: &[&[f64]],
-        k: usize,
-        dist: &dyn Distance,
-    ) -> Vec<Vec<Neighbor>> {
-        self.knn_multi_k(queries, &vec![k; queries.len()], dist)
+    /// The nearest neighbors of every query of `batch` — flat-scan
+    /// semantics ([`MultiQueryScan::knn`]), partition-pruned execution.
+    pub fn knn(&self, batch: &QueryBatch<'_>) -> Vec<Vec<Neighbor>> {
+        batch.finish(self.knn_keyed(batch, None))
     }
 
-    /// Per-query result counts under one shared metric
-    /// ([`MultiQueryScan::knn_multi_k`] semantics).
-    pub fn knn_multi_k(
-        &self,
-        queries: &[&[f64]],
-        ks: &[usize],
-        dist: &dyn Distance,
-    ) -> Vec<Vec<Neighbor>> {
-        let keyed = self.knn_multi_k_keyed(queries, ks, dist, None);
-        keyed
-            .entries
-            .into_iter()
-            .map(|e| finish_entries(e, keyed.finished, dist))
-            .collect()
-    }
-
-    /// Per-query metrics ([`MultiQueryScan::knn_per_query`] semantics).
-    pub fn knn_per_query(
-        &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        k: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        self.knn_per_query_k(queries, dists, &vec![k; queries.len()])
-    }
-
-    /// Per-query metrics and result counts
-    /// ([`MultiQueryScan::knn_per_query_k`] semantics).
-    pub fn knn_per_query_k(
-        &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        ks: &[usize],
-    ) -> Vec<Vec<Neighbor>> {
-        let keyed = self.knn_per_query_k_keyed(queries, dists, ks, None);
-        keyed
-            .entries
-            .into_iter()
-            .zip(dists.iter())
-            .map(|(e, d)| finish_entries(e, keyed.finished, *d))
-            .collect()
-    }
-
-    /// Per-query weighted-Euclidean metrics
-    /// ([`MultiQueryScan::knn_weighted_per_query_k`] semantics). The
-    /// partitioned pass lowers to the generic per-query path — the
-    /// per-(query, row) key arithmetic is identical in every kernel
-    /// shape, so results stay bit-identical to the flat weighted entry.
-    pub fn knn_weighted_per_query_k(
-        &self,
-        queries: &[&[f64]],
-        metrics: &[WeightedEuclidean],
-        ks: &[usize],
-    ) -> Vec<Vec<Neighbor>> {
-        let refs: Vec<&WeightedEuclidean> = metrics.iter().collect();
-        let keyed = self.knn_weighted_per_query_k_keyed(queries, &refs, ks, None);
-        keyed
-            .entries
-            .into_iter()
-            .zip(metrics.iter())
-            .map(|(e, m)| finish_entries(e, keyed.finished, m))
-            .collect()
-    }
-
-    /// Selection-space shared-metric pass with pruning seeds (`caps` as
-    /// on [`MultiQueryScan::knn_multi_k_keyed`]) — the sharded scatter
-    /// stage's entry, so delivered partials seed partition bounds too.
-    pub(crate) fn knn_multi_k_keyed(
-        &self,
-        queries: &[&[f64]],
-        ks: &[usize],
-        dist: &dyn Distance,
-        caps: Option<&[f64]>,
-    ) -> KeyedResults {
-        assert_eq!(queries.len(), ks.len(), "one k per query");
-        if queries.is_empty() || self.part.is_empty() {
-            return KeyedResults {
-                entries: vec![Vec::new(); queries.len()],
-                finished: true,
-            };
+    /// Selection-space pass with pruning seeds (`caps` as on
+    /// [`MultiQueryScan::knn_keyed`]) — the sharded scatter stage's
+    /// entry, so delivered partials seed partition bounds too.
+    pub(crate) fn knn_keyed(&self, batch: &QueryBatch<'_>, caps: Option<&[f64]>) -> KeyedResults {
+        let (len, dim, nq) = (self.part.len(), self.part.dim(), batch.len());
+        if nq == 0 || len == 0 {
+            return KeyedResults::empty(nq);
         }
-        let dim = self.part.dim();
-        for q in queries {
-            assert_eq!(q.len(), dim, "query dimensionality mismatch");
-        }
-        self.record_seeded_pass(caps);
-        let mode = self.effective_mode(queries.len());
+        let ks = batch.ks_for(len, dim);
+        self.cfg.record_seeded_pass(caps);
+        // Same Auto resolution as the flat scan (total work across the
+        // whole collection — pruning-dependent savings are unknowable
+        // up front).
+        let mode = self.cfg.effective_mode(len, dim, nq);
+        let (coll, perm) = (self.part.collection(), self.part.perm());
         if mode == ScanMode::Scalar {
-            return self.scalar_reference(queries, ks, &vec![dist; queries.len()], caps);
+            // The reference pass is flat and pruning-free.
+            return scalar_reference(coll, Some(perm), &self.cfg, batch, &ks, caps);
         }
-        let dists = vec![dist; queries.len()];
-        let lbs = self.partition_lower_bounds(queries, &dists);
-        let order = self.visit_order(&lbs, queries.len());
-        let inner = self.inner_scan();
-        if let Some(slack) = inner.f32_slack(dist, queries) {
-            let flat32 = flatten_f32(queries);
-            let slacks = vec![slack; ks.len()];
-            let cands = self.pruned_candidates(
-                &lbs,
-                &order,
-                ks,
-                &slacks,
-                caps,
-                mode,
-                &|range, kbs, cands, caps| {
-                    inner.scan_range_shared_f32(&flat32, dist, slack, ks, range, kbs, cands, caps)
-                },
-            );
-            return self.rescore(queries, &dists, ks, &cands);
-        }
-        let flat = flatten(queries);
-        let kbs = self.pruned_merge(&lbs, &order, ks, caps, mode, &|range, kbs, caps| {
-            inner.scan_range_shared(&flat, dist, range, kbs, caps, Some(self.part.perm()))
-        });
-        KeyedResults {
-            entries: kbs.into_iter().map(KBest::into_sorted_entries).collect(),
-            finished: false,
-        }
-    }
-
-    /// Selection-space per-query-metric pass with pruning seeds
-    /// ([`MultiQueryScan::knn_per_query_k_keyed`] semantics).
-    pub(crate) fn knn_per_query_k_keyed(
-        &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        ks: &[usize],
-        caps: Option<&[f64]>,
-    ) -> KeyedResults {
-        assert_eq!(
-            queries.len(),
-            dists.len(),
-            "one distance function per query"
-        );
-        assert_eq!(queries.len(), ks.len(), "one k per query");
-        if queries.is_empty() || self.part.is_empty() {
-            return KeyedResults {
-                entries: vec![Vec::new(); queries.len()],
-                finished: true,
-            };
-        }
-        let dim = self.part.dim();
-        for q in queries {
-            assert_eq!(q.len(), dim, "query dimensionality mismatch");
-        }
-        self.record_seeded_pass(caps);
-        let mode = self.effective_mode(queries.len());
-        if mode == ScanMode::Scalar {
-            return self.scalar_reference(queries, ks, dists, caps);
-        }
-        let lbs = self.partition_lower_bounds(queries, dists);
-        let order = self.visit_order(&lbs, queries.len());
-        let inner = self.inner_scan();
-        // All-or-nothing f32 engagement, exactly like the flat scan.
-        let slacks: Option<Vec<f64>> = dists.iter().map(|d| inner.f32_slack(*d, queries)).collect();
-        if let Some(slacks) = slacks {
-            let q32s: Vec<Vec<f32>> = queries
-                .iter()
-                .map(|q| q.iter().map(|&v| v as f32).collect())
-                .collect();
-            let cands = self.pruned_candidates(
-                &lbs,
-                &order,
-                ks,
-                &slacks,
-                caps,
-                mode,
-                &|range, kbs, cands, caps| {
-                    inner.scan_range_per_query_f32(
-                        &q32s, dists, &slacks, ks, range, kbs, cands, caps,
-                    )
-                },
-            );
-            return self.rescore(queries, dists, ks, &cands);
-        }
-        let kbs = self.pruned_merge(&lbs, &order, ks, caps, mode, &|range, kbs, caps| {
-            inner.scan_range_per_query(queries, dists, range, kbs, caps, Some(self.part.perm()))
-        });
-        KeyedResults {
-            entries: kbs.into_iter().map(KBest::into_sorted_entries).collect(),
-            finished: false,
-        }
-    }
-
-    /// Selection-space weighted per-query pass
-    /// ([`MultiQueryScan::knn_weighted_per_query_k_keyed`] semantics,
-    /// lowered to the generic per-query path — bit-identical).
-    pub(crate) fn knn_weighted_per_query_k_keyed(
-        &self,
-        queries: &[&[f64]],
-        metrics: &[&WeightedEuclidean],
-        ks: &[usize],
-        caps: Option<&[f64]>,
-    ) -> KeyedResults {
-        let dists: Vec<&dyn Distance> = metrics.iter().map(|m| *m as &dyn Distance).collect();
-        self.knn_per_query_k_keyed(queries, &dists, ks, caps)
-    }
-
-    /// The Scalar reference pass: a flat, pruning-free loop pushing
-    /// true distances under **original** indices (`finished = true`),
-    /// exactly matching the flat scan's Scalar baseline — the anchor
-    /// every pruned configuration is compared against.
-    fn scalar_reference(
-        &self,
-        queries: &[&[f64]],
-        ks: &[usize],
-        dists: &[&dyn Distance],
-        caps: Option<&[f64]>,
-    ) -> KeyedResults {
-        let coll = self.part.collection();
-        let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-        for i in 0..coll.len() {
-            let row = coll.vector(i);
-            let orig = self.part.original_index(i);
-            for (qi, ((q, d), kb)) in queries
-                .iter()
-                .zip(dists.iter())
-                .zip(kbs.iter_mut())
-                .enumerate()
-            {
-                let dist = d.eval(q, row);
-                if dist <= cap_of(caps, qi) {
-                    kb.push(orig, dist);
-                }
+        // The partitioned pass has no per-query-weight multi-kernel
+        // form: a weighted batch runs the generic per-query kernels
+        // (the per-(query, row) key arithmetic is identical in every
+        // kernel shape, so results stay bit-identical to the flat pass).
+        let dyn_metrics: Vec<&dyn Distance>;
+        let batch = match batch.metrics() {
+            QueryMetrics::Weighted(metrics) => {
+                dyn_metrics = metrics.iter().map(|m| *m as &dyn Distance).collect();
+                batch.with_metrics(QueryMetrics::PerQuery(&dyn_metrics))
             }
+            _ => *batch,
+        };
+        let lbs = self.partition_lower_bounds(&batch);
+        let order = self.visit_order(&lbs, nq);
+        // The inner (reordered) flat scan with this engine's precision,
+        // budget and stats sink: the partitioned pass drives its
+        // range-scan primitives directly, so every per-row code path is
+        // *the* flat code path.
+        let inner = MultiQueryScan::with_config(coll, self.cfg);
+        if let Some(slacks) = inner.f32_slacks(&batch) {
+            let cands = inner.with_f32_scanner(&batch, &slacks, &ks, |scan| {
+                self.pruned_candidates(&lbs, &order, &ks, &slacks, caps, mode, scan)
+            });
+            // Gather by inner-row index, push under the original index
+            // (the permutation): identical to the flat rescore's key bits.
+            return rescore(coll, &batch, &ks, &cands, Some(perm));
         }
-        self.record_stats(ScanStats {
-            rows_visited: coll.len() as u64,
-            ..Default::default()
+        let kbs = inner.with_scanner(&batch, Some(perm), |scan| {
+            self.pruned_merge(&lbs, &order, &ks, caps, mode, scan)
         });
-        KeyedResults {
-            entries: kbs.into_iter().map(KBest::into_sorted_entries).collect(),
-            finished: true,
-        }
+        KeyedResults::from_kbests(kbs, false)
     }
 
     /// f64 driver: walk partitions in `order`, skip proven-empty ones,
@@ -529,7 +269,7 @@ impl<'a> PartitionedScan<'a> {
                 scan_chunk(rows, &mut kbs, caps);
             }
         }
-        self.record_stats(tally);
+        self.cfg.record_stats(tally);
         kbs
     }
 
@@ -545,11 +285,11 @@ impl<'a> PartitionedScan<'a> {
         ks: &[usize],
         caps: Option<&[f64]>,
         kbs: &mut [KBest],
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         scan_chunk: &MergeChunk<'_>,
     ) {
         let len = rows.len();
-        let threads = scan_threads(self.thread_budget, len.div_ceil(BLOCK_ROWS));
+        let threads = self.cfg.threads(len.div_ceil(BLOCK_ROWS));
         if threads == 1 {
             scan_chunk(rows, kbs, caps);
             return;
@@ -629,8 +369,8 @@ impl<'a> PartitionedScan<'a> {
                 scan_chunk(rows, &mut kbs, &mut cands, caps);
             }
         }
-        self.record_stats(tally);
-        filter_candidates(&kbs, slacks, cands, caps, self.stats)
+        self.cfg.record_stats(tally);
+        filter_candidates(&kbs, slacks, cands, caps, self.cfg.stats)
     }
 
     /// Parallel fan-out for one surviving partition of the f32 phase-1.
@@ -647,12 +387,12 @@ impl<'a> PartitionedScan<'a> {
         caps: Option<&[f64]>,
         kbs: &mut [KBest],
         cands: &mut [Vec<(u32, f32)>],
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         scan_chunk: &CandidateChunk<'_>,
     ) {
         let len = rows.len();
         let nq = ks.len();
-        let threads = scan_threads(self.thread_budget, len.div_ceil(BLOCK_ROWS));
+        let threads = self.cfg.threads(len.div_ceil(BLOCK_ROWS));
         if threads == 1 {
             scan_chunk(rows, kbs, cands, caps);
             return;
@@ -696,29 +436,5 @@ impl<'a> PartitionedScan<'a> {
                 }
             }
         });
-    }
-
-    /// Phase 2: exact f64 rescore of the surviving candidates — gather
-    /// by inner-row index, push under the original index (the
-    /// permutation), identical to the flat rescore's key bits.
-    fn rescore(
-        &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        ks: &[usize],
-        cands: &[Vec<u32>],
-    ) -> KeyedResults {
-        KeyedResults {
-            entries: queries
-                .iter()
-                .zip(dists.iter().zip(ks.iter()))
-                .zip(cands.iter())
-                .map(|((q, (d, &k)), c)| {
-                    rescore_f64_keyed(self.part.collection(), q, *d, c, k, Some(self.part.perm()))
-                        .into_sorted_entries()
-                })
-                .collect(),
-            finished: false,
-        }
     }
 }

@@ -11,8 +11,8 @@
 //! between Scalar and the key-space modes by that same ulp):
 //!
 //! * [`ScanMode::Scalar`] — one `dyn Distance::eval` per vector, a `sqrt`
-//!   per candidate. Kept in-tree as the measurable baseline the batched
-//!   paths are benchmarked against (`cargo bench --bench knn_engines`).
+//!   per candidate. Kept in-tree as the reference the kernel paths are
+//!   pinned against (`tests/scan_paths_consistency.rs`).
 //! * [`ScanMode::Batched`] — blocks of [`BLOCK_ROWS`] vectors go through
 //!   [`Distance::eval_key_batch`]: one virtual call per block, surrogate
 //!   keys instead of distances (no `sqrt`), early abandonment against the
@@ -39,7 +39,8 @@
 //! paths are pinned against.
 
 use super::{
-    f32_bound_up, KBest, KnnEngine, Neighbor, Precision, SearchStats, BLOCK_ROWS, PARALLEL_CUTOFF,
+    f32_bound_up, KBest, KnnEngine, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics,
+    ScanConfig, SearchStats, BLOCK_ROWS,
 };
 use crate::collection::Collection;
 use crate::distance::Distance;
@@ -62,29 +63,23 @@ pub enum ScanMode {
 #[derive(Debug, Clone, Copy)]
 pub struct LinearScan<'a> {
     coll: &'a Collection,
-    mode: ScanMode,
-    precision: Precision,
-    thread_budget: Option<usize>,
+    cfg: ScanConfig<'a>,
 }
 
 impl<'a> LinearScan<'a> {
     /// New scan engine over `coll` with [`ScanMode::Auto`].
     pub fn new(coll: &'a Collection) -> Self {
-        LinearScan {
-            coll,
-            mode: ScanMode::Auto,
-            precision: Precision::F64,
-            thread_budget: None,
-        }
+        Self::with_mode(coll, ScanMode::Auto)
     }
 
     /// New scan engine with an explicit execution mode.
     pub fn with_mode(coll: &'a Collection, mode: ScanMode) -> Self {
         LinearScan {
             coll,
-            mode,
-            precision: Precision::F64,
-            thread_budget: None,
+            cfg: ScanConfig {
+                mode,
+                ..Default::default()
+            },
         }
     }
 
@@ -93,7 +88,7 @@ impl<'a> LinearScan<'a> {
     /// distance class exposes no f32 kernel, or the mode is Scalar —
     /// results are identical in every case.
     pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
+        self.cfg.precision = precision;
         self
     }
 
@@ -103,37 +98,13 @@ impl<'a> LinearScan<'a> {
     /// sweeps) set this to `available / own_threads` so nested
     /// parallelism does not oversubscribe the host.
     pub fn with_thread_budget(mut self, threads: usize) -> Self {
-        self.thread_budget = Some(threads.max(1));
+        self.cfg.thread_budget = Some(threads.max(1));
         self
-    }
-
-    /// The underlying collection.
-    pub fn collection(&self) -> &'a Collection {
-        self.coll
-    }
-
-    /// The configured execution mode.
-    pub fn mode(&self) -> ScanMode {
-        self.mode
-    }
-
-    /// The configured precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// The mode Auto resolves to for this collection.
     fn effective_mode(&self) -> ScanMode {
-        match self.mode {
-            ScanMode::Auto => {
-                if self.coll.len() * self.coll.dim().max(1) >= PARALLEL_CUTOFF {
-                    ScanMode::Parallel
-                } else {
-                    ScanMode::Batched
-                }
-            }
-            m => m,
-        }
+        self.cfg.effective_mode(self.coll.len(), self.coll.dim(), 1)
     }
 
     /// Baseline path: one virtual `eval` (with its `sqrt`) per vector.
@@ -189,28 +160,20 @@ impl<'a> LinearScan<'a> {
         dist: &dyn Distance,
         mode: ScanMode,
     ) -> Vec<Neighbor> {
-        let mut multi =
-            super::MultiQueryScan::with_mode(self.coll, mode).with_precision(self.precision);
-        if let Some(budget) = self.thread_budget {
-            multi = multi.with_thread_budget(budget);
-        }
-        multi.knn_multi(&[query], k, dist).pop().unwrap_or_default()
+        let cfg = ScanConfig { mode, ..self.cfg };
+        MultiQueryScan::with_config(self.coll, cfg)
+            .knn(&QueryBatch::new(&[query], QueryMetrics::Shared(dist), k))
+            .pop()
+            .unwrap_or_default()
     }
 
     /// The key-space rounding slack of an f32 phase-1 under `dist`, when
-    /// every precondition for a two-phase range scan holds: `F32Rescore`
-    /// requested, mirror present, class exposes an f32 kernel with a
-    /// finite bound for this data/query magnitude. (The k-NN paths get
-    /// the same answer from `MultiQueryScan`, which the scan delegates
-    /// to; `range` runs its own single-query pass, so it re-derives it.)
+    /// every precondition for a two-phase range scan holds — the
+    /// multi-query scan's rule, for a batch of this one query.
     fn f32_slack(&self, dist: &dyn Distance, query: &[f64]) -> Option<f64> {
-        if self.precision != Precision::F32Rescore {
-            return None;
-        }
-        let m_coll = self.coll.max_abs()?; // None ⇔ no mirror
-        let m = query.iter().fold(m_coll, |m, &v| m.max(v.abs()));
-        let slack = dist.f32_key_slack(self.coll.dim(), m)?;
-        slack.is_finite().then_some(slack)
+        MultiQueryScan::with_config(self.coll, self.cfg)
+            .f32_slacks(&QueryBatch::new(&[query], QueryMetrics::Shared(dist), 0))?
+            .pop()
     }
 
     /// Two-phase range scan: phase 1 streams the f32 mirror collecting
@@ -323,12 +286,15 @@ impl<'a> LinearScan<'a> {
         out
     }
 
-    /// All-mode dispatch used by [`KnnEngine::knn_with_stats`].
+    /// All-mode dispatch used by [`KnnEngine::knn_with_stats`]. `k` is
+    /// clamped to the collection (`k` larger than it returns every
+    /// row), so no caller-supplied `k` ever sizes a heap.
     fn knn_dispatch(&self, query: &[f64], k: usize, dist: &dyn Distance) -> Vec<Neighbor> {
+        let k = k.min(self.coll.len());
         match self.effective_mode() {
             ScanMode::Scalar => self.knn_scalar(query, k, dist),
             ScanMode::Batched => {
-                if self.precision == Precision::F32Rescore {
+                if self.cfg.precision == Precision::F32Rescore {
                     self.knn_via_multi(query, k, dist, ScanMode::Batched)
                 } else {
                     self.knn_batched(query, k, dist)
@@ -355,7 +321,6 @@ impl KnnEngine for LinearScan<'_> {
             self.knn_dispatch(query, k, dist),
             SearchStats {
                 distance_evals: self.coll.len() as u64,
-                nodes_visited: 0,
             },
         )
     }
@@ -470,7 +435,6 @@ mod tests {
         let scan = LinearScan::new(&c);
         let (_, stats) = scan.knn_with_stats(&[0.0, 0.0], 2, &Euclidean);
         assert_eq!(stats.distance_evals, 25);
-        assert_eq!(stats.nodes_visited, 0);
     }
 
     fn pseudo_random_collection(n: usize, dim: usize) -> Collection {

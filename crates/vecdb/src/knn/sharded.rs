@@ -11,8 +11,8 @@
 //! batch out across shards — either through [`ShardedScan`]'s own
 //! scoped-thread workers (the one-shot entry points) or through external
 //! per-shard schedulers (the `fbp-server` shard dispatchers), which call
-//! [`ShardedScan::scan_shard`]-family methods directly and gather
-//! [`ShardPartial`]s themselves.
+//! [`ShardedScan::scan_shard`] directly and gather [`ShardPartial`]s
+//! themselves.
 //!
 //! # Why the merged answer is bit-identical to the unsharded scan
 //!
@@ -38,9 +38,9 @@
 use super::multi::KeyedResults;
 use super::stats::ScanStatsSink;
 use super::{finish_entries, KBest, KnnEngine, LinearScan, MultiQueryScan, Neighbor};
-use super::{PartitionedScan, Precision, ScanMode, PARALLEL_CUTOFF};
+use super::{PartitionedScan, Precision, QueryBatch, ScanConfig, ScanMode};
 use crate::collection::{PartitionedCollection, ShardedCollection};
-use crate::distance::{Distance, WeightedEuclidean};
+use crate::distance::Distance;
 use crate::VecdbError;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -157,12 +157,13 @@ impl ShardPartial {
 }
 
 /// Merge one query's per-shard partials into its final neighbor list:
-/// fold every entry through one k-best by ascending `(key, index)` —
-/// shards cover disjoint rows, so this reproduces exactly the selection
-/// one flat pass over the concatenated rows would make — then finish the
-/// winners with `dist` ([`Distance::finish_key`], or the identity for
-/// Scalar-mode partials). The partials may arrive in any shard order;
-/// the result does not depend on it.
+/// fold every entry through one k-best by ascending `(key, index)`
+/// ([`combine_partials`]) — shards cover disjoint rows, so this
+/// reproduces exactly the selection one flat pass over the concatenated
+/// rows would make — then finish the winners with `dist`
+/// ([`Distance::finish_key`], or the identity for Scalar-mode
+/// partials). The partials may arrive in any shard order; the result
+/// does not depend on it.
 ///
 /// # Panics
 ///
@@ -174,29 +175,8 @@ pub fn merge_partials<'p>(
     k: usize,
     dist: &dyn Distance,
 ) -> Vec<Neighbor> {
-    let mut kb = KBest::new(k);
-    let mut finished: Option<bool> = None;
-    for part in partials {
-        // Empty partials (empty shards, k = 0) carry no values, so they
-        // are compatible with either space.
-        if part.entries.is_empty() {
-            continue;
-        }
-        match finished {
-            None => finished = Some(part.finished),
-            Some(f) => assert_eq!(
-                f, part.finished,
-                "cannot merge Scalar and kernel-mode partials"
-            ),
-        }
-        for &(key, index) in &part.entries {
-            if key > kb.threshold() {
-                break; // entries ascend: the rest of this shard can't enter
-            }
-            kb.push(index, key);
-        }
-    }
-    finish_entries(kb.into_sorted_entries(), finished.unwrap_or(true), dist)
+    let merged = combine_partials(partials, k);
+    finish_entries(merged.entries, merged.finished, dist)
 }
 
 /// Fold several partials covering disjoint row sets into one partial
@@ -217,6 +197,8 @@ pub fn combine_partials<'p>(
     let mut kb = KBest::new(k);
     let mut finished: Option<bool> = None;
     for part in partials {
+        // Empty partials (empty shards, k = 0) carry no values, so they
+        // are compatible with either space.
         if part.entries.is_empty() {
             continue;
         }
@@ -224,12 +206,12 @@ pub fn combine_partials<'p>(
             None => finished = Some(part.finished),
             Some(f) => assert_eq!(
                 f, part.finished,
-                "cannot combine Scalar and kernel-mode partials"
+                "cannot merge Scalar and kernel-mode partials"
             ),
         }
         for &(key, index) in &part.entries {
             if key > kb.threshold() {
-                break;
+                break; // entries ascend: the rest of this shard can't enter
             }
             kb.push(index, key);
         }
@@ -353,30 +335,24 @@ pub fn merge_partials_policy(
 pub struct ShardedScan<'a> {
     coll: &'a ShardedCollection,
     parts: Option<&'a [PartitionedCollection]>,
-    mode: ScanMode,
-    precision: Precision,
-    thread_budget: Option<usize>,
-    stats: Option<&'a ScanStatsSink>,
+    cfg: ScanConfig<'a>,
 }
 
 impl<'a> ShardedScan<'a> {
     /// New engine over `coll` with [`ScanMode::Auto`].
     pub fn new(coll: &'a ShardedCollection) -> Self {
-        ShardedScan {
-            coll,
-            parts: None,
-            mode: ScanMode::Auto,
-            precision: Precision::F64,
-            thread_budget: None,
-            stats: None,
-        }
+        Self::with_mode(coll, ScanMode::Auto)
     }
 
     /// New engine with an explicit execution mode.
     pub fn with_mode(coll: &'a ShardedCollection, mode: ScanMode) -> Self {
         ShardedScan {
-            mode,
-            ..Self::new(coll)
+            coll,
+            parts: None,
+            cfg: ScanConfig {
+                mode,
+                ..Default::default()
+            },
         }
     }
 
@@ -415,13 +391,13 @@ impl<'a> ShardedScan<'a> {
     /// the f64 path per shard when a shard has no mirror — results are
     /// identical either way, only bandwidth differs).
     pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
+        self.cfg.precision = precision;
         self
     }
 
     /// Cap the **total** worker threads across all shards (at least 1).
     pub fn with_thread_budget(mut self, threads: usize) -> Self {
-        self.thread_budget = Some(threads.max(1));
+        self.cfg.thread_budget = Some(threads.max(1));
         self
     }
 
@@ -430,7 +406,7 @@ impl<'a> ShardedScan<'a> {
     /// shard workers share it without serializing, and attaching it
     /// never changes an answer.
     pub fn with_scan_stats(mut self, sink: &'a ScanStatsSink) -> Self {
-        self.stats = Some(sink);
+        self.cfg.stats = Some(sink);
         self
     }
 
@@ -439,79 +415,16 @@ impl<'a> ShardedScan<'a> {
         self.coll
     }
 
-    /// The configured execution mode.
-    pub fn mode(&self) -> ScanMode {
-        self.mode
-    }
-
     /// The configured precision.
     pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// The concrete mode every shard pass runs at: `Auto` resolves from
-    /// the **total** work across shards (`len × dim × nq`, the same
-    /// formula [`MultiQueryScan`] applies to a flat collection), so the
-    /// answer — and the kernels producing it — match the unsharded scan
-    /// regardless of how thinly the rows are sharded.
-    fn effective_mode(&self, nq: usize) -> ScanMode {
-        match self.mode {
-            ScanMode::Auto => {
-                if self.coll.len() * self.coll.dim().max(1) * nq.max(1) >= PARALLEL_CUTOFF {
-                    ScanMode::Parallel
-                } else {
-                    ScanMode::Batched
-                }
-            }
-            m => m,
-        }
-    }
-
-    /// The per-shard scan for shard `i`, carrying this engine's resolved
-    /// mode/precision and an even share of the thread budget.
-    fn shard_scan(&self, shard: usize, mode: ScanMode) -> MultiQueryScan<'a> {
-        let scan = MultiQueryScan::with_mode(self.coll.shard(shard), mode)
-            .with_precision(self.precision)
-            .with_thread_budget(self.per_shard_budget());
-        match self.stats {
-            Some(sink) => scan.with_scan_stats(sink),
-            None => scan,
-        }
-    }
-
-    /// The partition-pruning per-shard scan for shard `shard`, when a
-    /// layout is attached — same resolved mode/precision/budget/stats
-    /// as the flat per-shard scan it replaces.
-    fn shard_part_scan(
-        &self,
-        part: &'a PartitionedCollection,
-        mode: ScanMode,
-    ) -> PartitionedScan<'a> {
-        let scan = PartitionedScan::with_mode(part, mode)
-            .with_precision(self.precision)
-            .with_thread_budget(self.per_shard_budget());
-        match self.stats {
-            Some(sink) => scan.with_scan_stats(sink),
-            None => scan,
-        }
-    }
-
-    /// Total worker budget (explicit, or the machine's parallelism).
-    fn total_budget(&self) -> usize {
-        self.thread_budget
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .max(1)
+        self.cfg.precision
     }
 
     /// Even per-shard share of the total budget (at least 1): `S` shard
     /// passes at `budget / S` threads each keep the host at ~`budget`
     /// total, exactly like the eval sweeps' per-configuration shares.
     fn per_shard_budget(&self) -> usize {
-        (self.total_budget() / self.coll.shard_count()).max(1)
+        (self.cfg.threads(usize::MAX) / self.coll.shard_count()).max(1)
     }
 
     /// Offset a shard's keyed results to global row indices.
@@ -530,122 +443,41 @@ impl<'a> ShardedScan<'a> {
             .collect()
     }
 
-    /// Scatter stage, shared-metric form: run shard `shard`'s pass for
-    /// every query and return one keyed partial per query (global
-    /// indices). External per-shard schedulers (the server's shard
-    /// dispatchers) call this from their own threads and gather the
-    /// partials with [`merge_partials`]; results are independent of how
-    /// requests were grouped into shard passes.
+    /// Scatter stage for external per-shard schedulers (the server's
+    /// shard dispatchers): run shard `shard`'s pass for every query of
+    /// `batch` and return one keyed partial per query (global indices),
+    /// to be gathered with [`merge_partials`]. Results are independent
+    /// of how requests were grouped into shard passes.
+    ///
+    /// Every shard pass runs the concrete mode `Auto` resolves to from
+    /// the **total** work across shards, so the answer — and the
+    /// kernels producing it — match the unsharded scan regardless of
+    /// how thinly the rows are sharded, and gets an even share of the
+    /// thread budget.
+    ///
     /// `caps` (per query, optional) are cross-shard pruning seeds —
     /// typically other shards' [`ShardPartial::bound_key`] values. Each
     /// must be a sound upper bound on that query's global k-th value;
     /// passing `None` (or `+∞` entries) is always correct, a sound cap
     /// only makes the pass cheaper, never different.
-    pub fn scan_shard_multi(
+    pub fn scan_shard(
         &self,
         shard: usize,
-        queries: &[&[f64]],
-        ks: &[usize],
-        dist: &dyn Distance,
+        batch: &QueryBatch<'_>,
         caps: Option<&[f64]>,
     ) -> Vec<ShardPartial> {
-        let mode = self.effective_mode(queries.len());
+        let cfg = ScanConfig {
+            mode: self
+                .cfg
+                .effective_mode(self.coll.len(), self.coll.dim(), batch.len()),
+            thread_budget: Some(self.per_shard_budget()),
+            ..self.cfg
+        };
         let keyed = match self.parts {
-            Some(parts) => self
-                .shard_part_scan(&parts[shard], mode)
-                .knn_multi_k_keyed(queries, ks, dist, caps),
-            None => self
-                .shard_scan(shard, mode)
-                .knn_multi_k_keyed(queries, ks, dist, caps),
+            Some(parts) => PartitionedScan::with_config(&parts[shard], cfg).knn_keyed(batch, caps),
+            None => MultiQueryScan::with_config(self.coll.shard(shard), cfg).knn_keyed(batch, caps),
         };
         self.globalize(shard, keyed)
-    }
-
-    /// Scatter stage, per-query-metric form (`dists[i]` for
-    /// `queries[i]`).
-    pub fn scan_shard_per_query(
-        &self,
-        shard: usize,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        ks: &[usize],
-        caps: Option<&[f64]>,
-    ) -> Vec<ShardPartial> {
-        let mode = self.effective_mode(queries.len());
-        let keyed = match self.parts {
-            Some(parts) => self
-                .shard_part_scan(&parts[shard], mode)
-                .knn_per_query_k_keyed(queries, dists, ks, caps),
-            None => self
-                .shard_scan(shard, mode)
-                .knn_per_query_k_keyed(queries, dists, ks, caps),
-        };
-        self.globalize(shard, keyed)
-    }
-
-    /// Scatter stage, per-query **weighted-Euclidean** form — the
-    /// serving shape after sessions' learned weights diverge, riding the
-    /// register-blocked per-query-weight multi kernels per shard.
-    pub fn scan_shard_weighted(
-        &self,
-        shard: usize,
-        queries: &[&[f64]],
-        metrics: &[WeightedEuclidean],
-        ks: &[usize],
-        caps: Option<&[f64]>,
-    ) -> Vec<ShardPartial> {
-        let refs: Vec<&WeightedEuclidean> = metrics.iter().collect();
-        self.scan_shard_weighted_refs(shard, queries, &refs, ks, caps)
-    }
-
-    /// [`Self::scan_shard_weighted`] taking the metrics by reference —
-    /// for schedulers that built each request's metric **once** at
-    /// admission and share it across all `S` shard passes (the server
-    /// dispatchers), instead of cloning `S` owned copies per request.
-    pub fn scan_shard_weighted_refs(
-        &self,
-        shard: usize,
-        queries: &[&[f64]],
-        metrics: &[&WeightedEuclidean],
-        ks: &[usize],
-        caps: Option<&[f64]>,
-    ) -> Vec<ShardPartial> {
-        let mode = self.effective_mode(queries.len());
-        let keyed = match self.parts {
-            Some(parts) => self
-                .shard_part_scan(&parts[shard], mode)
-                .knn_weighted_per_query_k_keyed(queries, metrics, ks, caps),
-            None => self
-                .shard_scan(shard, mode)
-                .knn_weighted_per_query_k_keyed(queries, metrics, ks, caps),
-        };
-        self.globalize(shard, keyed)
-    }
-
-    /// Run `scan_shard` for every shard with **cross-shard bound
-    /// seeding**, like the server dispatcher path: workers share one
-    /// atomic seed cell per query, snapshot the seeds into early-abandon
-    /// caps before each shard pass, and offer every delivered partial's
-    /// [`ShardPartial::bound_key`] back. A seed is the k-th best of a
-    /// row subset, hence a sound upper bound on the global k-th — caps
-    /// only make passes cheaper, never different (the consistency suite
-    /// pins the one-shot answers bit-identical to the flat scan).
-    fn scatter_seeded(
-        &self,
-        ks: &[usize],
-        scan_shard: &(dyn Fn(usize, &[f64]) -> Vec<ShardPartial> + Sync),
-    ) -> Vec<Vec<ShardPartial>> {
-        let seeds = SeedSet::new(ks.len());
-        self.scatter(&|shard| {
-            let caps = seeds.snapshot();
-            let parts = scan_shard(shard, &caps);
-            for (q, part) in parts.iter().enumerate() {
-                if let Some(bound) = part.bound_key(ks[q]) {
-                    seeds.offer(q, bound);
-                }
-            }
-            parts
-        })
     }
 
     /// Run `scan_shard` for every shard — `min(shards, budget)` scoped
@@ -656,7 +488,7 @@ impl<'a> ShardedScan<'a> {
         scan_shard: &(dyn Fn(usize) -> Vec<ShardPartial> + Sync),
     ) -> Vec<Vec<ShardPartial>> {
         let s = self.coll.shard_count();
-        let workers = self.total_budget().min(s);
+        let workers = self.cfg.threads(s);
         if workers <= 1 || s == 1 {
             return (0..s).map(scan_shard).collect();
         }
@@ -680,86 +512,36 @@ impl<'a> ShardedScan<'a> {
             .collect()
     }
 
-    /// Gather stage shared by the one-shot entry points.
-    fn gather<'d>(
-        &self,
-        parts: Vec<Vec<ShardPartial>>,
-        ks: &[usize],
-        dist_of: impl Fn(usize) -> &'d dyn Distance,
-    ) -> Vec<Vec<Neighbor>> {
-        ks.iter()
-            .enumerate()
-            .map(|(q, &k)| merge_partials(parts.iter().map(|shard| &shard[q]), k, dist_of(q)))
+    /// The nearest neighbors of every query of `batch`: scatter across
+    /// shards, merge in key space — results bit-identical to
+    /// [`MultiQueryScan::knn`] over the unsharded collection, and
+    /// therefore to per-query [`LinearScan`]s.
+    ///
+    /// The scatter runs with **cross-shard bound seeding**, like the
+    /// server dispatcher path: workers share one atomic seed cell per
+    /// query, snapshot the seeds into early-abandon caps before each
+    /// shard pass, and offer every delivered partial's
+    /// [`ShardPartial::bound_key`] back. A seed is the k-th best of a
+    /// row subset, hence a sound upper bound on the global k-th — caps
+    /// only make passes cheaper, never different.
+    pub fn knn(&self, batch: &QueryBatch<'_>) -> Vec<Vec<Neighbor>> {
+        if batch.is_empty() || self.coll.is_empty() {
+            return vec![Vec::new(); batch.len()];
+        }
+        let ks = batch.ks_for(self.coll.len(), self.coll.dim());
+        let seeds = SeedSet::new(ks.len());
+        let parts = self.scatter(&|shard| {
+            let parts = self.scan_shard(shard, batch, Some(&seeds.snapshot()));
+            for (q, part) in parts.iter().enumerate() {
+                if let Some(bound) = part.bound_key(ks[q]) {
+                    seeds.offer(q, bound);
+                }
+            }
+            parts
+        });
+        (ks.iter().enumerate())
+            .map(|(q, &k)| merge_partials(parts.iter().map(|p| &p[q]), k, batch.metric(q)))
             .collect()
-    }
-
-    /// The `k` nearest neighbors of every query under one shared
-    /// `dist`: scatter across shards, merge in key space — results
-    /// bit-identical to [`MultiQueryScan::knn_multi`] over the unsharded
-    /// collection, and therefore to per-query
-    /// [`LinearScan`](super::LinearScan)s.
-    pub fn knn_multi(
-        &self,
-        queries: &[&[f64]],
-        k: usize,
-        dist: &dyn Distance,
-    ) -> Vec<Vec<Neighbor>> {
-        self.knn_multi_k(queries, &vec![k; queries.len()], dist)
-    }
-
-    /// Like [`Self::knn_multi`] with a per-query result count.
-    pub fn knn_multi_k(
-        &self,
-        queries: &[&[f64]],
-        ks: &[usize],
-        dist: &dyn Distance,
-    ) -> Vec<Vec<Neighbor>> {
-        assert_eq!(queries.len(), ks.len(), "one k per query");
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let parts = self.scatter_seeded(ks, &|shard, caps| {
-            self.scan_shard_multi(shard, queries, ks, dist, Some(caps))
-        });
-        self.gather(parts, ks, |_| dist)
-    }
-
-    /// The `k` nearest neighbors of every query under its own distance
-    /// function, scattered across shards.
-    pub fn knn_per_query_k(
-        &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        ks: &[usize],
-    ) -> Vec<Vec<Neighbor>> {
-        assert_eq!(queries.len(), dists.len(), "one distance per query");
-        assert_eq!(queries.len(), ks.len(), "one k per query");
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let parts = self.scatter_seeded(ks, &|shard, caps| {
-            self.scan_shard_per_query(shard, queries, dists, ks, Some(caps))
-        });
-        self.gather(parts, ks, |q| dists[q])
-    }
-
-    /// Per-query weighted-Euclidean metrics, scattered across shards.
-    pub fn knn_weighted_per_query_k(
-        &self,
-        queries: &[&[f64]],
-        metrics: &[WeightedEuclidean],
-        ks: &[usize],
-    ) -> Vec<Vec<Neighbor>> {
-        assert_eq!(queries.len(), metrics.len(), "one metric per query");
-        assert_eq!(queries.len(), ks.len(), "one k per query");
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let refs: Vec<&WeightedEuclidean> = metrics.iter().collect();
-        let parts = self.scatter_seeded(ks, &|shard, caps| {
-            self.scan_shard_weighted_refs(shard, queries, &refs, ks, Some(caps))
-        });
-        self.gather(parts, ks, |q| &metrics[q])
     }
 
     /// All neighbors within `radius` (inclusive), scattered across
@@ -772,8 +554,8 @@ impl<'a> ShardedScan<'a> {
     pub fn range(&self, query: &[f64], radius: f64, dist: &dyn Distance) -> Vec<Neighbor> {
         let parts = self.scatter(&|shard| {
             let offset = self.coll.offset(shard) as u32;
-            let scan = LinearScan::with_mode(self.coll.shard(shard), self.mode)
-                .with_precision(self.precision)
+            let scan = LinearScan::with_mode(self.coll.shard(shard), self.cfg.mode)
+                .with_precision(self.cfg.precision)
                 .with_thread_budget(self.per_shard_budget());
             vec![ShardPartial {
                 entries: scan

@@ -14,26 +14,25 @@
 //!   `Lp` norms, **weighted Euclidean** (Equation 1, the class used in the
 //!   paper's experiments), **Mahalanobis / quadratic forms**, and the
 //!   **Rui-Huang hierarchical** model;
-//! * [`knn`] — three interchangeable k-NN engines: exhaustive
-//!   [`knn::LinearScan`], a [`knn::VpTree`], and an [`knn::MTree`] (the
-//!   paper cites the M-tree \[CPZ97\] as its access method). The metric
-//!   trees are built once under the *default* metric and can still answer
-//!   queries under any *re-weighted* metric exactly, via distortion
-//!   bounds (`d_W ≥ √w_min · d_2` pruning). For concurrent feedback
-//!   sessions, [`knn::MultiQueryScan`] answers Q queries per blocked
-//!   collection pass (shared or per-query metrics, per-query `k`),
-//!   amortizing memory traffic across the batch with results
-//!   bit-identical to Q independent scans. Both scan engines accept
+//! * [`knn`] — the retrieval operation, described once: a
+//!   [`knn::QueryBatch`] (query points, a shared / per-query / weighted
+//!   metric form, per-query `k`) answered by exactly one entry per
+//!   layout. [`knn::MultiQueryScan::knn`] answers the batch in one
+//!   blocked pass over a flat collection, amortizing memory traffic
+//!   across the queries; [`knn::PartitionedScan::knn`] runs the same
+//!   pass over a [`collection::PartitionedCollection`], skipping
+//!   partitions a per-class lower bound proves irrelevant; and, to
+//!   scale past one core's streaming bandwidth,
+//!   [`knn::ShardedScan::knn`] scatters it over the contiguous row
+//!   shards of a [`collection::ShardedCollection`] and merges the
+//!   per-shard k-bests in key space. All of them accept
 //!   [`knn::Precision::F32Rescore`]: phase 1 filters candidates over
 //!   the collection's optional f32 mirror at half the bandwidth, phase
 //!   2 rescores them in f64 — queries, keys and returned distances stay
-//!   f64 and the answers are identical to the pure-f64 scan. To scale
-//!   past one core's streaming bandwidth, a
-//!   [`collection::ShardedCollection`] partitions the rows into
-//!   contiguous shards and [`knn::ShardedScan`] runs scatter/gather
-//!   passes over them, merging per-shard k-bests in key space — still
-//!   bit-identical to the flat scan (see `ARCHITECTURE.md` at the
-//!   repository root for the full invariant);
+//!   f64. Every layout, mode and precision answers bit-identically to
+//!   the exhaustive single-query [`knn::LinearScan`], the flat f64
+//!   reference (see `ARCHITECTURE.md` at the repository root for the
+//!   full invariant list);
 //! * [`result`] — ranked result lists and the stable-comparison helper the
 //!   feedback loop uses as its convergence test.
 
@@ -53,8 +52,8 @@ pub use distance::{
 };
 pub use knn::{
     combine_partials, merge_partials, merge_partials_policy, DegradedGather, FailurePolicy,
-    GatherError, KnnEngine, LinearScan, MTree, MultiQueryScan, Neighbor, PartitionedScan,
-    Precision, ScanMode, ScanStats, ScanStatsSink, ShardPartial, ShardedScan, VpTree,
+    GatherError, KnnEngine, LinearScan, MultiQueryScan, Neighbor, PartitionedScan, Precision,
+    QueryBatch, QueryMetrics, ScanMode, ScanStats, ScanStatsSink, ShardPartial, ShardedScan,
 };
 pub use result::ResultList;
 

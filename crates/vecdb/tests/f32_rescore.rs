@@ -10,7 +10,9 @@ use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, Manhattan,
-    MultiQueryScan, Precision, QuadraticDistance, ScanMode, WeightedEuclidean,
+    MultiQueryScan, Precision, QuadraticDistance, QueryBatch,
+    QueryMetrics::{PerQuery, Shared, Weighted},
+    ScanMode, WeightedEuclidean,
 };
 
 const DIM: usize = 24;
@@ -98,11 +100,11 @@ fn multi_query_f32_rescore_bit_identical_all_classes() {
             let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
             for k in [1usize, 10, 50] {
                 for mode in [ScanMode::Batched, ScanMode::Parallel] {
-                    let f64_res =
-                        MultiQueryScan::with_mode(&coll, mode).knn_multi(&refs, k, &*dist);
+                    let batch = QueryBatch::new(&refs, Shared(&*dist), k);
+                    let f64_res = MultiQueryScan::with_mode(&coll, mode).knn(&batch);
                     let f32_res = MultiQueryScan::with_mode(&coll, mode)
                         .with_precision(Precision::F32Rescore)
-                        .knn_multi(&refs, k, &*dist);
+                        .knn(&batch);
                     assert_eq!(
                         f32_res,
                         f64_res,
@@ -123,10 +125,11 @@ fn per_query_metrics_f32_rescore_bit_identical() {
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let dists: Vec<&dyn Distance> = owned.iter().map(|d| &**d).collect();
     for mode in [ScanMode::Batched, ScanMode::Parallel] {
-        let f64_res = MultiQueryScan::with_mode(&coll, mode).knn_per_query(&refs, &dists, 20);
+        let batch = QueryBatch::new(&refs, PerQuery(&dists), 20);
+        let f64_res = MultiQueryScan::with_mode(&coll, mode).knn(&batch);
         let f32_res = MultiQueryScan::with_mode(&coll, mode)
             .with_precision(Precision::F32Rescore)
-            .knn_per_query(&refs, &dists, 20);
+            .knn(&batch);
         assert_eq!(f32_res, f64_res, "mode={mode:?}");
     }
 }
@@ -205,12 +208,13 @@ fn weighted_per_query_f32_rescore_bit_identical() {
         })
         .collect();
     let ks = [1usize, 10, 50, 7, 25];
+    let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let weighted = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
     for mode in [ScanMode::Batched, ScanMode::Parallel] {
-        let f64_res =
-            MultiQueryScan::with_mode(&coll, mode).knn_weighted_per_query_k(&refs, &metrics, &ks);
+        let f64_res = MultiQueryScan::with_mode(&coll, mode).knn(&weighted);
         let f32_res = MultiQueryScan::with_mode(&coll, mode)
             .with_precision(Precision::F32Rescore)
-            .knn_weighted_per_query_k(&refs, &metrics, &ks);
+            .knn(&weighted);
         assert_eq!(f32_res, f64_res, "mode {mode:?}");
         for ((q, m), (res, &k)) in refs
             .iter()
@@ -232,10 +236,11 @@ fn f32_rescore_without_mirror_falls_back_to_f64() {
     let qs = queries(2);
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let w = WeightedEuclidean::new((0..DIM).map(|i| 0.5 + (i % 3) as f64).collect()).unwrap();
-    let f64_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn_multi(&refs, 9, &w);
+    let batch = QueryBatch::new(&refs, Shared(&w), 9);
+    let f64_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
     let f32_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
         .with_precision(Precision::F32Rescore)
-        .knn_multi(&refs, 9, &w);
+        .knn(&batch);
     assert_eq!(f32_res, f64_res);
 }
 
@@ -246,11 +251,11 @@ fn f32_rescore_unsupported_class_falls_back_to_f64() {
     let coll = collection(400, true);
     let qs = queries(2);
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
-    let f64_res =
-        MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn_multi(&refs, 5, &Manhattan);
+    let batch = QueryBatch::new(&refs, Shared(&Manhattan), 5);
+    let f64_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
     let f32_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
         .with_precision(Precision::F32Rescore)
-        .knn_multi(&refs, 5, &Manhattan);
+        .knn(&batch);
     assert_eq!(f32_res, f64_res);
 }
 
@@ -274,11 +279,12 @@ fn f32_rescore_edge_ks() {
     let scan =
         MultiQueryScan::with_mode(&coll, ScanMode::Batched).with_precision(Precision::F32Rescore);
     // k = 0 returns empty; oversized k returns the whole collection.
-    for res in scan.knn_multi(&refs, 0, &w) {
+    for res in scan.knn(&QueryBatch::new(&refs, Shared(&w), 0)) {
         assert!(res.is_empty());
     }
-    let full = scan.knn_multi(&refs, 500, &w);
-    let expect = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn_multi(&refs, 500, &w);
+    let batch = QueryBatch::new(&refs, Shared(&w), 500);
+    let full = scan.knn(&batch);
+    let expect = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
     assert_eq!(full, expect);
     for res in &full {
         assert_eq!(res.len(), 120);
@@ -289,7 +295,10 @@ fn f32_rescore_edge_ks() {
         .with_f32_mirror()
         .build();
     let scan = MultiQueryScan::new(&empty).with_precision(Precision::F32Rescore);
-    assert_eq!(scan.knn_multi(&refs, 3, &w), vec![Vec::new(); 3]);
+    assert_eq!(
+        scan.knn(&QueryBatch::new(&refs, Shared(&w), 3)),
+        vec![Vec::new(); 3]
+    );
 }
 
 /// Components ≳1e18 drive weighted keys toward `f32::MAX`, where an f32

@@ -8,7 +8,9 @@ use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
-    QuadraticDistance, ScanMode, WeightedEuclidean,
+    QuadraticDistance, QueryBatch,
+    QueryMetrics::{PerQuery, Shared},
+    ScanMode, WeightedEuclidean,
 };
 
 const DIM: usize = 24;
@@ -74,7 +76,8 @@ fn shared_metric_bit_identical_to_independent_scans() {
                     .map(|q| LinearScan::with_mode(&coll, ScanMode::Batched).knn(q, k, &*dist))
                     .collect();
                 for mode in [ScanMode::Batched, ScanMode::Parallel] {
-                    let got = MultiQueryScan::with_mode(&coll, mode).knn_multi(&refs, k, &*dist);
+                    let batch = QueryBatch::new(&refs, Shared(&*dist), k);
+                    let got = MultiQueryScan::with_mode(&coll, mode).knn(&batch);
                     assert_eq!(
                         got,
                         expected,
@@ -93,7 +96,8 @@ fn scalar_mode_matches_scalar_linear_scan() {
     for dist in distance_classes() {
         let qs = queries(3);
         let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
-        let got = MultiQueryScan::with_mode(&coll, ScanMode::Scalar).knn_multi(&refs, 12, &*dist);
+        let batch = QueryBatch::new(&refs, Shared(&*dist), 12);
+        let got = MultiQueryScan::with_mode(&coll, ScanMode::Scalar).knn(&batch);
         for (q, res) in refs.iter().zip(got.iter()) {
             let expected = LinearScan::with_mode(&coll, ScanMode::Scalar).knn(q, 12, &*dist);
             assert_eq!(res, &expected, "{}: scalar multi diverged", dist.name());
@@ -110,7 +114,8 @@ fn per_query_metrics_bit_identical_to_independent_scans() {
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let dists: Vec<&dyn Distance> = owned.iter().map(|d| &**d).collect();
     for mode in [ScanMode::Batched, ScanMode::Parallel] {
-        let got = MultiQueryScan::with_mode(&coll, mode).knn_per_query(&refs, &dists, 20);
+        let batch = QueryBatch::new(&refs, PerQuery(&dists), 20);
+        let got = MultiQueryScan::with_mode(&coll, mode).knn(&batch);
         for ((q, d), res) in refs.iter().zip(dists.iter()).zip(got.iter()) {
             let expected = LinearScan::with_mode(&coll, ScanMode::Batched).knn(q, 20, *d);
             assert_eq!(res, &expected, "{} mode={mode:?}", d.name());
@@ -125,7 +130,8 @@ fn auto_mode_agrees_with_explicit_modes() {
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let w: Vec<f64> = (0..DIM).map(|i| 0.7 + (i % 3) as f64).collect();
     let dist = WeightedEuclidean::new(w).unwrap();
-    let auto = MultiQueryScan::new(&coll).knn_multi(&refs, 15, &dist);
-    let batched = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn_multi(&refs, 15, &dist);
+    let batch = QueryBatch::new(&refs, Shared(&dist), 15);
+    let auto = MultiQueryScan::new(&coll).knn(&batch);
+    let batched = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
     assert_eq!(auto, batched);
 }

@@ -20,7 +20,7 @@ use fbp_vecdb::distance::{Chebyshev, FeatureSpan, Lp};
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, Euclidean, HierarchicalDistance, Manhattan,
     MultiQueryScan, PartitionConfig, PartitionedCollection, PartitionedScan, Precision,
-    QuadraticDistance, ScanMode, WeightedEuclidean,
+    QuadraticDistance, QueryBatch, QueryMetrics::Shared, ScanMode, WeightedEuclidean,
 };
 use proptest::prelude::*;
 
@@ -165,8 +165,8 @@ proptest! {
                 let flat = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
                     .with_precision(precision);
                 prop_assert_eq!(
-                    pruned.knn_multi(&refs, k, &*dist),
-                    flat.knn_multi(&refs, k, &*dist),
+                    pruned.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
+                    flat.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
                     "{} k={} precision={:?}", dist.name(), k, precision
                 );
             }

@@ -14,6 +14,8 @@ use fbp_vecdb::distance::{Chebyshev, FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
     PartitionConfig, PartitionedCollection, PartitionedScan, Precision, QuadraticDistance,
+    QueryBatch,
+    QueryMetrics::{PerQuery, Shared, Weighted},
     ScanMode, ScanStatsSink, ShardedCollection, ShardedScan, WeightedEuclidean,
 };
 
@@ -106,8 +108,8 @@ fn partitioned_knn_bit_identical_all_classes_both_precisions() {
                         let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
                         for k in [1usize, 10, 50] {
                             assert_eq!(
-                                pruned.knn_multi(&refs, k, &*dist),
-                                flat.knn_multi(&refs, k, &*dist),
+                                pruned.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
+                                flat.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
                                 "P={p} Q={nq} k={k} mode={mode:?} precision={precision:?}"
                             );
                         }
@@ -129,7 +131,10 @@ fn scalar_reference_matches_flat_scalar() {
     let pruned = PartitionedScan::with_mode(&part, ScanMode::Scalar);
     let flat = LinearScan::with_mode(&coll, ScanMode::Scalar);
     for dist in distance_classes() {
-        for (q, res) in refs.iter().zip(pruned.knn_multi(&refs, 7, &*dist)) {
+        for (q, res) in refs
+            .iter()
+            .zip(pruned.knn(&QueryBatch::new(&refs, Shared(&*dist), 7)))
+        {
             assert_eq!(res, flat.knn(q, 7, &*dist));
         }
     }
@@ -153,8 +158,8 @@ fn per_query_metrics_and_ks_bit_identical() {
             let pruned = PartitionedScan::with_mode(&part, mode).with_precision(precision);
             let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
             assert_eq!(
-                pruned.knn_per_query_k(&refs, &dists, &ks),
-                flat.knn_per_query_k(&refs, &dists, &ks),
+                pruned.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
+                flat.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
                 "mode={mode:?} precision={precision:?}"
             );
         }
@@ -174,13 +179,15 @@ fn weighted_per_query_bit_identical() {
         })
         .collect();
     let ks = vec![5usize; refs.len()];
+    let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let weighted = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
     for precision in [Precision::F64, Precision::F32Rescore] {
         for mode in [ScanMode::Batched, ScanMode::Parallel] {
             let pruned = PartitionedScan::with_mode(&part, mode).with_precision(precision);
             let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
             assert_eq!(
-                pruned.knn_weighted_per_query_k(&refs, &metrics, &ks),
-                flat.knn_weighted_per_query_k(&refs, &metrics, &ks),
+                pruned.knn(&weighted),
+                flat.knn(&weighted),
                 "mode={mode:?} precision={precision:?}"
             );
         }
@@ -207,8 +214,8 @@ fn degenerate_layouts_bit_identical() {
                     MultiQueryScan::with_mode(&coll, ScanMode::Batched).with_precision(precision);
                 for k in [1usize, 10, 25] {
                     assert_eq!(
-                        pruned.knn_multi(&refs, k, &*dist),
-                        flat.knn_multi(&refs, k, &*dist),
+                        pruned.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
+                        flat.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
                         "P={p} k={k} precision={precision:?}"
                     );
                 }
@@ -223,7 +230,10 @@ fn empty_collection_and_k_zero() {
     let part = layout(&empty, 8);
     let pruned = PartitionedScan::new(&part);
     let q = vec![0.0; 0];
-    assert_eq!(pruned.knn_multi(&[&q], 3, &Euclidean), vec![Vec::new()]);
+    assert_eq!(
+        pruned.knn(&QueryBatch::new(&[&q], Shared(&Euclidean), 3)),
+        vec![Vec::new()]
+    );
 
     // k = 0 queries need nothing: every partition counts as prunable
     // for them, and the answer is empty — same as the flat scan.
@@ -235,8 +245,8 @@ fn empty_collection_and_k_zero() {
     let pruned = PartitionedScan::with_mode(&part, ScanMode::Batched).with_scan_stats(&sink);
     let flat = MultiQueryScan::with_mode(&coll, ScanMode::Batched);
     assert_eq!(
-        pruned.knn_multi(&refs, 0, &Euclidean),
-        flat.knn_multi(&refs, 0, &Euclidean)
+        pruned.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 0)),
+        flat.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 0))
     );
     // All-zero k prunes every partition outright: nothing scanned.
     let stats = sink.snapshot();
@@ -264,8 +274,8 @@ fn pruning_engages_and_stays_sublinear_on_clustered_data() {
             .with_scan_stats(&sink);
         let flat = MultiQueryScan::with_mode(&coll, ScanMode::Batched).with_precision(precision);
         assert_eq!(
-            pruned.knn_multi(&refs, 10, &Euclidean),
-            flat.knn_multi(&refs, 10, &Euclidean)
+            pruned.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 10)),
+            flat.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 10))
         );
         let stats = sink.snapshot();
         assert!(
@@ -299,15 +309,15 @@ fn sharded_partitioned_bit_identical() {
                     let pruned = plain.with_partitions(&parts);
                     let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
                     for k in [1usize, 10, 50] {
-                        let got = pruned.knn_multi(&refs, k, &*dist);
+                        let got = pruned.knn(&QueryBatch::new(&refs, Shared(&*dist), k));
                         assert_eq!(
                             got,
-                            plain.knn_multi(&refs, k, &*dist),
+                            plain.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
                             "S={s} k={k} mode={mode:?} precision={precision:?} (vs sharded)"
                         );
                         assert_eq!(
                             got,
-                            flat.knn_multi(&refs, k, &*dist),
+                            flat.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
                             "S={s} k={k} mode={mode:?} precision={precision:?} (vs flat)"
                         );
                     }
@@ -335,17 +345,19 @@ fn sharded_partitioned_per_query_and_weighted() {
             WeightedEuclidean::new(w).unwrap()
         })
         .collect();
+    let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let weighted = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
     for precision in [Precision::F64, Precision::F32Rescore] {
         let plain = ShardedScan::with_mode(&sharded, ScanMode::Batched).with_precision(precision);
         let pruned = plain.with_partitions(&parts);
         assert_eq!(
-            pruned.knn_per_query_k(&refs, &dists, &ks),
-            plain.knn_per_query_k(&refs, &dists, &ks),
+            pruned.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
+            plain.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
             "per-query precision={precision:?}"
         );
         assert_eq!(
-            pruned.knn_weighted_per_query_k(&refs, &metrics, &ks),
-            plain.knn_weighted_per_query_k(&refs, &metrics, &ks),
+            pruned.knn(&weighted),
+            plain.knn(&weighted),
             "weighted precision={precision:?}"
         );
     }

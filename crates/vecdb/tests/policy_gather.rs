@@ -12,8 +12,9 @@ use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     merge_partials_policy, Collection, CollectionBuilder, Distance, Euclidean, FailurePolicy,
-    KnnEngine, LinearScan, Neighbor, Precision, QuadraticDistance, ScanMode, ShardPartial,
-    ShardedCollection, ShardedScan, WeightedEuclidean,
+    KnnEngine, LinearScan, Neighbor, Precision, QuadraticDistance, QueryBatch,
+    QueryMetrics::Shared, ScanMode, ShardPartial, ShardedCollection, ShardedScan,
+    WeightedEuclidean,
 };
 use proptest::prelude::*;
 
@@ -104,7 +105,10 @@ fn scatter_with_failures(
         .iter()
         .enumerate()
         .map(|(s, &alive)| {
-            alive.then(|| scan.scan_shard_multi(s, &[q], &[k], dist, None).remove(0))
+            alive.then(|| {
+                scan.scan_shard(s, &QueryBatch::new(&[q], Shared(dist), k), None)
+                    .remove(0)
+            })
         })
         .collect()
 }

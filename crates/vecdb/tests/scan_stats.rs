@@ -6,8 +6,9 @@
 //! result knob.
 
 use fbp_vecdb::{
-    CollectionBuilder, MultiQueryScan, Precision, ScanMode, ScanStatsSink, ShardedCollection,
-    ShardedScan, WeightedEuclidean,
+    CollectionBuilder, MultiQueryScan, Precision, QueryBatch,
+    QueryMetrics::{Shared, Weighted},
+    ScanMode, ScanStatsSink, ShardedCollection, ShardedScan, WeightedEuclidean,
 };
 
 const DIM: usize = 24;
@@ -59,12 +60,12 @@ fn counters_populate_without_changing_answers() {
         for precision in [Precision::F64, Precision::F32Rescore] {
             let plain = MultiQueryScan::with_mode(&coll, mode)
                 .with_precision(precision)
-                .knn_multi(&refs, k, &w);
+                .knn(&QueryBatch::new(&refs, Shared(&w), k));
             let sink = ScanStatsSink::new();
             let traced = MultiQueryScan::with_mode(&coll, mode)
                 .with_precision(precision)
                 .with_scan_stats(&sink)
-                .knn_multi(&refs, k, &w);
+                .knn(&QueryBatch::new(&refs, Shared(&w), k));
             assert_eq!(plain, traced, "mode {mode:?} precision {precision:?}");
             let s = sink.snapshot();
             assert_eq!(
@@ -103,16 +104,18 @@ fn weighted_per_query_counters_match_generic_behaviour() {
         })
         .collect();
     let ks = [3usize, 10, 7];
+    let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let weighted = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
     for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
         for precision in [Precision::F64, Precision::F32Rescore] {
             let plain = MultiQueryScan::with_mode(&coll, mode)
                 .with_precision(precision)
-                .knn_weighted_per_query_k(&refs, &metrics, &ks);
+                .knn(&weighted);
             let sink = ScanStatsSink::new();
             let traced = MultiQueryScan::with_mode(&coll, mode)
                 .with_precision(precision)
                 .with_scan_stats(&sink)
-                .knn_weighted_per_query_k(&refs, &metrics, &ks);
+                .knn(&weighted);
             assert_eq!(plain, traced, "mode {mode:?} precision {precision:?}");
             let s = sink.snapshot();
             assert_eq!(
@@ -130,11 +133,11 @@ fn sharded_scan_attributes_every_shard_pass() {
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let w = metric();
     let sharded = ShardedCollection::split(&coll, 3);
-    let plain = ShardedScan::new(&sharded).knn_multi(&refs, 10, &w);
+    let plain = ShardedScan::new(&sharded).knn(&QueryBatch::new(&refs, Shared(&w), 10));
     let sink = ScanStatsSink::new();
     let traced = ShardedScan::new(&sharded)
         .with_scan_stats(&sink)
-        .knn_multi(&refs, 10, &w);
+        .knn(&QueryBatch::new(&refs, Shared(&w), 10));
     assert_eq!(plain, traced);
     // Every shard pass flushes into the one shared sink: the three
     // disjoint shard passes stream the whole collection exactly once.
@@ -152,15 +155,15 @@ fn seeded_shard_pass_counts_a_seed_prune_and_keeps_the_answer() {
     let scan = ShardedScan::new(&sharded);
     // Unseeded shard-0 pass: its k-th key upper-bounds the global k-th,
     // so it is a sound cap for a re-run of the same pass.
-    let unseeded = scan.scan_shard_multi(0, &refs, &[k], &w, None);
+    let unseeded = scan.scan_shard(0, &QueryBatch::new(&refs, Shared(&w), k), None);
     let cap = unseeded[0].bound_key(k).expect("shard 0 holds >= k rows");
     for weighted in [false, true] {
         let sink = ScanStatsSink::new();
         let traced = scan.with_scan_stats(&sink);
         let seeded = if weighted {
-            traced.scan_shard_weighted_refs(0, &refs, &[&w], &[k], Some(&[cap]))
+            traced.scan_shard(0, &QueryBatch::new(&refs, Weighted(&[&w]), k), Some(&[cap]))
         } else {
-            traced.scan_shard_multi(0, &refs, &[k], &w, Some(&[cap]))
+            traced.scan_shard(0, &QueryBatch::new(&refs, Shared(&w), k), Some(&[cap]))
         };
         assert_eq!(
             seeded[0].entries()[..k],
@@ -171,8 +174,12 @@ fn seeded_shard_pass_counts_a_seed_prune_and_keeps_the_answer() {
         assert_eq!(s.seed_prunes, 1, "weighted={weighted}");
         assert_eq!(s.rows_visited, sharded.shard(0).len() as u64);
         // An infinite cap is a no-op and must not count as seeding.
-        let seeded_inf =
-            traced.scan_shard_multi(0, &refs, &[k], &w, Some(&[f64::INFINITY]))[0].clone();
+        let seeded_inf = traced.scan_shard(
+            0,
+            &QueryBatch::new(&refs, Shared(&w), k),
+            Some(&[f64::INFINITY]),
+        )[0]
+        .clone();
         assert_eq!(seeded_inf.entries(), unseeded[0].entries());
         assert_eq!(sink.snapshot().seed_prunes, 1, "INFINITY cap not counted");
     }
@@ -223,13 +230,14 @@ fn skewed_learned_weights_rescore_about_k_rows() {
         })
         .collect();
     let scan = MultiQueryScan::with_mode(&coll, ScanMode::Batched);
-    let exact = scan.knn_weighted_per_query_k(&refs, &metrics, &vec![k; refs.len()]);
+    let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let exact = scan.knn(&QueryBatch::new(&refs, Weighted(&mrefs), k));
     for (q, metric) in metrics.iter().enumerate() {
         let sink = ScanStatsSink::new();
         let got = scan
             .with_precision(Precision::F32Rescore)
             .with_scan_stats(&sink)
-            .knn_weighted_per_query_k(&refs[q..=q], std::slice::from_ref(metric), &[k]);
+            .knn(&QueryBatch::new(&refs[q..=q], Weighted(&[metric]), k));
         assert_eq!(got[0], exact[q], "query {q}");
         let rescored = sink.snapshot().candidates_rescored;
         assert!(

@@ -17,8 +17,9 @@
 
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, KnnEngine, LinearScan, MultiQueryScan, Neighbor,
-    PartitionConfig, PartitionedCollection, PartitionedScan, Precision, ScanMode, ScanStats,
-    ScanStatsSink, ShardedCollection, ShardedScan, WeightedEuclidean,
+    PartitionConfig, PartitionedCollection, PartitionedScan, Precision, QueryBatch,
+    QueryMetrics::{PerQuery, Shared, Weighted},
+    ScanMode, ScanStats, ScanStatsSink, ShardedCollection, ShardedScan, WeightedEuclidean,
 };
 
 const DIM: usize = 16;
@@ -151,7 +152,6 @@ impl Fixture {
             _ => &self.metrics,
         };
         let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
-        let ks = vec![K; NQ];
         let sink = ScanStatsSink::new();
         let flat = MultiQueryScan::with_mode(&self.coll, ScanMode::Batched)
             .with_precision(precision)
@@ -166,37 +166,21 @@ impl Fixture {
             .with_thread_budget(1)
             .with_scan_stats(&sink);
         let sharded_pruned = sharded.with_partitions(&self.shard_parts);
-        let answers = match (layout, form) {
-            // An all-equal weighted batch is served by the shared-metric
-            // pass (the serving front-ends pick it at this commit).
-            (Layout::Flat, Form::Shared | Form::WeightedAllEqual) => {
-                flat.knn_multi(&refs, K, &metrics[0])
-            }
-            (Layout::Flat, Form::PerQuery) => flat.knn_per_query(&refs, &dists, K),
-            (Layout::Flat, Form::Weighted) => flat.knn_weighted_per_query_k(&refs, metrics, &ks),
-            (Layout::Partitioned, Form::Shared | Form::WeightedAllEqual) => {
-                pruned.knn_multi(&refs, K, &metrics[0])
-            }
-            (Layout::Partitioned, Form::PerQuery) => pruned.knn_per_query(&refs, &dists, K),
-            (Layout::Partitioned, Form::Weighted) => {
-                pruned.knn_weighted_per_query_k(&refs, metrics, &ks)
-            }
-            (Layout::Sharded, Form::Shared | Form::WeightedAllEqual) => {
-                sharded.knn_multi(&refs, K, &metrics[0])
-            }
-            (Layout::Sharded, Form::PerQuery) => sharded.knn_per_query_k(&refs, &dists, &ks),
-            (Layout::Sharded, Form::Weighted) => {
-                sharded.knn_weighted_per_query_k(&refs, metrics, &ks)
-            }
-            (Layout::ShardedPartitioned, Form::Shared | Form::WeightedAllEqual) => {
-                sharded_pruned.knn_multi(&refs, K, &metrics[0])
-            }
-            (Layout::ShardedPartitioned, Form::PerQuery) => {
-                sharded_pruned.knn_per_query_k(&refs, &dists, &ks)
-            }
-            (Layout::ShardedPartitioned, Form::Weighted) => {
-                sharded_pruned.knn_weighted_per_query_k(&refs, metrics, &ks)
-            }
+        let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+        let batch = QueryBatch::new(
+            &refs,
+            match form {
+                Form::Shared => Shared(&self.metrics[0]),
+                Form::PerQuery => PerQuery(&dists),
+                Form::Weighted | Form::WeightedAllEqual => Weighted(&mrefs),
+            },
+            K,
+        );
+        let answers = match layout {
+            Layout::Flat => flat.knn(&batch),
+            Layout::Partitioned => pruned.knn(&batch),
+            Layout::Sharded => sharded.knn(&batch),
+            Layout::ShardedPartitioned => sharded_pruned.knn(&batch),
         };
         (answers, sink.snapshot())
     }

@@ -11,7 +11,9 @@ use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
-    Precision, QuadraticDistance, ScanMode, ShardedCollection, ShardedScan, WeightedEuclidean,
+    Precision, QuadraticDistance, QueryBatch,
+    QueryMetrics::{PerQuery, Shared, Weighted},
+    ScanMode, ShardedCollection, ShardedScan, WeightedEuclidean,
 };
 
 const DIM: usize = 24;
@@ -88,7 +90,7 @@ fn sharded_knn_bit_identical_all_classes_both_precisions() {
                     let scan = ShardedScan::with_mode(&sharded, mode).with_precision(precision);
                     let flat = LinearScan::with_mode(&coll, mode).with_precision(precision);
                     for k in [1usize, 10, 50] {
-                        let got = scan.knn_multi(&refs, k, &*dist);
+                        let got = scan.knn(&QueryBatch::new(&refs, Shared(&*dist), k));
                         for (q, res) in refs.iter().zip(got.iter()) {
                             let expect = flat.knn(q, k, &*dist);
                             assert_eq!(
@@ -114,7 +116,10 @@ fn scalar_mode_merges_in_distance_space() {
     let scan = ShardedScan::with_mode(&sharded, ScanMode::Scalar);
     let flat = LinearScan::with_mode(&coll, ScanMode::Scalar);
     for dist in distance_classes() {
-        for (q, res) in refs.iter().zip(scan.knn_multi(&refs, 7, &*dist)) {
+        for (q, res) in refs
+            .iter()
+            .zip(scan.knn(&QueryBatch::new(&refs, Shared(&*dist), 7)))
+        {
             assert_eq!(res, flat.knn(q, 7, &*dist));
         }
     }
@@ -135,21 +140,29 @@ fn empty_shards_and_k_beyond_shard_len() {
         // collection): the merge must still assemble the global answer.
         for k in [4usize, n, 100] {
             assert_eq!(
-                scan.knn_multi(&[&q], k, &w),
+                scan.knn(&QueryBatch::new(&[&q], Shared(&w), k)),
                 vec![flat.knn(&q, k, &w)],
                 "S={s} k={k}"
             );
         }
         // k = 0 stays empty.
-        assert_eq!(scan.knn_multi(&[&q], 0, &w), vec![Vec::new()]);
+        assert_eq!(
+            scan.knn(&QueryBatch::new(&[&q], Shared(&w), 0)),
+            vec![Vec::new()]
+        );
     }
     // A fully empty collection shards into S empty shards and serves
     // empty results.
     let empty = ShardedCollection::split(&CollectionBuilder::new().build(), 4);
     let scan = ShardedScan::new(&empty);
     let eq: &[f64] = &[];
-    assert_eq!(scan.knn_multi(&[eq], 5, &Euclidean), vec![Vec::new()]);
-    assert!(scan.knn_multi(&[], 5, &Euclidean).is_empty());
+    assert_eq!(
+        scan.knn(&QueryBatch::new(&[eq], Shared(&Euclidean), 5)),
+        vec![Vec::new()]
+    );
+    assert!(scan
+        .knn(&QueryBatch::new(&[], Shared(&Euclidean), 5))
+        .is_empty());
     assert!(scan.range(eq, 1.0, &Euclidean).is_empty());
 }
 
@@ -165,6 +178,8 @@ fn per_query_k_and_per_query_metrics_match_flat() {
         })
         .collect();
     let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
+    let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let weighted = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
     for s in shard_counts(N) {
         let sharded = ShardedCollection::split(&coll, s);
         for precision in [Precision::F64, Precision::F32Rescore] {
@@ -175,20 +190,20 @@ fn per_query_k_and_per_query_metrics_match_flat() {
             // Shared metric, per-query k.
             let w = &metrics[0];
             assert_eq!(
-                scan.knn_multi_k(&refs, &ks, w),
-                flat.knn_multi_k(&refs, &ks, w),
+                scan.knn(&QueryBatch::new(&refs, Shared(w), 0).with_ks(&ks)),
+                flat.knn(&QueryBatch::new(&refs, Shared(w), 0).with_ks(&ks)),
                 "shared metric S={s} precision={precision:?}"
             );
             // Per-query generic metrics.
             assert_eq!(
-                scan.knn_per_query_k(&refs, &dists, &ks),
-                flat.knn_per_query_k(&refs, &dists, &ks),
+                scan.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
+                flat.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
                 "per-query dists S={s} precision={precision:?}"
             );
             // Per-query weighted metrics (the serving fast path).
             assert_eq!(
-                scan.knn_weighted_per_query_k(&refs, &metrics, &ks),
-                flat.knn_weighted_per_query_k(&refs, &metrics, &ks),
+                scan.knn(&weighted),
+                flat.knn(&weighted),
                 "per-query weighted S={s} precision={precision:?}"
             );
         }
@@ -236,9 +251,9 @@ fn thread_budget_does_not_change_results() {
     let unbudgeted = ShardedScan::with_mode(&sharded, ScanMode::Parallel);
     let one = ShardedScan::with_mode(&sharded, ScanMode::Parallel).with_thread_budget(1);
     let two = ShardedScan::with_mode(&sharded, ScanMode::Parallel).with_thread_budget(2);
-    let a = unbudgeted.knn_multi(&refs, 9, &w);
-    assert_eq!(a, one.knn_multi(&refs, 9, &w));
-    assert_eq!(a, two.knn_multi(&refs, 9, &w));
+    let a = unbudgeted.knn(&QueryBatch::new(&refs, Shared(&w), 9));
+    assert_eq!(a, one.knn(&QueryBatch::new(&refs, Shared(&w), 9)));
+    assert_eq!(a, two.knn(&QueryBatch::new(&refs, Shared(&w), 9)));
 }
 
 #[test]
@@ -257,7 +272,9 @@ fn seeded_scans_stay_bit_identical() {
         .collect();
     let ks = [10usize, 50];
     let flat = MultiQueryScan::with_mode(&coll, ScanMode::Batched);
-    let expect = flat.knn_weighted_per_query_k(&refs, &metrics, &ks);
+    let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let batch = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
+    let expect = flat.knn(&batch);
     for s in [2usize, 3] {
         let sharded = ShardedCollection::split(&coll, s);
         for precision in [Precision::F64, Precision::F32Rescore] {
@@ -266,7 +283,7 @@ fn seeded_scans_stay_bit_identical() {
             // Unseeded pass over shard 0 yields each query's local k-th
             // bound; seed every other shard with it (the serving-layer
             // protocol), plus the degenerate all-infinite seed.
-            let p0 = scan.scan_shard_weighted(0, &refs, &metrics, &ks, None);
+            let p0 = scan.scan_shard(0, &batch, None);
             let seeds: Vec<f64> = p0
                 .iter()
                 .zip(ks.iter())
@@ -280,13 +297,7 @@ fn seeded_scans_stay_bit_identical() {
             for seed_set in [vec![f64::INFINITY; 2], seeds] {
                 let mut parts: Vec<Vec<_>> = vec![p0.clone()];
                 for shard in 1..s {
-                    parts.push(scan.scan_shard_weighted(
-                        shard,
-                        &refs,
-                        &metrics,
-                        &ks,
-                        Some(&seed_set),
-                    ));
+                    parts.push(scan.scan_shard(shard, &batch, Some(&seed_set)));
                 }
                 for (q, &k) in ks.iter().enumerate() {
                     let merged =
@@ -311,12 +322,52 @@ fn partial_merge_is_shard_order_independent() {
     let sharded = ShardedCollection::split(&coll, 3);
     let scan = ShardedScan::with_mode(&sharded, ScanMode::Batched);
     let parts: Vec<_> = (0..3)
-        .map(|s| scan.scan_shard_weighted(s, &[&q], std::slice::from_ref(&w), &[10], None))
+        .map(|s| scan.scan_shard(s, &QueryBatch::new(&[&q], Weighted(&[&w]), 10), None))
         .collect();
     let expect = LinearScan::with_mode(&coll, ScanMode::Batched).knn(&q, 10, &w);
     // Every permutation of shard arrival order merges identically.
     for order in [[0, 1, 2], [2, 1, 0], [1, 0, 2], [2, 0, 1]] {
         let merged = fbp_vecdb::merge_partials(order.iter().map(|&s| &parts[s][0]), 10, &w);
         assert_eq!(merged, expect, "order {order:?}");
+    }
+}
+
+#[test]
+fn split_scan_shard_plus_merge_matches_one_shot() {
+    // External per-shard schedulers (the server's shard dispatchers)
+    // group requests into passes independently per shard. A partial
+    // must not depend on which requests shared its shard pass, nor the
+    // merged reply on the order partials arrive in. One uniform-weight
+    // request and two diverged ones, per-request k: the whole batch is
+    // a per-query-weight pass, a singleton a shared-metric one.
+    let coll = collection(400, true);
+    let qs = queries(3);
+    let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
+    let metrics = [
+        WeightedEuclidean::uniform(DIM),
+        WeightedEuclidean::new((0..DIM).map(|i| 0.25 + (i % 3) as f64).collect()).unwrap(),
+        WeightedEuclidean::new((0..DIM).map(|i| 3.0 - (i % 5) as f64 * 0.5).collect()).unwrap(),
+    ];
+    let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let ks = [1usize, 50, 7];
+    let sharded = ShardedCollection::split(&coll, 3);
+    // F32Rescore over mirrored shards: the serving configuration.
+    let scan =
+        ShardedScan::with_mode(&sharded, ScanMode::Batched).with_precision(Precision::F32Rescore);
+    let one_shot = scan.knn(&QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks));
+    let pass = |shard: usize, reqs: std::ops::Range<usize>| {
+        let batch = QueryBatch::new(&refs[reqs.clone()], Weighted(&mrefs[reqs.clone()]), 0)
+            .with_ks(&ks[reqs]);
+        scan.scan_shard(shard, &batch, None)
+    };
+    // Shard 0 sees the whole batch at once, shard 1 serves the requests
+    // as three singleton passes, shard 2 as a pair plus a singleton.
+    let p0 = pass(0, 0..3);
+    let p1: Vec<_> = (0..3).map(|r| pass(1, r..r + 1).remove(0)).collect();
+    let mut p2 = pass(2, 0..2);
+    p2.extend(pass(2, 2..3));
+    for r in 0..3 {
+        let merged = fbp_vecdb::merge_partials([&p1[r], &p2[r], &p0[r]], ks[r], &metrics[r]);
+        assert_eq!(merged, one_shot[r], "request {r}");
     }
 }

@@ -1,60 +1,11 @@
-//! The whole system must behave identically regardless of which k-NN
-//! engine serves it: linear scan, VP-tree and M-tree answer exactly the
-//! same queries (the metric trees prune with distortion bounds, never
-//! approximately) — and the linear scan itself must answer identically
-//! across its scalar, batched, and parallel execution paths.
+//! The linear scan must answer identically across its scalar, batched,
+//! and parallel execution paths.
 
-use fbp_eval::{run_stream, StreamOptions};
-use fbp_imagegen::{DatasetConfig, SyntheticDataset};
 use fbp_linalg::Matrix;
 use fbp_vecdb::{
-    Distance, HierarchicalDistance, KnnEngine, LinearScan, MTree, QuadraticDistance, ScanMode,
-    VpTree, WeightedEuclidean,
+    Distance, HierarchicalDistance, KnnEngine, LinearScan, QuadraticDistance, ScanMode,
+    WeightedEuclidean,
 };
-
-#[test]
-fn stream_results_identical_across_engines() {
-    let ds = SyntheticDataset::generate(DatasetConfig::small());
-    let opts = StreamOptions {
-        n_queries: 30,
-        k: 10,
-        ..Default::default()
-    };
-
-    let scan = LinearScan::new(&ds.collection);
-    let vp = VpTree::build(&ds.collection);
-    let mt = MTree::with_defaults(&ds.collection);
-    let engines: [&dyn KnnEngine; 3] = [&scan, &vp, &mt];
-
-    let runs: Vec<_> = engines.iter().map(|e| run_stream(&ds, *e, &opts)).collect();
-
-    for (i, run) in runs.iter().enumerate().skip(1) {
-        for (a, b) in runs[0].records.iter().zip(run.records.iter()) {
-            assert_eq!(
-                a.default.precision, b.default.precision,
-                "engine {i} diverged on default precision"
-            );
-            assert_eq!(
-                a.seen.precision, b.seen.precision,
-                "engine {i} diverged on already-seen precision"
-            );
-            assert_eq!(
-                a.bypass.precision, b.bypass.precision,
-                "engine {i} diverged on bypass precision"
-            );
-            assert_eq!(
-                a.cycles_from_default, b.cycles_from_default,
-                "engine {i} diverged on loop cycles"
-            );
-        }
-        // Identical inserts → byte-identical trees.
-        assert_eq!(
-            runs[0].bypass.to_bytes(),
-            run.bypass.to_bytes(),
-            "engine {i} produced a different learned mapping"
-        );
-    }
-}
 
 /// Deterministic pseudo-random vectors (xorshift-free LCG; no rand
 /// dependency needed for the root integration tests).

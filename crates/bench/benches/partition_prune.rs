@@ -119,19 +119,14 @@ fn measure(
     let flat_sink = ScanStatsSink::new();
     let flat = MultiQueryScan::with_mode(coll, ScanMode::Batched).with_scan_stats(&flat_sink);
     for q in qs {
-        black_box(
-            flat.knn(&QueryBatch::new(&[q.as_slice()], Shared(dist), k))
-                .len(),
-        );
+        let q = [q.as_slice()];
+        black_box(flat.knn(&QueryBatch::new(&q, Shared(dist), k)).len());
     }
     let pruned_sink = ScanStatsSink::new();
     let pruned = PartitionedScan::with_mode(part, ScanMode::Batched).with_scan_stats(&pruned_sink);
     for q in qs {
-        black_box(
-            pruned
-                .knn(&QueryBatch::new(&[q.as_slice()], Shared(dist), k))
-                .len(),
-        );
+        let q = [q.as_slice()];
+        black_box(pruned.knn(&QueryBatch::new(&q, Shared(dist), k)).len());
     }
     let flat_rows = flat_sink.snapshot().rows_visited;
     let pruned_stats = pruned_sink.snapshot();
@@ -139,31 +134,23 @@ fn measure(
     let flat = MultiQueryScan::with_mode(coll, ScanMode::Batched);
     let flat_ns = time_median_ns(warmup, samples, || {
         for q in qs {
-            black_box(
-                flat.knn(&QueryBatch::new(&[q.as_slice()], Shared(dist), k))
-                    .len(),
-            );
+            let q = [q.as_slice()];
+            black_box(flat.knn(&QueryBatch::new(&q, Shared(dist), k)).len());
         }
     }) / qs.len() as f64;
     let pruned = PartitionedScan::with_mode(part, ScanMode::Batched);
     let pruned_ns = time_median_ns(warmup, samples, || {
         for q in qs {
-            black_box(
-                pruned
-                    .knn(&QueryBatch::new(&[q.as_slice()], Shared(dist), k))
-                    .len(),
-            );
+            let q = [q.as_slice()];
+            black_box(pruned.knn(&QueryBatch::new(&q, Shared(dist), k)).len());
         }
     }) / qs.len() as f64;
     let pruned_f32 =
         PartitionedScan::with_mode(part, ScanMode::Batched).with_precision(Precision::F32Rescore);
     let pruned_f32_ns = time_median_ns(warmup, samples, || {
         for q in qs {
-            black_box(
-                pruned_f32
-                    .knn(&QueryBatch::new(&[q.as_slice()], Shared(dist), k))
-                    .len(),
-            );
+            let q = [q.as_slice()];
+            black_box(pruned_f32.knn(&QueryBatch::new(&q, Shared(dist), k)).len());
         }
     }) / qs.len() as f64;
 

@@ -38,13 +38,6 @@ impl Distance for Euclidean {
         dist * dist
     }
 
-    fn eval_batch(&self, query: &[f64], block: &[f64], dim: usize, out: &mut [f64]) {
-        kernels::l2_sq_block(query, block, dim, f64::INFINITY, out);
-        for v in out.iter_mut() {
-            *v = v.sqrt();
-        }
-    }
-
     fn eval_key_batch(
         &self,
         query: &[f64],

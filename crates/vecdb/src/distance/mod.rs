@@ -118,18 +118,6 @@ pub trait Distance: Send + Sync {
         dist
     }
 
-    /// Evaluate one query against a contiguous row-major `block` of
-    /// `block.len() / dim` vectors, writing the true distance of each row
-    /// to `out`. The default loops [`Self::eval`]; specialized kernels
-    /// avoid per-row virtual dispatch.
-    fn eval_batch(&self, query: &[f64], block: &[f64], dim: usize, out: &mut [f64]) {
-        debug_assert_eq!(query.len(), dim);
-        debug_assert_eq!(block.len(), dim * out.len());
-        for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-            *slot = self.eval(query, row);
-        }
-    }
-
     /// Batch version of [`Self::eval_key`]: write each row's surrogate
     /// key to `out`. `bound` is the caller's current pruning threshold in
     /// key space (`f64::INFINITY` when there is none): a kernel may
@@ -466,8 +454,8 @@ mod batch_contract_tests {
     };
 
     /// Every implementation must satisfy the batch/surrogate-key
-    /// contract: `eval_batch` rows match per-pair `eval` (to rounding),
-    /// `finish_key ∘ eval_key == eval`, `key_of_dist` inverts
+    /// contract: finished `eval_key_batch` rows match per-pair `eval`
+    /// (to rounding), `finish_key ∘ eval_key == eval`, `key_of_dist` inverts
     /// `finish_key`, and `eval_key_multi` is bit-identical to independent
     /// `eval_key_batch` calls per query.
     fn check_batch_contract(d: &dyn Distance, dim: usize) {
@@ -475,8 +463,6 @@ mod batch_contract_tests {
         let query = &pts[0];
         let block: Vec<f64> = pts[1..].iter().flat_map(|p| p.iter().copied()).collect();
         let rows = pts.len() - 1;
-        let mut dists = vec![0.0; rows];
-        d.eval_batch(query, &block, dim, &mut dists);
         let mut keys = vec![0.0; rows];
         d.eval_key_batch(query, &block, dim, f64::INFINITY, &mut keys);
         // Multi-query pass over the same block: every query's key row must
@@ -497,22 +483,16 @@ mod batch_contract_tests {
         }
         for (i, p) in pts[1..].iter().enumerate() {
             let direct = d.eval(query, p);
+            let batched = d.finish_key(keys[i]);
             assert!(
-                (dists[i] - direct).abs() <= 1e-12 * direct.max(1.0),
-                "{}: eval_batch row {i}: {} vs eval {direct}",
-                d.name(),
-                dists[i]
+                (batched - direct).abs() <= 1e-12 * direct.max(1.0),
+                "{}: key batch row {i}: {batched} vs eval {direct}",
+                d.name()
             );
             let via_key = d.finish_key(d.eval_key(query, p));
             assert!(
                 (via_key - direct).abs() <= 1e-12 * direct.max(1.0),
                 "{}: finish_key∘eval_key {via_key} vs eval {direct}",
-                d.name()
-            );
-            assert_eq!(
-                d.finish_key(keys[i]),
-                dists[i],
-                "{}: key batch row {i} disagrees with eval_batch",
                 d.name()
             );
             // key_of_dist inverts finish_key (to rounding).

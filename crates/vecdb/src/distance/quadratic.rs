@@ -233,13 +233,6 @@ impl Distance for QuadraticDistance {
         dist * dist
     }
 
-    fn eval_batch(&self, query: &[f64], block: &[f64], dim: usize, out: &mut [f64]) {
-        self.eval_key_batch(query, block, dim, f64::INFINITY, out);
-        for v in out.iter_mut() {
-            *v = v.sqrt();
-        }
-    }
-
     fn eval_key_batch(
         &self,
         query: &[f64],

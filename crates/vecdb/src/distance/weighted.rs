@@ -137,13 +137,6 @@ impl Distance for WeightedEuclidean {
         dist * dist
     }
 
-    fn eval_batch(&self, query: &[f64], block: &[f64], dim: usize, out: &mut [f64]) {
-        kernels::weighted_sq_block(&self.weights, query, block, dim, f64::INFINITY, out);
-        for v in out.iter_mut() {
-            *v = v.sqrt();
-        }
-    }
-
     fn eval_key_batch(
         &self,
         query: &[f64],

@@ -92,27 +92,27 @@ impl<'a> QueryBatch<'a> {
     }
 
     /// Number of queries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queries.len()
     }
 
     /// Whether the batch holds no query.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queries.is_empty()
     }
 
     /// The query points.
-    pub fn queries(&self) -> &'a [&'a [f64]] {
+    pub(crate) fn queries(&self) -> &'a [&'a [f64]] {
         self.queries
     }
 
     /// The metric form (an all-equal `Weighted` list reads `Shared`).
-    pub fn metrics(&self) -> QueryMetrics<'a> {
+    pub(crate) fn metrics(&self) -> QueryMetrics<'a> {
         self.metrics
     }
 
     /// Query `q`'s metric.
-    pub fn metric(&self, q: usize) -> &'a dyn Distance {
+    pub(crate) fn metric(&self, q: usize) -> &'a dyn Distance {
         match self.metrics {
             QueryMetrics::Shared(d) => d,
             QueryMetrics::PerQuery(dists) => dists[q],

@@ -209,6 +209,14 @@ pub(crate) struct ScanConfig<'a> {
 }
 
 impl ScanConfig<'_> {
+    /// The default settings under an explicit execution mode.
+    pub(crate) fn with_mode(mode: ScanMode) -> Self {
+        ScanConfig {
+            mode,
+            ..Default::default()
+        }
+    }
+
     /// The mode `Auto` resolves to for `nq` concurrent queries over a
     /// `rows × dim` layout: total work is `rows × dim × nq`
     /// candidate-components, so more queries tip the same collection

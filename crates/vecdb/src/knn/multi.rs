@@ -43,7 +43,7 @@
 //! whose f32 key lands under the inflated bound; phase 2 rescores those
 //! candidates from the f64 buffer with the exact kernels. The inflation
 //! makes the candidate set a guaranteed superset of the true f64 top-k
-//! (see the proof sketch on `MultiQueryScan::scan_range_shared_f32`),
+//! (see the proof sketch on [`MultiQueryScan::scan_range_shared_f32`]),
 //! so results remain bit-identical to the pure-f64 scan while the bulk
 //! of the pass moves half the bytes.
 
@@ -111,13 +111,7 @@ impl<'a> MultiQueryScan<'a> {
 
     /// New engine with an explicit execution mode.
     pub fn with_mode(coll: &'a Collection, mode: ScanMode) -> Self {
-        Self::with_config(
-            coll,
-            ScanConfig {
-                mode,
-                ..Default::default()
-            },
-        )
+        Self::with_config(coll, ScanConfig::with_mode(mode))
     }
 
     pub(crate) fn with_config(coll: &'a Collection, cfg: ScanConfig<'a>) -> Self {

@@ -74,13 +74,7 @@ impl<'a> PartitionedScan<'a> {
 
     /// New engine with an explicit execution mode.
     pub fn with_mode(part: &'a PartitionedCollection, mode: ScanMode) -> Self {
-        Self::with_config(
-            part,
-            ScanConfig {
-                mode,
-                ..Default::default()
-            },
-        )
+        Self::with_config(part, ScanConfig::with_mode(mode))
     }
 
     pub(crate) fn with_config(part: &'a PartitionedCollection, cfg: ScanConfig<'a>) -> Self {

@@ -76,10 +76,7 @@ impl<'a> LinearScan<'a> {
     pub fn with_mode(coll: &'a Collection, mode: ScanMode) -> Self {
         LinearScan {
             coll,
-            cfg: ScanConfig {
-                mode,
-                ..Default::default()
-            },
+            cfg: ScanConfig::with_mode(mode),
         }
     }
 
@@ -116,20 +113,15 @@ impl<'a> LinearScan<'a> {
         kb.into_sorted()
     }
 
-    /// Batched path over one contiguous index range; pushes surrogate
-    /// keys into `kb`.
-    fn scan_range_keys(
-        &self,
-        query: &[f64],
-        dist: &dyn Distance,
-        rows: std::ops::Range<usize>,
-        kb: &mut KBest,
-    ) {
+    /// Batched path: blocks through the key kernel, surrogate keys into
+    /// one k-best, only the winners pay `finish_key`.
+    fn knn_batched(&self, query: &[f64], k: usize, dist: &dyn Distance) -> Vec<Neighbor> {
         let dim = self.coll.dim();
+        let mut kb = KBest::new(k);
         let mut keys = [0.0f64; BLOCK_ROWS];
-        let mut start = rows.start;
-        while start < rows.end {
-            let end = (start + BLOCK_ROWS).min(rows.end);
+        let mut start = 0;
+        while start < self.coll.len() {
+            let end = (start + BLOCK_ROWS).min(self.coll.len());
             let n = end - start;
             let block = self.coll.block(start, end);
             dist.eval_key_batch(query, block, dim, kb.threshold(), &mut keys[..n]);
@@ -138,11 +130,6 @@ impl<'a> LinearScan<'a> {
             }
             start = end;
         }
-    }
-
-    fn knn_batched(&self, query: &[f64], k: usize, dist: &dyn Distance) -> Vec<Neighbor> {
-        let mut kb = KBest::new(k);
-        self.scan_range_keys(query, dist, 0..self.coll.len(), &mut kb);
         kb.into_sorted_with(|key| dist.finish_key(key))
     }
 
@@ -285,30 +272,18 @@ impl<'a> LinearScan<'a> {
         out.sort_unstable_by(Neighbor::total_cmp);
         out
     }
-
-    /// All-mode dispatch used by [`KnnEngine::knn_with_stats`]. `k` is
-    /// clamped to the collection (`k` larger than it returns every
-    /// row), so no caller-supplied `k` ever sizes a heap.
-    fn knn_dispatch(&self, query: &[f64], k: usize, dist: &dyn Distance) -> Vec<Neighbor> {
-        let k = k.min(self.coll.len());
-        match self.effective_mode() {
-            ScanMode::Scalar => self.knn_scalar(query, k, dist),
-            ScanMode::Batched => {
-                if self.cfg.precision == Precision::F32Rescore {
-                    self.knn_via_multi(query, k, dist, ScanMode::Batched)
-                } else {
-                    self.knn_batched(query, k, dist)
-                }
-            }
-            ScanMode::Parallel => self.knn_via_multi(query, k, dist, ScanMode::Parallel),
-            ScanMode::Auto => unreachable!("effective_mode resolves Auto"),
-        }
-    }
 }
 
 impl KnnEngine for LinearScan<'_> {
+    /// `k` is clamped to the collection (`k` larger than it returns
+    /// every row), so no caller-supplied `k` ever sizes a heap.
     fn knn(&self, query: &[f64], k: usize, dist: &dyn Distance) -> Vec<Neighbor> {
-        self.knn_dispatch(query, k, dist)
+        let k = k.min(self.coll.len());
+        match (self.effective_mode(), self.cfg.precision) {
+            (ScanMode::Scalar, _) => self.knn_scalar(query, k, dist),
+            (ScanMode::Batched, Precision::F64) => self.knn_batched(query, k, dist),
+            (mode, _) => self.knn_via_multi(query, k, dist, mode),
+        }
     }
 
     fn knn_with_stats(
@@ -318,7 +293,7 @@ impl KnnEngine for LinearScan<'_> {
         dist: &dyn Distance,
     ) -> (Vec<Neighbor>, SearchStats) {
         (
-            self.knn_dispatch(query, k, dist),
+            self.knn(query, k, dist),
             SearchStats {
                 distance_evals: self.coll.len() as u64,
             },

@@ -349,10 +349,7 @@ impl<'a> ShardedScan<'a> {
         ShardedScan {
             coll,
             parts: None,
-            cfg: ScanConfig {
-                mode,
-                ..Default::default()
-            },
+            cfg: ScanConfig::with_mode(mode),
         }
     }
 

@@ -99,171 +99,120 @@ enum Form {
     WeightedAllEqual,
 }
 
-const LAYOUTS: [Layout; 4] = [
-    Layout::Flat,
-    Layout::Partitioned,
-    Layout::Sharded,
-    Layout::ShardedPartitioned,
-];
-const FORMS: [Form; 4] = [
-    Form::Shared,
-    Form::PerQuery,
-    Form::Weighted,
-    Form::WeightedAllEqual,
-];
-
-struct Fixture {
-    coll: Collection,
-    part: PartitionedCollection,
-    sharded: ShardedCollection,
-    shard_parts: Vec<PartitionedCollection>,
-    queries: Vec<Vec<f64>>,
-    metrics: Vec<WeightedEuclidean>,
-}
-
-impl Fixture {
-    fn new() -> Self {
-        let coll = collection();
-        let cfg = PartitionConfig::with_partitions(PARTITIONS);
-        let part = PartitionedCollection::build(&coll, &cfg);
-        let sharded = ShardedCollection::split(&coll, SHARDS);
-        let shard_parts = sharded.build_partitions(&cfg);
-        Fixture {
-            coll,
-            part,
-            sharded,
-            shard_parts,
-            queries: queries(),
-            metrics: metrics(),
+/// One Batched pass of every metric form through every layout at
+/// `precision`: `(layout, form, answers, work)` per cell, each cell's
+/// answers already checked against per-query flat f64 `LinearScan`s.
+fn cells(precision: Precision) -> Vec<(Layout, Form, Vec<Vec<Neighbor>>, ScanStats)> {
+    let coll = collection();
+    let cfg = PartitionConfig::with_partitions(PARTITIONS);
+    let part = PartitionedCollection::build(&coll, &cfg);
+    let sharded = ShardedCollection::split(&coll, SHARDS);
+    let shard_parts = sharded.build_partitions(&cfg);
+    let queries = queries();
+    let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+    let diverged = metrics();
+    let equal = vec![diverged[0].clone(); NQ];
+    let reference = LinearScan::with_mode(&coll, ScanMode::Batched);
+    let mut cells = Vec::new();
+    for layout in [
+        Layout::Flat,
+        Layout::Partitioned,
+        Layout::Sharded,
+        Layout::ShardedPartitioned,
+    ] {
+        for form in [
+            Form::Shared,
+            Form::PerQuery,
+            Form::Weighted,
+            Form::WeightedAllEqual,
+        ] {
+            let metrics = match form {
+                Form::Shared | Form::WeightedAllEqual => &equal,
+                Form::PerQuery | Form::Weighted => &diverged,
+            };
+            let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
+            let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+            let batch = QueryBatch::new(
+                &refs,
+                match form {
+                    Form::Shared => Shared(&equal[0]),
+                    Form::PerQuery => PerQuery(&dists),
+                    Form::Weighted | Form::WeightedAllEqual => Weighted(&mrefs),
+                },
+                K,
+            );
+            let sink = ScanStatsSink::new();
+            // One scatter worker: shards run in order, so the cross-shard
+            // seeds (and with them the abandon counts) are deterministic.
+            let scatter = ShardedScan::with_mode(&sharded, ScanMode::Batched)
+                .with_precision(precision)
+                .with_thread_budget(1)
+                .with_scan_stats(&sink);
+            let answers = match layout {
+                Layout::Flat => MultiQueryScan::with_mode(&coll, ScanMode::Batched)
+                    .with_precision(precision)
+                    .with_scan_stats(&sink)
+                    .knn(&batch),
+                Layout::Partitioned => PartitionedScan::with_mode(&part, ScanMode::Batched)
+                    .with_precision(precision)
+                    .with_scan_stats(&sink)
+                    .knn(&batch),
+                Layout::Sharded => scatter.knn(&batch),
+                Layout::ShardedPartitioned => scatter.with_partitions(&shard_parts).knn(&batch),
+            };
+            for (q, (query, got)) in refs.iter().zip(&answers).enumerate() {
+                let expect = reference.knn(query, K, &metrics[q]);
+                assert_eq!(got, &expect, "{layout:?} {form:?} {precision:?} query {q}");
+            }
+            cells.push((layout, form, answers, sink.snapshot()));
         }
     }
-
-    /// One Batched pass of `form` through `layout`: answers + the work.
-    fn run(
-        &self,
-        layout: Layout,
-        form: Form,
-        precision: Precision,
-    ) -> (Vec<Vec<Neighbor>>, ScanStats) {
-        let refs: Vec<&[f64]> = self.queries.iter().map(Vec::as_slice).collect();
-        let equal = vec![self.metrics[0].clone(); NQ];
-        let metrics = match form {
-            Form::WeightedAllEqual => &equal,
-            _ => &self.metrics,
-        };
-        let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
-        let sink = ScanStatsSink::new();
-        let flat = MultiQueryScan::with_mode(&self.coll, ScanMode::Batched)
-            .with_precision(precision)
-            .with_scan_stats(&sink);
-        let pruned = PartitionedScan::with_mode(&self.part, ScanMode::Batched)
-            .with_precision(precision)
-            .with_scan_stats(&sink);
-        // One scatter worker: shards run in order, so the cross-shard
-        // seeds (and with them the abandon counts) are deterministic.
-        let sharded = ShardedScan::with_mode(&self.sharded, ScanMode::Batched)
-            .with_precision(precision)
-            .with_thread_budget(1)
-            .with_scan_stats(&sink);
-        let sharded_pruned = sharded.with_partitions(&self.shard_parts);
-        let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
-        let batch = QueryBatch::new(
-            &refs,
-            match form {
-                Form::Shared => Shared(&self.metrics[0]),
-                Form::PerQuery => PerQuery(&dists),
-                Form::Weighted | Form::WeightedAllEqual => Weighted(&mrefs),
-            },
-            K,
-        );
-        let answers = match layout {
-            Layout::Flat => flat.knn(&batch),
-            Layout::Partitioned => pruned.knn(&batch),
-            Layout::Sharded => sharded.knn(&batch),
-            Layout::ShardedPartitioned => sharded_pruned.knn(&batch),
-        };
-        (answers, sink.snapshot())
-    }
-
-    /// Per-query flat f64 reference answers for `form`.
-    fn reference(&self, form: Form) -> Vec<Vec<Neighbor>> {
-        let scan = LinearScan::with_mode(&self.coll, ScanMode::Batched);
-        self.queries
-            .iter()
-            .enumerate()
-            .map(|(q, query)| {
-                let metric = match form {
-                    Form::Shared | Form::WeightedAllEqual => &self.metrics[0],
-                    Form::PerQuery | Form::Weighted => &self.metrics[q],
-                };
-                scan.knn(query, K, metric)
-            })
-            .collect()
-    }
+    cells
 }
 
-/// `(rows_visited, blocks_abandoned, seed_prunes, partitions_pruned)`
-/// of every F64 cell, recorded at the commit before the scan entry
-/// points were unified. The four counters are block- and
-/// partition-granular, and on this data every metric form abandons in
-/// the same blocks and prunes the same partitions, so one row per
-/// layout covers all four forms.
-fn golden_f64(layout: Layout) -> (u64, u64, u64, u64) {
-    match layout {
+/// The work of every F64 cell, recorded at the commit before the scan
+/// entry points were unified (an f64 pass filters and rescores
+/// nothing). The counters are block- and partition-granular, and on
+/// this data every metric form abandons in the same blocks and prunes
+/// the same partitions, so one row per layout covers all four forms.
+fn golden_f64(layout: Layout) -> ScanStats {
+    let (rows_visited, blocks_abandoned, seed_prunes, partitions_pruned) = match layout {
         Layout::Flat => (6000, 23, 0, 0),
         Layout::Partitioned => (1969, 8, 0, 12),
         Layout::Sharded => (6000, 23, 2, 0),
         Layout::ShardedPartitioned => (1969, 21, 2, 27),
+    };
+    ScanStats {
+        rows_visited,
+        blocks_abandoned,
+        seed_prunes,
+        partitions_pruned,
+        ..Default::default()
     }
 }
 
 #[test]
 fn f64_work_is_pinned_per_layout_and_metric_form() {
-    let fx = Fixture::new();
-    for layout in LAYOUTS {
-        for form in FORMS {
-            let (answers, s) = fx.run(layout, form, Precision::F64);
-            assert_eq!(answers, fx.reference(form), "{layout:?} {form:?}");
-            println!("F64 {layout:?} {form:?}: {s:?}");
-            assert_eq!(
-                (
-                    s.rows_visited,
-                    s.blocks_abandoned,
-                    s.seed_prunes,
-                    s.partitions_pruned
-                ),
-                golden_f64(layout),
-                "{layout:?} {form:?}"
-            );
-            assert_eq!(
-                (s.candidates_filtered, s.candidates_rescored),
-                (0, 0),
-                "an f64 pass has no rescore ({layout:?} {form:?})"
-            );
-        }
+    for (layout, form, _, work) in cells(Precision::F64) {
+        assert_eq!(work, golden_f64(layout), "{layout:?} {form:?}");
     }
 }
 
 #[test]
 fn f32_rescore_work_obeys_the_in_build_relations() {
-    let fx = Fixture::new();
-    for layout in LAYOUTS {
-        let mut shared = None;
-        for form in FORMS {
-            let (answers, s) = fx.run(layout, form, Precision::F32Rescore);
-            assert_eq!(answers, fx.reference(form), "{layout:?} {form:?}");
-            println!("F32Rescore {layout:?} {form:?}: {s:?}");
-            assert!(
-                s.candidates_rescored >= (K * NQ) as u64,
-                "the mirror pass engaged and kept every true top-k ({layout:?} {form:?})"
-            );
-            match form {
-                Form::Shared => shared = Some((answers, s)),
-                Form::WeightedAllEqual => {
-                    assert_eq!(Some((answers, s)), shared, "{layout:?}: all-equal ≡ shared")
-                }
-                _ => {}
-            }
+    let cells = cells(Precision::F32Rescore);
+    for (layout, form, answers, work) in &cells {
+        println!("F32Rescore {layout:?} {form:?}: {work:?}");
+        assert!(
+            work.candidates_rescored >= (K * NQ) as u64,
+            "the mirror pass engaged and kept every true top-k ({layout:?} {form:?})"
+        );
+        if *form == Form::WeightedAllEqual {
+            let shared = cells
+                .iter()
+                .find(|c| c.0 == *layout && c.1 == Form::Shared)
+                .expect("every layout has a Shared cell");
+            assert_eq!((answers, work), (&shared.2, &shared.3), "{layout:?}");
         }
     }
 }

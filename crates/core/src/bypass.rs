@@ -205,16 +205,17 @@ impl FeedbackBypass {
         Ok(self.tree.insert(&qd, &oqp)?)
     }
 
-    /// Serialize the learned mapping (delegates to the tree's format).
+    /// Serialize the learned mapping (delegates to the tree's format), in
+    /// one allocation of exactly the image's size.
     pub fn to_bytes(&self) -> Vec<u8> {
         // The mapping kind is recoverable from the root shape; encode it in
         // one prefix byte anyway for explicitness.
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(1 + self.tree.encoded_len());
         out.push(match self.mapping {
             DomainMapping::Histogram => 0u8,
             DomainMapping::UnitCube => 1u8,
         });
-        out.extend_from_slice(&self.tree.to_bytes());
+        self.tree.write_to(&mut out);
         out
     }
 
@@ -348,6 +349,9 @@ mod tests {
         let qopt = hist(&[2.0, 2.0, 1.0, 0.5]);
         fb.insert(&q, &qopt, &[2.0, 1.0, 1.0, 1.0]).unwrap();
         let img = fb.to_bytes();
+        // Tag byte and tree image share one exactly-sized buffer.
+        assert_eq!(img.capacity(), img.len());
+        assert_eq!(&img[1..], &fb.tree().to_bytes()[..]);
         let back = FeedbackBypass::from_bytes(&img).unwrap();
         assert_eq!(back.feature_dim(), 4);
         let a = fb.predict(&q).unwrap();

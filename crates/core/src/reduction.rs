@@ -240,11 +240,12 @@ impl ReducedBypass {
     /// [`crate::FeedbackBypass::to_bytes`]: the tree image carries its own
     /// checksum; the reducer header is length-validated).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let r = self.reducer.reduced_dim() as u32;
-        let d = self.reducer.feature_dim() as u32;
-        out.extend_from_slice(&r.to_le_bytes());
-        out.extend_from_slice(&d.to_le_bytes());
+        let r = self.reducer.reduced_dim();
+        let d = self.reducer.feature_dim();
+        let floats = d + r * d + r + r + 1;
+        let mut out = Vec::with_capacity(8 + 8 * floats + self.tree.encoded_len());
+        out.extend_from_slice(&(r as u32).to_le_bytes());
+        out.extend_from_slice(&(d as u32).to_le_bytes());
         let put_f64s = |vals: &[f64], out: &mut Vec<u8>| {
             for &x in vals {
                 out.extend_from_slice(&x.to_le_bytes());
@@ -255,7 +256,7 @@ impl ReducedBypass {
         put_f64s(&self.reducer.lo, &mut out);
         put_f64s(&self.reducer.span, &mut out);
         put_f64s(&[self.reducer.explained_variance], &mut out);
-        out.extend_from_slice(&self.tree.to_bytes());
+        self.tree.write_to(&mut out);
         out
     }
 
@@ -434,6 +435,7 @@ mod tests {
             .unwrap();
 
         let image = rb.to_bytes();
+        assert_eq!(image.capacity(), image.len());
         let back = ReducedBypass::from_bytes(&image).unwrap();
         assert_eq!(back.tree().stored_points(), rb.tree().stored_points());
         assert!(

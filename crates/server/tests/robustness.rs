@@ -238,6 +238,43 @@ fn mid_request_disconnect_does_not_poison_the_batcher() {
 }
 
 #[test]
+fn hostile_module_image_is_a_coded_error_not_an_abort() {
+    // An empty 4-d module with its vertex count set to u32::MAX and the
+    // checksum re-sealed (anyone can compute FNV-1a): a few hundred bytes
+    // that claim ~160 GB of vertices. The decoder must refuse the count
+    // before allocating for it, or the allocation failure aborts the
+    // whole server.
+    fn fnv1a(data: &[u8]) -> u64 {
+        data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let mut image = FeedbackBypass::for_histograms(5, BypassConfig::default())
+        .unwrap()
+        .to_bytes();
+    // Module tag, then the tree image: magic, version, corner root (tag,
+    // D, scale), OQP layout, four tolerances, two enum bytes, three
+    // counters, then the vertex count.
+    let vertex_count_at = 1 + 4 + 4 + 1 + 4 + 8 + 8 + 4 * 8 + 2 + 3 * 8;
+    image[vertex_count_at..vertex_count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let body_end = image.len() - 8;
+    let sum = fnv1a(&image[1..body_end]);
+    image[body_end..].copy_from_slice(&sum.to_le_bytes());
+
+    let handle = start_server(ServerConfig::default());
+    let addr = handle.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+    let message = expect_server_error(client.restore_module(&image), ErrorCode::BadRequest);
+    assert!(message.contains("vertex count"), "{message}");
+    // The served module is untouched, and the tier keeps serving.
+    let served = client.snapshot_module().unwrap();
+    let fresh = FeedbackBypass::for_histograms(DIM, BypassConfig::default()).unwrap();
+    assert_eq!(served, fresh.to_bytes());
+    assert_still_serving(addr);
+    handle.shutdown();
+}
+
+#[test]
 fn disconnect_drops_the_connections_sessions() {
     let handle = start_server(ServerConfig::default());
     let addr = handle.local_addr();

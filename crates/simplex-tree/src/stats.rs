@@ -31,21 +31,19 @@ impl SimplexTree {
         let mut depth = 0usize;
         let mut leaf_count = 0usize;
         let mut leaf_depth_sum = 0usize;
-        let mut stack: Vec<(u32, usize)> = vec![(self.root_id(), 1)];
+        let mut stack: Vec<(u32, usize)> = vec![(0, 1)];
         while let Some((id, d)) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            if node.is_leaf() {
-                leaf_count += 1;
-                leaf_depth_sum += d;
-                depth = depth.max(d);
-            } else {
-                for &(_, child) in &node.children {
-                    stack.push((child, d + 1));
+            match self.arena.nodes[id as usize].split() {
+                None => {
+                    leaf_count += 1;
+                    leaf_depth_sum += d;
+                    depth = depth.max(d);
                 }
+                Some(s) => stack.extend(self.arena.children(s).map(|(_, child)| (child, d + 1))),
             }
         }
         TreeShape {
-            node_count: self.nodes.len(),
+            node_count: self.node_count(),
             leaf_count,
             stored_points: self.stored_points(),
             depth,

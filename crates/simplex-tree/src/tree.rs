@@ -1,4 +1,23 @@
 //! The Simplex Tree proper: lookup, predict (`Mopt`), insert.
+//!
+//! # Layout
+//!
+//! A simplex's vertex list is never stored. The root spans vertices
+//! `0..=D` (the synthetic corners), and the child a split creates at
+//! position `h` *is* its parent with vertex `h` replaced by the split
+//! vertex. A lookup therefore rebuilds the leaf's `D + 1` ids on its way
+//! down, exactly as it carries the barycentric coordinates, and the
+//! structure shrinks to:
+//!
+//! * one 4-byte node record per simplex — a leaf, or the index of its
+//!   split — and no heap allocation per leaf;
+//! * per inner node, one 16-byte split record (refined node, split
+//!   vertex, first child, child count), its `μ` (the split point's
+//!   coordinates in the parent, `D + 1` floats) and its child positions,
+//!   each kept in one flat array for the whole tree.
+//!
+//! A split appends its children as one contiguous id range, so the
+//! children of all splits, in split order, tile the node ids `1..`.
 
 use crate::oqp::{Oqp, OqpLayout, WeightScale};
 use crate::{Result, TreeError};
@@ -21,35 +40,93 @@ pub(crate) struct Vertex {
     pub(crate) synthetic: bool,
 }
 
-/// A tree node = one simplex, identified by its `D + 1` vertex ids.
-#[derive(Debug, Clone)]
-pub(crate) struct Node {
-    /// `D + 1` vertex ids spanning this simplex.
-    pub(crate) verts: Box<[VertexId]>,
-    /// Children as `(h, node)`: child `h` replaced vertex position `h`
-    /// with the split vertex. Empty = leaf. May have fewer than `D + 1`
-    /// entries when the split point lay on a face (degenerate children are
-    /// never created).
-    pub(crate) children: Vec<(u16, NodeId)>,
-    /// Barycentric coordinates of the split point w.r.t. *this* simplex
-    /// (present iff inner node). Drives the O(D) descent step.
-    pub(crate) split_mu: Option<Box<[f64]>>,
-    /// The vertex created by the split (present iff inner node).
-    pub(crate) split_vertex: Option<VertexId>,
-}
+/// One simplex: a leaf, or the index of the split that refined it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Node(u32);
 
 impl Node {
-    fn leaf(verts: Box<[VertexId]>) -> Self {
-        Node {
-            verts,
-            children: Vec::new(),
-            split_mu: None,
-            split_vertex: None,
+    pub(crate) const LEAF: Node = Node(u32::MAX);
+
+    pub(crate) fn inner(split: usize) -> Node {
+        Node(split as u32)
+    }
+
+    /// The node's split, `None` for a leaf.
+    pub(crate) fn split(self) -> Option<usize> {
+        (self != Node::LEAF).then_some(self.0 as usize)
+    }
+}
+
+/// What a split adds to the node it refines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Split {
+    /// The refined node.
+    pub(crate) node: NodeId,
+    /// The vertex the split created.
+    pub(crate) vertex: VertexId,
+    /// Children are the node ids `first_child .. first_child + children`.
+    pub(crate) first_child: NodeId,
+    /// Proper children (fewer than `D + 1` when the split point lay on a
+    /// face: degenerate children are never created).
+    pub(crate) children: u16,
+}
+
+/// The tree's structure in flat arrays.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Arena {
+    pub(crate) nodes: Vec<Node>,
+    pub(crate) splits: Vec<Split>,
+    /// `μ` of split `s` — the split point's barycentric coordinates in the
+    /// refined simplex, which drive the O(D) descent step — at
+    /// `mu[s·(D+1) ..][..D+1]`.
+    pub(crate) mu: Vec<f64>,
+    /// Child positions: node `c ≥ 1` replaced vertex position
+    /// `child_pos[c - 1]` of its parent.
+    pub(crate) child_pos: Vec<u16>,
+}
+
+impl Arena {
+    /// A lone root leaf.
+    fn root() -> Self {
+        Arena {
+            nodes: vec![Node::LEAF],
+            ..Arena::default()
         }
     }
 
-    pub(crate) fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+    /// `μ` of split `s` (`d1 = D + 1`).
+    pub(crate) fn mu(&self, s: usize, d1: usize) -> &[f64] {
+        &self.mu[s * d1..(s + 1) * d1]
+    }
+
+    /// The children of split `s` as `(position, node)`, in creation order.
+    pub(crate) fn children(&self, s: usize) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+        let Split {
+            first_child,
+            children,
+            ..
+        } = self.splits[s];
+        let positions = &self.child_pos[first_child as usize - 1..][..children as usize];
+        positions
+            .iter()
+            .zip(first_child..)
+            .map(|(&h, child)| (h as usize, child))
+    }
+
+    /// Refine leaf `node` at a new `vertex` whose coordinates in it are
+    /// `mu`, creating one child per position in `hs`.
+    pub(crate) fn refine(&mut self, node: NodeId, vertex: VertexId, mu: &[f64], hs: &[usize]) {
+        let s = self.splits.len();
+        self.splits.push(Split {
+            node,
+            vertex,
+            first_child: self.nodes.len() as NodeId,
+            children: hs.len() as u16,
+        });
+        self.mu.extend_from_slice(mu);
+        self.child_pos.extend(hs.iter().map(|&h| h as u16));
+        self.nodes.resize(self.nodes.len() + hs.len(), Node::LEAF);
+        self.nodes[node as usize] = Node::inner(s);
     }
 }
 
@@ -111,6 +188,8 @@ pub struct LeafHit {
     /// Barycentric coordinates of the query w.r.t. that leaf
     /// (length `D + 1`, sums to 1).
     pub lambda: Vec<f64>,
+    /// The leaf's vertex ids, in the order of `lambda`.
+    pub vertices: Vec<VertexId>,
     /// Simplices visited root→leaf inclusive (the Fig. 16 metric).
     pub nodes_visited: usize,
 }
@@ -153,9 +232,8 @@ pub struct SimplexTree {
     layout: OqpLayout,
     config: TreeConfig,
     root_shape: RootSimplex,
-    pub(crate) nodes: Vec<Node>,
+    pub(crate) arena: Arena,
     pub(crate) vertices: Vec<Vertex>,
-    root: NodeId,
     stored_points: u64,
     updates: u64,
     skips: u64,
@@ -186,16 +264,13 @@ impl SimplexTree {
                 synthetic: true,
             })
             .collect();
-        let verts: Box<[VertexId]> = (0..vertices.len() as VertexId).collect();
-        let nodes = vec![Node::leaf(verts)];
         Ok(SimplexTree {
             dim,
             layout,
             config,
             root_shape,
-            nodes,
+            arena: Arena::root(),
             vertices,
-            root: 0,
             stored_points: 0,
             updates: 0,
             skips: 0,
@@ -239,7 +314,7 @@ impl SimplexTree {
 
     /// Total nodes (simplices) in the arena.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.arena.nodes.len()
     }
 
     /// Total vertices, including the `D + 1` synthetic root corners.
@@ -253,7 +328,9 @@ impl SimplexTree {
     /// the largest minimum barycentric coordinate — the most-interior
     /// child. This resolves boundary ties deterministically (the special
     /// cases the paper's footnote 3 waves away) and is exact for interior
-    /// points.
+    /// points. The leaf's vertex ids are rebuilt on the way down: the root
+    /// spans `0..=D`, and descending into the child at position `h`
+    /// replaces id `h` with the split vertex.
     pub fn lookup(&self, q: &[f64]) -> Result<LeafHit> {
         if q.len() != self.dim {
             return Err(TreeError::DimMismatch {
@@ -266,23 +343,25 @@ impl SimplexTree {
         if min < -self.config.domain_tol {
             return Err(TreeError::OutOfDomain { min_coord: min });
         }
-        let mut node_id = self.root;
+        let d1 = lambda.len();
+        let mut vertices: Vec<VertexId> = (0..d1 as VertexId).collect();
+        let mut node_id: NodeId = 0;
         let mut visited = 1usize;
-        let mut next = vec![0.0; lambda.len()];
+        let mut next = vec![0.0; d1];
         loop {
-            let node = &self.nodes[node_id as usize];
-            if node.is_leaf() {
+            let Some(s) = self.arena.nodes[node_id as usize].split() else {
                 return Ok(LeafHit {
                     node: node_id,
                     lambda,
+                    vertices,
                     nodes_visited: visited,
                 });
-            }
-            let mu = node.split_mu.as_deref().expect("inner node has split_mu");
-            let mut best: Option<(f64, u16, NodeId)> = None;
-            let mut chosen: Option<(u16, NodeId)> = None;
-            for &(h, child) in &node.children {
-                let m = barycentric::child_min_coord(&lambda, mu, h as usize);
+            };
+            let mu = self.arena.mu(s, d1);
+            let mut best: Option<(f64, usize, NodeId)> = None;
+            let mut chosen: Option<(usize, NodeId)> = None;
+            for (h, child) in self.arena.children(s) {
+                let m = barycentric::child_min_coord(&lambda, mu, h);
                 if self.config.descent == DescentRule::FirstContaining
                     && m >= -self.config.domain_tol
                 {
@@ -297,8 +376,9 @@ impl SimplexTree {
                 let (_, h, child) = best.expect("inner node has at least one child");
                 (h, child)
             });
-            barycentric::child_coords_into(&lambda, mu, h as usize, &mut next);
+            barycentric::child_coords_into(&lambda, mu, h, &mut next);
             std::mem::swap(&mut lambda, &mut next);
+            vertices[h] = self.arena.splits[s].vertex;
             node_id = child;
             visited += 1;
         }
@@ -320,9 +400,8 @@ impl SimplexTree {
 
     /// Interpolate the OQP at an already-computed leaf hit.
     pub fn interpolate_at(&self, hit: &LeafHit) -> Oqp {
-        let node = &self.nodes[hit.node as usize];
-        let values: Vec<&[f64]> = node
-            .verts
+        let values: Vec<&[f64]> = hit
+            .vertices
             .iter()
             .map(|&v| &*self.vertices[v as usize].value)
             .collect();
@@ -358,8 +437,7 @@ impl SimplexTree {
         let encoded: Box<[f64]> = oqp.encode(self.config.weight_scale).into_boxed_slice();
         match split::split_children(&hit.lambda, self.config.vertex_snap_tol) {
             split::SplitOutcome::AtVertex(h) => {
-                let vid = self.nodes[hit.node as usize].verts[h];
-                let vert = &mut self.vertices[vid as usize];
+                let vert = &mut self.vertices[hit.vertices[h] as usize];
                 vert.value = encoded;
                 if vert.synthetic {
                     // A feedback point landed exactly on a synthetic corner:
@@ -379,24 +457,9 @@ impl SimplexTree {
                     value: encoded,
                     synthetic: false,
                 });
-                let parent_verts = self.nodes[hit.node as usize].verts.clone();
-                let mut children = Vec::with_capacity(hs.len());
-                for &h in &hs {
-                    let mut verts = parent_verts.clone();
-                    verts[h] = new_vid;
-                    let child_id = self.nodes.len() as NodeId;
-                    self.nodes.push(Node::leaf(verts));
-                    children.push((h as u16, child_id));
-                }
-                let n_children = children.len();
-                let parent = &mut self.nodes[hit.node as usize];
-                parent.children = children;
-                parent.split_mu = Some(hit.lambda.clone().into_boxed_slice());
-                parent.split_vertex = Some(new_vid);
+                self.arena.refine(hit.node, new_vid, &hit.lambda, &hs);
                 self.stored_points += 1;
-                Ok(InsertOutcome::Split {
-                    children: n_children,
-                })
+                Ok(InsertOutcome::Split { children: hs.len() })
             }
         }
     }
@@ -409,8 +472,7 @@ impl SimplexTree {
     /// interpolation altogether.
     pub fn stored_exact(&self, q: &[f64], tol: f64) -> Option<Oqp> {
         let hit = self.lookup(q).ok()?;
-        let node = &self.nodes[hit.node as usize];
-        for (&vid, &l) in node.verts.iter().zip(hit.lambda.iter()) {
+        for (&vid, &l) in hit.vertices.iter().zip(hit.lambda.iter()) {
             if l >= 1.0 - self.config.vertex_snap_tol {
                 let v = &self.vertices[vid as usize];
                 if !v.synthetic
@@ -432,9 +494,20 @@ impl SimplexTree {
 
     /// Check structural invariants; returns a description of the first
     /// violation. Used by tests and after deserialization.
+    ///
+    /// Checks the implicit form: the arena's lengths agree, the children
+    /// of all splits tile the node ids `1..` in split order, every node is
+    /// reachable from the root exactly once, and every split has a finite
+    /// `μ` summing to 1, positive at its distinct, in-range child
+    /// positions, and an in-range split vertex.
     pub fn verify_invariants(&self) -> std::result::Result<(), String> {
         let vcount = self.vertices.len();
         let d1 = self.dim + 1;
+        if vcount < d1 {
+            return Err(format!(
+                "{vcount} vertices, fewer than the {d1} root corners"
+            ));
+        }
         for v in &self.vertices {
             if v.point.len() != self.dim {
                 return Err(format!(
@@ -451,72 +524,78 @@ impl SimplexTree {
                 ));
             }
         }
-        let mut reachable = vec![false; self.nodes.len()];
-        let mut stack = vec![self.root];
+        let Arena {
+            nodes,
+            splits,
+            mu,
+            child_pos,
+        } = &self.arena;
+        if nodes.is_empty() || child_pos.len() != nodes.len() - 1 {
+            return Err(format!(
+                "{} nodes but {} child positions",
+                nodes.len(),
+                child_pos.len()
+            ));
+        }
+        if mu.len() != splits.len() * d1 {
+            return Err(format!("{} splits but {} μ values", splits.len(), mu.len()));
+        }
+        let mut next_child = 1usize;
+        for (s, split) in splits.iter().enumerate() {
+            if split.first_child as usize != next_child || split.children == 0 {
+                return Err(format!("split {s} children do not tile the node ids"));
+            }
+            if nodes.get(split.node as usize) != Some(&Node::inner(s)) {
+                return Err(format!("split {s} not owned by its node {}", split.node));
+            }
+            next_child += split.children as usize;
+        }
+        if next_child != nodes.len() {
+            return Err(format!(
+                "split children cover {next_child} of {} nodes",
+                nodes.len()
+            ));
+        }
+        let mut reachable = vec![false; nodes.len()];
+        let mut seen_h = vec![false; d1];
+        let mut stack: Vec<NodeId> = vec![0];
         while let Some(id) = stack.pop() {
-            let Some(node) = self.nodes.get(id as usize) else {
-                return Err(format!("dangling node id {id}"));
-            };
             if std::mem::replace(&mut reachable[id as usize], true) {
                 return Err(format!("node {id} reachable twice (cycle or shared child)"));
             }
-            if node.verts.len() != d1 {
-                return Err(format!("node {id} has {} vertices", node.verts.len()));
+            let Some(s) = nodes[id as usize].split() else {
+                continue;
+            };
+            let Some(split) = splits.get(s) else {
+                return Err(format!("node {id} points at dangling split {s}"));
+            };
+            if split.vertex as usize >= vcount {
+                return Err(format!("node {id} split_vertex dangling"));
             }
-            if node.verts.iter().any(|&v| v as usize >= vcount) {
-                return Err(format!("node {id} references a dangling vertex"));
+            let mu = self.arena.mu(s, d1);
+            if mu.iter().any(|m| !m.is_finite()) {
+                return Err(format!("node {id} split_mu is not finite"));
             }
-            if node.is_leaf() {
-                if node.split_mu.is_some() || node.split_vertex.is_some() {
-                    return Err(format!("leaf {id} carries split metadata"));
+            let sum: f64 = mu.iter().sum();
+            if (sum - 1.0).abs() > 1e-6 {
+                return Err(format!("node {id} split_mu sums to {sum}"));
+            }
+            for (h, child) in self.arena.children(s) {
+                if h >= d1 {
+                    return Err(format!("node {id} child position {h} out of range"));
                 }
-            } else {
-                let Some(mu) = node.split_mu.as_deref() else {
-                    return Err(format!("inner node {id} missing split_mu"));
-                };
-                if mu.len() != d1 {
-                    return Err(format!("node {id} split_mu length {}", mu.len()));
+                if std::mem::replace(&mut seen_h[h], true) {
+                    return Err(format!("node {id} duplicate child position {h}"));
                 }
-                let sum: f64 = mu.iter().sum();
-                if (sum - 1.0).abs() > 1e-6 {
-                    return Err(format!("node {id} split_mu sums to {sum}"));
+                if mu[h] <= 0.0 {
+                    return Err(format!(
+                        "node {id} child at position {h} has non-positive μ"
+                    ));
                 }
-                let Some(sv) = node.split_vertex else {
-                    return Err(format!("inner node {id} missing split_vertex"));
-                };
-                if sv as usize >= vcount {
-                    return Err(format!("node {id} split_vertex dangling"));
-                }
-                let mut seen_h = std::collections::HashSet::new();
-                for &(h, child) in &node.children {
-                    if h as usize >= d1 {
-                        return Err(format!("node {id} child position {h} out of range"));
-                    }
-                    if !seen_h.insert(h) {
-                        return Err(format!("node {id} duplicate child position {h}"));
-                    }
-                    if mu[h as usize] <= 0.0 {
-                        return Err(format!(
-                            "node {id} child at position {h} has non-positive μ"
-                        ));
-                    }
-                    let Some(cnode) = self.nodes.get(child as usize) else {
-                        return Err(format!("node {id} dangling child {child}"));
-                    };
-                    // The child must equal the parent with vertex h replaced.
-                    for (i, (&pv, &cv)) in node.verts.iter().zip(cnode.verts.iter()).enumerate() {
-                        if i == h as usize {
-                            if cv != sv {
-                                return Err(format!(
-                                    "node {id} child {child} position {h} is not the split vertex"
-                                ));
-                            }
-                        } else if pv != cv {
-                            return Err(format!("node {id} child {child} vertex {i} mismatch"));
-                        }
-                    }
-                    stack.push(child);
-                }
+                stack.push(child);
+            }
+            for (h, _) in self.arena.children(s) {
+                seen_h[h] = false;
             }
         }
         if let Some(unreached) = reachable.iter().position(|&r| !r) {
@@ -535,31 +614,23 @@ impl SimplexTree {
         })
     }
 
-    pub(crate) fn root_id(&self) -> NodeId {
-        self.root
-    }
-
     /// Internal constructor for persistence: rebuild from raw parts.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw_parts(
         root_shape: RootSimplex,
         layout: OqpLayout,
         config: TreeConfig,
-        nodes: Vec<Node>,
+        arena: Arena,
         vertices: Vec<Vertex>,
-        stored_points: u64,
-        updates: u64,
-        skips: u64,
+        counters: [u64; 3],
     ) -> Result<Self> {
-        let dim = root_shape.dim();
+        let [stored_points, updates, skips] = counters;
         let tree = SimplexTree {
-            dim,
+            dim: root_shape.dim(),
             layout,
             config,
             root_shape,
-            nodes,
+            arena,
             vertices,
-            root: 0,
             stored_points,
             updates,
             skips,

@@ -291,6 +291,9 @@ fn fixed_streams_reproduce_golden_answers() {
             got.mean_leaf_depth_bits, got.stored_points, got.outcomes,
         );
         tree.verify_invariants().unwrap();
+        // A persisted tree gives the same answers.
+        let back = SimplexTree::from_bytes(&tree.to_bytes()).unwrap();
+        assert_eq!(measure(&back, outcomes, &probes(want.dim, &stored)), want);
     }
 }
 
@@ -392,4 +395,10 @@ fn version_1_image_loads_and_predicts_bit_identically() {
             assert_eq!(x.to_bits(), y.to_bits(), "at {q:?}");
         }
     }
+    // It re-serializes as version 2: the same bytes as the tree built
+    // directly, and smaller than the explicit image.
+    let v2 = loaded.to_bytes();
+    assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
+    assert_eq!(v2, fresh.to_bytes());
+    assert!(v2.len() < image.len(), "{} vs {}", v2.len(), image.len());
 }

@@ -6,7 +6,7 @@
 //! survive serialization byte-for-byte semantically.
 
 use fbp_geometry::RootSimplex;
-use fbp_simplex_tree::{Oqp, OqpLayout, SimplexTree, TreeConfig, WeightScale};
+use fbp_simplex_tree::{DescentRule, Oqp, OqpLayout, SimplexTree, TreeConfig, WeightScale};
 use proptest::prelude::*;
 
 const DIM: usize = 3;
@@ -167,6 +167,56 @@ proptest! {
     }
 
     #[test]
+    fn implicit_tree_holds_across_dims_and_descent_rules(
+        dim_idx in 0usize..3,
+        first_containing in any::<bool>(),
+        raw in prop::collection::vec(
+            (prop::collection::vec(0.0..1.0f64, 6), 0.05..20.0f64, any::<bool>()),
+            1..40,
+        ),
+        probes in prop::collection::vec(prop::collection::vec(0.0..1.0f64, 6), 10),
+    ) {
+        let dim = [2, 3, 5][dim_idx];
+        // Scale the raw draws into the standard simplex of this D; a
+        // `true` flag puts the point on a facet.
+        let place = |v: &[f64], facet: bool| -> Vec<f64> {
+            let s: f64 = v[..=dim].iter().map(|x| x + 0.02).sum();
+            let mut q: Vec<f64> = v[..dim].iter().map(|x| (x + 0.02) / s).collect();
+            if facet {
+                q[0] = 0.0;
+            }
+            q
+        };
+        let cfg = TreeConfig {
+            descent: if first_containing {
+                DescentRule::FirstContaining
+            } else {
+                DescentRule::MostInterior
+            },
+            ..TreeConfig::default()
+        };
+        let mut tree =
+            SimplexTree::new(RootSimplex::standard(dim), OqpLayout::new(dim, dim), cfg).unwrap();
+        for (v, w, facet) in &raw {
+            let oqp = Oqp { delta: vec![0.01 * w; dim], weights: vec![*w; dim] };
+            tree.insert(&place(v, *facet), &oqp).unwrap();
+        }
+        prop_assert_eq!(tree.verify_invariants(), Ok(()));
+        for v in &probes {
+            let hit = tree.lookup(&place(v, false)).unwrap();
+            // The rebuilt ids span a simplex: D + 1 distinct, in range.
+            let mut ids = hit.vertices.clone();
+            ids.sort_unstable();
+            ids.dedup();
+            prop_assert_eq!(ids.len(), dim + 1);
+            prop_assert!(ids.iter().all(|&v| (v as usize) < tree.vertex_count()));
+        }
+        let image = tree.to_bytes();
+        prop_assert_eq!(image.capacity(), image.len());
+        prop_assert_eq!(SimplexTree::from_bytes(&image).unwrap().to_bytes(), image);
+    }
+
+    #[test]
     fn shape_metrics_are_consistent(
         inserts in prop::collection::vec((interior_point(), arb_oqp()), 1..30),
     ) {
@@ -185,4 +235,40 @@ proptest! {
         let hit = tree.lookup(&[0.2, 0.2, 0.2]).unwrap();
         prop_assert!(hit.nodes_visited <= shape.depth);
     }
+}
+
+/// The implicit tree's image stays a few KB per stored point at D = 64:
+/// the point and its OQP (1.5 KB) plus one split record, not one explicit
+/// vertex list per child simplex (≈ 19 KB per point).
+#[test]
+fn image_bytes_per_stored_point_at_d64() {
+    const D: usize = 64;
+    let mut tree = SimplexTree::new(
+        RootSimplex::unit_cube(D),
+        OqpLayout::new(D, D),
+        TreeConfig::default(),
+    )
+    .unwrap();
+    let mut state: u64 = 64;
+    let mut unit = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    for _ in 0..2_000 {
+        let q: Vec<f64> = (0..D).map(|_| unit()).collect();
+        let oqp = Oqp {
+            delta: (0..D).map(|_| 0.1 * (unit() - 0.5)).collect(),
+            weights: (0..D).map(|_| 0.2 + 4.0 * unit()).collect(),
+        };
+        tree.insert(&q, &oqp).unwrap();
+    }
+    assert_eq!(tree.stored_points(), 2_000);
+    let per_point = tree.to_bytes().len() as u64 / tree.stored_points();
+    assert!(
+        per_point <= 3_072,
+        "{per_point} image bytes per stored point"
+    );
 }

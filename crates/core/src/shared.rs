@@ -353,10 +353,9 @@ impl SharedBypass {
     }
 
     /// Swap in a replacement module wholesale (write lock held for the
-    /// swap) — the restore half of module replication: a router pushes
-    /// its serialized module over the `RestoreModule` RPC and the shard
-    /// server installs the deserialized copy atomically, so every
-    /// session admitted afterwards predicts from the replicated state.
+    /// swap) — what a server does with a client's `RestoreModule`
+    /// image: the deserialized copy is installed atomically, so every
+    /// session admitted afterwards predicts from the restored state.
     pub fn replace(&self, bypass: FeedbackBypass) {
         *self.inner.write() = bypass;
     }

@@ -69,10 +69,14 @@ impl RelevanceOracle for CategoryOracle<'_> {
 ///   so it feeds neither the β nor the γ term of a Rocchio movement.
 ///   This is the shape interactive sessions hand back when the user
 ///   marks a few results each way and skips the rest.
+///
+/// Judgment lists are a handful of ids per round, so each set is kept
+/// as a sorted, deduplicated `Vec` and probed by binary search — cheaper
+/// to build and to query than a hashed set at that size.
 #[derive(Debug, Clone)]
 pub struct SetOracle {
-    good: std::collections::HashSet<u32>,
-    bad: std::collections::HashSet<u32>,
+    good: Vec<u32>,
+    bad: Vec<u32>,
     /// Closed world: unlisted ids are Bad (the `new` regime); open
     /// world: unlisted ids are Neutral (`with_negatives`).
     unlisted_is_bad: bool,
@@ -91,8 +95,8 @@ impl SetOracle {
     /// a bad match (closed-world judgments).
     pub fn new(good: impl IntoIterator<Item = u32>) -> Self {
         SetOracle {
-            good: good.into_iter().collect(),
-            bad: std::collections::HashSet::new(),
+            good: sorted_ids(good),
+            bad: Vec::new(),
             unlisted_is_bad: true,
         }
     }
@@ -106,18 +110,26 @@ impl SetOracle {
         bad: impl IntoIterator<Item = u32>,
     ) -> Self {
         SetOracle {
-            good: good.into_iter().collect(),
-            bad: bad.into_iter().collect(),
+            good: sorted_ids(good),
+            bad: sorted_ids(bad),
             unlisted_is_bad: false,
         }
     }
 }
 
+/// Collect `ids` sorted ascending with duplicates removed.
+fn sorted_ids(ids: impl IntoIterator<Item = u32>) -> Vec<u32> {
+    let mut ids: Vec<u32> = ids.into_iter().collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
 impl RelevanceOracle for SetOracle {
     fn judge(&self, index: u32) -> Relevance {
-        if self.good.contains(&index) {
+        if self.good.binary_search(&index).is_ok() {
             Relevance::Good
-        } else if self.unlisted_is_bad || self.bad.contains(&index) {
+        } else if self.unlisted_is_bad || self.bad.binary_search(&index).is_ok() {
             Relevance::Bad
         } else {
             Relevance::Neutral
@@ -129,6 +141,8 @@ impl RelevanceOracle for SetOracle {
 mod tests {
     use super::*;
     use fbp_vecdb::CollectionBuilder;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn category_oracle_follows_labels() {
@@ -169,5 +183,40 @@ mod tests {
         // the closed-world `new` rule.
         let open = SetOracle::with_negatives([1], []);
         assert_eq!(open.judge(2), Relevance::Neutral);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // Both constructors judge exactly like the hashed-set rule they
+        // replace, for id lists with duplicates, in any order, and with
+        // ids listed both ways (the positive set wins). Ids are drawn
+        // from a small range so overlaps and repeats are common.
+        #[test]
+        fn judge_matches_a_hashed_set_model(
+            good in prop::collection::vec(0u32..40, 0..24),
+            bad in prop::collection::vec(0u32..40, 0..24),
+        ) {
+            let good_set: HashSet<u32> = good.iter().copied().collect();
+            let bad_set: HashSet<u32> = bad.iter().copied().collect();
+            let closed = SetOracle::new(good.iter().copied());
+            let open = SetOracle::with_negatives(good.iter().copied(), bad.iter().copied());
+            for id in 0u32..48 {
+                let want_closed = if good_set.contains(&id) {
+                    Relevance::Good
+                } else {
+                    Relevance::Bad
+                };
+                prop_assert_eq!(closed.judge(id), want_closed, "new, id {}", id);
+                let want_open = if good_set.contains(&id) {
+                    Relevance::Good
+                } else if bad_set.contains(&id) {
+                    Relevance::Bad
+                } else {
+                    Relevance::Neutral
+                };
+                prop_assert_eq!(open.judge(id), want_open, "with_negatives, id {}", id);
+            }
+        }
     }
 }

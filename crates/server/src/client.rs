@@ -320,8 +320,9 @@ impl Client {
         }
     }
 
-    /// Replace the server's learned module with a serialized image —
-    /// the push half of router→shard module replication.
+    /// Replace the server's learned module with a serialized image
+    /// (against a router, the router's own module; nothing is forwarded
+    /// to its shards).
     pub fn restore_module(&mut self, image: &[u8]) -> Result<(), ClientError> {
         let req = Request::RestoreModule {
             image: image.to_vec(),

@@ -11,13 +11,13 @@
 //! `c` on shard `s` depends only on `(plan seed, s, c)` via a
 //! splitmix64 hash, so a failing run replays exactly from its seed.
 //! Wire-damage faults apply to scatter (`ShardKnn`) calls only —
-//! startup probes and module-replication control calls bypass the
-//! plan, since they model operator actions, not serving traffic. The
-//! one exception is a scripted [`FaultMode::Down`] outage: a dead host
-//! refuses **every** call class, so plans containing one are consulted
-//! for the router's control-plane calls too (sharing the per-shard
-//! call counter), which makes the outage → ejection → restart →
-//! re-admission lifecycle scriptable end to end.
+//! startup probes bypass the plan, since they model operator actions,
+//! not serving traffic. The one exception is a scripted
+//! [`FaultMode::Down`] outage: a dead host refuses **every** call
+//! class, so plans containing one are consulted for the router's
+//! re-admission probes too (sharing the per-shard call counter), which
+//! makes the outage → ejection → restart → re-admission lifecycle
+//! scriptable end to end.
 
 use std::time::Duration;
 
@@ -46,8 +46,8 @@ pub enum FaultMode {
     /// from the rule's `after_calls`, after which the "restarted"
     /// server answers normally. Unlike every other mode, an outage also
     /// applies to the router's **control-plane** calls on that shard
-    /// (re-admission probes, module pushes) — a dead host refuses all
-    /// call classes alike — which is what lets the full
+    /// (re-admission probes) — a dead host refuses all call classes
+    /// alike — which is what lets the full
     /// outage → ejection → restart → re-admission lifecycle be scripted
     /// deterministically in call-space.
     Down {
@@ -156,8 +156,8 @@ impl FaultPlan {
     }
 
     /// Whether any rule scripts a [`FaultMode::Down`] outage. Only such
-    /// plans are consulted for control-plane calls (probes, module
-    /// pushes), so wire-damage scripts keep their exact scatter call
+    /// plans are consulted for control-plane calls (re-admission
+    /// probes), so wire-damage scripts keep their exact scatter call
     /// indices.
     pub fn has_down(&self) -> bool {
         self.rules

@@ -11,7 +11,7 @@
 //!     │    call success      └───(more failures)───────────────┘
 //!     │                                                        │ probe due
 //!     │   M consecutive probe successes                        ▼
-//!     └───(tiling re-validated, module re-pushed)────────── Probing
+//!     └───(each re-validating the tiling)────────────────── Probing
 //!                                  (probe failure → Ejected, backed off)
 //! ```
 //!
@@ -25,9 +25,8 @@
 //! [`HealthConfig::failure_rate`]. Re-admission is earned, not timed:
 //! a background prober re-checks the shard at exponentially backed-off
 //! intervals and only [`HealthConfig::readmit_successes`] consecutive
-//! probe successes — plus a tiling re-validation and a module re-push,
-//! which the router performs between `Probing` and `Healthy` — return
-//! it to traffic.
+//! probe successes — each one a tiling re-validation the router
+//! performs while the shard is `Probing` — return it to traffic.
 //!
 //! Call outcomes that arrive while the shard is already out of the
 //! scatter set (stragglers from pre-ejection calls) are ignored: only
@@ -102,8 +101,7 @@ pub(crate) struct HealthTracker {
     pub(crate) ejections: AtomicU64,
     /// Probed returns to `Healthy`.
     pub(crate) readmissions: AtomicU64,
-    /// Failed re-admission probes (refused, mis-tiled, or a failed
-    /// module push).
+    /// Failed re-admission probes (refused or mis-tiled).
     pub(crate) probe_failures: AtomicU64,
     /// Scatters that skipped this downstream while ejected.
     pub(crate) fast_degrades: AtomicU64,
@@ -201,13 +199,11 @@ impl HealthTracker {
         }
     }
 
-    /// Record a successful probe. Returns `true` when this success
-    /// completes the re-admission quorum (`readmit_successes`
-    /// consecutive) — the shard stays `Probing` and the caller must
-    /// finish re-admission (module push, then [`Self::readmit`]) or
-    /// fail it ([`Self::probe_failed`]). Below the quorum the shard
-    /// returns to `Ejected` with the backoff reset to the base
-    /// interval.
+    /// Record a successful probe. The success that completes the
+    /// re-admission quorum (`readmit_successes` consecutive) returns the
+    /// shard to `Healthy` with a clean slate and reports `true`; below
+    /// the quorum the shard returns to `Ejected` with the backoff reset
+    /// to the base interval.
     pub(crate) fn probe_succeeded(&self, now: Instant) -> bool {
         let mut inner = self.inner.lock().expect("health lock");
         if inner.state != HealthState::Probing {
@@ -216,6 +212,11 @@ impl HealthTracker {
         inner.probe_fails = 0;
         inner.probe_successes += 1;
         if inner.probe_successes >= self.cfg.readmit_successes {
+            inner.state = HealthState::Healthy;
+            inner.consecutive = 0;
+            inner.outcomes.clear();
+            inner.probe_successes = 0;
+            self.readmissions.fetch_add(1, Ordering::Relaxed);
             true
         } else {
             inner.state = HealthState::Ejected;
@@ -224,9 +225,8 @@ impl HealthTracker {
         }
     }
 
-    /// Record a failed probe (or a failed re-admission step after the
-    /// quorum): back to `Ejected`, success run reset, next probe
-    /// exponentially backed off.
+    /// Record a failed probe: back to `Ejected`, success run reset, next
+    /// probe exponentially backed off.
     pub(crate) fn probe_failed(&self, now: Instant) {
         let mut inner = self.inner.lock().expect("health lock");
         if !matches!(inner.state, HealthState::Probing | HealthState::Ejected) {
@@ -244,21 +244,6 @@ impl HealthTracker {
             .max(self.cfg.probe_interval);
         inner.next_probe_at = now + backoff;
         self.probe_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Complete re-admission after the probe quorum and the module
-    /// push: `Probing → Healthy` with a clean slate.
-    pub(crate) fn readmit(&self) {
-        let mut inner = self.inner.lock().expect("health lock");
-        if inner.state != HealthState::Probing {
-            return;
-        }
-        inner.state = HealthState::Healthy;
-        inner.consecutive = 0;
-        inner.outcomes.clear();
-        inner.probe_fails = 0;
-        inner.probe_successes = 0;
-        self.readmissions.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -364,13 +349,10 @@ mod tests {
         assert_eq!(t.state(), HealthState::Ejected);
         let due2 = due + Duration::from_millis(30);
         assert!(t.take_due_probe(due2));
-        // Second consecutive success reaches M = 2: readmission may
-        // proceed, state holds at Probing until it completes.
+        // Second consecutive success reaches M = 2: re-admitted.
         assert!(t.probe_succeeded(due2));
-        assert_eq!(t.state(), HealthState::Probing);
-        assert!(!t.admits_scatter(), "no traffic before the module push");
-        t.readmit();
         assert_eq!(t.state(), HealthState::Healthy);
+        assert!(t.admits_scatter());
         assert_eq!(t.readmissions.load(Ordering::Relaxed), 1);
     }
 
@@ -388,25 +370,23 @@ mod tests {
 
     /// Driver for the proptests: replay an arbitrary event script
     /// against a tracker, modeling the prober's contract (probe
-    /// outcomes only follow a claimed slot; a completed quorum is
-    /// followed by readmit or probe_failed).
+    /// outcomes only follow a claimed slot).
     #[derive(Debug, Clone, Copy)]
     enum Event {
         CallOk,
         CallFail,
         /// Advance time past any backoff and run one probe with this
-        /// outcome (push succeeding) if a probe is due.
+        /// outcome if a probe is due.
         Probe {
             ok: bool,
-            push_ok: bool,
         },
     }
 
     fn event_strategy() -> impl Strategy<Value = Event> {
-        (0u8..3, any::<bool>(), any::<bool>()).prop_map(|(kind, ok, push_ok)| match kind {
+        (0u8..3, any::<bool>()).prop_map(|(kind, ok)| match kind {
             0 => Event::CallOk,
             1 => Event::CallFail,
-            _ => Event::Probe { ok, push_ok },
+            _ => Event::Probe { ok },
         })
     }
 
@@ -429,17 +409,13 @@ mod tests {
                 match ev {
                     Event::CallOk => t.record_success(),
                     Event::CallFail => t.record_failure(now),
-                    Event::Probe { ok, push_ok } => {
+                    Event::Probe { ok } => {
                         now += Duration::from_secs(10); // past any backoff
                         if t.take_due_probe(now) {
-                            if !ok {
+                            if ok {
+                                t.probe_succeeded(now);
+                            } else {
                                 t.probe_failed(now);
-                            } else if t.probe_succeeded(now) {
-                                if push_ok {
-                                    t.readmit();
-                                } else {
-                                    t.probe_failed(now);
-                                }
                             }
                         }
                     }
@@ -493,7 +469,6 @@ mod tests {
                 let quorum = t.probe_succeeded(now);
                 prop_assert_eq!(quorum, i == m - 1);
             }
-            t.readmit();
             prop_assert_eq!(t.state(), HealthState::Healthy);
             prop_assert_eq!(t.readmissions.load(Ordering::Relaxed), 1);
         }

@@ -71,10 +71,11 @@
 //! paying its `shard_timeout` (`Degraded` merges the survivors
 //! instantly, `Strict` refuses fast), a background prober re-checks
 //! ejected shards at backed-off intervals, and re-admission requires a
-//! run of probe successes plus a tiling re-validation and a fresh
-//! module push. The learned module is also re-replicated to healthy
-//! shards automatically whenever a session commit updates it. Per-shard
-//! health appears in [`StatsSnapshot::health`] and on the wire.
+//! run of probe successes, each re-validating the shard's row slice.
+//! The router owns the only learned module its deployment consults —
+//! shards answer under the `(point, weights)` it sends — so no module
+//! state ever travels router → shard. Per-shard health appears in
+//! [`StatsSnapshot::health`] and on the wire.
 //!
 //! ## Protocol
 //!

@@ -153,7 +153,7 @@ impl Downstream {
     }
 
     /// The scripted fate of the router's next **control-plane** call to
-    /// this downstream (re-admission probe, module push). Only plans
+    /// this downstream (a re-admission probe). Only plans
     /// containing a [`FaultMode::Down`] outage are consulted — a dead
     /// host refuses every call class — and only then does the control
     /// call consume a per-shard call index; wire-damage plans keep
@@ -541,7 +541,7 @@ impl Downstream {
 }
 
 /// One-shot control-plane round trip on a fresh connection (startup
-/// probes, module replication) — bounded by `connect_timeout` +
+/// and re-admission probes) — bounded by `connect_timeout` +
 /// `io_timeout`, never fault-injected.
 pub(crate) fn control_call(
     addr: &SocketAddr,

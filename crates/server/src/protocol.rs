@@ -37,7 +37,7 @@
 //! | `0x0B` | `KnnV2`        | see *Protocol v2* below (v2+)                 |
 //! | `0x0C` | `GetTraces`    | `u32 max` (v3+; see *Protocol v3* below)      |
 //!
-//! Opcodes `0x06`–`0x09` are the **router tier's downstream surface**
+//! Opcodes `0x06`–`0x07` are the **router tier's downstream surface**
 //! (router → shard server), spoken on the same framed connections as
 //! the client surface. `ShardKnn` is sessionless: it asks for the
 //! shard's exact local k-best under an explicit `(point, weights)`
@@ -46,10 +46,14 @@
 //! server's configured `row_offset`, `k` clamped to the shard's rows.
 //! `seed` is a cross-shard early-abandon cap (another shard's k-th-best
 //! bound); `+∞` means unseeded and is always sound. `ShardInfo` probes
-//! the served slice (rows, global row offset, dimensionality);
-//! `SnapshotModule`/`RestoreModule` move the serialized learned module
-//! (the `simplex-tree` persistence image) so a router can replicate its
-//! module state onto its shards.
+//! the served slice (rows, global row offset, dimensionality).
+//! `0x08 SnapshotModule`/`0x09 RestoreModule` read and replace the
+//! answering front-end's **own** learned module as one serialized image
+//! (the `simplex-tree` persistence image) — a client-to-server
+//! operation. A router answers them for its module and forwards
+//! nothing: it lowers every search to `(point, weights)` itself, so its
+//! shards never consult a module. The image travels as one frame, so a
+//! module past `max_frame_len` cannot be moved this way.
 //!
 //! # Response opcodes (server → client)
 //!
@@ -136,8 +140,8 @@
 //! immediately (the shard appears in `missing_shards` without its
 //! timeout being paid — that is one `fast_degrades` tick), under
 //! `Strict` the request refuses fast with `ShardUnavailable`. Only a
-//! successful re-admission probe sequence (slice tiling re-validated,
-//! module snapshot re-pushed) returns the shard to traffic.
+//! successful re-admission probe sequence (each probe re-validating
+//! the slice tiling) returns the shard to traffic.
 //!
 //! # Protocol v2: version negotiation and multi-example queries
 //!
@@ -731,10 +735,9 @@ pub struct DownstreamHealth {
     /// Times this downstream tripped from taking traffic to `Ejected`.
     pub ejections: u64,
     /// Times a probe sequence returned it to `Healthy` (tiling
-    /// re-validated, module re-pushed).
+    /// re-validated).
     pub readmissions: u64,
-    /// Re-admission probes that failed (including tiling mismatches and
-    /// failed module pushes).
+    /// Re-admission probes that failed (refused or mis-tiled).
     pub probe_failures: u64,
     /// Scatters that skipped this downstream while it was ejected —
     /// each one is a request that did **not** pay `shard_timeout` for

@@ -49,10 +49,17 @@
 //! background prober re-checks ejected shards with `ShardInfo` at
 //! exponentially backed-off intervals, and re-admission is earned:
 //! [`crate::HealthConfig::readmit_successes`] consecutive probe
-//! successes, a tiling re-validation against what startup accepted,
-//! and a fresh push of the learned module — only then does the shard
-//! take traffic again. The same prober also re-replicates the module
-//! to the healthy shards whenever a session commit updates it.
+//! successes, each re-validating the shard's row slice against what
+//! startup accepted — only then does the shard take traffic again.
+//!
+//! ## One learned module
+//!
+//! The router is the single owner of the learned module: it predicts a
+//! fresh query's parameters, commits converged ones, and lowers every
+//! search to `(point, weights)` before the scatter, so no shard ever
+//! consults a module. Nothing is replicated downstream — not on commit,
+//! not on re-admission. A client's `SnapshotModule`/`RestoreModule`
+//! reads or replaces the router's module alone.
 
 use crate::health::HealthConfig;
 use crate::metrics::Metrics;
@@ -68,9 +75,7 @@ use fbp_vecdb::{
     merge_partials_policy, Collection, DegradedGather, FailurePolicy, ShardPartial,
     WeightedEuclidean,
 };
-use feedbackbypass::{
-    FeedbackBypass, FeedbackConfig, KnnRequest, QuerySpec, RocchioWeights, SharedBypass,
-};
+use feedbackbypass::{FeedbackConfig, KnnRequest, QuerySpec, RocchioWeights, SharedBypass};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -403,12 +408,6 @@ struct RouterShared {
     /// Slow-query trace ring, drained by `GetTraces`.
     traces: TraceRing,
     shutdown: AtomicBool,
-    /// Module epoch, bumped by the session store's commit hook on every
-    /// successful learned-module insert.
-    module_epoch: Arc<AtomicU64>,
-    /// Last module epoch the prober finished replicating downstream;
-    /// trailing [`RouterShared::module_epoch`] means a fan-out is due.
-    replicated_epoch: AtomicU64,
 }
 
 impl RouterShared {
@@ -440,9 +439,8 @@ impl RouterShared {
     }
 }
 
-/// Handle to a running router: address, live stats, module
-/// replication, graceful shutdown. Dropping the handle shuts the
-/// router down and joins every thread.
+/// Handle to a running router: address, live stats, graceful shutdown.
+/// Dropping the handle shuts the router down and joins every thread.
 pub struct RouterHandle {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
@@ -464,45 +462,6 @@ impl RouterHandle {
     /// numbers the wire `SnapshotStats` reports).
     pub fn stats(&self) -> crate::protocol::StatsSnapshot {
         self.shared.stats()
-    }
-
-    /// Push the router's current learned module to every downstream
-    /// (`RestoreModule` on a fresh control connection each). The first
-    /// failure aborts the fan-out with its shard named — module
-    /// replication is an operator action, not a best-effort background
-    /// drift.
-    pub fn replicate_module(&self) -> io::Result<()> {
-        let image = self.shared.store.bypass().to_bytes();
-        for ds in &self.shared.downstreams {
-            let resp = control_call(
-                &ds.addr,
-                &Request::RestoreModule {
-                    image: image.clone(),
-                },
-                self.shared.cfg.connect_timeout,
-                self.shared.cfg.shard_timeout,
-                self.shared.cfg.max_frame_len,
-            )
-            .map_err(|e| {
-                io::Error::new(e.kind(), format!("replicate to shard {}: {e}", ds.shard))
-            })?;
-            match resp {
-                Response::ModuleRestored => {}
-                Response::Error { code, message } => {
-                    return Err(io::Error::other(format!(
-                        "shard {} refused module: [{code}] {message}",
-                        ds.shard
-                    )));
-                }
-                other => {
-                    return Err(io::Error::other(format!(
-                        "shard {} unexpected reply to RestoreModule: {other:?}",
-                        ds.shard
-                    )));
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Graceful shutdown: stop accepting, fail the in-flight gathers,
@@ -657,15 +616,6 @@ pub fn route(
         cfg.feedback.clone(),
         Arc::clone(&metrics),
     );
-    // Session commits dirty the module epoch; the prober thread fans
-    // the new module out to the healthy shards when it trails.
-    let module_epoch = Arc::new(AtomicU64::new(0));
-    store.set_commit_hook(Box::new({
-        let epoch = Arc::clone(&module_epoch);
-        move || {
-            epoch.fetch_add(1, Ordering::Release);
-        }
-    }));
     let cfg_trace_threshold = cfg.slow_trace_threshold;
     let shared = Arc::new(RouterShared {
         store,
@@ -680,8 +630,6 @@ pub fn route(
         next_trace: AtomicU64::new(1),
         traces: TraceRing::new(TRACE_RING_CAP, cfg_trace_threshold),
         shutdown: AtomicBool::new(false),
-        module_epoch,
-        replicated_epoch: AtomicU64::new(0),
     });
 
     let sweeper = std::thread::spawn({
@@ -780,16 +728,14 @@ fn run_sweeper(shared: &Arc<RouterShared>) {
 }
 
 /// Prober tick interval: how often ejected downstreams are checked for
-/// a due re-admission probe and a dirty module epoch for replication.
+/// a due re-admission probe.
 const PROBE_TICK: Duration = Duration::from_millis(2);
 
-/// Background health maintenance: replicate a dirtied learned module to
-/// the healthy downstreams, and re-probe ejected ones at their
+/// Background health maintenance: re-probe ejected downstreams at their
 /// backed-off schedule — the only path back into the scatter set.
 fn run_prober(shared: &Arc<RouterShared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(PROBE_TICK);
-        replicate_if_dirty(shared);
         let now = Instant::now();
         for ds in &shared.downstreams {
             if ds.health.take_due_probe(now) {
@@ -803,15 +749,15 @@ fn run_prober(shared: &Arc<RouterShared>) {
 /// just moved it `Ejected → Probing`): `ShardInfo` must answer **and**
 /// report exactly the tiling startup validated — a restarted shard
 /// serving different rows would silently break the key-space merge.
-/// When the success completes the re-admission quorum, the current
-/// learned module is re-pushed before the shard takes traffic; only
-/// then does it return to `Healthy`.
+/// The success that completes the re-admission quorum returns the
+/// shard to `Healthy`. Nothing else is checked or pushed: a shard only
+/// ever answers `ShardKnn` under the `(point, weights)` the router
+/// sends, so its own learned module plays no part in its answers.
 fn probe_one(shared: &Arc<RouterShared>, ds: &Arc<Downstream>) {
-    let now = Instant::now();
     // A scripted outage refuses control calls too (a dead host refuses
     // every call class).
     if matches!(ds.control_fault(), Some(FaultMode::Down { .. })) {
-        ds.health.probe_failed(now);
+        ds.health.probe_failed(Instant::now());
         return;
     }
     let cfg = &shared.cfg;
@@ -826,74 +772,11 @@ fn probe_one(shared: &Arc<RouterShared>, ds: &Arc<Downstream>) {
         resp,
         Ok(Response::ShardInfoResult { rows, offset, dim }) if (rows, offset, dim) == ds.expected
     );
-    if !tiling_ok {
-        ds.health.probe_failed(Instant::now());
-        return;
-    }
-    if !ds.health.probe_succeeded(Instant::now()) {
-        return; // below the re-admission quorum; the next probe continues the run
-    }
-    // Quorum reached: the restarted shard may hold a stale (or empty)
-    // module — push the router's current snapshot before any traffic.
-    let pushed = if matches!(ds.control_fault(), Some(FaultMode::Down { .. })) {
-        false
-    } else {
-        matches!(
-            control_call(
-                &ds.addr,
-                &Request::RestoreModule {
-                    image: shared.store.bypass().to_bytes(),
-                },
-                cfg.connect_timeout,
-                cfg.shard_timeout,
-                cfg.max_frame_len,
-            ),
-            Ok(Response::ModuleRestored)
-        )
-    };
-    if pushed {
-        ds.health.readmit();
+    if tiling_ok {
+        ds.health.probe_succeeded(Instant::now());
     } else {
         ds.health.probe_failed(Instant::now());
     }
-}
-
-/// Re-replicate the learned module to the healthy downstreams when a
-/// session commit has dirtied the epoch since the last fan-out. Shards
-/// out of the scatter set are skipped — re-admission pushes the module
-/// anyway — and a failed push feeds the shard's health tracker instead
-/// of being dropped.
-fn replicate_if_dirty(shared: &Arc<RouterShared>) {
-    let epoch = shared.module_epoch.load(Ordering::Acquire);
-    if epoch == shared.replicated_epoch.load(Ordering::Acquire) {
-        return;
-    }
-    let cfg = &shared.cfg;
-    let image = shared.store.bypass().to_bytes();
-    for ds in &shared.downstreams {
-        if !ds.health.admits_scatter() {
-            continue;
-        }
-        if matches!(ds.control_fault(), Some(FaultMode::Down { .. })) {
-            ds.health.record_failure(Instant::now());
-            continue;
-        }
-        let outcome = control_call(
-            &ds.addr,
-            &Request::RestoreModule {
-                image: image.clone(),
-            },
-            cfg.connect_timeout,
-            cfg.shard_timeout,
-            cfg.max_frame_len,
-        );
-        if !matches!(outcome, Ok(Response::ModuleRestored)) {
-            ds.health.record_failure(Instant::now());
-        }
-    }
-    // Commits that landed mid-fan-out leave the epoch ahead of what was
-    // read here, so the next tick replicates again.
-    shared.replicated_epoch.store(epoch, Ordering::Release);
 }
 
 /// Enqueue a hedge for every shard of `gather` that is past its
@@ -1140,7 +1023,7 @@ fn handle_request(
         Request::SnapshotModule => Some(Response::ModuleImage {
             image: shared.store.bypass().to_bytes(),
         }),
-        Request::RestoreModule { image } => Some(handle_restore_module(shared, &image)),
+        Request::RestoreModule { image } => Some(shared.store.restore_module(&image)),
     }
 }
 
@@ -1305,57 +1188,4 @@ fn handle_router_knn(
         }
     }
     None
-}
-
-/// `RestoreModule` upstream: install the image locally (validated),
-/// then fan it out to every downstream — the router and its shards
-/// serve one module.
-fn handle_restore_module(shared: &Arc<RouterShared>, image: &[u8]) -> Response {
-    let module = match FeedbackBypass::from_bytes(image) {
-        Ok(m) => m,
-        Err(e) => {
-            shared.metrics.record_protocol_error();
-            return err(ErrorCode::BadRequest, format!("module image: {e}"));
-        }
-    };
-    let dim = shared.store.coll().dim();
-    if module.feature_dim() != dim {
-        shared.metrics.record_protocol_error();
-        return err(
-            ErrorCode::DimMismatch,
-            format!(
-                "module is {}-dimensional, serving {dim}",
-                module.feature_dim()
-            ),
-        );
-    }
-    shared.store.bypass().replace(module);
-    let mut failed: Vec<String> = Vec::new();
-    for ds in &shared.downstreams {
-        let outcome = control_call(
-            &ds.addr,
-            &Request::RestoreModule {
-                image: image.to_vec(),
-            },
-            shared.cfg.connect_timeout,
-            shared.cfg.shard_timeout,
-            shared.cfg.max_frame_len,
-        );
-        match outcome {
-            Ok(Response::ModuleRestored) => {}
-            Ok(Response::Error { code, message }) => {
-                failed.push(format!("shard {}: [{code}] {message}", ds.shard));
-            }
-            Ok(other) => failed.push(format!("shard {}: unexpected reply {other:?}", ds.shard)),
-            Err(e) => failed.push(format!("shard {}: {e}", ds.shard)),
-        }
-    }
-    if failed.is_empty() {
-        Response::ModuleRestored
-    } else {
-        err(
-            ErrorCode::ShardUnavailable,
-            format!("module replication incomplete: {}", failed.join("; ")),
-        )
-    }
 }

@@ -14,11 +14,13 @@
 //! when it disconnects.
 //!
 //! Besides the interactive session surface, every server also answers
-//! the **router downstream surface** (`ShardKnn` / `ShardInfo` /
-//! `SnapshotModule` / `RestoreModule` — see [`crate::protocol`]): with
-//! [`ServerConfig::row_offset`] set, the served collection acts as one
-//! slice of a larger router-fronted deployment, answering sessionless
-//! shard-local k-bests with globally-offset indices.
+//! the **router downstream surface** (`ShardKnn` / `ShardInfo` — see
+//! [`crate::protocol`]): with [`ServerConfig::row_offset`] set, the
+//! served collection acts as one slice of a larger router-fronted
+//! deployment, answering sessionless shard-local k-bests with
+//! globally-offset indices. `SnapshotModule` / `RestoreModule` read and
+//! replace the server's own learned module (a router never sends them:
+//! it owns the only module its deployment consults).
 
 use crate::batcher::{run_shard_dispatcher, serving_scan, Batcher, EnqueueError, Gather, Load};
 use crate::metrics::Metrics;
@@ -32,9 +34,7 @@ use fbp_vecdb::{
     combine_partials, Collection, Neighbor, PartitionConfig, PartitionedCollection, QueryBatch,
     QueryMetrics, ScanMode, ShardPartial, ShardedCollection, WeightedEuclidean,
 };
-use feedbackbypass::{
-    FeedbackBypass, FeedbackConfig, KnnRequest, QuerySpec, RocchioWeights, SharedBypass,
-};
+use feedbackbypass::{FeedbackConfig, KnnRequest, QuerySpec, RocchioWeights, SharedBypass};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -642,7 +642,7 @@ fn handle_request(
         Request::SnapshotModule => Some(Response::ModuleImage {
             image: shared.store.bypass().to_bytes(),
         }),
-        Request::RestoreModule { image } => Some(handle_restore_module(shared, &image)),
+        Request::RestoreModule { image } => Some(shared.store.restore_module(&image)),
     }
 }
 
@@ -849,37 +849,12 @@ fn handle_shard_knn(
     }
 }
 
-/// `RestoreModule`: deserialize and install a replacement learned
-/// module — the receive half of router→shard module replication.
-fn handle_restore_module(shared: &Shared, image: &[u8]) -> Response {
-    let module = match FeedbackBypass::from_bytes(image) {
-        Ok(m) => m,
-        Err(e) => {
-            shared.metrics.record_protocol_error();
-            return err(ErrorCode::BadRequest, format!("module image: {e}"));
-        }
-    };
-    let dim = shared.store.coll().dim();
-    if module.feature_dim() != dim {
-        shared.metrics.record_protocol_error();
-        return err(
-            ErrorCode::DimMismatch,
-            format!(
-                "module is {}-dimensional, serving {dim}",
-                module.feature_dim()
-            ),
-        );
-    }
-    shared.store.bypass().replace(module);
-    Response::ModuleRestored
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
     use fbp_vecdb::CollectionBuilder;
-    use feedbackbypass::BypassConfig;
+    use feedbackbypass::{BypassConfig, FeedbackBypass};
     use std::io::Write;
     use std::time::Instant;
 

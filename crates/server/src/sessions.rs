@@ -14,7 +14,7 @@ use crate::metrics::Metrics;
 use crate::protocol::{ErrorCode, Response, KNN_CONVERGED, KNN_DONE};
 use fbp_feedback::{FeedbackConfig, FeedbackStepper, SetOracle, StepOutcome};
 use fbp_vecdb::{Collection, Neighbor, ResultList};
-use feedbackbypass::SharedBypass;
+use feedbackbypass::{FeedbackBypass, SharedBypass};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,11 +81,6 @@ pub(crate) struct SessionStore {
     metrics: Arc<Metrics>,
     sessions: Mutex<HashMap<u64, Session>>,
     next_session: AtomicU64,
-    /// Fired after every successful module commit (insert) — the router
-    /// hangs its replication trigger here so the downstream shards learn
-    /// what the session tier learned without an explicit
-    /// `replicate_module` call.
-    commit_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl SessionStore {
@@ -102,14 +97,7 @@ impl SessionStore {
             metrics,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
-            commit_hook: Mutex::new(None),
         }
-    }
-
-    /// Install the post-commit hook (at most one; the router sets it
-    /// once at startup, before serving).
-    pub(crate) fn set_commit_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        *self.commit_hook.lock().expect("hook lock") = Some(hook);
     }
 
     /// The served collection.
@@ -365,16 +353,36 @@ impl SessionStore {
     /// nothing new), and best-effort: an out-of-domain anchor cannot be
     /// learned, but serving it was still correct.
     fn commit_parameters(&self, aq: &ActiveQuery) {
-        if aq.cycles > 0
-            && self
-                .bypass
-                .insert(&aq.anchor, &aq.point, &aq.weights)
-                .is_ok()
-        {
-            if let Some(hook) = self.commit_hook.lock().expect("hook lock").as_ref() {
-                hook();
-            }
+        if aq.cycles > 0 {
+            let _ = self.bypass.insert(&aq.anchor, &aq.point, &aq.weights);
         }
+    }
+
+    /// `RestoreModule`: decode a serialized module image and install it
+    /// as this front-end's learned module. A flat server and a router
+    /// answer it the same way — each owns exactly one module, and
+    /// nothing is forwarded.
+    pub(crate) fn restore_module(&self, image: &[u8]) -> Response {
+        let module = match FeedbackBypass::from_bytes(image) {
+            Ok(m) => m,
+            Err(e) => {
+                self.metrics.record_protocol_error();
+                return err(ErrorCode::BadRequest, format!("module image: {e}"));
+            }
+        };
+        let dim = self.coll.dim();
+        if module.feature_dim() != dim {
+            self.metrics.record_protocol_error();
+            return err(
+                ErrorCode::DimMismatch,
+                format!(
+                    "module is {}-dimensional, serving {dim}",
+                    module.feature_dim()
+                ),
+            );
+        }
+        self.bypass.replace(module);
+        Response::ModuleRestored
     }
 }
 

@@ -551,17 +551,19 @@ fn main() {
         thread::spawn(move || run_burst_with(crash_addr, &coll, &pool, opts))
     };
     thread::sleep(Duration::from_millis(30));
+    assert!(!burst.is_finished(), "the kill must land mid-burst");
     let victim = shard_handles.remove(1);
-    victim.shutdown(); // the outage: shard 1 is gone mid-burst
+    // The outage: shard 1 stops accepting mid-burst. Its shutdown
+    // drains — connections already open keep answering until they fall
+    // idle — so in-flight requests may still finish in full; the router
+    // learns of the outage from the first calls that find the port dark
+    // (the loop below).
+    victim.shutdown();
     let r4 = burst.join().expect("burst thread");
     print_report("shard 1 killed", &r4);
     assert_eq!(
         r4.server.requests, r4.searches,
         "an in-flight request hung or vanished across the crash"
-    );
-    assert!(
-        r4.degraded > 0,
-        "the kill must land mid-burst and degrade in-flight traffic"
     );
 
     // Keep traffic flowing until the breaker trips (the burst may have

@@ -5,7 +5,9 @@
 //! bound a pass runs under still fails a test.
 //!
 //! * `Precision::F64`: f64 keys are host-independent, so every cell's
-//!   [`ScanStats`] is a literal.
+//!   [`ScanStats`] is a literal — for the Batched pass of every layout,
+//!   and for the Parallel pass (two workers) of the flat and partitioned
+//!   layouts, which pins how a pass fans out over threads.
 //! * `Precision::F32Rescore`: f32 keys are host-dependent by design, so
 //!   only in-build relations are asserted (and the table is printed —
 //!   run with `--nocapture` to compare two builds on one host).
@@ -99,10 +101,16 @@ enum Form {
     WeightedAllEqual,
 }
 
-/// One Batched pass of every metric form through every layout at
-/// `precision`: `(layout, form, answers, work)` per cell, each cell's
+/// One pass of every metric form through every layout at `precision`
+/// in `mode`: `(layout, form, answers, work)` per cell, each cell's
 /// answers already checked against per-query flat f64 `LinearScan`s.
-fn cells(precision: Precision) -> Vec<(Layout, Form, Vec<Vec<Neighbor>>, ScanStats)> {
+/// A Batched pass covers all four layouts; a Parallel pass covers the
+/// flat and partitioned ones at a budget of two workers (the sharded
+/// layouts pin their own one-worker scatter).
+fn cells(
+    precision: Precision,
+    mode: ScanMode,
+) -> Vec<(Layout, Form, Vec<Vec<Neighbor>>, ScanStats)> {
     let coll = collection();
     let cfg = PartitionConfig::with_partitions(PARTITIONS);
     let part = PartitionedCollection::build(&coll, &cfg);
@@ -113,13 +121,17 @@ fn cells(precision: Precision) -> Vec<(Layout, Form, Vec<Vec<Neighbor>>, ScanSta
     let diverged = metrics();
     let equal = vec![diverged[0].clone(); NQ];
     let reference = LinearScan::with_mode(&coll, ScanMode::Batched);
+    let layouts: &[Layout] = match mode {
+        ScanMode::Parallel => &[Layout::Flat, Layout::Partitioned],
+        _ => &[
+            Layout::Flat,
+            Layout::Partitioned,
+            Layout::Sharded,
+            Layout::ShardedPartitioned,
+        ],
+    };
     let mut cells = Vec::new();
-    for layout in [
-        Layout::Flat,
-        Layout::Partitioned,
-        Layout::Sharded,
-        Layout::ShardedPartitioned,
-    ] {
+    for &layout in layouts {
         for form in [
             Form::Shared,
             Form::PerQuery,
@@ -149,12 +161,14 @@ fn cells(precision: Precision) -> Vec<(Layout, Form, Vec<Vec<Neighbor>>, ScanSta
                 .with_thread_budget(1)
                 .with_scan_stats(&sink);
             let answers = match layout {
-                Layout::Flat => MultiQueryScan::with_mode(&coll, ScanMode::Batched)
+                Layout::Flat => MultiQueryScan::with_mode(&coll, mode)
                     .with_precision(precision)
+                    .with_thread_budget(2)
                     .with_scan_stats(&sink)
                     .knn(&batch),
-                Layout::Partitioned => PartitionedScan::with_mode(&part, ScanMode::Batched)
+                Layout::Partitioned => PartitionedScan::with_mode(&part, mode)
                     .with_precision(precision)
+                    .with_thread_budget(2)
                     .with_scan_stats(&sink)
                     .knn(&batch),
                 Layout::Sharded => scatter.knn(&batch),
@@ -171,16 +185,20 @@ fn cells(precision: Precision) -> Vec<(Layout, Form, Vec<Vec<Neighbor>>, ScanSta
 }
 
 /// The work of every F64 cell, recorded at the commit before the scan
-/// entry points were unified (an f64 pass filters and rescores
-/// nothing). The counters are block- and partition-granular, and on
-/// this data every metric form abandons in the same blocks and prunes
-/// the same partitions, so one row per layout covers all four forms.
-fn golden_f64(layout: Layout) -> ScanStats {
-    let (rows_visited, blocks_abandoned, seed_prunes, partitions_pruned) = match layout {
-        Layout::Flat => (6000, 23, 0, 0),
-        Layout::Partitioned => (1969, 8, 0, 12),
-        Layout::Sharded => (6000, 23, 2, 0),
-        Layout::ShardedPartitioned => (1969, 21, 2, 27),
+/// entry points were unified (Batched) and at the commit before the
+/// flat and partitioned drivers were merged (Parallel); an f64 pass
+/// filters and rescores nothing. The counters are block- and
+/// partition-granular, and on this data every metric form abandons in
+/// the same blocks and prunes the same partitions, so one row per
+/// layout covers all four forms.
+fn golden_f64(layout: Layout, mode: ScanMode) -> ScanStats {
+    let (rows_visited, blocks_abandoned, seed_prunes, partitions_pruned) = match (mode, layout) {
+        (ScanMode::Parallel, Layout::Flat) => (6000, 22, 0, 0),
+        (ScanMode::Parallel, Layout::Partitioned) => (1969, 7, 0, 12),
+        (_, Layout::Flat) => (6000, 23, 0, 0),
+        (_, Layout::Partitioned) => (1969, 8, 0, 12),
+        (_, Layout::Sharded) => (6000, 23, 2, 0),
+        (_, Layout::ShardedPartitioned) => (1969, 21, 2, 27),
     };
     ScanStats {
         rows_visited,
@@ -193,14 +211,20 @@ fn golden_f64(layout: Layout) -> ScanStats {
 
 #[test]
 fn f64_work_is_pinned_per_layout_and_metric_form() {
-    for (layout, form, _, work) in cells(Precision::F64) {
-        assert_eq!(work, golden_f64(layout), "{layout:?} {form:?}");
+    for mode in [ScanMode::Batched, ScanMode::Parallel] {
+        for (layout, form, _, work) in cells(Precision::F64, mode) {
+            assert_eq!(
+                work,
+                golden_f64(layout, mode),
+                "{mode:?} {layout:?} {form:?}"
+            );
+        }
     }
 }
 
 #[test]
 fn f32_rescore_work_obeys_the_in_build_relations() {
-    let cells = cells(Precision::F32Rescore);
+    let cells = cells(Precision::F32Rescore, ScanMode::Batched);
     for (layout, form, answers, work) in &cells {
         println!("F32Rescore {layout:?} {form:?}: {work:?}");
         assert!(

@@ -17,10 +17,10 @@ fn main() {
 
     // One stream per k, in parallel (they are independent experiments).
     let mut results: Vec<Option<StreamResult>> = vec![None, None, None];
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, &k) in results.iter_mut().zip(ks.iter()) {
             let ds = &ds;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let engine = LinearScan::new(&ds.collection);
                 let opts = StreamOptions {
                     n_queries: n,
@@ -30,8 +30,7 @@ fn main() {
                 *slot = Some(run_stream(ds, &engine, &opts));
             });
         }
-    })
-    .unwrap();
+    });
 
     let cps = checkpoints(n, (n / 10).max(1));
     let curve = |res: &StreamResult, f: &dyn Fn(&fbp_eval::QueryRecord) -> f64| {

@@ -17,10 +17,10 @@ fn main() {
     let ks = [20usize, 50];
 
     let mut results: Vec<Option<StreamResult>> = vec![None, None];
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, &k) in results.iter_mut().zip(ks.iter()) {
             let ds = &ds;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let engine = LinearScan::new(&ds.collection);
                 let opts = StreamOptions {
                     n_queries: n,
@@ -31,8 +31,7 @@ fn main() {
                 *slot = Some(run_stream(ds, &engine, &opts));
             });
         }
-    })
-    .unwrap();
+    });
 
     // The paper plots savings from query 300 on (the module needs some
     // history before predictions help).

@@ -1,7 +1,7 @@
 //! Partition-pruning selectivity sweep: rows visited and wall time of
-//! the [`PartitionedScan`] against the flat [`MultiQueryScan`] on a
-//! clustered vs a uniform workload (paper scale: 1M × 64-d under
-//! `FBP_FULL=1`; reduced otherwise), swept over k.
+//! a [`MultiQueryScan`] over a [`PartitionedCollection`] against the
+//! flat one on a clustered vs a uniform workload (paper scale:
+//! 1M × 64-d under `FBP_FULL=1`; reduced otherwise), swept over k.
 //!
 //! The partition layer's contract is *sound* sub-linearity: identical
 //! answers, strictly fewer rows streamed whenever the data actually
@@ -23,8 +23,7 @@
 use fbp_bench::{is_fast, is_full, time_median_ns, write_bench_json};
 use fbp_vecdb::{
     Collection, CollectionBuilder, MultiQueryScan, PartitionConfig, PartitionedCollection,
-    PartitionedScan, Precision, QueryBatch, QueryMetrics::Shared, ScanMode, ScanStatsSink,
-    WeightedEuclidean,
+    Precision, QueryBatch, QueryMetrics::Shared, ScanMode, ScanStatsSink, WeightedEuclidean,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
@@ -123,7 +122,7 @@ fn measure(
         black_box(flat.knn(&QueryBatch::new(&q, Shared(dist), k)).len());
     }
     let pruned_sink = ScanStatsSink::new();
-    let pruned = PartitionedScan::with_mode(part, ScanMode::Batched).with_scan_stats(&pruned_sink);
+    let pruned = MultiQueryScan::with_mode(part, ScanMode::Batched).with_scan_stats(&pruned_sink);
     for q in qs {
         let q = [q.as_slice()];
         black_box(pruned.knn(&QueryBatch::new(&q, Shared(dist), k)).len());
@@ -138,7 +137,7 @@ fn measure(
             black_box(flat.knn(&QueryBatch::new(&q, Shared(dist), k)).len());
         }
     }) / qs.len() as f64;
-    let pruned = PartitionedScan::with_mode(part, ScanMode::Batched);
+    let pruned = MultiQueryScan::with_mode(part, ScanMode::Batched);
     let pruned_ns = time_median_ns(warmup, samples, || {
         for q in qs {
             let q = [q.as_slice()];
@@ -146,7 +145,7 @@ fn measure(
         }
     }) / qs.len() as f64;
     let pruned_f32 =
-        PartitionedScan::with_mode(part, ScanMode::Batched).with_precision(Precision::F32Rescore);
+        MultiQueryScan::with_mode(part, ScanMode::Batched).with_precision(Precision::F32Rescore);
     let pruned_f32_ns = time_median_ns(warmup, samples, || {
         for q in qs {
             let q = [q.as_slice()];

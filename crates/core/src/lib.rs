@@ -76,9 +76,7 @@ pub use shared::{KnnRequest, SharedBypass};
 // Re-export the substrate types users interact with.
 pub use fbp_feedback::{FeedbackConfig, MovementStrategy};
 pub use fbp_simplex_tree::{InsertOutcome, Oqp, OqpLayout, TreeConfig, WeightScale};
-pub use fbp_vecdb::{
-    PartitionConfig, PartitionedCollection, PartitionedScan, ScanStats, ScanStatsSink,
-};
+pub use fbp_vecdb::{PartitionConfig, PartitionedCollection, ScanStats, ScanStatsSink};
 
 /// Errors from the FeedbackBypass module.
 #[derive(Debug, Clone, PartialEq)]

@@ -79,21 +79,20 @@ pub(crate) fn sweep_round_robin<T: Send>(
             *slot = Some(run(i, budget));
         }
     } else {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut worker_slots: Vec<Vec<(usize, &mut Option<T>)>> =
                 (0..workers).map(|_| Vec::new()).collect();
             for (i, slot) in out.iter_mut().enumerate() {
                 worker_slots[i % workers].push((i, slot));
             }
             for slots in worker_slots {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (i, slot) in slots {
                         *slot = Some(run(i, budget));
                     }
                 });
             }
-        })
-        .expect("sweep worker threads");
+        });
     }
     out.into_iter()
         .map(|t| t.expect("worker filled its slot"))

@@ -393,8 +393,9 @@ impl Collection {
 }
 
 /// Configuration of the **partition-pruning layer** — the opt-in that
-/// turns a flat collection into a [`PartitionedCollection`] for
-/// [`PartitionedScan`](crate::knn::PartitionedScan).
+/// turns a flat collection into a [`PartitionedCollection`], the
+/// many-partition [`Layout`](crate::knn::Layout) of a
+/// [`MultiQueryScan`](crate::knn::MultiQueryScan).
 ///
 /// # Normative behavior
 ///

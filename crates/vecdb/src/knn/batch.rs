@@ -1,8 +1,8 @@
 //! The one description of the retrieval operation (paper §2): a batch
 //! of query points, each under one member of a parameterised distance
-//! class, each asking for its own `k` nearest neighbours. Every layout
-//! (`MultiQueryScan`, `PartitionedScan`, `ShardedScan`) has exactly one
-//! entry taking a [`QueryBatch`].
+//! class, each asking for its own `k` nearest neighbours. Every scan
+//! engine (`MultiQueryScan` over a flat or partitioned layout,
+//! `ShardedScan`) has exactly one entry taking a [`QueryBatch`].
 
 use super::multi::KeyedResults;
 use super::{finish_entries, Neighbor};
@@ -18,7 +18,7 @@ pub enum QueryMetrics<'a> {
     /// shared, each query runs its own batch kernel on the hot block.
     PerQuery(&'a [&'a dyn Distance]),
     /// Per-query weighted-Euclidean metrics (concurrent sessions whose
-    /// learned weights diverged) — the flat pass rides the
+    /// learned weights diverged) — every layout's pass rides the
     /// per-query-weight multi kernels. When every weight vector is
     /// equal the batch **is** a [`Self::Shared`] one and runs as one;
     /// [`QueryBatch::new`] is the only place that is detected.
@@ -118,12 +118,6 @@ impl<'a> QueryBatch<'a> {
             QueryMetrics::PerQuery(dists) => dists[q],
             QueryMetrics::Weighted(ms) => ms[q],
         }
-    }
-
-    /// The same points and counts under another metric form.
-    pub(crate) fn with_metrics(mut self, metrics: QueryMetrics<'a>) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// The one check of a batch against a layout of `rows × dim`: the

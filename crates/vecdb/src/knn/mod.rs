@@ -4,11 +4,12 @@
 //! nearest neighbours of a point under one member of a parameterised
 //! distance class. [`QueryBatch`] describes that operation — query
 //! points, a metric form ([`QueryMetrics`]), per-query result counts —
-//! and every layout has exactly **one** entry taking it:
+//! and every scan engine has exactly **one** entry taking it:
 //!
-//! * [`MultiQueryScan::knn`] — one blocked pass over a flat collection;
-//! * [`PartitionedScan::knn`] — the same pass, skipping partitions a
-//!   per-class lower bound proves irrelevant;
+//! * [`MultiQueryScan::knn`] — one blocked pass over a [`Layout`]: a
+//!   flat collection is the one-partition layout, a partitioned one
+//!   skips partitions a per-class lower bound proves irrelevant, and
+//!   one partition walk serves both;
 //! * [`ShardedScan::knn`] — scatter/gather over row shards (flat or
 //!   partitioned per shard), and [`ShardedScan::scan_shard`] for
 //!   schedulers that run each shard's pass themselves and merge the
@@ -19,8 +20,8 @@
 //! feedback loop drives. The feedback loop re-weights the metric
 //! *between* iterations, which is why the substrate scans instead of
 //! indexing: there is no structure a new metric could invalidate, and
-//! [`PartitionedScan`] recovers sub-linear passes with bounds that are
-//! derived per query metric at query time.
+//! the partitioned layout recovers sub-linear passes with bounds that
+//! are derived per query metric at query time.
 
 mod batch;
 mod multi;
@@ -31,7 +32,7 @@ mod stats;
 
 pub use batch::{QueryBatch, QueryMetrics};
 pub use multi::MultiQueryScan;
-pub use partitioned::PartitionedScan;
+pub use partitioned::Layout;
 pub use scan::{LinearScan, ScanMode};
 pub use sharded::{
     combine_partials, merge_partials, merge_partials_policy, DegradedGather, FailurePolicy,
@@ -405,11 +406,6 @@ impl KBest {
             .collect();
         v.sort_unstable_by(Neighbor::total_cmp);
         v
-    }
-
-    /// Iterate the raw `(value, index)` entries (unsorted heap order).
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (f64, u32)> + '_ {
-        self.heap.iter().map(|e| (e.dist, e.index))
     }
 
     /// Consume into `(value, index)` entries sorted ascending by

@@ -11,8 +11,13 @@
 //! [`Distance::eval_key_multi`]), dropping collection bytes per query by
 //! ~Q× until the scan turns compute-bound.
 //!
-//! One entry, [`MultiQueryScan::knn`], takes a [`QueryBatch`]; its
-//! metric form picks the kernels of the pass:
+//! One entry, [`MultiQueryScan::knn`], takes a [`QueryBatch`] and runs
+//! over a [`Layout`]: a flat [`Collection`] (one partition) or a
+//! [`PartitionedCollection`](crate::collection::PartitionedCollection),
+//! whose partitions a per-class lower bound can prove irrelevant (see
+//! the [`partitioned`](super::partitioned) module for the proof). One
+//! partition walk serves either layout, in both precisions; the batch's
+//! metric form picks the kernels of the pass, in every layout:
 //!
 //! * `Shared` — Q queries under **one metric** (a Q-sweep, or sessions
 //!   that have not diverged yet; an all-equal `Weighted` batch is this
@@ -47,6 +52,7 @@
 //! so results remain bit-identical to the pure-f64 scan while the bulk
 //! of the pass moves half the bytes.
 
+use super::partitioned::{all_prune, Layout};
 use super::stats::{ScanStats, ScanStatsSink};
 use super::{
     f32_bound_up, rescore_f64_keyed, KBest, Neighbor, Precision, QueryBatch, QueryMetrics,
@@ -86,36 +92,36 @@ impl KeyedResults {
     }
 }
 
-/// Chunk scanner of an f64 pass: scan a row range, folding hits into
-/// the running k-bests under the optional per-query caps.
-pub(crate) type MergeChunk<'f> = dyn Fn(Range<usize>, &mut [KBest], Option<&[f64]>) + Sync + 'f;
-
-/// Chunk scanner of an f32 phase-1 pass: the k-bests track f32 keys,
-/// and the per-query `(scanned-row index, key32)` candidate pools are
-/// collected alongside.
-pub(crate) type CandidateChunk<'f> =
+/// Chunk scanner of a pass: scan a row range, folding hits into the
+/// running k-bests under the optional per-query caps. An f32 phase-1
+/// scanner's k-bests track f32 keys and it collects the per-query
+/// `(scanned-row index, key32)` candidate pools alongside; an f64
+/// scanner leaves the pools empty.
+type ChunkScan<'f> =
     dyn Fn(Range<usize>, &mut [KBest], &mut [Vec<(u32, f32)>], Option<&[f64]>) + Sync + 'f;
 
-/// Multi-query scan engine borrowing a collection.
+/// Multi-query scan engine borrowing a [`Layout`]: a flat [`Collection`]
+/// or a [`PartitionedCollection`](crate::collection::PartitionedCollection).
 #[derive(Debug, Clone, Copy)]
 pub struct MultiQueryScan<'a> {
-    coll: &'a Collection,
+    layout: Layout<'a>,
     cfg: ScanConfig<'a>,
 }
 
 impl<'a> MultiQueryScan<'a> {
-    /// New engine over `coll` with [`ScanMode::Auto`].
-    pub fn new(coll: &'a Collection) -> Self {
-        Self::with_config(coll, ScanConfig::default())
+    /// New engine over `layout` with [`ScanMode::Auto`].
+    pub fn new(layout: impl Into<Layout<'a>>) -> Self {
+        Self::with_config(layout.into(), ScanConfig::default())
     }
 
-    /// New engine with an explicit execution mode.
-    pub fn with_mode(coll: &'a Collection, mode: ScanMode) -> Self {
-        Self::with_config(coll, ScanConfig::with_mode(mode))
+    /// New engine with an explicit execution mode. `ScanMode::Scalar`
+    /// is the reference baseline and never prunes.
+    pub fn with_mode(layout: impl Into<Layout<'a>>, mode: ScanMode) -> Self {
+        Self::with_config(layout.into(), ScanConfig::with_mode(mode))
     }
 
-    pub(crate) fn with_config(coll: &'a Collection, cfg: ScanConfig<'a>) -> Self {
-        MultiQueryScan { coll, cfg }
+    pub(crate) fn with_config(layout: Layout<'a>, cfg: ScanConfig<'a>) -> Self {
+        MultiQueryScan { layout, cfg }
     }
 
     /// Select the scan precision ([`Precision::F32Rescore`] silently
@@ -135,16 +141,19 @@ impl<'a> MultiQueryScan<'a> {
         self
     }
 
-    /// Flush this scan's work counters into `sink` (see [`ScanStats`]);
-    /// attaching a sink never changes an answer.
+    /// Flush this scan's work counters into `sink` (see [`ScanStats`],
+    /// whose [`ScanStats::partitions_pruned`] is the partitioned
+    /// layout's sub-linearity witness); attaching a sink never changes
+    /// an answer.
     pub fn with_scan_stats(mut self, sink: &'a ScanStatsSink) -> Self {
         self.cfg.stats = Some(sink);
         self
     }
 
-    /// The underlying collection.
+    /// The scanned collection (for a partitioned layout, its reordered
+    /// partition-contiguous rows).
     pub fn collection(&self) -> &'a Collection {
-        self.coll
+        self.layout.coll
     }
 
     /// The configured precision.
@@ -162,14 +171,14 @@ impl<'a> MultiQueryScan<'a> {
         if self.cfg.precision != Precision::F32Rescore {
             return None;
         }
-        let m_coll = self.coll.max_abs()?; // None ⇔ no mirror
+        let m_coll = self.layout.coll.max_abs()?; // None ⇔ no mirror
         let m = batch
             .queries()
             .iter()
             .flat_map(|q| q.iter())
             .fold(m_coll, |m, &v| m.max(v.abs()));
         let slack = |dist: &dyn Distance| {
-            dist.f32_key_slack(self.coll.dim(), m)
+            dist.f32_key_slack(self.layout.coll.dim(), m)
                 .filter(|s| s.is_finite())
         };
         match batch.metrics() {
@@ -179,9 +188,10 @@ impl<'a> MultiQueryScan<'a> {
     }
 
     /// The nearest neighbors of every query of `batch` under its metric,
-    /// in one blocked pass over the collection. Result `i` is sorted
-    /// ascending by `(dist, index)` exactly like
-    /// [`KnnEngine::knn`](super::KnnEngine::knn) on query `i`.
+    /// in one blocked pass over the layout's unpruned partitions. Result
+    /// `i` is sorted ascending by `(dist, index)` exactly like
+    /// [`KnnEngine::knn`](super::KnnEngine::knn) on query `i`, and
+    /// speaks the source collection's row numbering in every layout.
     ///
     /// # Panics
     ///
@@ -204,54 +214,63 @@ impl<'a> MultiQueryScan<'a> {
     /// sound cap cannot change the merged global answer; an `INFINITY`
     /// cap is a no-op.
     pub(crate) fn knn_keyed(&self, batch: &QueryBatch<'_>, caps: Option<&[f64]>) -> KeyedResults {
-        let (len, dim, nq) = (self.coll.len(), self.coll.dim(), batch.len());
+        let coll = self.layout.coll;
+        let (len, dim, nq) = (coll.len(), coll.dim(), batch.len());
         if nq == 0 || len == 0 {
             return KeyedResults::empty(nq);
         }
         let ks = batch.ks_for(len, dim);
         self.cfg.record_seeded_pass(caps);
+        // Auto resolves from the total work across the whole layout
+        // (pruning-dependent savings are unknowable up front), so every
+        // layout runs the kernels its flat twin runs.
         let mode = self.cfg.effective_mode(len, dim, nq);
+        let perm = self.layout.perm();
         if mode == ScanMode::Scalar {
-            return scalar_reference(self.coll, None, &self.cfg, batch, &ks, caps);
+            // The reference pass is flat and pruning-free.
+            return scalar_reference(coll, perm, &self.cfg, batch, &ks, caps);
         }
         if let Some(slacks) = self.f32_slacks(batch) {
-            let cands = self.with_f32_scanner(batch, &slacks, &ks, |scan| {
-                self.parallel_candidates(mode, &ks, &slacks, caps, scan)
+            let (kbs, cands) = self.with_f32_scanner(batch, &slacks, &ks, |scan| {
+                self.drive(mode, batch, &ks, &slacks, caps, scan)
             });
-            return rescore(self.coll, batch, &ks, &cands, None);
+            let cands = filter_candidates(&kbs, &slacks, cands, caps, self.cfg.stats);
+            // Gather by scanned-row index, push under the original index
+            // (the permutation): identical to the flat rescore's key bits.
+            return rescore(coll, batch, &ks, &cands, perm);
         }
-        let kbs = self.with_scanner(batch, None, |scan| {
-            self.parallel_merge(mode, &ks, caps, scan)
+        // The f64 pass is the f32 one at zero slack (`t + 0.0 == t`).
+        let (kbs, _) = self.with_scanner(batch, |scan| {
+            self.drive(mode, batch, &ks, &vec![0.0; nq], caps, scan)
         });
         KeyedResults::from_kbests(kbs, false)
     }
 
     /// Lower `batch`'s metric form to the buffers its f64 kernels
     /// consume — once per pass — and hand `drive` the chunk scanner of
-    /// that form. `perm` (the partitioned scan's reorder map) is
-    /// honoured by the `Shared` and `PerQuery` forms; the partitioned
-    /// pass never drives the `Weighted` one.
-    pub(crate) fn with_scanner<R>(
+    /// that form. The layout's permutation maps every pushed row to its
+    /// original index.
+    fn with_scanner<R>(
         &self,
         batch: &QueryBatch<'_>,
-        perm: Option<&[u32]>,
-        drive: impl FnOnce(&MergeChunk<'_>) -> R,
+        drive: impl FnOnce(&ChunkScan<'_>) -> R,
     ) -> R {
-        let queries = batch.queries();
+        let (queries, perm) = (batch.queries(), self.layout.perm());
         match batch.metrics() {
             QueryMetrics::Shared(dist) => {
                 let flat = flatten(queries);
-                drive(&|rows, kbs, caps| self.scan_range_shared(&flat, dist, rows, kbs, caps, perm))
+                drive(&|rows, kbs, _, caps| {
+                    self.scan_range_shared(&flat, dist, rows, kbs, caps, perm)
+                })
             }
-            QueryMetrics::PerQuery(dists) => drive(&|rows, kbs, caps| {
+            QueryMetrics::PerQuery(dists) => drive(&|rows, kbs, _, caps| {
                 self.scan_range_per_query(queries, dists, rows, kbs, caps, perm)
             }),
             QueryMetrics::Weighted(metrics) => {
-                assert!(perm.is_none(), "the weighted pass is flat-only");
                 let flat_q = flatten(queries);
                 let flat_w: Vec<f64> = metrics.iter().flat_map(|m| m.weights().to_vec()).collect();
-                drive(&|rows, kbs, caps| {
-                    self.scan_range_weighted(&flat_q, &flat_w, rows, kbs, caps)
+                drive(&|rows, kbs, _, caps| {
+                    self.scan_range_weighted(&flat_q, &flat_w, rows, kbs, caps, perm)
                 })
             }
         }
@@ -259,13 +278,14 @@ impl<'a> MultiQueryScan<'a> {
 
     /// The f32 phase-1 counterpart of [`Self::with_scanner`]: queries
     /// (and weights) rounded once to the layout the mirror kernels
-    /// consume; candidates speak scanned-row indices.
-    pub(crate) fn with_f32_scanner<R>(
+    /// consume; candidates speak scanned-row indices (the rescore
+    /// applies the permutation).
+    fn with_f32_scanner<R>(
         &self,
         batch: &QueryBatch<'_>,
         slacks: &[f64],
         ks: &[usize],
-        drive: impl FnOnce(&CandidateChunk<'_>) -> R,
+        drive: impl FnOnce(&ChunkScan<'_>) -> R,
     ) -> R {
         let queries = batch.queries();
         match batch.metrics() {
@@ -315,7 +335,7 @@ impl<'a> MultiQueryScan<'a> {
         cands: &mut [Vec<(u32, f32)>],
         caps: Option<&[f64]>,
     ) {
-        let dim = self.coll.dim();
+        let dim = self.layout.coll.dim();
         let nq = kbs.len();
         let mut keys = vec![0.0f32; nq * BLOCK_ROWS];
         let mut bounds64 = vec![f64::INFINITY; nq];
@@ -327,6 +347,7 @@ impl<'a> MultiQueryScan<'a> {
             let n = end - start;
             tally.rows_visited += n as u64;
             let block = self
+                .layout
                 .coll
                 .block_f32(start, end)
                 .expect("f32 path requires the mirror");
@@ -370,6 +391,7 @@ impl<'a> MultiQueryScan<'a> {
     }
 
     /// Per-query-weight f64 pass through the same multi-kernel layout.
+    /// `perm` as on [`Self::scan_range_shared`].
     fn scan_range_weighted(
         &self,
         flat_q: &[f64],
@@ -377,8 +399,9 @@ impl<'a> MultiQueryScan<'a> {
         rows: Range<usize>,
         kbs: &mut [KBest],
         caps: Option<&[f64]>,
+        perm: Option<&[u32]>,
     ) {
-        let dim = self.coll.dim();
+        let dim = self.layout.coll.dim();
         let nq = kbs.len();
         let mut keys = vec![0.0f64; nq * BLOCK_ROWS];
         let mut bounds = vec![f64::INFINITY; nq];
@@ -388,7 +411,7 @@ impl<'a> MultiQueryScan<'a> {
             let end = (start + BLOCK_ROWS).min(rows.end);
             let n = end - start;
             tally.rows_visited += n as u64;
-            let block = self.coll.block(start, end);
+            let block = self.layout.coll.block(start, end);
             for (q, (b, kb)) in bounds.iter_mut().zip(kbs.iter()).enumerate() {
                 *b = kb.threshold().min(cap_of(caps, q));
             }
@@ -408,7 +431,8 @@ impl<'a> MultiQueryScan<'a> {
                     // k-best is full; the bound guard keeps their
                     // partial-sum keys (> bound) out of the heap.
                     if key <= bounds[q] {
-                        kb.push((start + offset) as u32, key);
+                        let idx = start + offset;
+                        kb.push(perm.map_or(idx as u32, |p| p[idx]), key);
                     } else {
                         block_abandoned = true;
                     }
@@ -424,10 +448,10 @@ impl<'a> MultiQueryScan<'a> {
     /// refresh every query's bound per block, evaluate the block against
     /// all queries in one kernel call, push surrogate keys. `perm`
     /// (when given) maps each scanned row index before the push — the
-    /// partitioned scan's reorder-transparency: selection tie-breaks
+    /// partitioned layout's reorder-transparency: selection tie-breaks
     /// then happen in the *original* index space, which is what pins
     /// partitioned answers bit-identical to flat ones.
-    pub(crate) fn scan_range_shared(
+    fn scan_range_shared(
         &self,
         flat_queries: &[f64],
         dist: &dyn Distance,
@@ -436,7 +460,7 @@ impl<'a> MultiQueryScan<'a> {
         caps: Option<&[f64]>,
         perm: Option<&[u32]>,
     ) {
-        let dim = self.coll.dim();
+        let dim = self.layout.coll.dim();
         let nq = kbs.len();
         let mut keys = vec![0.0f64; nq * BLOCK_ROWS];
         let mut bounds = vec![f64::INFINITY; nq];
@@ -446,7 +470,7 @@ impl<'a> MultiQueryScan<'a> {
             let end = (start + BLOCK_ROWS).min(rows.end);
             let n = end - start;
             tally.rows_visited += n as u64;
-            let block = self.coll.block(start, end);
+            let block = self.layout.coll.block(start, end);
             for (q, (b, kb)) in bounds.iter_mut().zip(kbs.iter()).enumerate() {
                 *b = kb.threshold().min(cap_of(caps, q));
             }
@@ -492,7 +516,7 @@ impl<'a> MultiQueryScan<'a> {
     /// re-apply the same test against the *final* — tightest — threshold
     /// before the rescore pays any scattered f64 reads).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn scan_range_shared_f32(
+    fn scan_range_shared_f32(
         &self,
         flat_q32: &[f32],
         dist: &dyn Distance,
@@ -503,7 +527,7 @@ impl<'a> MultiQueryScan<'a> {
         cands: &mut [Vec<(u32, f32)>],
         caps: Option<&[f64]>,
     ) {
-        let dim = self.coll.dim();
+        let dim = self.layout.coll.dim();
         let nq = kbs.len();
         let mut keys = vec![0.0f32; nq * BLOCK_ROWS];
         let mut bounds64 = vec![f64::INFINITY; nq];
@@ -515,6 +539,7 @@ impl<'a> MultiQueryScan<'a> {
             let n = end - start;
             tally.rows_visited += n as u64;
             let block = self
+                .layout
                 .coll
                 .block_f32(start, end)
                 .expect("f32 path requires the mirror");
@@ -557,7 +582,7 @@ impl<'a> MultiQueryScan<'a> {
     /// its own `2·slack`-inflated bound (same containment argument as
     /// [`Self::scan_range_shared_f32`], per query).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn scan_range_per_query_f32(
+    fn scan_range_per_query_f32(
         &self,
         q32s: &[Vec<f32>],
         dists: &[&dyn Distance],
@@ -568,7 +593,7 @@ impl<'a> MultiQueryScan<'a> {
         cands: &mut [Vec<(u32, f32)>],
         caps: Option<&[f64]>,
     ) {
-        let dim = self.coll.dim();
+        let dim = self.layout.coll.dim();
         let mut keys = [0.0f32; BLOCK_ROWS];
         let mut start = rows.start;
         let mut tally = ScanStats::default();
@@ -577,6 +602,7 @@ impl<'a> MultiQueryScan<'a> {
             let n = end - start;
             tally.rows_visited += n as u64;
             let block = self
+                .layout
                 .coll
                 .block_f32(start, end)
                 .expect("f32 path requires the mirror");
@@ -611,7 +637,7 @@ impl<'a> MultiQueryScan<'a> {
     /// Per-query-metric blocked pass: one shared block read, one
     /// single-query batch kernel call per (query, block) on the hot
     /// block. `perm` as on [`Self::scan_range_shared`].
-    pub(crate) fn scan_range_per_query(
+    fn scan_range_per_query(
         &self,
         queries: &[&[f64]],
         dists: &[&dyn Distance],
@@ -620,7 +646,7 @@ impl<'a> MultiQueryScan<'a> {
         caps: Option<&[f64]>,
         perm: Option<&[u32]>,
     ) {
-        let dim = self.coll.dim();
+        let dim = self.layout.coll.dim();
         let mut keys = [0.0f64; BLOCK_ROWS];
         let mut start = rows.start;
         let mut tally = ScanStats::default();
@@ -628,7 +654,7 @@ impl<'a> MultiQueryScan<'a> {
             let end = (start + BLOCK_ROWS).min(rows.end);
             let n = end - start;
             tally.rows_visited += n as u64;
-            let block = self.coll.block(start, end);
+            let block = self.layout.coll.block(start, end);
             let mut block_abandoned = false;
             for (qi, ((q, d), kb)) in queries
                 .iter()
@@ -653,129 +679,115 @@ impl<'a> MultiQueryScan<'a> {
         self.cfg.record_stats(tally);
     }
 
-    /// f64 driver of both kernel modes. Batched (or a one-worker budget)
-    /// scans the whole collection as one chunk on the calling thread;
-    /// Parallel fans contiguous row chunks out to worker threads, each
-    /// carrying a private k-best per query, then folds every thread's
-    /// candidates through one final k-best per query by ascending
-    /// `(key, index)` — deterministic regardless of thread count, chunk
-    /// boundaries or completion order, and identical to what the
-    /// single-threaded pass selects.
-    fn parallel_merge(
+    /// The one pass loop of both layouts and both precisions: walk the
+    /// layout's partitions in visit order, skip every partition all
+    /// queries prove irrelevant ([`all_prune`] at this pass's `slacks` —
+    /// zeros on the f64 path), and scan each survivor through
+    /// `scan_chunk`, fanning it out over worker threads in Parallel
+    /// mode ([`fan_out`]). Returns the running k-bests (original
+    /// indices on the f64 path) and the candidate pools (empty on the
+    /// f64 path).
+    fn drive(
         &self,
         mode: ScanMode,
+        batch: &QueryBatch<'_>,
         ks: &[usize],
+        slacks: &[f64],
         caps: Option<&[f64]>,
-        scan_chunk: &MergeChunk<'_>,
-    ) -> Vec<KBest> {
-        let len = self.coll.len();
-        let threads = match mode {
-            ScanMode::Batched => 1,
-            _ => self.cfg.threads(len.div_ceil(BLOCK_ROWS)),
-        };
-        if threads == 1 {
-            let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-            scan_chunk(0..len, &mut kbs, caps);
-            return kbs;
-        }
-        let chunk = len.div_ceil(threads);
-        let mut per_thread: Vec<Vec<Vec<(f64, u32)>>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(len);
-                    scope.spawn(move || {
-                        let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                        scan_chunk(lo..hi, &mut kbs, caps);
-                        kbs.iter()
-                            .map(|kb| {
-                                let mut entries: Vec<(f64, u32)> = kb.entries().collect();
-                                entries.sort_unstable_by(|a, b| {
-                                    a.0.partial_cmp(&b.0)
-                                        .expect("non-finite key")
-                                        .then(a.1.cmp(&b.1))
-                                });
-                                entries
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                per_thread.push(h.join().expect("multi-scan worker panicked"));
+        scan_chunk: &ChunkScan<'_>,
+    ) -> (Vec<KBest>, Vec<Vec<(u32, f32)>>) {
+        let nq = ks.len();
+        let lbs = self.layout.lower_bounds(batch);
+        let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
+        let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
+        let mut tally = ScanStats::default();
+        for p in self.layout.visit_order(&lbs, nq) {
+            let rows = self.layout.rows(p);
+            if rows.is_empty() {
+                continue;
             }
-        });
-        let mut merged: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-        for thread_entries in per_thread {
-            for (kb, entries) in merged.iter_mut().zip(thread_entries) {
-                for (key, index) in entries {
+            if all_prune(&lbs[p * nq..(p + 1) * nq], ks, &kbs, slacks, caps) {
+                tally.partitions_pruned += 1;
+                continue;
+            }
+            let threads = match mode {
+                ScanMode::Parallel => self.cfg.threads(rows.len().div_ceil(BLOCK_ROWS)),
+                _ => 1,
+            };
+            if threads == 1 {
+                scan_chunk(rows, &mut kbs, &mut cands, caps);
+            } else {
+                fan_out(
+                    threads, rows, ks, slacks, caps, &mut kbs, &mut cands, scan_chunk,
+                );
+            }
+        }
+        self.cfg.record_stats(tally);
+        (kbs, cands)
+    }
+}
+
+/// Fan one surviving row range out over `threads` workers. Workers get
+/// fresh k-bests seeded by the snapshot cap `min(t + slack, cap)` — a
+/// sound upper bound on each query's final key at this point of the
+/// pass (module docs of [`partitioned`](super::partitioned); `slack` is
+/// zero on the f64 path) — and merge back in spawn order: candidate
+/// pools concatenate (the rescore is order-independent) and each
+/// worker's sorted k-best entries fold into the running k-bests by
+/// ascending `(key, index)`, so the result is deterministic regardless
+/// of thread count, chunk boundaries or completion order, and identical
+/// to what the one-thread walk selects.
+#[allow(clippy::too_many_arguments)]
+fn fan_out(
+    threads: usize,
+    rows: Range<usize>,
+    ks: &[usize],
+    slacks: &[f64],
+    caps: Option<&[f64]>,
+    kbs: &mut [KBest],
+    cands: &mut [Vec<(u32, f32)>],
+    scan_chunk: &ChunkScan<'_>,
+) {
+    let nq = ks.len();
+    let snapshot: Vec<f64> = kbs
+        .iter()
+        .enumerate()
+        .map(|(q, kb)| (kb.threshold() + slacks[q]).min(cap_of(caps, q)))
+        .collect();
+    let chunk = rows.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let lo = rows.start + t * chunk;
+                let hi = (lo + chunk).min(rows.end);
+                let snapshot = &snapshot;
+                scope.spawn(move || {
+                    let mut wkbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
+                    let mut wcands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
+                    scan_chunk(lo..hi, &mut wkbs, &mut wcands, Some(snapshot));
+                    let entries: Vec<Vec<(f64, u32)>> =
+                        wkbs.into_iter().map(KBest::into_sorted_entries).collect();
+                    (entries, wcands)
+                })
+            })
+            .collect();
+        for h in handles {
+            let (entries, wcands) = h.join().expect("multi-scan worker panicked");
+            for ((kb, cand), (thread_entries, thread_cands)) in kbs
+                .iter_mut()
+                .zip(cands.iter_mut())
+                .zip(entries.into_iter().zip(wcands))
+            {
+                cand.extend(thread_cands);
+                for (key, index) in thread_entries {
                     if key > kb.threshold() {
-                        break; // sorted: the rest of this thread can't enter
+                        break; // sorted: the rest of this worker can't enter
                     }
                     kb.push(index, key);
                 }
             }
         }
-        merged
-    }
-
-    /// f32 phase-1 driver of both kernel modes: one chunk on the calling
-    /// thread in Batched mode, otherwise fan contiguous row
-    /// chunks out to worker threads, each collecting per-query candidate
-    /// lists against its own (chunk-local, hence looser — still a
-    /// superset) inflated bounds and filtering them against its final
-    /// chunk-local thresholds, then concatenate per query in chunk
-    /// order. The exact rescore runs after, so chunk boundaries and
-    /// thread count cannot change the final answer.
-    fn parallel_candidates(
-        &self,
-        mode: ScanMode,
-        ks: &[usize],
-        slacks: &[f64],
-        caps: Option<&[f64]>,
-        scan_chunk: &CandidateChunk<'_>,
-    ) -> Vec<Vec<u32>> {
-        let len = self.coll.len();
-        let nq = ks.len();
-        let threads = match mode {
-            ScanMode::Batched => 1,
-            _ => self.cfg.threads(len.div_ceil(BLOCK_ROWS)),
-        };
-        if threads == 1 {
-            let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-            let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
-            scan_chunk(0..len, &mut kbs, &mut cands, caps);
-            return filter_candidates(&kbs, slacks, cands, caps, self.cfg.stats);
-        }
-        let chunk = len.div_ceil(threads);
-        let mut merged: Vec<Vec<u32>> = vec![Vec::new(); nq];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(len);
-                    scope.spawn(move || {
-                        let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                        let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
-                        scan_chunk(lo..hi, &mut kbs, &mut cands, caps);
-                        filter_candidates(&kbs, slacks, cands, caps, self.cfg.stats)
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Chunks are disjoint and joined in spawn order, so the
-                // concatenation stays sorted by index per query.
-                for (m, c) in merged
-                    .iter_mut()
-                    .zip(h.join().expect("multi-scan worker panicked"))
-                {
-                    m.extend(c);
-                }
-            }
-        });
-        merged
-    }
+    });
 }
 
 /// The Scalar reference pass: one `dyn Distance::eval` per (row, query),
@@ -783,7 +795,7 @@ impl<'a> MultiQueryScan<'a> {
 /// beyond the caller's caps — the anchor every kernel path is compared
 /// against. `perm` (the partitioned layout's reorder map) makes it push
 /// original row indices.
-pub(crate) fn scalar_reference(
+fn scalar_reference(
     coll: &Collection,
     perm: Option<&[u32]>,
     cfg: &ScanConfig<'_>,
@@ -812,7 +824,7 @@ pub(crate) fn scalar_reference(
 /// Phase 2 for a whole batch: exact f64 rescore of every query's
 /// surviving candidates under its own metric ([`rescore_f64_keyed`];
 /// `perm` as there), results still in key space.
-pub(crate) fn rescore(
+fn rescore(
     coll: &Collection,
     batch: &QueryBatch<'_>,
     ks: &[usize],
@@ -839,7 +851,7 @@ pub(crate) fn rescore(
 /// [`MultiQueryScan::scan_range_shared_f32`] applies verbatim and the
 /// filtered pool still contains the true f64 top-k — while the rescore
 /// now gathers ~k scattered rows instead of hundreds.
-pub(crate) fn filter_candidates(
+fn filter_candidates(
     kbs: &[KBest],
     slacks: &[f64],
     cands: Vec<Vec<(u32, f32)>>,
@@ -883,7 +895,7 @@ pub(crate) fn cap_of(caps: Option<&[f64]>, q: usize) -> f64 {
 
 /// Concatenate query slices into the row-major layout the multi-query
 /// kernels consume.
-pub(crate) fn flatten(queries: &[&[f64]]) -> Vec<f64> {
+fn flatten(queries: &[&[f64]]) -> Vec<f64> {
     let mut flat = Vec::with_capacity(queries.len() * queries.first().map_or(0, |q| q.len()));
     for q in queries {
         flat.extend_from_slice(q);
@@ -892,7 +904,7 @@ pub(crate) fn flatten(queries: &[&[f64]]) -> Vec<f64> {
 }
 
 /// Same, rounded once to the f32 layout the mirror kernels consume.
-pub(crate) fn flatten_f32(queries: &[&[f64]]) -> Vec<f32> {
+fn flatten_f32(queries: &[&[f64]]) -> Vec<f32> {
     let mut flat = Vec::with_capacity(queries.len() * queries.first().map_or(0, |q| q.len()));
     for q in queries {
         flat.extend(q.iter().map(|&v| v as f32));

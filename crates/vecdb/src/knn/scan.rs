@@ -148,7 +148,7 @@ impl<'a> LinearScan<'a> {
         mode: ScanMode,
     ) -> Vec<Neighbor> {
         let cfg = ScanConfig { mode, ..self.cfg };
-        MultiQueryScan::with_config(self.coll, cfg)
+        MultiQueryScan::with_config(self.coll.into(), cfg)
             .knn(&QueryBatch::new(&[query], QueryMetrics::Shared(dist), k))
             .pop()
             .unwrap_or_default()
@@ -158,7 +158,7 @@ impl<'a> LinearScan<'a> {
     /// every precondition for a two-phase range scan holds — the
     /// multi-query scan's rule, for a batch of this one query.
     fn f32_slack(&self, dist: &dyn Distance, query: &[f64]) -> Option<f64> {
-        MultiQueryScan::with_config(self.coll, self.cfg)
+        MultiQueryScan::with_config(self.coll.into(), self.cfg)
             .f32_slacks(&QueryBatch::new(&[query], QueryMetrics::Shared(dist), 0))?
             .pop()
     }

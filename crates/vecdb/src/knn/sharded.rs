@@ -38,7 +38,7 @@
 use super::multi::KeyedResults;
 use super::stats::ScanStatsSink;
 use super::{finish_entries, KBest, KnnEngine, LinearScan, MultiQueryScan, Neighbor};
-use super::{PartitionedScan, Precision, QueryBatch, ScanConfig, ScanMode};
+use super::{Layout, Precision, QueryBatch, ScanConfig, ScanMode};
 use crate::collection::{PartitionedCollection, ShardedCollection};
 use crate::distance::Distance;
 use crate::VecdbError;
@@ -355,9 +355,9 @@ impl<'a> ShardedScan<'a> {
 
     /// Attach per-shard partition layouts
     /// ([`ShardedCollection::build_partitions`]): every shard pass then
-    /// runs through a [`PartitionedScan`] instead of the flat
-    /// [`MultiQueryScan`], pruning partitions against the same caps the
-    /// cross-shard seeding delivers — so a partial delivered by one
+    /// runs the [`MultiQueryScan`] over the shard's partitioned layout
+    /// instead of its flat rows, pruning partitions against the same
+    /// caps the cross-shard seeding delivers — so a partial delivered by one
     /// shard tightens the partition bounds of every later shard pass.
     /// Answers stay bit-identical to the unpartitioned scatter/gather
     /// (partition pruning is answer-transparent; the bit-identity suite
@@ -470,10 +470,10 @@ impl<'a> ShardedScan<'a> {
             thread_budget: Some(self.per_shard_budget()),
             ..self.cfg
         };
-        let keyed = match self.parts {
-            Some(parts) => PartitionedScan::with_config(&parts[shard], cfg).knn_keyed(batch, caps),
-            None => MultiQueryScan::with_config(self.coll.shard(shard), cfg).knn_keyed(batch, caps),
-        };
+        let layout: Layout<'_> = self.parts.map_or(self.coll.shard(shard).into(), |parts| {
+            (&parts[shard]).into()
+        });
+        let keyed = MultiQueryScan::with_config(layout, cfg).knn_keyed(batch, caps);
         self.globalize(shard, keyed)
     }
 

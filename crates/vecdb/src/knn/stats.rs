@@ -33,9 +33,11 @@ pub struct ScanStats {
     /// Passes whose selection bound was seeded by a finite
     /// cross-request / cross-shard cap instead of starting at `+∞`.
     pub seed_prunes: u64,
-    /// Partitions skipped outright by a partitioned pass because every
-    /// query's sound lower bound exceeded its running selection bound
-    /// (the sub-linear win; rows inside never count in `rows_visited`).
+    /// Partitions skipped outright because every query's sound lower
+    /// bound exceeded its running selection bound or the query asked
+    /// for `k = 0` (the sub-linear win; rows inside never count in
+    /// `rows_visited`). A flat collection is one partition with no
+    /// bound, so a flat pass skips it only when every `k` is 0.
     pub partitions_pruned: u64,
 }
 

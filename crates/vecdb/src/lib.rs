@@ -17,11 +17,11 @@
 //! * [`knn`] — the retrieval operation, described once: a
 //!   [`knn::QueryBatch`] (query points, a shared / per-query / weighted
 //!   metric form, per-query `k`) answered by exactly one entry per
-//!   layout. [`knn::MultiQueryScan::knn`] answers the batch in one
-//!   blocked pass over a flat collection, amortizing memory traffic
-//!   across the queries; [`knn::PartitionedScan::knn`] runs the same
-//!   pass over a [`collection::PartitionedCollection`], skipping
-//!   partitions a per-class lower bound proves irrelevant; and, to
+//!   engine. [`knn::MultiQueryScan::knn`] answers the batch in one
+//!   blocked pass, amortizing memory traffic across the queries, over
+//!   a [`knn::Layout`]: a flat collection, or a
+//!   [`collection::PartitionedCollection`], whose partitions a
+//!   per-class lower bound can prove irrelevant and skip; and, to
 //!   scale past one core's streaming bandwidth,
 //!   [`knn::ShardedScan::knn`] scatters it over the contiguous row
 //!   shards of a [`collection::ShardedCollection`] and merges the
@@ -52,8 +52,8 @@ pub use distance::{
 };
 pub use knn::{
     combine_partials, merge_partials, merge_partials_policy, DegradedGather, FailurePolicy,
-    GatherError, KnnEngine, LinearScan, MultiQueryScan, Neighbor, PartitionedScan, Precision,
-    QueryBatch, QueryMetrics, ScanMode, ScanStats, ScanStatsSink, ShardPartial, ShardedScan,
+    GatherError, KnnEngine, Layout, LinearScan, MultiQueryScan, Neighbor, Precision, QueryBatch,
+    QueryMetrics, ScanMode, ScanStats, ScanStatsSink, ShardPartial, ShardedScan,
 };
 pub use result::ResultList;
 

@@ -6,7 +6,7 @@
 
 use fbp_vecdb::{
     CollectionBuilder, Euclidean, KnnEngine, LinearScan, MultiQueryScan, PartitionConfig,
-    PartitionedCollection, PartitionedScan, Precision, QueryBatch, QueryMetrics::Shared, ScanMode,
+    PartitionedCollection, Precision, QueryBatch, QueryMetrics::Shared, ScanMode,
     ShardedCollection, ShardedScan,
 };
 
@@ -37,7 +37,7 @@ fn any_oversized_k_returns_every_row_on_every_front_end() {
                 let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
                 assert_eq!(flat.knn(&batch), expect, "flat {ctx}");
                 assert_eq!(flat.knn(&per_query), expect, "flat with_ks {ctx}");
-                let pruned = PartitionedScan::with_mode(&part, mode).with_precision(precision);
+                let pruned = MultiQueryScan::with_mode(&part, mode).with_precision(precision);
                 assert_eq!(pruned.knn(&batch), expect, "partitioned {ctx}");
                 let scatter = ShardedScan::with_mode(&sharded, mode).with_precision(precision);
                 assert_eq!(scatter.knn(&batch), expect, "sharded {ctx}");

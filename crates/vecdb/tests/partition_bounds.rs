@@ -19,8 +19,8 @@ use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{Chebyshev, FeatureSpan, Lp};
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, Euclidean, HierarchicalDistance, Manhattan,
-    MultiQueryScan, PartitionConfig, PartitionedCollection, PartitionedScan, Precision,
-    QuadraticDistance, QueryBatch, QueryMetrics::Shared, ScanMode, WeightedEuclidean,
+    MultiQueryScan, PartitionConfig, PartitionedCollection, Precision, QuadraticDistance,
+    QueryBatch, QueryMetrics::Shared, ScanMode, WeightedEuclidean,
 };
 use proptest::prelude::*;
 
@@ -160,7 +160,7 @@ proptest! {
         classes.extend(unbounded_classes());
         for dist in classes {
             for precision in [Precision::F64, Precision::F32Rescore] {
-                let pruned = PartitionedScan::with_mode(&part, ScanMode::Batched)
+                let pruned = MultiQueryScan::with_mode(&part, ScanMode::Batched)
                     .with_precision(precision);
                 let flat = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
                     .with_precision(precision);

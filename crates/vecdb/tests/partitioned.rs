@@ -1,4 +1,4 @@
-//! Partition-pruning bit-identity suite: [`PartitionedScan`] over a
+//! Partition-pruning bit-identity suite: [`MultiQueryScan`] over a
 //! [`PartitionedCollection`] must return **bit-identical** neighbor
 //! indices and f64 distances to the flat [`LinearScan`] /
 //! [`MultiQueryScan`] — across all distance classes (including ones
@@ -13,8 +13,7 @@ use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{Chebyshev, FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
-    PartitionConfig, PartitionedCollection, PartitionedScan, Precision, QuadraticDistance,
-    QueryBatch,
+    PartitionConfig, PartitionedCollection, Precision, QuadraticDistance, QueryBatch,
     QueryMetrics::{PerQuery, Shared, Weighted},
     ScanMode, ScanStatsSink, ShardedCollection, ShardedScan, WeightedEuclidean,
 };
@@ -104,7 +103,7 @@ fn partitioned_knn_bit_identical_all_classes_both_precisions() {
                 for precision in [Precision::F64, Precision::F32Rescore] {
                     for mode in [ScanMode::Batched, ScanMode::Parallel] {
                         let pruned =
-                            PartitionedScan::with_mode(&part, mode).with_precision(precision);
+                            MultiQueryScan::with_mode(&part, mode).with_precision(precision);
                         let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
                         for k in [1usize, 10, 50] {
                             assert_eq!(
@@ -128,7 +127,7 @@ fn scalar_reference_matches_flat_scalar() {
     let part = layout(&coll, 16);
     let qs = queries(3);
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
-    let pruned = PartitionedScan::with_mode(&part, ScanMode::Scalar);
+    let pruned = MultiQueryScan::with_mode(&part, ScanMode::Scalar);
     let flat = LinearScan::with_mode(&coll, ScanMode::Scalar);
     for dist in distance_classes() {
         for (q, res) in refs
@@ -155,7 +154,7 @@ fn per_query_metrics_and_ks_bit_identical() {
     let ks: Vec<usize> = vec![1, 10, 0, 50, N + 7, 3];
     for precision in [Precision::F64, Precision::F32Rescore] {
         for mode in [ScanMode::Batched, ScanMode::Parallel, ScanMode::Scalar] {
-            let pruned = PartitionedScan::with_mode(&part, mode).with_precision(precision);
+            let pruned = MultiQueryScan::with_mode(&part, mode).with_precision(precision);
             let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
             assert_eq!(
                 pruned.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
@@ -183,7 +182,7 @@ fn weighted_per_query_bit_identical() {
     let weighted = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
     for precision in [Precision::F64, Precision::F32Rescore] {
         for mode in [ScanMode::Batched, ScanMode::Parallel] {
-            let pruned = PartitionedScan::with_mode(&part, mode).with_precision(precision);
+            let pruned = MultiQueryScan::with_mode(&part, mode).with_precision(precision);
             let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
             assert_eq!(
                 pruned.knn(&weighted),
@@ -209,7 +208,7 @@ fn degenerate_layouts_bit_identical() {
         for dist in distance_classes() {
             for precision in [Precision::F64, Precision::F32Rescore] {
                 let pruned =
-                    PartitionedScan::with_mode(&part, ScanMode::Batched).with_precision(precision);
+                    MultiQueryScan::with_mode(&part, ScanMode::Batched).with_precision(precision);
                 let flat =
                     MultiQueryScan::with_mode(&coll, ScanMode::Batched).with_precision(precision);
                 for k in [1usize, 10, 25] {
@@ -228,7 +227,7 @@ fn degenerate_layouts_bit_identical() {
 fn empty_collection_and_k_zero() {
     let empty = CollectionBuilder::new().build();
     let part = layout(&empty, 8);
-    let pruned = PartitionedScan::new(&part);
+    let pruned = MultiQueryScan::new(&part);
     let q = vec![0.0; 0];
     assert_eq!(
         pruned.knn(&QueryBatch::new(&[&q], Shared(&Euclidean), 3)),
@@ -242,7 +241,7 @@ fn empty_collection_and_k_zero() {
     let qs = queries(2);
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let sink = ScanStatsSink::new();
-    let pruned = PartitionedScan::with_mode(&part, ScanMode::Batched).with_scan_stats(&sink);
+    let pruned = MultiQueryScan::with_mode(&part, ScanMode::Batched).with_scan_stats(&sink);
     let flat = MultiQueryScan::with_mode(&coll, ScanMode::Batched);
     assert_eq!(
         pruned.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 0)),
@@ -269,7 +268,7 @@ fn pruning_engages_and_stays_sublinear_on_clustered_data() {
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     for precision in [Precision::F64, Precision::F32Rescore] {
         let sink = ScanStatsSink::new();
-        let pruned = PartitionedScan::with_mode(&part, ScanMode::Batched)
+        let pruned = MultiQueryScan::with_mode(&part, ScanMode::Batched)
             .with_precision(precision)
             .with_scan_stats(&sink);
         let flat = MultiQueryScan::with_mode(&coll, ScanMode::Batched).with_precision(precision);

@@ -10,7 +10,8 @@
 //!   layouts, which pins how a pass fans out over threads.
 //! * `Precision::F32Rescore`: f32 keys are host-dependent by design, so
 //!   only in-build relations are asserted (and the table is printed —
-//!   run with `--nocapture` to compare two builds on one host).
+//!   run with `--nocapture` to compare two builds on one host; CI's
+//!   release test job prints it on every run).
 //!
 //! In both precisions every cell answers exactly what per-query
 //! `LinearScan` (Batched, F64) answers, and a `Weighted` batch whose
@@ -19,7 +20,7 @@
 
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, KnnEngine, LinearScan, MultiQueryScan, Neighbor,
-    PartitionConfig, PartitionedCollection, PartitionedScan, Precision, QueryBatch,
+    PartitionConfig, PartitionedCollection, Precision, QueryBatch,
     QueryMetrics::{PerQuery, Shared, Weighted},
     ScanMode, ScanStats, ScanStatsSink, ShardedCollection, ShardedScan, WeightedEuclidean,
 };
@@ -166,7 +167,7 @@ fn cells(
                     .with_thread_budget(2)
                     .with_scan_stats(&sink)
                     .knn(&batch),
-                Layout::Partitioned => PartitionedScan::with_mode(&part, mode)
+                Layout::Partitioned => MultiQueryScan::with_mode(&part, mode)
                     .with_precision(precision)
                     .with_thread_budget(2)
                     .with_scan_stats(&sink)
@@ -224,19 +225,34 @@ fn f64_work_is_pinned_per_layout_and_metric_form() {
 
 #[test]
 fn f32_rescore_work_obeys_the_in_build_relations() {
-    let cells = cells(Precision::F32Rescore, ScanMode::Batched);
-    for (layout, form, answers, work) in &cells {
-        println!("F32Rescore {layout:?} {form:?}: {work:?}");
+    let batched = cells(Precision::F32Rescore, ScanMode::Batched);
+    for (layout, form, answers, work) in &batched {
+        println!("F32Rescore Batched {layout:?} {form:?}: {work:?}");
         assert!(
             work.candidates_rescored >= (K * NQ) as u64,
             "the mirror pass engaged and kept every true top-k ({layout:?} {form:?})"
         );
         if *form == Form::WeightedAllEqual {
-            let shared = cells
+            let shared = batched
                 .iter()
                 .find(|c| c.0 == *layout && c.1 == Form::Shared)
                 .expect("every layout has a Shared cell");
             assert_eq!((answers, work), (&shared.2, &shared.3), "{layout:?}");
         }
+    }
+    // A Parallel pass filters its merged candidate pool once, at the
+    // merged threshold — the threshold the Batched pass ends on — so it
+    // rescores exactly what the Batched pass rescores (its pool before
+    // the filter may differ, so `candidates_filtered` is not compared).
+    for (layout, form, _, work) in cells(Precision::F32Rescore, ScanMode::Parallel) {
+        println!("F32Rescore Parallel {layout:?} {form:?}: {work:?}");
+        let twin = batched
+            .iter()
+            .find(|c| c.0 == layout && c.1 == form)
+            .expect("every Parallel cell has a Batched twin");
+        assert_eq!(
+            work.candidates_rescored, twin.3.candidates_rescored,
+            "{layout:?} {form:?}"
+        );
     }
 }

@@ -41,11 +41,11 @@ fn main() {
 
     eprintln!("running {WORKERS} session threads...");
     let t0 = std::time::Instant::now();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (w, slice) in slices.iter().enumerate() {
             let shared = shared.clone();
             let ds = &ds;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let coll = &ds.collection;
                 let engine = LinearScan::new(coll);
                 let fb_cfg = FeedbackConfig {
@@ -75,8 +75,7 @@ fn main() {
                 );
             });
         }
-    })
-    .unwrap();
+    });
     let elapsed = t0.elapsed();
 
     let (stored, nodes, depth) = shared.stats();

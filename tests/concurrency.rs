@@ -15,11 +15,11 @@ fn concurrent_sessions_share_learning() {
 
     let n_threads = 4;
     let per_thread = 12;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..n_threads {
             let shared = shared.clone();
             let ds = &ds;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let coll = &ds.collection;
                 let engine = LinearScan::new(coll);
                 let fb = FeedbackLoop::new(
@@ -46,8 +46,7 @@ fn concurrent_sessions_share_learning() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let (stored, nodes, depth) = shared.stats();
     assert!(stored > 0, "no learning happened");

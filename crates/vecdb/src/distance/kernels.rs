@@ -1696,50 +1696,72 @@ mod tests {
 
     #[test]
     fn f32_multi_blocks_match_single_query_blocks() {
-        let dim = 24;
-        let rows = 19;
-        let nq = 5;
-        let queries: Vec<f32> = (0..nq * dim).map(|i| (i as f32 * 0.13).cos()).collect();
-        let block: Vec<f32> = (0..rows * dim).map(|i| (i as f32 * 0.3).sin()).collect();
-        let shared_w: Vec<f32> = (0..dim).map(|i| 1.0 + (i % 3) as f32).collect();
-        let per_q_w: Vec<f32> = (0..nq * dim).map(|i| 0.5 + (i % 7) as f32).collect();
-        let bounds = vec![f32::INFINITY; nq];
-        let mut single = vec![0.0f32; rows];
-        let mut multi = vec![0.0f32; nq * rows];
-        l2_sq_multi_block_f32(&queries, &block, dim, &bounds, &mut multi);
-        for q in 0..nq {
-            l2_sq_block_f32(
-                &queries[q * dim..(q + 1) * dim],
-                &block,
-                dim,
-                f32::INFINITY,
-                &mut single,
-            );
-            assert_eq!(&multi[q * rows..(q + 1) * rows], &single[..], "l2 q{q}");
-        }
-        weighted_sq_multi_block_f32(&shared_w, 0, &queries, &block, dim, &bounds, &mut multi);
-        for q in 0..nq {
-            weighted_sq_block_f32(
-                &shared_w,
-                &queries[q * dim..(q + 1) * dim],
-                &block,
-                dim,
-                f32::INFINITY,
-                &mut single,
-            );
-            assert_eq!(&multi[q * rows..(q + 1) * rows], &single[..], "shared q{q}");
-        }
-        weighted_sq_multi_block_f32(&per_q_w, dim, &queries, &block, dim, &bounds, &mut multi);
-        for q in 0..nq {
-            weighted_sq_block_f32(
-                &per_q_w[q * dim..(q + 1) * dim],
-                &queries[q * dim..(q + 1) * dim],
-                &block,
-                dim,
-                f32::INFINITY,
-                &mut single,
-            );
-            assert_eq!(&multi[q * rows..(q + 1) * rows], &single[..], "per-q q{q}");
+        // Every kernel shape the multi kernels may pick (query tiles,
+        // row pairs, an odd trailing row, the `dim % 8` tail) must give
+        // each (query, row) pair the key bits a single-query block call
+        // gives it.
+        for nq in 1..=9usize {
+            for dim in [1usize, 7, 8, 9, 24, 32, 33, 64] {
+                for rows in [1usize, 2, 18, 19] {
+                    let queries: Vec<f32> =
+                        (0..nq * dim).map(|i| (i as f32 * 0.13).cos()).collect();
+                    let block: Vec<f32> = (0..rows * dim).map(|i| (i as f32 * 0.3).sin()).collect();
+                    let shared_w: Vec<f32> = (0..dim).map(|i| 1.0 + (i % 3) as f32).collect();
+                    let per_q_w: Vec<f32> =
+                        (0..nq * dim).map(|i| 0.5 + (i % 7) as f32 * 0.37).collect();
+                    let bounds = vec![f32::INFINITY; nq];
+                    let mut single = vec![0.0f32; rows];
+                    let mut multi = vec![0.0f32; nq * rows];
+                    let bits = |keys: &[f32]| keys.iter().map(|k| k.to_bits()).collect::<Vec<_>>();
+                    let span = |q: usize| q * dim..(q + 1) * dim;
+                    let shape = format!("nq {nq} dim {dim} rows {rows}");
+                    l2_sq_multi_block_f32(&queries, &block, dim, &bounds, &mut multi);
+                    for q in 0..nq {
+                        l2_sq_block_f32(&queries[span(q)], &block, dim, f32::INFINITY, &mut single);
+                        assert_eq!(
+                            bits(&multi[q * rows..(q + 1) * rows]),
+                            bits(&single),
+                            "l2 {shape} q{q}"
+                        );
+                    }
+                    weighted_sq_multi_block_f32(
+                        &shared_w, 0, &queries, &block, dim, &bounds, &mut multi,
+                    );
+                    for q in 0..nq {
+                        weighted_sq_block_f32(
+                            &shared_w,
+                            &queries[span(q)],
+                            &block,
+                            dim,
+                            f32::INFINITY,
+                            &mut single,
+                        );
+                        assert_eq!(
+                            bits(&multi[q * rows..(q + 1) * rows]),
+                            bits(&single),
+                            "shared {shape} q{q}"
+                        );
+                    }
+                    weighted_sq_multi_block_f32(
+                        &per_q_w, dim, &queries, &block, dim, &bounds, &mut multi,
+                    );
+                    for q in 0..nq {
+                        weighted_sq_block_f32(
+                            &per_q_w[span(q)],
+                            &queries[span(q)],
+                            &block,
+                            dim,
+                            f32::INFINITY,
+                            &mut single,
+                        );
+                        assert_eq!(
+                            bits(&multi[q * rows..(q + 1) * rows]),
+                            bits(&single),
+                            "per-q {shape} q{q}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1823,10 +1845,12 @@ mod tests {
     fn f32_keys_stay_within_sum_weight_slack_on_every_kernel_shape() {
         use crate::distance::weighted_f32_slack;
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        // 3 queries × 3 rows: the block kernels run a row pair plus a
-        // single remainder row, the FMA multi kernel a 2×2 tile, a
-        // row-pair for the odd query, and single rows for the odd row.
-        const NQ: usize = 3;
+        // 7 queries × 3 rows: the block kernels run a row pair plus a
+        // single remainder row; the FMA multi kernel runs, on the row
+        // pair, a 4×2 tile (queries 0–3), a 2×2 tile (queries 4–5) and
+        // the row-pair kernel (query 6), then single rows for the odd
+        // row.
+        const NQ: usize = 7;
         const ROWS: usize = 3;
         #[cfg(target_arch = "x86_64")]
         let fma_host = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");

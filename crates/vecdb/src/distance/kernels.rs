@@ -27,7 +27,14 @@
 //! under monotone rounding), so early abandonment against an *inflated*
 //! bound can only drop rows whose full f32 key also exceeds that bound,
 //! and a given (query, row) pair gets the same f32 key from the batch,
-//! multi and one-row entry points. Unlike the f64 kernels, f32 keys are
+//! multi and one-row entry points. On FMA hosts the weighted multi kernel
+//! scores a block in register tiles — 4 queries × 2 rows (eight FMA
+//! chains), then 2 × 2, then the row pair for an odd query, then single
+//! rows for an odd row — and every shape gives each pair the key bits of
+//! the one-query row kernels: the same per-chunk FMA order, the same
+//! reduction tree (the 4×2 tile reduces its eight accumulators in one
+//! transposed pass whose lane `i` is exactly the one-row tree of
+//! accumulator `i`), and the same `dim % 8` tail. Unlike the f64 kernels, f32 keys are
 //! NOT bit-identical across hosts (FMA vs non-FMA) — by design: they
 //! only select candidates under a `Distance::f32_key_slack`-inflated
 //! bound that covers either variant's rounding, and the exact f64
@@ -647,6 +654,17 @@ mod f32_plain {
 // cheap `vhaddps` reduction. 256-bit vectors are used even on AVX-512
 // hosts — at these row lengths the win is latency hiding, not width.
 //
+// The multi kernel is compute-bound once several queries share a hot
+// block, so it register-blocks queries × rows: 4×2 tiles (eight FMA
+// chains, each row loaded once for four queries, eight keys reduced by
+// six `hadd`s, two `permute2f128`s and one add), then a 2×2 tile, the
+// row-pair kernel and single rows for what is left over. A tile only
+// changes which keys are in flight together, never the arithmetic of
+// one key: each accumulator sees the same FMAs in the same order, and
+// the transposed reduction adds the same pairs in the same tree as
+// `reduce`, so the key bits do not depend on the shape a scan picks
+// (pinned by `f32_multi_blocks_match_single_query_blocks`).
+//
 // f32 keys from this path differ in the last ulps from the portable
 // chain (fused multiply-add, different reduction tree) — allowed by
 // design: f32 keys only select candidates under a slack-inflated bound
@@ -782,6 +800,78 @@ mod f32_intr {
             s11 = w1[i].mul_add(d11 * d11, s11);
         }
         (s00, s01, s10, s11)
+    }
+
+    /// `reduce` of eight accumulators at once: lane `i` of the result is
+    /// `((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7))` of `acc[i]`, the exact
+    /// tree [`reduce`] builds for one accumulator. Each `hadd` lane adds
+    /// one adjacent pair (`x + y` is commutative bit for bit), the two
+    /// `hadd` levels build the two quad sums per 128-bit half, the
+    /// `permute2f128` pair lines up every accumulator's low quad with
+    /// its high quad, and one add joins them.
+    ///
+    /// # Safety
+    ///
+    /// The host supports AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn reduce8(acc: &[__m256; 8]) -> __m256 {
+        // [a0_01 a0_23 a1_01 a1_23 | a0_45 a0_67 a1_45 a1_67], …
+        let p01 = _mm256_hadd_ps(acc[0], acc[1]);
+        let p23 = _mm256_hadd_ps(acc[2], acc[3]);
+        let p45 = _mm256_hadd_ps(acc[4], acc[5]);
+        let p67 = _mm256_hadd_ps(acc[6], acc[7]);
+        // [a0_0123 a1_0123 a2_0123 a3_0123 | a0_4567 … a3_4567]
+        let q0123 = _mm256_hadd_ps(p01, p23);
+        let q4567 = _mm256_hadd_ps(p45, p67);
+        let low = _mm256_permute2f128_ps(q0123, q4567, 0x20);
+        let high = _mm256_permute2f128_ps(q0123, q4567, 0x31);
+        _mm256_add_ps(low, high)
+    }
+
+    /// Four queries × two rows of `Σ w·(q−r)²` in flight: eight
+    /// independent FMA chains, each row loaded once for all four
+    /// queries, one transposed reduction ([`reduce8`]) for the eight
+    /// keys, and the `dim % 8` tail per key after it, as in
+    /// [`weighted_row2`]. Key `2·j + i` belongs to query `j`, row `i`,
+    /// and its bits equal those of [`weighted_row`]/[`weighted_row2`]
+    /// for that pair: same per-chunk FMA order, same reduction tree,
+    /// same tail.
+    ///
+    /// # Safety
+    ///
+    /// The host supports AVX2 and FMA, and every slice holds at least
+    /// `r0.len()` values (the chunk loop loads them unchecked).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn weighted_row2_q4(w: [&[f32]; 4], q: [&[f32]; 4], r0: &[f32], r1: &[f32]) -> [f32; 8] {
+        let dim = r0.len();
+        let chunks = dim / 8;
+        let mut acc = [_mm256_setzero_ps(); 8];
+        for c in 0..chunks {
+            let o = c * 8;
+            let vr0 = _mm256_loadu_ps(r0.as_ptr().add(o));
+            let vr1 = _mm256_loadu_ps(r1.as_ptr().add(o));
+            for j in 0..4 {
+                let vq = _mm256_loadu_ps(q[j].as_ptr().add(o));
+                let vw = _mm256_loadu_ps(w[j].as_ptr().add(o));
+                let d0 = _mm256_sub_ps(vq, vr0);
+                acc[2 * j] = _mm256_fmadd_ps(vw, _mm256_mul_ps(d0, d0), acc[2 * j]);
+                let d1 = _mm256_sub_ps(vq, vr1);
+                acc[2 * j + 1] = _mm256_fmadd_ps(vw, _mm256_mul_ps(d1, d1), acc[2 * j + 1]);
+            }
+        }
+        let mut sums = [0.0f32; 8];
+        _mm256_storeu_ps(sums.as_mut_ptr(), reduce8(&acc));
+        for i in chunks * 8..dim {
+            for j in 0..4 {
+                let d0 = q[j][i] - r0[i];
+                sums[2 * j] = w[j][i].mul_add(d0 * d0, sums[2 * j]);
+                let d1 = q[j][i] - r1[i];
+                sums[2 * j + 1] = w[j][i].mul_add(d1 * d1, sums[2 * j + 1]);
+            }
+        }
+        sums
     }
 
     /// One row of `Σ (q−r)²`.
@@ -923,44 +1013,64 @@ mod f32_intr {
         out: &mut [f32],
     ) {
         let rows = block.len().checked_div(dim).unwrap_or(0);
-        let nq = bounds.len();
-        let mut pairs = block.chunks_exact(2 * dim);
-        let mut r = 0;
-        for pair in &mut pairs {
-            let (r0, r1) = (&pair[..dim], &pair[dim..]);
-            // 2×2 register tile over query pairs (four FMA chains), the
-            // row-pair kernel for an odd trailing query.
-            let mut q = 0;
-            while q + 2 <= nq {
-                let w0 = &weights[q * w_stride..q * w_stride + dim];
-                let w1 = &weights[(q + 1) * w_stride..(q + 1) * w_stride + dim];
-                let (s00, s01, s10, s11) = weighted_row2_q2(
-                    w0,
-                    &queries[q * dim..(q + 1) * dim],
-                    w1,
-                    &queries[(q + 1) * dim..(q + 2) * dim],
-                    r0,
-                    r1,
-                );
-                out[q * rows + r] = s00;
-                out[q * rows + r + 1] = s01;
-                out[(q + 1) * rows + r] = s10;
-                out[(q + 1) * rows + r + 1] = s11;
-                q += 2;
-            }
-            if q < nq {
-                let w = &weights[q * w_stride..q * w_stride + dim];
-                let (a, b) = weighted_row2(w, &queries[q * dim..(q + 1) * dim], r0, r1);
-                out[q * rows + r] = a;
-                out[q * rows + r + 1] = b;
-            }
-            r += 2;
+        if rows == 0 {
+            return;
         }
-        let rem = pairs.remainder();
-        if r < rows {
-            for q in 0..nq {
-                let w = &weights[q * w_stride..q * w_stride + dim];
-                out[q * rows + r] = weighted_row(w, &queries[q * dim..(q + 1) * dim], &rem[..dim]);
+        let nq = bounds.len();
+        let query = |q: usize| &queries[q * dim..(q + 1) * dim];
+        let weight = |q: usize| &weights[q * w_stride..q * w_stride + dim];
+        let pairs = || block.chunks_exact(2 * dim).enumerate();
+        let odd = (rows % 2 == 1).then(|| &block[(rows - 1) * dim..rows * dim]);
+        let mut key_rows = out.chunks_exact_mut(rows);
+        let mut next_keys = || key_rows.next().expect("one key row per query");
+        // Query quads through the 4×2 tile (eight FMA chains), then a
+        // query pair through the 2×2 tile, then an odd query through the
+        // row-pair kernel; an odd trailing row takes the one-row kernel.
+        let mut q = 0;
+        while q + 4 <= nq {
+            let w = [weight(q), weight(q + 1), weight(q + 2), weight(q + 3)];
+            let qs = [query(q), query(q + 1), query(q + 2), query(q + 3)];
+            let mut keys = [next_keys(), next_keys(), next_keys(), next_keys()];
+            for (i, pair) in pairs() {
+                let sums = weighted_row2_q4(w, qs, &pair[..dim], &pair[dim..]);
+                for (j, k) in keys.iter_mut().enumerate() {
+                    k[2 * i] = sums[2 * j];
+                    k[2 * i + 1] = sums[2 * j + 1];
+                }
+            }
+            if let Some(odd) = odd {
+                for (j, k) in keys.iter_mut().enumerate() {
+                    k[rows - 1] = weighted_row(w[j], qs[j], odd);
+                }
+            }
+            q += 4;
+        }
+        if q + 2 <= nq {
+            let (w0, q0, w1, q1) = (weight(q), query(q), weight(q + 1), query(q + 1));
+            let (k0, k1) = (next_keys(), next_keys());
+            for (i, pair) in pairs() {
+                let (s00, s01, s10, s11) =
+                    weighted_row2_q2(w0, q0, w1, q1, &pair[..dim], &pair[dim..]);
+                k0[2 * i] = s00;
+                k0[2 * i + 1] = s01;
+                k1[2 * i] = s10;
+                k1[2 * i + 1] = s11;
+            }
+            if let Some(odd) = odd {
+                k0[rows - 1] = weighted_row(w0, q0, odd);
+                k1[rows - 1] = weighted_row(w1, q1, odd);
+            }
+            q += 2;
+        }
+        if q < nq {
+            let (w0, q0, k0) = (weight(q), query(q), next_keys());
+            for (i, pair) in pairs() {
+                let (a, b) = weighted_row2(w0, q0, &pair[..dim], &pair[dim..]);
+                k0[2 * i] = a;
+                k0[2 * i + 1] = b;
+            }
+            if let Some(odd) = odd {
+                k0[rows - 1] = weighted_row(w0, q0, odd);
             }
         }
     }
@@ -1480,8 +1590,15 @@ pub(crate) fn l2_sq_multi_block_f32(
 }
 
 /// Weighted squared-Euclidean f32 keys for `Q` queries against one f32
-/// block in a single pass (`w_stride` as in [`weighted_sq_multi_block`]).
-pub(crate) fn weighted_sq_multi_block_f32(
+/// block in a single pass: `weights` holds one weight vector for every
+/// query (`w_stride = 0`) or one per query (`w_stride = dim`), and key
+/// `q·rows + r` belongs to query `q`, row `r`.
+///
+/// # Panics
+///
+/// Panics when the slice lengths do not fit `dim`, `w_stride` and the
+/// query count `bounds.len()`.
+pub fn weighted_sq_multi_block_f32(
     weights: &[f32],
     w_stride: usize,
     queries: &[f32],

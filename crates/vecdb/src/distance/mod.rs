@@ -71,6 +71,12 @@ pub use lp::{Chebyshev, Euclidean, Lp, Manhattan};
 pub use quadratic::QuadraticDistance;
 pub use weighted::WeightedEuclidean;
 
+/// The per-query-weight f32 multi kernel, public only for timing
+/// harnesses outside the crate; scans reach it through
+/// `QueryMetrics::Weighted`.
+#[doc(hidden)]
+pub use kernels::weighted_sq_multi_block_f32;
+
 /// A distance function over equal-length `f64` vectors.
 ///
 /// Implementations must be symmetric and satisfy `d(x, x) = 0`; the
@@ -367,7 +373,7 @@ pub(crate) const F32_KEY_OVERFLOW_GUARD: f64 = f32::MAX as f64 / 16.0;
 /// and an order of magnitude more. The accumulation bound holds for any summation order
 /// (each partial sum is rounded once, and every partial sum of
 /// non-negative terms is ≤ `Σ|tᵢ|`), so it covers the portable lane
-/// tree, the row-pair and 2×2-tile FMA kernels alike. The total is
+/// tree, the row-pair, 2×2-tile and 4×2-tile FMA kernels alike. The total is
 /// doubled as a safety margin (it also absorbs the f64 reference key's
 /// own, far smaller, rounding error). The overflow guard stays on the
 /// coarser `dim·w_max` worst case: it decides eligibility, not Δ.

@@ -354,7 +354,7 @@ impl KBest {
     pub(crate) fn new(k: usize) -> Self {
         KBest {
             k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
+            heap: std::collections::BinaryHeap::with_capacity(k),
         }
     }
 
@@ -370,7 +370,9 @@ impl KBest {
         }
     }
 
-    /// Offer a candidate.
+    /// Offer a candidate. A full heap replaces its top in place: one
+    /// sift-down when the top's `PeekMut` guard drops, none when the
+    /// candidate loses.
     #[inline]
     pub(crate) fn push(&mut self, index: u32, dist: f64) {
         if self.k == 0 {
@@ -378,10 +380,9 @@ impl KBest {
         }
         if self.heap.len() < self.k {
             self.heap.push(HeapEntry { dist, index });
-        } else if let Some(top) = self.heap.peek() {
+        } else if let Some(mut top) = self.heap.peek_mut() {
             if dist < top.dist || (dist == top.dist && index < top.index) {
-                self.heap.pop();
-                self.heap.push(HeapEntry { dist, index });
+                *top = HeapEntry { dist, index };
             }
         }
     }
@@ -425,19 +426,47 @@ impl KBest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn kbest_keeps_smallest() {
-        let mut kb = KBest::new(3);
-        assert_eq!(kb.threshold(), f64::INFINITY);
-        for (i, d) in [5.0, 1.0, 4.0, 2.0, 3.0].iter().enumerate() {
-            kb.push(i as u32, *d);
+    // The k-best holds exactly the first `k` offers by `(key, index)`,
+    // whatever the offer order: few distinct keys force duplicate-key
+    // tie-breaks, and the reversed and alternating orders offer smaller
+    // indices after larger ones.
+    proptest! {
+        #[test]
+        fn kbest_keeps_smallest(
+            keys in prop::collection::vec(0u32..12, 0..160),
+            k_pick in 0usize..4,
+            order in 0usize..3,
+        ) {
+            let k = [0, 1, 5, 50][k_pick];
+            let n = keys.len();
+            let index = |i: usize| match order {
+                0 => i,
+                1 => n - 1 - i,
+                _ if i.is_multiple_of(2) => n + i,
+                _ => n - i,
+            } as u32;
+            let offers: Vec<(f64, u32)> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &key)| (key as f64 * 0.25, index(i)))
+                .collect();
+            let mut kb = KBest::new(k);
+            for &(key, idx) in &offers {
+                kb.push(idx, key);
+            }
+            let mut want = offers.clone();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            want.truncate(k);
+            let threshold = if k > 0 && want.len() == k {
+                want[k - 1].0
+            } else {
+                f64::INFINITY
+            };
+            prop_assert_eq!(kb.threshold(), threshold);
+            prop_assert_eq!(kb.into_sorted_entries(), want);
         }
-        assert_eq!(kb.threshold(), 3.0);
-        let out = kb.into_sorted();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].dist, 1.0);
-        assert_eq!(out[2].dist, 3.0);
     }
 
     #[test]

@@ -51,6 +51,12 @@
 //! (see the proof sketch on [`MultiQueryScan::scan_range_shared_f32`]),
 //! so results remain bit-identical to the pure-f64 scan while the bulk
 //! of the pass moves half the bytes.
+//!
+//! Every block loop, in both precisions, hands its keys to one admit
+//! step, [`admit`]: an 8-lane `key ≤ bound` bitmask skips runs of rows
+//! that admit nothing with one test, and the exact f64 comparison runs
+//! on the set lanes only, so the candidate pools, the k-bests and the
+//! `blocks_abandoned` count are those of a row-by-row loop.
 
 use super::partitioned::{all_prune, Layout};
 use super::stats::{ScanStats, ScanStatsSink};
@@ -319,6 +325,29 @@ impl<'a> MultiQueryScan<'a> {
         }
     }
 
+    /// Walk `rows` in [`BLOCK_ROWS`] blocks: `block(start, end)` scores
+    /// and admits one block and returns whether some row of it failed
+    /// the admit; the walk counts rows visited and blocks abandoned and
+    /// records them once.
+    fn for_each_block(&self, rows: Range<usize>, mut block: impl FnMut(usize, usize) -> bool) {
+        let mut tally = ScanStats::default();
+        for start in rows.clone().step_by(BLOCK_ROWS) {
+            let end = (start + BLOCK_ROWS).min(rows.end);
+            tally.rows_visited += (end - start) as u64;
+            tally.blocks_abandoned += u64::from(block(start, end));
+        }
+        self.cfg.record_stats(tally);
+    }
+
+    /// The mirror rows `start..end` (the f32 loops run only when the
+    /// mirror exists).
+    fn block_f32(&self, start: usize, end: usize) -> &'a [f32] {
+        self.layout
+            .coll
+            .block_f32(start, end)
+            .expect("f32 path requires the mirror")
+    }
+
     /// Per-query-weight f32 phase-1: one register-blocked multi-kernel
     /// call scores the mirror block against all queries, each pruned by
     /// its own `2·slack`-inflated bound (same containment argument as
@@ -340,54 +369,28 @@ impl<'a> MultiQueryScan<'a> {
         let mut keys = vec![0.0f32; nq * BLOCK_ROWS];
         let mut bounds64 = vec![f64::INFINITY; nq];
         let mut bounds32 = vec![f32::INFINITY; nq];
-        let mut start = rows.start;
-        let mut tally = ScanStats::default();
-        while start < rows.end {
-            let end = (start + BLOCK_ROWS).min(rows.end);
+        self.for_each_block(rows, |start, end| {
             let n = end - start;
-            tally.rows_visited += n as u64;
-            let block = self
-                .layout
-                .coll
-                .block_f32(start, end)
-                .expect("f32 path requires the mirror");
             for (q, ((b64, b32), kb)) in bounds64
                 .iter_mut()
                 .zip(bounds32.iter_mut())
                 .zip(kbs.iter())
                 .enumerate()
             {
-                *b64 = if ks[q] == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    kb.threshold().min(cap_of(caps, q)) + 2.0 * slacks[q]
-                };
+                *b64 = phase1_bound(kb, ks[q], cap_of(caps, q), slacks[q]);
                 *b32 = f32_bound_up(*b64);
             }
             kernels::weighted_sq_multi_block_f32(
                 flat_w32,
                 dim,
                 flat_q32,
-                block,
+                self.block_f32(start, end),
                 dim,
                 &bounds32,
                 &mut keys[..nq * n],
             );
-            let mut block_abandoned = false;
-            for (q, (kb, cand)) in kbs.iter_mut().zip(cands.iter_mut()).enumerate() {
-                for (offset, &key) in keys[q * n..(q + 1) * n].iter().enumerate() {
-                    if (key as f64) <= bounds64[q] {
-                        cand.push(((start + offset) as u32, key));
-                        kb.push((start + offset) as u32, key as f64);
-                    } else {
-                        block_abandoned = true;
-                    }
-                }
-            }
-            tally.blocks_abandoned += block_abandoned as u64;
-            start = end;
-        }
-        self.cfg.record_stats(tally);
+            admit_block(&keys[..nq * n], &bounds64, start, None, kbs, Some(cands))
+        });
     }
 
     /// Per-query-weight f64 pass through the same multi-kernel layout.
@@ -405,13 +408,8 @@ impl<'a> MultiQueryScan<'a> {
         let nq = kbs.len();
         let mut keys = vec![0.0f64; nq * BLOCK_ROWS];
         let mut bounds = vec![f64::INFINITY; nq];
-        let mut start = rows.start;
-        let mut tally = ScanStats::default();
-        while start < rows.end {
-            let end = (start + BLOCK_ROWS).min(rows.end);
+        self.for_each_block(rows, |start, end| {
             let n = end - start;
-            tally.rows_visited += n as u64;
-            let block = self.layout.coll.block(start, end);
             for (q, (b, kb)) in bounds.iter_mut().zip(kbs.iter()).enumerate() {
                 *b = kb.threshold().min(cap_of(caps, q));
             }
@@ -419,29 +417,13 @@ impl<'a> MultiQueryScan<'a> {
                 flat_w,
                 dim,
                 flat_q,
-                block,
+                self.layout.coll.block(start, end),
                 dim,
                 &bounds,
                 &mut keys[..nq * n],
             );
-            let mut block_abandoned = false;
-            for (q, kb) in kbs.iter_mut().enumerate() {
-                for (offset, &key) in keys[q * n..(q + 1) * n].iter().enumerate() {
-                    // Capped pruning can abandon rows before the
-                    // k-best is full; the bound guard keeps their
-                    // partial-sum keys (> bound) out of the heap.
-                    if key <= bounds[q] {
-                        let idx = start + offset;
-                        kb.push(perm.map_or(idx as u32, |p| p[idx]), key);
-                    } else {
-                        block_abandoned = true;
-                    }
-                }
-            }
-            tally.blocks_abandoned += block_abandoned as u64;
-            start = end;
-        }
-        self.cfg.record_stats(tally);
+            admit_block(&keys[..nq * n], &bounds, start, perm, kbs, None)
+        });
     }
 
     /// Shared-metric blocked pass over one contiguous index range:
@@ -464,35 +446,15 @@ impl<'a> MultiQueryScan<'a> {
         let nq = kbs.len();
         let mut keys = vec![0.0f64; nq * BLOCK_ROWS];
         let mut bounds = vec![f64::INFINITY; nq];
-        let mut start = rows.start;
-        let mut tally = ScanStats::default();
-        while start < rows.end {
-            let end = (start + BLOCK_ROWS).min(rows.end);
+        self.for_each_block(rows, |start, end| {
             let n = end - start;
-            tally.rows_visited += n as u64;
-            let block = self.layout.coll.block(start, end);
             for (q, (b, kb)) in bounds.iter_mut().zip(kbs.iter()).enumerate() {
                 *b = kb.threshold().min(cap_of(caps, q));
             }
+            let block = self.layout.coll.block(start, end);
             dist.eval_key_multi(flat_queries, block, dim, &bounds, &mut keys[..nq * n]);
-            let mut block_abandoned = false;
-            for (q, kb) in kbs.iter_mut().enumerate() {
-                for (offset, &key) in keys[q * n..(q + 1) * n].iter().enumerate() {
-                    // Capped pruning can abandon rows before the k-best
-                    // is full; keep their partial-sum keys (> bound)
-                    // out of the heap.
-                    if key <= bounds[q] {
-                        let idx = start + offset;
-                        kb.push(perm.map_or(idx as u32, |p| p[idx]), key);
-                    } else {
-                        block_abandoned = true;
-                    }
-                }
-            }
-            tally.blocks_abandoned += block_abandoned as u64;
-            start = end;
-        }
-        self.cfg.record_stats(tally);
+            admit_block(&keys[..nq * n], &bounds, start, perm, kbs, None)
+        });
     }
 
     /// Shared-metric f32 phase-1 over one contiguous index range of the
@@ -532,49 +494,21 @@ impl<'a> MultiQueryScan<'a> {
         let mut keys = vec![0.0f32; nq * BLOCK_ROWS];
         let mut bounds64 = vec![f64::INFINITY; nq];
         let mut bounds32 = vec![f32::INFINITY; nq];
-        let mut start = rows.start;
-        let mut tally = ScanStats::default();
-        while start < rows.end {
-            let end = (start + BLOCK_ROWS).min(rows.end);
+        self.for_each_block(rows, |start, end| {
             let n = end - start;
-            tally.rows_visited += n as u64;
-            let block = self
-                .layout
-                .coll
-                .block_f32(start, end)
-                .expect("f32 path requires the mirror");
             for (q, ((b64, b32), (kb, &k))) in bounds64
                 .iter_mut()
                 .zip(bounds32.iter_mut())
                 .zip(kbs.iter().zip(ks.iter()))
                 .enumerate()
             {
-                // k = 0 collects nothing (an empty result needs no
-                // candidates; KBest's idle threshold would otherwise
-                // admit every row).
-                *b64 = if k == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    kb.threshold().min(cap_of(caps, q)) + 2.0 * slack
-                };
+                *b64 = phase1_bound(kb, k, cap_of(caps, q), slack);
                 *b32 = f32_bound_up(*b64);
             }
+            let block = self.block_f32(start, end);
             dist.eval_key_multi_f32(flat_q32, block, dim, &bounds32, &mut keys[..nq * n]);
-            let mut block_abandoned = false;
-            for (q, (kb, cand)) in kbs.iter_mut().zip(cands.iter_mut()).enumerate() {
-                for (offset, &key) in keys[q * n..(q + 1) * n].iter().enumerate() {
-                    if (key as f64) <= bounds64[q] {
-                        cand.push(((start + offset) as u32, key));
-                        kb.push((start + offset) as u32, key as f64);
-                    } else {
-                        block_abandoned = true;
-                    }
-                }
-            }
-            tally.blocks_abandoned += block_abandoned as u64;
-            start = end;
-        }
-        self.cfg.record_stats(tally);
+            admit_block(&keys[..nq * n], &bounds64, start, None, kbs, Some(cands))
+        });
     }
 
     /// Per-query-metric f32 phase-1: one shared mirror-block read, one
@@ -595,43 +529,22 @@ impl<'a> MultiQueryScan<'a> {
     ) {
         let dim = self.layout.coll.dim();
         let mut keys = [0.0f32; BLOCK_ROWS];
-        let mut start = rows.start;
-        let mut tally = ScanStats::default();
-        while start < rows.end {
-            let end = (start + BLOCK_ROWS).min(rows.end);
+        self.for_each_block(rows, |start, end| {
             let n = end - start;
-            tally.rows_visited += n as u64;
-            let block = self
-                .layout
-                .coll
-                .block_f32(start, end)
-                .expect("f32 path requires the mirror");
-            let mut block_abandoned = false;
+            let block = self.block_f32(start, end);
+            let mut abandoned = false;
             for (q, ((q32, d), (kb, cand))) in q32s
                 .iter()
                 .zip(dists.iter())
                 .zip(kbs.iter_mut().zip(cands.iter_mut()))
                 .enumerate()
             {
-                let bound64 = if ks[q] == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    kb.threshold().min(cap_of(caps, q)) + 2.0 * slacks[q]
-                };
+                let bound64 = phase1_bound(kb, ks[q], cap_of(caps, q), slacks[q]);
                 d.eval_key_batch_f32(q32, block, dim, f32_bound_up(bound64), &mut keys[..n]);
-                for (offset, &key) in keys[..n].iter().enumerate() {
-                    if (key as f64) <= bound64 {
-                        cand.push(((start + offset) as u32, key));
-                        kb.push((start + offset) as u32, key as f64);
-                    } else {
-                        block_abandoned = true;
-                    }
-                }
+                abandoned |= admit(&keys[..n], bound64, start, None, kb, Some(cand));
             }
-            tally.blocks_abandoned += block_abandoned as u64;
-            start = end;
-        }
-        self.cfg.record_stats(tally);
+            abandoned
+        });
     }
 
     /// Per-query-metric blocked pass: one shared block read, one
@@ -648,14 +561,10 @@ impl<'a> MultiQueryScan<'a> {
     ) {
         let dim = self.layout.coll.dim();
         let mut keys = [0.0f64; BLOCK_ROWS];
-        let mut start = rows.start;
-        let mut tally = ScanStats::default();
-        while start < rows.end {
-            let end = (start + BLOCK_ROWS).min(rows.end);
+        self.for_each_block(rows, |start, end| {
             let n = end - start;
-            tally.rows_visited += n as u64;
             let block = self.layout.coll.block(start, end);
-            let mut block_abandoned = false;
+            let mut abandoned = false;
             for (qi, ((q, d), kb)) in queries
                 .iter()
                 .zip(dists.iter())
@@ -664,19 +573,10 @@ impl<'a> MultiQueryScan<'a> {
             {
                 let bound = kb.threshold().min(cap_of(caps, qi));
                 d.eval_key_batch(q, block, dim, bound, &mut keys[..n]);
-                for (offset, &key) in keys[..n].iter().enumerate() {
-                    if key <= bound {
-                        let idx = start + offset;
-                        kb.push(perm.map_or(idx as u32, |p| p[idx]), key);
-                    } else {
-                        block_abandoned = true;
-                    }
-                }
+                abandoned |= admit(&keys[..n], bound, start, perm, kb, None);
             }
-            tally.blocks_abandoned += block_abandoned as u64;
-            start = end;
-        }
-        self.cfg.record_stats(tally);
+            abandoned
+        });
     }
 
     /// The one pass loop of both layouts and both precisions: walk the
@@ -839,6 +739,175 @@ fn rescore(
             .collect(),
         finished: false,
     }
+}
+
+/// Query `q`'s phase-1 bound for the next block: its running threshold
+/// under its cap, inflated by `2·slack`. `k = 0` collects nothing (an
+/// empty result needs no candidates; [`KBest`]'s idle threshold would
+/// otherwise admit every row), so its bound is `−∞`.
+fn phase1_bound(kb: &KBest, k: usize, cap: f64, slack: f64) -> f64 {
+    if k == 0 {
+        f64::NEG_INFINITY
+    } else {
+        kb.threshold().min(cap) + 2.0 * slack
+    }
+}
+
+/// Lanes of one [`admit`] mask.
+const ADMIT_LANES: usize = 8;
+
+/// A key the block loops admit: an f32 phase-1 key or an exact f64 key.
+trait AdmitKey: Copy + PartialOrd {
+    /// The least key `≥ bound`: what the lane mask compares against.
+    fn lane_bound(bound: f64) -> Self;
+    /// The key in the k-best's f64 space (exact for both types).
+    fn widen(self) -> f64;
+    /// [`lane_mask`] of a full run, in SIMD compares where the target
+    /// has them.
+    fn run_mask(run: &[Self; ADMIT_LANES], lane_bound: Self) -> u32;
+}
+
+/// Bit `l` set iff `lanes[l] ≤ lane_bound` (clear for a NaN key).
+#[inline]
+fn lane_mask<K: PartialOrd + Copy>(lanes: &[K], lane_bound: K) -> u32 {
+    lanes
+        .iter()
+        .enumerate()
+        .fold(0, |m, (l, &key)| m | u32::from(key <= lane_bound) << l)
+}
+
+impl AdmitKey for f32 {
+    #[inline]
+    fn lane_bound(bound: f64) -> f32 {
+        f32_bound_up(bound)
+    }
+    #[inline]
+    fn widen(self) -> f64 {
+        f64::from(self)
+    }
+    #[inline]
+    fn run_mask(run: &[f32; ADMIT_LANES], lane_bound: f32) -> u32 {
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        // SAFETY: SSE2 is enabled for this build (the cfg above); the
+        // two unaligned 4-lane loads read lanes 0..4 and 4..8 of `run`.
+        // `cmple` is false for NaN, like `<=`.
+        unsafe {
+            use std::arch::x86_64::*;
+            let b = _mm_set1_ps(lane_bound);
+            let lo = _mm_cmple_ps(_mm_loadu_ps(run.as_ptr()), b);
+            let hi = _mm_cmple_ps(_mm_loadu_ps(run.as_ptr().add(4)), b);
+            (_mm_movemask_ps(lo) | _mm_movemask_ps(hi) << 4) as u32
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+        lane_mask(run, lane_bound)
+    }
+}
+
+impl AdmitKey for f64 {
+    #[inline]
+    fn lane_bound(bound: f64) -> f64 {
+        bound
+    }
+    #[inline]
+    fn widen(self) -> f64 {
+        self
+    }
+    #[inline]
+    fn run_mask(run: &[f64; ADMIT_LANES], lane_bound: f64) -> u32 {
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        // SAFETY: as for f32; the four 2-lane loads read lanes 0..8.
+        unsafe {
+            use std::arch::x86_64::*;
+            let b = _mm_set1_pd(lane_bound);
+            let pair =
+                |l: usize| _mm_movemask_pd(_mm_cmple_pd(_mm_loadu_pd(run.as_ptr().add(l)), b));
+            (pair(0) | pair(2) << 2 | pair(4) << 4 | pair(6) << 6) as u32
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+        lane_mask(run, lane_bound)
+    }
+}
+
+/// The admit step of every block loop: offer one query's keys of the
+/// rows `start..start + keys.len()` to its k-best (under `perm`, when
+/// given) and, on the f32 phase-1, to its candidate `pool`. A row is
+/// admitted iff `key ≤ bound`, compared exactly in f64; an abandoned
+/// row's key (`INFINITY`, or a partial sum over the bound — capped
+/// pruning abandons rows before the k-best is full) and a NaN key fail.
+/// Returns whether some row failed: the block's `blocks_abandoned`
+/// vote.
+///
+/// Each run of [`ADMIT_LANES`] keys first builds a branch-free bitmask
+/// of `key ≤ lane_bound`, so a run that admits nothing — most of a pass,
+/// once the thresholds settle — costs one mask test. For f32 keys the
+/// lane bound is `f32_bound_up(bound)`, the least f32 `≥ bound`, so the
+/// mask admits a superset of the exact test: a key `≤ bound` is
+/// `≤ lane_bound`, and the only key the mask adds is one exactly equal
+/// to `lane_bound` when `lane_bound > bound`. The exact test then runs
+/// on the set lanes only, in row order, so the pool, the k-best and
+/// the vote equal those of the row-by-row loop.
+#[inline]
+fn admit<K: AdmitKey>(
+    keys: &[K],
+    bound: f64,
+    start: usize,
+    perm: Option<&[u32]>,
+    kb: &mut KBest,
+    mut pool: Option<&mut Vec<(u32, K)>>,
+) -> bool {
+    let lane_bound = K::lane_bound(bound);
+    let mut failed = false;
+    let mut take = |mut mask: u32, lanes: &[K], base: usize| {
+        failed |= mask != (1u32 << lanes.len()) - 1;
+        while mask != 0 {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let key = lanes[l].widen();
+            if key <= bound {
+                let row = base + l;
+                if let Some(pool) = pool.as_deref_mut() {
+                    pool.push((row as u32, lanes[l]));
+                }
+                kb.push(perm.map_or(row as u32, |p| p[row]), key);
+            } else {
+                failed = true;
+            }
+        }
+    };
+    let mut runs = keys.chunks_exact(ADMIT_LANES);
+    let mut base = start;
+    for run in &mut runs {
+        let run: &[K; ADMIT_LANES] = run.try_into().expect("exact run");
+        take(K::run_mask(run, lane_bound), run, base);
+        base += ADMIT_LANES;
+    }
+    let rest = runs.remainder();
+    take(lane_mask(rest, lane_bound), rest, base);
+    failed
+}
+
+/// [`admit`] for every query of a multi-kernel block: `keys` holds the
+/// queries' keys query-major, `bounds`/`kbs`/`pools` one entry per
+/// query. Returns whether some row of some query failed.
+fn admit_block<K: AdmitKey>(
+    keys: &[K],
+    bounds: &[f64],
+    start: usize,
+    perm: Option<&[u32]>,
+    kbs: &mut [KBest],
+    mut pools: Option<&mut [Vec<(u32, K)>]>,
+) -> bool {
+    let n = keys.len() / bounds.len();
+    let mut failed = false;
+    for (q, (kb, (query_keys, &bound))) in kbs
+        .iter_mut()
+        .zip(keys.chunks_exact(n).zip(bounds))
+        .enumerate()
+    {
+        let pool = pools.as_deref_mut().map(|p| &mut p[q]);
+        failed |= admit(query_keys, bound, start, perm, kb, pool);
+    }
+    failed
 }
 
 /// Final candidate filter between the phases: re-apply the containment
@@ -1100,6 +1169,110 @@ mod tests {
             scan.knn(&QueryBatch::new(&[q], Weighted(&[&m[0]]), 3)),
             vec![Vec::new()]
         );
+    }
+
+    /// The row-by-row admit loop [`admit`] replaced.
+    fn admit_row_by_row<K: AdmitKey>(
+        keys: &[K],
+        bound: f64,
+        start: usize,
+        perm: Option<&[u32]>,
+        kb: &mut KBest,
+        mut pool: Option<&mut Vec<(u32, K)>>,
+    ) -> bool {
+        let mut abandoned = false;
+        for (offset, &key) in keys.iter().enumerate() {
+            if key.widen() <= bound {
+                let row = start + offset;
+                if let Some(pool) = pool.as_deref_mut() {
+                    pool.push((row as u32, key));
+                }
+                kb.push(perm.map_or(row as u32, |p| p[row]), key.widen());
+            } else {
+                abandoned = true;
+            }
+        }
+        abandoned
+    }
+
+    #[test]
+    fn admit_matches_row_by_row_loop() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xad31);
+        // 1/3 is no f32: its lane bound lies strictly above it, so a key
+        // exactly at the lane bound passes the mask and fails the exact
+        // test. 0.375 is an f32, so there the two bounds agree; `−∞` is
+        // the bound of a `k = 0` query.
+        let inexact = 1.0 / 3.0;
+        let inexact32 = f32_bound_up(inexact);
+        assert!(f64::from(inexact32) > inexact);
+        let start = 40;
+        for bound in [inexact, 0.375, f64::INFINITY, f64::NEG_INFINITY] {
+            let lane32 = f32_bound_up(bound);
+            for n in [1usize, 7, 8, 9, 23, 64, 256] {
+                for k in [0usize, 1, 5, 50] {
+                    let mut draw = || match rng.gen_range(0..8) {
+                        0 => inexact32,
+                        1 => f32::INFINITY,
+                        2 => 0.375,
+                        3 => lane32,
+                        _ => rng.gen_range(0.0..1.0f32),
+                    };
+                    // Two consecutive blocks on one k-best, so the
+                    // second offers against a full heap.
+                    let blocks: Vec<Vec<f32>> =
+                        (0..2).map(|_| (0..n).map(|_| draw()).collect()).collect();
+                    let shape = format!("bound {bound} n {n} k {k}");
+
+                    // f32 phase 1: candidate pool, scanned-row indices.
+                    let (mut kb, mut want_kb) = (KBest::new(k), KBest::new(k));
+                    let (mut pool, mut want_pool) = (Vec::new(), Vec::new());
+                    for (b, keys) in blocks.iter().enumerate() {
+                        let at = start + b * n;
+                        let got = admit(keys, bound, at, None, &mut kb, Some(&mut pool));
+                        let want = admit_row_by_row(
+                            keys,
+                            bound,
+                            at,
+                            None,
+                            &mut want_kb,
+                            Some(&mut want_pool),
+                        );
+                        assert_eq!(got, want, "f32 abandoned, {shape}");
+                    }
+                    let bits = |p: &[(u32, f32)]| {
+                        p.iter().map(|&(i, k)| (i, k.to_bits())).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&pool), bits(&want_pool), "f32 pool, {shape}");
+                    assert_eq!(
+                        kb.into_sorted_entries(),
+                        want_kb.into_sorted_entries(),
+                        "f32 k-best, {shape}"
+                    );
+
+                    // f64 pass: no pool, pushes through a permutation.
+                    let rows = start + 2 * n;
+                    let perm: Vec<u32> = (0..rows as u32).rev().collect();
+                    let (mut kb, mut want_kb) = (KBest::new(k), KBest::new(k));
+                    for (b, keys) in blocks.iter().enumerate() {
+                        let keys: Vec<f64> = keys
+                            .iter()
+                            .map(|&key| if key == lane32 { bound } else { key.into() })
+                            .collect();
+                        let at = start + b * n;
+                        let got = admit(&keys, bound, at, Some(&perm), &mut kb, None);
+                        let want =
+                            admit_row_by_row(&keys, bound, at, Some(&perm), &mut want_kb, None);
+                        assert_eq!(got, want, "f64 abandoned, {shape}");
+                    }
+                    assert_eq!(
+                        kb.into_sorted_entries(),
+                        want_kb.into_sorted_entries(),
+                        "f64 k-best, {shape}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

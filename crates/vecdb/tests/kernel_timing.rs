@@ -1,7 +1,10 @@
 //! Ad-hoc kernel timing harness (ignored by default; run explicitly with
-//! `cargo test --release --test kernel_timing -- --ignored --nocapture`).
+//! `cargo test --release -p fbp-vecdb --test kernel_timing -- --ignored --nocapture`).
 
+use fbp_vecdb::distance::weighted_sq_multi_block_f32;
 use fbp_vecdb::{Distance, WeightedEuclidean};
+use std::hint::black_box;
+use std::time::Instant;
 
 #[test]
 #[ignore]
@@ -18,16 +21,16 @@ fn time_f32_vs_f64_kernels() {
     let mut out = vec![0.0f64; N];
     let mut out32 = vec![0.0f32; N];
     for _ in 0..3 {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         for _ in 0..20 {
             w.eval_key_batch(&q, &block, DIM, f64::INFINITY, &mut out);
-            std::hint::black_box(&out);
+            black_box(&out);
         }
         let f64_t = t0.elapsed().as_nanos() as f64 / 20.0;
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         for _ in 0..20 {
             w.eval_key_batch_f32(&q32, &block32, DIM, f32::INFINITY, &mut out32);
-            std::hint::black_box(&out32);
+            black_box(&out32);
         }
         let f32_t = t0.elapsed().as_nanos() as f64 / 20.0;
         println!(
@@ -36,5 +39,89 @@ fn time_f32_vs_f64_kernels() {
             f32_t / 1e3,
             f64_t / f32_t
         );
+    }
+}
+
+/// Fastest of `reps` runs of `f`, in nanoseconds.
+fn min_ns(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The Q×row table of the per-query-weight f32 phase 1: ns per
+/// (query, row) for one multi-kernel call per 256-row block against Q
+/// single-query block calls per block, the two ways a scan can score Q
+/// diverged sessions.
+#[test]
+#[ignore]
+fn time_per_query_weight_multi_kernel() {
+    const N: usize = 50_000;
+    const BLOCK_ROWS: usize = 256;
+    const REPS: usize = 7;
+    println!(
+        "{:>3} {:>3} {:>14} {:>15} {:>8}",
+        "D", "Q", "multi ns/q·row", "single ns/q·row", "speedup"
+    );
+    for dim in [32usize, 64] {
+        let block: Vec<f32> = (0..N * dim)
+            .map(|i| (i as f32 * 0.37).sin().abs())
+            .collect();
+        for nq in [1usize, 2, 4, 16] {
+            let queries: Vec<f32> = (0..nq * dim)
+                .map(|i| (i as f32 * 0.7).cos().abs())
+                .collect();
+            let metrics: Vec<WeightedEuclidean> = (0..nq)
+                .map(|q| {
+                    WeightedEuclidean::new(
+                        (0..dim)
+                            .map(|i| 0.25 + ((q + i) % 5) as f64 * 0.5)
+                            .collect(),
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let weights: Vec<f32> = metrics
+                .iter()
+                .flat_map(|m| m.weights().iter().map(|&w| w as f32))
+                .collect();
+            let bounds = vec![f32::INFINITY; nq];
+            let mut out = vec![0.0f32; nq * BLOCK_ROWS];
+            let multi = min_ns(REPS, || {
+                for rows in block.chunks(BLOCK_ROWS * dim) {
+                    let n = rows.len() / dim;
+                    weighted_sq_multi_block_f32(
+                        &weights,
+                        dim,
+                        black_box(&queries),
+                        rows,
+                        dim,
+                        &bounds,
+                        &mut out[..nq * n],
+                    );
+                    black_box(&out);
+                }
+            });
+            let single = min_ns(REPS, || {
+                for rows in block.chunks(BLOCK_ROWS * dim) {
+                    let n = rows.len() / dim;
+                    for (m, q) in metrics.iter().zip(queries.chunks_exact(dim)) {
+                        m.eval_key_batch_f32(black_box(q), rows, dim, f32::INFINITY, &mut out[..n]);
+                        black_box(&out);
+                    }
+                }
+            });
+            let per = (nq * N) as f64;
+            println!(
+                "{dim:>3} {nq:>3} {:>14.3} {:>15.3} {:>8.2}",
+                multi / per,
+                single / per,
+                single / multi
+            );
+        }
     }
 }

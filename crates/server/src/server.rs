@@ -82,7 +82,14 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Largest accepted frame payload.
     pub max_frame_len: u32,
-    /// Scan execution mode for the coalesced passes. Precision follows
+    /// Scan execution mode for the coalesced passes. The default,
+    /// [`ScanMode::Auto`], decides per row range of each pass — a
+    /// shard's rows, or each surviving partition — and fans a range
+    /// out over the dispatcher's share of the cores only when its own
+    /// `rows × dim × queries` work clears the measured spawn break-even,
+    /// so a big flat pass uses an idle core while pruned partitions and
+    /// thin shard passes stay on the dispatcher thread. Every mode
+    /// answers the same bits. Precision follows
     /// [`SharedBypass::effective_precision`]: mirrored collections are
     /// served with the f32-rescore path automatically.
     pub scan_mode: ScanMode,
@@ -148,7 +155,7 @@ impl Default for ServerConfig {
             idle_gap: Duration::from_micros(300),
             queue_capacity: 4096,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            scan_mode: ScanMode::Batched,
+            scan_mode: ScanMode::Auto,
             shards: 1,
             row_offset: 0,
             partitions: None,

@@ -274,9 +274,10 @@ impl Distance for HierarchicalDistance {
     fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
         // The flattened form is exactly a weighted Euclidean with the
         // effective weights, so the same rounding budget applies.
-        let w_max = self.effective_weights.iter().cloned().fold(0.0, f64::max);
-        let w_sum = self.effective_weights.iter().sum();
-        super::weighted_f32_slack(dim, w_sum, w_max, max_abs)
+        let w = &self.effective_weights;
+        let w_min = w.iter().cloned().fold(f64::INFINITY, f64::min);
+        let w_max = w.iter().cloned().fold(0.0, f64::max);
+        super::weighted_f32_slack(dim, w.iter().sum(), w_min, w_max, max_abs)
     }
 
     fn eval_key_batch_f32(

@@ -2049,8 +2049,9 @@ mod tests {
                     for q in 0..NQ {
                         let w = &weights[q * dim..(q + 1) * dim];
                         let w_sum: f64 = w.iter().sum();
+                        let w_min = w.iter().cloned().fold(f64::INFINITY, f64::min);
                         let w_max = w.iter().cloned().fold(0.0, f64::max);
-                        let slack = weighted_f32_slack(dim, w_sum, w_max, max_abs)
+                        let slack = weighted_f32_slack(dim, w_sum, w_min, w_max, max_abs)
                             .expect("magnitudes far below the overflow guard");
                         for r in 0..ROWS {
                             let key64 = weighted_sq_row(

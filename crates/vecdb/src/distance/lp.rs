@@ -61,7 +61,7 @@ impl Distance for Euclidean {
     }
 
     fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
-        super::weighted_f32_slack(dim, dim as f64, 1.0, max_abs)
+        super::weighted_f32_slack(dim, dim as f64, 1.0, 1.0, max_abs)
     }
 
     fn eval_key_batch_f32(

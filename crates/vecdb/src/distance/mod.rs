@@ -341,6 +341,10 @@ pub(crate) fn metric_partition_lower(dqc: f64, lo: f64, hi: f64, d2qc: f64, radi
 /// Half-ulp relative rounding bound of f32 round-to-nearest.
 pub(crate) const F32_UNIT_ROUNDOFF: f64 = 1.0 / (1u64 << 24) as f64;
 
+/// Absolute rounding bound of an f32 result in the subnormal range:
+/// half the smallest subnormal, `2⁻¹⁵⁰`.
+pub(crate) const F32_UNDERFLOW_ROUNDOFF: f64 = f32::MIN_POSITIVE as f64 / (1u64 << 24) as f64;
+
 /// Largest worst-case f32 key magnitude for which f32 scanning is
 /// offered at all. The rounding analyses below are only valid while the
 /// f32 computation stays *finite*: a key that overflows to `+∞` while
@@ -357,8 +361,12 @@ pub(crate) const F32_KEY_OVERFLOW_GUARD: f64 = f32::MAX as f64 / 16.0;
 /// (`Σ wᵢ·(aᵢ−bᵢ)²`, covering Euclidean via `w ≡ 1` and hierarchical via
 /// the flattened effective weights), at dimensionality `dim` with
 /// component magnitudes ≤ `max_abs`, weight sum `w_sum = Σ wᵢ` and
-/// weights ≤ `w_max` — or `None` when the worst-case key could overflow
-/// f32 ([`F32_KEY_OVERFLOW_GUARD`]), where no finite slack is sound.
+/// weights in `[w_min, w_max]` — or `None` when no finite slack is
+/// sound: the worst-case key could overflow f32
+/// ([`F32_KEY_OVERFLOW_GUARD`]), or some weight does not round to a
+/// normal finite f32 (a subnormal weight carries up to 50 % rounding
+/// error, not `u`; an infinite one makes `∞·0 = NaN` keys the admit
+/// drops).
 ///
 /// Error budget (u = 2⁻²⁴, M = `max_abs`, per-component difference
 /// `d = a − b` with `|d| ≤ 2M`):
@@ -377,7 +385,26 @@ pub(crate) const F32_KEY_OVERFLOW_GUARD: f64 = f32::MAX as f64 / 16.0;
 /// doubled as a safety margin (it also absorbs the f64 reference key's
 /// own, far smaller, rounding error). The overflow guard stays on the
 /// coarser `dim·w_max` worst case: it decides eligibility, not Δ.
-pub(crate) fn weighted_f32_slack(dim: usize, w_sum: f64, w_max: f64, max_abs: f64) -> Option<f64> {
+///
+/// Underflow is not relative: an f32 operation whose result falls below
+/// `f32::MIN_POSITIVE` is off by up to `η = 2⁻¹⁵⁰` absolute on top of
+/// its `u`-relative error. Per component that is `η` for each of the
+/// two input conversions — `≤ 2.1η` on `d`, so `≤ 8.7·η·M·wᵢ` on the
+/// term — `η·wᵢ` for the square the weight then scales, and `η` for
+/// each of the (at most two) products and adds that fold the term into
+/// the key; rounded up to `η·(wᵢ·(9M + 1) + 2)`, summed and doubled with
+/// the rest. On unit-scale data the term is ~10⁻⁴² against a Δ of
+/// ~10⁻⁵; on data whose squares underflow it is what keeps Δ sound.
+pub(crate) fn weighted_f32_slack(
+    dim: usize,
+    w_sum: f64,
+    w_min: f64,
+    w_max: f64,
+    max_abs: f64,
+) -> Option<f64> {
+    if !((w_min as f32).is_normal() && (w_max as f32).is_finite()) {
+        return None;
+    }
     let n = dim as f64;
     let m2 = max_abs * max_abs;
     // Worst-case key ≤ Σ|tᵢ| ≤ n·w_max·(2.01·M)²; also covers every
@@ -388,8 +415,13 @@ pub(crate) fn weighted_f32_slack(dim: usize, w_sum: f64, w_max: f64, max_abs: f6
     if !(worst_key <= F32_KEY_OVERFLOW_GUARD) {
         return None;
     }
+    if max_abs == 0.0 {
+        return Some(0.0); // all-zero data: every operation is exact
+    }
     let u = F32_UNIT_ROUNDOFF;
-    Some(2.0 * u * w_sum * m2 * (29.0 + 4.1 * n))
+    let relative = u * w_sum * m2 * (29.0 + 4.1 * n);
+    let underflow = F32_UNDERFLOW_ROUNDOFF * (w_sum * (9.0 * max_abs + 1.0) + 2.0 * n);
+    Some(2.0 * (relative + underflow))
 }
 
 #[cfg(test)]
@@ -398,27 +430,27 @@ mod slack_tests {
 
     #[test]
     fn weighted_slack_is_positive_and_scales() {
-        let s = weighted_f32_slack(64, 64.0, 3.0, 1.0).unwrap();
+        let s = weighted_f32_slack(64, 64.0, 1.0, 3.0, 1.0).unwrap();
         assert!(s > 0.0 && s.is_finite());
         // More components, more weight mass, bigger values ⇒ looser bound.
-        assert!(weighted_f32_slack(128, 64.0, 3.0, 1.0).unwrap() > s);
-        assert!(weighted_f32_slack(64, 128.0, 3.0, 1.0).unwrap() > s);
-        assert!(weighted_f32_slack(64, 64.0, 3.0, 2.0).unwrap() > s);
+        assert!(weighted_f32_slack(128, 64.0, 1.0, 3.0, 1.0).unwrap() > s);
+        assert!(weighted_f32_slack(64, 128.0, 1.0, 3.0, 1.0).unwrap() > s);
+        assert!(weighted_f32_slack(64, 64.0, 1.0, 3.0, 2.0).unwrap() > s);
         // Degenerate all-zero data ⇒ zero slack (keys are exactly 0).
-        assert_eq!(weighted_f32_slack(64, 64.0, 3.0, 0.0), Some(0.0));
+        assert_eq!(weighted_f32_slack(64, 64.0, 1.0, 3.0, 0.0), Some(0.0));
     }
 
     #[test]
     fn slack_follows_the_weight_sum_not_the_heaviest_weight() {
         // One dominant component among 63 light ones: Δ is sized by the
         // metric's total mass (≈ 1 heavy weight), not by 64 copies of it.
-        let skewed = weighted_f32_slack(64, 100.0 + 63.0 * 0.01, 100.0, 1.0).unwrap();
-        let flat = weighted_f32_slack(64, 64.0 * 100.0, 100.0, 1.0).unwrap();
+        let skewed = weighted_f32_slack(64, 100.0 + 63.0 * 0.01, 0.01, 100.0, 1.0).unwrap();
+        let flat = weighted_f32_slack(64, 64.0 * 100.0, 100.0, 100.0, 1.0).unwrap();
         assert!(skewed * 60.0 < flat, "skewed {skewed} vs flat {flat}");
         // w_max alone (same Σw) only gates eligibility.
         assert_eq!(
-            weighted_f32_slack(64, 64.0, 1.0, 1.0),
-            weighted_f32_slack(64, 64.0, 50.0, 1.0)
+            weighted_f32_slack(64, 64.0, 1.0, 1.0, 1.0),
+            weighted_f32_slack(64, 64.0, 1.0, 50.0, 1.0)
         );
     }
 
@@ -427,10 +459,10 @@ mod slack_tests {
         // Component magnitudes ~1e18 drive 64-d weighted keys toward
         // f32::MAX, where |key32 − key64| ≤ Δ no longer holds (key32
         // saturates to +∞). No finite slack is sound there.
-        assert_eq!(weighted_f32_slack(64, 64.0, 1.0, 1e18), None);
-        assert_eq!(weighted_f32_slack(64, 64e6, 1e6, 1e16), None);
+        assert_eq!(weighted_f32_slack(64, 64.0, 1.0, 1.0, 1e18), None);
+        assert_eq!(weighted_f32_slack(64, 64e6, 1.0, 1e6, 1e16), None);
         // Ordinary magnitudes stay eligible.
-        assert!(weighted_f32_slack(64, 640.0, 10.0, 1e3).is_some());
+        assert!(weighted_f32_slack(64, 640.0, 1.0, 10.0, 1e3).is_some());
     }
 }
 

@@ -160,7 +160,7 @@ impl Distance for WeightedEuclidean {
     }
 
     fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
-        super::weighted_f32_slack(dim, self.sum_w, self.max_w, max_abs)
+        super::weighted_f32_slack(dim, self.sum_w, self.min_w, self.max_w, max_abs)
     }
 
     fn eval_key_batch_f32(

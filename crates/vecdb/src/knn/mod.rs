@@ -177,10 +177,17 @@ pub(crate) fn finish_entries(
 /// k-best thresholds refresh frequently for early abandonment.
 pub(crate) const BLOCK_ROWS: usize = 256;
 
-/// `len × dim` (× queries, for the multi-query scan) threshold above
-/// which [`ScanMode::Auto`] goes parallel; below it, thread spawn/join
-/// overhead outweighs the win.
-pub(crate) const PARALLEL_CUTOFF: usize = 64 * 1024;
+/// Work (`rows × dim × queries`) at which [`ScanMode::Auto`] fans one
+/// row range out over threads; below it, the spawn/join costs more than
+/// the split saves. Set from `kernel_timing.rs`'s ignored
+/// `fan_out_break_even` table: on a 2-vCPU x86-64 host one scoped
+/// spawn + join cost ~36 µs and a two-way split of the Batched serving
+/// pass broke even at 0.19–0.73 Mi across D ∈ {32, 64}, Q ∈ {1, 2, 16}
+/// (three runs; the largest at D = 64, Q = 16). The cutoff is that
+/// largest break-even rounded up to a power of two, which also covers
+/// what the table's model leaves out — the later chunk's cold k-best,
+/// two threads sharing one memory bus, the merge.
+pub(crate) const PARALLEL_CUTOFF: usize = 1 << 20;
 
 /// Worker-thread count for a parallel scan: the caller's explicit budget
 /// when one was set (the nested-parallelism case — e.g. `fbp-eval`
@@ -218,12 +225,15 @@ impl ScanConfig<'_> {
         }
     }
 
-    /// The mode `Auto` resolves to for `nq` concurrent queries over a
-    /// `rows × dim` layout: total work is `rows × dim × nq`
-    /// candidate-components, so more queries tip the same collection
-    /// into the parallel regime sooner. A sharded or partitioned layout
-    /// passes its **total** row count, so it always runs the kernels
-    /// its flat twin runs.
+    /// The mode one contiguous row range runs in for `nq` concurrent
+    /// queries: `Auto` resolves **per range** — a flat layout's rows
+    /// (a collection, or one shard), or one surviving partition — to
+    /// Parallel iff the range's own `rows × dim × nq` work clears
+    /// [`PARALLEL_CUTOFF`], so more queries tip the same range into the
+    /// parallel regime sooner while the small ranges of a pruned or
+    /// sharded pass stay on the calling thread. Either way the range
+    /// runs the same kernels and selects the same bits
+    /// (Batched ≡ Parallel).
     pub(crate) fn effective_mode(&self, rows: usize, dim: usize, nq: usize) -> ScanMode {
         match self.mode {
             ScanMode::Auto if rows * dim.max(1) * nq.max(1) >= PARALLEL_CUTOFF => {

@@ -227,18 +227,14 @@ impl<'a> MultiQueryScan<'a> {
         }
         let ks = batch.ks_for(len, dim);
         self.cfg.record_seeded_pass(caps);
-        // Auto resolves from the total work across the whole layout
-        // (pruning-dependent savings are unknowable up front), so every
-        // layout runs the kernels its flat twin runs.
-        let mode = self.cfg.effective_mode(len, dim, nq);
         let perm = self.layout.perm();
-        if mode == ScanMode::Scalar {
+        if self.cfg.mode == ScanMode::Scalar {
             // The reference pass is flat and pruning-free.
             return scalar_reference(coll, perm, &self.cfg, batch, &ks, caps);
         }
         if let Some(slacks) = self.f32_slacks(batch) {
             let (kbs, cands) = self.with_f32_scanner(batch, &slacks, &ks, |scan| {
-                self.drive(mode, batch, &ks, &slacks, caps, scan)
+                self.drive(batch, &ks, &slacks, caps, scan)
             });
             let cands = filter_candidates(&kbs, &slacks, cands, caps, self.cfg.stats);
             // Gather by scanned-row index, push under the original index
@@ -247,7 +243,7 @@ impl<'a> MultiQueryScan<'a> {
         }
         // The f64 pass is the f32 one at zero slack (`t + 0.0 == t`).
         let (kbs, _) = self.with_scanner(batch, |scan| {
-            self.drive(mode, batch, &ks, &vec![0.0; nq], caps, scan)
+            self.drive(batch, &ks, &vec![0.0; nq], caps, scan)
         });
         KeyedResults::from_kbests(kbs, false)
     }
@@ -583,20 +579,21 @@ impl<'a> MultiQueryScan<'a> {
     /// layout's partitions in visit order, skip every partition all
     /// queries prove irrelevant ([`all_prune`] at this pass's `slacks` —
     /// zeros on the f64 path), and scan each survivor through
-    /// `scan_chunk`, fanning it out over worker threads in Parallel
-    /// mode ([`fan_out`]). Returns the running k-bests (original
-    /// indices on the f64 path) and the candidate pools (empty on the
-    /// f64 path).
+    /// `scan_chunk`, fanning it out over worker threads ([`fan_out`])
+    /// when the range's own mode is Parallel — always in Parallel mode,
+    /// and in Auto iff the range's `rows × dim × nq` clears
+    /// [`PARALLEL_CUTOFF`](super::PARALLEL_CUTOFF). Returns the running
+    /// k-bests (original indices on the f64 path) and the candidate
+    /// pools (empty on the f64 path).
     fn drive(
         &self,
-        mode: ScanMode,
         batch: &QueryBatch<'_>,
         ks: &[usize],
         slacks: &[f64],
         caps: Option<&[f64]>,
         scan_chunk: &ChunkScan<'_>,
     ) -> (Vec<KBest>, Vec<Vec<(u32, f32)>>) {
-        let nq = ks.len();
+        let (nq, dim) = (ks.len(), self.layout.coll.dim());
         let lbs = self.layout.lower_bounds(batch);
         let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
         let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
@@ -610,7 +607,7 @@ impl<'a> MultiQueryScan<'a> {
                 tally.partitions_pruned += 1;
                 continue;
             }
-            let threads = match mode {
+            let threads = match self.cfg.effective_mode(rows.len(), dim, nq) {
                 ScanMode::Parallel => self.cfg.threads(rows.len().div_ceil(BLOCK_ROWS)),
                 _ => 1,
             };
@@ -627,16 +624,18 @@ impl<'a> MultiQueryScan<'a> {
     }
 }
 
-/// Fan one surviving row range out over `threads` workers. Workers get
-/// fresh k-bests seeded by the snapshot cap `min(t + slack, cap)` — a
-/// sound upper bound on each query's final key at this point of the
-/// pass (module docs of [`partitioned`](super::partitioned); `slack` is
-/// zero on the f64 path) — and merge back in spawn order: candidate
-/// pools concatenate (the rescore is order-independent) and each
-/// worker's sorted k-best entries fold into the running k-bests by
-/// ascending `(key, index)`, so the result is deterministic regardless
-/// of thread count, chunk boundaries or completion order, and identical
-/// to what the one-thread walk selects.
+/// Fan one surviving row range out over `threads` contiguous chunks:
+/// the calling thread scans the first while `threads − 1` scoped
+/// workers scan the rest. Every chunk gets fresh k-bests seeded by the
+/// snapshot cap `min(t + slack, cap)` — a sound upper bound on each
+/// query's final key at this point of the pass (module docs of
+/// [`partitioned`](super::partitioned); `slack` is zero on the f64
+/// path) — and merges back in chunk order: candidate pools concatenate
+/// (the rescore is order-independent) and each chunk's sorted k-best
+/// entries fold into the running k-bests by ascending `(key, index)`,
+/// so the result is deterministic regardless of thread count, chunk
+/// boundaries or completion order, and identical to what the
+/// one-thread walk selects.
 #[allow(clippy::too_many_arguments)]
 fn fan_out(
     threads: usize,
@@ -655,24 +654,24 @@ fn fan_out(
         .map(|(q, kb)| (kb.threshold() + slacks[q]).min(cap_of(caps, q)))
         .collect();
     let chunk = rows.len().div_ceil(threads);
+    let scan = |t: usize| {
+        let lo = rows.start + t * chunk;
+        let hi = (lo + chunk).min(rows.end);
+        let mut wkbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
+        let mut wcands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
+        scan_chunk(lo..hi, &mut wkbs, &mut wcands, Some(&snapshot));
+        let entries: Vec<Vec<(f64, u32)>> =
+            wkbs.into_iter().map(KBest::into_sorted_entries).collect();
+        (entries, wcands)
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = rows.start + t * chunk;
-                let hi = (lo + chunk).min(rows.end);
-                let snapshot = &snapshot;
-                scope.spawn(move || {
-                    let mut wkbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                    let mut wcands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
-                    scan_chunk(lo..hi, &mut wkbs, &mut wcands, Some(snapshot));
-                    let entries: Vec<Vec<(f64, u32)>> =
-                        wkbs.into_iter().map(KBest::into_sorted_entries).collect();
-                    (entries, wcands)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (entries, wcands) = h.join().expect("multi-scan worker panicked");
+        let scan = &scan;
+        let handles: Vec<_> = (1..threads).map(|t| scope.spawn(move || scan(t))).collect();
+        let first = scan(0);
+        let rest = handles
+            .into_iter()
+            .map(|h| h.join().expect("multi-scan worker panicked"));
+        for (entries, wcands) in std::iter::once(first).chain(rest) {
             for ((kb, cand), (thread_entries, thread_cands)) in kbs
                 .iter_mut()
                 .zip(cands.iter_mut())
@@ -1279,10 +1278,49 @@ mod tests {
     fn auto_mode_scales_with_query_count() {
         // A collection too small to go parallel for one query crosses the
         // cutoff once enough queries share the pass.
-        let c = pseudo_random_collection(400, 16); // 6400 components/query
+        let c = pseudo_random_collection(4096, 16); // 64 Ki components/query
         let scan = MultiQueryScan::new(&c);
-        assert_eq!(scan.cfg.effective_mode(400, 16, 1), ScanMode::Batched);
-        assert_eq!(scan.cfg.effective_mode(400, 16, 16), ScanMode::Parallel);
+        assert_eq!(scan.cfg.effective_mode(4096, 16, 1), ScanMode::Batched);
+        assert_eq!(scan.cfg.effective_mode(4096, 16, 15), ScanMode::Batched);
+        assert_eq!(scan.cfg.effective_mode(4096, 16, 16), ScanMode::Parallel);
+    }
+
+    #[test]
+    fn auto_mode_decides_per_range() {
+        use crate::collection::{PartitionConfig, PartitionedCollection};
+        use crate::knn::ScanStatsSink;
+        // 16 queries over 4096 × 16 rows is 1 Mi of work in total, but
+        // each of the eight partitions holds an eighth of it: Auto runs
+        // every range on the calling thread, so the pass does exactly
+        // the Batched pass's work — where Parallel, which fans every
+        // range out, does not.
+        let (n, dim, nq) = (4096, 16, 16);
+        let c = pseudo_random_collection(n, dim);
+        let part = PartitionedCollection::build(&c, &PartitionConfig::with_partitions(8));
+        let layout = Layout::from(&part);
+        let auto = ScanConfig::default();
+        assert_eq!(auto.effective_mode(n, dim, nq), ScanMode::Parallel);
+        for p in 0..part.partition_count() {
+            let rows = layout.rows(p).len();
+            assert!(rows > BLOCK_ROWS, "partition {p} has {rows} rows");
+            assert_eq!(auto.effective_mode(rows, dim, nq), ScanMode::Batched);
+        }
+        let queries = sample_queries(nq, dim);
+        let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+        let batch = QueryBatch::new(&refs, Shared(&Euclidean), 10);
+        let run = |mode| {
+            let sink = ScanStatsSink::new();
+            let answers = MultiQueryScan::with_mode(&part, mode)
+                .with_thread_budget(2)
+                .with_scan_stats(&sink)
+                .knn(&batch);
+            (answers, sink.snapshot())
+        };
+        let batched = run(ScanMode::Batched);
+        assert_eq!(run(ScanMode::Auto), batched);
+        let parallel = run(ScanMode::Parallel);
+        assert_eq!(parallel.0, batched.0);
+        assert_ne!(parallel.1, batched.1, "fan-out shows in the work counts");
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //!   per-thread results merge by ascending `(key, index)`, so the answer
 //!   is deterministic regardless of thread count or scheduling.
 //!
-//! [`ScanMode::Auto`] (the default) picks Batched below
-//! [`PARALLEL_CUTOFF`] candidate-components and Parallel above it.
+//! [`ScanMode::Auto`] (the default) decides per contiguous row range —
+//! the collection's rows here; a shard's rows or one surviving
+//! partition in the multi-query and sharded scans — running the range
+//! Batched below [`PARALLEL_CUTOFF`] `rows × dim × queries` and
+//! Parallel at or above it.
 //!
 //! Orthogonally, [`LinearScan::with_precision`] selects
 //! [`Precision::F32Rescore`]: the kernel-path modes then run their
@@ -48,7 +51,10 @@ use crate::distance::Distance;
 /// Execution strategy for [`LinearScan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
-    /// Pick [`ScanMode::Batched`] or [`ScanMode::Parallel`] by data size.
+    /// Pick [`ScanMode::Batched`] or [`ScanMode::Parallel`] for each
+    /// contiguous row range a pass scans (a flat collection, a surviving
+    /// partition, a shard's rows) by that range's own
+    /// `rows × dim × queries` work.
     #[default]
     Auto,
     /// Per-vector `dyn` dispatch with a `sqrt` per candidate (baseline).
@@ -464,7 +470,10 @@ mod tests {
     fn auto_mode_picks_by_size() {
         let small = pseudo_random_collection(10, 4);
         assert_eq!(LinearScan::new(&small).effective_mode(), ScanMode::Batched);
-        let large = pseudo_random_collection(3000, 32);
+        // 32 Ki rows × 32 is the cutoff: one row fewer stays Batched.
+        let below = pseudo_random_collection(32 * 1024 - 1, 32);
+        assert_eq!(LinearScan::new(&below).effective_mode(), ScanMode::Batched);
+        let large = pseudo_random_collection(32 * 1024, 32);
         assert_eq!(LinearScan::new(&large).effective_mode(), ScanMode::Parallel);
     }
 

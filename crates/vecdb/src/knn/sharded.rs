@@ -325,12 +325,14 @@ pub fn merge_partials_policy(
 /// Scatter/gather k-NN engine borrowing a [`ShardedCollection`].
 ///
 /// Configuration mirrors [`MultiQueryScan`] (mode, precision, thread
-/// budget) and is applied **identically to every shard**: `Auto`
-/// resolves once, from the total work across all shards, so a sharded
-/// scan and its unsharded twin always run the same kernels. The thread
-/// budget is the *total* across shards — the scatter stage runs
-/// `min(shards, budget)` shard workers and hands each per-shard pass an
-/// even share, so sharding never oversubscribes the host.
+/// budget) and is applied **identically to every shard**: under `Auto`
+/// each row range of a shard pass — the shard's rows, or each of its
+/// surviving partitions — fans out iff that range's own work clears
+/// the cutoff, exactly as in an unsharded pass; the kernels, and the
+/// selected bits, are the same either way. The thread budget is the
+/// *total* across shards — the scatter stage runs `min(shards, budget)`
+/// shard workers and hands each per-shard pass an even share, so
+/// sharding never oversubscribes the host.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedScan<'a> {
     coll: &'a ShardedCollection,
@@ -446,11 +448,12 @@ impl<'a> ShardedScan<'a> {
     /// to be gathered with [`merge_partials`]. Results are independent
     /// of how requests were grouped into shard passes.
     ///
-    /// Every shard pass runs the concrete mode `Auto` resolves to from
-    /// the **total** work across shards, so the answer — and the
-    /// kernels producing it — match the unsharded scan regardless of
-    /// how thinly the rows are sharded, and gets an even share of the
-    /// thread budget.
+    /// Every shard pass runs the configured mode with an even share of
+    /// the thread budget; under `Auto` each of its row ranges fans out
+    /// iff that range's own `rows × dim × nq` clears the cutoff, so a
+    /// thin shard pass never pays a spawn. The answer — and the kernels
+    /// producing it — match the unsharded scan however thinly the rows
+    /// are sharded.
     ///
     /// `caps` (per query, optional) are cross-shard pruning seeds —
     /// typically other shards' [`ShardPartial::bound_key`] values. Each
@@ -464,9 +467,6 @@ impl<'a> ShardedScan<'a> {
         caps: Option<&[f64]>,
     ) -> Vec<ShardPartial> {
         let cfg = ScanConfig {
-            mode: self
-                .cfg
-                .effective_mode(self.coll.len(), self.coll.dim(), batch.len()),
             thread_budget: Some(self.per_shard_budget()),
             ..self.cfg
         };

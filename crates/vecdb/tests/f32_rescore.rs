@@ -363,3 +363,65 @@ fn f32_rescore_survives_sub_f32_ties() {
         assert_eq!(f32_res, f64_res, "k={k}: sub-f32 ties were reordered");
     }
 }
+
+/// The axis [`assert_weighted_edge_matches_f64`] quantizes.
+const COARSE: usize = 3;
+
+/// `F32Rescore` against `F64` for one Shared weighted pass (and its
+/// hierarchical twin, whose effective weights are the same vector) over
+/// 2,000 × 24-d uniform rows scaled by `scale`, `k = 10`, Batched.
+/// Component [`COARSE`] is snapped to quarters and the query sits on
+/// one, so a quarter of the rows differ from it by exactly 0 there.
+fn assert_weighted_edge_matches_f64(weights: Vec<f64>, scale: f64, case: &str) {
+    let mut b = CollectionBuilder::new().with_f32_mirror();
+    let unit = collection(2000, false);
+    for i in 0..unit.len() {
+        let mut v = unit.vector(i).to_vec();
+        v[COARSE] = (v[COARSE] * 4.0).floor() / 4.0;
+        b.push_unlabelled(&v.iter().map(|x| x * scale).collect::<Vec<_>>())
+            .unwrap();
+    }
+    let coll = b.build();
+    let mut q = queries(1).pop().unwrap();
+    q[COARSE] = 0.5;
+    let q: Vec<f64> = q.iter().map(|x| x * scale).collect();
+    let refs = [q.as_slice()];
+    let w = WeightedEuclidean::new(weights.clone()).unwrap();
+    let spans = vec![FeatureSpan::new(0, 8), FeatureSpan::new(8, DIM)];
+    let h = HierarchicalDistance::new(spans, vec![1.0, 1.0], weights).unwrap();
+    for dist in [&w as &dyn Distance, &h] {
+        let batch = QueryBatch::new(&refs, Shared(dist), 10);
+        let f64_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
+        let f32_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
+            .with_precision(Precision::F32Rescore)
+            .knn(&batch);
+        assert_eq!(f64_res[0].len(), 10, "{case} {}", dist.name());
+        assert_eq!(f32_res, f64_res, "{case} {}", dist.name());
+    }
+}
+
+/// Every weight `1e-45` rounds to an f32 subnormal, where f32 rounding
+/// is no longer relative: the slack must refuse the f32 pass.
+#[test]
+fn f32_rescore_subnormal_weights_match_f64() {
+    assert_weighted_edge_matches_f64(vec![1e-45; DIM], 1.0, "subnormal weights");
+}
+
+/// Rows and query scaled by `1e-22`: every f32 square underflows, so
+/// the slack needs its absolute underflow term.
+#[test]
+fn f32_rescore_underflowing_squares_match_f64() {
+    let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
+    assert_weighted_edge_matches_f64(w, 1e-22, "underflowing squares");
+}
+
+/// One weight above `f32::MAX` rounds to `inf` (small data keeps the
+/// worst-case key under the overflow guard): the rows level with the
+/// query on that axis — the true nearest — get `inf·0 = NaN` f32 keys,
+/// which the admit drops.
+#[test]
+fn f32_rescore_weight_beyond_f32_max_matches_f64() {
+    let mut w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
+    w[COARSE] = 1e39;
+    assert_weighted_edge_matches_f64(w, 1e-3, "weight beyond f32::MAX");
+}

@@ -1,8 +1,12 @@
-//! Ad-hoc kernel timing harness (ignored by default; run explicitly with
+//! Ad-hoc kernel timing harness and the fan-out break-even table
+//! (ignored by default; run explicitly with
 //! `cargo test --release -p fbp-vecdb --test kernel_timing -- --ignored --nocapture`).
 
 use fbp_vecdb::distance::weighted_sq_multi_block_f32;
-use fbp_vecdb::{Distance, WeightedEuclidean};
+use fbp_vecdb::{
+    CollectionBuilder, Distance, MultiQueryScan, Precision, QueryBatch, QueryMetrics::Weighted,
+    ScanMode, WeightedEuclidean,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -124,4 +128,90 @@ fn time_per_query_weight_multi_kernel() {
             );
         }
     }
+}
+
+/// Median of `reps` runs of `f`, in nanoseconds.
+fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut ns: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos() as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[reps / 2]
+}
+
+/// The fan-out break-even table `PARALLEL_CUTOFF` is set from: the
+/// median cost of one scoped spawn + join, the Batched serving pass's
+/// cost per row·dim·query (per-query weights, f32 mirror + rescore,
+/// k = 10; fastest of 5), and the work `W` at which a two-way fan-out
+/// breaks even. The caller scans one half while one spawned worker
+/// scans the other, so the fan-out saves `c·W/2` for one spawn:
+/// `W = 2·spawn / c`.
+#[test]
+#[ignore]
+fn fan_out_break_even() {
+    const N: usize = 50_000;
+    const K: usize = 10;
+    let spawn = median_ns(501, || {
+        std::thread::scope(|s| {
+            s.spawn(|| black_box(0)).join().expect("spawned");
+        })
+    });
+    println!("scoped spawn + join: {:.1} us (median of 501)", spawn / 1e3);
+    println!(
+        "{:>3} {:>3} {:>18} {:>16}",
+        "D", "Q", "ns/(row·dim·q)", "break-even Mi"
+    );
+    let mut worst: f64 = 0.0;
+    for dim in [32usize, 64] {
+        let mut b = CollectionBuilder::new().with_f32_mirror();
+        for r in 0..N {
+            let v: Vec<f64> = (0..dim)
+                .map(|i| ((r * dim + i) as f64 * 0.37).sin().abs())
+                .collect();
+            b.push_unlabelled(&v).unwrap();
+        }
+        let coll = b.build();
+        let scan = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
+            .with_precision(Precision::F32Rescore);
+        for nq in [1usize, 2, 16] {
+            let queries: Vec<Vec<f64>> = (0..nq)
+                .map(|q| {
+                    (0..dim)
+                        .map(|i| ((q * 31 + i) as f64 * 0.7).cos().abs())
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+            let metrics: Vec<WeightedEuclidean> = (0..nq)
+                .map(|q| {
+                    WeightedEuclidean::new(
+                        (0..dim)
+                            .map(|i| 0.25 + ((q + i) % 5) as f64 * 0.5)
+                            .collect(),
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+            let batch = QueryBatch::new(&refs, Weighted(&mrefs), K);
+            let pass = min_ns(5, || {
+                black_box(scan.knn(&batch));
+            });
+            let per_unit = pass / (N * dim * nq) as f64;
+            let break_even = 2.0 * spawn / per_unit;
+            worst = worst.max(break_even);
+            println!(
+                "{dim:>3} {nq:>3} {per_unit:>18.4} {:>16.2}",
+                break_even / (1 << 20) as f64
+            );
+        }
+    }
+    println!(
+        "largest break-even: {:.2} Mi row·dim·q",
+        worst / (1 << 20) as f64
+    );
 }

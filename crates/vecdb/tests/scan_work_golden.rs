@@ -7,7 +7,9 @@
 //! * `Precision::F64`: f64 keys are host-independent, so every cell's
 //!   [`ScanStats`] is a literal — for the Batched pass of every layout,
 //!   and for the Parallel pass (two workers) of the flat and partitioned
-//!   layouts, which pins how a pass fans out over threads.
+//!   layouts, which pins how a pass fans out over threads. The Auto pass
+//!   of those two layouts (two workers allowed) must do the Batched
+//!   pass's work: every row range here is under the fan-out cutoff.
 //! * `Precision::F32Rescore`: f32 keys are host-dependent by design, so
 //!   only in-build relations are asserted (and the table is printed —
 //!   run with `--nocapture` to compare two builds on one host; CI's
@@ -105,9 +107,9 @@ enum Form {
 /// One pass of every metric form through every layout at `precision`
 /// in `mode`: `(layout, form, answers, work)` per cell, each cell's
 /// answers already checked against per-query flat f64 `LinearScan`s.
-/// A Batched pass covers all four layouts; a Parallel pass covers the
-/// flat and partitioned ones at a budget of two workers (the sharded
-/// layouts pin their own one-worker scatter).
+/// A Batched pass covers all four layouts; a Parallel or Auto pass
+/// covers the flat and partitioned ones at a budget of two workers (the
+/// sharded layouts pin their own one-worker scatter).
 fn cells(
     precision: Precision,
     mode: ScanMode,
@@ -123,7 +125,7 @@ fn cells(
     let equal = vec![diverged[0].clone(); NQ];
     let reference = LinearScan::with_mode(&coll, ScanMode::Batched);
     let layouts: &[Layout] = match mode {
-        ScanMode::Parallel => &[Layout::Flat, Layout::Partitioned],
+        ScanMode::Parallel | ScanMode::Auto => &[Layout::Flat, Layout::Partitioned],
         _ => &[
             Layout::Flat,
             Layout::Partitioned,
@@ -191,7 +193,7 @@ fn cells(
 /// filters and rescores nothing. The counters are block- and
 /// partition-granular, and on this data every metric form abandons in
 /// the same blocks and prunes the same partitions, so one row per
-/// layout covers all four forms.
+/// layout covers all four forms. Auto shares the Batched rows.
 fn golden_f64(layout: Layout, mode: ScanMode) -> ScanStats {
     let (rows_visited, blocks_abandoned, seed_prunes, partitions_pruned) = match (mode, layout) {
         (ScanMode::Parallel, Layout::Flat) => (6000, 22, 0, 0),
@@ -212,7 +214,7 @@ fn golden_f64(layout: Layout, mode: ScanMode) -> ScanStats {
 
 #[test]
 fn f64_work_is_pinned_per_layout_and_metric_form() {
-    for mode in [ScanMode::Batched, ScanMode::Parallel] {
+    for mode in [ScanMode::Batched, ScanMode::Parallel, ScanMode::Auto] {
         for (layout, form, _, work) in cells(Precision::F64, mode) {
             assert_eq!(
                 work,

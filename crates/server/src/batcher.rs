@@ -53,51 +53,43 @@
 //! cut short by shutdown is completed with an error by the enqueuing
 //! thread, so every admitted request resolves exactly once.
 
+use crate::frontend::{Outcome, ReplySink, Search};
 use crate::metrics::Metrics;
-use crate::protocol::ShardSpan;
-use crate::trace::RequestTrace;
+use crate::protocol::{ErrorCode, ShardSpan};
+use crate::sessions::err;
 use fbp_vecdb::{
-    merge_partials, Neighbor, PartitionedCollection, QueryBatch, QueryMetrics, ScanMode,
+    merge_partials, DegradedGather, PartitionedCollection, QueryBatch, QueryMetrics, ScanMode,
     ShardPartial, ShardedCollection, ShardedScan, WeightedEuclidean,
 };
-use feedbackbypass::{KnnRequest, ShardedBypass};
+use feedbackbypass::ShardedBypass;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Completion callback of one gathered request: invoked exactly once
-/// with the merged neighbors (or the first shard error) by whichever
-/// shard dispatcher delivered the last partial. It finishes the reply —
-/// session bookkeeping, encoding, the socket write — right on that
-/// dispatcher thread; the connection thread meanwhile just stays parked
-/// in its next read.
-pub(crate) type KnnCompletion = Box<dyn FnOnce(Result<Vec<Neighbor>, String>) + Send>;
-
-/// Per-request gather cell: the request (read-only, shared by every
-/// shard's pass), one partial slot per shard, and the reply completion.
+/// Per-request gather cell: the admitted search (read-only, shared by
+/// every shard's pass), one delivery slot per shard, the cross-shard
+/// seed, and the reply sink. The shard dispatchers fill it in-process;
+/// the router's downstream gather wraps the same cell.
 pub(crate) struct Gather {
-    /// The serving request (point, weights, per-request k).
-    pub req: KnnRequest,
-    /// The request's resolved result count (clamped at admission).
-    pub k: usize,
-    /// The request's metric, built **once at admission** and shared by
-    /// every shard pass and the final merge — the per-shard dispatch
-    /// no longer rebuilds it per pass.
-    pub metric: WeightedEuclidean,
+    /// The admitted search: point, metric and `k`, resolved once at
+    /// admission and shared by every shard pass and the final merge.
+    /// Its trace collector (`None` on the untraced hot path —
+    /// dispatchers pay one branch per stage) only observes timestamps,
+    /// so it can never change the merged answer.
+    pub search: Search,
     /// Cross-shard pruning seed: the tightest known upper bound on this
     /// request's global k-th key (f64 bits, starts at `+∞`), tightened
     /// from every delivered partial's [`ShardPartial::bound_key`]. A
-    /// shard pass that runs *after* another shard finished prunes
-    /// against a near-global bound instead of its looser local one —
-    /// on a host where shard passes serialize this recovers most of
-    /// the flat pass's early-abandon power, and it can never change
-    /// the merged answer (the bound is provably ≥ the global k-th).
+    /// shard pass (or a router retry or hedge) that runs *after* another
+    /// shard finished prunes against a near-global bound instead of its
+    /// looser local one — on a host where shard passes serialize this
+    /// recovers most of the flat pass's early-abandon power, and it can
+    /// never change the merged answer (the bound is provably ≥ the
+    /// global k-th).
     seed: AtomicU64,
-    /// Span collector for a traced request (`None` on the untraced hot
-    /// path — dispatchers pay one branch per stage). The trace can
-    /// never change the merged answer: it only observes timestamps.
-    pub trace: Option<Arc<RequestTrace>>,
+    /// Set when the last slot resolved.
+    done: AtomicBool,
     state: Mutex<GatherState>,
 }
 
@@ -107,30 +99,23 @@ struct GatherState {
     /// Per-shard delivery marker (a shard delivers exactly once; the
     /// marker makes duplicate deliveries harmless instead of fatal).
     delivered: Vec<bool>,
-    /// First shard error, if any (the reply becomes this error).
+    /// First shard error, if any.
     error: Option<String>,
     /// Shards still outstanding.
     remaining: usize,
     /// Taken by the completing delivery.
-    reply: Option<KnnCompletion>,
+    reply: Option<ReplySink>,
 }
 
 impl Gather {
-    /// New cell awaiting `shards` partials.
-    pub(crate) fn new(
-        req: KnnRequest,
-        metric: WeightedEuclidean,
-        k: usize,
-        shards: usize,
-        trace: Option<Arc<RequestTrace>>,
-        reply: KnnCompletion,
-    ) -> Arc<Self> {
-        Arc::new(Gather {
-            req,
-            k,
-            metric,
+    /// New cell awaiting `shards` partials. `reply` is invoked exactly
+    /// once, by whichever thread delivers the last partial: it finishes
+    /// the reply right on that thread.
+    pub(crate) fn new(search: Search, shards: usize, reply: ReplySink) -> Self {
+        Gather {
+            search,
             seed: AtomicU64::new(f64::INFINITY.to_bits()),
-            trace,
+            done: AtomicBool::new(false),
             state: Mutex::new(GatherState {
                 partials: (0..shards).map(|_| None).collect(),
                 delivered: vec![false; shards],
@@ -138,51 +123,87 @@ impl Gather {
                 remaining: shards,
                 reply: Some(reply),
             }),
-        })
+        }
     }
 
     /// The current pruning seed for this request (`+∞` until some
     /// shard delivered a full k-best).
     pub(crate) fn seed(&self) -> f64 {
-        f64::from_bits(self.seed.load(Ordering::Relaxed))
+        f64::from_bits(self.seed.load(Ordering::Acquire))
     }
 
     /// Tighten the seed to `min(current, bound)` (lock-free; seeds only
     /// ever decrease).
     fn offer_seed(&self, bound: f64) {
-        let mut cur = self.seed.load(Ordering::Relaxed);
-        while bound < f64::from_bits(cur) {
+        let mut current = self.seed.load(Ordering::Acquire);
+        while bound < f64::from_bits(current) {
             match self.seed.compare_exchange_weak(
-                cur,
+                current,
                 bound.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
+                Ordering::AcqRel,
+                Ordering::Acquire,
             ) {
                 Ok(_) => break,
-                Err(now) => cur = now,
+                Err(now) => current = now,
             }
         }
     }
 
-    /// Deliver shard `shard`'s outcome. The delivery that brings
-    /// `remaining` to zero merges the partials (outside the cell's lock)
-    /// and fires the reply; every other delivery just records and
-    /// returns. Duplicate deliveries for one shard are a logic error
-    /// upstream and are ignored defensively.
+    /// Whether every slot has resolved.
+    pub(crate) fn is_done(&self) -> bool {
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// Whether `shard`'s slot has already been delivered (lets a router
+    /// hedge or straggling retry stand down without touching the wire).
+    pub(crate) fn resolved(&self, shard: usize) -> bool {
+        self.is_done() || self.state.lock().expect("gather lock").delivered[shard]
+    }
+
+    /// Deliver shard `shard`'s partial to an in-process gather: the
+    /// first shard error becomes the reply (as `Internal`), otherwise
+    /// the partials merge into the exact answer.
     pub(crate) fn complete_shard(&self, shard: usize, outcome: Result<ShardPartial, String>) {
-        if let Ok(partial) = &outcome {
-            if let Some(bound) = partial.bound_key(self.k) {
-                self.offer_seed(bound);
-            }
-        }
+        self.deliver(shard, outcome, |partials, error| match error {
+            Some(e) => Err(err(ErrorCode::Internal, e)),
+            // The merge reuses the admission-built metric — no
+            // per-reply metric reconstruction.
+            None => Ok(DegradedGather {
+                neighbors: merge_partials(
+                    partials.iter().flatten(),
+                    self.search.k,
+                    &self.search.metric,
+                ),
+                missing_shards: Vec::new(),
+            }),
+        });
+    }
+
+    /// Record shard `shard`'s outcome; returns whether this call was the
+    /// one recorded. Duplicate deliveries (a hedge losing to its
+    /// primary, a backstop racing a worker) are dropped. The delivery
+    /// that resolves the last slot folds the partials and the first
+    /// shard error with `merge` (outside the cell's lock) and fires the
+    /// reply with the result.
+    pub(crate) fn deliver(
+        &self,
+        shard: usize,
+        outcome: Result<ShardPartial, String>,
+        merge: impl FnOnce(&[Option<ShardPartial>], Option<String>) -> Outcome,
+    ) -> bool {
         let fire = {
             let mut g = self.state.lock().expect("gather lock");
             if g.delivered[shard] {
-                return; // duplicate delivery; first one counted
+                return false;
             }
             g.delivered[shard] = true;
             match outcome {
-                Ok(partial) => g.partials[shard] = Some(partial),
+                Ok(partial) => {
+                    if let Some(bound) = partial.bound_key(self.search.k) {
+                        self.offer_seed(bound);
+                    }
+                    g.partials[shard] = Some(partial);
+                }
                 Err(e) => {
                     if g.error.is_none() {
                         g.error = Some(e);
@@ -191,6 +212,7 @@ impl Gather {
             }
             g.remaining -= 1;
             if g.remaining == 0 {
+                self.done.store(true, Ordering::Release);
                 g.reply
                     .take()
                     .map(|reply| (reply, g.error.take(), std::mem::take(&mut g.partials)))
@@ -201,34 +223,26 @@ impl Gather {
         if let Some((reply, error, partials)) = fire {
             // The last slot just resolved: everything from here (merge,
             // session bookkeeping, reply encode + write) is merge time.
-            if let Some(trace) = &self.trace {
+            if let Some(trace) = &self.search.trace {
                 trace.note_gathered();
             }
-            let outcome = match error {
-                Some(e) => Err(e),
-                // The merge reuses the admission-built metric — no
-                // per-reply metric reconstruction.
-                None => Ok(merge_partials(
-                    partials.iter().flatten(),
-                    self.k,
-                    &self.metric,
-                )),
-            };
-            reply(outcome);
+            reply(merge(&partials, error));
         }
+        true
     }
 }
 
 /// The two server-wide counts the window-close rule reads: admitted
 /// `Knn` requests whose reply has not fired, and connections whose
-/// thread is alive. The server owns the writes; every shard's
+/// thread is alive. The front-end owns the writes (on a router it is
+/// also the admission bound and nothing else reads it); every shard's
 /// [`Batcher`] holds the same `Arc` and only reads.
 ///
 /// A leak would fail silently in either direction — `inflight` stuck
 /// high keeps every window closed (no coalescing), `live_conns` stuck
 /// high never closes one early (the old timer wait) — so both are
 /// released by drop guards only: [`InFlight`] here, the connection
-/// thread's guard in the server (it also has batchers to wake).
+/// thread's guard in the front-end (which also tells the backend).
 #[derive(Default)]
 pub(crate) struct Load {
     inflight: AtomicUsize,
@@ -255,8 +269,8 @@ impl Load {
         self.live_conns.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Uncount a connection [`Self::connect`] counted (the server calls
-    /// this from its connection guard's `Drop`, nowhere else).
+    /// Uncount a connection [`Self::connect`] counted (the front-end
+    /// calls this from its connection guard's `Drop`, nowhere else).
     pub(crate) fn disconnect(&self) {
         self.live_conns.fetch_sub(1, Ordering::SeqCst);
     }
@@ -300,7 +314,7 @@ struct Inner<T> {
 
 /// Bounded-by-admission queue + wakeup plumbing shared by connection
 /// threads and one shard's dispatcher. Capacity is enforced at the
-/// *admission* layer ([`Load::admit`] in the server), not here: every
+/// *admission* layer ([`Load::admit`] in the front-end), not here: every
 /// admitted request lands once in every shard's queue, so a per-queue
 /// bound would either double-count the global bound or leave a request
 /// half-scattered on overflow.
@@ -467,9 +481,13 @@ pub(crate) fn run_shard_dispatcher(
         // Each request's point, metric, and k were resolved once at
         // admission; the pass borrows them instead of rebuilding the
         // metric per shard dispatch.
-        let points: Vec<&[f64]> = gathers.iter().map(|g| g.req.point.as_slice()).collect();
-        let pass_metrics: Vec<&WeightedEuclidean> = gathers.iter().map(|g| &g.metric).collect();
-        let ks: Vec<usize> = gathers.iter().map(|g| g.k).collect();
+        let points: Vec<&[f64]> = gathers
+            .iter()
+            .map(|g| g.search.req.point.as_slice())
+            .collect();
+        let pass_metrics: Vec<&WeightedEuclidean> =
+            gathers.iter().map(|g| &g.search.metric).collect();
+        let ks: Vec<usize> = gathers.iter().map(|g| g.search.k).collect();
         // Cross-shard bound propagation: requests whose gathers already
         // hold another shard's k-th key prune against it from row one.
         let seeds: Vec<f64> = gathers.iter().map(|g| g.seed()).collect();
@@ -482,7 +500,7 @@ pub(crate) fn run_shard_dispatcher(
         // the delivery that completes the gather already sees it.
         let fill = gathers.len() as u32;
         for gather in &gathers {
-            if let Some(trace) = &gather.trace {
+            if let Some(trace) = &gather.search.trace {
                 trace.add_span(ShardSpan {
                     shard: shard as u32,
                     queue_ns: dispatched.saturating_duration_since(trace.t0()).as_nanos() as u64,
@@ -501,6 +519,8 @@ pub(crate) fn run_shard_dispatcher(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Response;
+    use feedbackbypass::KnnRequest;
 
     /// Timers no correct rule ever waits out: a test that needs one of
     /// them to expire hangs into its own elapsed-time assertion.
@@ -695,19 +715,26 @@ mod tests {
         assert_eq!(load.counts(), (0, 0));
     }
 
+    /// An untraced k = 5 search at `point` under the uniform metric.
+    fn search(point: Vec<f64>) -> Search {
+        let req = KnnRequest::uniform(point);
+        let metric = req.metric(req.point.len()).unwrap();
+        Search {
+            req,
+            metric,
+            k: 5,
+            trace: None,
+        }
+    }
+
     #[test]
     fn gather_fires_once_after_all_shards_any_order() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let fired = Arc::new(AtomicUsize::new(0));
         let got = Arc::new(Mutex::new(None));
-        let req = KnnRequest::uniform(vec![0.0, 0.0]);
-        let req_metric = req.metric(2).unwrap();
         let gather = Gather::new(
-            req,
-            req_metric,
-            5,
+            search(vec![0.0, 0.0]),
             3,
-            None,
             Box::new({
                 let fired = Arc::clone(&fired);
                 let got = Arc::clone(&got);
@@ -744,7 +771,7 @@ mod tests {
         assert_eq!(fired.load(Ordering::SeqCst), 0);
         gather.complete_shard(1, Ok(parts[1].clone()));
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        let merged = got.lock().unwrap().take().unwrap().unwrap();
+        let merged = got.lock().unwrap().take().unwrap().unwrap().neighbors;
         assert_eq!(merged.len(), 5);
         assert_eq!(merged[0].index, 0);
         assert!(merged.windows(2).all(|w| w[0].dist <= w[1].dist));
@@ -753,14 +780,9 @@ mod tests {
     #[test]
     fn gather_propagates_shard_errors() {
         let got = Arc::new(Mutex::new(None));
-        let req = KnnRequest::uniform(vec![0.0]);
-        let req_metric = req.metric(1).unwrap();
         let gather = Gather::new(
-            req,
-            req_metric,
-            5,
+            search(vec![0.0]),
             2,
-            None,
             Box::new({
                 let got = Arc::clone(&got);
                 move |outcome| *got.lock().unwrap() = Some(outcome)
@@ -783,8 +805,11 @@ mod tests {
         gather.complete_shard(1, Err("pass failed".into()));
         let outcome = got.lock().unwrap().take().unwrap();
         match outcome {
-            Err(msg) => assert_eq!(msg, "pass failed"),
-            Ok(_) => panic!("expected the shard error to win"),
+            Err(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert_eq!(message, "pass failed");
+            }
+            _ => panic!("expected the shard error to win"),
         }
     }
 }

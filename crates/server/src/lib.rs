@@ -152,6 +152,7 @@
 #![warn(missing_docs)]
 
 mod batcher;
+mod frontend;
 mod metrics;
 mod pool;
 mod router;

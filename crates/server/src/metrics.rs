@@ -36,6 +36,9 @@ pub(crate) struct Metrics {
     passes: AtomicU64,
     /// Protocol errors answered / connections dropped for framing.
     protocol_errors: AtomicU64,
+    /// Replies answered from a subset of the shards (router tier under
+    /// `FailurePolicy::Degraded`; a shard server never degrades).
+    degraded_replies: AtomicU64,
     /// Queue-wait distribution in nanoseconds (admission → dispatch).
     waits: LogHistogram,
     /// Scan-path work counters, flushed by every shard pass (the shard
@@ -52,6 +55,7 @@ impl Metrics {
             requests: AtomicU64::new(0),
             passes: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            degraded_replies: AtomicU64::new(0),
             waits: LogHistogram::new(),
             scan: ScanStatsSink::new(),
         }
@@ -81,6 +85,11 @@ impl Metrics {
         self.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one reply flagged degraded.
+    pub(crate) fn record_degraded_reply(&self) {
+        self.degraded_replies.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot everything; `sessions_open` comes from the registry.
     pub(crate) fn snapshot(&self, sessions_open: u64) -> StatsSnapshot {
         let requests = self.requests.load(Ordering::Relaxed);
@@ -99,14 +108,15 @@ impl Metrics {
             queue_wait_p99_us: self.waits.quantile_us(0.99),
             sessions_open,
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            degraded_replies: self.degraded_replies.load(Ordering::Relaxed),
             scan_rows_visited: scan.rows_visited,
             scan_blocks_abandoned: scan.blocks_abandoned,
             scan_candidates_filtered: scan.candidates_filtered,
             scan_candidates_rescored: scan.candidates_rescored,
             scan_seed_prunes: scan.seed_prunes,
             scan_partitions_pruned: scan.partitions_pruned,
-            // Router-tier counters stay zero on a plain shard server;
-            // the router overwrites them from its downstream pools.
+            // The downstream-pool counters stay zero on a plain shard
+            // server; the router fills them from its pools.
             ..Default::default()
         }
     }

@@ -239,7 +239,7 @@ impl Downstream {
             consecutive_failures,
         } = state;
         let gather = &job.gather;
-        if gather.shard_resolved(self.shard) {
+        if gather.cell.resolved(self.shard) {
             return; // the other leg already delivered
         }
         if !self.health.admits_scatter() {
@@ -300,7 +300,7 @@ impl Downstream {
                 gather.complete_shard(self.shard, Err("router shutting down".into()));
                 return;
             }
-            if gather.shard_resolved(self.shard) {
+            if gather.cell.resolved(self.shard) {
                 return; // a hedge (or the primary) won meanwhile
             }
             let now = Instant::now();
@@ -571,8 +571,10 @@ pub(crate) fn control_call(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontend::Search;
     use crate::router::RouterGather;
     use fbp_vecdb::{FailurePolicy, WeightedEuclidean};
+    use feedbackbypass::KnnRequest;
     use std::io::Read as _;
     use std::net::TcpListener;
     use std::sync::mpsc;
@@ -637,16 +639,18 @@ mod tests {
     /// channel.
     fn gather_for(deadline: Duration) -> (Arc<RouterGather>, mpsc::Receiver<bool>) {
         let (tx, rx) = mpsc::channel();
+        let search = Search {
+            req: KnnRequest::uniform(vec![0.0, 0.0]),
+            metric: WeightedEuclidean::new(vec![1.0, 1.0]).unwrap(),
+            k: 1,
+            trace: None,
+        };
         let gather = RouterGather::new(
-            1,
-            WeightedEuclidean::new(vec![1.0, 1.0]).unwrap(),
-            vec![0.0, 0.0],
-            vec![1.0, 1.0],
+            search,
             1,
             deadline,
             FailurePolicy::Strict,
-            None,
-            Box::new(move |outcome| {
+            Box::new(move |outcome: crate::frontend::Outcome| {
                 let _ = tx.send(outcome.is_ok());
             }),
         );

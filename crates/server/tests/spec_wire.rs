@@ -14,7 +14,7 @@
 use fbp_server::protocol::{read_frame, write_frame, Request, Response, DEFAULT_MAX_FRAME_LEN};
 use fbp_server::{
     error_code_for, route, serve, Client, ClientError, ErrorCode, RouterConfig, ServerConfig,
-    ServerHandle, PROTOCOL_VERSION,
+    ServerHandle, StatsSnapshot, PROTOCOL_VERSION,
 };
 use fbp_vecdb::{
     Collection, CollectionBuilder, KnnEngine, LinearScan, ScanMode, WeightedEuclidean,
@@ -360,4 +360,97 @@ fn spec_rounds_participate_in_the_feedback_loop() {
         assert_eq!(second.neighbors, second_v1.neighbors);
     }
     handle.shutdown();
+}
+
+/// A NaN or infinite search point is refused at admission on every
+/// search frame — v1 `Knn` included, and the sessionless `ShardKnn` a
+/// shard server answers — with `NonFiniteComponent`, counted as a
+/// protocol error, on the flat server and on the router alike.
+#[test]
+fn non_finite_search_points_are_refused_flat_and_routed() {
+    let coll = Arc::new(collection());
+    let flat_handle = serve(
+        "127.0.0.1:0",
+        Arc::clone(&coll),
+        shared_module(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let (shard_handles, router) = start_router(&coll);
+    let call = |stream: &mut TcpStream, req: &Request| -> Response {
+        write_frame(stream, &req.encode()).unwrap();
+        let payload = read_frame(stream, DEFAULT_MAX_FRAME_LEN, &mut || true)
+            .unwrap()
+            .expect("reply frame");
+        Response::decode(&payload).unwrap()
+    };
+    let expect_non_finite = |label: &str, resp: Response| match resp {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::NonFiniteComponent, "{label}"),
+        other => panic!("{label}: expected NonFiniteComponent, got {other:?}"),
+    };
+    let mut infinite = vec![0.5; DIM];
+    infinite[0] = f64::INFINITY;
+    let points = [vec![f64::NAN; DIM], infinite];
+
+    let tiers: [(&str, SocketAddr, &dyn Fn() -> StatsSnapshot); 2] = [
+        ("flat", flat_handle.local_addr(), &|| flat_handle.stats()),
+        ("router", router.local_addr(), &|| router.stats()),
+    ];
+    for (label, addr, stats) in tiers {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let session = match call(&mut stream, &Request::OpenSession) {
+            Response::SessionOpened { session, .. } => session,
+            other => panic!("expected SessionOpened, got {other:?}"),
+        };
+        let before = stats().protocol_errors;
+        for query in &points {
+            let knn = Request::Knn {
+                session,
+                k: 5,
+                query: query.clone(),
+            };
+            expect_non_finite(label, call(&mut stream, &knn));
+        }
+        assert_eq!(stats().protocol_errors - before, points.len() as u64);
+        // The refusals left the session usable.
+        match call(
+            &mut stream,
+            &Request::Knn {
+                session,
+                k: 5,
+                query: query(0),
+            },
+        ) {
+            Response::KnnResult { neighbors, .. } => assert_eq!(neighbors.len(), 5),
+            other => panic!("{label}: expected KnnResult, got {other:?}"),
+        }
+    }
+
+    // `ShardKnn` at a shard server: the same check, before any scan.
+    let scanners: [(&str, SocketAddr, &dyn Fn() -> StatsSnapshot); 2] = [
+        ("flat", flat_handle.local_addr(), &|| flat_handle.stats()),
+        ("shard 0", shard_handles[0].local_addr(), &|| {
+            shard_handles[0].stats()
+        }),
+    ];
+    for (label, addr, stats) in scanners {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let before = stats().protocol_errors;
+        for point in &points {
+            let shard_knn = Request::ShardKnn {
+                k: 5,
+                seed: f64::INFINITY,
+                point: point.clone(),
+                weights: Vec::new(),
+            };
+            expect_non_finite(label, call(&mut stream, &shard_knn));
+        }
+        assert_eq!(stats().protocol_errors - before, points.len() as u64);
+    }
+
+    router.shutdown();
+    for h in shard_handles {
+        h.shutdown();
+    }
+    flat_handle.shutdown();
 }

@@ -246,3 +246,82 @@ fn skewed_learned_weights_rescore_about_k_rows() {
         );
     }
 }
+
+/// `n` L1-normalised 32-bin colour-histogram-like rows: eight category
+/// profiles (a few dominant bins each), every row its category's
+/// profile under multiplicative noise plus a sparse background.
+fn histograms(n: usize) -> fbp_vecdb::Collection {
+    const BINS: usize = 32;
+    let mut next = lcg();
+    let profiles: Vec<Vec<f64>> = (0..8)
+        .map(|_| {
+            (0..BINS)
+                .map(|_| {
+                    let u = next();
+                    u * u * u * u
+                })
+                .collect()
+        })
+        .collect();
+    let mut b = CollectionBuilder::new().with_f32_mirror();
+    for _ in 0..n {
+        let profile = &profiles[(next() * 8.0) as usize];
+        let raw: Vec<f64> = profile
+            .iter()
+            .map(|&p| p * (0.9 + 0.2 * next()) + 0.002 * next() * next())
+            .collect();
+        let total: f64 = raw.iter().sum();
+        b.push_unlabelled(&raw.iter().map(|v| v / total).collect::<Vec<_>>())
+            .unwrap();
+    }
+    b.build()
+}
+
+#[test]
+fn learned_weight_histogram_batch_rescores_about_k_rows() {
+    // The `learn_inproc` shape: 16 lock-step sessions over 20k
+    // normalised 32-bin histograms, each query one of the collection's
+    // own rows under its own diverged, log-spread learned weights
+    // (geometric mean 1, spread up to e^±4.6), one `Weighted` batch at
+    // serving precision, k = 50. Answers must equal the F64 pass; the
+    // pooled/rescored split is the rescore band's size (run with
+    // `--nocapture` to see it).
+    const D: usize = 32;
+    const Q: usize = 16;
+    let coll = histograms(20_000);
+    let k = 50usize;
+    let qs: Vec<Vec<f64>> = (0..Q).map(|q| coll.vector(q * 1249 + 7).to_vec()).collect();
+    let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
+    let metrics: Vec<WeightedEuclidean> = (0..Q)
+        .map(|q| {
+            let ln_w: Vec<f64> = (0..D)
+                .map(|i| 4.6 * ((q * 13 + i * 29) as f64 * 0.77).sin())
+                .collect();
+            let mean = ln_w.iter().sum::<f64>() / D as f64;
+            WeightedEuclidean::new(ln_w.iter().map(|l| (l - mean).exp()).collect()).unwrap()
+        })
+        .collect();
+    let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let batch = QueryBatch::new(&refs, Weighted(&mrefs), k);
+    let scan = MultiQueryScan::with_mode(&coll, ScanMode::Batched);
+    let exact = scan.knn(&batch);
+    let sink = ScanStatsSink::new();
+    let got = scan
+        .with_precision(Precision::F32Rescore)
+        .with_scan_stats(&sink)
+        .knn(&batch);
+    assert_eq!(got, exact);
+    let s = sink.snapshot();
+    let pooled = s.candidates_rescored + s.candidates_filtered;
+    println!(
+        "learn_inproc shape, Q = {Q}, k = {k}: pooled {pooled} ({:.1}/query), \
+         rescored {} ({:.1}/query)",
+        pooled as f64 / Q as f64,
+        s.candidates_rescored,
+        s.candidates_rescored as f64 / Q as f64
+    );
+    assert!(
+        s.candidates_rescored >= (k * Q) as u64,
+        "the true top-k always survive"
+    );
+}

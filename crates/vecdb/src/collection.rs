@@ -19,7 +19,7 @@
 //! buffer, so results stay identical to a pure f64 scan. The mirror also
 //! records the largest component magnitude ([`Collection::max_abs`]),
 //! which the scan feeds into each distance class's rounding bound
-//! (`Distance::f32_key_slack`).
+//! (`Distance::f32_key_bound`).
 
 use crate::{Result, VecdbError};
 use std::sync::Arc;
@@ -170,7 +170,7 @@ impl Collection {
     /// Largest `|component|` over the stored f64 vectors (recorded when
     /// the mirror is built; `None` without a mirror). Scans take the max
     /// of this and the query's own magnitude as the `max_abs` argument of
-    /// [`crate::Distance::f32_key_slack`].
+    /// [`crate::Distance::f32_key_bound`].
     pub fn max_abs(&self) -> Option<f64> {
         self.mirror.as_ref().map(|m| m.max_abs)
     }

@@ -14,7 +14,7 @@
 //! component weights within a feature by the `1/σ²` rule, the feature
 //! weights by how well each feature's distance separates good matches.
 
-use super::{kernels, Distance};
+use super::{kernels, Distance, F32KeyBound};
 use crate::{Result, VecdbError};
 
 /// A contiguous component span of one feature in the flat vector.
@@ -56,7 +56,7 @@ pub struct HierarchicalDistance {
     /// collapses to a single weighted-Euclidean kernel pass.
     effective_weights: Vec<f64>,
     /// f32-rounded effective weights for the mirror-scanning kernels
-    /// (the rounding is part of [`Distance::f32_key_slack`]).
+    /// (the rounding is part of [`Distance::f32_key_bound`]).
     effective_weights_f32: Vec<f32>,
     dim: usize,
 }
@@ -271,13 +271,13 @@ impl Distance for HierarchicalDistance {
         );
     }
 
-    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
+    fn f32_key_bound(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
         // The flattened form is exactly a weighted Euclidean with the
         // effective weights, so the same rounding budget applies.
         let w = &self.effective_weights;
         let w_min = w.iter().cloned().fold(f64::INFINITY, f64::min);
         let w_max = w.iter().cloned().fold(0.0, f64::max);
-        super::weighted_f32_slack(dim, w.iter().sum(), w_min, w_max, max_abs)
+        super::weighted_f32_bound(dim, w.iter().sum(), w_min, w_max, max_abs)
     }
 
     fn eval_key_batch_f32(

@@ -36,8 +36,8 @@
 //! transposed pass whose lane `i` is exactly the one-row tree of
 //! accumulator `i`), and the same `dim % 8` tail. Unlike the f64 kernels, f32 keys are
 //! NOT bit-identical across hosts (FMA vs non-FMA) — by design: they
-//! only select candidates under a `Distance::f32_key_slack`-inflated
-//! bound that covers either variant's rounding, and the exact f64
+//! only select candidates under a bound inflated by
+//! `Distance::f32_key_bound`, which covers either variant's rounding, and the exact f64
 //! rescore makes the final answers host-independent again.
 
 /// Unroll width of the inner component loops (f64).
@@ -291,7 +291,7 @@ fn weighted_sq_multi_impl(
 // the hand-written `f32_intr` intrinsics further down (fused
 // multiply-adds, different reduction — see that module for why).
 // Either implementation's rounding is covered by
-// `Distance::f32_key_slack` (fusion only removes roundings the budget
+// `Distance::f32_key_bound` (fusion only removes roundings the budget
 // charges for).
 
 /// Fixed-shape reduction of the f32 accumulator lanes (the same
@@ -667,8 +667,9 @@ mod f32_plain {
 //
 // f32 keys from this path differ in the last ulps from the portable
 // chain (fused multiply-add, different reduction tree) — allowed by
-// design: f32 keys only select candidates under a slack-inflated bound
-// (fusion only *shrinks* the rounding the slack budgets for), and the
+// design: f32 keys only select candidates under a bound inflated by
+// `Distance::f32_key_bound` (fusion only *shrinks* the rounding it
+// budgets for), and the
 // exact f64 rescore makes final answers identical on every host. The
 // `bound` argument is accepted but not used for early abandonment:
 // at the dimensionalities where this path wins, the segment check
@@ -1960,7 +1961,7 @@ mod tests {
 
     #[test]
     fn f32_keys_stay_within_sum_weight_slack_on_every_kernel_shape() {
-        use crate::distance::weighted_f32_slack;
+        use crate::distance::weighted_f32_bound;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         // 7 queries × 3 rows: the block kernels run a row pair plus a
         // single remainder row; the FMA multi kernel runs, on the row
@@ -2051,20 +2052,28 @@ mod tests {
                         let w_sum: f64 = w.iter().sum();
                         let w_min = w.iter().cloned().fold(f64::INFINITY, f64::min);
                         let w_max = w.iter().cloned().fold(0.0, f64::max);
-                        let slack = weighted_f32_slack(dim, w_sum, w_min, w_max, max_abs)
+                        let bound = weighted_f32_bound(dim, w_sum, w_min, w_max, max_abs)
                             .expect("magnitudes far below the overflow guard");
+                        let reverse = bound.reverse();
                         for r in 0..ROWS {
                             let key64 = weighted_sq_row(
                                 w,
                                 &queries[q * dim..(q + 1) * dim],
                                 &block[r * dim..(r + 1) * dim],
                             );
+                            let slack = bound.at(key64);
                             for (label, keys) in &shapes {
-                                let err = (keys[q * ROWS + r] as f64 - key64).abs();
+                                let key32 = keys[q * ROWS + r] as f64;
+                                let err = (key32 - key64).abs();
                                 assert!(
                                     err <= slack,
                                     "{label} dim {dim} profile {profile} M {max_abs}: \
-                                     |key32 − key64| = {err} exceeds slack {slack} (key64 {key64})"
+                                     |key32 − key64| = {err} exceeds Δ(key64) = {slack} (key64 {key64})"
+                                );
+                                assert!(
+                                    key64 <= key32 + reverse.at(key32),
+                                    "{label} dim {dim} profile {profile} M {max_abs}: \
+                                     key64 {key64} above key32 {key32} + Δ'(key32)"
                                 );
                                 worst_use = worst_use.max(err / slack);
                             }

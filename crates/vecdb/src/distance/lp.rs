@@ -1,6 +1,6 @@
 //! Lp norms: Manhattan, Euclidean, Chebyshev, general p ≥ 1.
 
-use super::{kernels, sq_dist, Distance};
+use super::{kernels, sq_dist, Distance, F32KeyBound};
 use crate::{Result, VecdbError};
 
 /// Euclidean (`L2`) distance — the paper's default distance function.
@@ -60,8 +60,8 @@ impl Distance for Euclidean {
         kernels::l2_sq_multi_block(queries, block, dim, bounds, out);
     }
 
-    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
-        super::weighted_f32_slack(dim, dim as f64, 1.0, 1.0, max_abs)
+    fn f32_key_bound(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
+        super::weighted_f32_bound(dim, dim as f64, 1.0, 1.0, max_abs)
     }
 
     fn eval_key_batch_f32(

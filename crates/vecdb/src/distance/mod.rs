@@ -51,14 +51,17 @@
 //! classes may additionally expose **f32 kernels**
 //! ([`Distance::eval_key_batch_f32`] / [`Distance::eval_key_multi_f32`])
 //! that filter candidates against the collection's half-width f32
-//! mirror, plus a **rounding bound** ([`Distance::f32_key_slack`]): an
-//! additive key-space slack `Δ` with `|key32(a, b) − key64(a, b)| ≤ Δ`
-//! for all vectors whose components are bounded by the given magnitude.
-//! The two-phase `Precision::F32Rescore` scan inflates its pruning
-//! threshold by `2Δ` during the f32 pass — enough to guarantee the
-//! surviving candidate set contains the true f64 top-k (see
-//! `knn::scan`) — then rescores the survivors with the exact f64
-//! kernels, so returned results are identical to a pure f64 scan.
+//! mirror, plus a **rounding bound** ([`Distance::f32_key_bound`]): a
+//! monotone, key-relative [`F32KeyBound`] `Δ` with
+//! `|key32(a, b) − key64(a, b)| ≤ Δ(key64(a, b))` for all vectors whose
+//! components are bounded by the given magnitude. The two-phase
+//! `Precision::F32Rescore` scan turns its running threshold `t` into a
+//! sound ceiling `T ≥ τ64` on the true k-th f64 key with the reverse
+//! bound ([`F32KeyBound::reverse`]) and filters the f32 pass at
+//! `T + Δ(T)` — enough to guarantee the surviving candidate set contains
+//! the true f64 top-k (see `knn::multi`) — then rescores the survivors
+//! with the exact f64 kernels, so returned results are identical to a
+//! pure f64 scan.
 
 mod hierarchical;
 pub(crate) mod kernels;
@@ -183,28 +186,29 @@ pub trait Distance: Send + Sync {
         }
     }
 
-    /// f32 scanning support: an additive key-space rounding bound.
+    /// f32 scanning support: a key-relative rounding bound.
     ///
     /// `Some(Δ)` certifies that for **any** pair of vectors `a, b` of
     /// length `dim` whose components all satisfy `|·| ≤ max_abs`, the
     /// f32 key this class's [`Self::eval_key_batch_f32`] computes (from
     /// the f32-rounded inputs) differs from the exact f64 key by at most
-    /// `Δ`:
+    /// `Δ` evaluated at that f64 key ([`F32KeyBound::at`]):
     ///
     /// ```text
-    /// |eval_key_batch_f32(a32, b32) − eval_key_batch(a, b)| ≤ Δ
+    /// |eval_key_batch_f32(a32, b32) − eval_key_batch(a, b)| ≤ Δ(eval_key_batch(a, b))
     /// ```
     ///
     /// The f32-rescore scan path relies on this bound for exactness — an
     /// understated `Δ` silently drops true neighbors — so implementations
     /// must derive it from worst-case rounding analysis of their actual
     /// f32 kernel (the suite property-tests the inequality), and must
-    /// return `None` whenever no finite `Δ` is sound — in particular
+    /// return `None` whenever no finite bound is sound — in particular
     /// when the worst-case key could overflow f32 to `+∞` (the internal
     /// `F32_KEY_OVERFLOW_GUARD` threshold), since a saturated `key32`
-    /// breaks the inequality by an unbounded amount. `None` — also the default, declaring "no f32
-    /// kernel" — makes scans fall back to the always-correct f64 path.
-    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
+    /// breaks the inequality by an unbounded amount. `None` — also the
+    /// default, declaring "no f32 kernel" — makes scans fall back to the
+    /// always-correct f64 path.
+    fn f32_key_bound(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
         let _ = (dim, max_abs);
         None
     }
@@ -212,7 +216,7 @@ pub trait Distance: Send + Sync {
     /// f32 variant of [`Self::eval_key_batch`]: surrogate keys for one
     /// query against a row-major **f32** block (the collection's mirror),
     /// with the same early-abandon contract in f32 key space. Only called
-    /// by the scan engines when [`Self::f32_key_slack`] returns a finite
+    /// by the scan engines when [`Self::f32_key_bound`] returns a finite
     /// bound; the default is a reference loop that evaluates each row
     /// through the f64 key path on widened inputs (correct, but paying
     /// f64 compute — real implementations use the f32 kernels).
@@ -338,12 +342,119 @@ pub(crate) fn metric_partition_lower(dqc: f64, lo: f64, hi: f64, d2qc: f64, radi
     a.max(b)
 }
 
+/// A monotone, key-relative bound on an f32 key's rounding error:
+///
+/// ```text
+/// Δ(key) = min(rel·key + sqrt·√key + abs, max)
+/// ```
+///
+/// [`Distance::f32_key_bound`] returns one per (class, dimensionality,
+/// magnitude) with `|key32 − key64| ≤ Δ(key64)` for every pair of
+/// vectors it covers. The three coefficients follow the shape of f32
+/// rounding on a key that is a sum of non-negative terms: the
+/// accumulation error is relative to the key (`rel`), the rounding of
+/// the inputs enters each term through a cross term `∝ √termᵢ`, which
+/// sums to `∝ √key` by Cauchy–Schwarz (`sqrt`), and underflow plus the
+/// second-order remainders are absolute (`abs`). `max` is a
+/// key-independent ceiling — each class's worst case over every key its
+/// data can produce — so `Δ` never exceeds it. A min of two sound,
+/// monotone bounds is sound and monotone; a class whose error is not
+/// key-relative sets `rel = sqrt = 0` and `abs = max`.
+///
+/// Every coefficient carries a factor-2 margin over the derived error,
+/// which also absorbs the f64 reference key's own (far smaller)
+/// rounding and the rounding of evaluating `Δ` itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct F32KeyBound {
+    /// Coefficient of the key.
+    pub rel: f64,
+    /// Coefficient of `√key`.
+    pub sqrt: f64,
+    /// Key-independent term.
+    pub abs: f64,
+    /// Ceiling: `Δ(key) ≤ max` at every key.
+    pub max: f64,
+}
+
+impl F32KeyBound {
+    /// The zero bound of exact keys: `Δ ≡ 0`, what the f64 path runs at.
+    pub const ZERO: F32KeyBound = F32KeyBound {
+        rel: 0.0,
+        sqrt: 0.0,
+        abs: 0.0,
+        max: 0.0,
+    };
+
+    /// `Δ(key)`, monotone non-decreasing in `key`. Negative keys count
+    /// as 0; where the key-relative part is not finite (an infinite key)
+    /// the ceiling `max` applies.
+    #[inline]
+    pub fn at(&self, key: f64) -> f64 {
+        let key = key.max(0.0);
+        let relative = self.rel * key + self.sqrt * key.sqrt() + self.abs;
+        // `<` is false for NaN (`0·∞`), which then takes the ceiling.
+        if relative < self.max {
+            relative
+        } else {
+            self.max
+        }
+    }
+
+    /// The reverse bound `Δ'` in f32-key terms: whenever
+    /// `|key32 − key64| ≤ Δ(key64)`, also `key64 ≤ key32 + Δ'(key32)`.
+    ///
+    /// With `r, s, a` = `rel, sqrt, abs`, `K = key64` and `t = key32`,
+    /// `K − rK − s√K − a ≤ t` is a quadratic inequality in `√K`; its
+    /// root, squared and split with `√(x + y) ≤ √x + √y`, gives
+    ///
+    /// ```text
+    /// K ≤ t + r/(1−r)·t + s/(1−r)²·√t + a/(1−r) + (s² + s·√a)/(1−r)²
+    /// ```
+    ///
+    /// and the ceiling carries over unchanged (`K ≤ t + max`). For
+    /// `r ≥ 1` only the ceiling is left (as it is wherever a coefficient
+    /// is NaN: [`Self::at`] then evaluates to `max`).
+    pub fn reverse(&self) -> F32KeyBound {
+        let (r, s, a) = (self.rel, self.sqrt, self.abs);
+        if r >= 1.0 {
+            return F32KeyBound {
+                rel: 0.0,
+                sqrt: 0.0,
+                abs: self.max,
+                max: self.max,
+            };
+        }
+        let (g1, g2) = (1.0 / (1.0 - r), 1.0 / ((1.0 - r) * (1.0 - r)));
+        F32KeyBound {
+            rel: r * g1,
+            sqrt: s * g2,
+            abs: a * g1 + (s * s + s * a.sqrt()) * g2,
+            max: self.max,
+        }
+    }
+
+    /// Whether every field is finite and non-negative — the only bounds
+    /// a scan runs its f32 phase under.
+    pub fn is_finite(&self) -> bool {
+        [self.rel, self.sqrt, self.abs, self.max]
+            .iter()
+            .all(|v| v.is_finite() && *v >= 0.0)
+    }
+}
+
 /// Half-ulp relative rounding bound of f32 round-to-nearest.
 pub(crate) const F32_UNIT_ROUNDOFF: f64 = 1.0 / (1u64 << 24) as f64;
 
 /// Absolute rounding bound of an f32 result in the subnormal range:
 /// half the smallest subnormal, `2⁻¹⁵⁰`.
 pub(crate) const F32_UNDERFLOW_ROUNDOFF: f64 = f32::MIN_POSITIVE as f64 / (1u64 << 24) as f64;
+
+/// `γₖ = k·u / (1 − k·u)`: the relative error bound of `k` f32 roundings
+/// compounded (`(1 + γⱼ)(1 + γₖ) ≤ 1 + γⱼ₊ₖ`).
+pub(crate) fn f32_gamma(k: f64) -> f64 {
+    let ku = k * F32_UNIT_ROUNDOFF;
+    ku / (1.0 - ku)
+}
 
 /// Largest worst-case f32 key magnitude for which f32 scanning is
 /// offered at all. The rounding analyses below are only valid while the
@@ -352,56 +463,65 @@ pub(crate) const F32_UNDERFLOW_ROUNDOFF: f64 = f32::MIN_POSITIVE as f64 / (1u64 
 /// unbounded amount, and the candidate filter would silently drop that
 /// row. Any class whose worst-case key (intermediates included) could
 /// cross this line must return `None` from
-/// [`Distance::f32_key_slack`] — the scan then runs the pure-f64 path,
+/// [`Distance::f32_key_bound`] — the scan then runs the pure-f64 path,
 /// which is always correct. The 16× headroom under `f32::MAX` generously
 /// absorbs accumulation-order overshoot.
 pub(crate) const F32_KEY_OVERFLOW_GUARD: f64 = f32::MAX as f64 / 16.0;
 
-/// Worst-case `|key32 − key64|` for the diagonal weighted-squared family
+/// The [`F32KeyBound`] of the diagonal weighted-squared family
 /// (`Σ wᵢ·(aᵢ−bᵢ)²`, covering Euclidean via `w ≡ 1` and hierarchical via
 /// the flattened effective weights), at dimensionality `dim` with
 /// component magnitudes ≤ `max_abs`, weight sum `w_sum = Σ wᵢ` and
-/// weights in `[w_min, w_max]` — or `None` when no finite slack is
+/// weights in `[w_min, w_max]` — or `None` when no finite bound is
 /// sound: the worst-case key could overflow f32
 /// ([`F32_KEY_OVERFLOW_GUARD`]), or some weight does not round to a
 /// normal finite f32 (a subnormal weight carries up to 50 % rounding
 /// error, not `u`; an infinite one makes `∞·0 = NaN` keys the admit
-/// drops).
+/// drops). The overflow guard stays on the coarser `dim·w_max` worst
+/// case: it decides eligibility, not `Δ`.
 ///
-/// Error budget (u = 2⁻²⁴, M = `max_abs`, per-component difference
-/// `d = a − b` with `|d| ≤ 2M`):
-/// input conversion + subtraction give `|d32 − d| ≤ 4.1uM`; squaring and
-/// the weight product add ≤ `29·u·wᵢ·M²` to term `i`, so the terms are
-/// off by ≤ `29·u·M²·Σ wᵢ` together; f32 accumulation of `dim` terms
-/// adds ≤ `dim·u` times the term-magnitude sum `Σ|tᵢ| ≤ 4.01·M²·Σ wᵢ`.
-/// Both parts charge each term by its **own** weight: the rescore then
-/// gathers a band as wide as the metric's total mass, not `dim` copies
-/// of its heaviest component — with skewed learned weights
-/// (`w_max ≫ mean w`) that is the difference between rescoring ~k rows
-/// and an order of magnitude more. The accumulation bound holds for any summation order
-/// (each partial sum is rounded once, and every partial sum of
-/// non-negative terms is ≤ `Σ|tᵢ|`), so it covers the portable lane
-/// tree, the row-pair, 2×2-tile and 4×2-tile FMA kernels alike. The total is
-/// doubled as a safety margin (it also absorbs the f64 reference key's
-/// own, far smaller, rounding error). The overflow guard stays on the
-/// coarser `dim·w_max` worst case: it decides eligibility, not Δ.
+/// Error budget (u = 2⁻²⁴, η = 2⁻¹⁵⁰ the absolute rounding of an f32
+/// result below `f32::MIN_POSITIVE`, M = `max_abs`, n = `dim`, exact
+/// difference `dᵢ = aᵢ − bᵢ`, exact term `tᵢ = wᵢ·dᵢ²`, exact key
+/// `Σ tᵢ`):
 ///
-/// Underflow is not relative: an f32 operation whose result falls below
-/// `f32::MIN_POSITIVE` is off by up to `η = 2⁻¹⁵⁰` absolute on top of
-/// its `u`-relative error. Per component that is `η` for each of the
-/// two input conversions — `≤ 2.1η` on `d`, so `≤ 8.7·η·M·wᵢ` on the
-/// term — `η·wᵢ` for the square the weight then scales, and `η` for
-/// each of the (at most two) products and adds that fold the term into
-/// the key; rounded up to `η·(wᵢ·(9M + 1) + 2)`, summed and doubled with
-/// the rest. On unit-scale data the term is ~10⁻⁴² against a Δ of
-/// ~10⁻⁵; on data whose squares underflow it is what keeps Δ sound.
-pub(crate) fn weighted_f32_slack(
+/// * **Inputs.** Two conversions and the subtraction give
+///   `|d32 − d| ≤ u·|d| + ε`, `ε = 2.01·(u·M + η)` (a subtraction whose
+///   result is subnormal is exact). So
+///   `wᵢ·|d32² − d²| ≤ wᵢ·e·(2|d| + e) ≤ 2u·tᵢ + 2ε·√wᵢ·√tᵢ + wᵢ·E²` with
+///   `E = 2u·M + ε ≥ e`; summed, Cauchy–Schwarz turns `Σ √wᵢ·√tᵢ` into
+///   `√(Σw)·√key`.
+/// * **Terms.** The weight conversion and (at most) two products round
+///   each term by `γ₃` relative, plus `η·(1.01·wᵢ + 2.02·M + 1)` for
+///   products that underflow.
+/// * **Accumulation.** Any summation order of `n` non-negative terms
+///   rounds each partial sum at most `n` times on any term's path, so
+///   it costs `γₙ` relative to the computed terms' sum, plus `η` per
+///   fused multiply-add whose result underflows (a plain addition with a
+///   subnormal result is exact). This covers the portable lane tree and
+///   the row-pair, 2×2-tile and 4×2-tile FMA kernels alike.
+///
+/// With `c = γₙ₊₃`, the pieces compose to
+/// `|key32 − key| ≤ (c + 2u(1+c))·key + (1+c)·2ε·√(Σw)·√key +
+/// (1+c)·(Σw·E² + η·(1.01·Σw + n·(2.02·M + 1))) + n·η`, doubled into
+/// [`F32KeyBound`]'s margin. Both input parts charge each term by its
+/// **own** weight: with skewed learned weights (`w_max ≫ mean w`) the
+/// band follows the metric's total mass, not `dim` copies of its
+/// heaviest component.
+///
+/// The ceiling `max` is the key-independent slack the scans charged
+/// every row before the bound became key-relative: `2u·Σw·M²·(29 +
+/// 4.1·n)` for rounding plus `2η·(Σw·(9M + 1) + 2n)` for underflow,
+/// sized by the largest key the data could produce. On unit-scale data
+/// the underflow parts are ~10⁻⁴² against a `Δ` of ~10⁻⁵; on data whose
+/// squares underflow they are what keeps `Δ` sound.
+pub(crate) fn weighted_f32_bound(
     dim: usize,
     w_sum: f64,
     w_min: f64,
     w_max: f64,
     max_abs: f64,
-) -> Option<f64> {
+) -> Option<F32KeyBound> {
     if !((w_min as f32).is_normal() && (w_max as f32).is_finite()) {
         return None;
     }
@@ -416,41 +536,71 @@ pub(crate) fn weighted_f32_slack(
         return None;
     }
     if max_abs == 0.0 {
-        return Some(0.0); // all-zero data: every operation is exact
+        return Some(F32KeyBound::ZERO); // all-zero data: every operation is exact
     }
-    let u = F32_UNIT_ROUNDOFF;
-    let relative = u * w_sum * m2 * (29.0 + 4.1 * n);
-    let underflow = F32_UNDERFLOW_ROUNDOFF * (w_sum * (9.0 * max_abs + 1.0) + 2.0 * n);
-    Some(2.0 * (relative + underflow))
+    let (u, eta) = (F32_UNIT_ROUNDOFF, F32_UNDERFLOW_ROUNDOFF);
+    let c = f32_gamma(n + 3.0);
+    let m = max_abs;
+    let eps = 2.01 * (u * m + eta);
+    let e = 2.0 * u * m + eps;
+    let terms_underflow = eta * (1.01 * w_sum + n * (2.02 * m + 1.0));
+    let coarse = u * w_sum * m2 * (29.0 + 4.1 * n);
+    let coarse_underflow = eta * (w_sum * (9.0 * m + 1.0) + 2.0 * n);
+    Some(F32KeyBound {
+        rel: 2.0 * (c + 2.0 * u * (1.0 + c)),
+        sqrt: 2.0 * (1.0 + c) * 2.0 * eps * w_sum.sqrt(),
+        abs: 2.0 * ((1.0 + c) * (w_sum * e * e + terms_underflow) + n * eta),
+        max: 2.0 * (coarse + coarse_underflow),
+    })
 }
 
 #[cfg(test)]
 mod slack_tests {
     use super::*;
 
+    /// Keys spanning the `(64, Σw = 64, M ≤ 2)` fixtures' range, zero
+    /// included.
+    const KEYS: [f64; 5] = [0.0, 1e-9, 1e-3, 1.0, 256.0];
+
     #[test]
     fn weighted_slack_is_positive_and_scales() {
-        let s = weighted_f32_slack(64, 64.0, 1.0, 3.0, 1.0).unwrap();
-        assert!(s > 0.0 && s.is_finite());
-        // More components, more weight mass, bigger values ⇒ looser bound.
-        assert!(weighted_f32_slack(128, 64.0, 1.0, 3.0, 1.0).unwrap() > s);
-        assert!(weighted_f32_slack(64, 128.0, 1.0, 3.0, 1.0).unwrap() > s);
-        assert!(weighted_f32_slack(64, 64.0, 1.0, 3.0, 2.0).unwrap() > s);
-        // Degenerate all-zero data ⇒ zero slack (keys are exactly 0).
-        assert_eq!(weighted_f32_slack(64, 64.0, 1.0, 3.0, 0.0), Some(0.0));
+        let s = weighted_f32_bound(64, 64.0, 1.0, 3.0, 1.0).unwrap();
+        let looser = [
+            weighted_f32_bound(128, 64.0, 1.0, 3.0, 1.0).unwrap(),
+            weighted_f32_bound(64, 128.0, 1.0, 3.0, 1.0).unwrap(),
+            weighted_f32_bound(64, 64.0, 1.0, 3.0, 2.0).unwrap(),
+        ];
+        for key in KEYS {
+            assert!(s.at(key) > 0.0 && s.at(key).is_finite(), "key {key}");
+            // More components, more weight mass, bigger values ⇒ looser
+            // bound, at every key.
+            for l in &looser {
+                assert!(l.at(key) > s.at(key), "key {key}: {l:?} vs {s:?}");
+            }
+        }
+        // Degenerate all-zero data ⇒ zero bound (keys are exactly 0).
+        assert_eq!(
+            weighted_f32_bound(64, 64.0, 1.0, 3.0, 0.0),
+            Some(F32KeyBound::ZERO)
+        );
     }
 
     #[test]
     fn slack_follows_the_weight_sum_not_the_heaviest_weight() {
         // One dominant component among 63 light ones: Δ is sized by the
-        // metric's total mass (≈ 1 heavy weight), not by 64 copies of it.
-        let skewed = weighted_f32_slack(64, 100.0 + 63.0 * 0.01, 0.01, 100.0, 1.0).unwrap();
-        let flat = weighted_f32_slack(64, 64.0 * 100.0, 100.0, 100.0, 1.0).unwrap();
-        assert!(skewed * 60.0 < flat, "skewed {skewed} vs flat {flat}");
+        // metric's total mass (≈ 1 heavy weight), not by 64 copies of it
+        // — at every key the same share of each metric's key range.
+        let (sum_skewed, sum_flat) = (100.0 + 63.0 * 0.01, 64.0 * 100.0);
+        let skewed = weighted_f32_bound(64, sum_skewed, 0.01, 100.0, 1.0).unwrap();
+        let flat = weighted_f32_bound(64, sum_flat, 100.0, 100.0, 1.0).unwrap();
+        for share in [0.0, 1e-6, 1e-3, 1.0] {
+            let (ds, df) = (skewed.at(share * sum_skewed), flat.at(share * sum_flat));
+            assert!(ds * 60.0 < df, "share {share}: skewed {ds} vs flat {df}");
+        }
         // w_max alone (same Σw) only gates eligibility.
         assert_eq!(
-            weighted_f32_slack(64, 64.0, 1.0, 1.0, 1.0),
-            weighted_f32_slack(64, 64.0, 1.0, 50.0, 1.0)
+            weighted_f32_bound(64, 64.0, 1.0, 1.0, 1.0),
+            weighted_f32_bound(64, 64.0, 1.0, 50.0, 1.0)
         );
     }
 
@@ -458,11 +608,33 @@ mod slack_tests {
     fn slack_refused_when_f32_keys_could_overflow() {
         // Component magnitudes ~1e18 drive 64-d weighted keys toward
         // f32::MAX, where |key32 − key64| ≤ Δ no longer holds (key32
-        // saturates to +∞). No finite slack is sound there.
-        assert_eq!(weighted_f32_slack(64, 64.0, 1.0, 1.0, 1e18), None);
-        assert_eq!(weighted_f32_slack(64, 64e6, 1.0, 1e6, 1e16), None);
+        // saturates to +∞). No finite bound is sound there.
+        assert_eq!(weighted_f32_bound(64, 64.0, 1.0, 1.0, 1e18), None);
+        assert_eq!(weighted_f32_bound(64, 64e6, 1.0, 1e6, 1e16), None);
         // Ordinary magnitudes stay eligible.
-        assert!(weighted_f32_slack(64, 640.0, 1.0, 10.0, 1e3).is_some());
+        assert!(weighted_f32_bound(64, 640.0, 1.0, 10.0, 1e3).is_some());
+    }
+
+    #[test]
+    fn bound_is_monotone_capped_and_reversible() {
+        let b = weighted_f32_bound(32, 90.0, 0.01, 60.0, 1.0).unwrap();
+        let r = b.reverse();
+        let mut last = 0.0;
+        for i in 0..=400 {
+            let key = if i == 0 { 0.0 } else { 1e-12 * 1.1f64.powi(i) };
+            let d = b.at(key);
+            assert!(d >= last && d <= b.max, "key {key}");
+            last = d;
+            // The worst case the forward bound allows below the true key
+            // is still covered by the reverse bound above the f32 key.
+            let key32 = key - d;
+            if key32 >= 0.0 {
+                assert!(key <= key32 + r.at(key32), "key {key}");
+            }
+        }
+        assert_eq!(b.at(f64::INFINITY), b.max);
+        assert_eq!(F32KeyBound::ZERO.at(f64::INFINITY), 0.0);
+        assert_eq!(F32KeyBound::ZERO.reverse(), F32KeyBound::ZERO);
     }
 }
 

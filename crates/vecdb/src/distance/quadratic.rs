@@ -9,7 +9,7 @@
 //! norm"). Positive definiteness is certified at construction by a
 //! Cholesky factorization, which also evaluates the form as `‖Lᵀ·x‖²`.
 
-use super::Distance;
+use super::{Distance, F32KeyBound};
 use crate::{Result, VecdbError};
 use fbp_linalg::{Cholesky, Matrix};
 
@@ -24,7 +24,7 @@ pub struct QuadraticDistance {
     eig_hi: f64,
     /// f32-rounded lower-triangular Cholesky factor, flattened row-major
     /// (`n × n`, zeros above the diagonal), for the mirror-scanning f32
-    /// kernel; its rounding is part of [`Distance::f32_key_slack`].
+    /// kernel; its rounding is part of [`Distance::f32_key_bound`].
     l_f32: Vec<f32>,
     /// Largest `|L[i,j]|` (drives the f32 rounding budget).
     l_max: f64,
@@ -280,22 +280,35 @@ impl Distance for QuadraticDistance {
         }
     }
 
-    /// Rounding budget of the f32 `‖Lᵀ₃₂·diff₃₂‖²` evaluation: bound the
-    /// error of each transformed coordinate `yⱼ` (factor conversion,
-    /// difference rounding, f32 dot-product accumulation), then of its
-    /// square and the final sum — all against worst-case magnitudes
-    /// (`|diff| ≤ 2M`, `|L| ≤ l_max`), doubled as a safety margin.
-    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
-        let u = super::F32_UNIT_ROUNDOFF;
+    /// Rounding bound of the f32 `‖Lᵀ₃₂·diff₃₂‖²` evaluation. First the
+    /// error `e_y` of each transformed coordinate `yⱼ = Σᵢ Lᵢⱼ·dᵢ`:
+    /// factor conversion, difference rounding and f32 dot-product
+    /// accumulation against worst-case magnitudes (`|diff| ≤ 2M`,
+    /// `|L| ≤ l_max`), plus `η = 2⁻¹⁵⁰` per conversion and product that
+    /// underflows. The key `Σ yⱼ²` then sums non-negative squares, so with
+    /// `c = γₙ₊₁` (one square rounding, at most `n` accumulation roundings
+    /// on a term's path) and `Σ|yⱼ| ≤ √n·√key`:
+    ///
+    /// ```text
+    /// |key32 − key| ≤ c·key + (1+c)·(2·e_y·√n·√key + n·e_y² + n·η)
+    /// ```
+    ///
+    /// The `e_y·|y|` cross term is the `sqrt` part; `e_y²` and the
+    /// squares' own underflow are the `abs` part. All doubled as the
+    /// safety margin; the ceiling is the bound at the largest key the
+    /// data can produce.
+    fn f32_key_bound(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
+        let (u, eta) = (super::F32_UNIT_ROUNDOFF, super::F32_UNDERFLOW_ROUNDOFF);
         let n = dim as f64;
         let m = max_abs;
         // |y32 − y| per coordinate: n product terms each off by
         // ≤ 8.5·u·l_max·M, plus f32 accumulation of n terms of magnitude
-        // ≤ 2.01·l_max·M.
-        let e_y = u * self.l_max * m * n * (8.5 + 2.01 * n);
+        // ≤ 2.01·l_max·M, plus each product's underflow.
+        let e_y = u * self.l_max * m * n * (8.5 + 2.01 * n)
+            + n * eta * (2.1 * self.l_max + 2.1 * m + 1.1);
         // Magnitude bound on the computed coordinate.
         let y_hi = 2.01 * self.l_max * m * n + e_y;
-        // No finite slack is sound once the worst-case key (Σ y² ≤
+        // No finite bound is sound once the worst-case key (Σ y² ≤
         // n·y_hi², partial sums included) could overflow f32 — the scan
         // must fall back to pure f64 (see `F32_KEY_OVERFLOW_GUARD`).
         let worst_key = n * y_hi * y_hi;
@@ -304,11 +317,17 @@ impl Distance for QuadraticDistance {
         if !(worst_key <= super::F32_KEY_OVERFLOW_GUARD) {
             return None;
         }
-        // Σ y²: per-term square rounding + propagated e_y, then f32
-        // accumulation of n squares.
-        let per_sq = u * y_hi * y_hi + 2.1 * e_y * y_hi;
-        let accum = n * u * n * y_hi * y_hi;
-        Some(2.0 * (n * per_sq + accum))
+        let c = super::f32_gamma(n + 1.0);
+        let relative = F32KeyBound {
+            rel: 2.0 * c,
+            sqrt: 2.0 * (1.0 + c) * 2.0 * e_y * n.sqrt(),
+            abs: 2.0 * (1.0 + c) * n * (e_y * e_y + eta),
+            max: f64::INFINITY,
+        };
+        Some(F32KeyBound {
+            max: relative.at(worst_key),
+            ..relative
+        })
     }
 
     fn eval_key_batch_f32(

@@ -5,7 +5,7 @@
 //! L2W(p, q; W) = ( Σᵢ wᵢ·(pᵢ − qᵢ)² )^½ ,   wᵢ > 0
 //! ```
 
-use super::{kernels, Distance};
+use super::{kernels, Distance, F32KeyBound};
 use crate::{Result, VecdbError};
 
 /// Weighted Euclidean distance with strictly positive per-component
@@ -15,12 +15,12 @@ pub struct WeightedEuclidean {
     weights: Vec<f64>,
     /// f32-rounded weights for the mirror-scanning kernels, cached at
     /// construction (the rounding is part of the class's
-    /// [`Distance::f32_key_slack`] error budget).
+    /// [`Distance::f32_key_bound`] error budget).
     weights_f32: Vec<f32>,
     min_w: f64,
     max_w: f64,
     /// `Σ wᵢ`, cached at construction: the serving path asks for
-    /// [`Distance::f32_key_slack`] once per request per pass.
+    /// [`Distance::f32_key_bound`] once per request per pass.
     sum_w: f64,
 }
 
@@ -159,8 +159,8 @@ impl Distance for WeightedEuclidean {
         kernels::weighted_sq_multi_block(&self.weights, 0, queries, block, dim, bounds, out);
     }
 
-    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
-        super::weighted_f32_slack(dim, self.sum_w, self.min_w, self.max_w, max_abs)
+    fn f32_key_bound(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
+        super::weighted_f32_bound(dim, self.sum_w, self.min_w, self.max_w, max_abs)
     }
 
     fn eval_key_batch_f32(

@@ -41,7 +41,7 @@ pub use sharded::{
 pub use stats::{ScanStats, ScanStatsSink};
 
 use crate::collection::Collection;
-use crate::distance::Distance;
+use crate::distance::{Distance, F32KeyBound};
 
 /// Numeric precision of the scan engines' candidate filtering.
 ///
@@ -53,9 +53,13 @@ use crate::distance::Distance;
 /// * [`Precision::F32Rescore`] — two phases. Phase 1 streams the
 ///   collection's f32 mirror (half the bytes; the scans are
 ///   memory-bandwidth-bound at low query counts) through the f32 kernels,
-///   early-abandoning against the running k-best threshold inflated by
-///   `2 × Distance::f32_key_slack` — enough to guarantee the surviving
-///   candidates contain the true f64 top-k. Phase 2 rescores the
+///   early-abandoning against the running k-best threshold `t` turned
+///   into a ceiling `T = t + Δ'(t)` on the true k-th f64 key and
+///   inflated to `T + Δ(T)` by the class's monotone, key-relative
+///   rounding bound `Δ(key)` ([`Distance::f32_key_bound`], reversed by
+///   [`F32KeyBound::reverse`]) — enough to guarantee the surviving
+///   candidates contain the true f64 top-k, while the band stays a few
+///   ulps of the k-th key wide. Phase 2 rescores the
 ///   survivors from the f64 buffer with the exact kernels, so the
 ///   returned indices *and* distances are identical to an [`Precision::F64`]
 ///   scan. Requires the collection's mirror
@@ -89,6 +93,71 @@ pub(crate) fn f32_bound_up(bound: f64) -> f32 {
         b.next_up()
     } else {
         b
+    }
+}
+
+/// The containment band of one query's f32 phase 1: its class's
+/// key-relative rounding bound `Δ` ([`F32KeyBound`]) and the reverse
+/// bound `Δ'` ([`F32KeyBound::reverse`]), formed once per pass. Every
+/// consumer of the bound — the phase-1 block bounds, the final candidate
+/// filter, the partition skip rule, the fan-out snapshot caps and the
+/// two-phase range scan — reads it through the two uses here, so the
+/// containment argument lives in one place:
+///
+/// * [`Self::ceiling`] — `T = min(t + Δ'(t), cap)`. With `τ32` the k-th
+///   smallest f32 key and `τ64` the k-th smallest f64 key of the layout,
+///   the running threshold `t` (the k-th smallest f32 key pushed so far)
+///   never undershoots `τ32`. The `k` rows realizing `τ32` each have
+///   `key64 ≤ key32 + Δ'(key32) ≤ τ32 + Δ'(τ32)`, so
+///   `τ64 ≤ τ32 + Δ'(τ32) ≤ t + Δ'(t)` by monotonicity; a cap is a
+///   caller-guaranteed bound on `τ64` in f64-key space. Hence `τ64 ≤ T`.
+/// * [`Self::inflate`] — `b ↦ b + Δ(b)`: a row with `key64 ≤ b` has
+///   `key32 ≤ key64 + Δ(key64) ≤ b + Δ(b)`, again by monotonicity.
+///
+/// A true neighbour has `key64 ≤ τ64 ≤ T`, so `key32 ≤ T + Δ(T)`: phase 1
+/// and the final filter, both run at [`Self::admit_bound`]
+/// `= T + Δ(T)`, keep it (its monotone f32 prefix sums never exceed its
+/// final key, so the kernel cannot abandon it either), and a partition
+/// whose f64 lower bound is `> T` holds none. The f64 path runs at
+/// [`Self::EXACT`], where `T = min(t, cap)` and `T + Δ(T) = T`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct KeyBand {
+    forward: F32KeyBound,
+    reverse: F32KeyBound,
+}
+
+impl KeyBand {
+    /// The band of exact keys (`Δ ≡ Δ' ≡ 0`): the f64 path.
+    pub(crate) const EXACT: KeyBand = KeyBand {
+        forward: F32KeyBound::ZERO,
+        reverse: F32KeyBound::ZERO,
+    };
+
+    /// The band of a class's finite rounding bound.
+    pub(crate) fn new(bound: F32KeyBound) -> Self {
+        KeyBand {
+            forward: bound,
+            reverse: bound.reverse(),
+        }
+    }
+
+    /// `T = min(t + Δ'(t), cap)`: a sound upper bound on the true k-th
+    /// f64 key, from the running f32 threshold `t` and the cap.
+    #[inline]
+    pub(crate) fn ceiling(&self, threshold: f64, cap: f64) -> f64 {
+        (threshold + self.reverse.at(threshold)).min(cap)
+    }
+
+    /// `b + Δ(b)`: the largest f32 key a row with `key64 ≤ b` can have.
+    #[inline]
+    pub(crate) fn inflate(&self, bound: f64) -> f64 {
+        bound + self.forward.at(bound)
+    }
+
+    /// `T + Δ(T)`: the f32-key bound every true neighbour stays under.
+    #[inline]
+    pub(crate) fn admit_bound(&self, threshold: f64, cap: f64) -> f64 {
+        self.inflate(self.ceiling(threshold, cap))
     }
 }
 

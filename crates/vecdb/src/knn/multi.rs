@@ -43,14 +43,18 @@
 //!
 //! With [`Precision::F32Rescore`] (and a collection carrying its f32
 //! mirror) the kernel-path modes run **two phases**: phase 1 streams the
-//! mirror through the f32 kernels with per-query pruning bounds inflated
-//! by twice the distance class's rounding slack, collecting every row
-//! whose f32 key lands under the inflated bound; phase 2 rescores those
-//! candidates from the f64 buffer with the exact kernels. The inflation
-//! makes the candidate set a guaranteed superset of the true f64 top-k
-//! (see the proof sketch on [`MultiQueryScan::scan_range_shared_f32`]),
-//! so results remain bit-identical to the pure-f64 scan while the bulk
-//! of the pass moves half the bytes.
+//! mirror through the f32 kernels with per-query pruning bounds
+//! `T + Δ(T)` — the running threshold turned into a ceiling `T` on the
+//! true k-th f64 key and inflated by the class's key-relative rounding
+//! bound `Δ(key)` ([`KeyBand`]) — collecting every row whose f32 key
+//! lands under its bound; phase 2 rescores those candidates from the
+//! f64 buffer with the exact kernels. Because `Δ` follows the key rather
+//! than the largest key the data could produce, the band around a k-th
+//! key near zero is a few ulps of that key wide. The inflation makes
+//! the candidate set a guaranteed superset of the true f64 top-k (see
+//! the proof on [`MultiQueryScan::scan_range_shared_f32`]), so results
+//! remain bit-identical to the pure-f64 scan while the bulk of the pass
+//! moves half the bytes.
 //!
 //! Every block loop, in both precisions, hands its keys to one admit
 //! step, [`admit`]: an 8-lane `key ≤ bound` bitmask skips runs of rows
@@ -61,11 +65,11 @@
 use super::partitioned::{all_prune, Layout};
 use super::stats::{ScanStats, ScanStatsSink};
 use super::{
-    f32_bound_up, rescore_f64_keyed, KBest, Neighbor, Precision, QueryBatch, QueryMetrics,
+    f32_bound_up, rescore_f64_keyed, KBest, KeyBand, Neighbor, Precision, QueryBatch, QueryMetrics,
     ScanConfig, ScanMode, BLOCK_ROWS,
 };
 use crate::collection::Collection;
-use crate::distance::{kernels, Distance};
+use crate::distance::{kernels, Distance, F32KeyBound};
 use std::ops::Range;
 
 /// Keyed (pre-[`Distance::finish_key`]) results of one multi-query
@@ -167,13 +171,13 @@ impl<'a> MultiQueryScan<'a> {
         self.cfg.precision
     }
 
-    /// Per-query key-space rounding slacks of an f32 phase-1 over this
-    /// collection, when every precondition for the two-phase scan holds:
-    /// `F32Rescore` requested, mirror present, and — all-or-nothing, so
-    /// the block loop reads exactly one of the two buffers — **every**
-    /// query's class exposes an f32 kernel with a finite bound for this
-    /// data/query magnitude.
-    pub(crate) fn f32_slacks(&self, batch: &QueryBatch<'_>) -> Option<Vec<f64>> {
+    /// Per-query containment bands ([`KeyBand`]) of an f32 phase-1 over
+    /// this collection, when every precondition for the two-phase scan
+    /// holds: `F32Rescore` requested, mirror present, and —
+    /// all-or-nothing, so the block loop reads exactly one of the two
+    /// buffers — **every** query's class exposes an f32 kernel with a
+    /// finite bound for this data/query magnitude.
+    pub(crate) fn f32_bands(&self, batch: &QueryBatch<'_>) -> Option<Vec<KeyBand>> {
         if self.cfg.precision != Precision::F32Rescore {
             return None;
         }
@@ -183,13 +187,14 @@ impl<'a> MultiQueryScan<'a> {
             .iter()
             .flat_map(|q| q.iter())
             .fold(m_coll, |m, &v| m.max(v.abs()));
-        let slack = |dist: &dyn Distance| {
-            dist.f32_key_slack(self.layout.coll.dim(), m)
-                .filter(|s| s.is_finite())
+        let band = |dist: &dyn Distance| {
+            dist.f32_key_bound(self.layout.coll.dim(), m)
+                .filter(F32KeyBound::is_finite)
+                .map(KeyBand::new)
         };
         match batch.metrics() {
-            QueryMetrics::Shared(dist) => slack(dist).map(|s| vec![s; batch.len()]),
-            _ => (0..batch.len()).map(|q| slack(batch.metric(q))).collect(),
+            QueryMetrics::Shared(dist) => band(dist).map(|b| vec![b; batch.len()]),
+            _ => (0..batch.len()).map(|q| band(batch.metric(q))).collect(),
         }
     }
 
@@ -232,18 +237,18 @@ impl<'a> MultiQueryScan<'a> {
             // The reference pass is flat and pruning-free.
             return scalar_reference(coll, perm, &self.cfg, batch, &ks, caps);
         }
-        if let Some(slacks) = self.f32_slacks(batch) {
-            let (kbs, cands) = self.with_f32_scanner(batch, &slacks, &ks, |scan| {
-                self.drive(batch, &ks, &slacks, caps, scan)
+        if let Some(bands) = self.f32_bands(batch) {
+            let (kbs, cands) = self.with_f32_scanner(batch, &bands, &ks, |scan| {
+                self.drive(batch, &ks, &bands, caps, scan)
             });
-            let cands = filter_candidates(&kbs, &slacks, cands, caps, self.cfg.stats);
+            let cands = filter_candidates(&kbs, &bands, cands, caps, self.cfg.stats);
             // Gather by scanned-row index, push under the original index
             // (the permutation): identical to the flat rescore's key bits.
             return rescore(coll, batch, &ks, &cands, perm);
         }
-        // The f64 pass is the f32 one at zero slack (`t + 0.0 == t`).
+        // The f64 pass is the f32 one at the exact band (`T = min(t, cap)`).
         let (kbs, _) = self.with_scanner(batch, |scan| {
-            self.drive(batch, &ks, &vec![0.0; nq], caps, scan)
+            self.drive(batch, &ks, &vec![KeyBand::EXACT; nq], caps, scan)
         });
         KeyedResults::from_kbests(kbs, false)
     }
@@ -285,7 +290,7 @@ impl<'a> MultiQueryScan<'a> {
     fn with_f32_scanner<R>(
         &self,
         batch: &QueryBatch<'_>,
-        slacks: &[f64],
+        bands: &[KeyBand],
         ks: &[usize],
         drive: impl FnOnce(&ChunkScan<'_>) -> R,
     ) -> R {
@@ -294,7 +299,7 @@ impl<'a> MultiQueryScan<'a> {
             QueryMetrics::Shared(dist) => {
                 let flat32 = flatten_f32(queries);
                 drive(&|rows, kbs, cands, caps| {
-                    self.scan_range_shared_f32(&flat32, dist, slacks[0], ks, rows, kbs, cands, caps)
+                    self.scan_range_shared_f32(&flat32, dist, &bands[0], ks, rows, kbs, cands, caps)
                 })
             }
             QueryMetrics::PerQuery(dists) => {
@@ -303,7 +308,7 @@ impl<'a> MultiQueryScan<'a> {
                     .map(|q| q.iter().map(|&v| v as f32).collect())
                     .collect();
                 drive(&|rows, kbs, cands, caps| {
-                    self.scan_range_per_query_f32(&q32s, dists, slacks, ks, rows, kbs, cands, caps)
+                    self.scan_range_per_query_f32(&q32s, dists, bands, ks, rows, kbs, cands, caps)
                 })
             }
             QueryMetrics::Weighted(metrics) => {
@@ -314,7 +319,7 @@ impl<'a> MultiQueryScan<'a> {
                     .collect();
                 drive(&|rows, kbs, cands, caps| {
                     self.scan_range_weighted_f32(
-                        &flat_q32, &flat_w32, slacks, ks, rows, kbs, cands, caps,
+                        &flat_q32, &flat_w32, bands, ks, rows, kbs, cands, caps,
                     )
                 })
             }
@@ -346,14 +351,14 @@ impl<'a> MultiQueryScan<'a> {
 
     /// Per-query-weight f32 phase-1: one register-blocked multi-kernel
     /// call scores the mirror block against all queries, each pruned by
-    /// its own `2·slack`-inflated bound (same containment argument as
+    /// its own band's `T + Δ(T)` (same containment argument as
     /// [`Self::scan_range_shared_f32`], per query).
     #[allow(clippy::too_many_arguments)]
     fn scan_range_weighted_f32(
         &self,
         flat_q32: &[f32],
         flat_w32: &[f32],
-        slacks: &[f64],
+        bands: &[KeyBand],
         ks: &[usize],
         rows: Range<usize>,
         kbs: &mut [KBest],
@@ -373,7 +378,7 @@ impl<'a> MultiQueryScan<'a> {
                 .zip(kbs.iter())
                 .enumerate()
             {
-                *b64 = phase1_bound(kb, ks[q], cap_of(caps, q), slacks[q]);
+                *b64 = phase1_bound(kb, ks[q], cap_of(caps, q), &bands[q]);
                 *b32 = f32_bound_up(*b64);
             }
             kernels::weighted_sq_multi_block_f32(
@@ -454,31 +459,34 @@ impl<'a> MultiQueryScan<'a> {
     }
 
     /// Shared-metric f32 phase-1 over one contiguous index range of the
-    /// mirror: per-query bounds inflated by `2·slack`, every row whose
-    /// f32 key lands under its query's inflated bound recorded in that
-    /// query's candidate list (`kbs` tracks f32 keys only to tighten the
-    /// bounds as the pass advances).
+    /// mirror: per-query bounds `T + Δ(T)` ([`KeyBand::admit_bound`]),
+    /// every row whose f32 key lands under its query's bound recorded in
+    /// that query's candidate list (`kbs` tracks f32 keys only to tighten
+    /// the bounds as the pass advances).
     ///
-    /// Why `2·slack` suffices (per query; `τ64` = the k-th smallest true
-    /// f64 key, `τ32` = the k-th smallest f32 key, `Δ` = slack):
-    /// every row obeys `|key32 − key64| ≤ Δ`, so a true top-k row has
-    /// `key32 ≤ τ64 + Δ`, and the k rows realizing `τ64` witness
-    /// `τ32 ≤ τ64 + Δ ⇒ τ64 ≥ τ32 − Δ`… combined: a true top-k row
-    /// (ties included) always has `key32 ≤ τ32 + 2Δ`. The running
-    /// threshold is the k-th best f32 key *pushed so far*, which can
-    /// never undershoot `τ32`, so the per-block bound
-    /// `threshold + 2Δ ≥ τ32 + 2Δ` keeps every such row: its monotone
-    /// f32 prefix sums never exceed its final `key32 ≤ bound`, so the
-    /// kernel cannot abandon it, and the `key32 ≤ bound` filter admits
-    /// it into `cands` (with its f32 key, so [`filter_candidates`] can
-    /// re-apply the same test against the *final* — tightest — threshold
-    /// before the rescore pays any scattered f64 reads).
+    /// Why `T + Δ(T)` suffices (per query; `τ64` = the k-th smallest true
+    /// f64 key, `τ32` = the k-th smallest f32 key, `t` = the running
+    /// threshold, `Δ(key)` the class's monotone key-relative bound with
+    /// `|key32 − key64| ≤ Δ(key64)`, `Δ'` its reverse with
+    /// `key64 ≤ key32 + Δ'(key32)`): the running threshold is the k-th
+    /// best f32 key *pushed so far*, which can never undershoot `τ32`,
+    /// and the k rows realizing `τ32` witness
+    /// `τ64 ≤ τ32 + Δ'(τ32) ≤ t + Δ'(t)`; with the cap, `τ64 ≤ T =
+    /// min(t + Δ'(t), cap)`. A true top-k row (ties included) has
+    /// `key64 ≤ τ64 ≤ T`, so `key32 ≤ key64 + Δ(key64) ≤ T + Δ(T)` by
+    /// monotonicity. The per-block bound therefore keeps every such row:
+    /// its monotone f32 prefix sums never exceed its final
+    /// `key32 ≤ bound`, so the kernel cannot abandon it, and the
+    /// `key32 ≤ bound` filter admits it into `cands` (with its f32 key,
+    /// so [`filter_candidates`] can re-apply the same test against the
+    /// *final* — tightest — threshold before the rescore pays any
+    /// scattered f64 reads).
     #[allow(clippy::too_many_arguments)]
     fn scan_range_shared_f32(
         &self,
         flat_q32: &[f32],
         dist: &dyn Distance,
-        slack: f64,
+        band: &KeyBand,
         ks: &[usize],
         rows: Range<usize>,
         kbs: &mut [KBest],
@@ -498,7 +506,7 @@ impl<'a> MultiQueryScan<'a> {
                 .zip(kbs.iter().zip(ks.iter()))
                 .enumerate()
             {
-                *b64 = phase1_bound(kb, k, cap_of(caps, q), slack);
+                *b64 = phase1_bound(kb, k, cap_of(caps, q), band);
                 *b32 = f32_bound_up(*b64);
             }
             let block = self.block_f32(start, end);
@@ -509,14 +517,14 @@ impl<'a> MultiQueryScan<'a> {
 
     /// Per-query-metric f32 phase-1: one shared mirror-block read, one
     /// f32 batch kernel call per (query, block), each query pruned by
-    /// its own `2·slack`-inflated bound (same containment argument as
+    /// its own band's `T + Δ(T)` (same containment argument as
     /// [`Self::scan_range_shared_f32`], per query).
     #[allow(clippy::too_many_arguments)]
     fn scan_range_per_query_f32(
         &self,
         q32s: &[Vec<f32>],
         dists: &[&dyn Distance],
-        slacks: &[f64],
+        bands: &[KeyBand],
         ks: &[usize],
         rows: Range<usize>,
         kbs: &mut [KBest],
@@ -535,7 +543,7 @@ impl<'a> MultiQueryScan<'a> {
                 .zip(kbs.iter_mut().zip(cands.iter_mut()))
                 .enumerate()
             {
-                let bound64 = phase1_bound(kb, ks[q], cap_of(caps, q), slacks[q]);
+                let bound64 = phase1_bound(kb, ks[q], cap_of(caps, q), &bands[q]);
                 d.eval_key_batch_f32(q32, block, dim, f32_bound_up(bound64), &mut keys[..n]);
                 abandoned |= admit(&keys[..n], bound64, start, None, kb, Some(cand));
             }
@@ -577,8 +585,8 @@ impl<'a> MultiQueryScan<'a> {
 
     /// The one pass loop of both layouts and both precisions: walk the
     /// layout's partitions in visit order, skip every partition all
-    /// queries prove irrelevant ([`all_prune`] at this pass's `slacks` —
-    /// zeros on the f64 path), and scan each survivor through
+    /// queries prove irrelevant ([`all_prune`] at this pass's `bands` —
+    /// [`KeyBand::EXACT`] on the f64 path), and scan each survivor through
     /// `scan_chunk`, fanning it out over worker threads ([`fan_out`])
     /// when the range's own mode is Parallel — always in Parallel mode,
     /// and in Auto iff the range's `rows × dim × nq` clears
@@ -589,7 +597,7 @@ impl<'a> MultiQueryScan<'a> {
         &self,
         batch: &QueryBatch<'_>,
         ks: &[usize],
-        slacks: &[f64],
+        bands: &[KeyBand],
         caps: Option<&[f64]>,
         scan_chunk: &ChunkScan<'_>,
     ) -> (Vec<KBest>, Vec<Vec<(u32, f32)>>) {
@@ -603,7 +611,7 @@ impl<'a> MultiQueryScan<'a> {
             if rows.is_empty() {
                 continue;
             }
-            if all_prune(&lbs[p * nq..(p + 1) * nq], ks, &kbs, slacks, caps) {
+            if all_prune(&lbs[p * nq..(p + 1) * nq], ks, &kbs, bands, caps) {
                 tally.partitions_pruned += 1;
                 continue;
             }
@@ -615,7 +623,7 @@ impl<'a> MultiQueryScan<'a> {
                 scan_chunk(rows, &mut kbs, &mut cands, caps);
             } else {
                 fan_out(
-                    threads, rows, ks, slacks, caps, &mut kbs, &mut cands, scan_chunk,
+                    threads, rows, ks, bands, caps, &mut kbs, &mut cands, scan_chunk,
                 );
             }
         }
@@ -627,10 +635,10 @@ impl<'a> MultiQueryScan<'a> {
 /// Fan one surviving row range out over `threads` contiguous chunks:
 /// the calling thread scans the first while `threads − 1` scoped
 /// workers scan the rest. Every chunk gets fresh k-bests seeded by the
-/// snapshot cap `min(t + slack, cap)` — a sound upper bound on each
-/// query's final key at this point of the pass (module docs of
-/// [`partitioned`](super::partitioned); `slack` is zero on the f64
-/// path) — and merges back in chunk order: candidate pools concatenate
+/// snapshot cap `T = min(t + Δ'(t), cap)` ([`KeyBand::ceiling`]) — a
+/// sound upper bound on each query's true k-th f64 key at this point of
+/// the pass (`T = min(t, cap)` on the f64 path) — and merges back in
+/// chunk order: candidate pools concatenate
 /// (the rescore is order-independent) and each chunk's sorted k-best
 /// entries fold into the running k-bests by ascending `(key, index)`,
 /// so the result is deterministic regardless of thread count, chunk
@@ -641,7 +649,7 @@ fn fan_out(
     threads: usize,
     rows: Range<usize>,
     ks: &[usize],
-    slacks: &[f64],
+    bands: &[KeyBand],
     caps: Option<&[f64]>,
     kbs: &mut [KBest],
     cands: &mut [Vec<(u32, f32)>],
@@ -651,7 +659,7 @@ fn fan_out(
     let snapshot: Vec<f64> = kbs
         .iter()
         .enumerate()
-        .map(|(q, kb)| (kb.threshold() + slacks[q]).min(cap_of(caps, q)))
+        .map(|(q, kb)| bands[q].ceiling(kb.threshold(), cap_of(caps, q)))
         .collect();
     let chunk = rows.len().div_ceil(threads);
     let scan = |t: usize| {
@@ -740,15 +748,16 @@ fn rescore(
     }
 }
 
-/// Query `q`'s phase-1 bound for the next block: its running threshold
-/// under its cap, inflated by `2·slack`. `k = 0` collects nothing (an
-/// empty result needs no candidates; [`KBest`]'s idle threshold would
-/// otherwise admit every row), so its bound is `−∞`.
-fn phase1_bound(kb: &KBest, k: usize, cap: f64, slack: f64) -> f64 {
+/// Query `q`'s phase-1 bound for the next block: `T + Δ(T)` of its
+/// running threshold and cap ([`KeyBand::admit_bound`]). `k = 0`
+/// collects nothing (an empty result needs no candidates; [`KBest`]'s
+/// idle threshold would otherwise admit every row), so its bound is
+/// `−∞`.
+fn phase1_bound(kb: &KBest, k: usize, cap: f64, band: &KeyBand) -> f64 {
     if k == 0 {
         f64::NEG_INFINITY
     } else {
-        kb.threshold().min(cap) + 2.0 * slack
+        band.admit_bound(kb.threshold(), cap)
     }
 }
 
@@ -910,8 +919,8 @@ fn admit_block<K: AdmitKey>(
 }
 
 /// Final candidate filter between the phases: re-apply the containment
-/// test `key32 ≤ threshold + 2·slack` with each query's **final** phase-1
-/// threshold. During the pass, candidates are admitted against whatever
+/// test `key32 ≤ T + Δ(T)` ([`KeyBand::admit_bound`]) with each query's
+/// **final** phase-1 threshold. During the pass, candidates are admitted against whatever
 /// (looser) threshold was current — the first block alone admits every
 /// row — so most of the pool is stale by the end. The final threshold is
 /// the k-th smallest f32 key pushed, which never undershoots the true
@@ -921,7 +930,7 @@ fn admit_block<K: AdmitKey>(
 /// now gathers ~k scattered rows instead of hundreds.
 fn filter_candidates(
     kbs: &[KBest],
-    slacks: &[f64],
+    bands: &[KeyBand],
     cands: Vec<Vec<(u32, f32)>>,
     caps: Option<&[f64]>,
     stats: Option<&ScanStatsSink>,
@@ -929,11 +938,11 @@ fn filter_candidates(
     let mut tally = ScanStats::default();
     let kept: Vec<Vec<u32>> = kbs
         .iter()
-        .zip(slacks.iter())
+        .zip(bands)
         .zip(cands)
         .enumerate()
-        .map(|(q, ((kb, &slack), cand))| {
-            let bound = kb.threshold().min(cap_of(caps, q)) + 2.0 * slack;
+        .map(|(q, ((kb, band), cand))| {
+            let bound = band.admit_bound(kb.threshold(), cap_of(caps, q));
             let pool = cand.len() as u64;
             let survivors: Vec<u32> = cand
                 .into_iter()

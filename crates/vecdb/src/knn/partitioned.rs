@@ -27,12 +27,14 @@
 //!   member could never displace a result.
 //! * f32 phase-1 — the running threshold `t` lives in f32-key space,
 //!   while `lb` is exact. `t` never undershoots `τ32` (the true k-th
-//!   f32 key), and every row obeys `|key32 − key64| ≤ Δ`
-//!   (`Δ` = `f32_key_slack`), so `τ64 ≤ τ32 + Δ ≤ t + Δ`: skip iff
-//!   `lb > min(t + Δ, cap_q)`. Skipped members have
-//!   `key64 ≥ lb > τ64`, hence are not in the true top-k, and the
-//!   surviving candidate pool keeps the same superset guarantee the
-//!   flat f32 pass proves.
+//!   f32 key), and every row obeys `key64 ≤ key32 + Δ'(key32)` (the
+//!   reverse of the class's key-relative bound
+//!   `Distance::f32_key_bound`, monotone), so
+//!   `τ64 ≤ τ32 + Δ'(τ32) ≤ t + Δ'(t)`: skip iff
+//!   `lb > T = min(t + Δ'(t), cap_q)` ([`KeyBand::ceiling`]). Skipped
+//!   members have `key64 ≥ lb > T ≥ τ64`, hence are not in the true
+//!   top-k, and the surviving candidate pool keeps the same superset
+//!   guarantee the flat f32 pass proves.
 //! * Queries whose class reports no sound bound (`None`) never prune
 //!   anything — they force the flat pass over every partition, per
 //!   class and explicitly. `k = 0` queries need nothing and always
@@ -47,7 +49,7 @@
 //! flat scans.
 
 use super::multi::cap_of;
-use super::{KBest, QueryBatch};
+use super::{KBest, KeyBand, QueryBatch};
 use crate::collection::{Collection, PartitionedCollection};
 use std::ops::Range;
 
@@ -137,18 +139,18 @@ impl<'a> Layout<'a> {
 }
 
 /// Whether every query proves a partition skippable, given its lower
-/// bounds `lbs_p`: `lb > min(threshold + slack, cap)`, strictly (ties at
-/// the bound must survive); `k = 0` needs nothing; `None` never prunes.
-/// `slacks` are the f32 phase-1 rounding slacks, zero on the f64 path
-/// (`t + 0.0 == t`).
+/// bounds `lbs_p`: `lb > T` with `T` its band's ceiling of the running
+/// threshold and cap ([`KeyBand::ceiling`]; `min(t, cap)` on the f64
+/// path), strictly (ties at the bound must survive); `k = 0` needs
+/// nothing; `None` never prunes.
 pub(crate) fn all_prune(
     lbs_p: &[Option<f64>],
     ks: &[usize],
     kbs: &[KBest],
-    slacks: &[f64],
+    bands: &[KeyBand],
     caps: Option<&[f64]>,
 ) -> bool {
     lbs_p.iter().enumerate().all(|(q, lb)| {
-        ks[q] == 0 || lb.is_some_and(|l| l > (kbs[q].threshold() + slacks[q]).min(cap_of(caps, q)))
+        ks[q] == 0 || lb.is_some_and(|l| l > bands[q].ceiling(kbs[q].threshold(), cap_of(caps, q)))
     })
 }

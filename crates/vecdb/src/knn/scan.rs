@@ -35,15 +35,16 @@
 //! — the dominant cost on a bandwidth-bound host) and rescore the
 //! surviving candidates in f64, returning results identical to the pure
 //! f64 scan. This covers `range` queries too: phase 1 filters against
-//! the radius bound inflated by the class's rounding slack, phase 2
+//! the radius bound `B` inflated to `B + Δ(B)` by the class's rounding
+//! bound, phase 2
 //! re-applies the exact bound, so membership on the radius boundary is
 //! decided by the same f64 kernel keys as the single-phase scan. Scalar
 //! mode deliberately ignores the knob — it *is* the reference the other
 //! paths are pinned against.
 
 use super::{
-    f32_bound_up, KBest, KnnEngine, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics,
-    ScanConfig, SearchStats, BLOCK_ROWS,
+    f32_bound_up, KBest, KeyBand, KnnEngine, MultiQueryScan, Neighbor, Precision, QueryBatch,
+    QueryMetrics, ScanConfig, SearchStats, BLOCK_ROWS,
 };
 use crate::collection::Collection;
 use crate::distance::Distance;
@@ -160,38 +161,39 @@ impl<'a> LinearScan<'a> {
             .unwrap_or_default()
     }
 
-    /// The key-space rounding slack of an f32 phase-1 under `dist`, when
-    /// every precondition for a two-phase range scan holds — the
-    /// multi-query scan's rule, for a batch of this one query.
-    fn f32_slack(&self, dist: &dyn Distance, query: &[f64]) -> Option<f64> {
+    /// The containment band of an f32 phase-1 under `dist`, when every
+    /// precondition for a two-phase range scan holds — the multi-query
+    /// scan's rule, for a batch of this one query.
+    fn f32_band(&self, dist: &dyn Distance, query: &[f64]) -> Option<KeyBand> {
         MultiQueryScan::with_config(self.coll.into(), self.cfg)
-            .f32_slacks(&QueryBatch::new(&[query], QueryMetrics::Shared(dist), 0))?
+            .f32_bands(&QueryBatch::new(&[query], QueryMetrics::Shared(dist), 0))?
             .pop()
     }
 
     /// Two-phase range scan: phase 1 streams the f32 mirror collecting
-    /// every row whose f32 key lands under the radius bound inflated by
-    /// the class's rounding slack, phase 2 gather-rescores the candidates
-    /// with the exact f64 batch kernel and applies the *uninflated* key
-    /// bound — results (membership, indices, distances) identical to the
-    /// single-phase f64 pass.
+    /// every row whose f32 key lands under the radius bound `B` inflated
+    /// to `B + Δ(B)` ([`KeyBand::inflate`]), phase 2 gather-rescores the
+    /// candidates with the exact f64 batch kernel and applies the
+    /// *uninflated* key bound — results (membership, indices, distances)
+    /// identical to the single-phase f64 pass.
     ///
-    /// Why one `slack` suffices (vs the k-NN paths' `2·slack`): the range
-    /// bound `B = key_of_dist(radius)` is fixed, not a running threshold.
-    /// Every row obeys `|key32 − key64| ≤ Δ`, so a true member
-    /// (`key64 ≤ B`) always has `key32 ≤ B + Δ`; its monotone f32 prefix
-    /// sums never exceed its final `key32`, so the kernel cannot abandon
-    /// it and the filter admits it into the candidate pool.
+    /// Why the forward inflation alone suffices (the k-NN paths also need
+    /// the reverse bound for their running threshold): the range bound
+    /// `B = key_of_dist(radius)` is fixed and exact. Every row obeys
+    /// `|key32 − key64| ≤ Δ(key64)` with `Δ` monotone, so a true member
+    /// (`key64 ≤ B`) always has `key32 ≤ B + Δ(B)`; its monotone f32
+    /// prefix sums never exceed its final `key32`, so the kernel cannot
+    /// abandon it and the filter admits it into the candidate pool.
     fn range_f32_rescore(
         &self,
         query: &[f64],
         radius: f64,
         dist: &dyn Distance,
-        slack: f64,
+        band: &KeyBand,
     ) -> Vec<Neighbor> {
         let dim = self.coll.dim();
         let bound = dist.key_of_dist(radius);
-        let inflated = bound + slack;
+        let inflated = band.inflate(bound);
         let inflated32 = f32_bound_up(inflated);
         let q32: Vec<f32> = query.iter().map(|&v| v as f32).collect();
 
@@ -318,11 +320,11 @@ impl KnnEngine for LinearScan<'_> {
                     });
                 }
             }
-        } else if let Some(slack) = self.f32_slack(dist, query) {
-            // Two-phase mirror scan: f32 filter under the slack-inflated
-            // radius bound, exact f64 rescore of the candidates (bails
-            // back to the single-phase pass for bulky result sets).
-            return self.range_f32_rescore(query, radius, dist, slack);
+        } else if let Some(band) = self.f32_band(dist, query) {
+            // Two-phase mirror scan: f32 filter under the inflated radius
+            // bound, exact f64 rescore of the candidates (bails back to
+            // the single-phase pass for bulky result sets).
+            return self.range_f32_rescore(query, radius, dist, &band);
         } else {
             return self.range_f64_keyspace(query, radius, dist);
         }

@@ -48,7 +48,8 @@ pub use collection::{
     ShardedCollection,
 };
 pub use distance::{
-    Distance, Euclidean, HierarchicalDistance, Lp, Manhattan, QuadraticDistance, WeightedEuclidean,
+    Distance, Euclidean, F32KeyBound, HierarchicalDistance, Lp, Manhattan, QuadraticDistance,
+    WeightedEuclidean,
 };
 pub use knn::{
     combine_partials, merge_partials, merge_partials_policy, DegradedGather, FailurePolicy,

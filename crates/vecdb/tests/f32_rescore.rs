@@ -246,7 +246,7 @@ fn f32_rescore_without_mirror_falls_back_to_f64() {
 
 #[test]
 fn f32_rescore_unsupported_class_falls_back_to_f64() {
-    // Manhattan has no f32 kernel (no `f32_key_slack`): requesting
+    // Manhattan has no f32 kernel (no `f32_key_bound`): requesting
     // F32Rescore must transparently serve the f64 answer.
     let coll = collection(400, true);
     let qs = queries(2);
@@ -303,8 +303,8 @@ fn f32_rescore_edge_ks() {
 
 /// Components ≳1e18 drive weighted keys toward `f32::MAX`, where an f32
 /// key can saturate to `+∞` while its f64 counterpart stays finite — no
-/// finite rounding slack is sound there. The classes must refuse f32
-/// scanning (`f32_key_slack` → `None`) so the scan transparently serves
+/// finite rounding bound is sound there. The classes must refuse f32
+/// scanning (`f32_key_bound` → `None`) so the scan transparently serves
 /// the exact f64 answer.
 #[test]
 fn f32_rescore_huge_magnitudes_fall_back_to_f64() {
@@ -324,8 +324,8 @@ fn f32_rescore_huge_magnitudes_fall_back_to_f64() {
     let q: Vec<f64> = (0..DIM).map(|i| (i as f64) * 1e16).collect();
     for dist in distance_classes() {
         assert!(
-            dist.f32_key_slack(DIM, coll.max_abs().unwrap()).is_none(),
-            "{}: slack must be refused near f32 overflow",
+            dist.f32_key_bound(DIM, coll.max_abs().unwrap()).is_none(),
+            "{}: bound must be refused near f32 overflow",
             dist.name()
         );
         let f64_res = LinearScan::with_mode(&coll, ScanMode::Batched).knn(&q, 10, &*dist);
@@ -401,14 +401,14 @@ fn assert_weighted_edge_matches_f64(weights: Vec<f64>, scale: f64, case: &str) {
 }
 
 /// Every weight `1e-45` rounds to an f32 subnormal, where f32 rounding
-/// is no longer relative: the slack must refuse the f32 pass.
+/// is no longer relative: the bound must refuse the f32 pass.
 #[test]
 fn f32_rescore_subnormal_weights_match_f64() {
     assert_weighted_edge_matches_f64(vec![1e-45; DIM], 1.0, "subnormal weights");
 }
 
 /// Rows and query scaled by `1e-22`: every f32 square underflows, so
-/// the slack needs its absolute underflow term.
+/// the bound needs its absolute underflow term.
 #[test]
 fn f32_rescore_underflowing_squares_match_f64() {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
@@ -424,4 +424,32 @@ fn f32_rescore_weight_beyond_f32_max_matches_f64() {
     let mut w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
     w[COARSE] = 1e39;
     assert_weighted_edge_matches_f64(w, 1e-3, "weight beyond f32::MAX");
+}
+
+/// The quadratic-form twin of
+/// [`f32_rescore_underflowing_squares_match_f64`]: rows and query scaled
+/// so every f32 square `y²` of the transformed difference underflows,
+/// where only an absolute underflow term keeps the bound sound.
+#[test]
+fn f32_rescore_quadratic_underflowing_squares_match_f64() {
+    let quad = distance_classes().swap_remove(2);
+    assert_eq!(quad.name(), "quadratic");
+    for scale in [1e-22, 1e-23] {
+        let unit = collection(2000, false);
+        let mut b = CollectionBuilder::new().with_f32_mirror();
+        for i in 0..unit.len() {
+            b.push_unlabelled(&unit.vector(i).iter().map(|x| x * scale).collect::<Vec<_>>())
+                .unwrap();
+        }
+        let coll = b.build();
+        let q: Vec<f64> = queries(1)[0].iter().map(|x| x * scale).collect();
+        let refs = [q.as_slice()];
+        let batch = QueryBatch::new(&refs, Shared(&*quad), 10);
+        let f64_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
+        let f32_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
+            .with_precision(Precision::F32Rescore)
+            .knn(&batch);
+        assert_eq!(f64_res[0].len(), 10, "scale {scale}");
+        assert_eq!(f32_res, f64_res, "scale {scale}");
+    }
 }

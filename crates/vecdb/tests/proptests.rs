@@ -1,10 +1,11 @@
 //! Property-based tests: range queries must agree with the k-NN ranking,
 //! distances must obey their distortion contracts (the partition bounds
 //! rest on them), and the f32-rescore machinery must obey its rounding-bound
-//! contract (`|key32 − key64| ≤ f32_key_slack`) — the inequality the
-//! two-phase scan's exactness proof stands on.
+//! contract (`|key32 − key64| ≤ Δ(key64)` for the key-relative
+//! `f32_key_bound`, and its reverse) — the inequalities the two-phase
+//! scan's exactness proof stands on.
 
-use fbp_linalg::Matrix;
+use fbp_linalg::{Cholesky, Matrix};
 use fbp_vecdb::distance::FeatureSpan;
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, Euclidean, HierarchicalDistance, KnnEngine,
@@ -30,37 +31,113 @@ fn weights_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.1..10.0f64, DIM)
 }
 
-/// `|key32 − key64| ≤ slack` for one (query, row) pair under `dist` —
-/// keys computed exactly as the scan engines compute them (one-row block
-/// through the dispatched f32 kernel vs the exact f64 kernel).
-fn assert_key_within_slack(
+/// The key-independent slack the f32 phase charged every row before
+/// the bound became key-relative, for the diagonal family
+/// (`Σ wᵢ·(aᵢ−bᵢ)²`): the reference `Δ(key)` must never exceed.
+fn scalar_diagonal_slack(dim: usize, w: &[f64], max_abs: f64) -> f64 {
+    let (u, eta) = (
+        1.0 / (1u64 << 24) as f64,
+        f32::MIN_POSITIVE as f64 / (1u64 << 24) as f64,
+    );
+    let (n, w_sum) = (dim as f64, w.iter().sum::<f64>());
+    let relative = u * w_sum * (max_abs * max_abs) * (29.0 + 4.1 * n);
+    let underflow = eta * (w_sum * (9.0 * max_abs + 1.0) + 2.0 * n);
+    2.0 * (relative + underflow)
+}
+
+/// The same for a quadratic form with Cholesky factor entries ≤ `l_max`
+/// (it carried no underflow term, so it is only a reference where no
+/// square underflows).
+fn scalar_quadratic_slack(dim: usize, l_max: f64, max_abs: f64) -> f64 {
+    let u = 1.0 / (1u64 << 24) as f64;
+    let n = dim as f64;
+    let e_y = u * l_max * max_abs * n * (8.5 + 2.01 * n);
+    let y_hi = 2.01 * l_max * max_abs * n + e_y;
+    let per_sq = u * y_hi * y_hi + 2.1 * e_y * y_hi;
+    let accum = n * u * n * y_hi * y_hi;
+    2.0 * (n * per_sq + accum)
+}
+
+/// For one (query, row) pair under `dist`, with keys computed exactly as
+/// the scan engines compute them (one-row block through the dispatched
+/// f32 kernel vs the exact f64 kernel): `|key32 − key64| ≤ Δ(key64)`,
+/// `key64 ≤ key32 + Δ'(key32)`, `Δ` monotone over probe keys around
+/// both, and — when `scalar` is given — `Δ ≤ scalar` at every probe.
+fn assert_key_within_bound(
     dist: &dyn Distance,
     q: &[f64],
     row: &[f64],
+    scalar: Option<f64>,
 ) -> std::result::Result<(), TestCaseError> {
     let dim = q.len();
     let max_abs = q
         .iter()
         .chain(row.iter())
         .fold(0.0f64, |m, &v| m.max(v.abs()));
-    let slack = dist
-        .f32_key_slack(dim, max_abs)
+    let bound = dist
+        .f32_key_bound(dim, max_abs)
         .expect("class under test supports f32");
-    prop_assert!(slack.is_finite() && slack >= 0.0);
+    prop_assert!(bound.is_finite());
     let mut key64 = [0.0f64; 1];
     dist.eval_key_batch(q, row, dim, f64::INFINITY, &mut key64);
+    let key64 = key64[0];
     let q32: Vec<f32> = q.iter().map(|&v| v as f32).collect();
     let row32: Vec<f32> = row.iter().map(|&v| v as f32).collect();
     let mut key32 = [0.0f32; 1];
     dist.eval_key_batch_f32(&q32, &row32, dim, f32::INFINITY, &mut key32);
+    let key32 = key32[0] as f64;
     prop_assert!(
-        (key32[0] as f64 - key64[0]).abs() <= slack,
-        "{}: |key32 − key64| = {} exceeds slack {slack} (key64 {})",
+        (key32 - key64).abs() <= bound.at(key64),
+        "{}: |key32 − key64| = {} exceeds Δ(key64) = {} (key64 {key64})",
         dist.name(),
-        (key32[0] as f64 - key64[0]).abs(),
-        key64[0]
+        (key32 - key64).abs(),
+        bound.at(key64)
     );
+    prop_assert!(
+        key64 <= key32 + bound.reverse().at(key32),
+        "{}: key64 {key64} above key32 {key32} + Δ'(key32)",
+        dist.name()
+    );
+    let mut probes: Vec<f64> = [0.0, 0.5, 1.0, 2.0, 1e3]
+        .iter()
+        .flat_map(|f| [f * key64, f * key32])
+        .chain([f64::INFINITY])
+        .collect();
+    probes.sort_by(f64::total_cmp);
+    for pair in probes.windows(2) {
+        prop_assert!(
+            bound.at(pair[0]) <= bound.at(pair[1]),
+            "{}: Δ not monotone between {} and {}",
+            dist.name(),
+            pair[0],
+            pair[1]
+        );
+    }
+    if let Some(scalar) = scalar {
+        for &key in &probes {
+            prop_assert!(
+                bound.at(key) <= scalar,
+                "{}: Δ({key}) = {} above the scalar slack {scalar}",
+                dist.name(),
+                bound.at(key)
+            );
+        }
+    }
     Ok(())
+}
+
+/// The largest power of two `s` for which every class below still
+/// offers f32 scanning on data of magnitude `3·s` — magnitudes just
+/// under the overflow guard.
+fn near_guard_scale(classes: &[&dyn Distance]) -> f64 {
+    let mut s = 2f64.powi(64);
+    while classes
+        .iter()
+        .any(|d| d.f32_key_bound(DIM, 3.0 * s).is_none())
+    {
+        s /= 2.0;
+    }
+    s
 }
 
 proptest! {
@@ -117,28 +194,72 @@ proptest! {
     }
 
     #[test]
-    fn f32_key_slack_is_sound_all_classes(
+    fn f32_key_bound_is_sound_all_classes(
         a in prop::collection::vec(-3.0..3.0f64, DIM),
         b in prop::collection::vec(-3.0..3.0f64, DIM),
         w in weights_strategy(),
         diag in prop::collection::vec(0.5..4.0f64, DIM),
         off in -0.2..0.2f64,
+        regime in 0usize..5,
+        nudge in prop::collection::vec(-1.0..1.0f64, DIM),
     ) {
-        // The inequality every phase-1 candidate-containment argument
-        // rests on, for all four f32-capable distance classes.
-        assert_key_within_slack(&Euclidean, &a, &b)?;
-        assert_key_within_slack(&WeightedEuclidean::new(w.clone()).unwrap(), &a, &b)?;
-        let h = HierarchicalDistance::new(
-            vec![FeatureSpan::new(0, 2), FeatureSpan::new(2, DIM)],
-            vec![1.7, 0.6],
-            w.clone(),
-        )
-        .unwrap();
-        assert_key_within_slack(&h, &a, &b)?;
+        // The inequalities every phase-1 candidate-containment argument
+        // rests on, for all four f32-capable distance classes, in five
+        // regimes: the plain ranges; near-zero keys (b ≈ a, differences
+        // below f32 resolution); data whose f32 squares underflow;
+        // subnormal f32 data; magnitudes just under the overflow guard.
+        let spans = vec![FeatureSpan::new(0, 2), FeatureSpan::new(2, DIM)];
+        let feature_weights = [1.7, 0.6];
+        let weighted = WeightedEuclidean::new(w.clone()).unwrap();
+        let h = HierarchicalDistance::new(spans, feature_weights.to_vec(), w.clone()).unwrap();
         let mut m = Matrix::from_diag(&diag);
         m[(0, 1)] = off;
         m[(1, 0)] = off;
-        assert_key_within_slack(&QuadraticDistance::new(&m).unwrap(), &a, &b)?;
+        let quad = QuadraticDistance::new(&m).unwrap();
+        let scale = match regime {
+            2 => 1e-22,
+            3 => 1e-40,
+            4 => near_guard_scale(&[&Euclidean, &weighted, &h, &quad]),
+            _ => 1.0,
+        };
+        let a: Vec<f64> = a.iter().map(|v| v * scale).collect();
+        let b: Vec<f64> = if regime == 1 {
+            a.iter().zip(&nudge).map(|(v, n)| v + n * 1e-9).collect()
+        } else {
+            b.iter().map(|v| v * scale).collect()
+        };
+        let max_abs = a.iter().chain(&b).fold(0.0f64, |m, v| m.max(v.abs()));
+        let effective: Vec<f64> = w
+            .iter()
+            .enumerate()
+            .map(|(i, wi)| feature_weights[usize::from(i >= 2)] * wi)
+            .collect();
+        let l_max = Cholesky::factor(&m)
+            .unwrap()
+            .l()
+            .as_slice()
+            .iter()
+            .fold(0.0f64, |acc, v| acc.max(v.abs()));
+        let no_underflow = regime != 2 && regime != 3;
+        assert_key_within_bound(
+            &Euclidean,
+            &a,
+            &b,
+            Some(scalar_diagonal_slack(DIM, &[1.0; DIM], max_abs)),
+        )?;
+        assert_key_within_bound(
+            &weighted,
+            &a,
+            &b,
+            Some(scalar_diagonal_slack(DIM, &w, max_abs)),
+        )?;
+        assert_key_within_bound(&h, &a, &b, Some(scalar_diagonal_slack(DIM, &effective, max_abs)))?;
+        assert_key_within_bound(
+            &quad,
+            &a,
+            &b,
+            no_underflow.then(|| scalar_quadratic_slack(DIM, l_max, max_abs)),
+        )?;
     }
 
     #[test]

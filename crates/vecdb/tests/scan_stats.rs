@@ -210,7 +210,7 @@ fn clustered(n: usize, dim: usize) -> fbp_vecdb::Collection {
 fn skewed_learned_weights_rescore_about_k_rows() {
     // Learned inverse-variance weights are normalized to geometric mean
     // 1 and log-spread (ratio cap 1e4), so `w_max ≫ mean w`; a converged
-    // query sits in the dense middle of its cluster. The f32 slack must
+    // query sits in the dense middle of its cluster. The f32 bound must
     // follow the metric's `Σw` there: sized by `dim·w_max` it widened
     // the rescore band to ~8·k gathered rows per query on this shape.
     // Batched only — the serving mode; a parallel pass filters per
@@ -323,5 +323,10 @@ fn learned_weight_histogram_batch_rescores_about_k_rows() {
     assert!(
         s.candidates_rescored >= (k * Q) as u64,
         "the true top-k always survive"
+    );
+    assert!(
+        s.candidates_rescored <= (2 * k * Q) as u64,
+        "{} candidates rescored for k = {k}, Q = {Q}",
+        s.candidates_rescored
     );
 }

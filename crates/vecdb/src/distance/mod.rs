@@ -509,10 +509,9 @@ pub(crate) const F32_KEY_OVERFLOW_GUARD: f64 = f32::MAX as f64 / 16.0;
 /// band follows the metric's total mass, not `dim` copies of its
 /// heaviest component.
 ///
-/// The ceiling `max` is the key-independent slack the scans charged
-/// every row before the bound became key-relative: `2u·Σw·M²·(29 +
-/// 4.1·n)` for rounding plus `2η·(Σw·(9M + 1) + 2n)` for underflow,
-/// sized by the largest key the data could produce. On unit-scale data
+/// The ceiling `max` is the key-independent worst case over every key
+/// the data can produce: `2u·Σw·M²·(29 + 4.1·n)` for rounding plus
+/// `2η·(Σw·(9M + 1) + 2n)` for underflow. On unit-scale data
 /// the underflow parts are ~10⁻⁴² against a `Δ` of ~10⁻⁵; on data whose
 /// squares underflow they are what keeps `Δ` sound.
 pub(crate) fn weighted_f32_bound(

@@ -58,8 +58,9 @@ use crate::distance::{Distance, F32KeyBound};
 ///   inflated to `T + Δ(T)` by the class's monotone, key-relative
 ///   rounding bound `Δ(key)` ([`Distance::f32_key_bound`], reversed by
 ///   [`F32KeyBound::reverse`]) — enough to guarantee the surviving
-///   candidates contain the true f64 top-k, while the band stays a few
-///   ulps of the k-th key wide. Phase 2 rescores the
+///   candidates contain the true f64 top-k, with a band whose width
+///   follows the k-th key rather than the largest key the data could
+///   produce. Phase 2 rescores the
 ///   survivors from the f64 buffer with the exact kernels, so the
 ///   returned indices *and* distances are identical to an [`Precision::F64`]
 ///   scan. Requires the collection's mirror

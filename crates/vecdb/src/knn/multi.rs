@@ -49,8 +49,8 @@
 //! bound `Δ(key)` ([`KeyBand`]) — collecting every row whose f32 key
 //! lands under its bound; phase 2 rescores those candidates from the
 //! f64 buffer with the exact kernels. Because `Δ` follows the key rather
-//! than the largest key the data could produce, the band around a k-th
-//! key near zero is a few ulps of that key wide. The inflation makes
+//! than the largest key the data could produce, a small k-th key gets a
+//! correspondingly narrow band. The inflation makes
 //! the candidate set a guaranteed superset of the true f64 top-k (see
 //! the proof on [`MultiQueryScan::scan_range_shared_f32`]), so results
 //! remain bit-identical to the pure-f64 scan while the bulk of the pass

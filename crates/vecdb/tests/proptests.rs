@@ -31,9 +31,9 @@ fn weights_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.1..10.0f64, DIM)
 }
 
-/// The key-independent slack the f32 phase charged every row before
-/// the bound became key-relative, for the diagonal family
-/// (`Σ wᵢ·(aᵢ−bᵢ)²`): the reference `Δ(key)` must never exceed.
+/// The key-independent scalar slack of the diagonal family
+/// (`Σ wᵢ·(aᵢ−bᵢ)²`), sized by the largest key the data can produce:
+/// `Δ(key)` must never exceed it, so no rescore band is wider.
 fn scalar_diagonal_slack(dim: usize, w: &[f64], max_abs: f64) -> f64 {
     let (u, eta) = (
         1.0 / (1u64 << 24) as f64,

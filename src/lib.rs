@@ -14,7 +14,7 @@
 //!
 //! **`ARCHITECTURE.md` at the repository root** is the map of the whole
 //! system: the crate graph, the life of a query from TCP frame to SIMD
-//! kernel, the precision model (F64 / F32Rescore / slack bounds), and
+//! kernel, the precision model (F64 / F32Rescore / rounding bounds), and
 //! the bit-identity invariants every PR must preserve.
 
 pub use fbp_eval as eval;

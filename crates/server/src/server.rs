@@ -362,7 +362,7 @@ impl Backend for Shards {
             Ok(m) => m,
             Err(e) => {
                 front.metrics.record_protocol_error();
-                return err(ErrorCode::BadRequest, format!("shard metric: {e}"));
+                return err(ErrorCode::BadWeight, format!("shard metric: {e}"));
             }
         };
         let k = (k as usize).min(front.store.coll().len());

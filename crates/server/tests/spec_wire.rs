@@ -454,3 +454,57 @@ fn non_finite_search_points_are_refused_flat_and_routed() {
     }
     flat_handle.shutdown();
 }
+
+/// A zero, negative or non-finite `ShardKnn` weight is refused by a
+/// shard server with `BadWeight` (code 9, the error table's own example),
+/// counted as a protocol error; the connection keeps serving. A router
+/// has no local rows and refuses every `ShardKnn` with `BadRequest`.
+#[test]
+fn shard_knn_bad_weights_are_refused_with_bad_weight() {
+    let coll = Arc::new(collection());
+    let (shard_handles, router) = start_router(&coll);
+    let call = |stream: &mut TcpStream, req: &Request| -> Response {
+        write_frame(stream, &req.encode()).unwrap();
+        let payload = read_frame(stream, DEFAULT_MAX_FRAME_LEN, &mut || true)
+            .unwrap()
+            .expect("reply frame");
+        Response::decode(&payload).unwrap()
+    };
+    let shard_knn = |weight: f64| {
+        let mut weights = vec![1.0; DIM];
+        weights[DIM - 1] = weight;
+        Request::ShardKnn {
+            k: 5,
+            seed: f64::INFINITY,
+            point: query(0),
+            weights,
+        }
+    };
+
+    let shard = &shard_handles[0];
+    let mut stream = TcpStream::connect(shard.local_addr()).unwrap();
+    let bad = [0.0, -1.0, f64::NAN, f64::INFINITY];
+    let before = shard.stats().protocol_errors;
+    for weight in bad {
+        match call(&mut stream, &shard_knn(weight)) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadWeight, "w={weight}"),
+            other => panic!("weight {weight}: expected BadWeight, got {other:?}"),
+        }
+    }
+    assert_eq!(shard.stats().protocol_errors - before, bad.len() as u64);
+    match call(&mut stream, &shard_knn(2.0)) {
+        Response::ShardPartial { entries, .. } => assert_eq!(entries.len(), 5),
+        other => panic!("expected ShardPartial, got {other:?}"),
+    }
+
+    let mut stream = TcpStream::connect(router.local_addr()).unwrap();
+    match call(&mut stream, &shard_knn(0.0)) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("router: expected BadRequest, got {other:?}"),
+    }
+
+    router.shutdown();
+    for h in shard_handles {
+        h.shutdown();
+    }
+}

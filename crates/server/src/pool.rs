@@ -41,7 +41,8 @@ use crate::faults::{FaultMode, FaultPlan};
 use crate::health::{HealthConfig, HealthTracker};
 use crate::metrics::DownstreamStats;
 use crate::protocol::{
-    read_frame, write_frame, Request, Response, SPAN_FAILED, SPAN_FAST_DEGRADED, SPAN_HEDGE_WON,
+    frame_bytes, read_frame, write_frame, Request, Response, SPAN_FAILED, SPAN_FAST_DEGRADED,
+    SPAN_HEDGE_WON,
 };
 use crate::router::RouterGather;
 use fbp_vecdb::ShardPartial;
@@ -366,8 +367,7 @@ impl Downstream {
                     Some(FaultMode::CloseAtByte(n)) => {
                         // Cut the socket mid-frame: real wire damage for
                         // both sides.
-                        let mut framed = (frame.len() as u32).to_le_bytes().to_vec();
-                        framed.extend_from_slice(&frame);
+                        let framed = frame_bytes(&frame);
                         let cut = n.min(framed.len());
                         let res = stream.write_all(&framed[..cut]);
                         let _ = stream.shutdown(Shutdown::Both);

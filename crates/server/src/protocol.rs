@@ -19,6 +19,17 @@
 //! byte budget before any allocation (a forged count cannot drive an
 //! out-of-memory), and every body must account for every payload byte —
 //! trailing bytes are a [`DecodeError::TrailingBytes`] protocol error.
+//! An enum byte (an error code, a health state, the trace trailer's
+//! version) that names no value of its enum is a
+//! [`DecodeError::OutOfRange`] protocol error.
+//!
+//! The tables below are normative; the field lists are the codec. This
+//! module lists every frame once — its opcode, then its fields in wire
+//! order, each with the type that lays it out — and [`Request::encode`],
+//! [`Request::decode`] and their [`Response`] twins are generated from
+//! that one list, as is the byte budget of every count (the fewest
+//! bytes one element of the counted type can take). No frame has an
+//! encoder or decoder of its own.
 //!
 //! # Request opcodes (client → server)
 //!
@@ -359,58 +370,344 @@ pub const SPAN_FAST_DEGRADED: u8 = 0b0100;
 /// span's timings describe the failing leg.
 pub const SPAN_FAILED: u8 = 0b1000;
 
-/// Protocol error categories carried by [`Response::Error`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
-    /// Malformed frame: empty payload, truncated body, trailing bytes,
-    /// or a length prefix exceeding the configured maximum.
-    BadFrame = 1,
-    /// First payload byte is not a known opcode.
-    UnknownOpcode = 2,
-    /// The session id is not (or no longer) registered.
-    UnknownSession = 3,
-    /// Query dimensionality disagrees with the served collection.
-    DimMismatch = 4,
-    /// Request is valid on the wire but not in the current session state
-    /// (e.g. `Feedback` before any `Knn` results).
-    BadRequest = 5,
-    /// The batch queue is full; retry after a pause.
-    Busy = 6,
-    /// Server-side failure (shutdown race, dispatcher gone).
-    Internal = 7,
-    /// A downstream shard failed and the failure policy refused to
-    /// answer degraded (router tier only).
-    ShardUnavailable = 8,
-    /// A distance weight is non-finite or not strictly positive (v2).
-    BadWeight = 9,
-    /// A query/example component or Rocchio coefficient is NaN or
-    /// infinite (v2).
-    NonFiniteComponent = 10,
-    /// A `KnnV2` with `α = 0` and no examples: nothing to derive an
-    /// anchor from (v2).
-    EmptyExampleSet = 11,
-    /// Requests pin conflicting scan precisions for one pass (v2).
-    PrecisionConflict = 12,
+// ----------------------------------------------------------------- codec
+//
+// The codec is the layout tables made executable. `Wire` says how one
+// value lies on the wire; `record!` and `byte_enum!` derive it for
+// structs and fieldless enums from their field or variant lists;
+// `frames!` turns each opcode's field list (see *frame tables* below)
+// into both directions of `Request`/`Response::{encode, decode}`. The
+// byte budget of every count is the element type's `Wire::MIN_LEN`, so no
+// count check carries a size of its own.
+
+/// Byte-wise reader over one frame payload.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
 }
 
-impl ErrorCode {
-    fn from_u8(v: u8) -> Option<Self> {
-        Some(match v {
-            1 => ErrorCode::BadFrame,
-            2 => ErrorCode::UnknownOpcode,
-            3 => ErrorCode::UnknownSession,
-            4 => ErrorCode::DimMismatch,
-            5 => ErrorCode::BadRequest,
-            6 => ErrorCode::Busy,
-            7 => ErrorCode::Internal,
-            8 => ErrorCode::ShardUnavailable,
-            9 => ErrorCode::BadWeight,
-            10 => ErrorCode::NonFiniteComponent,
-            11 => ErrorCode::EmptyExampleSet,
-            12 => ErrorCode::PrecisionConflict,
-            _ => return None,
-        })
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
+        let bytes = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
+        self.pos = end;
+        Ok(bytes)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let bytes = *self.buf[self.pos..]
+            .first_chunk::<N>()
+            .ok_or(DecodeError::Truncated)?;
+        self.pos += N;
+        Ok(bytes)
+    }
+
+    /// A `u32` element count, checked against the bytes left at `unit`
+    /// bytes per element before anything is allocated for it, so a
+    /// forged count cannot drive an out-of-memory. `unit` is floored at
+    /// one byte: zero-sized elements cannot smuggle a huge count past
+    /// the check.
+    fn count(&mut self, unit: usize) -> Result<usize, DecodeError> {
+        let n = u32::get(self)? as usize;
+        match n.checked_mul(unit.max(1)) {
+            Some(bytes) if bytes <= self.buf.len() - self.pos => Ok(n),
+            _ => Err(DecodeError::BadLength),
+        }
+    }
+}
+
+/// How one value lies on the wire.
+trait Wire: Sized {
+    /// Fewest bytes one encoded value takes: the budget unit a `u32`
+    /// count of such values is checked against.
+    const MIN_LEN: usize;
+
+    fn put(&self, out: &mut Vec<u8>);
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+
+    /// `items` back to back, without a count.
+    fn put_all(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.put(out);
+        }
+    }
+
+    /// `n` values back to back, `n` already budget-checked.
+    fn get_n(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, DecodeError> {
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(Self::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Integers and floats travel little-endian at their own width.
+macro_rules! le_number {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                r.array().map(<$t>::from_le_bytes)
+            }
+        }
+    )*};
+}
+
+le_number!(u32, u64, f64);
+
+/// Bytes travel as themselves; a byte image is one copy each way.
+impl Wire for u8 {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.array().map(|[b]| b)
+    }
+
+    fn put_all(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+
+    fn get_n(r: &mut Reader<'_>, n: usize) -> Result<Vec<u8>, DecodeError> {
+        Ok(r.take(n)?.to_vec())
+    }
+}
+
+/// One byte, 0 = false; any non-zero byte decodes as true.
+impl Wire for bool {
+    const MIN_LEN: usize = <u8 as Wire>::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(u8::get(r)? != 0)
+    }
+}
+
+/// A `u32` count, then that many elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = <u32 as Wire>::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        T::put_all(self, out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.count(T::MIN_LEN)?;
+        T::get_n(r, n)
+    }
+}
+
+/// A `u32` byte length, then that many UTF-8 bytes.
+impl Wire for String {
+    const MIN_LEN: usize = <u32 as Wire>::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        String::from_utf8(Vec::get(r)?).map_err(|_| DecodeError::BadUtf8)
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        T::get(r).map(Box::new)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// A struct that travels as its fields in the listed order.
+macro_rules! record {
+    ($($name:ident { $($field:ident: $ty:ty),* $(,)? })*) => {$(
+        impl Wire for $name {
+            const MIN_LEN: usize = 0 $(+ <$ty as Wire>::MIN_LEN)*;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok($name { $($field: <$ty as Wire>::get(r)?,)* })
+            }
+        }
+    )*};
+}
+
+/// What one entry of a frame's field list lays out: a single [`Wire`]
+/// field, or a run of adjacent fields whose layout depends on one
+/// another (`encode` hands the run in as a tuple of borrows, `decode`
+/// hands it back as a tuple of values).
+trait Layout<'a> {
+    type Ref;
+    type Own;
+
+    fn put_run(fields: Self::Ref, out: &mut Vec<u8>);
+
+    fn get_run(r: &mut Reader<'_>) -> Result<Self::Own, DecodeError>;
+}
+
+impl<'a, T: Wire + 'a> Layout<'a> for T {
+    type Ref = &'a T;
+    type Own = T;
+
+    fn put_run(field: &'a T, out: &mut Vec<u8>) {
+        field.put(out);
+    }
+
+    fn get_run(r: &mut Reader<'_>) -> Result<T, DecodeError> {
+        T::get(r)
+    }
+}
+
+/// One name as itself, several as a tuple: the binding of one
+/// [`Layout`] entry.
+macro_rules! fields {
+    ($one:ident) => { $one };
+    ($($name:ident),+) => { ($($name),+) };
+}
+
+/// `encode` and `decode` of one message enum from its frame table: per
+/// variant the opcode, then the field list (a struct variant's entries,
+/// or a tuple variant's one field, or nothing).
+macro_rules! frames {
+    ($msg:ident {
+        $($op:literal => $var:ident
+            $({ $($($f:ident),+ : $codec:ty),* $(,)? })?
+            $(($t:ident : $tcodec:ty))?,)*
+    }) => {
+        impl $msg {
+            /// Serialize into a frame payload (opcode + body).
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                match self {
+                    $($msg::$var $({ $($($f),+),* })? $(($t))? => {
+                        out.push($op);
+                        $($(<$codec as Layout>::put_run(fields!($($f),+), &mut out);)*)?
+                        $(<$tcodec as Layout>::put_run($t, &mut out);)?
+                    })*
+                }
+                out
+            }
+
+            /// Parse a frame payload.
+            pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
+                let mut r = Reader { buf: payload, pos: 0 };
+                let op = u8::get(&mut r).map_err(|_| DecodeError::Empty)?;
+                let msg = match op {
+                    $($op => {
+                        $($(let fields!($($f),+) = <$codec as Layout>::get_run(&mut r)?;)*)?
+                        $(let $t = <$tcodec as Layout>::get_run(&mut r)?;)?
+                        $msg::$var $({ $($($f),+),* })? $(($t))?
+                    })*
+                    op => return Err(DecodeError::UnknownOpcode(op)),
+                };
+                if r.pos == payload.len() {
+                    Ok(msg)
+                } else {
+                    Err(DecodeError::TrailingBytes)
+                }
+            }
+        }
+    };
+}
+
+/// A fieldless `#[repr(u8)]` enum that travels as its discriminant
+/// byte; any other byte is [`DecodeError::OutOfRange`].
+macro_rules! byte_enum {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident {
+        $($(#[$vmeta:meta])* $var:ident = $val:expr,)*
+    }) => {
+        $(#[$meta])*
+        #[repr(u8)]
+        $vis enum $name {
+            $($(#[$vmeta])* $var = $val,)*
+        }
+
+        impl Wire for $name {
+            const MIN_LEN: usize = <u8 as Wire>::MIN_LEN;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(*self as u8);
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                let byte = u8::get(r)?;
+                $(if byte == $name::$var as u8 {
+                    return Ok($name::$var);
+                })*
+                Err(DecodeError::OutOfRange(byte))
+            }
+        }
+    };
+}
+
+byte_enum! {
+    /// Protocol error categories carried by [`Response::Error`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ErrorCode {
+        /// Malformed frame: empty payload, truncated body, trailing bytes,
+        /// or a length prefix exceeding the configured maximum.
+        BadFrame = 1,
+        /// First payload byte is not a known opcode.
+        UnknownOpcode = 2,
+        /// The session id is not (or no longer) registered.
+        UnknownSession = 3,
+        /// Query dimensionality disagrees with the served collection.
+        DimMismatch = 4,
+        /// Request is valid on the wire but not in the current session state
+        /// (e.g. `Feedback` before any `Knn` results).
+        BadRequest = 5,
+        /// The batch queue is full; retry after a pause.
+        Busy = 6,
+        /// Server-side failure (shutdown race, dispatcher gone).
+        Internal = 7,
+        /// A downstream shard failed and the failure policy refused to
+        /// answer degraded (router tier only).
+        ShardUnavailable = 8,
+        /// A distance weight is non-finite or not strictly positive (v2).
+        BadWeight = 9,
+        /// A query/example component or Rocchio coefficient is NaN or
+        /// infinite (v2).
+        NonFiniteComponent = 10,
+        /// A `KnnV2` with `α = 0` and no examples: nothing to derive an
+        /// anchor from (v2).
+        EmptyExampleSet = 11,
+        /// Requests pin conflicting scan precisions for one pass (v2).
+        PrecisionConflict = 12,
     }
 }
 
@@ -680,35 +977,24 @@ pub enum Response {
     },
 }
 
-/// One downstream's circuit-breaker position in the router's health
-/// state machine (`Healthy → Suspect → Ejected → Probing → Healthy`),
-/// as carried in the `0x84` stats body. The numeric values are the
-/// normative wire encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum HealthState {
-    /// Taking traffic; no recent consecutive failures.
-    #[default]
-    Healthy = 0,
-    /// Taking traffic, but at least one consecutive failure is on the
-    /// books — the state between the first failure and the trip.
-    Suspect = 1,
-    /// Removed from the scatter set; requests fast-degrade (or
-    /// fast-refuse under `Strict`) instead of paying `shard_timeout`.
-    Ejected = 2,
-    /// A re-admission probe is in flight; still out of the scatter set.
-    Probing = 3,
-}
-
-impl HealthState {
-    fn from_u8(v: u8) -> Option<Self> {
-        Some(match v {
-            0 => HealthState::Healthy,
-            1 => HealthState::Suspect,
-            2 => HealthState::Ejected,
-            3 => HealthState::Probing,
-            _ => return None,
-        })
+byte_enum! {
+    /// One downstream's circuit-breaker position in the router's health
+    /// state machine (`Healthy → Suspect → Ejected → Probing → Healthy`),
+    /// as carried in the `0x84` stats body. The numeric values are the
+    /// normative wire encoding.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum HealthState {
+        /// Taking traffic; no recent consecutive failures.
+        #[default]
+        Healthy = 0,
+        /// Taking traffic, but at least one consecutive failure is on the
+        /// books — the state between the first failure and the trip.
+        Suspect = 1,
+        /// Removed from the scatter set; requests fast-degrade (or
+        /// fast-refuse under `Strict`) instead of paying `shard_timeout`.
+        Ejected = 2,
+        /// A re-admission probe is in flight; still out of the scatter set.
+        Probing = 3,
     }
 }
 
@@ -838,6 +1124,9 @@ pub enum DecodeError {
     BadLength,
     /// A string field is not UTF-8.
     BadUtf8,
+    /// An enum byte (an error code, a health state, the trace trailer's
+    /// version) holds no value of its enum.
+    OutOfRange(u8),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -849,584 +1138,183 @@ impl std::fmt::Display for DecodeError {
             DecodeError::TrailingBytes => write!(f, "trailing bytes after message body"),
             DecodeError::BadLength => write!(f, "length field disagrees with body size"),
             DecodeError::BadUtf8 => write!(f, "non-UTF-8 string field"),
+            DecodeError::OutOfRange(v) => write!(f, "enum byte {v} out of range"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// Byte-wise reader over one frame payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+// ---------------------------------------------------------- frame tables
+//
+// Each frame's opcode and field list, once. An entry is `field: Type`
+// for a field laid out by its type's `Wire` impl, or `a, b, …: Codec`
+// for a run of adjacent fields whose layout depends on one another (one
+// `Layout` impl for the run). Both directions are generated from here.
+
+frames! {
+    Request {
+        0x01 => OpenSession,
+        0x02 => Knn { session: u64, k: u32, query: Vec<f64> },
+        0x03 => Feedback { session: u64, relevant: Vec<u32> },
+        0x04 => SnapshotStats,
+        0x05 => Close { session: u64 },
+        0x06 => ShardKnn { k: u32, seed: f64, point: Vec<f64>, weights: Vec<f64> },
+        0x07 => ShardInfo,
+        0x08 => SnapshotModule,
+        0x09 => RestoreModule { image: Vec<u8> },
+        0x0A => Hello { version: u8 },
+        0x0B => KnnV2 {
+            session: u64, k: u32, alpha: f64, beta: f64, gamma: f64,
+            clamp, trace, anchor, positives, negatives: Examples
+        },
+        0x0C => GetTraces { max: u32 },
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+frames! {
+    Response {
+        0x81 => SessionOpened { session: u64, dim: u32 },
+        0x82 => KnnResult {
+            flags, cycles, missing_shards, trace: FlagGated, neighbors: Vec<Neighbor>
+        },
+        0x83 => FeedbackAck { done: bool, converged: bool, cycles: u32 },
+        0x84 => Stats(stats: Box<StatsSnapshot>),
+        0x85 => Closed,
+        0x86 => ShardPartial { finished: bool, entries: Vec<(f64, u32)> },
+        0x87 => ShardInfoResult { rows: u64, offset: u64, dim: u32 },
+        0x88 => ModuleImage { image: Vec<u8> },
+        0x89 => ModuleRestored,
+        0x8A => HelloAck { version: u8 },
+        0x8B => TraceList { traces: Vec<TraceReport> },
+        0xEE => Error { code: ErrorCode, message: String },
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(DecodeError::Truncated);
+record! {
+    Neighbor { index: u32, dist: f64 }
+    ShardSpan { shard: u32, queue_ns: u64, busy_ns: u64, batch_fill: u32, flags: u8 }
+    TraceReport {
+        trace_id: u64, wall_ns: u64, gather_ns: u64, merge_ns: u64, spans: Vec<ShardSpan>
+    }
+    DownstreamHealth {
+        shard: u32, state: HealthState, ejections: u64, readmissions: u64,
+        probe_failures: u64, fast_degrades: u64
+    }
+    StatsSnapshot {
+        requests: u64, passes: u64, shards: u64,
+        mean_batch_fill: f64, queue_wait_p50_us: f64, queue_wait_p99_us: f64,
+        sessions_open: u64, protocol_errors: u64,
+        downstream_timeouts: u64, downstream_retries: u64, downstream_reconnects: u64,
+        hedges_fired: u64, hedges_won: u64, degraded_replies: u64,
+        scan_rows_visited: u64, scan_blocks_abandoned: u64, scan_candidates_filtered: u64,
+        scan_candidates_rescored: u64, scan_seed_prunes: u64, scan_partitions_pruned: u64,
+        health: Vec<DownstreamHealth>
+    }
+}
+
+byte_enum! {
+    /// The trace trailer's leading layout-version byte.
+    #[derive(Clone, Copy)]
+    enum TraceVersion {
+        V1 = TRACE_VERSION,
+    }
+}
+
+/// `KnnV2`'s run from the flags byte on: the clamp (bit 0) and trace
+/// (bit 1) flags packed in one byte, the anchor, then the positive and
+/// negative example sets — each a `u32` count of anchor-length vectors
+/// that carry no length of their own.
+struct Examples;
+
+type ExampleSets = Vec<Vec<f64>>;
+
+impl<'a> Layout<'a> for Examples {
+    type Ref = (
+        &'a bool,
+        &'a bool,
+        &'a Vec<f64>,
+        &'a ExampleSets,
+        &'a ExampleSets,
+    );
+    type Own = (bool, bool, Vec<f64>, ExampleSets, ExampleSets);
+
+    fn put_run((clamp, trace, anchor, positives, negatives): Self::Ref, out: &mut Vec<u8>) {
+        (u8::from(*clamp) | (u8::from(*trace) << 1)).put(out);
+        anchor.put(out);
+        for set in [positives, negatives] {
+            (set.len() as u32).put(out);
+            for example in set {
+                debug_assert_eq!(example.len(), anchor.len(), "examples share the anchor dim");
+                f64::put_all(example, out);
+            }
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+    fn get_run(r: &mut Reader<'_>) -> Result<Self::Own, DecodeError> {
+        let flags = u8::get(r)?;
+        let anchor = Vec::<f64>::get(r)?;
+        let dim = anchor.len();
+        let mut set = || -> Result<ExampleSets, DecodeError> {
+            let n = r.count(dim * <f64 as Wire>::MIN_LEN)?;
+            (0..n).map(|_| f64::get_n(r, dim)).collect()
+        };
+        let (positives, negatives) = (set()?, set()?);
+        Ok((
+            flags & 0b01 != 0,
+            flags & 0b10 != 0,
+            anchor,
+            positives,
+            negatives,
+        ))
     }
+}
 
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
+/// `KnnResult`'s run up to the neighbors: the flags byte, the cycle
+/// count, then the blocks the flags gate — the missing-shard list iff
+/// [`KNN_DEGRADED`], the versioned trace trailer iff [`KNN_TRACED`].
+struct FlagGated;
 
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+impl<'a> Layout<'a> for FlagGated {
+    type Ref = (&'a u8, &'a u32, &'a Vec<u32>, &'a Option<Box<TraceReport>>);
+    type Own = (u8, u32, Vec<u32>, Option<Box<TraceReport>>);
 
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// `n` length-checked against the remaining bytes at `per` bytes per
-    /// element, so a forged count cannot drive a huge allocation.
-    fn counted(&mut self, per: usize) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
-        if n.checked_mul(per).ok_or(DecodeError::BadLength)? > self.buf.len() - self.pos {
-            return Err(DecodeError::BadLength);
-        }
-        Ok(n)
-    }
-
-    fn finish(&self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
+    fn put_run((flags, cycles, missing, trace): Self::Ref, out: &mut Vec<u8>) {
+        flags.put(out);
+        cycles.put(out);
+        if flags & KNN_DEGRADED != 0 {
+            missing.put(out);
         } else {
-            Err(DecodeError::TrailingBytes)
+            debug_assert!(missing.is_empty(), "missing_shards require KNN_DEGRADED");
+        }
+        if flags & KNN_TRACED != 0 {
+            TraceVersion::V1.put(out);
+            trace
+                .as_ref()
+                .expect("KNN_TRACED requires a trace")
+                .put(out);
+        } else {
+            debug_assert!(trace.is_none(), "a trace requires KNN_TRACED");
         }
     }
-}
 
-/// Append one trace report (without a leading version byte) — the
-/// shared body of the [`KNN_TRACED`] trailer and of each
-/// [`Response::TraceList`] element.
-fn write_trace(out: &mut Vec<u8>, t: &TraceReport) {
-    out.extend_from_slice(&t.trace_id.to_le_bytes());
-    out.extend_from_slice(&t.wall_ns.to_le_bytes());
-    out.extend_from_slice(&t.gather_ns.to_le_bytes());
-    out.extend_from_slice(&t.merge_ns.to_le_bytes());
-    out.extend_from_slice(&(t.spans.len() as u32).to_le_bytes());
-    for s in &t.spans {
-        out.extend_from_slice(&s.shard.to_le_bytes());
-        out.extend_from_slice(&s.queue_ns.to_le_bytes());
-        out.extend_from_slice(&s.busy_ns.to_le_bytes());
-        out.extend_from_slice(&s.batch_fill.to_le_bytes());
-        out.push(s.flags);
-    }
-}
-
-/// Parse one trace report (the [`write_trace`] layout; span counts are
-/// budget-checked against the remaining bytes like every other count).
-fn read_trace(r: &mut Reader) -> Result<TraceReport, DecodeError> {
-    let trace_id = r.u64()?;
-    let wall_ns = r.u64()?;
-    let gather_ns = r.u64()?;
-    let merge_ns = r.u64()?;
-    let n = r.counted(25)?;
-    let mut spans = Vec::with_capacity(n);
-    for _ in 0..n {
-        spans.push(ShardSpan {
-            shard: r.u32()?,
-            queue_ns: r.u64()?,
-            busy_ns: r.u64()?,
-            batch_fill: r.u32()?,
-            flags: r.u8()?,
-        });
-    }
-    Ok(TraceReport {
-        trace_id,
-        wall_ns,
-        gather_ns,
-        merge_ns,
-        spans,
-    })
-}
-
-impl Request {
-    /// Serialize into a frame payload (opcode + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Request::OpenSession => out.push(0x01),
-            Request::Knn { session, k, query } => {
-                out.push(0x02);
-                out.extend_from_slice(&session.to_le_bytes());
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&(query.len() as u32).to_le_bytes());
-                for v in query {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Request::Feedback { session, relevant } => {
-                out.push(0x03);
-                out.extend_from_slice(&session.to_le_bytes());
-                out.extend_from_slice(&(relevant.len() as u32).to_le_bytes());
-                for id in relevant {
-                    out.extend_from_slice(&id.to_le_bytes());
-                }
-            }
-            Request::SnapshotStats => out.push(0x04),
-            Request::Close { session } => {
-                out.push(0x05);
-                out.extend_from_slice(&session.to_le_bytes());
-            }
-            Request::ShardKnn {
-                k,
-                seed,
-                point,
-                weights,
-            } => {
-                out.push(0x06);
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&seed.to_le_bytes());
-                out.extend_from_slice(&(point.len() as u32).to_le_bytes());
-                for v in point {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                out.extend_from_slice(&(weights.len() as u32).to_le_bytes());
-                for w in weights {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-            Request::ShardInfo => out.push(0x07),
-            Request::SnapshotModule => out.push(0x08),
-            Request::RestoreModule { image } => {
-                out.push(0x09);
-                out.extend_from_slice(&(image.len() as u32).to_le_bytes());
-                out.extend_from_slice(image);
-            }
-            Request::Hello { version } => {
-                out.push(0x0A);
-                out.push(*version);
-            }
-            Request::KnnV2 {
-                session,
-                k,
-                alpha,
-                beta,
-                gamma,
-                clamp,
-                trace,
-                anchor,
-                positives,
-                negatives,
-            } => {
-                out.push(0x0B);
-                out.extend_from_slice(&session.to_le_bytes());
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&alpha.to_le_bytes());
-                out.extend_from_slice(&beta.to_le_bytes());
-                out.extend_from_slice(&gamma.to_le_bytes());
-                out.push(u8::from(*clamp) | (u8::from(*trace) << 1));
-                out.extend_from_slice(&(anchor.len() as u32).to_le_bytes());
-                for v in anchor {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                for set in [positives, negatives] {
-                    out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-                    for ex in set {
-                        debug_assert_eq!(ex.len(), anchor.len(), "examples share the anchor dim");
-                        for v in ex {
-                            out.extend_from_slice(&v.to_le_bytes());
-                        }
-                    }
-                }
-            }
-            Request::GetTraces { max } => {
-                out.push(0x0C);
-                out.extend_from_slice(&max.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Parse a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(payload);
-        let op = r.u8().map_err(|_| DecodeError::Empty)?;
-        let req = match op {
-            0x01 => Request::OpenSession,
-            0x02 => {
-                let session = r.u64()?;
-                let k = r.u32()?;
-                let n = r.counted(8)?;
-                let mut query = Vec::with_capacity(n);
-                for _ in 0..n {
-                    query.push(r.f64()?);
-                }
-                Request::Knn { session, k, query }
-            }
-            0x03 => {
-                let session = r.u64()?;
-                let n = r.counted(4)?;
-                let mut relevant = Vec::with_capacity(n);
-                for _ in 0..n {
-                    relevant.push(r.u32()?);
-                }
-                Request::Feedback { session, relevant }
-            }
-            0x04 => Request::SnapshotStats,
-            0x05 => Request::Close { session: r.u64()? },
-            0x06 => {
-                let k = r.u32()?;
-                let seed = r.f64()?;
-                let n = r.counted(8)?;
-                let mut point = Vec::with_capacity(n);
-                for _ in 0..n {
-                    point.push(r.f64()?);
-                }
-                let wn = r.counted(8)?;
-                let mut weights = Vec::with_capacity(wn);
-                for _ in 0..wn {
-                    weights.push(r.f64()?);
-                }
-                Request::ShardKnn {
-                    k,
-                    seed,
-                    point,
-                    weights,
-                }
-            }
-            0x07 => Request::ShardInfo,
-            0x08 => Request::SnapshotModule,
-            0x09 => {
-                let n = r.counted(1)?;
-                Request::RestoreModule {
-                    image: r.take(n)?.to_vec(),
-                }
-            }
-            0x0A => Request::Hello { version: r.u8()? },
-            0x0B => {
-                let session = r.u64()?;
-                let k = r.u32()?;
-                let alpha = r.f64()?;
-                let beta = r.f64()?;
-                let gamma = r.f64()?;
-                let flags = r.u8()?;
-                let clamp = flags & 0b01 != 0;
-                let trace = flags & 0b10 != 0;
-                let n = r.counted(8)?;
-                let mut anchor = Vec::with_capacity(n);
-                for _ in 0..n {
-                    anchor.push(r.f64()?);
-                }
-                // Each example is n × f64; `per` is floored at 1 byte
-                // so a zero-dim frame cannot smuggle a huge count past
-                // the budget check.
-                let read_set = |r: &mut Reader| -> Result<Vec<Vec<f64>>, DecodeError> {
-                    let count = r.counted((n * 8).max(1))?;
-                    let mut set = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let mut ex = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            ex.push(r.f64()?);
-                        }
-                        set.push(ex);
-                    }
-                    Ok(set)
-                };
-                let positives = read_set(&mut r)?;
-                let negatives = read_set(&mut r)?;
-                Request::KnnV2 {
-                    session,
-                    k,
-                    alpha,
-                    beta,
-                    gamma,
-                    clamp,
-                    trace,
-                    anchor,
-                    positives,
-                    negatives,
-                }
-            }
-            0x0C => Request::GetTraces { max: r.u32()? },
-            op => return Err(DecodeError::UnknownOpcode(op)),
+    fn get_run(r: &mut Reader<'_>) -> Result<Self::Own, DecodeError> {
+        let flags = u8::get(r)?;
+        let cycles = u32::get(r)?;
+        let missing = match flags & KNN_DEGRADED {
+            0 => Vec::new(),
+            _ => Vec::get(r)?,
         };
-        r.finish()?;
-        Ok(req)
-    }
-}
-
-impl Response {
-    /// Serialize into a frame payload (opcode + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Response::SessionOpened { session, dim } => {
-                out.push(0x81);
-                out.extend_from_slice(&session.to_le_bytes());
-                out.extend_from_slice(&dim.to_le_bytes());
+        // The trailer carries no byte length, so an unknown version
+        // cannot be skipped: it is malformed.
+        let trace = match flags & KNN_TRACED {
+            0 => None,
+            _ => {
+                TraceVersion::get(r)?;
+                Some(Box::get(r)?)
             }
-            Response::KnnResult {
-                flags,
-                cycles,
-                missing_shards,
-                trace,
-                neighbors,
-            } => {
-                out.push(0x82);
-                out.push(*flags);
-                out.extend_from_slice(&cycles.to_le_bytes());
-                if flags & KNN_DEGRADED != 0 {
-                    out.extend_from_slice(&(missing_shards.len() as u32).to_le_bytes());
-                    for id in missing_shards {
-                        out.extend_from_slice(&id.to_le_bytes());
-                    }
-                } else {
-                    debug_assert!(
-                        missing_shards.is_empty(),
-                        "missing_shards require KNN_DEGRADED"
-                    );
-                }
-                if flags & KNN_TRACED != 0 {
-                    let t = trace.as_ref().expect("KNN_TRACED requires a trace");
-                    out.push(TRACE_VERSION);
-                    write_trace(&mut out, t);
-                } else {
-                    debug_assert!(trace.is_none(), "a trace requires KNN_TRACED");
-                }
-                out.extend_from_slice(&(neighbors.len() as u32).to_le_bytes());
-                for n in neighbors {
-                    out.extend_from_slice(&n.index.to_le_bytes());
-                    out.extend_from_slice(&n.dist.to_le_bytes());
-                }
-            }
-            Response::FeedbackAck {
-                done,
-                converged,
-                cycles,
-            } => {
-                out.push(0x83);
-                out.push(u8::from(*done));
-                out.push(u8::from(*converged));
-                out.extend_from_slice(&cycles.to_le_bytes());
-            }
-            Response::Stats(s) => {
-                out.push(0x84);
-                out.extend_from_slice(&s.requests.to_le_bytes());
-                out.extend_from_slice(&s.passes.to_le_bytes());
-                out.extend_from_slice(&s.shards.to_le_bytes());
-                out.extend_from_slice(&s.mean_batch_fill.to_le_bytes());
-                out.extend_from_slice(&s.queue_wait_p50_us.to_le_bytes());
-                out.extend_from_slice(&s.queue_wait_p99_us.to_le_bytes());
-                out.extend_from_slice(&s.sessions_open.to_le_bytes());
-                out.extend_from_slice(&s.protocol_errors.to_le_bytes());
-                out.extend_from_slice(&s.downstream_timeouts.to_le_bytes());
-                out.extend_from_slice(&s.downstream_retries.to_le_bytes());
-                out.extend_from_slice(&s.downstream_reconnects.to_le_bytes());
-                out.extend_from_slice(&s.hedges_fired.to_le_bytes());
-                out.extend_from_slice(&s.hedges_won.to_le_bytes());
-                out.extend_from_slice(&s.degraded_replies.to_le_bytes());
-                out.extend_from_slice(&s.scan_rows_visited.to_le_bytes());
-                out.extend_from_slice(&s.scan_blocks_abandoned.to_le_bytes());
-                out.extend_from_slice(&s.scan_candidates_filtered.to_le_bytes());
-                out.extend_from_slice(&s.scan_candidates_rescored.to_le_bytes());
-                out.extend_from_slice(&s.scan_seed_prunes.to_le_bytes());
-                out.extend_from_slice(&s.scan_partitions_pruned.to_le_bytes());
-                out.extend_from_slice(&(s.health.len() as u32).to_le_bytes());
-                for h in &s.health {
-                    out.extend_from_slice(&h.shard.to_le_bytes());
-                    out.push(h.state as u8);
-                    out.extend_from_slice(&h.ejections.to_le_bytes());
-                    out.extend_from_slice(&h.readmissions.to_le_bytes());
-                    out.extend_from_slice(&h.probe_failures.to_le_bytes());
-                    out.extend_from_slice(&h.fast_degrades.to_le_bytes());
-                }
-            }
-            Response::Closed => out.push(0x85),
-            Response::ShardPartial { finished, entries } => {
-                out.push(0x86);
-                out.push(u8::from(*finished));
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for (key, index) in entries {
-                    out.extend_from_slice(&key.to_le_bytes());
-                    out.extend_from_slice(&index.to_le_bytes());
-                }
-            }
-            Response::ShardInfoResult { rows, offset, dim } => {
-                out.push(0x87);
-                out.extend_from_slice(&rows.to_le_bytes());
-                out.extend_from_slice(&offset.to_le_bytes());
-                out.extend_from_slice(&dim.to_le_bytes());
-            }
-            Response::ModuleImage { image } => {
-                out.push(0x88);
-                out.extend_from_slice(&(image.len() as u32).to_le_bytes());
-                out.extend_from_slice(image);
-            }
-            Response::ModuleRestored => out.push(0x89),
-            Response::HelloAck { version } => {
-                out.push(0x8A);
-                out.push(*version);
-            }
-            Response::TraceList { traces } => {
-                out.push(0x8B);
-                out.extend_from_slice(&(traces.len() as u32).to_le_bytes());
-                for t in traces {
-                    write_trace(&mut out, t);
-                }
-            }
-            Response::Error { code, message } => {
-                out.push(0xEE);
-                out.push(*code as u8);
-                out.extend_from_slice(&(message.len() as u32).to_le_bytes());
-                out.extend_from_slice(message.as_bytes());
-            }
-        }
-        out
-    }
-
-    /// Parse a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(payload);
-        let op = r.u8().map_err(|_| DecodeError::Empty)?;
-        let resp = match op {
-            0x81 => Response::SessionOpened {
-                session: r.u64()?,
-                dim: r.u32()?,
-            },
-            0x82 => {
-                let flags = r.u8()?;
-                let cycles = r.u32()?;
-                let mut missing_shards = Vec::new();
-                if flags & KNN_DEGRADED != 0 {
-                    let m = r.counted(4)?;
-                    missing_shards.reserve(m);
-                    for _ in 0..m {
-                        missing_shards.push(r.u32()?);
-                    }
-                }
-                let trace = if flags & KNN_TRACED != 0 {
-                    // An unknown trailer version cannot be skipped (the
-                    // trailer carries no byte length), so it is
-                    // malformed — same handling as an unknown enum byte.
-                    if r.u8()? != TRACE_VERSION {
-                        return Err(DecodeError::Truncated);
-                    }
-                    Some(Box::new(read_trace(&mut r)?))
-                } else {
-                    None
-                };
-                let n = r.counted(12)?;
-                let mut neighbors = Vec::with_capacity(n);
-                for _ in 0..n {
-                    neighbors.push(Neighbor {
-                        index: r.u32()?,
-                        dist: r.f64()?,
-                    });
-                }
-                Response::KnnResult {
-                    flags,
-                    cycles,
-                    missing_shards,
-                    trace,
-                    neighbors,
-                }
-            }
-            0x83 => Response::FeedbackAck {
-                done: r.u8()? != 0,
-                converged: r.u8()? != 0,
-                cycles: r.u32()?,
-            },
-            0x84 => {
-                let mut s = StatsSnapshot {
-                    requests: r.u64()?,
-                    passes: r.u64()?,
-                    shards: r.u64()?,
-                    mean_batch_fill: r.f64()?,
-                    queue_wait_p50_us: r.f64()?,
-                    queue_wait_p99_us: r.f64()?,
-                    sessions_open: r.u64()?,
-                    protocol_errors: r.u64()?,
-                    downstream_timeouts: r.u64()?,
-                    downstream_retries: r.u64()?,
-                    downstream_reconnects: r.u64()?,
-                    hedges_fired: r.u64()?,
-                    hedges_won: r.u64()?,
-                    degraded_replies: r.u64()?,
-                    scan_rows_visited: r.u64()?,
-                    scan_blocks_abandoned: r.u64()?,
-                    scan_candidates_filtered: r.u64()?,
-                    scan_candidates_rescored: r.u64()?,
-                    scan_seed_prunes: r.u64()?,
-                    scan_partitions_pruned: r.u64()?,
-                    health: Vec::new(),
-                };
-                let n = r.counted(37)?;
-                s.health.reserve(n);
-                for _ in 0..n {
-                    s.health.push(DownstreamHealth {
-                        shard: r.u32()?,
-                        state: HealthState::from_u8(r.u8()?).ok_or(DecodeError::Truncated)?,
-                        ejections: r.u64()?,
-                        readmissions: r.u64()?,
-                        probe_failures: r.u64()?,
-                        fast_degrades: r.u64()?,
-                    });
-                }
-                Response::Stats(Box::new(s))
-            }
-            0x85 => Response::Closed,
-            0x86 => {
-                let finished = r.u8()? != 0;
-                let n = r.counted(12)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push((r.f64()?, r.u32()?));
-                }
-                Response::ShardPartial { finished, entries }
-            }
-            0x87 => Response::ShardInfoResult {
-                rows: r.u64()?,
-                offset: r.u64()?,
-                dim: r.u32()?,
-            },
-            0x88 => {
-                let n = r.counted(1)?;
-                Response::ModuleImage {
-                    image: r.take(n)?.to_vec(),
-                }
-            }
-            0x89 => Response::ModuleRestored,
-            0x8A => Response::HelloAck { version: r.u8()? },
-            0x8B => {
-                // Every report is at least 36 bytes (four u64s + span
-                // count), the budget unit for the forged-count check.
-                let n = r.counted(36)?;
-                let mut traces = Vec::with_capacity(n);
-                for _ in 0..n {
-                    traces.push(read_trace(&mut r)?);
-                }
-                Response::TraceList { traces }
-            }
-            0xEE => {
-                let code = ErrorCode::from_u8(r.u8()?).ok_or(DecodeError::Truncated)?;
-                let n = r.counted(1)?;
-                let bytes = r.take(n)?;
-                let message = std::str::from_utf8(bytes)
-                    .map_err(|_| DecodeError::BadUtf8)?
-                    .to_owned();
-                Response::Error { code, message }
-            }
-            op => return Err(DecodeError::UnknownOpcode(op)),
         };
-        r.finish()?;
-        Ok(resp)
+        Ok((flags, cycles, missing, trace))
     }
 }
 
@@ -1463,12 +1351,18 @@ impl From<io::Error> for FrameError {
     }
 }
 
+/// One frame as it goes on the wire: the little-endian `u32` payload
+/// length, then the payload.
+pub(crate) fn frame_bytes(payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + payload.len());
+    (payload.len() as u32).put(&mut buf);
+    buf.extend_from_slice(payload);
+    buf
+}
+
 /// Write one frame (length prefix + payload) with a single `write_all`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    w.write_all(&buf)
+    w.write_all(&frame_bytes(payload))
 }
 
 /// Read one frame payload. Returns `Ok(None)` on a clean end-of-stream
@@ -1959,5 +1853,52 @@ mod tests {
             read_frame(&mut cut, DEFAULT_MAX_FRAME_LEN, &mut || true),
             Err(FrameError::Io(_))
         ));
+    }
+
+    #[test]
+    fn unknown_error_code_is_out_of_range() {
+        let mut frame = Response::Error {
+            code: ErrorCode::Busy,
+            message: "busy".into(),
+        }
+        .encode();
+        // The code byte follows the opcode.
+        frame[1] = 13;
+        assert_eq!(Response::decode(&frame), Err(DecodeError::OutOfRange(13)));
+    }
+
+    #[test]
+    fn unknown_health_state_is_out_of_range() {
+        let mut frame = Response::Stats(Box::new(StatsSnapshot {
+            health: vec![DownstreamHealth::default()],
+            ..Default::default()
+        }))
+        .encode();
+        // The row's state byte follows its u32 shard index; four u64
+        // counters come after it.
+        let state_at = frame.len() - 1 - 4 * 8;
+        assert_eq!(frame[state_at], HealthState::Healthy as u8);
+        frame[state_at] = 4;
+        assert_eq!(Response::decode(&frame), Err(DecodeError::OutOfRange(4)));
+    }
+
+    #[test]
+    fn unknown_trace_version_is_out_of_range() {
+        let mut frame = Response::KnnResult {
+            flags: KNN_TRACED,
+            cycles: 0,
+            missing_shards: vec![],
+            trace: Some(Box::default()),
+            neighbors: vec![],
+        }
+        .encode();
+        // The version byte sits right after opcode + flags + cycles.
+        let version_at = 1 + 1 + 4;
+        assert_eq!(frame[version_at], TRACE_VERSION);
+        frame[version_at] = TRACE_VERSION + 1;
+        assert_eq!(
+            Response::decode(&frame),
+            Err(DecodeError::OutOfRange(TRACE_VERSION + 1))
+        );
     }
 }

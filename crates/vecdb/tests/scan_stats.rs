@@ -329,4 +329,24 @@ fn learned_weight_histogram_batch_rescores_about_k_rows() {
         "{} candidates rescored for k = {k}, Q = {Q}",
         s.candidates_rescored
     );
+    // Counter golden. f32 keys from the FMA intrinsics differ in the
+    // last ulps from the portable chain, so the literals hold on x86-64
+    // AVX2+FMA hosts only; every kernel shape those hosts may pick
+    // scores the same key bits, so no kernel or admit change may move
+    // them.
+    let counters = (
+        s.rows_visited,
+        s.blocks_abandoned,
+        s.candidates_filtered,
+        s.candidates_rescored,
+    );
+    #[cfg(target_arch = "x86_64")]
+    let fma_host = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let fma_host = false;
+    if fma_host {
+        assert_eq!(counters, (20_000, 78, 7289, 800));
+    } else {
+        println!("counter golden skipped: not an x86-64 AVX2+FMA host ({counters:?})");
+    }
 }

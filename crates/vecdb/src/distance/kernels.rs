@@ -30,11 +30,15 @@
 //! multi and one-row entry points. On FMA hosts the weighted multi kernel
 //! scores a block in register tiles — 4 queries × 2 rows (eight FMA
 //! chains), then 2 × 2, then the row pair for an odd query, then single
-//! rows for an odd row — and every shape gives each pair the key bits of
+//! rows for an odd row — and on AVX-512F hosts a batch of
+//! [`ROWS_IN_LANES_MIN_QUERIES`] or more queries (weighted or L2) in
+//! rows-in-lanes order: sixteen rows per vector, transposed once per
+//! block group. Every shape gives each pair the key bits of
 //! the one-query row kernels: the same per-chunk FMA order, the same
 //! reduction tree (the 4×2 tile reduces its eight accumulators in one
 //! transposed pass whose lane `i` is exactly the one-row tree of
-//! accumulator `i`), and the same `dim % 8` tail. Unlike the f64 kernels, f32 keys are
+//! accumulator `i`; a row lane joins its eight residue partials in that
+//! tree), and the same `dim % 8` tail. Unlike the f64 kernels, f32 keys are
 //! NOT bit-identical across hosts (FMA vs non-FMA) — by design: they
 //! only select candidates under a bound inflated by
 //! `Distance::f32_key_bound`, which covers either variant's rounding, and the exact f64
@@ -48,6 +52,25 @@ pub(crate) const LANES: usize = 8;
 /// cheap 8-term reduction tree per row) beats 16 lanes, whose doubled
 /// horizontal reduction eats the wider-register win at dim ≈ 64.
 pub(crate) const LANES_F32: usize = 8;
+
+/// Queries at which the f32 multi kernels switch, on AVX-512F + FMA
+/// hosts, from the register tiles to the rows-in-lanes order (see the
+/// `f32_intr` module). Set from `kernel_timing.rs`'s ignored
+/// `time_per_query_weight_multi_kernel` table, ns per (query, row) of
+/// the per-query-weight kernel, tile → rows in lanes, on a 2-vCPU
+/// AVX-512 x86-64 host:
+///
+/// | rows × dim | Q = 2       | Q = 4       | Q = 8       | Q = 16      |
+/// |------------|-------------|-------------|-------------|-------------|
+/// | 50k × 32   | 5.09 → 6.93 | 3.80 → 5.02 | 3.33 → 3.42 | 3.10 → 2.72 |
+/// | 16k × 32   |             |             | ×0.91       | ×0.86       |
+/// | 120k × 64  |             |             | ×0.92       | ×0.84       |
+///
+/// The transposed group pays off only when many queries share it: the
+/// order loses below 8 queries and breaks even to wins from 8 up, where
+/// the scan also drops its separate admit pass
+/// (`weighted_sq_multi_admit_f32`).
+pub(crate) const ROWS_IN_LANES_MIN_QUERIES: usize = 8;
 
 /// Components accumulated between early-abandon bound checks (f64).
 const SEGMENT: usize = 64;
@@ -642,7 +665,8 @@ mod f32_plain {
 }
 
 // ---------------------------------------------------------------------
-// Explicit-intrinsic f32 kernels (x86-64, AVX2+FMA).
+// Explicit-intrinsic f32 kernels (x86-64, AVX2+FMA; AVX-512F for the
+// rows-in-lanes order).
 //
 // The auto-vectorized f32 bodies above hit an LLVM lane-splitting
 // pathology on this shape (the 8-lane f32 accumulator is kept as two
@@ -651,19 +675,34 @@ mod f32_plain {
 // hand-written kernels do what the f64 bodies get from auto-
 // vectorization alone: full-width 256-bit lanes, two rows in flight
 // (two independent FMA chains hide the accumulate latency), and a
-// cheap `vhaddps` reduction. 256-bit vectors are used even on AVX-512
-// hosts — at these row lengths the win is latency hiding, not width.
+// cheap `vhaddps` reduction.
 //
 // The multi kernel is compute-bound once several queries share a hot
-// block, so it register-blocks queries × rows: 4×2 tiles (eight FMA
-// chains, each row loaded once for four queries, eight keys reduced by
-// six `hadd`s, two `permute2f128`s and one add), then a 2×2 tile, the
-// row-pair kernel and single rows for what is left over. A tile only
-// changes which keys are in flight together, never the arithmetic of
-// one key: each accumulator sees the same FMAs in the same order, and
-// the transposed reduction adds the same pairs in the same tree as
-// `reduce`, so the key bits do not depend on the shape a scan picks
-// (pinned by `f32_multi_blocks_match_single_query_blocks`).
+// block, and it has two evaluation orders:
+//
+// * Dimensions in lanes (every FMA host): a 256-bit accumulator holds
+//   eight dimension residues of one (query, row) key. The kernel
+//   register-blocks queries × rows: 4×2 tiles (eight FMA chains, each
+//   row loaded once for four queries, eight keys reduced by six
+//   `hadd`s, two `permute2f128`s and one add), then a 2×2 tile, the
+//   row-pair kernel and single rows for what is left over.
+// * Rows in lanes (AVX-512F hosts, batches of at least
+//   `ROWS_IN_LANES_MIN_QUERIES` queries): a 16×16 in-register transpose
+//   turns each 16-row group into one 512-bit vector per dimension, once
+//   for the whole batch; every query then keeps eight residue partials
+//   per row lane and joins them with seven vector adds, so one vector
+//   holds sixteen finished keys. The transpose costs more than the
+//   `hadd` reduction it saves until about eight queries share a group
+//   (the table on `ROWS_IN_LANES_MIN_QUERIES`), and a scan can compare
+//   the sixteen keys with its bound before they leave the register.
+//
+// Neither order changes the arithmetic of one key: lane `r` of a
+// dimensions-in-lanes accumulator and partial `r` of a row lane see the
+// same FMAs in the same order, both join them in `reduce`'s tree
+// `((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7))`, and both add the `dim % 8`
+// tail by per-key FMAs. So the key bits do not depend on the shape or
+// order a scan picks (pinned by
+// `f32_multi_blocks_match_single_query_blocks`).
 //
 // f32 keys from this path differ in the last ulps from the portable
 // chain (fused multiply-add, different reduction tree) — allowed by
@@ -1075,6 +1114,304 @@ mod f32_intr {
             }
         }
     }
+
+    /// Rows of one lane group of the rows-in-lanes order: one `__m512`
+    /// holds a key of each.
+    const GROUP: usize = 16;
+
+    /// The lane mask of a group's first `valid` rows.
+    #[inline]
+    fn group_mask(valid: usize) -> __mmask16 {
+        ((1u32 << valid) - 1) as __mmask16
+    }
+
+    /// In-register transpose of a 16×16 tile: lane `l` of output `d` is
+    /// lane `d` of input `l`. Unpacks interleave row pairs, in-lane
+    /// shuffles gather row quads, and two levels of 128-bit shuffles
+    /// line the four quads of each column up.
+    ///
+    /// # Safety
+    ///
+    /// The host supports AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose16(r: &[__m512; GROUP]) -> [__m512; GROUP] {
+        let mut t = [_mm512_setzero_ps(); GROUP];
+        for p in 0..GROUP / 2 {
+            t[2 * p] = _mm512_unpacklo_ps(r[2 * p], r[2 * p + 1]);
+            t[2 * p + 1] = _mm512_unpackhi_ps(r[2 * p], r[2 * p + 1]);
+        }
+        // Lane m (128-bit) of u[4g + j] holds column 4m + j of rows
+        // 4g..4g + 4.
+        let mut u = [_mm512_setzero_ps(); GROUP];
+        for g in 0..4 {
+            let (lo01, hi01, lo23, hi23) = (t[4 * g], t[4 * g + 1], t[4 * g + 2], t[4 * g + 3]);
+            u[4 * g] = _mm512_shuffle_ps::<0x44>(lo01, lo23);
+            u[4 * g + 1] = _mm512_shuffle_ps::<0xEE>(lo01, lo23);
+            u[4 * g + 2] = _mm512_shuffle_ps::<0x44>(hi01, hi23);
+            u[4 * g + 3] = _mm512_shuffle_ps::<0xEE>(hi01, hi23);
+        }
+        let mut out = [_mm512_setzero_ps(); GROUP];
+        for j in 0..4 {
+            let even01 = _mm512_shuffle_f32x4::<0x88>(u[j], u[4 + j]);
+            let even23 = _mm512_shuffle_f32x4::<0x88>(u[8 + j], u[12 + j]);
+            let odd01 = _mm512_shuffle_f32x4::<0xDD>(u[j], u[4 + j]);
+            let odd23 = _mm512_shuffle_f32x4::<0xDD>(u[8 + j], u[12 + j]);
+            out[j] = _mm512_shuffle_f32x4::<0x88>(even01, even23);
+            out[8 + j] = _mm512_shuffle_f32x4::<0xDD>(even01, even23);
+            out[4 + j] = _mm512_shuffle_f32x4::<0x88>(odd01, odd23);
+            out[12 + j] = _mm512_shuffle_f32x4::<0xDD>(odd01, odd23);
+        }
+        out
+    }
+
+    /// Transpose the `valid` rows of one lane group (`group` holds
+    /// `valid × dim` floats, row-major) into `t`: `t[i·16 + l]` is
+    /// dimension `i` of row `l`, lanes `valid..16` hold zeros, and the
+    /// columns past `dim` that pad the last 16-wide tile hold zeros too.
+    ///
+    /// # Safety
+    ///
+    /// The host supports AVX-512F, `1 ≤ valid ≤ 16`, `group` holds
+    /// `valid × dim` floats and `t` holds `⌈dim/16⌉ × 256`. The masked
+    /// loads read only dimensions `< dim` of rows `< valid`; a lane past
+    /// `valid` loads nothing (an empty mask at the group's first row).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose_group(group: &[f32], dim: usize, valid: usize, t: &mut [f32]) {
+        for c in (0..dim).step_by(GROUP) {
+            let width = group_mask((dim - c).min(GROUP));
+            let mut rows = [_mm512_setzero_ps(); GROUP];
+            for (l, row) in rows.iter_mut().enumerate() {
+                let (mask, at) = if l < valid {
+                    (width, l * dim + c)
+                } else {
+                    (0, 0)
+                };
+                *row = _mm512_maskz_loadu_ps(mask, group.as_ptr().add(at));
+            }
+            for (j, col) in transpose16(&rows).iter().enumerate() {
+                _mm512_storeu_ps(t.as_mut_ptr().add((c + j) * GROUP), *col);
+            }
+        }
+    }
+
+    /// Sixteen keys of one query against a transposed lane group: lane
+    /// `l` accumulates the dims `i ≡ r (mod 8)` of row `l` in partial
+    /// `r` with the same FMAs, in the same order, as accumulator lane
+    /// `r` of [`weighted_row`] (of [`l2_row`] when `!WEIGHTED`), joins
+    /// the partials in [`reduce`]'s tree `((p0+p1)+(p2+p3)) +
+    /// ((p4+p5)+(p6+p7))` and adds the `dim % 8` tail per lane — so
+    /// every lane carries the bits the row-major kernels give its row.
+    ///
+    /// # Safety
+    ///
+    /// The host supports AVX-512F and FMA; `q` (and `w` when
+    /// `WEIGHTED`) point at `dim` floats and `t` at `dim × 16`.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn lane_keys<const WEIGHTED: bool>(
+        w: *const f32,
+        q: *const f32,
+        t: *const f32,
+        dim: usize,
+    ) -> __m512 {
+        #[inline]
+        #[target_feature(enable = "avx512f,fma")]
+        unsafe fn term<const WEIGHTED: bool>(
+            w: *const f32,
+            q: *const f32,
+            t: *const f32,
+            i: usize,
+            acc: __m512,
+        ) -> __m512 {
+            let d = _mm512_sub_ps(_mm512_set1_ps(*q.add(i)), _mm512_loadu_ps(t.add(i * GROUP)));
+            if WEIGHTED {
+                _mm512_fmadd_ps(_mm512_set1_ps(*w.add(i)), _mm512_mul_ps(d, d), acc)
+            } else {
+                _mm512_fmadd_ps(d, d, acc)
+            }
+        }
+        let chunks = dim / 8;
+        let mut p = [_mm512_setzero_ps(); 8];
+        for c in 0..chunks {
+            for (r, acc) in p.iter_mut().enumerate() {
+                *acc = term::<WEIGHTED>(w, q, t, c * 8 + r, *acc);
+            }
+        }
+        let mut keys = _mm512_add_ps(
+            _mm512_add_ps(_mm512_add_ps(p[0], p[1]), _mm512_add_ps(p[2], p[3])),
+            _mm512_add_ps(_mm512_add_ps(p[4], p[5]), _mm512_add_ps(p[6], p[7])),
+        );
+        for i in chunks * 8..dim {
+            keys = term::<WEIGHTED>(w, q, t, i, keys);
+        }
+        keys
+    }
+
+    /// The rows-in-lanes multi kernel: transpose each 16-row group of
+    /// `block` once ([`transpose_group`]), score it against every query
+    /// ([`lane_keys`]) and hand `visit(q, first row, valid rows, keys)`
+    /// each query's sixteen keys in register. The 4×2 tile shares a row
+    /// load across four queries; this order shares one transposed group
+    /// across the whole batch and reduces sixteen keys with seven adds,
+    /// so it wins once a batch holds enough queries
+    /// ([`super::ROWS_IN_LANES_MIN_QUERIES`]).
+    ///
+    /// # Safety
+    ///
+    /// The host supports AVX-512F and FMA; `queries` holds `nq × dim`
+    /// floats, `weights` `(nq − 1)·w_stride + dim` when `WEIGHTED`, and
+    /// `block` a whole number of `dim`-float rows.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn lanes_multi<const WEIGHTED: bool>(
+        weights: &[f32],
+        w_stride: usize,
+        queries: &[f32],
+        block: &[f32],
+        dim: usize,
+        nq: usize,
+        mut visit: impl FnMut(usize, usize, usize, __m512),
+    ) {
+        let rows = block.len().checked_div(dim).unwrap_or(0);
+        if rows == 0 {
+            return;
+        }
+        let mut t = vec![0.0f32; dim.next_multiple_of(GROUP) * GROUP];
+        for row0 in (0..rows).step_by(GROUP) {
+            let valid = (rows - row0).min(GROUP);
+            transpose_group(&block[row0 * dim..(row0 + valid) * dim], dim, valid, &mut t);
+            // The scoring below outlasts the out-of-order window, so ask
+            // for the next group's lines now.
+            let next = &block[((row0 + GROUP) * dim).min(block.len())..];
+            for line in next.iter().take(GROUP * dim).step_by(16) {
+                _mm_prefetch::<_MM_HINT_T0>((line as *const f32).cast());
+            }
+            for q in 0..nq {
+                let w = if WEIGHTED {
+                    weights.as_ptr().add(q * w_stride)
+                } else {
+                    weights.as_ptr()
+                };
+                let keys = lane_keys::<WEIGHTED>(w, queries.as_ptr().add(q * dim), t.as_ptr(), dim);
+                visit(q, row0, valid, keys);
+            }
+        }
+    }
+
+    /// Rows-in-lanes weighted keys (`w_stride` as in
+    /// [`weighted_sq_multi`]), every key written to `out` (`q·rows + r`).
+    ///
+    /// # Safety
+    ///
+    /// The host supports AVX-512F and FMA, and the slices hold the
+    /// lengths `super::weighted_sq_multi_block_f32` asserts.
+    #[target_feature(enable = "avx512f,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn weighted_sq_multi_lanes(
+        weights: &[f32],
+        w_stride: usize,
+        queries: &[f32],
+        block: &[f32],
+        dim: usize,
+        bounds: &[f32],
+        out: &mut [f32],
+    ) {
+        let rows = block.len().checked_div(dim).unwrap_or(0);
+        let keys = out.as_mut_ptr();
+        lanes_multi::<true>(
+            weights,
+            w_stride,
+            queries,
+            block,
+            dim,
+            bounds.len(),
+            |q, r, valid, k| {
+                // SAFETY: `out` holds `nq × rows` keys and `r + valid ≤ rows`.
+                unsafe { _mm512_mask_storeu_ps(keys.add(q * rows + r), group_mask(valid), k) }
+            },
+        );
+    }
+
+    /// Rows-in-lanes L2 keys, every key written to `out` (`q·rows + r`).
+    ///
+    /// # Safety
+    ///
+    /// The host supports AVX-512F and FMA, and the slices hold the
+    /// lengths `super::l2_sq_multi_block_f32` asserts.
+    #[target_feature(enable = "avx512f,fma")]
+    pub(super) unsafe fn l2_sq_multi_lanes(
+        queries: &[f32],
+        block: &[f32],
+        dim: usize,
+        bounds: &[f32],
+        out: &mut [f32],
+    ) {
+        let rows = block.len().checked_div(dim).unwrap_or(0);
+        let keys = out.as_mut_ptr();
+        lanes_multi::<false>(
+            queries,
+            0,
+            queries,
+            block,
+            dim,
+            bounds.len(),
+            |q, r, valid, k| {
+                // SAFETY: as in `weighted_sq_multi_lanes`.
+                unsafe { _mm512_mask_storeu_ps(keys.add(q * rows + r), group_mask(valid), k) }
+            },
+        );
+    }
+
+    /// Rows-in-lanes weighted keys admitted in register: each query's
+    /// sixteen keys of a group are compared with its `lane_bounds[q]`,
+    /// and only a group with a set lane is stored and handed to
+    /// `admit(q, first row, mask, keys of the valid rows)`. Returns
+    /// whether some valid row of some query failed its lane bound.
+    ///
+    /// # Safety
+    ///
+    /// As for [`weighted_sq_multi_lanes`], with `lane_bounds` holding
+    /// one bound per query.
+    #[target_feature(enable = "avx512f,fma")]
+    pub(super) unsafe fn weighted_sq_multi_lanes_admit(
+        weights: &[f32],
+        w_stride: usize,
+        queries: &[f32],
+        block: &[f32],
+        dim: usize,
+        lane_bounds: &[f32],
+        mut admit: impl FnMut(usize, usize, u32, &[f32]),
+    ) -> bool {
+        let nq = lane_bounds.len();
+        let mut failed = false;
+        lanes_multi::<true>(
+            weights,
+            w_stride,
+            queries,
+            block,
+            dim,
+            nq,
+            |q, r, valid, keys| {
+                let all = group_mask(valid);
+                // `LE_OQ` is false for NaN, like `<=`.
+                let mask = _mm512_mask_cmp_ps_mask::<_CMP_LE_OQ>(
+                    all,
+                    keys,
+                    _mm512_set1_ps(lane_bounds[q]),
+                );
+                failed |= mask != all;
+                if mask != 0 {
+                    let mut lanes = [0.0f32; GROUP];
+                    // SAFETY: `lanes` holds sixteen floats.
+                    unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), keys) };
+                    admit(q, r, u32::from(mask), &lanes[..valid]);
+                }
+            },
+        );
+        failed
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1139,6 +1476,13 @@ mod dispatch {
             }
             l => l,
         }
+    }
+
+    /// Whether the host runs the rows-in-lanes f32 kernels: AVX-512F
+    /// and FMA.
+    #[inline]
+    pub(super) fn has_avx512_fma() -> bool {
+        level() == AVX512 && has_fma()
     }
 
     macro_rules! isa_versions {
@@ -1394,6 +1738,9 @@ mod dispatch {
     ) {
         match (level(), has_fma()) {
             // SAFETY: the matching CPU features were detected above.
+            (AVX512, true) if bounds.len() >= super::ROWS_IN_LANES_MIN_QUERIES => unsafe {
+                super::f32_intr::l2_sq_multi_lanes(queries, block, dim, bounds, out)
+            },
             (AVX512 | AVX2, true) => unsafe {
                 super::f32_intr::l2_sq_multi(queries, block, dim, bounds, out)
             },
@@ -1415,6 +1762,11 @@ mod dispatch {
     ) {
         match (level(), has_fma()) {
             // SAFETY: the matching CPU features were detected above.
+            (AVX512, true) if bounds.len() >= super::ROWS_IN_LANES_MIN_QUERIES => unsafe {
+                super::f32_intr::weighted_sq_multi_lanes(
+                    weights, w_stride, queries, block, dim, bounds, out,
+                )
+            },
             (AVX512 | AVX2, true) => unsafe {
                 super::f32_intr::weighted_sq_multi(
                     weights, w_stride, queries, block, dim, bounds, out,
@@ -1624,6 +1976,73 @@ pub fn weighted_sq_multi_block_f32(
     }
 }
 
+/// Whether the f32 multi kernels score a batch of `nq` queries in the
+/// rows-in-lanes order on this host ([`ROWS_IN_LANES_MIN_QUERIES`]),
+/// which is when [`weighted_sq_multi_admit_f32`] may run.
+pub(crate) fn rows_in_lanes(nq: usize) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        nq >= ROWS_IN_LANES_MIN_QUERIES && dispatch::has_avx512_fma()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = nq;
+        false
+    }
+}
+
+/// The keys of [`weighted_sq_multi_block_f32`] in the rows-in-lanes
+/// order, admitted in register instead of written out: per query and
+/// 16-row group, the keys `≤ lane_bounds[q]` set a lane mask, and only
+/// a group with a set lane reaches `admit(q, first row of the group,
+/// mask, keys of the group's rows)`. Returns whether some row of some
+/// query failed its lane bound. The keys a group hands over are
+/// bit-identical to those [`weighted_sq_multi_block_f32`] writes.
+///
+/// # Panics
+///
+/// Panics unless [`rows_in_lanes`] holds for `lane_bounds.len()`
+/// queries, and when the slice lengths do not fit as there.
+pub(crate) fn weighted_sq_multi_admit_f32(
+    weights: &[f32],
+    w_stride: usize,
+    queries: &[f32],
+    block: &[f32],
+    dim: usize,
+    lane_bounds: &[f32],
+    admit: impl FnMut(usize, usize, u32, &[f32]),
+) -> bool {
+    let nq = lane_bounds.len();
+    assert!(
+        rows_in_lanes(nq),
+        "the rows-in-lanes kernel does not serve this batch"
+    );
+    // Release-mode asserts: see `l2_sq_block_f32`.
+    assert!(w_stride == 0 || w_stride == dim);
+    assert_eq!(queries.len(), nq * dim);
+    assert_eq!(weights.len(), if w_stride == 0 { dim } else { nq * dim });
+    assert_eq!(block.len() % dim.max(1), 0);
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `rows_in_lanes` detected AVX-512F and FMA, and the asserts
+    // above give the slice lengths the kernel reads.
+    unsafe {
+        f32_intr::weighted_sq_multi_lanes_admit(
+            weights,
+            w_stride,
+            queries,
+            block,
+            dim,
+            lane_bounds,
+            admit,
+        )
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (weights, block, admit);
+        unreachable!("rows_in_lanes is false off x86-64")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1815,27 +2234,51 @@ mod tests {
     #[test]
     fn f32_multi_blocks_match_single_query_blocks() {
         // Every kernel shape the multi kernels may pick (query tiles,
-        // row pairs, an odd trailing row, the `dim % 8` tail) must give
-        // each (query, row) pair the key bits a single-query block call
-        // gives it.
-        for nq in 1..=9usize {
-            for dim in [1usize, 7, 8, 9, 24, 32, 33, 64] {
-                for rows in [1usize, 2, 18, 19] {
+        // row pairs, an odd trailing row, the `dim % 8` tail, and from
+        // `ROWS_IN_LANES_MIN_QUERIES` queries on AVX-512F hosts the
+        // rows-in-lanes order with its 16-wide transpose tail and
+        // partial row groups) must give each (query, row) pair the key
+        // bits a single-query block call gives it, wherever the block
+        // slice starts.
+        #[cfg(target_arch = "x86_64")]
+        let lanes_host = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let lanes_host = false;
+        if !lanes_host {
+            println!("no AVX-512F + FMA: the rows-in-lanes kernel was not exercised");
+        }
+        let dims: Vec<usize> = (1..=40).chain(63..=65).chain([96, 130]).collect();
+        let bits = |keys: &[f32]| keys.iter().map(|k| k.to_bits()).collect::<Vec<_>>();
+        for nq in 1..=17usize {
+            for (di, &dim) in dims.iter().enumerate() {
+                // Every row count 1..=40 comes round for every query
+                // count; the full and one-short 256-row blocks every
+                // fifth shape.
+                let mut row_counts = vec![1 + (nq * 11 + di * 5) % 40];
+                if (nq + di) % 5 == 0 {
+                    row_counts.push(255 + (nq + di) / 5 % 2);
+                }
+                for rows in row_counts {
+                    let offset = (nq + di + rows) % 4;
+                    let mut buf = vec![0.0f32; rows * dim + 32];
+                    let base = buf.as_ptr().align_offset(64) + offset;
+                    for (i, v) in buf[base..base + rows * dim].iter_mut().enumerate() {
+                        *v = (i as f32 * 0.3).sin();
+                    }
+                    let block = &buf[base..base + rows * dim];
                     let queries: Vec<f32> =
                         (0..nq * dim).map(|i| (i as f32 * 0.13).cos()).collect();
-                    let block: Vec<f32> = (0..rows * dim).map(|i| (i as f32 * 0.3).sin()).collect();
                     let shared_w: Vec<f32> = (0..dim).map(|i| 1.0 + (i % 3) as f32).collect();
                     let per_q_w: Vec<f32> =
                         (0..nq * dim).map(|i| 0.5 + (i % 7) as f32 * 0.37).collect();
                     let bounds = vec![f32::INFINITY; nq];
                     let mut single = vec![0.0f32; rows];
                     let mut multi = vec![0.0f32; nq * rows];
-                    let bits = |keys: &[f32]| keys.iter().map(|k| k.to_bits()).collect::<Vec<_>>();
                     let span = |q: usize| q * dim..(q + 1) * dim;
-                    let shape = format!("nq {nq} dim {dim} rows {rows}");
-                    l2_sq_multi_block_f32(&queries, &block, dim, &bounds, &mut multi);
+                    let shape = format!("nq {nq} dim {dim} rows {rows} offset {offset}");
+                    l2_sq_multi_block_f32(&queries, block, dim, &bounds, &mut multi);
                     for q in 0..nq {
-                        l2_sq_block_f32(&queries[span(q)], &block, dim, f32::INFINITY, &mut single);
+                        l2_sq_block_f32(&queries[span(q)], block, dim, f32::INFINITY, &mut single);
                         assert_eq!(
                             bits(&multi[q * rows..(q + 1) * rows]),
                             bits(&single),
@@ -1843,13 +2286,13 @@ mod tests {
                         );
                     }
                     weighted_sq_multi_block_f32(
-                        &shared_w, 0, &queries, &block, dim, &bounds, &mut multi,
+                        &shared_w, 0, &queries, block, dim, &bounds, &mut multi,
                     );
                     for q in 0..nq {
                         weighted_sq_block_f32(
                             &shared_w,
                             &queries[span(q)],
-                            &block,
+                            block,
                             dim,
                             f32::INFINITY,
                             &mut single,
@@ -1861,13 +2304,13 @@ mod tests {
                         );
                     }
                     weighted_sq_multi_block_f32(
-                        &per_q_w, dim, &queries, &block, dim, &bounds, &mut multi,
+                        &per_q_w, dim, &queries, block, dim, &bounds, &mut multi,
                     );
                     for q in 0..nq {
                         weighted_sq_block_f32(
                             &per_q_w[span(q)],
                             &queries[span(q)],
-                            &block,
+                            block,
                             dim,
                             f32::INFINITY,
                             &mut single,
@@ -1967,11 +2410,15 @@ mod tests {
         // single remainder row; the FMA multi kernel runs, on the row
         // pair, a 4×2 tile (queries 0–3), a 2×2 tile (queries 4–5) and
         // the row-pair kernel (query 6), then single rows for the odd
-        // row.
+        // row. On AVX-512F hosts the rows-in-lanes kernel, called
+        // directly (the dispatch gives it 8 or more queries), scores
+        // the three rows as one partial group.
         const NQ: usize = 7;
         const ROWS: usize = 3;
         #[cfg(target_arch = "x86_64")]
         let fma_host = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        #[cfg(target_arch = "x86_64")]
+        let lanes_host = fma_host && is_x86_feature_detected!("avx512f");
         let mut rng = StdRng::seed_from_u64(0x51ac);
         let mut worst_use = 0.0f64;
         for dim in 1..=130usize {
@@ -2038,7 +2485,16 @@ mod tests {
                                 &w32, dim, &q32, &b32, dim, &unbounded, &mut multi,
                             );
                         }
-                        shapes.push(("intr multi", multi));
+                        shapes.push(("intr multi", multi.clone()));
+                        if lanes_host {
+                            // SAFETY: avx512f + fma were detected above.
+                            unsafe {
+                                f32_intr::weighted_sq_multi_lanes(
+                                    &w32, dim, &q32, &b32, dim, &unbounded, &mut multi,
+                                );
+                            }
+                            shapes.push(("rows in lanes", multi));
+                        }
                         shapes.push((
                             "intr block",
                             per_query(&|w, q, keys| unsafe {

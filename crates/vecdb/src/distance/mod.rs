@@ -498,8 +498,10 @@ pub(crate) const F32_KEY_OVERFLOW_GUARD: f64 = f32::MAX as f64 / 16.0;
 ///   rounds each partial sum at most `n` times on any term's path, so
 ///   it costs `γₙ` relative to the computed terms' sum, plus `η` per
 ///   fused multiply-add whose result underflows (a plain addition with a
-///   subnormal result is exact). This covers the portable lane tree and
-///   the row-pair, 2×2-tile and 4×2-tile FMA kernels alike.
+///   subnormal result is exact). This covers the portable lane tree,
+///   the row-pair, 2×2-tile and 4×2-tile FMA kernels and the AVX-512
+///   rows-in-lanes order (eight residue partials per row lane, joined
+///   in the row kernels' tree) alike.
 ///
 /// With `c = γₙ₊₃`, the pieces compose to
 /// `|key32 − key| ≤ (c + 2u(1+c))·key + (1+c)·2ε·√(Σw)·√key +

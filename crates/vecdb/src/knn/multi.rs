@@ -352,7 +352,12 @@ impl<'a> MultiQueryScan<'a> {
     /// Per-query-weight f32 phase-1: one register-blocked multi-kernel
     /// call scores the mirror block against all queries, each pruned by
     /// its own band's `T + Δ(T)` (same containment argument as
-    /// [`Self::scan_range_shared_f32`], per query).
+    /// [`Self::scan_range_shared_f32`], per query). When the batch takes
+    /// the rows-in-lanes kernel ([`kernels::rows_in_lanes`]), the keys
+    /// never leave the registers: the kernel masks each query's 16-row
+    /// group against its lane bound and only a group with a set lane
+    /// reaches [`admit_run`], so the pools, the k-bests and the vote
+    /// equal those of [`admit_block`] over the written keys.
     #[allow(clippy::too_many_arguments)]
     fn scan_range_weighted_f32(
         &self,
@@ -367,7 +372,8 @@ impl<'a> MultiQueryScan<'a> {
     ) {
         let dim = self.layout.coll.dim();
         let nq = kbs.len();
-        let mut keys = vec![0.0f32; nq * BLOCK_ROWS];
+        let in_register = kernels::rows_in_lanes(nq);
+        let mut keys = vec![0.0f32; if in_register { 0 } else { nq * BLOCK_ROWS }];
         let mut bounds64 = vec![f64::INFINITY; nq];
         let mut bounds32 = vec![f32::INFINITY; nq];
         self.for_each_block(rows, |start, end| {
@@ -381,11 +387,28 @@ impl<'a> MultiQueryScan<'a> {
                 *b64 = phase1_bound(kb, ks[q], cap_of(caps, q), &bands[q]);
                 *b32 = f32_bound_up(*b64);
             }
+            let block = self.block_f32(start, end);
+            if in_register {
+                let mut failed = false;
+                let unset = kernels::weighted_sq_multi_admit_f32(
+                    flat_w32,
+                    dim,
+                    flat_q32,
+                    block,
+                    dim,
+                    &bounds32,
+                    |q, r, mask, lanes| {
+                        let (kb, pool) = (&mut kbs[q], Some(&mut cands[q]));
+                        failed |= admit_run(mask, lanes, start + r, bounds64[q], None, kb, pool);
+                    },
+                );
+                return unset || failed;
+            }
             kernels::weighted_sq_multi_block_f32(
                 flat_w32,
                 dim,
                 flat_q32,
-                self.block_f32(start, end),
+                block,
                 dim,
                 &bounds32,
                 &mut keys[..nq * n],
@@ -865,32 +888,50 @@ fn admit<K: AdmitKey>(
 ) -> bool {
     let lane_bound = K::lane_bound(bound);
     let mut failed = false;
-    let mut take = |mut mask: u32, lanes: &[K], base: usize| {
-        failed |= mask != (1u32 << lanes.len()) - 1;
-        while mask != 0 {
-            let l = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let key = lanes[l].widen();
-            if key <= bound {
-                let row = base + l;
-                if let Some(pool) = pool.as_deref_mut() {
-                    pool.push((row as u32, lanes[l]));
-                }
-                kb.push(perm.map_or(row as u32, |p| p[row]), key);
-            } else {
-                failed = true;
-            }
-        }
-    };
     let mut runs = keys.chunks_exact(ADMIT_LANES);
     let mut base = start;
     for run in &mut runs {
         let run: &[K; ADMIT_LANES] = run.try_into().expect("exact run");
-        take(K::run_mask(run, lane_bound), run, base);
+        let mask = K::run_mask(run, lane_bound);
+        failed |= admit_run(mask, run, base, bound, perm, kb, pool.as_deref_mut());
         base += ADMIT_LANES;
     }
     let rest = runs.remainder();
-    take(lane_mask(rest, lane_bound), rest, base);
+    let mask = lane_mask(rest, lane_bound);
+    failed | admit_run(mask, rest, base, bound, perm, kb, pool)
+}
+
+/// The exact step of every admit: `lanes[l]` is the key of row
+/// `base + l`, and `mask` has bit `l` set iff `lanes[l] ≤ lane_bound`
+/// ([`AdmitKey::lane_bound`]). Each set lane, in row order, is
+/// compared with `bound` exactly in f64 and, when it passes, pushed to
+/// the k-best (under `perm`) and to the `pool`. Returns whether some
+/// lane failed: a clear lane, or a set lane over `bound`.
+#[inline]
+fn admit_run<K: AdmitKey>(
+    mut mask: u32,
+    lanes: &[K],
+    base: usize,
+    bound: f64,
+    perm: Option<&[u32]>,
+    kb: &mut KBest,
+    mut pool: Option<&mut Vec<(u32, K)>>,
+) -> bool {
+    let mut failed = mask != (1u32 << lanes.len()) - 1;
+    while mask != 0 {
+        let l = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        let key = lanes[l].widen();
+        if key <= bound {
+            let row = base + l;
+            if let Some(pool) = pool.as_deref_mut() {
+                pool.push((row as u32, lanes[l]));
+            }
+            kb.push(perm.map_or(row as u32, |p| p[row]), key);
+        } else {
+            failed = true;
+        }
+    }
     failed
 }
 
@@ -1278,6 +1319,129 @@ mod tests {
                         want_kb.into_sorted_entries(),
                         "f64 k-best, {shape}"
                     );
+                }
+            }
+        }
+        group_admit_matches_row_by_row_loop(&mut rng);
+    }
+
+    /// The in-register group admit of the rows-in-lanes kernel
+    /// (`scan_range_weighted_f32`'s path from
+    /// `ROWS_IN_LANES_MIN_QUERIES` queries) against the row-by-row loop
+    /// over the keys the writing kernel scores: same votes, pools and
+    /// k-bests. Rows holding a NaN score NaN keys and rows of huge
+    /// values `+∞` keys; each query takes its own bound and `k`.
+    fn group_admit_matches_row_by_row_loop(rng: &mut rand::rngs::StdRng) {
+        use rand::Rng;
+        if !kernels::rows_in_lanes(kernels::ROWS_IN_LANES_MIN_QUERIES) {
+            println!("no AVX-512F + FMA: the in-register group admit was not exercised");
+            return;
+        }
+        for nq in [8usize, 17] {
+            for dim in [5usize, 32] {
+                // Partial groups: 1, 15 and 17 rows leave lanes masked.
+                for rows in [1usize, 15, 16, 17, 40, 256] {
+                    let queries: Vec<f32> =
+                        (0..nq * dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+                    let weights: Vec<f32> =
+                        (0..nq * dim).map(|_| rng.gen_range(0.1..2.0)).collect();
+                    let blocks: Vec<Vec<f32>> = (0..2)
+                        .map(|_| {
+                            let mut block: Vec<f32> =
+                                (0..rows * dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+                            for r in 0..rows {
+                                match rng.gen_range(0..10) {
+                                    0 => block[r * dim] = f32::NAN,
+                                    1 => block[r * dim] = 1e30,
+                                    _ => {}
+                                }
+                            }
+                            block
+                        })
+                        .collect();
+                    let mut keys = vec![0.0f32; nq * rows];
+                    kernels::weighted_sq_multi_block_f32(
+                        &weights,
+                        dim,
+                        &queries,
+                        &blocks[0],
+                        dim,
+                        &vec![f32::INFINITY; nq],
+                        &mut keys,
+                    );
+                    // A finite key of the first block: as an f64 it is a
+                    // bound both tests agree on; just under it, the lane
+                    // bound rounds up onto the key, which then passes the
+                    // mask and fails the exact test.
+                    let finite: Vec<f64> = keys
+                        .iter()
+                        .filter(|k| k.is_finite())
+                        .map(|&k| f64::from(k))
+                        .collect();
+                    let pick = finite.get(finite.len() / 2).copied().unwrap_or(1.0);
+                    let below = pick - pick * 1e-12;
+                    assert_eq!(f64::from(f32_bound_up(below)), pick);
+                    let nothing = -1.0;
+                    let bounds: [f64; 5] = [nothing, f64::INFINITY, f64::NEG_INFINITY, pick, below];
+                    let ks = [5usize, 50, 0, 1, 5];
+                    let bound = |q: usize| bounds[q % 5];
+                    let k_of = |q: usize| ks[q % 5];
+                    let lane_bounds: Vec<f32> = (0..nq).map(|q| f32_bound_up(bound(q))).collect();
+                    let shape = format!("nq {nq} dim {dim} rows {rows}");
+
+                    let mut kbs: Vec<KBest> = (0..nq).map(|q| KBest::new(k_of(q))).collect();
+                    let mut want_kbs: Vec<KBest> = (0..nq).map(|q| KBest::new(k_of(q))).collect();
+                    let mut pools = vec![Vec::new(); nq];
+                    let mut want_pools = vec![Vec::new(); nq];
+                    for (b, block) in blocks.iter().enumerate() {
+                        let start = 7 + b * rows;
+                        let mut failed = false;
+                        let unset = kernels::weighted_sq_multi_admit_f32(
+                            &weights,
+                            dim,
+                            &queries,
+                            block,
+                            dim,
+                            &lane_bounds,
+                            |q, r, mask, lanes| {
+                                let (kb, pool) = (&mut kbs[q], Some(&mut pools[q]));
+                                failed |=
+                                    admit_run(mask, lanes, start + r, bound(q), None, kb, pool);
+                            },
+                        );
+                        kernels::weighted_sq_multi_block_f32(
+                            &weights,
+                            dim,
+                            &queries,
+                            block,
+                            dim,
+                            &vec![f32::INFINITY; nq],
+                            &mut keys,
+                        );
+                        let mut want = false;
+                        for (q, query_keys) in keys.chunks_exact(rows).enumerate() {
+                            want |= admit_row_by_row(
+                                query_keys,
+                                bound(q),
+                                start,
+                                None,
+                                &mut want_kbs[q],
+                                Some(&mut want_pools[q]),
+                            );
+                        }
+                        assert_eq!(unset || failed, want, "vote, block {b}, {shape}");
+                    }
+                    let bits = |p: &[(u32, f32)]| {
+                        p.iter().map(|&(i, k)| (i, k.to_bits())).collect::<Vec<_>>()
+                    };
+                    for (q, (kb, want_kb)) in kbs.into_iter().zip(want_kbs).enumerate() {
+                        assert_eq!(bits(&pools[q]), bits(&want_pools[q]), "pool q{q}, {shape}");
+                        assert_eq!(
+                            kb.into_sorted_entries(),
+                            want_kb.into_sorted_entries(),
+                            "k-best q{q}, {shape}"
+                        );
+                    }
                 }
             }
         }

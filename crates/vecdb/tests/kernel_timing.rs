@@ -60,22 +60,36 @@ fn min_ns(reps: usize, mut f: impl FnMut()) -> f64 {
 /// The Q×row table of the per-query-weight f32 phase 1: ns per
 /// (query, row) for one multi-kernel call per 256-row block against Q
 /// single-query block calls per block, the two ways a scan can score Q
-/// diverged sessions.
+/// diverged sessions. The `tile` column scores the same batch as
+/// sub-batches of at most 4 queries, which always take the register
+/// tiles; on an AVX-512F + FMA host a batch of
+/// `ROWS_IN_LANES_MIN_QUERIES` (8) or more queries takes the
+/// rows-in-lanes order instead, so `tile/multi` at Q ≥ 8 is the
+/// break-even table behind that cutoff (below it both columns run the
+/// tiles and the ratio reads ~1).
 #[test]
 #[ignore]
 fn time_per_query_weight_multi_kernel() {
     const N: usize = 50_000;
     const BLOCK_ROWS: usize = 256;
     const REPS: usize = 7;
+    #[cfg(target_arch = "x86_64")]
+    let avx512f = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx512f = false;
     println!(
-        "{:>3} {:>3} {:>14} {:>15} {:>8}",
-        "D", "Q", "multi ns/q·row", "single ns/q·row", "speedup"
+        "host avx512f+fma: {avx512f} (rows-in-lanes at Q >= 8: {})",
+        if avx512f { "yes" } else { "no, tiles only" }
+    );
+    println!(
+        "{:>3} {:>3} {:>14} {:>14} {:>15} {:>10} {:>8}",
+        "D", "Q", "tile ns/q·row", "multi ns/q·row", "single ns/q·row", "tile/multi", "speedup"
     );
     for dim in [32usize, 64] {
         let block: Vec<f32> = (0..N * dim)
             .map(|i| (i as f32 * 0.37).sin().abs())
             .collect();
-        for nq in [1usize, 2, 4, 16] {
+        for nq in [1usize, 2, 4, 8, 16] {
             let queries: Vec<f32> = (0..nq * dim)
                 .map(|i| (i as f32 * 0.7).cos().abs())
                 .collect();
@@ -95,21 +109,26 @@ fn time_per_query_weight_multi_kernel() {
                 .collect();
             let bounds = vec![f32::INFINITY; nq];
             let mut out = vec![0.0f32; nq * BLOCK_ROWS];
-            let multi = min_ns(REPS, || {
+            let multi_in = |sub: usize, out: &mut [f32]| {
                 for rows in block.chunks(BLOCK_ROWS * dim) {
                     let n = rows.len() / dim;
-                    weighted_sq_multi_block_f32(
-                        &weights,
-                        dim,
-                        black_box(&queries),
-                        rows,
-                        dim,
-                        &bounds,
-                        &mut out[..nq * n],
-                    );
+                    for (lo, keys) in (0..nq).step_by(sub).zip(out.chunks_mut(sub * n)) {
+                        let hi = (lo + sub).min(nq);
+                        weighted_sq_multi_block_f32(
+                            &weights[lo * dim..hi * dim],
+                            dim,
+                            black_box(&queries[lo * dim..hi * dim]),
+                            rows,
+                            dim,
+                            &bounds[lo..hi],
+                            &mut keys[..(hi - lo) * n],
+                        );
+                    }
                     black_box(&out);
                 }
-            });
+            };
+            let tile = min_ns(REPS, || multi_in(4, &mut out));
+            let multi = min_ns(REPS, || multi_in(nq, &mut out));
             let single = min_ns(REPS, || {
                 for rows in block.chunks(BLOCK_ROWS * dim) {
                     let n = rows.len() / dim;
@@ -121,9 +140,11 @@ fn time_per_query_weight_multi_kernel() {
             });
             let per = (nq * N) as f64;
             println!(
-                "{dim:>3} {nq:>3} {:>14.3} {:>15.3} {:>8.2}",
+                "{dim:>3} {nq:>3} {:>14.3} {:>14.3} {:>15.3} {:>10.2} {:>8.2}",
+                tile / per,
                 multi / per,
                 single / per,
+                tile / multi,
                 single / multi
             );
         }

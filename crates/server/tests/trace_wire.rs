@@ -250,6 +250,10 @@ fn start_cluster(
 /// Router tier: traced ≡ untraced bit-identity against the flat
 /// in-process `shards = 3` oracle, self-consistent trailers whose
 /// spans carry downstream round trips (fill 0), and a working ring.
+/// Hedging is off: a leg that is merely late on a loaded host would
+/// otherwise fire a hedge and set a span flag, and this scenario
+/// asserts healthy legs set none (hedges have their own test,
+/// `hedge_attribution_lands_in_the_span_flags`).
 #[test]
 fn router_traced_reply_is_identical_and_self_consistent() {
     let coll = Arc::new(collection());
@@ -257,6 +261,7 @@ fn router_traced_reply_is_identical_and_self_consistent() {
         &coll,
         RouterConfig {
             slow_trace_threshold: Duration::ZERO,
+            hedge: None,
             ..Default::default()
         },
     );

@@ -55,21 +55,24 @@ pub(crate) const LANES_F32: usize = 8;
 
 /// Queries at which the f32 multi kernels switch, on AVX-512F + FMA
 /// hosts, from the register tiles to the rows-in-lanes order (see the
-/// `f32_intr` module). Set from `kernel_timing.rs`'s ignored
-/// `time_per_query_weight_multi_kernel` table, ns per (query, row) of
-/// the per-query-weight kernel, tile → rows in lanes, on a 2-vCPU
-/// AVX-512 x86-64 host:
+/// `f32_intr` module). Break-even of the per-query-weight kernel on a
+/// 2-vCPU AVX-512 x86-64 host: fastest of 60 same-process alternations
+/// per cell, rows-in-lanes ns over tile ns per (query, row), and how
+/// many of the 60 alternations rows in lanes won:
 ///
-/// | rows × dim | Q = 2       | Q = 4       | Q = 8       | Q = 16      |
-/// |------------|-------------|-------------|-------------|-------------|
-/// | 50k × 32   | 5.09 → 6.93 | 3.80 → 5.02 | 3.33 → 3.42 | 3.10 → 2.72 |
-/// | 16k × 32   |             |             | ×0.91       | ×0.86       |
-/// | 120k × 64  |             |             | ×0.92       | ×0.84       |
+/// | rows × dim | Q = 1       | Q = 2       | Q = 4       | Q = 8       | Q = 16      |
+/// |------------|-------------|-------------|-------------|-------------|-------------|
+/// | 50k × 32   | ×1.05 11/60 | ×1.04 17/60 | ×1.03 13/60 | ×0.88 60/60 | ×0.84 60/60 |
+/// | 16k × 32   | ×1.14 5/60  | ×1.14 6/60  | ×1.10 4/60  | ×1.01 46/60 | ×0.98 44/60 |
+/// | 120k × 64  | ×1.01 35/60 | ×0.93 59/60 | ×1.02 34/60 | ×0.80 60/60 | ×0.90 60/60 |
 ///
 /// The transposed group pays off only when many queries share it: the
-/// order loses below 8 queries and breaks even to wins from 8 up, where
-/// the scan also drops its separate admit pass
-/// (`weighted_sq_multi_admit_f32`).
+/// order loses or ties below 8 queries and wins from 8 up, where the
+/// per-query-weight scan also drops its separate admit pass
+/// (`weighted_sq_multi_admit_f32`). `kernel_timing.rs`'s ignored
+/// `time_per_query_weight_multi_kernel` reprints the Q ≥ 8 half of this
+/// comparison on any host (below 8 queries both of its columns run the
+/// tiles).
 pub(crate) const ROWS_IN_LANES_MIN_QUERIES: usize = 8;
 
 /// Components accumulated between early-abandon bound checks (f64).
@@ -1328,7 +1331,9 @@ mod f32_intr {
             dim,
             bounds.len(),
             |q, r, valid, k| {
-                // SAFETY: `out` holds `nq × rows` keys and `r + valid ≤ rows`.
+                // SAFETY: AVX-512F is this function's precondition; `out`
+                // holds `nq × rows` keys and `r + valid ≤ rows`, so the
+                // masked store writes only keys `q·rows + r..q·rows + r + valid`.
                 unsafe { _mm512_mask_storeu_ps(keys.add(q * rows + r), group_mask(valid), k) }
             },
         );
@@ -1358,7 +1363,8 @@ mod f32_intr {
             dim,
             bounds.len(),
             |q, r, valid, k| {
-                // SAFETY: as in `weighted_sq_multi_lanes`.
+                // SAFETY: AVX-512F is this function's precondition; `out`
+                // holds `nq × rows` keys and `r + valid ≤ rows`.
                 unsafe { _mm512_mask_storeu_ps(keys.add(q * rows + r), group_mask(valid), k) }
             },
         );
@@ -1404,7 +1410,8 @@ mod f32_intr {
                 failed |= mask != all;
                 if mask != 0 {
                     let mut lanes = [0.0f32; GROUP];
-                    // SAFETY: `lanes` holds sixteen floats.
+                    // SAFETY: AVX-512F is this function's precondition;
+                    // `lanes` holds the sixteen floats the store writes.
                     unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), keys) };
                     admit(q, r, u32::from(mask), &lanes[..valid]);
                 }
@@ -1738,6 +1745,8 @@ mod dispatch {
     ) {
         match (level(), has_fma()) {
             // SAFETY: the matching CPU features were detected above.
+            // SAFETY: AVX-512F and FMA were detected; the caller asserted
+            // the query, block and key lengths the kernel reads.
             (AVX512, true) if bounds.len() >= super::ROWS_IN_LANES_MIN_QUERIES => unsafe {
                 super::f32_intr::l2_sq_multi_lanes(queries, block, dim, bounds, out)
             },
@@ -1762,6 +1771,8 @@ mod dispatch {
     ) {
         match (level(), has_fma()) {
             // SAFETY: the matching CPU features were detected above.
+            // SAFETY: AVX-512F and FMA were detected; the caller asserted
+            // the weight, query, block and key lengths the kernel reads.
             (AVX512, true) if bounds.len() >= super::ROWS_IN_LANES_MIN_QUERIES => unsafe {
                 super::f32_intr::weighted_sq_multi_lanes(
                     weights, w_stride, queries, block, dim, bounds, out,
@@ -2487,7 +2498,9 @@ mod tests {
                         }
                         shapes.push(("intr multi", multi.clone()));
                         if lanes_host {
-                            // SAFETY: avx512f + fma were detected above.
+                            // SAFETY: avx512f + fma were detected above;
+                            // the slices hold NQ × dim weights and queries,
+                            // ROWS × dim rows and NQ × ROWS keys.
                             unsafe {
                                 f32_intr::weighted_sq_multi_lanes(
                                     &w32, dim, &q32, &b32, dim, &unbounded, &mut multi,

@@ -58,9 +58,13 @@
 //!
 //! Every block loop, in both precisions, hands its keys to one admit
 //! step, [`admit`]: an 8-lane `key ≤ bound` bitmask skips runs of rows
-//! that admit nothing with one test, and the exact f64 comparison runs
-//! on the set lanes only, so the candidate pools, the k-bests and the
-//! `blocks_abandoned` count are those of a row-by-row loop.
+//! that admit nothing with one test, and the exact f64 comparison
+//! ([`admit_run`]) runs on the set lanes only, so the candidate pools,
+//! the k-bests and the `blocks_abandoned` count are those of a
+//! row-by-row loop. A per-query-weight f32 batch that takes the
+//! rows-in-lanes kernel skips the key buffer: the kernel builds a
+//! 16-lane mask per query and row group while the keys are still in
+//! register, and only groups with a set lane reach [`admit_run`].
 
 use super::partitioned::{all_prune, Layout};
 use super::stats::{ScanStats, ScanStatsSink};

@@ -127,9 +127,7 @@ fn time_per_query_weight_multi_kernel() {
                     black_box(&out);
                 }
             };
-            let tile = min_ns(REPS, || multi_in(4, &mut out));
-            let multi = min_ns(REPS, || multi_in(nq, &mut out));
-            let single = min_ns(REPS, || {
+            let single_in = |out: &mut [f32]| {
                 for rows in block.chunks(BLOCK_ROWS * dim) {
                     let n = rows.len() / dim;
                     for (m, q) in metrics.iter().zip(queries.chunks_exact(dim)) {
@@ -137,7 +135,15 @@ fn time_per_query_weight_multi_kernel() {
                         black_box(&out);
                     }
                 }
-            });
+            };
+            // Alternate the three ways each rep, so a noisy stretch of a
+            // shared host lands on all of them alike.
+            let (mut tile, mut multi, mut single) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+            for _ in 0..REPS {
+                tile = tile.min(min_ns(1, || multi_in(4, &mut out)));
+                multi = multi.min(min_ns(1, || multi_in(nq, &mut out)));
+                single = single.min(min_ns(1, || single_in(&mut out)));
+            }
             let per = (nq * N) as f64;
             println!(
                 "{dim:>3} {nq:>3} {:>14.3} {:>14.3} {:>15.3} {:>10.2} {:>8.2}",

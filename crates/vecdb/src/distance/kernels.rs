@@ -31,7 +31,8 @@
 //! scores a block in register tiles — 4 queries × 2 rows (eight FMA
 //! chains), then 2 × 2, then the row pair for an odd query, then single
 //! rows for an odd row — and on AVX-512F hosts a batch of
-//! [`ROWS_IN_LANES_MIN_QUERIES`] or more queries (weighted or L2) in
+//! [`ROWS_IN_LANES_MIN_QUERIES`] or more weighted queries
+//! ([`L2_ROWS_IN_LANES_MIN_QUERIES`] or more L2 queries) in
 //! rows-in-lanes order: sixteen rows per vector, transposed once per
 //! block group. Every shape gives each pair the key bits of
 //! the one-query row kernels: the same per-chunk FMA order, the same
@@ -53,27 +54,47 @@ pub(crate) const LANES: usize = 8;
 /// horizontal reduction eats the wider-register win at dim ≈ 64.
 pub(crate) const LANES_F32: usize = 8;
 
-/// Queries at which the f32 multi kernels switch, on AVX-512F + FMA
-/// hosts, from the register tiles to the rows-in-lanes order (see the
-/// `f32_intr` module). Break-even of the per-query-weight kernel on a
+/// Queries at which the weighted f32 multi kernel (per-query or shared
+/// weights) switches, on AVX-512F + FMA hosts, from the register tiles
+/// to the rows-in-lanes order (see the `f32_intr` module);
+/// [`L2_ROWS_IN_LANES_MIN_QUERIES`] is the L2 kernel's. Break-even on a
 /// 2-vCPU AVX-512 x86-64 host: fastest of 60 same-process alternations
 /// per cell, rows-in-lanes ns over tile ns per (query, row), and how
 /// many of the 60 alternations rows in lanes won:
 ///
-/// | rows × dim | Q = 1       | Q = 2       | Q = 4       | Q = 8       | Q = 16      |
-/// |------------|-------------|-------------|-------------|-------------|-------------|
-/// | 50k × 32   | ×1.05 11/60 | ×1.04 17/60 | ×1.03 13/60 | ×0.88 60/60 | ×0.84 60/60 |
-/// | 16k × 32   | ×1.14 5/60  | ×1.14 6/60  | ×1.10 4/60  | ×1.01 46/60 | ×0.98 44/60 |
-/// | 120k × 64  | ×1.01 35/60 | ×0.93 59/60 | ×1.02 34/60 | ×0.80 60/60 | ×0.90 60/60 |
+/// | kernel    | rows × dim | Q = 1       | Q = 2       | Q = 4       | Q = 8       | Q = 16      |
+/// |-----------|------------|-------------|-------------|-------------|-------------|-------------|
+/// | per-query | 50k × 32   | ×1.12 5/60  | ×1.21 1/60  | ×1.16 3/60  | ×0.81 59/60 | ×0.81 60/60 |
+/// | per-query | 16k × 32   | ×1.19 3/60  | ×1.28 2/60  | ×1.22 2/60  | ×0.86 56/60 | ×0.85 48/60 |
+/// | per-query | 120k × 64  | ×1.01 36/60 | ×0.95 59/60 | ×0.81 56/60 | ×0.82 59/60 | ×0.82 60/60 |
+/// | shared    | 50k × 32   | ×1.15 3/60  | ×1.19 3/60  | ×1.16 6/60  | ×0.79 60/60 | ×0.71 54/60 |
+/// | shared    | 16k × 32   | ×1.18 4/60  | ×1.29 1/60  | ×1.21 3/60  | ×0.82 55/60 | ×0.85 58/60 |
+/// | shared    | 120k × 64  | ×0.94 39/60 | ×0.92 59/60 | ×0.81 60/60 | ×0.83 60/60 | ×0.84 60/60 |
+/// | L2        | 50k × 32   | ×0.95 56/60 | ×0.80 60/60 | ×0.66 60/60 | ×0.45 60/60 | ×0.39 60/60 |
+/// | L2        | 16k × 32   | ×0.98 54/60 | ×0.99 55/60 | ×0.49 60/60 | ×0.36 60/60 | ×0.35 60/60 |
+/// | L2        | 120k × 64  | ×1.00 42/60 | ×0.80 60/60 | ×0.67 60/60 | ×0.65 60/60 | ×0.66 60/60 |
 ///
-/// The transposed group pays off only when many queries share it: the
-/// order loses or ties below 8 queries and wins from 8 up, where the
+/// A second run put every cell on the same side of ×1 but the Q = 1
+/// per-query and the Q = 8 shared cell at 120k × 64 (×0.88 and ×1.00).
+/// The transposed group pays off only when many queries share it. The
+/// weighted kernels' 4×2 tile already shares each row load across four
+/// queries, so at 32-d rows in lanes loses below 8 queries and wins
+/// from 8 up (at 64-d it wins from 2 or 4). From 8 up the
 /// per-query-weight scan also drops its separate admit pass
-/// (`weighted_sq_multi_admit_f32`). `kernel_timing.rs`'s ignored
-/// `time_per_query_weight_multi_kernel` reprints the Q ≥ 8 half of this
-/// comparison on any host (below 8 queries both of its columns run the
-/// tiles).
+/// (`weighted_sq_multi_admit_f32`). `kernel_timing.rs`'s
+/// ignored `time_per_query_weight_multi_kernel` reprints the half of
+/// this comparison from each cutoff up on any host (below a cutoff
+/// both of its columns run the tiles).
 pub(crate) const ROWS_IN_LANES_MIN_QUERIES: usize = 8;
+
+/// Queries at which the L2 f32 multi kernel switches to the
+/// rows-in-lanes order (break-even in the table on
+/// [`ROWS_IN_LANES_MIN_QUERIES`]). The L2 dimensions-in-lanes kernel
+/// has no query tile, so rows in lanes wins from 2 queries; the cutoff
+/// sits at 4, where it won every alternation at every shape
+/// (×0.49–0.67), and keeps the 1–2-query batches of the serving paths
+/// on the kernel they had.
+pub(crate) const L2_ROWS_IN_LANES_MIN_QUERIES: usize = 4;
 
 /// Components accumulated between early-abandon bound checks (f64).
 const SEGMENT: usize = 64;
@@ -684,20 +705,24 @@ mod f32_plain {
 // block, and it has two evaluation orders:
 //
 // * Dimensions in lanes (every FMA host): a 256-bit accumulator holds
-//   eight dimension residues of one (query, row) key. The kernel
-//   register-blocks queries × rows: 4×2 tiles (eight FMA chains, each
-//   row loaded once for four queries, eight keys reduced by six
+//   eight dimension residues of one (query, row) key. The weighted
+//   kernel register-blocks queries × rows: 4×2 tiles (eight FMA chains,
+//   each row loaded once for four queries, eight keys reduced by six
 //   `hadd`s, two `permute2f128`s and one add), then a 2×2 tile, the
-//   row-pair kernel and single rows for what is left over.
+//   row-pair kernel and single rows for what is left over. The L2
+//   kernel scores each row pair against one query at a time.
 // * Rows in lanes (AVX-512F hosts, batches of at least
-//   `ROWS_IN_LANES_MIN_QUERIES` queries): a 16×16 in-register transpose
-//   turns each 16-row group into one 512-bit vector per dimension, once
-//   for the whole batch; every query then keeps eight residue partials
-//   per row lane and joins them with seven vector adds, so one vector
-//   holds sixteen finished keys. The transpose costs more than the
-//   `hadd` reduction it saves until about eight queries share a group
-//   (the table on `ROWS_IN_LANES_MIN_QUERIES`), and a scan can compare
-//   the sixteen keys with its bound before they leave the register.
+//   `ROWS_IN_LANES_MIN_QUERIES` weighted or `L2_ROWS_IN_LANES_MIN_QUERIES`
+//   L2 queries): a 16×16 in-register transpose turns each 16-row group
+//   into one 512-bit vector per dimension, once for the whole batch;
+//   every query then keeps eight residue partials per row lane and
+//   joins them with seven vector adds, so one vector holds sixteen
+//   finished keys. The transpose costs more than the reductions it
+//   saves until about eight queries share a group of the weighted
+//   kernel, and four of the L2 kernel, which shares no row load across
+//   queries (the table on `ROWS_IN_LANES_MIN_QUERIES`). A scan can
+//   compare the sixteen keys with its bound before they leave the
+//   register.
 //
 // Neither order changes the arithmetic of one key: lane `r` of a
 // dimensions-in-lanes accumulator and partial `r` of a row lane see the
@@ -1252,6 +1277,12 @@ mod f32_intr {
         keys
     }
 
+    std::thread_local! {
+        /// The transposed lane group of [`lanes_multi`], kept per thread
+        /// across calls and grown to the largest `dim` seen.
+        static GROUP_SCRATCH: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+    }
+
     /// The rows-in-lanes multi kernel: transpose each 16-row group of
     /// `block` once ([`transpose_group`]), score it against every query
     /// ([`lane_keys`]) and hand `visit(q, first row, valid rows, keys)`
@@ -1259,7 +1290,8 @@ mod f32_intr {
     /// load across four queries; this order shares one transposed group
     /// across the whole batch and reduces sixteen keys with seven adds,
     /// so it wins once a batch holds enough queries
-    /// ([`super::ROWS_IN_LANES_MIN_QUERIES`]).
+    /// ([`super::ROWS_IN_LANES_MIN_QUERIES`],
+    /// [`super::L2_ROWS_IN_LANES_MIN_QUERIES`]).
     ///
     /// # Safety
     ///
@@ -1281,7 +1313,10 @@ mod f32_intr {
         if rows == 0 {
             return;
         }
-        let mut t = vec![0.0f32; dim.next_multiple_of(GROUP) * GROUP];
+        // A scan calls this once per block: reuse the thread's buffer
+        // (a nested call would find it taken and allocate its own).
+        let mut t = GROUP_SCRATCH.take();
+        t.resize(t.len().max(dim.next_multiple_of(GROUP) * GROUP), 0.0);
         for row0 in (0..rows).step_by(GROUP) {
             let valid = (rows - row0).min(GROUP);
             transpose_group(&block[row0 * dim..(row0 + valid) * dim], dim, valid, &mut t);
@@ -1301,6 +1336,7 @@ mod f32_intr {
                 visit(q, row0, valid, keys);
             }
         }
+        GROUP_SCRATCH.set(t);
     }
 
     /// Rows-in-lanes weighted keys (`w_stride` as in
@@ -1744,12 +1780,12 @@ mod dispatch {
         out: &mut [f32],
     ) {
         match (level(), has_fma()) {
-            // SAFETY: the matching CPU features were detected above.
             // SAFETY: AVX-512F and FMA were detected; the caller asserted
             // the query, block and key lengths the kernel reads.
-            (AVX512, true) if bounds.len() >= super::ROWS_IN_LANES_MIN_QUERIES => unsafe {
+            (AVX512, true) if bounds.len() >= super::L2_ROWS_IN_LANES_MIN_QUERIES => unsafe {
                 super::f32_intr::l2_sq_multi_lanes(queries, block, dim, bounds, out)
             },
+            // SAFETY: the matching CPU features were detected above.
             (AVX512 | AVX2, true) => unsafe {
                 super::f32_intr::l2_sq_multi(queries, block, dim, bounds, out)
             },
@@ -1770,7 +1806,6 @@ mod dispatch {
         out: &mut [f32],
     ) {
         match (level(), has_fma()) {
-            // SAFETY: the matching CPU features were detected above.
             // SAFETY: AVX-512F and FMA were detected; the caller asserted
             // the weight, query, block and key lengths the kernel reads.
             (AVX512, true) if bounds.len() >= super::ROWS_IN_LANES_MIN_QUERIES => unsafe {
@@ -1778,6 +1813,7 @@ mod dispatch {
                     weights, w_stride, queries, block, dim, bounds, out,
                 )
             },
+            // SAFETY: the matching CPU features were detected above.
             (AVX512 | AVX2, true) => unsafe {
                 super::f32_intr::weighted_sq_multi(
                     weights, w_stride, queries, block, dim, bounds, out,
@@ -1987,8 +2023,8 @@ pub fn weighted_sq_multi_block_f32(
     }
 }
 
-/// Whether the f32 multi kernels score a batch of `nq` queries in the
-/// rows-in-lanes order on this host ([`ROWS_IN_LANES_MIN_QUERIES`]),
+/// Whether the weighted f32 multi kernel scores a batch of `nq` queries
+/// in the rows-in-lanes order on this host ([`ROWS_IN_LANES_MIN_QUERIES`]),
 /// which is when [`weighted_sq_multi_admit_f32`] may run.
 pub(crate) fn rows_in_lanes(nq: usize) -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -2246,7 +2282,8 @@ mod tests {
     fn f32_multi_blocks_match_single_query_blocks() {
         // Every kernel shape the multi kernels may pick (query tiles,
         // row pairs, an odd trailing row, the `dim % 8` tail, and from
-        // `ROWS_IN_LANES_MIN_QUERIES` queries on AVX-512F hosts the
+        // `ROWS_IN_LANES_MIN_QUERIES` weighted or
+        // `L2_ROWS_IN_LANES_MIN_QUERIES` L2 queries on AVX-512F hosts the
         // rows-in-lanes order with its 16-wide transpose tail and
         // partial row groups) must give each (query, row) pair the key
         // bits a single-query block call gives it, wherever the block

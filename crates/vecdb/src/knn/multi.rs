@@ -377,7 +377,8 @@ impl<'a> MultiQueryScan<'a> {
         let dim = self.layout.coll.dim();
         let nq = kbs.len();
         let in_register = kernels::rows_in_lanes(nq);
-        let mut keys = vec![0.0f32; nq * BLOCK_ROWS];
+        // The in-register admit never touches the key buffer.
+        let mut keys = vec![0.0f32; if in_register { 0 } else { nq * BLOCK_ROWS }];
         let mut bounds64 = vec![f64::INFINITY; nq];
         let mut bounds32 = vec![f32::INFINITY; nq];
         self.for_each_block(rows, |start, end| {

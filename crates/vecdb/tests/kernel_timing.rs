@@ -4,8 +4,8 @@
 
 use fbp_vecdb::distance::weighted_sq_multi_block_f32;
 use fbp_vecdb::{
-    CollectionBuilder, Distance, MultiQueryScan, Precision, QueryBatch, QueryMetrics::Weighted,
-    ScanMode, WeightedEuclidean,
+    CollectionBuilder, Distance, Euclidean, MultiQueryScan, Precision, QueryBatch,
+    QueryMetrics::Weighted, ScanMode, WeightedEuclidean,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -57,16 +57,29 @@ fn min_ns(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The Q×row table of the per-query-weight f32 phase 1: ns per
-/// (query, row) for one multi-kernel call per 256-row block against Q
-/// single-query block calls per block, the two ways a scan can score Q
-/// diverged sessions. The `tile` column scores the same batch as
-/// sub-batches of at most 4 queries, which always take the register
-/// tiles; on an AVX-512F + FMA host a batch of
-/// `ROWS_IN_LANES_MIN_QUERIES` (8) or more queries takes the
-/// rows-in-lanes order instead, so `tile/multi` at Q ≥ 8 is the
-/// break-even table behind that cutoff (below it both columns run the
-/// tiles and the ratio reads ~1).
+/// An f32 multi kernel of the Q×row table.
+#[derive(Clone, Copy)]
+enum MultiKernel {
+    /// Weighted, one weight vector per query (`w_stride = dim`).
+    PerQuery,
+    /// Weighted, one weight vector for the batch (`w_stride = 0`).
+    Shared,
+    /// Squared Euclidean.
+    L2,
+}
+
+/// The Q×row table of the f32 phase 1: ns per (query, row) for one
+/// multi-kernel call per 256-row block against Q single-query block
+/// calls per block, the two ways a scan can score Q diverged
+/// per-query-weight sessions. The `tile` column scores the same batch
+/// as sub-batches too small for the rows-in-lanes order, which always
+/// take the register tiles; on an AVX-512F + FMA host a weighted batch
+/// of `ROWS_IN_LANES_MIN_QUERIES` (8) or more queries and an L2 batch
+/// of `L2_ROWS_IN_LANES_MIN_QUERIES` (4) or more take the rows-in-lanes
+/// order instead, so `tile/multi` from there up is the break-even
+/// behind those cutoffs, per kernel: per-query weights, shared weights
+/// and L2 (below a cutoff both of its columns run the tiles and the
+/// ratio reads ~1).
 #[test]
 #[ignore]
 fn time_per_query_weight_multi_kernel() {
@@ -78,12 +91,20 @@ fn time_per_query_weight_multi_kernel() {
     #[cfg(not(target_arch = "x86_64"))]
     let avx512f = false;
     println!(
-        "host avx512f+fma: {avx512f} (rows-in-lanes at Q >= 8: {})",
+        "host avx512f+fma: {avx512f} (rows-in-lanes at Q >= 8 weighted, Q >= 4 L2: {})",
         if avx512f { "yes" } else { "no, tiles only" }
     );
     println!(
-        "{:>3} {:>3} {:>14} {:>14} {:>15} {:>10} {:>8}",
-        "D", "Q", "tile ns/q·row", "multi ns/q·row", "single ns/q·row", "tile/multi", "speedup"
+        "{:>3} {:>3} {:>14} {:>14} {:>15} {:>10} {:>8} {:>17} {:>13}",
+        "D",
+        "Q",
+        "tile ns/q·row",
+        "multi ns/q·row",
+        "single ns/q·row",
+        "tile/multi",
+        "speedup",
+        "shared tile/multi",
+        "L2 tile/multi"
     );
     for dim in [32usize, 64] {
         let block: Vec<f32> = (0..N * dim)
@@ -109,20 +130,35 @@ fn time_per_query_weight_multi_kernel() {
                 .collect();
             let bounds = vec![f32::INFINITY; nq];
             let mut out = vec![0.0f32; nq * BLOCK_ROWS];
-            let multi_in = |sub: usize, out: &mut [f32]| {
+            // The batch in sub-batches of at most `sub` queries.
+            let multi_in = |kernel: MultiKernel, sub: usize, out: &mut [f32]| {
                 for rows in block.chunks(BLOCK_ROWS * dim) {
                     let n = rows.len() / dim;
                     for (lo, keys) in (0..nq).step_by(sub).zip(out.chunks_mut(sub * n)) {
                         let hi = (lo + sub).min(nq);
-                        weighted_sq_multi_block_f32(
-                            &weights[lo * dim..hi * dim],
-                            dim,
-                            black_box(&queries[lo * dim..hi * dim]),
-                            rows,
-                            dim,
-                            &bounds[lo..hi],
-                            &mut keys[..(hi - lo) * n],
-                        );
+                        let (q, b) = (black_box(&queries[lo * dim..hi * dim]), &bounds[lo..hi]);
+                        let keys = &mut keys[..(hi - lo) * n];
+                        match kernel {
+                            MultiKernel::PerQuery => weighted_sq_multi_block_f32(
+                                &weights[lo * dim..hi * dim],
+                                dim,
+                                q,
+                                rows,
+                                dim,
+                                b,
+                                keys,
+                            ),
+                            MultiKernel::Shared => weighted_sq_multi_block_f32(
+                                &weights[..dim],
+                                0,
+                                q,
+                                rows,
+                                dim,
+                                b,
+                                keys,
+                            ),
+                            MultiKernel::L2 => Euclidean.eval_key_multi_f32(q, rows, dim, b, keys),
+                        }
                     }
                     black_box(&out);
                 }
@@ -136,22 +172,34 @@ fn time_per_query_weight_multi_kernel() {
                     }
                 }
             };
-            // Alternate the three ways each rep, so a noisy stretch of a
-            // shared host lands on all of them alike.
-            let (mut tile, mut multi, mut single) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+            // Alternate every timing each rep, so a noisy stretch of a
+            // shared host lands on all of them alike. Tiles: sub-batches
+            // of 4 weighted queries, of 3 L2 queries.
+            let kernels = [
+                (MultiKernel::PerQuery, 4),
+                (MultiKernel::Shared, 4),
+                (MultiKernel::L2, 3),
+            ];
+            let mut tile = [f64::INFINITY; 3];
+            let mut multi = [f64::INFINITY; 3];
+            let mut single = f64::INFINITY;
             for _ in 0..REPS {
-                tile = tile.min(min_ns(1, || multi_in(4, &mut out)));
-                multi = multi.min(min_ns(1, || multi_in(nq, &mut out)));
+                for (i, &(kernel, sub)) in kernels.iter().enumerate() {
+                    tile[i] = tile[i].min(min_ns(1, || multi_in(kernel, sub, &mut out)));
+                    multi[i] = multi[i].min(min_ns(1, || multi_in(kernel, nq, &mut out)));
+                }
                 single = single.min(min_ns(1, || single_in(&mut out)));
             }
             let per = (nq * N) as f64;
             println!(
-                "{dim:>3} {nq:>3} {:>14.3} {:>14.3} {:>15.3} {:>10.2} {:>8.2}",
-                tile / per,
-                multi / per,
+                "{dim:>3} {nq:>3} {:>14.3} {:>14.3} {:>15.3} {:>10.2} {:>8.2} {:>17.2} {:>13.2}",
+                tile[0] / per,
+                multi[0] / per,
                 single / per,
-                tile / multi,
-                single / multi
+                tile[0] / multi[0],
+                single / multi[0],
+                tile[1] / multi[1],
+                tile[2] / multi[2]
             );
         }
     }

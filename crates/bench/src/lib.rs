@@ -3,9 +3,9 @@
 //! Every figure of the paper's evaluation section has a bench target in
 //! `benches/` (`cargo bench --bench figNN_...`). By default the benches
 //! run a reduced-scale smoke configuration so `cargo bench --workspace`
-//! finishes in minutes; set `FBP_FULL=1` for the paper-scale runs used in
-//! EXPERIMENTS.md. Figure data is printed as aligned text tables and also
-//! dumped as JSON under `target/figures/`.
+//! finishes in minutes; set `FBP_FULL=1` for the paper-scale runs. Figure
+//! data is printed as aligned text tables and also dumped as JSON under
+//! `target/figures/`; nothing checks it in yet (ROADMAP item 9).
 
 use fbp_eval::report::Figure;
 use fbp_imagegen::{DatasetConfig, SyntheticDataset};

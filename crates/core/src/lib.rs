@@ -19,10 +19,6 @@
 //! * [`bypass`] — the FeedbackBypass module itself: `predict` (the
 //!   paper's `Mopt`) and `insert`, plus the domain mapping between
 //!   feature space and the Simplex Tree's query domain;
-//! * [`session`] — the Figure 5 interaction wrapper: a retrieval system
-//!   enriched with FeedbackBypass, one call per user query;
-//! * [`reduction`] — the paper's §3 follow-up: PCA-reduced query domains
-//!   ([`ReducedBypass`]);
 //! * [`shared`] — a thread-safe handle for concurrent retrieval sessions
 //!   sharing one learned mapping, plus the batched serving front-end
 //!   ([`SharedBypass::knn_batch`]) that coalesces pending sessions' k-NN
@@ -61,15 +57,11 @@
 
 pub mod bypass;
 pub mod query;
-pub mod reduction;
-pub mod session;
 pub mod sharded;
 pub mod shared;
 
 pub use bypass::{BypassConfig, FeedbackBypass, PredictedParams};
 pub use query::{LoweredQuery, QuerySpec, QuerySpecBuilder, RequestError, RocchioWeights};
-pub use reduction::{PcaReducer, ReducedBypass};
-pub use session::{BypassSystem, QueryOutcome};
 pub use sharded::ShardedBypass;
 pub use shared::{KnnRequest, SharedBypass};
 

@@ -1,8 +1,9 @@
 //! Series containers and rendering (text tables + JSON).
 //!
-//! Every figure bench produces [`Series`] values and prints them through
-//! these helpers, so EXPERIMENTS.md numbers are regenerable and
-//! machine-readable.
+//! Every figure bench (the `fig*` and `ablation_*` targets of `fbp-bench`)
+//! produces [`Series`] values and prints them through these helpers, so
+//! its tables are regenerable and machine-readable. ROADMAP item 9 plans
+//! a checked report built from them.
 
 use serde::Serialize;
 

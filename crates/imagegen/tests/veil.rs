@@ -1,5 +1,6 @@
-//! Tests for the veil overlay (kept as an experimentation API after the
-//! negative result documented in EXPERIMENTS.md).
+//! Tests for the veil overlay, kept as an experimentation API: no dataset
+//! configuration applies it, so no figure bench exercises it (ROADMAP
+//! item 9 plans where such experiment results get recorded).
 
 use fbp_imagegen::painter::apply_veil;
 use fbp_imagegen::{extract_histogram, HistogramConfig, Image, Rgb};

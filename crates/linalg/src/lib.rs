@@ -12,8 +12,8 @@
 //!   ([`lu`]),
 //! * Cholesky decomposition for Mahalanobis (quadratic-form) distances
 //!   learned from feedback covariance matrices ([`cholesky`]),
-//! * streaming/per-dimension statistics (mean, variance, covariance) used
-//!   by the re-weighting feedback strategies ([`stats`]).
+//! * streaming/per-dimension statistics (mean, variance) used by the
+//!   re-weighting feedback strategies ([`stats`]).
 //!
 //! Everything is written against plain `&[f64]` buffers so callers can keep
 //! their own storage (the Simplex Tree keeps vertices in flat arenas).
@@ -25,17 +25,15 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod cholesky;
-pub mod eigen;
 pub mod lu;
 pub mod matrix;
 pub mod stats;
 pub mod vector;
 
 pub use cholesky::Cholesky;
-pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use stats::{covariance_matrix, DimStats, RunningStats};
+pub use stats::{DimStats, RunningStats};
 
 /// Errors produced by the linear algebra kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2,11 +2,8 @@
 //!
 //! The re-weighting feedback strategies (paper §2) reduce to statistics of
 //! the "good" result points: MARS uses `wᵢ = 1/σᵢ`, MindReader/ISF98 use
-//! `wᵢ ∝ 1/σᵢ²`, and the quadratic (Mahalanobis) variant needs the full
-//! covariance matrix. [`RunningStats`] implements Welford's numerically
+//! `wᵢ ∝ 1/σᵢ²`. [`RunningStats`] implements Welford's numerically
 //! stable one-pass update; [`DimStats`] batches it over a set of vectors.
-
-use crate::Matrix;
 
 /// Welford one-pass mean/variance accumulator for a single dimension.
 #[derive(Debug, Clone, Default)]
@@ -173,50 +170,6 @@ impl DimStats {
     }
 }
 
-/// Population covariance matrix of a batch of vectors (two-pass).
-///
-/// Returns a `dim × dim` symmetric matrix; the zero matrix when the batch
-/// is empty. Used by the Mahalanobis re-weighting extension.
-pub fn covariance_matrix(dim: usize, vectors: &[&[f64]]) -> Matrix {
-    let n = vectors.len();
-    let mut cov = Matrix::zeros(dim, dim);
-    if n == 0 {
-        return cov;
-    }
-    let mut mean = vec![0.0; dim];
-    for v in vectors {
-        assert_eq!(v.len(), dim);
-        for (m, &x) in mean.iter_mut().zip(v.iter()) {
-            *m += x;
-        }
-    }
-    for m in mean.iter_mut() {
-        *m /= n as f64;
-    }
-    let mut centered = vec![0.0; dim];
-    for v in vectors {
-        for i in 0..dim {
-            centered[i] = v[i] - mean[i];
-        }
-        for i in 0..dim {
-            let ci = centered[i];
-            if ci == 0.0 {
-                continue;
-            }
-            let row = cov.row_mut(i);
-            for j in 0..dim {
-                row[j] += ci * centered[j];
-            }
-        }
-    }
-    for i in 0..dim {
-        for j in 0..dim {
-            cov[(i, j)] /= n as f64;
-        }
-    }
-    cov
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,25 +254,6 @@ mod tests {
         let var = s.variances();
         assert!((var[0] - 8.0 / 3.0).abs() < 1e-12);
         assert_eq!(var[1], 0.0); // constant dimension → σ = 0 (degenerate case)
-    }
-
-    #[test]
-    fn covariance_known() {
-        let vs: Vec<&[f64]> = vec![&[1.0, 2.0], &[3.0, 6.0], &[5.0, 10.0]];
-        let cov = covariance_matrix(2, &vs);
-        // Second dim = 2 × first dim: cov = [[v, 2v], [2v, 4v]] with v = 8/3.
-        let v = 8.0 / 3.0;
-        assert!((cov[(0, 0)] - v).abs() < 1e-12);
-        assert!((cov[(0, 1)] - 2.0 * v).abs() < 1e-12);
-        assert!((cov[(1, 0)] - 2.0 * v).abs() < 1e-12);
-        assert!((cov[(1, 1)] - 4.0 * v).abs() < 1e-12);
-        assert!(cov.is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn covariance_empty_is_zero() {
-        let cov = covariance_matrix(3, &[]);
-        assert_eq!(cov.as_slice().iter().sum::<f64>(), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the linear algebra kernels.
 
-use fbp_linalg::{covariance_matrix, lu, vector, Cholesky, Lu, Matrix};
+use fbp_linalg::{lu, vector, Cholesky, Lu, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a well-conditioned n×n matrix (random entries + diagonal boost).
@@ -108,33 +108,6 @@ proptest! {
         let mut sum = vec![0.0; 8];
         vector::add(&a, &b, &mut sum);
         prop_assert!(vector::norm2(&sum) <= vector::norm2(&a) + vector::norm2(&b) + 1e-9);
-    }
-
-    #[test]
-    fn covariance_diagonal_matches_dimstats(
-        rows in prop::collection::vec(prop::collection::vec(-5.0..5.0f64, 3), 1..20),
-    ) {
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let cov = covariance_matrix(3, &refs);
-        let stats = fbp_linalg::DimStats::from_vectors(3, refs.iter().copied());
-        let vars = stats.variances();
-        for i in 0..3 {
-            prop_assert!((cov[(i, i)] - vars[i]).abs() < 1e-9);
-        }
-        prop_assert!(cov.is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn covariance_is_psd(
-        rows in prop::collection::vec(prop::collection::vec(-5.0..5.0f64, 3), 4..20),
-    ) {
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut cov = covariance_matrix(3, &refs);
-        // Tiny ridge: population covariance is PSD, Cholesky wants PD.
-        for i in 0..3 {
-            cov[(i, i)] += 1e-9;
-        }
-        prop_assert!(Cholesky::factor(&cov).is_ok());
     }
 
     #[test]

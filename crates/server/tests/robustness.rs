@@ -63,7 +63,13 @@ fn truncated_frame_drops_connection_not_server() {
         raw.write_all(&[0u8; 10]).unwrap();
     } // dropped here — server sees EOF mid-frame
     assert_still_serving(addr);
-    // The drop was counted.
+    // The drop was counted. The first connection's reader thread sees
+    // the EOF on its own schedule, so nothing orders it before the
+    // probe above: wait on the counter under a generous deadline.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while handle.stats().protocol_errors == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let stats = handle.stats();
     assert!(stats.protocol_errors >= 1);
     handle.shutdown();

@@ -812,9 +812,37 @@ fn readmission_does_not_depend_on_the_module_image() {
     router.shutdown();
 }
 
+/// Drive one interactive query on `session` to completion, judging
+/// every neighbor whose index is a multiple of 3 relevant. Returns the
+/// cycles run and the relevant count of the first and the last round.
+fn drive_query(client: &mut Client, session: u64, q: &[f64]) -> (u32, usize, usize) {
+    let mut first_hits = None;
+    for _ in 0..20 {
+        let reply = client.knn(session, 10, q).unwrap();
+        let relevant: Vec<u32> = reply
+            .neighbors
+            .iter()
+            .filter(|n| n.index % 3 == 0)
+            .map(|n| n.index)
+            .collect();
+        let last = relevant.len();
+        let first = *first_hits.get_or_insert(last);
+        if reply.done {
+            return (reply.cycles, first, last);
+        }
+        let fa = client.feedback(session, &relevant).unwrap();
+        if fa.done {
+            return (fa.cycles, first, last);
+        }
+    }
+    panic!("the query did not finish in 20 rounds");
+}
+
 /// The router owns the learned module: a feedback loop that converges
 /// at the router changes the router's module and leaves every shard's
-/// module exactly as it started.
+/// module exactly as it started. The session store keeps Fig. 5's
+/// commit rule: a query that ran no feedback cycle stores nothing, and
+/// a repeated query starts from what it learned.
 #[test]
 fn session_commit_leaves_shard_modules_untouched() {
     let coll = Arc::new(collection());
@@ -832,29 +860,22 @@ fn session_commit_leaves_shard_modules_untouched() {
     let initial_image = client.snapshot_module().unwrap();
     let (session, _) = client.open_session().unwrap();
 
+    // Nothing judged relevant: the query ends at its first judgment
+    // with no cycle run, and the module stays as it was.
+    assert!(!client.knn(session, 10, &hist(7)).unwrap().done);
+    let fa = client.feedback(session, &[]).unwrap();
+    assert!(fa.done && fa.cycles == 0, "{fa:?}");
+    assert_eq!(
+        client.snapshot_module().unwrap(),
+        initial_image,
+        "a query without feedback cycles must not be stored"
+    );
+
     // Drive one interactive query to completion. The anchor is a
     // normalized histogram, so the commit's module insert is in-domain.
     let q = hist(5);
-    let mut committed = false;
-    for _ in 0..20 {
-        let reply = client.knn(session, 10, &q).unwrap();
-        if reply.done {
-            committed = reply.cycles > 0;
-            break;
-        }
-        let relevant: Vec<u32> = reply
-            .neighbors
-            .iter()
-            .filter(|n| n.index % 3 == 0)
-            .map(|n| n.index)
-            .collect();
-        let fa = client.feedback(session, &relevant).unwrap();
-        if fa.done {
-            committed = fa.cycles > 0;
-            break;
-        }
-    }
-    assert!(committed, "the query must finish with feedback cycles run");
+    let (cycles, _, last_hits) = drive_query(&mut client, session, &q);
+    assert!(cycles > 0, "the query must finish with feedback cycles run");
 
     let router_image = client.snapshot_module().unwrap();
     assert_ne!(
@@ -868,5 +889,11 @@ fn session_commit_leaves_shard_modules_untouched() {
         shard_start,
         "a session commit must not reach the shards"
     );
+
+    // The same query again needs no more cycles, and its first round
+    // is already as good as the first run's last.
+    let (again, first_hits, _) = drive_query(&mut client, session, &q);
+    assert!(again <= cycles, "repeat ran {again} cycles, first {cycles}");
+    assert!(first_hits >= last_hits, "{first_hits} < {last_hits}");
     router.shutdown();
 }

@@ -2278,6 +2278,43 @@ mod tests {
         }
     }
 
+    /// The `(dim, rows, offset)` grid of the kernel differential tests
+    /// for one salt (the multi-kernel test's query count, 1..=17): dims
+    /// 1..=40, 63..=65, 96 and 130; one row count per dim that comes
+    /// round to every value in 1..=40 as the salt runs, plus the full
+    /// and one-short 256-row blocks every fifth shape; and a block start
+    /// 0–3 elements past a 64-byte boundary.
+    fn differential_shapes(salt: usize) -> Vec<(usize, usize, usize)> {
+        let dims = (1..=40).chain(63..=65).chain([96, 130]);
+        let mut shapes = Vec::new();
+        for (di, dim) in dims.enumerate() {
+            let mut row_counts = vec![1 + (salt * 11 + di * 5) % 40];
+            if (salt + di).is_multiple_of(5) {
+                row_counts.push(255 + (salt + di) / 5 % 2);
+            }
+            for rows in row_counts {
+                shapes.push((dim, rows, (salt + di + rows) % 4));
+            }
+        }
+        shapes
+    }
+
+    /// `len` values `value(i)` in `buf`, starting `offset` elements past
+    /// a 64-byte boundary.
+    fn unaligned<T: Copy + Default>(
+        buf: &mut Vec<T>,
+        len: usize,
+        offset: usize,
+        value: impl Fn(usize) -> T,
+    ) -> &[T] {
+        *buf = vec![T::default(); len + 32];
+        let base = buf.as_ptr().align_offset(64) + offset;
+        for (i, v) in buf[base..base + len].iter_mut().enumerate() {
+            *v = value(i);
+        }
+        &buf[base..base + len]
+    }
+
     #[test]
     fn f32_multi_blocks_match_single_query_blocks() {
         // Every kernel shape the multi kernels may pick (query tiles,
@@ -2295,79 +2332,276 @@ mod tests {
         if !lanes_host {
             println!("no AVX-512F + FMA: the rows-in-lanes kernel was not exercised");
         }
-        let dims: Vec<usize> = (1..=40).chain(63..=65).chain([96, 130]).collect();
         let bits = |keys: &[f32]| keys.iter().map(|k| k.to_bits()).collect::<Vec<_>>();
+        let mut buf = Vec::new();
         for nq in 1..=17usize {
-            for (di, &dim) in dims.iter().enumerate() {
-                // Every row count 1..=40 comes round for every query
-                // count; the full and one-short 256-row blocks every
-                // fifth shape.
-                let mut row_counts = vec![1 + (nq * 11 + di * 5) % 40];
-                if (nq + di) % 5 == 0 {
-                    row_counts.push(255 + (nq + di) / 5 % 2);
+            for (dim, rows, offset) in differential_shapes(nq) {
+                let block = unaligned(&mut buf, rows * dim, offset, |i| (i as f32 * 0.3).sin());
+                let queries: Vec<f32> = (0..nq * dim).map(|i| (i as f32 * 0.13).cos()).collect();
+                let shared_w: Vec<f32> = (0..dim).map(|i| 1.0 + (i % 3) as f32).collect();
+                let per_q_w: Vec<f32> =
+                    (0..nq * dim).map(|i| 0.5 + (i % 7) as f32 * 0.37).collect();
+                let bounds = vec![f32::INFINITY; nq];
+                let mut single = vec![0.0f32; rows];
+                let mut multi = vec![0.0f32; nq * rows];
+                let span = |q: usize| q * dim..(q + 1) * dim;
+                let shape = format!("nq {nq} dim {dim} rows {rows} offset {offset}");
+                l2_sq_multi_block_f32(&queries, block, dim, &bounds, &mut multi);
+                for q in 0..nq {
+                    l2_sq_block_f32(&queries[span(q)], block, dim, f32::INFINITY, &mut single);
+                    assert_eq!(
+                        bits(&multi[q * rows..(q + 1) * rows]),
+                        bits(&single),
+                        "l2 {shape} q{q}"
+                    );
                 }
-                for rows in row_counts {
-                    let offset = (nq + di + rows) % 4;
-                    let mut buf = vec![0.0f32; rows * dim + 32];
-                    let base = buf.as_ptr().align_offset(64) + offset;
-                    for (i, v) in buf[base..base + rows * dim].iter_mut().enumerate() {
-                        *v = (i as f32 * 0.3).sin();
-                    }
-                    let block = &buf[base..base + rows * dim];
-                    let queries: Vec<f32> =
-                        (0..nq * dim).map(|i| (i as f32 * 0.13).cos()).collect();
-                    let shared_w: Vec<f32> = (0..dim).map(|i| 1.0 + (i % 3) as f32).collect();
-                    let per_q_w: Vec<f32> =
-                        (0..nq * dim).map(|i| 0.5 + (i % 7) as f32 * 0.37).collect();
-                    let bounds = vec![f32::INFINITY; nq];
-                    let mut single = vec![0.0f32; rows];
-                    let mut multi = vec![0.0f32; nq * rows];
-                    let span = |q: usize| q * dim..(q + 1) * dim;
-                    let shape = format!("nq {nq} dim {dim} rows {rows} offset {offset}");
-                    l2_sq_multi_block_f32(&queries, block, dim, &bounds, &mut multi);
-                    for q in 0..nq {
-                        l2_sq_block_f32(&queries[span(q)], block, dim, f32::INFINITY, &mut single);
-                        assert_eq!(
-                            bits(&multi[q * rows..(q + 1) * rows]),
-                            bits(&single),
-                            "l2 {shape} q{q}"
-                        );
-                    }
-                    weighted_sq_multi_block_f32(
-                        &shared_w, 0, &queries, block, dim, &bounds, &mut multi,
+                weighted_sq_multi_block_f32(
+                    &shared_w, 0, &queries, block, dim, &bounds, &mut multi,
+                );
+                for q in 0..nq {
+                    weighted_sq_block_f32(
+                        &shared_w,
+                        &queries[span(q)],
+                        block,
+                        dim,
+                        f32::INFINITY,
+                        &mut single,
                     );
-                    for q in 0..nq {
-                        weighted_sq_block_f32(
-                            &shared_w,
-                            &queries[span(q)],
+                    assert_eq!(
+                        bits(&multi[q * rows..(q + 1) * rows]),
+                        bits(&single),
+                        "shared {shape} q{q}"
+                    );
+                }
+                weighted_sq_multi_block_f32(
+                    &per_q_w, dim, &queries, block, dim, &bounds, &mut multi,
+                );
+                for q in 0..nq {
+                    weighted_sq_block_f32(
+                        &per_q_w[span(q)],
+                        &queries[span(q)],
+                        block,
+                        dim,
+                        f32::INFINITY,
+                        &mut single,
+                    );
+                    assert_eq!(
+                        bits(&multi[q * rows..(q + 1) * rows]),
+                        bits(&single),
+                        "per-q {shape} q{q}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The f64 single-query block kernels as one ISA build: the `(l2,
+    /// weighted)` keys of `block`.
+    fn f64_blocks(
+        isa: &str,
+        w: &[f64],
+        q: &[f64],
+        block: &[f64],
+        dim: usize,
+        bound: f64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let rows = block.len() / dim;
+        let (mut l2, mut weighted) = (vec![0.0; rows], vec![0.0; rows]);
+        match isa {
+            // SAFETY (both arms): an ISA is listed only once its feature
+            // was detected.
+            #[cfg(target_arch = "x86_64")]
+            "avx2" => unsafe {
+                dispatch::l2_avx2(q, block, dim, bound, &mut l2);
+                dispatch::weighted_avx2(w, q, block, dim, bound, &mut weighted);
+            },
+            #[cfg(target_arch = "x86_64")]
+            "avx512f" => unsafe {
+                dispatch::l2_avx512(q, block, dim, bound, &mut l2);
+                dispatch::weighted_avx512(w, q, block, dim, bound, &mut weighted);
+            },
+            _ => {
+                l2_sq_block_impl(q, block, dim, bound, &mut l2);
+                weighted_sq_block_impl(w, q, block, dim, bound, &mut weighted);
+            }
+        }
+        (l2, weighted)
+    }
+
+    /// [`f64_blocks`] for the portable f32 chain's ISA builds (what
+    /// non-FMA hosts run), keys widened to f64 (exactly).
+    fn f32_plain_blocks(
+        isa: &str,
+        w: &[f32],
+        q: &[f32],
+        block: &[f32],
+        dim: usize,
+        bound: f32,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let rows = block.len() / dim;
+        let (mut l2, mut weighted) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+        match isa {
+            // SAFETY (both arms): as in `f64_blocks`.
+            #[cfg(target_arch = "x86_64")]
+            "avx2" => unsafe {
+                dispatch::l2_f32_avx2(q, block, dim, bound, &mut l2);
+                dispatch::weighted_f32_avx2(w, q, block, dim, bound, &mut weighted);
+            },
+            #[cfg(target_arch = "x86_64")]
+            "avx512f" => unsafe {
+                dispatch::l2_f32_avx512(q, block, dim, bound, &mut l2);
+                dispatch::weighted_f32_avx512(w, q, block, dim, bound, &mut weighted);
+            },
+            _ => {
+                f32_plain::l2_sq_block(q, block, dim, bound, &mut l2);
+                f32_plain::weighted_sq_block(w, q, block, dim, bound, &mut weighted);
+            }
+        }
+        (widen(&l2), widen(&weighted))
+    }
+
+    fn widen(keys: &[f32]) -> Vec<f64> {
+        keys.iter().map(|&k| k as f64).collect()
+    }
+
+    /// A block's keys `got` against its row kernel's `want`: the same
+    /// bits on every row whose key is at or under `bound`, a key over
+    /// `bound` on every other row.
+    fn assert_block_keys(got: &[f64], want: &[f64], bound: f64, what: &str) {
+        for (r, (&g, &w)) in got.iter().zip(want).enumerate() {
+            if w <= bound {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what} row {r}");
+            } else {
+                assert!(g > bound, "{what} row {r}: {g} under the bound");
+            }
+        }
+    }
+
+    #[test]
+    fn single_query_blocks_match_row_kernels_on_every_isa() {
+        // Every single-query block kernel a host may dispatch, on the
+        // shapes and block starts of
+        // `f32_multi_blocks_match_single_query_blocks`:
+        // * the f64 body and its AVX2 / AVX-512F builds, and the portable
+        //   f32 chain and its builds, give each row its row kernel's key
+        //   bits when unbounded; under a finite bound (the median key)
+        //   every row at or under it keeps those bits and every other row
+        //   reports a key over it;
+        // * the FMA intrinsics fuse each multiply-add, so their keys are
+        //   not the portable chain's bits. Both round the same f32
+        //   inputs, so the two differ by accumulation rounding only:
+        //   within the documented `weighted_f32_bound` of the exact key.
+        use crate::distance::weighted_f32_bound;
+        #[cfg(target_arch = "x86_64")]
+        let (avx2, avx512, fma) = (
+            is_x86_feature_detected!("avx2"),
+            is_x86_feature_detected!("avx512f"),
+            is_x86_feature_detected!("fma"),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx2, avx512, fma) = (false, false, false);
+        let isas: Vec<&str> = [("portable", true), ("avx2", avx2), ("avx512f", avx512)]
+            .into_iter()
+            .filter_map(|(isa, on)| on.then_some(isa))
+            .collect();
+        if !(avx2 && fma) {
+            println!("no AVX2 + FMA: the f32 intrinsics were not exercised");
+        }
+        let median = |keys: &[f64]| {
+            let mut s = keys.to_vec();
+            s.sort_by(f64::total_cmp);
+            s[s.len() / 2]
+        };
+        let (mut buf64, mut buf32) = (Vec::new(), Vec::new());
+        for salt in 1..=17usize {
+            for (dim, rows, offset) in differential_shapes(salt) {
+                let shape = format!("dim {dim} rows {rows} offset {offset}");
+                let row_at = |r: usize| r * dim..(r + 1) * dim;
+                let q32: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.13).cos()).collect();
+                let w32: Vec<f32> = (0..dim).map(|i| 0.5 + (i % 7) as f32 * 0.37).collect();
+                // f32 inputs widen exactly, so both precisions score the
+                // same vectors.
+                let (q, w) = (widen(&q32), widen(&w32));
+
+                let block = unaligned(&mut buf64, rows * dim, offset, |i| (i as f64 * 0.3).sin());
+                let l2_rows: Vec<f64> = (0..rows)
+                    .map(|r| l2_sq_row(&q, &block[row_at(r)]))
+                    .collect();
+                let w_rows: Vec<f64> = (0..rows)
+                    .map(|r| weighted_sq_row(&w, &q, &block[row_at(r)]))
+                    .collect();
+                for &isa in &isas {
+                    for (lb, wb) in [
+                        (f64::INFINITY, f64::INFINITY),
+                        (median(&l2_rows), median(&w_rows)),
+                    ] {
+                        let what = format!("f64 {isa} {shape} bounds {lb}/{wb}");
+                        let (l2, _) = f64_blocks(isa, &w, &q, block, dim, lb);
+                        assert_block_keys(&l2, &l2_rows, lb, &format!("l2 {what}"));
+                        let (_, weighted) = f64_blocks(isa, &w, &q, block, dim, wb);
+                        assert_block_keys(&weighted, &w_rows, wb, &format!("weighted {what}"));
+                    }
+                }
+
+                let block = unaligned(&mut buf32, rows * dim, offset, |i| (i as f32 * 0.3).sin());
+                let l2_rows: Vec<f64> = (0..rows)
+                    .map(|r| f32_plain::l2_sq_row(&q32, &block[row_at(r)]) as f64)
+                    .collect();
+                let w_rows: Vec<f64> = (0..rows)
+                    .map(|r| f32_plain::weighted_sq_row(&w32, &q32, &block[row_at(r)]) as f64)
+                    .collect();
+                for &isa in &isas {
+                    for (lb, wb) in [
+                        (f64::INFINITY, f64::INFINITY),
+                        (median(&l2_rows), median(&w_rows)),
+                    ] {
+                        let what = format!("f32 {isa} {shape} bounds {lb}/{wb}");
+                        let (l2, _) = f32_plain_blocks(isa, &w32, &q32, block, dim, lb as f32);
+                        assert_block_keys(&l2, &l2_rows, lb, &format!("l2 {what}"));
+                        let (_, weighted) =
+                            f32_plain_blocks(isa, &w32, &q32, block, dim, wb as f32);
+                        assert_block_keys(&weighted, &w_rows, wb, &format!("weighted {what}"));
+                    }
+                }
+
+                #[cfg(target_arch = "x86_64")]
+                if avx2 && fma {
+                    let (mut l2, mut weighted) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+                    // SAFETY: avx2 + fma were detected above; `l2` and
+                    // `weighted` hold one key per block row.
+                    unsafe {
+                        f32_intr::l2_sq_block(&q32, block, dim, f32::INFINITY, &mut l2);
+                        f32_intr::weighted_sq_block(
+                            &w32,
+                            &q32,
                             block,
                             dim,
                             f32::INFINITY,
-                            &mut single,
-                        );
-                        assert_eq!(
-                            bits(&multi[q * rows..(q + 1) * rows]),
-                            bits(&single),
-                            "shared {shape} q{q}"
+                            &mut weighted,
                         );
                     }
-                    weighted_sq_multi_block_f32(
-                        &per_q_w, dim, &queries, block, dim, &bounds, &mut multi,
-                    );
-                    for q in 0..nq {
-                        weighted_sq_block_f32(
-                            &per_q_w[span(q)],
-                            &queries[span(q)],
-                            block,
-                            dim,
-                            f32::INFINITY,
-                            &mut single,
-                        );
-                        assert_eq!(
-                            bits(&multi[q * rows..(q + 1) * rows]),
-                            bits(&single),
-                            "per-q {shape} q{q}"
-                        );
+                    let w_min = w.iter().cloned().fold(f64::INFINITY, f64::min);
+                    let w_max = w.iter().cloned().fold(0.0, f64::max);
+                    let l2_delta = weighted_f32_bound(dim, dim as f64, 1.0, 1.0, 1.0).unwrap();
+                    let w_delta =
+                        weighted_f32_bound(dim, w.iter().sum(), w_min, w_max, 1.0).unwrap();
+                    for r in 0..rows {
+                        let row = widen(&block[row_at(r)]);
+                        for (label, intr, plain, delta) in [
+                            ("l2", l2[r], l2_rows[r], l2_delta.at(l2_sq_row(&q, &row))),
+                            (
+                                "weighted",
+                                weighted[r],
+                                w_rows[r],
+                                w_delta.at(weighted_sq_row(&w, &q, &row)),
+                            ),
+                        ] {
+                            let gap = (intr as f64 - plain).abs();
+                            assert!(
+                                gap <= delta,
+                                "f32 intrinsics {label} {shape} row {r}: |{intr} − {plain}| = {gap} over Δ {delta}"
+                            );
+                        }
                     }
                 }
             }

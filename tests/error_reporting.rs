@@ -7,7 +7,6 @@ use fbp_geometry::GeometryError;
 use fbp_linalg::LinalgError;
 use fbp_simplex_tree::TreeError;
 use fbp_vecdb::VecdbError;
-use fbp_wavelet::WaveletError;
 use feedbackbypass::BypassError;
 
 fn assert_error<E: std::error::Error + Send + Sync + 'static>(e: E, needle: &str) {
@@ -47,13 +46,6 @@ fn geometry_errors_display() {
         },
         "expected 4",
     );
-}
-
-#[test]
-fn wavelet_errors_display() {
-    assert_error(WaveletError::NotPowerOfTwo { len: 7 }, "7");
-    assert_error(WaveletError::TooManyLevels { len: 8, levels: 9 }, "9");
-    assert_error(WaveletError::BadPartition("inverted"), "inverted");
 }
 
 #[test]

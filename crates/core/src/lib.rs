@@ -22,12 +22,9 @@
 //! * [`shared`] — a thread-safe handle for concurrent retrieval sessions
 //!   sharing one learned mapping, plus the batched serving front-end
 //!   ([`SharedBypass::knn_batch`]) that coalesces pending sessions' k-NN
-//!   requests into one multi-query collection pass;
-//! * [`sharded`] — the same serving front-end over a sharded collection
-//!   ([`ShardedBypass`]): scatter each coalesced batch across per-shard
-//!   scan passes, gather the per-query k-bests in key space — results
-//!   bit-identical to the flat pass, throughput no longer capped by one
-//!   core's scan bandwidth.
+//!   requests into one multi-query collection pass. It is the only
+//!   in-process batch entry; sharded serving lives in `fbp-server`,
+//!   whose shard dispatchers scan through `fbp_vecdb::ShardedScan`.
 //!
 //! ## Quickstart
 //!
@@ -57,12 +54,10 @@
 
 pub mod bypass;
 pub mod query;
-pub mod sharded;
 pub mod shared;
 
 pub use bypass::{BypassConfig, FeedbackBypass, PredictedParams};
 pub use query::{LoweredQuery, QuerySpec, QuerySpecBuilder, RequestError, RocchioWeights};
-pub use sharded::ShardedBypass;
 pub use shared::{KnnRequest, SharedBypass};
 
 // Re-export the substrate types users interact with.
@@ -90,8 +85,7 @@ pub enum BypassError {
     /// Dimensionality failures keep surfacing as
     /// [`BypassError::DimMismatch`] — the `From<RequestError>` impl
     /// folds that variant over — so this arm carries the rest: bad
-    /// weights, non-finite components, empty example sets, precision
-    /// conflicts.
+    /// weights, non-finite components and empty example sets.
     Request(RequestError),
 }
 

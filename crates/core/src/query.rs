@@ -5,15 +5,15 @@
 //! negative examples. `QuerySpec` is the one type that captures every
 //! query shape the stack serves — a plain anchor, an anchor plus
 //! positive/negative example sets combined Rocchio-style
-//! (`q' = α·q + β·centroid(good) − γ·centroid(bad)`), per-spec result
-//! count `k`, and a scan-precision pin — and [`QuerySpec::lower`] is the
-//! **single canonicalization step** that turns any of them into the
-//! kernel-ready [`LoweredQuery`] *before* the scan.
+//! (`q' = α·q + β·centroid(good) − γ·centroid(bad)`), and a per-spec
+//! result count `k` — and [`QuerySpec::lower`] is the **single
+//! canonicalization step** that turns any of them into the kernel-ready
+//! [`LoweredQuery`] *before* the scan.
 //!
 //! Everything downstream of lowering — kernels, sharding, bound
 //! propagation, the router's key-space merge — sees only the lowered
-//! `(point, weights, k, precision)` form and is untouched by new query
-//! shapes. That is what preserves the repo's bit-identity invariant: a
+//! `(point, weights, k)` form and is untouched by new query shapes.
+//! That is what preserves the repo's bit-identity invariant: a
 //! multi-example query is answered **bit-identical** to a flat
 //! [`LinearScan`](fbp_vecdb::LinearScan) against its manually derived
 //! anchor, because by the time a scan runs there *is* only the derived
@@ -45,14 +45,13 @@
 
 use crate::shared::KnnRequest;
 use fbp_feedback::{rocchio, ScoredPoint};
-use fbp_vecdb::Precision;
 
 /// Typed validation failure of a query spec or request batch.
 ///
 /// One enum covers every way a request can be malformed, in-process and
 /// over the wire: the serving layers map each variant to its own
 /// protocol error code, so a client can distinguish "your vector is the
-/// wrong length" from "your precision pins conflict" without parsing
+/// wrong length" from "your weight is not positive" without parsing
 /// message strings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestError {
@@ -79,9 +78,6 @@ pub enum RequestError {
     /// The spec has no active term: zero `α` and no examples leaves
     /// nothing to derive an anchor from.
     EmptyExampleSet,
-    /// Requests in one batch pin conflicting scan precisions (one pass
-    /// streams one buffer).
-    PrecisionConflict,
 }
 
 impl std::fmt::Display for RequestError {
@@ -98,9 +94,6 @@ impl std::fmt::Display for RequestError {
             }
             RequestError::EmptyExampleSet => {
                 write!(f, "no active term: alpha = 0 and no examples")
-            }
-            RequestError::PrecisionConflict => {
-                write!(f, "requests pin conflicting scan precisions for one pass")
             }
         }
     }
@@ -141,15 +134,13 @@ impl RocchioWeights {
 
 /// One query, as the caller means it: an anchor point, optional
 /// positive/negative example sets with their Rocchio coefficients, an
-/// optional per-component metric, per-spec `k`, and a scan-precision
-/// pin.
+/// optional per-component metric and per-spec `k`.
 ///
 /// Built only through [`QuerySpec::builder`] (all validation lives in
 /// [`QuerySpecBuilder::build`]); consumed by lowering
 /// ([`QuerySpec::lower`]) into the kernel-ready [`LoweredQuery`] the
-/// serving front-ends ([`SharedBypass::knn_batch`](crate::SharedBypass::knn_batch),
-/// [`ShardedBypass::knn_batch`](crate::ShardedBypass::knn_batch)) scan
-/// with.
+/// serving front-end ([`SharedBypass::knn_batch`](crate::SharedBypass::knn_batch))
+/// scans with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     anchor: Vec<f64>,
@@ -159,7 +150,6 @@ pub struct QuerySpec {
     clamp_to_zero: bool,
     weights: Option<Vec<f64>>,
     k: Option<usize>,
-    precision: Option<Precision>,
 }
 
 impl QuerySpec {
@@ -174,7 +164,6 @@ impl QuerySpec {
                 clamp_to_zero: false,
                 weights: None,
                 k: None,
-                precision: None,
             },
         }
     }
@@ -207,11 +196,6 @@ impl QuerySpec {
     /// The per-spec result count, if pinned.
     pub fn k(&self) -> Option<usize> {
         self.k
-    }
-
-    /// The scan-precision pin, if any.
-    pub fn precision(&self) -> Option<Precision> {
-        self.precision
     }
 
     /// The distance weights, if set (lowering defaults to uniform).
@@ -260,7 +244,7 @@ impl QuerySpec {
     }
 
     /// Lower to the kernel-ready form: derive the anchor, default the
-    /// metric to uniform when unset, and carry `k`/precision through.
+    /// metric to uniform when unset, and carry `k` through.
     /// Infallible — every failure mode was rejected at
     /// [`QuerySpecBuilder::build`].
     pub fn lower(&self) -> LoweredQuery {
@@ -274,17 +258,16 @@ impl QuerySpec {
                 point,
                 weights,
                 k: self.k,
-                precision: self.precision,
             },
         }
     }
 }
 
 /// The kernel-ready form a [`QuerySpec`] lowers to: one derived anchor
-/// point, one weighted-Euclidean weight vector, the per-query `k` and
-/// precision pin. This is the *only* shape the scan, sharding, and
-/// router layers ever see — in-process it is carried as a
-/// [`KnnRequest`], which [`Self::into_request`] unwraps.
+/// point, one weighted-Euclidean weight vector and the per-query `k`.
+/// This is the *only* shape the scan, sharding, and router layers ever
+/// see — in-process it is carried as a [`KnnRequest`], which
+/// [`Self::into_request`] unwraps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoweredQuery {
     request: KnnRequest,
@@ -306,11 +289,6 @@ impl LoweredQuery {
         self.request.k
     }
 
-    /// Scan-precision pin, if any.
-    pub fn precision(&self) -> Option<Precision> {
-        self.request.precision
-    }
-
     /// Borrow the lowered form as the serving-layer request type.
     pub fn request(&self) -> &KnnRequest {
         &self.request
@@ -323,7 +301,7 @@ impl LoweredQuery {
 }
 
 /// The one construction path for [`QuerySpec`]: accumulate anchor,
-/// examples, coefficients, metric, `k`, and precision, then validate
+/// examples, coefficients, metric and `k`, then validate
 /// everything in [`Self::build`].
 #[derive(Debug, Clone)]
 pub struct QuerySpecBuilder {
@@ -377,12 +355,6 @@ impl QuerySpecBuilder {
     /// Pin the per-spec result count.
     pub fn k(mut self, k: usize) -> Self {
         self.spec.k = Some(k);
-        self
-    }
-
-    /// Pin the scan precision of the pass serving this spec.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.spec.precision = Some(precision);
         self
     }
 
@@ -476,7 +448,6 @@ mod tests {
         assert_eq!(low.point(), anchor.as_slice());
         assert_eq!(low.weights(), &[1.0, 1.0, 1.0, 1.0]);
         assert_eq!(low.k(), None);
-        assert_eq!(low.precision(), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! [`LinearScan`](fbp_vecdb::LinearScan).
 
 use crate::bypass::{FeedbackBypass, PredictedParams};
-use crate::query::{validate_weights, QuerySpec, RequestError};
+use crate::query::{validate_weights, QuerySpec};
 use crate::{BypassError, Result};
 use fbp_simplex_tree::InsertOutcome;
 use fbp_vecdb::{
@@ -52,13 +52,6 @@ pub struct KnnRequest {
     /// multi-query scan answers mixed counts without widening anyone's
     /// k-best.
     pub k: Option<usize>,
-    /// Scan-precision pin for the pass serving this request; `None`
-    /// defers to [`SharedBypass::effective_precision`]'s fallback rule.
-    /// Pinned requests in one batch must agree (one pass streams one
-    /// buffer); results are identical either way — a pin only controls
-    /// bandwidth, e.g. `Some(Precision::F64)` to force the single-phase
-    /// scan on a mirrored collection.
-    pub precision: Option<Precision>,
 }
 
 impl KnnRequest {
@@ -69,7 +62,6 @@ impl KnnRequest {
             point,
             weights: vec![1.0; dim],
             k: None,
-            precision: None,
         }
     }
 
@@ -79,19 +71,12 @@ impl KnnRequest {
             point: p.point.clone(),
             weights: p.weights.clone(),
             k: None,
-            precision: None,
         }
     }
 
     /// Override the batch-wide `k` for this request.
     pub fn with_k(mut self, k: usize) -> Self {
         self.k = Some(k);
-        self
-    }
-
-    /// Pin the scan precision of the pass serving this request.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = Some(precision);
         self
     }
 
@@ -118,42 +103,11 @@ impl KnnRequest {
     }
 }
 
-/// Validated, kernel-ready form of one request batch — the common
-/// front half of the flat ([`SharedBypass::knn_batch_lowered`]) and
-/// sharded ([`crate::ShardedBypass::knn_batch_lowered`]) serving paths.
-pub(crate) struct PreparedBatch {
-    /// One weighted-Euclidean metric per request.
-    pub metrics: Vec<WeightedEuclidean>,
-    /// Resolved per-request result counts (request `k` or the default).
-    pub ks: Vec<usize>,
-}
-
-impl PreparedBatch {
-    /// Run `scan` over the batch: the requests' points under their
-    /// weighted-Euclidean metrics and result counts as one
-    /// [`QueryBatch`] (which rides the shared-metric kernels when every
-    /// weight vector is equal — typically every session's first
-    /// iteration, before feedback diverges the metrics).
-    pub(crate) fn scan(
-        &self,
-        requests: &[KnnRequest],
-        scan: impl FnOnce(&QueryBatch<'_>) -> Vec<Vec<Neighbor>>,
-    ) -> Vec<Vec<Neighbor>> {
-        let points: Vec<&[f64]> = requests.iter().map(|r| r.point.as_slice()).collect();
-        let metrics: Vec<&WeightedEuclidean> = self.metrics.iter().collect();
-        scan(&QueryBatch::new(&points, QueryMetrics::Weighted(&metrics), 0).with_ks(&self.ks))
-    }
-}
-
 /// Validate a request batch against the served dimensionality and build
-/// its metrics: the scan layer asserts/indexes on dims and would panic
-/// instead of reporting a serving error, so everything is checked here
-/// first.
-pub(crate) fn prepare_requests(
-    dim: usize,
-    requests: &[KnnRequest],
-    default_k: usize,
-) -> Result<PreparedBatch> {
+/// one weighted-Euclidean metric per request: the scan layer
+/// asserts/indexes on dims and would panic instead of reporting a
+/// serving error, so everything is checked here first.
+fn request_metrics(dim: usize, requests: &[KnnRequest]) -> Result<Vec<WeightedEuclidean>> {
     for r in requests {
         if r.point.len() != dim {
             return Err(BypassError::DimMismatch {
@@ -169,46 +123,13 @@ pub(crate) fn prepare_requests(
         }
         validate_weights(&r.weights)?;
     }
-    let metrics: Vec<WeightedEuclidean> = requests
+    requests
         .iter()
         .map(|r| {
             WeightedEuclidean::new(r.weights.clone())
                 .map_err(|e| BypassError::BadQuery(format!("request weights: {e}")))
         })
-        .collect::<Result<_>>()?;
-    let ks: Vec<usize> = requests.iter().map(|r| r.k.unwrap_or(default_k)).collect();
-    Ok(PreparedBatch { metrics, ks })
-}
-
-/// The serving layer's one precision fallback rule, shared verbatim by
-/// the flat and sharded paths (see
-/// [`SharedBypass::effective_precision`] for the normative wording):
-/// agreeing pins win, `F32Rescore` sticks, an `F64`-default scan
-/// upgrades when the collection is mirrored.
-pub(crate) fn resolve_precision(
-    configured: Precision,
-    has_mirror: bool,
-    pins: impl IntoIterator<Item = Option<Precision>>,
-) -> Result<Precision> {
-    let mut pinned: Option<Precision> = None;
-    for pin in pins.into_iter().flatten() {
-        match pinned {
-            Some(q) if q != pin => {
-                return Err(RequestError::PrecisionConflict.into());
-            }
-            _ => pinned = Some(pin),
-        }
-    }
-    Ok(match pinned {
-        Some(p) => p,
-        None => {
-            if configured == Precision::F64 && has_mirror {
-                Precision::F32Rescore
-            } else {
-                configured
-            }
-        }
-    })
+        .collect()
 }
 
 /// Cloneable, thread-safe handle to a shared [`FeedbackBypass`] module.
@@ -249,35 +170,6 @@ impl SharedBypass {
         queries.iter().map(|q| guard.predict(q)).collect()
     }
 
-    /// The scan precision one coalesced pass will actually run at —
-    /// **the** fallback rule of the serving layer, in priority order:
-    ///
-    /// 1. A request carrying [`KnnRequest::precision`] pins the pass.
-    ///    All pinned requests in the batch must agree; mixing pins is a
-    ///    [`BypassError::BadQuery`] (one pass streams one buffer).
-    /// 2. A scan configured with [`Precision::F32Rescore`] keeps it.
-    /// 3. A scan left at the [`Precision::F64`] default is **upgraded**
-    ///    to `F32Rescore` when the collection carries its f32 mirror —
-    ///    the same rule [`Self::serving_scan`] applies. Results are
-    ///    identical in both precisions, so a caller who built the mirror
-    ///    but constructed the scan themselves no longer silently pays
-    ///    full-width streaming; forcing the single-phase f64 pass on a
-    ///    mirrored collection takes an explicit per-request pin.
-    ///
-    /// (`F32Rescore` without a mirror, or for a distance class without
-    /// f32 kernels, transparently degrades to the f64 path inside the
-    /// scan — requesting it is always safe.)
-    pub fn effective_precision(
-        scan: &MultiQueryScan<'_>,
-        requests: &[KnnRequest],
-    ) -> Result<Precision> {
-        resolve_precision(
-            scan.precision(),
-            scan.collection().has_f32_mirror(),
-            requests.iter().map(|r| r.precision),
-        )
-    }
-
     /// Serve a batch of [`QuerySpec`]s in **one** multi-query block
     /// pass: lower every spec through the single canonicalization step
     /// ([`QuerySpec::lower`] — Rocchio-derive the anchor from its
@@ -302,9 +194,10 @@ impl SharedBypass {
     /// with its own single-query scan). `k` is the batch-wide default
     /// result count; a request carrying its own [`KnnRequest::k`]
     /// overrides it for that request only, still inside the same pass.
-    /// The pass precision follows [`Self::effective_precision`] — the
-    /// scan's configured precision is a floor, not a pin: a mirrored
-    /// collection is served `F32Rescore` unless a request pins `F64`.
+    /// The pass runs `scan` exactly as configured, precision included:
+    /// a [`Precision::F64`] scan streams the f64 rows even when the
+    /// collection carries an f32 mirror, and [`Self::serving_scan`] is
+    /// the f32-rescore scan a serving front-end should pass.
     ///
     /// Requests whose weight vectors are all identical — typically every
     /// session's first iteration, before feedback diverges the metrics —
@@ -325,9 +218,11 @@ impl SharedBypass {
         if coll.is_empty() {
             return Ok(vec![Vec::new(); requests.len()]);
         }
-        let prep = prepare_requests(coll.dim(), requests, k)?;
-        let scan = scan.with_precision(Self::effective_precision(scan, requests)?);
-        Ok(prep.scan(requests, |batch| scan.knn(batch)))
+        let metrics = request_metrics(coll.dim(), requests)?;
+        let metrics: Vec<&WeightedEuclidean> = metrics.iter().collect();
+        let points: Vec<&[f64]> = requests.iter().map(|r| r.point.as_slice()).collect();
+        let ks: Vec<usize> = requests.iter().map(|r| r.k.unwrap_or(k)).collect();
+        Ok(scan.knn(&QueryBatch::new(&points, QueryMetrics::Weighted(&metrics), 0).with_ks(&ks)))
     }
 
     /// Insert under a write lock.
@@ -484,13 +379,11 @@ mod tests {
                     point: vec![0.2, 0.4, 0.6],
                     weights: vec![3.0, 1.0, 0.5],
                     k: None,
-                    precision: None,
                 },
                 KnnRequest {
                     point: vec![0.8, 0.1, 0.3],
                     weights: vec![0.25, 2.0, 1.5],
                     k: None,
-                    precision: None,
                 },
             ];
             let batch = shared().knn_batch_lowered(&scan, &requests, 7).unwrap();
@@ -509,7 +402,6 @@ mod tests {
                 point: vec![0.1, 0.2, 0.3],
                 weights: vec![1.0, -1.0, 0.0],
                 k: None,
-                precision: None,
             }];
             assert!(shared().knn_batch_lowered(&scan, &requests, 5).is_err());
         }
@@ -530,7 +422,6 @@ mod tests {
                 point: vec![0.1, 0.2, 0.3],
                 weights: vec![1.0, 2.0],
                 k: None,
-                precision: None,
             }];
             assert!(matches!(
                 shared().knn_batch_lowered(&scan, &short_weights, 5),
@@ -567,13 +458,11 @@ mod tests {
                     point: vec![0.2, 0.4, 0.6],
                     weights: vec![3.0, 1.0, 0.5],
                     k: Some(1),
-                    precision: None,
                 },
                 KnnRequest {
                     point: vec![0.8, 0.1, 0.3],
                     weights: vec![0.25, 2.0, 1.5],
                     k: Some(50),
-                    precision: None,
                 },
             ];
             let batch = shared().knn_batch_lowered(&scan, &requests, 7).unwrap();
@@ -603,7 +492,6 @@ mod tests {
                     point: vec![0.8, 0.1, 0.3],
                     weights: vec![0.25, 2.0, 1.5],
                     k: Some(5),
-                    precision: None,
                 },
             ];
             // Without a mirror the serving scan is exactly the f64 scan.
@@ -612,51 +500,46 @@ mod tests {
                 shared().knn_batch_lowered(&scan, &requests, 10).unwrap()
             };
             coll.ensure_f32_mirror();
-            let scan = SharedBypass::serving_scan(&coll);
-            assert_eq!(scan.precision(), fbp_vecdb::Precision::F32Rescore);
+            let sink = fbp_vecdb::ScanStatsSink::new();
+            let scan = SharedBypass::serving_scan(&coll).with_scan_stats(&sink);
             let served = shared().knn_batch_lowered(&scan, &requests, 10).unwrap();
+            assert!(
+                sink.snapshot().candidates_rescored > 0,
+                "the serving scan streams the mirror"
+            );
             assert_eq!(served, baseline);
         }
 
         #[test]
-        fn effective_precision_fallback_rule() {
+        fn configured_precision_is_the_pass_precision() {
             let mut coll = collection();
-            let reqs = vec![KnnRequest::uniform(vec![0.1, 0.5, 0.3])];
-            // No mirror, default scan → F64 (nothing to upgrade to).
-            {
-                let scan = MultiQueryScan::new(&coll);
-                assert_eq!(
-                    SharedBypass::effective_precision(&scan, &reqs).unwrap(),
-                    Precision::F64
-                );
-            }
             coll.ensure_f32_mirror();
-            let scan = MultiQueryScan::new(&coll);
-            // Mirror + unpinned F64-default scan → upgraded to F32Rescore
-            // (the serving_scan rule, now applied by knn_batch itself).
-            assert_eq!(
-                SharedBypass::effective_precision(&scan, &reqs).unwrap(),
-                Precision::F32Rescore
-            );
-            // An explicit per-request pin beats the mirror upgrade.
-            let pinned =
-                vec![KnnRequest::uniform(vec![0.1, 0.5, 0.3]).with_precision(Precision::F64)];
-            assert_eq!(
-                SharedBypass::effective_precision(&scan, &pinned).unwrap(),
-                Precision::F64
-            );
-            // Conflicting pins cannot share one pass.
-            let mixed = vec![
-                KnnRequest::uniform(vec![0.1, 0.5, 0.3]).with_precision(Precision::F64),
-                KnnRequest::uniform(vec![0.4, 0.2, 0.8]).with_precision(Precision::F32Rescore),
+            let specs = vec![
+                QuerySpec::builder(vec![0.1, 0.5, 0.3]).build().unwrap(),
+                QuerySpec::builder(vec![0.8, 0.1, 0.3])
+                    .weights(vec![0.25, 2.0, 1.5])
+                    .k(5)
+                    .build()
+                    .unwrap(),
             ];
-            assert!(SharedBypass::effective_precision(&scan, &mixed).is_err());
-            assert!(shared().knn_batch_lowered(&scan, &mixed, 5).is_err());
-            // The upgraded pass answers bit-identically to the pinned
-            // f64 pass (precision is a bandwidth knob, not a result knob).
-            let upgraded = shared().knn_batch_lowered(&scan, &reqs, 10).unwrap();
-            let forced_f64 = shared().knn_batch_lowered(&scan, &pinned, 10).unwrap();
-            assert_eq!(upgraded, forced_f64);
+            // An F64 scan on a mirrored collection streams the f64 rows:
+            // no f32 phase, so nothing is rescored.
+            let f64_sink = fbp_vecdb::ScanStatsSink::new();
+            let f64_scan = MultiQueryScan::new(&coll)
+                .with_precision(Precision::F64)
+                .with_scan_stats(&f64_sink);
+            let exact = shared().knn_batch(&f64_scan, &specs, 10).unwrap();
+            assert_eq!(f64_sink.snapshot().candidates_rescored, 0);
+            assert!(f64_sink.snapshot().rows_visited > 0);
+            // The F32Rescore scan takes the mirror and answers the same
+            // bits (precision is a bandwidth knob, not a result knob).
+            let f32_sink = fbp_vecdb::ScanStatsSink::new();
+            let f32_scan = MultiQueryScan::new(&coll)
+                .with_precision(Precision::F32Rescore)
+                .with_scan_stats(&f32_sink);
+            let rescored = shared().knn_batch(&f32_scan, &specs, 10).unwrap();
+            assert!(f32_sink.snapshot().candidates_rescored > 0);
+            assert_eq!(rescored, exact);
         }
 
         #[test]

@@ -9,11 +9,11 @@
 //!   and in the edge cases the docs call out: no negatives, negatives
 //!   only, clamped-to-zero components, and the verbatim trivial case.
 //! * **Serving a spec ≡ a flat [`LinearScan`] against its derived
-//!   anchor.** Both the flat ([`SharedBypass::knn_batch`]) and the
-//!   sharded ([`ShardedBypass::knn_batch`]) front-ends, in both scan
-//!   precisions, with per-spec `k` and explicit metric weights in the
-//!   mix. (The router path rides the same invariant over the wire and
-//!   is pinned by the server crate's `spec_wire` tests.)
+//!   anchor.** The serving front-end ([`SharedBypass::knn_batch`]), with
+//!   its scan configured at either precision, with per-spec `k` and
+//!   explicit metric weights in the mix. (The sharded server and router
+//!   paths ride the same invariant over the wire and are pinned by the
+//!   server crate's `spec_wire` tests.)
 //! * **Derived anchors scan identically under every distance class ×
 //!   both precisions.** Euclidean, weighted-Euclidean, hierarchical,
 //!   and quadratic scans of a spec's derived anchor return the same
@@ -23,13 +23,9 @@ use fbp_linalg::Matrix;
 use fbp_vecdb::distance::FeatureSpan;
 use fbp_vecdb::{
     CollectionBuilder, Distance, Euclidean, HierarchicalDistance, KnnEngine, LinearScan,
-    MultiQueryScan, Precision, QuadraticDistance, ScanMode, ShardedCollection, ShardedScan,
-    WeightedEuclidean,
+    MultiQueryScan, Precision, QuadraticDistance, ScanMode, WeightedEuclidean,
 };
-use feedbackbypass::{
-    BypassConfig, FeedbackBypass, QuerySpec, RequestError, RocchioWeights, ShardedBypass,
-    SharedBypass,
-};
+use feedbackbypass::{BypassConfig, FeedbackBypass, QuerySpec, RocchioWeights, SharedBypass};
 use proptest::prelude::*;
 
 const DIM: usize = 6;
@@ -221,13 +217,13 @@ proptest! {
             ),
             1..5,
         ),
-        pin_f64 in any::<bool>(),
+        use_f64 in any::<bool>(),
         clamp in any::<bool>(),
     ) {
-        // Every spec in the batch pins the same precision (mixing pins
-        // is rejected; see `mixed_precision_pins_are_rejected`), but
-        // carries its own k, examples, and (sometimes) metric weights.
-        let precision = if pin_f64 { Precision::F64 } else { Precision::F32Rescore };
+        // The pass runs at the precision its scan is configured with;
+        // every spec carries its own k, examples, and (sometimes) metric
+        // weights.
+        let precision = if use_f64 { Precision::F64 } else { Precision::F32Rescore };
         let specs: Vec<QuerySpec> = raw
             .iter()
             .map(|(anchor, pos, neg, weights, k)| {
@@ -235,8 +231,7 @@ proptest! {
                     .positives(pos.clone())
                     .negatives(neg.clone())
                     .clamp_to_zero(clamp)
-                    .k(*k)
-                    .precision(precision);
+                    .k(*k);
                 if let Some(w) = weights {
                     b = b.weights(w.clone());
                 }
@@ -246,13 +241,8 @@ proptest! {
 
         let coll = collection();
         let module = shared();
-        let mscan = MultiQueryScan::with_mode(&coll, ScanMode::Auto);
+        let mscan = MultiQueryScan::with_mode(&coll, ScanMode::Auto).with_precision(precision);
         let flat = module.knn_batch(&mscan, &specs, 8).unwrap();
-
-        let sc = ShardedCollection::split(&coll, 3);
-        let sscan = ShardedScan::with_mode(&sc, ScanMode::Auto);
-        let sharded = ShardedBypass::from_shared(module.clone());
-        let scattered = sharded.knn_batch(&sscan, &specs, 8).unwrap();
 
         let reference_scan =
             LinearScan::with_mode(&coll, ScanMode::Auto).with_precision(precision);
@@ -261,8 +251,7 @@ proptest! {
             let metric = WeightedEuclidean::new(low.weights().to_vec()).unwrap();
             let reference =
                 reference_scan.knn(low.point(), low.k().unwrap_or(8), &metric);
-            prop_assert_eq!(&flat[i], &reference, "flat spec {} diverged", i);
-            prop_assert_eq!(&scattered[i], &reference, "sharded spec {} diverged", i);
+            prop_assert_eq!(&flat[i], &reference, "spec {} diverged", i);
         }
     }
 
@@ -313,25 +302,4 @@ proptest! {
             );
         }
     }
-}
-
-#[test]
-fn mixed_precision_pins_are_rejected_as_a_typed_error() {
-    let coll = collection();
-    let mscan = MultiQueryScan::with_mode(&coll, ScanMode::Auto);
-    let specs = vec![
-        QuerySpec::builder(vec![0.5; DIM])
-            .precision(Precision::F64)
-            .build()
-            .unwrap(),
-        QuerySpec::builder(vec![0.25; DIM])
-            .precision(Precision::F32Rescore)
-            .build()
-            .unwrap(),
-    ];
-    let err = shared().knn_batch(&mscan, &specs, 5).unwrap_err();
-    assert_eq!(
-        err,
-        feedbackbypass::BypassError::Request(RequestError::PrecisionConflict)
-    );
 }

@@ -27,11 +27,8 @@
 use crate::stream::query_order;
 use fbp_feedback::{CategoryOracle, FeedbackConfig, FeedbackLoop, FeedbackStepper, StepOutcome};
 use fbp_imagegen::SyntheticDataset;
-use fbp_vecdb::{
-    LinearScan, MultiQueryScan, Neighbor, Precision, ResultList, ScanMode, ShardedCollection,
-    ShardedScan,
-};
-use feedbackbypass::{BypassConfig, FeedbackBypass, KnnRequest, ShardedBypass, SharedBypass};
+use fbp_vecdb::{LinearScan, MultiQueryScan, Precision, ResultList, ScanMode};
+use feedbackbypass::{BypassConfig, FeedbackBypass, KnnRequest, SharedBypass};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -61,20 +58,14 @@ pub struct SessionsOptions {
     pub bypass: BypassConfig,
     /// Serving strategy under measurement.
     pub serving: ServingMode,
-    /// Scan precision for the serving searches.
+    /// Scan precision the serving searches' [`MultiQueryScan`] or
+    /// [`LinearScan`] is configured with, and runs at.
     /// [`Precision::F32Rescore`] engages the two-phase mirror scan when
     /// the dataset's collection carries its f32 mirror
     /// (`ds.collection.ensure_f32_mirror()`), and is a transparent f64
-    /// scan otherwise — results are identical either way.
+    /// scan otherwise; [`Precision::F64`] streams the f64 rows even on a
+    /// mirrored collection. Results are identical either way.
     pub precision: Precision,
-    /// Collection shards for coalesced serving (1 = the flat
-    /// single-pass path). With `S > 1` the collection splits into `S`
-    /// contiguous row shards and every coalesced round scatters across
-    /// per-shard passes ([`ShardedBypass::knn_batch`]) — per-query
-    /// results stay bit-identical to the flat pass, but on a multi-core
-    /// host the round's scan bandwidth scales with the shard count.
-    /// Ignored by [`ServingMode::Independent`].
-    pub shards: usize,
     /// Query-sampling seed.
     pub seed: u64,
 }
@@ -89,7 +80,6 @@ impl Default for SessionsOptions {
             bypass: BypassConfig::default(),
             serving: ServingMode::Coalesced(ScanMode::Auto),
             precision: Precision::F64,
-            shards: 1,
             seed: 0xFEED,
         }
     }
@@ -238,40 +228,9 @@ pub fn run_sessions(ds: &SyntheticDataset, opts: &SessionsOptions) -> SessionsRe
 
     let t0 = Instant::now();
     let (searches, scan_passes, distance_evals) = match opts.serving {
-        ServingMode::Coalesced(mode) if opts.shards > 1 => {
-            // Sharded scatter/gather serving: same rounds, same
-            // requests, same bit-identical results — each round's pass
-            // fans out over per-shard scans instead of one flat pass.
-            let sc = ShardedCollection::split(coll, opts.shards);
-            let sharded = ShardedBypass::from_shared(shared.clone());
-            let scan = ShardedScan::with_mode(&sc, mode).with_precision(opts.precision);
-            serve_coalesced(
-                ds,
-                &shared,
-                &mut sessions,
-                &feedback,
-                opts.precision,
-                &|reqs| {
-                    sharded
-                        .knn_batch_lowered(&scan, reqs, feedback.k)
-                        .expect("validated requests")
-                },
-            )
-        }
         ServingMode::Coalesced(mode) => {
             let scan = MultiQueryScan::with_mode(coll, mode).with_precision(opts.precision);
-            serve_coalesced(
-                ds,
-                &shared,
-                &mut sessions,
-                &feedback,
-                opts.precision,
-                &|reqs| {
-                    shared
-                        .knn_batch_lowered(&scan, reqs, feedback.k)
-                        .expect("validated requests")
-                },
-            )
+            serve_coalesced(ds, &shared, &mut sessions, &feedback, &scan)
         }
         ServingMode::Independent(mode) => {
             let scan = LinearScan::with_mode(coll, mode).with_precision(opts.precision);
@@ -289,16 +248,15 @@ pub fn run_sessions(ds: &SyntheticDataset, opts: &SessionsOptions) -> SessionsRe
     }
 }
 
-/// Lock-step serving: one coalesced pass (flat or scatter/gather,
-/// whatever `knn` wraps) per round for every active session, then one
+/// Lock-step serving: one coalesced pass over `scan` per round for
+/// every active session ([`SharedBypass::knn_batch_lowered`]), then one
 /// feedback step each.
 fn serve_coalesced(
     ds: &SyntheticDataset,
     shared: &SharedBypass,
     sessions: &mut [Session],
     feedback: &FeedbackConfig,
-    precision: Precision,
-    knn: &dyn Fn(&[KnnRequest]) -> Vec<Vec<Neighbor>>,
+    scan: &MultiQueryScan<'_>,
 ) -> (u64, u64, u64) {
     let coll = &ds.collection;
     let stepper = FeedbackStepper::new(coll, feedback.clone());
@@ -362,15 +320,12 @@ fn serve_coalesced(
                     point: aq.point.clone(),
                     weights,
                     k: None,
-                    // Pinned: this scenario *measures* precision modes
-                    // against each other, so the serving layer's
-                    // mirror-upgrade fallback must not override the
-                    // experiment's knob.
-                    precision: Some(precision),
                 }
             })
             .collect();
-        let round = knn(&requests);
+        let round = shared
+            .knn_batch_lowered(scan, &requests, feedback.k)
+            .expect("validated requests");
         searches += active.len() as u64;
         scan_passes += 1;
         distance_evals += (coll.len() * active.len()) as u64;
@@ -513,27 +468,6 @@ mod tests {
         assert_eq!(coalesced.per_session, independent.per_session);
         assert_eq!(coalesced.searches, independent.searches);
         assert_eq!(coalesced.distance_evals, independent.distance_evals);
-    }
-
-    #[test]
-    fn sharded_serving_matches_flat_serving_record_for_record() {
-        // Sharding is a bandwidth knob: the scatter/gather rounds must
-        // reproduce the flat coalesced rounds exactly — same cycles,
-        // same convergence, same final precision, per session per query.
-        let ds = SyntheticDataset::generate(DatasetConfig::small());
-        let flat = run_sessions(&ds, &opts(4, 5, ServingMode::Coalesced(ScanMode::Batched)));
-        for shards in [2usize, 3] {
-            let sharded = run_sessions(
-                &ds,
-                &SessionsOptions {
-                    shards,
-                    ..opts(4, 5, ServingMode::Coalesced(ScanMode::Batched))
-                },
-            );
-            assert_eq!(sharded.per_session, flat.per_session, "shards={shards}");
-            assert_eq!(sharded.searches, flat.searches);
-            assert_eq!(sharded.scan_passes, flat.scan_passes);
-        }
     }
 
     #[test]

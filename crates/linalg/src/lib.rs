@@ -12,8 +12,8 @@
 //!   ([`lu`]),
 //! * Cholesky decomposition for Mahalanobis (quadratic-form) distances
 //!   learned from feedback covariance matrices ([`cholesky`]),
-//! * streaming/per-dimension statistics (mean, variance) used by the
-//!   re-weighting feedback strategies ([`stats`]).
+//! * streaming statistics (mean, variance) used by the re-weighting
+//!   feedback strategies ([`stats`]).
 //!
 //! Everything is written against plain `&[f64]` buffers so callers can keep
 //! their own storage (the Simplex Tree keeps vertices in flat arenas).
@@ -33,7 +33,7 @@ pub mod vector;
 pub use cholesky::Cholesky;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use stats::{DimStats, RunningStats};
+pub use stats::RunningStats;
 
 /// Errors produced by the linear algebra kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]

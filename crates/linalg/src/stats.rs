@@ -1,9 +1,9 @@
-//! Per-dimension and streaming statistics.
+//! Streaming statistics.
 //!
 //! The re-weighting feedback strategies (paper §2) reduce to statistics of
 //! the "good" result points: MARS uses `wᵢ = 1/σᵢ`, MindReader/ISF98 use
 //! `wᵢ ∝ 1/σᵢ²`. [`RunningStats`] implements Welford's numerically
-//! stable one-pass update; [`DimStats`] batches it over a set of vectors.
+//! stable one-pass update.
 
 /// Welford one-pass mean/variance accumulator for a single dimension.
 #[derive(Debug, Clone, Default)]
@@ -105,71 +105,6 @@ impl RunningStats {
     }
 }
 
-/// Per-dimension statistics over a set of equal-length vectors.
-#[derive(Debug, Clone)]
-pub struct DimStats {
-    dims: Vec<RunningStats>,
-}
-
-impl DimStats {
-    /// Accumulator for `dim`-dimensional vectors.
-    pub fn new(dim: usize) -> Self {
-        DimStats {
-            dims: vec![RunningStats::new(); dim],
-        }
-    }
-
-    /// Build directly from a batch of vectors.
-    pub fn from_vectors<'a, I>(dim: usize, vectors: I) -> Self
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        let mut s = DimStats::new(dim);
-        for v in vectors {
-            s.push(v);
-        }
-        s
-    }
-
-    /// Fold one vector in.
-    pub fn push(&mut self, v: &[f64]) {
-        assert_eq!(v.len(), self.dims.len(), "DimStats::push: dim mismatch");
-        for (s, &x) in self.dims.iter_mut().zip(v.iter()) {
-            s.push(x);
-        }
-    }
-
-    /// Dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Observations per dimension (identical across dimensions).
-    pub fn count(&self) -> u64 {
-        self.dims.first().map_or(0, |s| s.count())
-    }
-
-    /// Per-dimension means.
-    pub fn means(&self) -> Vec<f64> {
-        self.dims.iter().map(|s| s.mean()).collect()
-    }
-
-    /// Per-dimension population variances.
-    pub fn variances(&self) -> Vec<f64> {
-        self.dims.iter().map(|s| s.variance()).collect()
-    }
-
-    /// Per-dimension population standard deviations.
-    pub fn std_devs(&self) -> Vec<f64> {
-        self.dims.iter().map(|s| s.std_dev()).collect()
-    }
-
-    /// Access one dimension's accumulator.
-    pub fn dim_stats(&self, i: usize) -> &RunningStats {
-        &self.dims[i]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,17 +178,6 @@ mod tests {
         let before = w.mean();
         w.push_weighted(100.0, 0.0, &mut wsum);
         assert_eq!(w.mean(), before);
-    }
-
-    #[test]
-    fn dim_stats_per_dimension() {
-        let vs: Vec<&[f64]> = vec![&[1.0, 10.0], &[3.0, 10.0], &[5.0, 10.0]];
-        let s = DimStats::from_vectors(2, vs);
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.means(), vec![3.0, 10.0]);
-        let var = s.variances();
-        assert!((var[0] - 8.0 / 3.0).abs() < 1e-12);
-        assert_eq!(var[1], 0.0); // constant dimension → σ = 0 (degenerate case)
     }
 
     #[test]

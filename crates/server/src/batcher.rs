@@ -58,10 +58,9 @@ use crate::metrics::Metrics;
 use crate::protocol::{ErrorCode, ShardSpan};
 use crate::sessions::err;
 use fbp_vecdb::{
-    merge_partials, DegradedGather, PartitionedCollection, QueryBatch, QueryMetrics, ScanMode,
-    ShardPartial, ShardedCollection, ShardedScan, WeightedEuclidean,
+    merge_partials, DegradedGather, PartitionedCollection, Precision, QueryBatch, QueryMetrics,
+    ScanMode, ShardPartial, ShardedCollection, ShardedScan, WeightedEuclidean,
 };
-use feedbackbypass::ShardedBypass;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -435,24 +434,23 @@ impl<T> Batcher<T> {
 
 /// The scan both server scan entry points (the shard dispatchers and
 /// the `ShardKnn` handler) run their passes on. It is rebuilt per pass
-/// (it is a couple of words); the serving precision rule
-/// ([`ShardedBypass::effective_precision`], no request pins) upgrades
-/// it to the f32 mirrors whenever every shard carries one, and the
-/// per-shard thread budget is an even share of the machine so S
-/// concurrent shard dispatchers cannot oversubscribe the host.
-/// Partition layouts (when the server opted in) redirect every shard
-/// pass through the pruning scan; the delivered partials — and
-/// therefore the gathered replies — are bit-identical.
+/// (it is a couple of words) and always asks for
+/// [`Precision::F32Rescore`], like
+/// [`SharedBypass::serving_scan`](feedbackbypass::SharedBypass::serving_scan):
+/// a shard with an f32 mirror streams it, a shard without one runs the
+/// f64 path, and the answers are the same bits either way. Partition
+/// layouts (when the server opted in) redirect every shard pass through
+/// the pruning scan; the delivered partials — and therefore the
+/// gathered replies — are bit-identical.
 pub(crate) fn serving_scan<'a>(
     coll: &'a ShardedCollection,
     partitions: Option<&'a Vec<PartitionedCollection>>,
     scan_mode: ScanMode,
     metrics: &'a Metrics,
 ) -> ShardedScan<'a> {
-    let scan = ShardedScan::with_mode(coll, scan_mode).with_scan_stats(metrics.scan_stats());
-    let precision = ShardedBypass::effective_precision(&scan, &[])
-        .expect("precision pins cannot conflict in an empty pin set");
-    let scan = scan.with_precision(precision);
+    let scan = ShardedScan::with_mode(coll, scan_mode)
+        .with_precision(Precision::F32Rescore)
+        .with_scan_stats(metrics.scan_stats());
     match partitions {
         Some(parts) => scan.with_partitions(parts),
         None => scan,

@@ -215,8 +215,7 @@ impl Client {
     /// Requires a prior [`Self::hello`] that negotiated version ≥ 2 —
     /// otherwise the server refuses with `BadRequest`. The spec's
     /// per-spec `k`, when set, overrides the `k` argument; its weights
-    /// and precision pin do not travel on this frame (sessions own the
-    /// learned weights, and serving precision is a server-side policy).
+    /// do not travel on this frame (sessions own the learned weights).
     pub fn knn_spec(
         &mut self,
         session: u64,

@@ -445,7 +445,6 @@ impl<B: Backend> FrontEnd<B> {
             point,
             weights,
             k: Some(k),
-            precision: None,
         };
         let metric = match req.metric(dim) {
             Ok(m) => m,

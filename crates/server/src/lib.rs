@@ -121,9 +121,11 @@
 //! the batcher feeds the same scan entry the `knn_batch` front-end
 //! does, whose passes are pinned identical to per-session
 //! [`LinearScan`](fbp_vecdb::LinearScan)s — regardless of how requests
-//! happen to batch, and at whatever precision
-//! [`effective_precision`](feedbackbypass::SharedBypass::effective_precision)
-//! resolves (mirrored collections stream f32, rescore exact).
+//! happen to batch. Every serving pass asks for the f32-rescore
+//! precision, as
+//! [`SharedBypass::serving_scan`](feedbackbypass::SharedBypass::serving_scan)
+//! does: mirrored collections stream f32 and rescore exact, the rest
+//! run the f64 path.
 //!
 //! ## Quickstart
 //!

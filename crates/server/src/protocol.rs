@@ -309,9 +309,9 @@
 //! | 9    | `BadWeight`      | a distance weight is non-finite or not strictly positive  |
 //! | 10   | `NonFiniteComponent` | a query/example component or Rocchio coefficient is NaN or infinite |
 //! | 11   | `EmptyExampleSet`| a `KnnV2` with `α = 0` and no examples — nothing to derive an anchor from |
-//! | 12   | `PrecisionConflict` | requests pin conflicting scan precisions for one pass  |
+//! | 12   | `PrecisionConflict` | retired: no server sends it any more (requests no longer carry a precision pin); still decodes |
 //!
-//! Codes 9–12 are the typed request-validation errors introduced with
+//! Codes 9–11 are the typed request-validation errors introduced with
 //! protocol v2; they mirror the in-process `RequestError` variants
 //! one-to-one, so a client can branch on the failure without parsing
 //! message strings. A v2 server may answer them to v1 frames too (e.g.
@@ -706,7 +706,9 @@ byte_enum! {
         /// A `KnnV2` with `α = 0` and no examples: nothing to derive an
         /// anchor from (v2).
         EmptyExampleSet = 11,
-        /// Requests pin conflicting scan precisions for one pass (v2).
+        /// Retired (v2): requests once pinned conflicting scan
+        /// precisions for one pass. No server sends it any more; the
+        /// code stays decodable so older peers' frames still parse.
         PrecisionConflict = 12,
     }
 }
@@ -721,7 +723,6 @@ pub fn error_code_for(e: &RequestError) -> ErrorCode {
         RequestError::BadWeight { .. } => ErrorCode::BadWeight,
         RequestError::NonFiniteComponent { .. } => ErrorCode::NonFiniteComponent,
         RequestError::EmptyExampleSet => ErrorCode::EmptyExampleSet,
-        RequestError::PrecisionConflict => ErrorCode::PrecisionConflict,
     }
 }
 

@@ -30,8 +30,8 @@ use crate::metrics::Metrics;
 use crate::protocol::{ErrorCode, Response, DEFAULT_MAX_FRAME_LEN};
 use crate::sessions::{err, SessionStore};
 use fbp_vecdb::{
-    combine_partials, Collection, PartitionConfig, PartitionedCollection, QueryBatch, QueryMetrics,
-    ScanMode, ShardPartial, ShardedCollection, WeightedEuclidean,
+    Collection, PartitionConfig, PartitionedCollection, QueryBatch, QueryMetrics, ScanMode,
+    ShardedCollection, WeightedEuclidean,
 };
 use feedbackbypass::{FeedbackConfig, SharedBypass};
 use std::io;
@@ -87,9 +87,9 @@ pub struct ServerConfig {
     /// `rows × dim × queries` work clears the measured spawn break-even,
     /// so a big flat pass uses an idle core while pruned partitions and
     /// thin shard passes stay on the dispatcher thread. Every mode
-    /// answers the same bits. Precision follows
-    /// [`SharedBypass::effective_precision`]: mirrored collections are
-    /// served with the f32-rescore path automatically.
+    /// answers the same bits. Every pass asks for the f32-rescore path,
+    /// so a collection built with its f32 mirror streams it and one
+    /// without runs the f64 path.
     pub scan_mode: ScanMode,
     /// Collection shards (1 = flat serving). With `S > 1` the served
     /// collection splits into `S` contiguous row shards at startup,
@@ -324,13 +324,14 @@ impl Backend for Shards {
     }
 
     /// `ShardKnn`: a sessionless shard-local k-best under an explicit
-    /// metric — the frame a router scatters. The scan honors the
-    /// caller's cross-shard early-abandon `seed` (tightened further
-    /// across the internal shard split), the internal per-shard partials
-    /// fold into one via [`combine_partials`] (staying in selection
-    /// space, so the router's gather merges them exactly like
-    /// in-process partials), and every entry's index is offset by
-    /// [`ServerConfig::row_offset`].
+    /// metric — the frame a router scatters. The internal shards run as
+    /// one serial seeded gather
+    /// ([`ShardedScan::knn_keyed`](fbp_vecdb::ShardedScan::knn_keyed)):
+    /// the caller's cross-shard early-abandon `seed` caps the first
+    /// pass, each shard's k-th key tightens it for the next, and the
+    /// partials fold into one that stays in selection space, so the
+    /// router's gather merges it exactly like in-process partials. Every
+    /// entry's index is offset by [`ServerConfig::row_offset`].
     fn shard_knn(
         front: &FrontEnd<Self>,
         k: u32,
@@ -368,7 +369,7 @@ impl Backend for Shards {
         let k = (k as usize).min(front.store.coll().len());
         // A NaN seed would poison every key comparison; treat it as
         // unseeded.
-        let mut cap = if seed.is_nan() { f64::INFINITY } else { seed };
+        let cap = if seed.is_nan() { f64::INFINITY } else { seed };
         let shards = &front.backend;
         let scan = serving_scan(
             &shards.sharded_coll,
@@ -378,18 +379,7 @@ impl Backend for Shards {
         );
         let points = [point.as_slice()];
         let batch = QueryBatch::new(&points, QueryMetrics::Shared(&metric), k);
-        let mut parts: Vec<ShardPartial> = Vec::with_capacity(shards.sharded_coll.shard_count());
-        for s in 0..shards.sharded_coll.shard_count() {
-            let part = scan.scan_shard(s, &batch, Some(&[cap])).remove(0);
-            // Serial internal shards: each finished shard's k-th key
-            // tightens the next one's bound (answer-preserving, like the
-            // dispatcher's cross-shard seeds).
-            if let Some(b) = part.bound_key(k) {
-                cap = cap.min(b);
-            }
-            parts.push(part);
-        }
-        let combined = combine_partials(parts.iter(), k);
+        let combined = scan.knn_keyed(&batch, Some(&[cap])).remove(0);
         let offset = shards.row_offset as u32;
         let entries: Vec<(f64, u32)> = combined
             .entries()

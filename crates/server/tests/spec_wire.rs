@@ -245,18 +245,14 @@ fn knn_v2_validation_errors_carry_distinct_codes() {
     }
     expect_code(call(&mut stream, &inert), ErrorCode::EmptyExampleSet);
 
-    // The mapping covers the variants no KnnV2 frame can trigger (they
-    // guard in-process batch paths), so the table stays total.
+    // The mapping covers the variant no KnnV2 frame can trigger (it
+    // guards in-process batch paths), so the table stays total.
     assert_eq!(
         error_code_for(&RequestError::BadWeight {
             index: 0,
             value: -1.0
         }),
         ErrorCode::BadWeight
-    );
-    assert_eq!(
-        error_code_for(&RequestError::PrecisionConflict),
-        ErrorCode::PrecisionConflict
     );
     handle.shutdown();
 }

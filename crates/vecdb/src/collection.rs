@@ -324,13 +324,6 @@ impl ShardedCollection {
         self.dim
     }
 
-    /// True when every shard carries its f32 mirror (the precondition
-    /// for a fully mirrored `F32Rescore` pass; shards without a mirror
-    /// degrade to the f64 path individually, results identical).
-    pub fn has_f32_mirror(&self) -> bool {
-        self.shards.iter().all(|s| s.has_f32_mirror())
-    }
-
     /// Build every shard's f32 mirror (idempotent per shard; a shard
     /// shared through [`Self::whole`] is copied first if it needs one,
     /// never mutated under its other owners).
@@ -764,11 +757,6 @@ impl PartitionedCollection {
         self.inner.ensure_f32_mirror();
     }
 
-    /// True when the inner collection carries its f32 mirror.
-    pub fn has_f32_mirror(&self) -> bool {
-        self.inner.has_f32_mirror()
-    }
-
     /// Heap bytes: inner payloads plus the partition metadata
     /// (centroids, radii, offsets, permutation).
     pub fn memory_bytes(&self) -> usize {
@@ -1085,7 +1073,7 @@ mod tests {
         // Mirroring a shared shard copies it; the other owner's
         // collection is never mutated behind its back.
         whole.ensure_f32_mirror();
-        assert!(whole.has_f32_mirror() && !c.has_f32_mirror());
+        assert!(whole.shard(0).has_f32_mirror() && !c.has_f32_mirror());
     }
 
     #[test]
@@ -1095,16 +1083,17 @@ mod tests {
             b.push_unlabelled(&[i as f64, 0.5]).unwrap();
         }
         let c = b.build();
+        let mirrored = |sc: &ShardedCollection| sc.shards().iter().all(|s| s.has_f32_mirror());
         let mut sc = ShardedCollection::split(&c, 4);
-        assert!(!sc.has_f32_mirror());
+        assert!(!mirrored(&sc));
         assert_eq!(sc.memory_bytes(), c.memory_bytes());
         sc.ensure_f32_mirror();
-        assert!(sc.has_f32_mirror());
+        assert!(mirrored(&sc));
         assert_eq!(sc.memory_bytes(), 6 * 2 * 8 + 6 * 2 * 4);
         // Splitting a mirrored source mirrors every shard up front.
         let mut mc = c.clone();
         mc.ensure_f32_mirror();
-        assert!(ShardedCollection::split(&mc, 3).has_f32_mirror());
+        assert!(mirrored(&ShardedCollection::split(&mc, 3)));
         // An empty collection still splits into S (empty) shards.
         let empty = ShardedCollection::split(&CollectionBuilder::new().build(), 3);
         assert_eq!(empty.shard_count(), 3);

@@ -10,8 +10,9 @@
 //!   flat collection is the one-partition layout, a partitioned one
 //!   skips partitions a per-class lower bound proves irrelevant, and
 //!   one partition walk serves both;
-//! * [`ShardedScan::knn`] — scatter/gather over row shards (flat or
-//!   partitioned per shard), and [`ShardedScan::scan_shard`] for
+//! * [`ShardedScan::knn`] — a serial, seeded gather over row shards
+//!   (flat or partitioned per shard), with [`ShardedScan::knn_keyed`]
+//!   as its key-space form, and [`ShardedScan::scan_shard`] for
 //!   schedulers that run each shard's pass themselves and merge the
 //!   key-space [`ShardPartial`]s with [`merge_partials`].
 //!

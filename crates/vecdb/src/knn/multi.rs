@@ -170,11 +170,6 @@ impl<'a> MultiQueryScan<'a> {
         self.layout.coll
     }
 
-    /// The configured precision.
-    pub fn precision(&self) -> Precision {
-        self.cfg.precision
-    }
-
     /// Per-query containment bands ([`KeyBand`]) of an f32 phase-1 over
     /// this collection, when every precondition for the two-phase scan
     /// holds: `F32Rescore` requested, mirror present, and —

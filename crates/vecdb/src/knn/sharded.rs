@@ -7,12 +7,14 @@
 //! on one dispatcher inherits that bound. Sharding breaks it: each shard
 //! is its own contiguous collection (own f64 buffer, own f32 mirror),
 //! so `S` passes stream `S` disjoint buffers from `S` cores with no
-//! shared write state at all. The scatter stage fans a coalesced query
-//! batch out across shards — either through [`ShardedScan`]'s own
-//! scoped-thread workers (the one-shot entry points) or through external
-//! per-shard schedulers (the `fbp-server` shard dispatchers), which call
-//! [`ShardedScan::scan_shard`] directly and gather [`ShardPartial`]s
-//! themselves.
+//! shared write state at all. The concurrency lives in the scheduler,
+//! not here: the `fbp-server` shard dispatchers each call
+//! [`ShardedScan::scan_shard`] for their own shard and gather the
+//! [`ShardPartial`]s with [`merge_partials`]. [`ShardedScan::knn_keyed`]
+//! (and [`ShardedScan::knn`] on top of it) is the one serial gather: it
+//! runs the shards in turn on the calling thread, each pass seeded with
+//! the bounds the earlier shards delivered — what a shard server that
+//! splits its rows internally answers a `ShardKnn` with.
 //!
 //! # Why the merged answer is bit-identical to the unsharded scan
 //!
@@ -35,66 +37,17 @@
 //! across all four distance classes, both precisions, and shard counts
 //! up to one row per shard.
 
-use super::multi::KeyedResults;
 use super::stats::ScanStatsSink;
-use super::{finish_entries, KBest, KnnEngine, LinearScan, MultiQueryScan, Neighbor};
+use super::{finish_entries, KBest, MultiQueryScan, Neighbor};
 use super::{Layout, Precision, QueryBatch, ScanConfig, ScanMode};
 use crate::collection::{PartitionedCollection, ShardedCollection};
 use crate::distance::Distance;
 use crate::VecdbError;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One scatter worker's shard assignment: `(shard index, result slot)`
-/// pairs it fills in round-robin order.
-type WorkerSlots<'s> = Vec<(usize, &'s mut Option<Vec<ShardPartial>>)>;
-
-/// One atomic early-abandon seed per query, shared by the one-shot
-/// scatter workers (f64 bits in an `AtomicU64`, monotonically tightened
-/// via compare-exchange — the same cell discipline as the server's
-/// per-gather seed).
-struct SeedSet {
-    seeds: Vec<AtomicU64>,
-}
-
-impl SeedSet {
-    fn new(n: usize) -> Self {
-        SeedSet {
-            seeds: (0..n)
-                .map(|_| AtomicU64::new(f64::INFINITY.to_bits()))
-                .collect(),
-        }
-    }
-
-    /// Current per-query caps (`+∞` until a shard delivers `k` rows).
-    fn snapshot(&self) -> Vec<f64> {
-        self.seeds
-            .iter()
-            .map(|s| f64::from_bits(s.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Tighten query `q`'s seed to `bound` if it improves it.
-    fn offer(&self, q: usize, bound: f64) {
-        let cell = &self.seeds[q];
-        let mut cur = cell.load(Ordering::Relaxed);
-        while bound < f64::from_bits(cur) {
-            match cell.compare_exchange_weak(
-                cur,
-                bound.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
 
 /// One query's k-best over one shard, still in selection space: `(key,
 /// global index)` entries ascending by `(key, index)`, plus whether the
 /// keys are already finished distances (a Scalar-mode pass). Opaque by
-/// design — produce it with a [`ShardedScan`] scatter call, consume it
+/// design — produce it with [`ShardedScan::scan_shard`], consume it
 /// with [`merge_partials`]; everything in between (a network hop, a
 /// per-shard batching queue) may reorder or regroup partials freely
 /// without affecting the merged answer.
@@ -329,10 +282,10 @@ pub fn merge_partials_policy(
 /// each row range of a shard pass — the shard's rows, or each of its
 /// surviving partitions — fans out iff that range's own work clears
 /// the cutoff, exactly as in an unsharded pass; the kernels, and the
-/// selected bits, are the same either way. The thread budget is the
-/// *total* across shards — the scatter stage runs `min(shards, budget)`
-/// shard workers and hands each per-shard pass an even share, so
-/// sharding never oversubscribes the host.
+/// selected bits, are the same either way. [`Self::scan_shard`] hands
+/// each pass an even share of the thread budget (its callers run shards
+/// concurrently); the serial gather [`Self::knn_keyed`] runs one shard
+/// at a time, so each of its passes gets the whole budget.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedScan<'a> {
     coll: &'a ShardedCollection,
@@ -409,16 +362,6 @@ impl<'a> ShardedScan<'a> {
         self
     }
 
-    /// The underlying sharded collection.
-    pub fn collection(&self) -> &'a ShardedCollection {
-        self.coll
-    }
-
-    /// The configured precision.
-    pub fn precision(&self) -> Precision {
-        self.cfg.precision
-    }
-
     /// Even per-shard share of the total budget (at least 1): `S` shard
     /// passes at `budget / S` threads each keep the host at ~`budget`
     /// total, exactly like the eval sweeps' per-configuration shares.
@@ -426,9 +369,26 @@ impl<'a> ShardedScan<'a> {
         (self.cfg.threads(usize::MAX) / self.coll.shard_count()).max(1)
     }
 
-    /// Offset a shard's keyed results to global row indices.
-    fn globalize(&self, shard: usize, keyed: KeyedResults) -> Vec<ShardPartial> {
+    /// Run shard `shard`'s pass for every query of `batch` under a
+    /// budget of `threads` workers, with indices offset to the global
+    /// row numbering.
+    fn shard_pass(
+        &self,
+        shard: usize,
+        batch: &QueryBatch<'_>,
+        caps: Option<&[f64]>,
+        threads: usize,
+    ) -> Vec<ShardPartial> {
+        let cfg = ScanConfig {
+            thread_budget: Some(threads),
+            ..self.cfg
+        };
+        let layout: Layout<'_> = self.parts.map_or(self.coll.shard(shard).into(), |parts| {
+            (&parts[shard]).into()
+        });
+        let keyed = MultiQueryScan::with_config(layout, cfg).knn_keyed(batch, caps);
         let offset = self.coll.offset(shard) as u32;
+        let finished = keyed.finished;
         keyed
             .entries
             .into_iter()
@@ -437,23 +397,25 @@ impl<'a> ShardedScan<'a> {
                     .into_iter()
                     .map(|(key, index)| (key, index + offset))
                     .collect(),
-                finished: keyed.finished,
+                finished,
             })
             .collect()
     }
 
     /// Scatter stage for external per-shard schedulers (the server's
-    /// shard dispatchers): run shard `shard`'s pass for every query of
-    /// `batch` and return one keyed partial per query (global indices),
-    /// to be gathered with [`merge_partials`]. Results are independent
-    /// of how requests were grouped into shard passes.
+    /// shard dispatchers, which run concurrently): run shard `shard`'s
+    /// pass for every query of `batch` and return one keyed partial per
+    /// query (global indices), to be gathered with [`merge_partials`].
+    /// Results are independent of how requests were grouped into shard
+    /// passes.
     ///
     /// Every shard pass runs the configured mode with an even share of
-    /// the thread budget; under `Auto` each of its row ranges fans out
-    /// iff that range's own `rows × dim × nq` clears the cutoff, so a
-    /// thin shard pass never pays a spawn. The answer — and the kernels
-    /// producing it — match the unsharded scan however thinly the rows
-    /// are sharded.
+    /// the thread budget, so `S` concurrent dispatchers cannot
+    /// oversubscribe the host; under `Auto` each of its row ranges fans
+    /// out iff that range's own `rows × dim × nq` clears the cutoff, so
+    /// a thin shard pass never pays a spawn. The answer — and the
+    /// kernels producing it — match the unsharded scan however thinly
+    /// the rows are sharded.
     ///
     /// `caps` (per query, optional) are cross-shard pruning seeds —
     /// typically other shards' [`ShardPartial::bound_key`] values. Each
@@ -466,109 +428,57 @@ impl<'a> ShardedScan<'a> {
         batch: &QueryBatch<'_>,
         caps: Option<&[f64]>,
     ) -> Vec<ShardPartial> {
-        let cfg = ScanConfig {
-            thread_budget: Some(self.per_shard_budget()),
-            ..self.cfg
-        };
-        let layout: Layout<'_> = self.parts.map_or(self.coll.shard(shard).into(), |parts| {
-            (&parts[shard]).into()
-        });
-        let keyed = MultiQueryScan::with_config(layout, cfg).knn_keyed(batch, caps);
-        self.globalize(shard, keyed)
+        self.shard_pass(shard, batch, caps, self.per_shard_budget())
     }
 
-    /// Run `scan_shard` for every shard — `min(shards, budget)` scoped
-    /// worker threads, round-robin shard assignment — and return the
-    /// partials indexed `[shard][query]`.
-    fn scatter(
-        &self,
-        scan_shard: &(dyn Fn(usize) -> Vec<ShardPartial> + Sync),
-    ) -> Vec<Vec<ShardPartial>> {
-        let s = self.coll.shard_count();
-        let workers = self.cfg.threads(s);
-        if workers <= 1 || s == 1 {
-            return (0..s).map(scan_shard).collect();
-        }
-        let mut parts: Vec<Option<Vec<ShardPartial>>> = vec![None; s];
-        std::thread::scope(|scope| {
-            let mut worker_slots: Vec<WorkerSlots<'_>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, slot) in parts.iter_mut().enumerate() {
-                worker_slots[i % workers].push((i, slot));
-            }
-            for slots in worker_slots {
-                scope.spawn(move || {
-                    for (i, slot) in slots {
-                        *slot = Some(scan_shard(i));
-                    }
-                });
-            }
-        });
-        parts
-            .into_iter()
-            .map(|p| p.expect("worker filled its shards"))
-            .collect()
-    }
-
-    /// The nearest neighbors of every query of `batch`: scatter across
-    /// shards, merge in key space — results bit-identical to
-    /// [`MultiQueryScan::knn`] over the unsharded collection, and
-    /// therefore to per-query [`LinearScan`]s.
+    /// The serial, seeded gather, still in key space: one combined
+    /// partial per query of `batch`, covering every shard's rows —
+    /// what a shard server that splits its rows internally reports
+    /// upstream for a `ShardKnn`.
     ///
-    /// The scatter runs with **cross-shard bound seeding**, like the
-    /// server dispatcher path: workers share one atomic seed cell per
-    /// query, snapshot the seeds into early-abandon caps before each
-    /// shard pass, and offer every delivered partial's
-    /// [`ShardPartial::bound_key`] back. A seed is the k-th best of a
-    /// row subset, hence a sound upper bound on the global k-th — caps
-    /// only make passes cheaper, never different.
-    pub fn knn(&self, batch: &QueryBatch<'_>) -> Vec<Vec<Neighbor>> {
+    /// Shards run one after another on the calling thread, each pass
+    /// with the whole thread budget (so a big shard still fans out under
+    /// `Auto`). Every delivered partial's [`ShardPartial::bound_key`]
+    /// tightens that query's cap for the next shard's pass; a shard's
+    /// k-th best is the k-th best of a row subset, hence a sound upper
+    /// bound on the global k-th, so the caps only make later passes
+    /// cheaper, never different. `caps` seeds the first pass exactly as
+    /// in [`Self::scan_shard`].
+    pub fn knn_keyed(&self, batch: &QueryBatch<'_>, caps: Option<&[f64]>) -> Vec<ShardPartial> {
         if batch.is_empty() || self.coll.is_empty() {
-            return vec![Vec::new(); batch.len()];
+            return (0..batch.len())
+                .map(|_| ShardPartial {
+                    entries: Vec::new(),
+                    finished: true,
+                })
+                .collect();
         }
         let ks = batch.ks_for(self.coll.len(), self.coll.dim());
-        let seeds = SeedSet::new(ks.len());
-        let parts = self.scatter(&|shard| {
-            let parts = self.scan_shard(shard, batch, Some(&seeds.snapshot()));
-            for (q, part) in parts.iter().enumerate() {
-                if let Some(bound) = part.bound_key(ks[q]) {
-                    seeds.offer(q, bound);
+        let mut caps = caps.map_or_else(|| vec![f64::INFINITY; ks.len()], <[f64]>::to_vec);
+        let threads = self.cfg.threads(usize::MAX);
+        let mut parts: Vec<Vec<ShardPartial>> = Vec::with_capacity(self.coll.shard_count());
+        for shard in 0..self.coll.shard_count() {
+            let shard_parts = self.shard_pass(shard, batch, Some(&caps), threads);
+            for ((cap, part), &k) in caps.iter_mut().zip(&shard_parts).zip(&ks) {
+                if let Some(bound) = part.bound_key(k) {
+                    *cap = cap.min(bound);
                 }
             }
-            parts
-        });
+            parts.push(shard_parts);
+        }
         (ks.iter().enumerate())
-            .map(|(q, &k)| merge_partials(parts.iter().map(|p| &p[q]), k, batch.metric(q)))
+            .map(|(q, &k)| combine_partials(parts.iter().map(|p| &p[q]), k))
             .collect()
     }
 
-    /// All neighbors within `radius` (inclusive), scattered across
-    /// shards: each shard answers its own range query exactly (shards
-    /// cover disjoint rows, so membership is a per-row question), the
-    /// results concatenate with global indices and sort by the canonical
-    /// ascending `(dist, index)` — identical to
-    /// [`LinearScan::range`](super::KnnEngine::range) over the unsharded
-    /// collection in the same mode.
-    pub fn range(&self, query: &[f64], radius: f64, dist: &dyn Distance) -> Vec<Neighbor> {
-        let parts = self.scatter(&|shard| {
-            let offset = self.coll.offset(shard) as u32;
-            let scan = LinearScan::with_mode(self.coll.shard(shard), self.cfg.mode)
-                .with_precision(self.cfg.precision)
-                .with_thread_budget(self.per_shard_budget());
-            vec![ShardPartial {
-                entries: scan
-                    .range(query, radius, dist)
-                    .into_iter()
-                    .map(|n| (n.dist, n.index + offset))
-                    .collect(),
-                finished: true,
-            }]
-        });
-        let mut out: Vec<Neighbor> = parts
-            .into_iter()
-            .flat_map(|mut shard| shard.swap_remove(0).entries)
-            .map(|(dist, index)| Neighbor { index, dist })
-            .collect();
-        out.sort_unstable_by(Neighbor::total_cmp);
-        out
+    /// The nearest neighbors of every query of `batch`: the serial
+    /// seeded gather ([`Self::knn_keyed`]) with each query's winners
+    /// finished under its own metric — results bit-identical to
+    /// [`MultiQueryScan::knn`] over the unsharded collection, and
+    /// therefore to per-query [`LinearScan`](super::LinearScan)s.
+    pub fn knn(&self, batch: &QueryBatch<'_>) -> Vec<Vec<Neighbor>> {
+        (self.knn_keyed(batch, None).into_iter().enumerate())
+            .map(|(q, part)| finish_entries(part.entries, part.finished, batch.metric(q)))
+            .collect()
     }
 }

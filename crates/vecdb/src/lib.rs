@@ -21,10 +21,12 @@
 //!   blocked pass, amortizing memory traffic across the queries, over
 //!   a [`knn::Layout`]: a flat collection, or a
 //!   [`collection::PartitionedCollection`], whose partitions a
-//!   per-class lower bound can prove irrelevant and skip; and, to
-//!   scale past one core's streaming bandwidth,
-//!   [`knn::ShardedScan::knn`] scatters it over the contiguous row
-//!   shards of a [`collection::ShardedCollection`] and merges the
+//!   per-class lower bound can prove irrelevant and skip; and
+//!   [`knn::ShardedScan`] runs it over the contiguous row shards of a
+//!   [`collection::ShardedCollection`] — one shard pass at a time for
+//!   the server's concurrent shard dispatchers
+//!   ([`knn::ShardedScan::scan_shard`]), or all of them in one serial
+//!   seeded gather ([`knn::ShardedScan::knn`]) — and merges the
 //!   per-shard k-bests in key space. All of them accept
 //!   [`knn::Precision::F32Rescore`]: phase 1 filters candidates over
 //!   the collection's optional f32 mirror at half the bandwidth, phase

@@ -3,9 +3,8 @@
 //! and f64 distances to the unsharded [`LinearScan`] /
 //! [`MultiQueryScan`], across all four distance classes, both
 //! precisions, and the shard-boundary edges — S ∈ {1, 3, len}, S > len
-//! (empty shards), k larger than any single shard, per-query k, and
-//! range queries. Sharding is a bandwidth/parallelism knob, never a
-//! result knob.
+//! (empty shards), k larger than any single shard, and per-query k.
+//! Sharding is a bandwidth/parallelism knob, never a result knob.
 
 use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
@@ -163,7 +162,6 @@ fn empty_shards_and_k_beyond_shard_len() {
     assert!(scan
         .knn(&QueryBatch::new(&[], Shared(&Euclidean), 5))
         .is_empty());
-    assert!(scan.range(eq, 1.0, &Euclidean).is_empty());
 }
 
 #[test]
@@ -206,37 +204,6 @@ fn per_query_k_and_per_query_metrics_match_flat() {
                 flat.knn(&weighted),
                 "per-query weighted S={s} precision={precision:?}"
             );
-        }
-    }
-}
-
-#[test]
-fn range_queries_match_flat_scan() {
-    let coll = collection(N, true);
-    let q = queries(1).remove(0);
-    for dist in distance_classes() {
-        // A radius wide enough to cross shard boundaries but narrow
-        // enough to exercise the filter.
-        let probe = LinearScan::with_mode(&coll, ScanMode::Batched).knn(&q, 40, &*dist);
-        let radius = probe.last().expect("probe results").dist;
-        for s in shard_counts(N) {
-            let sharded = ShardedCollection::split(&coll, s);
-            for precision in [Precision::F64, Precision::F32Rescore] {
-                for mode in [ScanMode::Batched, ScanMode::Parallel] {
-                    let got = ShardedScan::with_mode(&sharded, mode)
-                        .with_precision(precision)
-                        .range(&q, radius, &*dist);
-                    let expect = LinearScan::with_mode(&coll, mode)
-                        .with_precision(precision)
-                        .range(&q, radius, &*dist);
-                    assert_eq!(got, expect, "S={s} mode={mode:?} precision={precision:?}");
-                    // The radius is the 40th-nearest distance, so the
-                    // result set is substantial and crosses shard
-                    // boundaries (boundary membership itself is pinned
-                    // by the equality above).
-                    assert!(got.len() >= 39, "suspiciously small range result");
-                }
-            }
         }
     }
 }

@@ -8,17 +8,11 @@
 //! configurations run the identical load (full feedback loops over
 //! loopback TCP, per-session learned metrics, f32-mirror scans); the
 //! only difference is whether the dispatcher may coalesce concurrent
-//! requests into one multi-query pass. A second sweep varies
-//! [`ServerConfig::shards`] over {1, 2, 4} (per-shard micro-batchers,
-//! scatter/gather replies): on the 1-vCPU build container the wall
-//! clock cannot improve, so the number to watch is the **sharding
-//! tax** — `cpu_tax_vs_flat`, CPU-per-search relative to S = 1,
-//! recorded (not asserted: the shared box is too noisy for a hard CI
-//! gate) per PR with a target of ≲1.1 at S = 2 — while multi-core
-//! hosts convert the extra dispatchers into wall-clock wins. Set
-//! `FBP_BENCH_JSON=path` to append the machine-readable records (the
-//! CI bench-smoke job writes `BENCH_pr.json`), `FBP_BENCH_FAST=1` for
-//! a shorter run.
+//! requests into one multi-query pass. A second comparison runs traced
+//! against untraced rounds and asserts the tracing overhead stays in
+//! the noise band. Set `FBP_BENCH_JSON=path` to append the
+//! machine-readable records (the CI bench-smoke job writes
+//! `BENCH_pr.json`), `FBP_BENCH_FAST=1` for a shorter run.
 
 use fbp_bench::{is_fast, write_bench_json};
 use fbp_server::{run_loadgen, serve, LoadgenOptions, LoadgenReport, ServerConfig};
@@ -104,7 +98,6 @@ fn run_config(
     coll: &Arc<Collection>,
     queries: &[Vec<f64>],
     max_batch: usize,
-    shards: usize,
     trace: bool,
 ) -> (LoadgenReport, u64) {
     // Fresh module per configuration: both runs do identical learning
@@ -117,7 +110,6 @@ fn run_config(
         target_fill: target_fill().min(max_batch),
         max_wait: max_wait(),
         idle_gap: idle_gap(),
-        shards,
         feedback: FeedbackConfig {
             k: K,
             ..Default::default()
@@ -176,8 +168,8 @@ fn main() {
     let mut batched_runs: Vec<(LoadgenReport, u64)> = Vec::new();
     let mut no_batch_runs: Vec<(LoadgenReport, u64)> = Vec::new();
     for _ in 0..reps {
-        batched_runs.push(run_config(&coll, &queries, max_batch(), 1, false));
-        no_batch_runs.push(run_config(&coll, &queries, 1, 1, false));
+        batched_runs.push(run_config(&coll, &queries, max_batch(), false));
+        no_batch_runs.push(run_config(&coll, &queries, 1, false));
     }
     let median = |runs: &mut Vec<(LoadgenReport, u64)>| -> (LoadgenReport, u64) {
         runs.sort_by(|a, b| a.0.searches_per_sec().total_cmp(&b.0.searches_per_sec()));
@@ -264,82 +256,6 @@ fn main() {
         speedup,
     ));
 
-    // ---- Shard sweep: S ∈ {1, 2, 4}, adaptive batching throughout ----
-    // Interleaved round-robin over the shard counts, keeping each
-    // configuration's median-throughput repetition, exactly like the
-    // batching comparison above.
-    let shard_counts = [1usize, 2, 4];
-    let mut shard_runs: Vec<Vec<(LoadgenReport, u64)>> =
-        shard_counts.iter().map(|_| Vec::new()).collect();
-    for _ in 0..reps {
-        for (slot, &s) in shard_runs.iter_mut().zip(shard_counts.iter()) {
-            slot.push(run_config(&coll, &queries, max_batch(), s, false));
-        }
-    }
-    println!("\nshard sweep (adaptive micro-batching, same workload):");
-    println!(
-        "{:<10} {:>13} {:>10} {:>10} {:>11} {:>8} {:>10}",
-        "shards", "searches/sec", "p50 µs", "p99 µs", "shard fill", "passes", "cpu µs/rq"
-    );
-    let mut flat_cpu_per_search = 0.0f64;
-    for (slot, &s) in shard_runs.iter_mut().zip(shard_counts.iter()) {
-        let (r, cpu) = median(slot);
-        let cpu_per_search = cpu as f64 / r.searches as f64;
-        if s == 1 {
-            flat_cpu_per_search = cpu_per_search;
-        }
-        let tax = if flat_cpu_per_search > 0.0 {
-            cpu_per_search / flat_cpu_per_search
-        } else {
-            1.0
-        };
-        println!(
-            "{s:<10} {:>13.0} {:>10.0} {:>10.0} {:>11.2} {:>8} {:>10.0}",
-            r.searches_per_sec(),
-            r.latency_p50_us,
-            r.latency_p99_us,
-            r.server.mean_batch_fill,
-            r.server.passes,
-            cpu_per_search,
-        );
-        write_bench_json(&format!(
-            concat!(
-                "{{\"bench\":\"serving_shards\",",
-                "\"workload\":{{\"n\":{},\"dim\":{},\"k\":{},\"sessions\":{},",
-                "\"think_ms\":{},\"max_batch\":{}}},",
-                "\"mode\":\"{}\",",
-                "\"shards\":{},",
-                "\"searches_per_sec\":{:.1},",
-                "\"latency_p50_us\":{:.1},",
-                "\"latency_p99_us\":{:.1},",
-                "\"mean_shard_fill\":{:.2},",
-                "\"shard_passes\":{},",
-                "\"cpu_us_per_search\":{:.1},",
-                "\"cpu_tax_vs_flat\":{:.3}}}\n"
-            ),
-            N,
-            DIM,
-            K,
-            SESSIONS,
-            THINK.as_millis(),
-            max_batch(),
-            if is_fast() { "fast" } else { "full" },
-            s,
-            r.searches_per_sec(),
-            r.latency_p50_us,
-            r.latency_p99_us,
-            r.server.mean_batch_fill,
-            r.server.passes,
-            cpu_per_search,
-            tax,
-        ));
-    }
-    println!(
-        "(cpu µs/rq vs S=1 is the sharding tax, recorded per PR as cpu_tax_vs_flat — \
-         target ~1.1 at S=2 on this 1-vCPU box, where S dispatcher wakeups serialize \
-         on the one core; multi-core hosts convert S dispatchers into wall-clock wins)"
-    );
-
     // ---- Stage attribution: traced vs untraced, same workload ----
     // Traced rounds ask for the protocol-v3 trailer and split each
     // round trip into queue / scan / merge; untraced rounds are the
@@ -351,12 +267,12 @@ fn main() {
     let mut traced_runs: Vec<(LoadgenReport, u64)> = Vec::new();
     let mut plain_runs: Vec<(LoadgenReport, u64)> = Vec::new();
     for _ in 0..reps {
-        traced_runs.push(run_config(&coll, &queries, max_batch(), 1, true));
-        plain_runs.push(run_config(&coll, &queries, max_batch(), 1, false));
+        traced_runs.push(run_config(&coll, &queries, max_batch(), true));
+        plain_runs.push(run_config(&coll, &queries, max_batch(), false));
     }
     let (traced, _) = median(&mut traced_runs);
     let (plain, _) = median(&mut plain_runs);
-    println!("\ntrace attribution (protocol v3 trailers, adaptive batching, S = 1):");
+    println!("\ntrace attribution (protocol v3 trailers, adaptive batching):");
     println!(
         "  round trip p50 {:.0} µs = queue-dominated gather (p50 {:.0} µs, \
          shard queue p99 {:.0} µs, shard busy p99 {:.0} µs) + merge (p50 {:.0} µs)",

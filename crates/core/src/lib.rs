@@ -23,8 +23,8 @@
 //!   sharing one learned mapping, plus the batched serving front-end
 //!   ([`SharedBypass::knn_batch`]) that coalesces pending sessions' k-NN
 //!   requests into one multi-query collection pass. It is the only
-//!   in-process batch entry; sharded serving lives in `fbp-server`,
-//!   whose shard dispatchers scan through `fbp_vecdb::ShardedScan`.
+//!   in-process batch entry; networked serving lives in `fbp-server`,
+//!   whose dispatcher scans through `fbp_vecdb::MultiQueryScan` too.
 //!
 //! ## Quickstart
 //!

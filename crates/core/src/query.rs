@@ -10,7 +10,7 @@
 //! canonicalization step** that turns any of them into the kernel-ready
 //! [`LoweredQuery`] *before* the scan.
 //!
-//! Everything downstream of lowering — kernels, sharding, bound
+//! Everything downstream of lowering — kernels, partitions, bound
 //! propagation, the router's key-space merge — sees only the lowered
 //! `(point, weights, k)` form and is untouched by new query shapes.
 //! That is what preserves the repo's bit-identity invariant: a
@@ -265,7 +265,7 @@ impl QuerySpec {
 
 /// The kernel-ready form a [`QuerySpec`] lowers to: one derived anchor
 /// point, one weighted-Euclidean weight vector and the per-query `k`.
-/// This is the *only* shape the scan, sharding, and router layers ever
+/// This is the *only* shape the scan, server and router layers ever
 /// see — in-process it is carried as a [`KnnRequest`], which
 /// [`Self::into_request`] unwraps.
 #[derive(Debug, Clone, PartialEq)]

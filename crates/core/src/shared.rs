@@ -81,10 +81,13 @@ impl KnnRequest {
     }
 
     /// Validate this request against the served dimensionality and
-    /// build its weighted-Euclidean metric — the single-request form of
-    /// batch preparation, for schedulers that admit requests one at a
-    /// time and want the metric built **once** (shared by every shard
-    /// pass and the final gather) instead of once per shard pass.
+    /// build its weighted-Euclidean metric — the one place a request is
+    /// checked: schedulers that admit requests one at a time build the
+    /// metric **once** here, and [`SharedBypass::knn_batch_lowered`]
+    /// maps its batch through it. A dimensionality disagreement is
+    /// [`BypassError::DimMismatch`]; a weight that is not finite and
+    /// strictly positive is the typed
+    /// [`RequestError::BadWeight`](crate::RequestError::BadWeight).
     pub fn metric(&self, dim: usize) -> Result<WeightedEuclidean> {
         if self.point.len() != dim {
             return Err(BypassError::DimMismatch {
@@ -98,38 +101,18 @@ impl KnnRequest {
                 got: self.weights.len(),
             });
         }
+        validate_weights(&self.weights)?;
         WeightedEuclidean::new(self.weights.clone())
             .map_err(|e| BypassError::BadQuery(format!("request weights: {e}")))
     }
 }
 
 /// Validate a request batch against the served dimensionality and build
-/// one weighted-Euclidean metric per request: the scan layer
-/// asserts/indexes on dims and would panic instead of reporting a
-/// serving error, so everything is checked here first.
+/// one weighted-Euclidean metric per request ([`KnnRequest::metric`]):
+/// the scan layer asserts/indexes on dims and would panic instead of
+/// reporting a serving error, so everything is checked here first.
 fn request_metrics(dim: usize, requests: &[KnnRequest]) -> Result<Vec<WeightedEuclidean>> {
-    for r in requests {
-        if r.point.len() != dim {
-            return Err(BypassError::DimMismatch {
-                expected: dim,
-                got: r.point.len(),
-            });
-        }
-        if r.weights.len() != dim {
-            return Err(BypassError::DimMismatch {
-                expected: dim,
-                got: r.weights.len(),
-            });
-        }
-        validate_weights(&r.weights)?;
-    }
-    requests
-        .iter()
-        .map(|r| {
-            WeightedEuclidean::new(r.weights.clone())
-                .map_err(|e| BypassError::BadQuery(format!("request weights: {e}")))
-        })
-        .collect()
+    requests.iter().map(|r| r.metric(dim)).collect()
 }
 
 /// Cloneable, thread-safe handle to a shared [`FeedbackBypass`] module.
@@ -404,6 +387,33 @@ mod tests {
                 k: None,
             }];
             assert!(shared().knn_batch_lowered(&scan, &requests, 5).is_err());
+        }
+
+        #[test]
+        fn metric_and_batch_report_the_same_bad_weight() {
+            let coll = collection();
+            let scan = MultiQueryScan::new(&coll);
+            for bad in [0.0, -1.0, f64::NAN] {
+                let req = KnnRequest {
+                    point: vec![0.1, 0.2, 0.3],
+                    weights: vec![1.0, bad, 1.0],
+                    k: None,
+                };
+                let single = req.metric(3).unwrap_err();
+                let batch = (shared().knn_batch_lowered(&scan, &[req], 5)).unwrap_err();
+                assert!(
+                    matches!(
+                        &single,
+                        crate::BypassError::Request(crate::RequestError::BadWeight {
+                            index: 1,
+                            ..
+                        })
+                    ),
+                    "weight {bad}: {single:?}"
+                );
+                // NaN never equals itself, so compare the variants' text.
+                assert_eq!(single.to_string(), batch.to_string(), "weight {bad}");
+            }
         }
 
         #[test]

@@ -1,21 +1,20 @@
-//! The adaptive micro-batchers: one bounded request queue **per
-//! collection shard**, each drained by its own dispatcher thread into
-//! per-shard scan passes, with a gather cell per request that assembles
-//! the reply once every shard has delivered its partial.
+//! The adaptive micro-batcher: one bounded request queue, drained by
+//! one dispatcher thread into coalesced scan passes, each request's
+//! reply fired by the dispatcher the moment its pass finishes.
 //!
-//! Connection threads admit each `Knn` request once (a [`Gather`] cell
-//! holding the request and its reply completion), scatter one handle to
-//! every shard's [`Batcher`], and go straight back to reading their
-//! sockets. Every shard dispatcher runs the same collection policy, from
-//! the first queued request: hold the batch open for more arrivals
-//! **only while one is possible and the batch is below
+//! Connection threads admit each `Knn` request once (its resolved
+//! search and its reply sink), enqueue it into the server's
+//! [`Batcher`], and go straight back to reading their sockets. The
+//! dispatcher runs one collection policy, from the first queued
+//! request: hold the batch open for more arrivals **only while one is
+//! possible and the batch is below
 //! [`target_fill`](crate::ServerConfig::target_fill)**, and within that
 //! window dispatch early when
 //! [`max_wait`](crate::ServerConfig::max_wait) has elapsed since the
 //! **oldest** queued request or when no new request arrived for
 //! [`idle_gap`](crate::ServerConfig::idle_gap); at dispatch it drains up
 //! to [`max_batch`](crate::ServerConfig::max_batch) requests into one
-//! per-shard multi-query pass ([`ShardedScan::scan_shard`]).
+//! multi-query pass ([`MultiQueryScan::knn`]).
 //!
 //! *Possible* is decided from evidence, not from a timer. The protocol
 //! allows **at most one `Knn` in flight per connection** (replies are
@@ -29,212 +28,35 @@
 //! pays a gap. The timers still govern whenever some connection is idle
 //! or busy with a non-`Knn` round trip (feedback, stats): a lone request
 //! then pays at most one idle gap; in the bursty think-time regime the
-//! gap cutoff dispatches the moment a burst ends; under saturation each
+//! gap cutoff dispatches the moment a burst ends; under saturation the
 //! batcher is work-conserving and its fill self-tunes to
-//! `arrival rate × per-shard pass time`. All `S` shard batchers read the
-//! same server-wide pair: a request stays in flight until its last
-//! shard delivered, so "no arrival possible" holds for every queue at
-//! once.
+//! `arrival rate × pass time`.
 //!
-//! Shards batch **independently** — shard 0 may serve requests {A, B}
-//! in one pass while shard 1 serves A and B in two — and the reply is
-//! still exact: a [`ShardPartial`] is the shard's k-best for its request
-//! in key space regardless of batch-mates, and the gather merges
-//! partials by the deterministic `(key, index)` order
-//! ([`merge_partials`]).
-//! The dispatcher thread that delivers the **last** partial runs the
-//! merge and the reply completion (session bookkeeping, encoding, the
-//! socket write), so no extra thread ever sits on the latency path.
-//!
-//! A dropped client (disconnect mid-request) merely makes its
-//! completion's socket write fail — ignored, so abandoned entries can
-//! never wedge a queue. On shutdown every queue stops accepting, each
-//! dispatcher drains what remains, and exits; a gather whose scatter was
-//! cut short by shutdown is completed with an error by the enqueuing
-//! thread, so every admitted request resolves exactly once.
+//! The dispatcher runs each request's reply sink (session bookkeeping,
+//! encoding, the socket write) right after the pass, so no extra thread
+//! ever sits on the latency path. A dropped client (disconnect
+//! mid-request) merely makes its sink's socket write fail — ignored, so
+//! abandoned entries can never wedge the queue. On shutdown the queue
+//! stops accepting and the dispatcher drains what remains and exits; a
+//! request refused by a closing queue is answered with an error by the
+//! enqueuing thread, so every admitted request resolves exactly once.
 
-use crate::frontend::{Outcome, ReplySink, Search};
+use crate::frontend::{ReplySink, Search};
 use crate::metrics::Metrics;
-use crate::protocol::{ErrorCode, ShardSpan};
-use crate::sessions::err;
+use crate::protocol::ShardSpan;
 use fbp_vecdb::{
-    merge_partials, DegradedGather, PartitionedCollection, Precision, QueryBatch, QueryMetrics,
-    ScanMode, ShardPartial, ShardedCollection, ShardedScan, WeightedEuclidean,
+    Collection, DegradedGather, Layout, MultiQueryScan, PartitionedCollection, Precision,
+    QueryBatch, QueryMetrics, ScanMode, WeightedEuclidean,
 };
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Per-request gather cell: the admitted search (read-only, shared by
-/// every shard's pass), one delivery slot per shard, the cross-shard
-/// seed, and the reply sink. The shard dispatchers fill it in-process;
-/// the router's downstream gather wraps the same cell.
-pub(crate) struct Gather {
-    /// The admitted search: point, metric and `k`, resolved once at
-    /// admission and shared by every shard pass and the final merge.
-    /// Its trace collector (`None` on the untraced hot path —
-    /// dispatchers pay one branch per stage) only observes timestamps,
-    /// so it can never change the merged answer.
-    pub search: Search,
-    /// Cross-shard pruning seed: the tightest known upper bound on this
-    /// request's global k-th key (f64 bits, starts at `+∞`), tightened
-    /// from every delivered partial's [`ShardPartial::bound_key`]. A
-    /// shard pass (or a router retry or hedge) that runs *after* another
-    /// shard finished prunes against a near-global bound instead of its
-    /// looser local one — on a host where shard passes serialize this
-    /// recovers most of the flat pass's early-abandon power, and it can
-    /// never change the merged answer (the bound is provably ≥ the
-    /// global k-th).
-    seed: AtomicU64,
-    /// Set when the last slot resolved.
-    done: AtomicBool,
-    state: Mutex<GatherState>,
-}
-
-struct GatherState {
-    /// Delivered partials by shard index (`None` for errored shards).
-    partials: Vec<Option<ShardPartial>>,
-    /// Per-shard delivery marker (a shard delivers exactly once; the
-    /// marker makes duplicate deliveries harmless instead of fatal).
-    delivered: Vec<bool>,
-    /// First shard error, if any.
-    error: Option<String>,
-    /// Shards still outstanding.
-    remaining: usize,
-    /// Taken by the completing delivery.
-    reply: Option<ReplySink>,
-}
-
-impl Gather {
-    /// New cell awaiting `shards` partials. `reply` is invoked exactly
-    /// once, by whichever thread delivers the last partial: it finishes
-    /// the reply right on that thread.
-    pub(crate) fn new(search: Search, shards: usize, reply: ReplySink) -> Self {
-        Gather {
-            search,
-            seed: AtomicU64::new(f64::INFINITY.to_bits()),
-            done: AtomicBool::new(false),
-            state: Mutex::new(GatherState {
-                partials: (0..shards).map(|_| None).collect(),
-                delivered: vec![false; shards],
-                error: None,
-                remaining: shards,
-                reply: Some(reply),
-            }),
-        }
-    }
-
-    /// The current pruning seed for this request (`+∞` until some
-    /// shard delivered a full k-best).
-    pub(crate) fn seed(&self) -> f64 {
-        f64::from_bits(self.seed.load(Ordering::Acquire))
-    }
-
-    /// Tighten the seed to `min(current, bound)` (lock-free; seeds only
-    /// ever decrease).
-    fn offer_seed(&self, bound: f64) {
-        let mut current = self.seed.load(Ordering::Acquire);
-        while bound < f64::from_bits(current) {
-            match self.seed.compare_exchange_weak(
-                current,
-                bound.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(now) => current = now,
-            }
-        }
-    }
-
-    /// Whether every slot has resolved.
-    pub(crate) fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// Whether `shard`'s slot has already been delivered (lets a router
-    /// hedge or straggling retry stand down without touching the wire).
-    pub(crate) fn resolved(&self, shard: usize) -> bool {
-        self.is_done() || self.state.lock().expect("gather lock").delivered[shard]
-    }
-
-    /// Deliver shard `shard`'s partial to an in-process gather: the
-    /// first shard error becomes the reply (as `Internal`), otherwise
-    /// the partials merge into the exact answer.
-    pub(crate) fn complete_shard(&self, shard: usize, outcome: Result<ShardPartial, String>) {
-        self.deliver(shard, outcome, |partials, error| match error {
-            Some(e) => Err(err(ErrorCode::Internal, e)),
-            // The merge reuses the admission-built metric — no
-            // per-reply metric reconstruction.
-            None => Ok(DegradedGather {
-                neighbors: merge_partials(
-                    partials.iter().flatten(),
-                    self.search.k,
-                    &self.search.metric,
-                ),
-                missing_shards: Vec::new(),
-            }),
-        });
-    }
-
-    /// Record shard `shard`'s outcome; returns whether this call was the
-    /// one recorded. Duplicate deliveries (a hedge losing to its
-    /// primary, a backstop racing a worker) are dropped. The delivery
-    /// that resolves the last slot folds the partials and the first
-    /// shard error with `merge` (outside the cell's lock) and fires the
-    /// reply with the result.
-    pub(crate) fn deliver(
-        &self,
-        shard: usize,
-        outcome: Result<ShardPartial, String>,
-        merge: impl FnOnce(&[Option<ShardPartial>], Option<String>) -> Outcome,
-    ) -> bool {
-        let fire = {
-            let mut g = self.state.lock().expect("gather lock");
-            if g.delivered[shard] {
-                return false;
-            }
-            g.delivered[shard] = true;
-            match outcome {
-                Ok(partial) => {
-                    if let Some(bound) = partial.bound_key(self.search.k) {
-                        self.offer_seed(bound);
-                    }
-                    g.partials[shard] = Some(partial);
-                }
-                Err(e) => {
-                    if g.error.is_none() {
-                        g.error = Some(e);
-                    }
-                }
-            }
-            g.remaining -= 1;
-            if g.remaining == 0 {
-                self.done.store(true, Ordering::Release);
-                g.reply
-                    .take()
-                    .map(|reply| (reply, g.error.take(), std::mem::take(&mut g.partials)))
-            } else {
-                None
-            }
-        };
-        if let Some((reply, error, partials)) = fire {
-            // The last slot just resolved: everything from here (merge,
-            // session bookkeeping, reply encode + write) is merge time.
-            if let Some(trace) = &self.search.trace {
-                trace.note_gathered();
-            }
-            reply(merge(&partials, error));
-        }
-        true
-    }
-}
 
 /// The two server-wide counts the window-close rule reads: admitted
 /// `Knn` requests whose reply has not fired, and connections whose
 /// thread is alive. The front-end owns the writes (on a router it is
-/// also the admission bound and nothing else reads it); every shard's
+/// also the admission bound and nothing else reads it); a server's
 /// [`Batcher`] holds the same `Arc` and only reads.
 ///
 /// A leak would fail silently in either direction — `inflight` stuck
@@ -299,24 +121,15 @@ impl Drop for InFlight {
     }
 }
 
-/// Why an enqueue was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EnqueueError {
-    /// The server is shutting down.
-    ShuttingDown,
-}
-
 struct Inner<T> {
     queue: VecDeque<(Instant, T)>,
     shutdown: bool,
 }
 
 /// Bounded-by-admission queue + wakeup plumbing shared by connection
-/// threads and one shard's dispatcher. Capacity is enforced at the
-/// *admission* layer ([`Load::admit`] in the front-end), not here: every
-/// admitted request lands once in every shard's queue, so a per-queue
-/// bound would either double-count the global bound or leave a request
-/// half-scattered on overflow.
+/// threads and the dispatcher. Capacity is enforced at the *admission*
+/// layer ([`Load::admit`] in the front-end), not here: the in-flight
+/// count already bounds what the queue can hold.
 pub(crate) struct Batcher<T> {
     inner: Mutex<Inner<T>>,
     cv: Condvar,
@@ -351,13 +164,13 @@ impl<T> Batcher<T> {
         }
     }
 
-    /// Enqueue one item (stamped now); fails only once shutting down.
-    /// The item's [`InFlight`] claim must already be held, so the
-    /// dispatcher this wakes sees it counted.
-    pub(crate) fn enqueue(&self, item: T) -> Result<(), EnqueueError> {
+    /// Enqueue one item (stamped now); once shutting down, the item is
+    /// handed back instead. The item's [`InFlight`] claim must already
+    /// be held, so the dispatcher this wakes sees it counted.
+    pub(crate) fn enqueue(&self, item: T) -> Result<(), T> {
         let mut g = self.inner.lock().expect("batcher lock");
         if g.shutdown {
-            return Err(EnqueueError::ShuttingDown);
+            return Err(item);
         }
         g.queue.push_back((Instant::now(), item));
         self.cv.notify_one();
@@ -432,41 +245,41 @@ impl<T> Batcher<T> {
     }
 }
 
-/// The scan both server scan entry points (the shard dispatchers and
-/// the `ShardKnn` handler) run their passes on. It is rebuilt per pass
-/// (it is a couple of words) and always asks for
-/// [`Precision::F32Rescore`], like
-/// [`SharedBypass::serving_scan`](feedbackbypass::SharedBypass::serving_scan):
-/// a shard with an f32 mirror streams it, a shard without one runs the
-/// f64 path, and the answers are the same bits either way. Partition
-/// layouts (when the server opted in) redirect every shard pass through
-/// the pruning scan; the delivered partials — and therefore the
-/// gathered replies — are bit-identical.
-pub(crate) fn serving_scan<'a>(
-    coll: &'a ShardedCollection,
-    partitions: Option<&'a Vec<PartitionedCollection>>,
-    scan_mode: ScanMode,
-    metrics: &'a Metrics,
-) -> ShardedScan<'a> {
-    let scan = ShardedScan::with_mode(coll, scan_mode)
-        .with_precision(Precision::F32Rescore)
-        .with_scan_stats(metrics.scan_stats());
-    match partitions {
-        Some(parts) => scan.with_partitions(parts),
-        None => scan,
+/// The rows a server scans and how: its collection, the partition
+/// layout built once at startup when the server opted in, and the scan
+/// mode. Shared by the dispatcher and the `ShardKnn` handler.
+pub(crate) struct ServedRows {
+    pub(crate) coll: Arc<Collection>,
+    pub(crate) partitions: Option<PartitionedCollection>,
+    pub(crate) scan_mode: ScanMode,
+}
+
+impl ServedRows {
+    /// The scan every pass runs on. It is rebuilt per pass (it is a
+    /// couple of words) and always asks for [`Precision::F32Rescore`],
+    /// like
+    /// [`SharedBypass::serving_scan`](feedbackbypass::SharedBypass::serving_scan):
+    /// a collection with an f32 mirror streams it, one without runs the
+    /// f64 path, and the answers are the same bits either way. A
+    /// partition layout redirects the pass through the pruning scan,
+    /// again with the same answers.
+    pub(crate) fn scan<'a>(&'a self, metrics: &'a Metrics) -> MultiQueryScan<'a> {
+        let layout: Layout<'a> = match &self.partitions {
+            Some(parts) => parts.into(),
+            None => (&*self.coll).into(),
+        };
+        MultiQueryScan::with_mode(layout, self.scan_mode)
+            .with_precision(Precision::F32Rescore)
+            .with_scan_stats(metrics.scan_stats())
     }
 }
 
-/// One shard's dispatcher loop: drain batches from this shard's queue,
-/// run each as one per-shard scan pass, deliver every request's partial
-/// to its gather cell (the last shard to deliver fires the merged
-/// reply). Runs until the batcher shuts down and empties.
-pub(crate) fn run_shard_dispatcher(
-    shard: usize,
-    batcher: Arc<Batcher<Arc<Gather>>>,
-    coll: Arc<ShardedCollection>,
-    partitions: Option<Arc<Vec<PartitionedCollection>>>,
-    scan_mode: ScanMode,
+/// The dispatcher loop: drain batches from the queue, run each as one
+/// multi-query pass, and fire every request's reply sink with its
+/// neighbours. Runs until the batcher shuts down and empties.
+pub(crate) fn run_dispatcher(
+    batcher: Arc<Batcher<(Search, ReplySink)>>,
+    rows: Arc<ServedRows>,
     metrics: Arc<Metrics>,
 ) {
     while let Some(batch) = batcher.next_batch() {
@@ -475,32 +288,24 @@ pub(crate) fn run_shard_dispatcher(
             .iter()
             .map(|(enqueued, _)| dispatched.saturating_duration_since(*enqueued))
             .collect();
-        let gathers: Vec<Arc<Gather>> = batch.into_iter().map(|(_, g)| g).collect();
+        let (searches, replies): (Vec<Search>, Vec<ReplySink>) =
+            batch.into_iter().map(|(_, item)| item).unzip();
         // Each request's point, metric, and k were resolved once at
-        // admission; the pass borrows them instead of rebuilding the
-        // metric per shard dispatch.
-        let points: Vec<&[f64]> = gathers
-            .iter()
-            .map(|g| g.search.req.point.as_slice())
-            .collect();
-        let pass_metrics: Vec<&WeightedEuclidean> =
-            gathers.iter().map(|g| &g.search.metric).collect();
-        let ks: Vec<usize> = gathers.iter().map(|g| g.search.k).collect();
-        // Cross-shard bound propagation: requests whose gathers already
-        // hold another shard's k-th key prune against it from row one.
-        let seeds: Vec<f64> = gathers.iter().map(|g| g.seed()).collect();
-        let scan = serving_scan(&coll, partitions.as_deref(), scan_mode, &metrics);
+        // admission; the pass borrows them.
+        let points: Vec<&[f64]> = searches.iter().map(|s| s.req.point.as_slice()).collect();
+        let pass_metrics: Vec<&WeightedEuclidean> = searches.iter().map(|s| &s.metric).collect();
+        let ks: Vec<usize> = searches.iter().map(|s| s.k).collect();
         let batch = QueryBatch::new(&points, QueryMetrics::Weighted(&pass_metrics), 0).with_ks(&ks);
-        let partials = scan.scan_shard(shard, &batch, Some(&seeds));
+        let answers = rows.scan(&metrics).knn(&batch);
         let scanned = Instant::now();
         metrics.record_pass(&waits);
-        // Traced requests get their span stamped *before* delivery, so
-        // the delivery that completes the gather already sees it.
-        let fill = gathers.len() as u32;
-        for gather in &gathers {
-            if let Some(trace) = &gather.search.trace {
+        // Traced requests get their span stamped before any reply
+        // fires, so each reply's trace already holds it.
+        let fill = searches.len() as u32;
+        for search in &searches {
+            if let Some(trace) = &search.trace {
                 trace.add_span(ShardSpan {
-                    shard: shard as u32,
+                    shard: 0,
                     queue_ns: dispatched.saturating_duration_since(trace.t0()).as_nanos() as u64,
                     busy_ns: scanned.saturating_duration_since(dispatched).as_nanos() as u64,
                     batch_fill: fill,
@@ -508,8 +313,16 @@ pub(crate) fn run_shard_dispatcher(
                 });
             }
         }
-        for (gather, partial) in gathers.iter().zip(partials) {
-            gather.complete_shard(shard, Ok(partial));
+        for ((search, reply), neighbors) in searches.iter().zip(replies).zip(answers) {
+            // Everything from here (session bookkeeping, reply encode +
+            // write) is merge time.
+            if let Some(trace) = &search.trace {
+                trace.note_gathered();
+            }
+            reply(Ok(DegradedGather {
+                neighbors,
+                missing_shards: Vec::new(),
+            }));
         }
     }
 }
@@ -517,8 +330,6 @@ pub(crate) fn run_shard_dispatcher(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Response;
-    use feedbackbypass::KnnRequest;
 
     /// Timers no correct rule ever waits out: a test that needs one of
     /// them to expire hangs into its own elapsed-time assertion.
@@ -698,7 +509,7 @@ mod tests {
         let (_, b) = rig(1, NEVER, NEVER);
         b.enqueue(7).unwrap();
         b.shutdown();
-        assert_eq!(b.enqueue(8), Err(EnqueueError::ShuttingDown));
+        assert_eq!(b.enqueue(8), Err(8), "a closing queue hands the item back");
         assert_eq!(b.next_batch().unwrap().len(), 1);
         assert!(b.next_batch().is_none());
     }
@@ -711,103 +522,5 @@ mod tests {
         assert_eq!(load.counts(), (1, 0), "the refusal left nothing behind");
         drop(held);
         assert_eq!(load.counts(), (0, 0));
-    }
-
-    /// An untraced k = 5 search at `point` under the uniform metric.
-    fn search(point: Vec<f64>) -> Search {
-        let req = KnnRequest::uniform(point);
-        let metric = req.metric(req.point.len()).unwrap();
-        Search {
-            req,
-            metric,
-            k: 5,
-            trace: None,
-        }
-    }
-
-    #[test]
-    fn gather_fires_once_after_all_shards_any_order() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let fired = Arc::new(AtomicUsize::new(0));
-        let got = Arc::new(Mutex::new(None));
-        let gather = Gather::new(
-            search(vec![0.0, 0.0]),
-            3,
-            Box::new({
-                let fired = Arc::clone(&fired);
-                let got = Arc::clone(&got);
-                move |outcome| {
-                    fired.fetch_add(1, Ordering::SeqCst);
-                    *got.lock().unwrap() = Some(outcome);
-                }
-            }),
-        );
-        // Build real partials through the public scatter API.
-        let mut b = fbp_vecdb::CollectionBuilder::new();
-        for i in 0..6 {
-            b.push_unlabelled(&[i as f64, 0.0]).unwrap();
-        }
-        let sc = ShardedCollection::split(&b.build(), 3);
-        let scan = ShardedScan::with_mode(&sc, ScanMode::Batched);
-        let metric = fbp_vecdb::WeightedEuclidean::uniform(2);
-        let q: &[f64] = &[0.0, 0.0];
-        let parts: Vec<ShardPartial> = (0..3)
-            .map(|s| {
-                scan.scan_shard(
-                    s,
-                    &QueryBatch::new(&[q], QueryMetrics::Shared(&metric), 5),
-                    None,
-                )
-                .remove(0)
-            })
-            .collect();
-        // Out-of-order delivery; the reply fires exactly once, on the
-        // last shard.
-        gather.complete_shard(2, Ok(parts[2].clone()));
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
-        gather.complete_shard(0, Ok(parts[0].clone()));
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
-        gather.complete_shard(1, Ok(parts[1].clone()));
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        let merged = got.lock().unwrap().take().unwrap().unwrap().neighbors;
-        assert_eq!(merged.len(), 5);
-        assert_eq!(merged[0].index, 0);
-        assert!(merged.windows(2).all(|w| w[0].dist <= w[1].dist));
-    }
-
-    #[test]
-    fn gather_propagates_shard_errors() {
-        let got = Arc::new(Mutex::new(None));
-        let gather = Gather::new(
-            search(vec![0.0]),
-            2,
-            Box::new({
-                let got = Arc::clone(&got);
-                move |outcome| *got.lock().unwrap() = Some(outcome)
-            }),
-        );
-        let mut b = fbp_vecdb::CollectionBuilder::new();
-        b.push_unlabelled(&[0.5]).unwrap();
-        let sc = ShardedCollection::split(&b.build(), 2);
-        let scan = ShardedScan::with_mode(&sc, ScanMode::Batched);
-        let metric = fbp_vecdb::WeightedEuclidean::uniform(1);
-        let q: &[f64] = &[0.0];
-        let part = scan
-            .scan_shard(
-                0,
-                &QueryBatch::new(&[q], QueryMetrics::Shared(&metric), 5),
-                None,
-            )
-            .remove(0);
-        gather.complete_shard(0, Ok(part));
-        gather.complete_shard(1, Err("pass failed".into()));
-        let outcome = got.lock().unwrap().take().unwrap();
-        match outcome {
-            Err(Response::Error { code, message }) => {
-                assert_eq!(code, ErrorCode::Internal);
-                assert_eq!(message, "pass failed");
-            }
-            _ => panic!("expected the shard error to win"),
-        }
     }
 }

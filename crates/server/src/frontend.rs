@@ -6,7 +6,7 @@
 //! A shard server ([`crate::serve`]) and a router ([`crate::route`])
 //! speak the same session protocol, so everything that speaks it lives
 //! here once. What really differs sits behind [`Backend`]: where an
-//! admitted search is scattered (the shard micro-batchers, or the
+//! admitted search goes (the server's micro-batcher, or the
 //! downstream pools), an early refusal ahead of admission, how
 //! `ShardKnn` is answered, the row offset `ShardInfo` reports, the
 //! tier's extra stats fields, and what a disconnect must wake.
@@ -52,8 +52,9 @@ pub(crate) type ReplySink = Box<dyn FnOnce(Outcome) + Send>;
 
 /// One admitted search with its parameters resolved: the request
 /// (point, weights), its metric (built **once at admission** and shared
-/// by every shard pass and the final merge), the clamped `k`, and the
-/// span collector of a traced request (`None` on the untraced path).
+/// by the scan pass or every downstream call and the final merge), the
+/// clamped `k`, and the span collector of a traced request (`None` on
+/// the untraced path).
 pub(crate) struct Search {
     pub(crate) req: KnnRequest,
     pub(crate) metric: WeightedEuclidean,
@@ -126,7 +127,7 @@ pub(crate) struct FrontEnd<B> {
     pub(crate) metrics: Arc<Metrics>,
     /// Admitted, unanswered searches and live connections. The
     /// in-flight count is the admission bound — enforcing it here,
-    /// before any scatter, keeps a search's scatter atomic: it reaches
+    /// before any scatter, keeps a router's scatter atomic: it reaches
     /// every shard or is refused outright with `Busy`. Both counts are
     /// released by drop guards only ([`InFlight`], [`LiveConnection`]).
     pub(crate) load: Arc<Load>,
@@ -215,7 +216,7 @@ impl<B: Backend> FrontEnd<B> {
     /// lock, so frames never interleave). A client must therefore keep
     /// at most one `Knn` in flight per connection before reading its
     /// reply — which a strict request/response client does by
-    /// construction. The shard batchers lean on the same invariant:
+    /// construction. The server's batcher leans on the same invariant:
     /// with as many searches in flight as there are live connections,
     /// nobody is left to send one.
     fn handle_connection(self: &Arc<Self>, stream: TcpStream) {

@@ -26,32 +26,26 @@
 //! cannot come: a connection carries one `Knn` at a time, so once every
 //! live connection has one queued the batch dispatches on the spot.
 //!
-//! ## Sharded scatter/gather serving
+//! ## One way to cut the rows
 //!
-//! One coalesced pass is still bounded by what one dispatcher can
-//! stream. [`ServerConfig::shards`] splits the served collection into
-//! `S` contiguous row shards at startup and gives **each shard its own
-//! micro-batcher and dispatcher thread** under the same batching
-//! policy. Every `Knn` request is admitted once, scattered to all `S`
-//! queues, served by `S` independent per-shard passes
-//! ([`ShardedScan::scan_shard`](fbp_vecdb::ShardedScan::scan_shard)), and
-//! its reply is gathered — the per-shard k-bests merge in key space
-//! with a deterministic `(key, index)` order, so the answer is
-//! **bit-identical** to flat serving no matter how each shard happened
-//! to batch. On a multi-core host the scan bandwidth of the serving
-//! loop scales with `S`; see `ARCHITECTURE.md` at the repository root
-//! for the measured sweep and the invariant argument.
+//! A server scans its rows in one pass per batch. Rows are cut two
+//! ways, never both inside one process: **within** a server by opt-in
+//! partitions ([`ServerConfig::partitions`]), which let a pass skip
+//! clusters a per-class lower bound proves irrelevant, and **across**
+//! servers by the router tier below, each shard server serving one
+//! contiguous row slice. Either cut answers bit-identically to one flat
+//! server; see `ARCHITECTURE.md` at the repository root for the
+//! invariant argument.
 //!
 //! ## Router tier
 //!
-//! [`route`] runs the same scatter/gather across **machines**: a router
-//! front-end owns the session tier (module prediction, feedback
-//! transitions, commits) and scatters each admitted `Knn` as one
-//! `ShardKnn` frame per remote shard server, gathering the per-shard
-//! k-bests with the identical key-space merge — bit-identical to
-//! in-process `shards = S` serving while every shard answers. Because
-//! downstreams can now fail independently, the router adds the
-//! robustness layer sharding alone never needed: per-downstream
+//! [`route`] cuts the rows across **servers**: a router front-end owns
+//! the session tier (module prediction, feedback transitions, commits)
+//! and scatters each admitted `Knn` as one `ShardKnn` frame per remote
+//! shard server, gathering the per-shard k-bests with a key-space merge
+//! ([`merge_partials`](fbp_vecdb::merge_partials)) — bit-identical to
+//! one flat server while every shard answers. Because downstreams can
+//! fail independently, the router adds a robustness layer: per-downstream
 //! connection pools with connect/read/write timeouts, exponential
 //! backoff, and automatic reconnect; hedged retries that duplicate a
 //! straggling shard's call after a p99-derived delay (first answer

@@ -2,13 +2,13 @@
 //! log-linear histograms ([`fbp_obs::LogHistogram`]) for every latency
 //! distribution, snapshots on demand.
 //!
-//! Sharded accounting: a client request is counted **once**
-//! ([`Metrics::record_request`], at admission), while passes are
-//! counted **per shard pass** ([`Metrics::record_pass`]) — every
-//! request rides exactly `shards` passes, so the mean batch fill is
-//! `requests × shards / passes`, the per-shard-pass fill the batching
-//! policy actually controls. Queue waits are sampled per (request,
-//! shard pass) pair: the delay from admission to that shard's dispatch.
+//! Accounting: a client request is counted **once**
+//! ([`Metrics::record_request`], at admission) and every scan pass
+//! once ([`Metrics::record_pass`]); the mean batch fill is
+//! `requests × shards / passes`, the per-pass fill the batching policy
+//! controls (a server scans with `shards = 1`; a router never records a
+//! pass). Queue waits are sampled per (request, pass) pair: the delay
+//! from admission to dispatch.
 //!
 //! The histograms replaced bounded mutex-guarded sample rings. The
 //! trade: quantiles now cover *all* samples (no sliding window) with a
@@ -27,12 +27,12 @@ use std::time::Duration;
 
 /// Shared metrics sink.
 pub(crate) struct Metrics {
-    /// Shard count the server was configured with (for fill math).
+    /// Shards a request's rows are cut into: 1 on a shard server, the
+    /// downstream count on a router.
     shards: u64,
     /// Client k-NN requests admitted to the scatter stage.
     requests: AtomicU64,
-    /// Per-shard scan passes issued (each request rides `shards` of
-    /// them).
+    /// Scan passes issued.
     passes: AtomicU64,
     /// Protocol errors answered / connections dropped for framing.
     protocol_errors: AtomicU64,
@@ -41,10 +41,10 @@ pub(crate) struct Metrics {
     degraded_replies: AtomicU64,
     /// Queue-wait distribution in nanoseconds (admission → dispatch).
     waits: LogHistogram,
-    /// Scan-path work counters, flushed by every shard pass (the shard
-    /// dispatchers attach this sink to their `ShardedScan`; a router
-    /// never scans, so its sink — and the six `scan_*` wire fields —
-    /// stay zero there).
+    /// Scan-path work counters, flushed by every pass (the dispatcher
+    /// and the `ShardKnn` handler attach this sink to their scan; a
+    /// router never scans, so its sink — and the six `scan_*` wire
+    /// fields — stay zero there).
     scan: ScanStatsSink,
 }
 
@@ -61,7 +61,7 @@ impl Metrics {
         }
     }
 
-    /// The scan-path counter sink the shard dispatchers flush into.
+    /// The scan-path counter sink every pass flushes into.
     pub(crate) fn scan_stats(&self) -> &ScanStatsSink {
         &self.scan
     }
@@ -71,8 +71,8 @@ impl Metrics {
         self.requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one per-shard pass that served `waits.len()` requests,
-    /// with each request's admission→dispatch delay on this shard.
+    /// Record one pass that served `waits.len()` requests, with each
+    /// request's admission→dispatch delay.
     pub(crate) fn record_pass(&self, waits: &[Duration]) {
         self.passes.fetch_add(1, Ordering::Relaxed);
         for w in waits {
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn sharded_fill_counts_per_shard_passes() {
         // 4 requests over 2 shards = 8 request-shard dispatches; served
-        // in 4 shard passes → mean per-shard fill 2.
+        // in 4 passes → mean per-pass fill 2.
         let m = Metrics::new(2);
         for _ in 0..4 {
             m.record_request();

@@ -240,7 +240,7 @@ impl Downstream {
             consecutive_failures,
         } = state;
         let gather = &job.gather;
-        if gather.cell.resolved(self.shard) {
+        if gather.resolved(self.shard) {
             return; // the other leg already delivered
         }
         if !self.health.admits_scatter() {
@@ -301,7 +301,7 @@ impl Downstream {
                 gather.complete_shard(self.shard, Err("router shutting down".into()));
                 return;
             }
-            if gather.cell.resolved(self.shard) {
+            if gather.resolved(self.shard) {
                 return; // a hedge (or the primary) won meanwhile
             }
             let now = Instant::now();

@@ -1038,11 +1038,12 @@ pub struct StatsSnapshot {
     /// Client k-NN requests admitted to the scatter stage (each rides
     /// one pass per shard).
     pub requests: u64,
-    /// Per-shard coalesced scan passes issued.
+    /// Coalesced scan passes issued.
     pub passes: u64,
-    /// Collection shards the server is configured with (1 = flat).
+    /// Shards a request's rows are cut into: 1 on a shard server, the
+    /// downstream count on a router.
     pub shards: u64,
-    /// Mean requests per per-shard pass
+    /// Mean requests per pass
     /// (`requests × shards / passes`) — the fill the batching policy
     /// controls.
     pub mean_batch_fill: f64,

@@ -1,9 +1,9 @@
 //! The shard-router serving tier: a front-end that speaks the same
 //! client protocol as a flat server upstream, and scatters each `Knn`
 //! as sessionless `ShardKnn` frames to **remote shard servers**
-//! downstream, gathering their partials with the same key-space merge
-//! the in-process sharded server uses — **bit-identical** to
-//! single-process `shards = N` serving while every shard is healthy.
+//! downstream, gathering their partials with a key-space merge
+//! ([`merge_partials_policy`]) — **bit-identical** to one flat server
+//! over the whole collection while every shard is healthy.
 //!
 //! ## What the router backend adds
 //!
@@ -72,7 +72,7 @@
 //! not on re-admission. A client's `SnapshotModule`/`RestoreModule`
 //! reads or replaces the router's module alone.
 
-use crate::batcher::{Gather, Load};
+use crate::batcher::Load;
 use crate::faults::{FaultMode, FaultPlan};
 use crate::frontend::{Backend, FrontEnd, Limits, ReplySink, Running, Search};
 use crate::health::HealthConfig;
@@ -87,7 +87,7 @@ use fbp_vecdb::{merge_partials_policy, Collection, DegradedGather, FailurePolicy
 use feedbackbypass::{FeedbackConfig, SharedBypass};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -183,12 +183,26 @@ impl Default for RouterConfig {
 }
 
 /// One scattered `Knn` in flight across the downstream pools: the
-/// gather cell (the admitted search, its per-shard delivery slots, and
-/// the early-abandon seed each delivered partial tightens for the calls
-/// still outstanding), plus the deadline and hedge state the pools and
-/// the sweeper act on.
+/// admitted search, one delivery slot per shard, the early-abandon seed
+/// each delivered partial tightens for the calls still outstanding, and
+/// the deadline and hedge state the pools and the sweeper act on.
 pub(crate) struct RouterGather {
-    pub(crate) cell: Gather,
+    /// The admitted search: point, metric and `k`, resolved once at
+    /// admission and shared by every downstream call and the final
+    /// merge. Its trace collector (`None` on the untraced hot path)
+    /// only observes timestamps, so it can never change the answer.
+    pub(crate) search: Search,
+    /// Cross-shard pruning seed: the tightest known upper bound on this
+    /// request's global k-th key (f64 bits, starts at `+∞`), tightened
+    /// from every delivered partial's [`ShardPartial::bound_key`]. A
+    /// retry or hedge sent after another shard answered prunes against
+    /// a near-global bound instead of its looser local one, and the
+    /// bound is provably ≥ the global k-th, so it never changes the
+    /// merged answer.
+    seed: AtomicU64,
+    /// Set when the last slot resolved.
+    done: AtomicBool,
+    state: Mutex<GatherState>,
     created: Instant,
     deadline: Instant,
     /// Per-shard hedge-fired latch (a shard is hedged at most once).
@@ -196,7 +210,21 @@ pub(crate) struct RouterGather {
     policy: FailurePolicy,
 }
 
+struct GatherState {
+    /// Delivered partials by shard index (`None` for failed shards).
+    partials: Vec<Option<ShardPartial>>,
+    /// Per-shard delivery marker (a shard delivers exactly once; the
+    /// marker makes duplicate deliveries harmless instead of fatal).
+    delivered: Vec<bool>,
+    /// Shards still outstanding.
+    remaining: usize,
+    /// Taken by the completing delivery.
+    reply: Option<ReplySink>,
+}
+
 impl RouterGather {
+    /// New gather awaiting `shards` partials. `reply` is invoked exactly
+    /// once, by whichever thread delivers the last partial.
     pub(crate) fn new(
         search: Search,
         shards: usize,
@@ -206,12 +234,54 @@ impl RouterGather {
     ) -> Arc<Self> {
         let created = Instant::now();
         Arc::new(RouterGather {
-            cell: Gather::new(search, shards, reply),
+            search,
+            seed: AtomicU64::new(f64::INFINITY.to_bits()),
+            done: AtomicBool::new(false),
+            state: Mutex::new(GatherState {
+                partials: (0..shards).map(|_| None).collect(),
+                delivered: vec![false; shards],
+                remaining: shards,
+                reply: Some(reply),
+            }),
             created,
             deadline: created + deadline_in,
             hedged: (0..shards).map(|_| AtomicBool::new(false)).collect(),
             policy,
         })
+    }
+
+    /// The current pruning seed for this request (`+∞` until some
+    /// shard delivered a full k-best).
+    fn seed(&self) -> f64 {
+        f64::from_bits(self.seed.load(Ordering::Acquire))
+    }
+
+    /// Tighten the seed to `min(current, bound)` (lock-free; seeds only
+    /// ever decrease).
+    fn offer_seed(&self, bound: f64) {
+        let mut current = self.seed.load(Ordering::Acquire);
+        while bound < f64::from_bits(current) {
+            match self.seed.compare_exchange_weak(
+                current,
+                bound.to_bits(),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break,
+                Err(now) => current = now,
+            }
+        }
+    }
+
+    /// Whether every slot has resolved.
+    pub(crate) fn is_done(&self) -> bool {
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// Whether `shard`'s slot has already been delivered (lets a hedge
+    /// or straggling retry stand down without touching the wire).
+    pub(crate) fn resolved(&self, shard: usize) -> bool {
+        self.is_done() || self.state.lock().expect("gather lock").delivered[shard]
     }
 
     /// Absolute deadline every downstream call for this gather shares.
@@ -223,24 +293,57 @@ impl RouterGather {
     /// currently tightened — built at send time so retries and hedges
     /// prune with everything already learned.
     pub(crate) fn shard_request(&self) -> Request {
-        let search = &self.cell.search;
+        let search = &self.search;
         Request::ShardKnn {
             k: search.k as u32,
-            seed: self.cell.seed(),
+            seed: self.seed(),
             point: search.req.point.clone(),
             weights: search.req.weights.clone(),
         }
     }
 
-    /// Deliver `shard`'s outcome (see [`Gather::deliver`]); the final
-    /// delivery merges under the failure policy and fires the reply.
+    /// Record `shard`'s outcome (an error leaves its slot empty, for
+    /// the failure policy to judge); returns whether this call was the
+    /// one recorded. Duplicate deliveries (a hedge losing to its
+    /// primary, a backstop racing a worker) are dropped. The delivery
+    /// that resolves the last slot merges the partials under the
+    /// failure policy (outside the lock) and fires the reply.
     pub(crate) fn complete_shard(
         &self,
         shard: usize,
         outcome: Result<ShardPartial, String>,
     ) -> bool {
-        self.cell
-            .deliver(shard, outcome, |partials, _| self.merge(partials))
+        let fire = {
+            let mut g = self.state.lock().expect("gather lock");
+            if g.delivered[shard] {
+                return false;
+            }
+            g.delivered[shard] = true;
+            if let Ok(partial) = outcome {
+                if let Some(bound) = partial.bound_key(self.search.k) {
+                    self.offer_seed(bound);
+                }
+                g.partials[shard] = Some(partial);
+            }
+            g.remaining -= 1;
+            if g.remaining == 0 {
+                self.done.store(true, Ordering::Release);
+                g.reply
+                    .take()
+                    .map(|reply| (reply, std::mem::take(&mut g.partials)))
+            } else {
+                None
+            }
+        };
+        if let Some((reply, partials)) = fire {
+            // The last slot just resolved: everything from here (merge,
+            // session bookkeeping, reply encode + write) is merge time.
+            if let Some(trace) = &self.search.trace {
+                trace.note_gathered();
+            }
+            reply(self.merge(&partials));
+        }
+        true
     }
 
     /// Record `shard`'s span on a traced gather (no-op otherwise):
@@ -251,7 +354,7 @@ impl RouterGather {
     /// already sees the span; duplicate recordings for a shard (a
     /// losing leg racing the winner) are dropped by the collector.
     pub(crate) fn trace_span(&self, shard: usize, started: Option<Instant>, flags: u8) {
-        if let Some(trace) = &self.cell.search.trace {
+        if let Some(trace) = &self.search.trace {
             let (queue_ns, busy_ns) = match started {
                 Some(s) => (
                     s.saturating_duration_since(trace.t0()).as_nanos() as u64,
@@ -291,7 +394,7 @@ impl RouterGather {
                 Some(_) => {}
             }
         }
-        let search = &self.cell.search;
+        let search = &self.search;
         merge_partials_policy(partials, search.k, &search.metric, self.policy)
             .map_err(|ge| err(ErrorCode::ShardUnavailable, ge.to_string()))
     }
@@ -353,8 +456,7 @@ pub fn route(
     }
     // Probe: every shard must be reachable, dimensionally compatible,
     // and the row slices must tile the collection in order — the
-    // precondition of healthy-path bit-identity with in-process
-    // sharding.
+    // precondition of healthy-path bit-identity with one flat server.
     let mut expected_offset: u64 = 0;
     // The validated per-shard tiling, kept so re-admission probes can
     // re-check a restarted shard against exactly what startup accepted.
@@ -478,7 +580,7 @@ fn run_sweeper(front: &FrontEnd<Router>) {
         std::thread::sleep(SWEEP_TICK);
         let live: Vec<Arc<RouterGather>> = {
             let mut gathers = router.gathers.lock().expect("gathers lock");
-            gathers.retain(|g| !g.cell.is_done());
+            gathers.retain(|g| !g.is_done());
             gathers.clone()
         };
         let now = Instant::now();
@@ -488,7 +590,7 @@ fn run_sweeper(front: &FrontEnd<Router>) {
             }
             if now >= gather.deadline() + grace {
                 for shard in 0..router.downstreams.len() {
-                    if !gather.cell.resolved(shard) {
+                    if !gather.resolved(shard) {
                         gather.trace_span(shard, None, SPAN_FAILED);
                         gather.complete_shard(
                             shard,
@@ -508,7 +610,7 @@ fn run_sweeper(front: &FrontEnd<Router>) {
         std::mem::take(&mut *router.gathers.lock().expect("gathers lock"));
     for gather in live {
         for shard in 0..router.downstreams.len() {
-            if !gather.cell.resolved(shard) {
+            if !gather.resolved(shard) {
                 gather.complete_shard(shard, Err("router shutting down".into()));
             }
         }
@@ -571,7 +673,7 @@ fn probe_one(cfg: &RouterConfig, ds: &Downstream) {
 fn fire_due_hedges(router: &Router, gather: &Arc<RouterGather>, hedge: &HedgeConfig, now: Instant) {
     for ds in &router.downstreams {
         let shard = ds.shard;
-        if gather.hedged[shard].load(Ordering::Relaxed) || gather.cell.resolved(shard) {
+        if gather.hedged[shard].load(Ordering::Relaxed) || gather.resolved(shard) {
             continue;
         }
         if !ds.health.admits_scatter() {
@@ -593,7 +695,7 @@ fn fire_due_hedges(router: &Router, gather: &Arc<RouterGather>, hedge: &HedgeCon
         ds.stats.hedges_fired.fetch_add(1, Ordering::Relaxed);
         // The hedge-fired bit lands on whichever leg's span ultimately
         // resolves the shard (stashed until the span arrives).
-        if let Some(trace) = &gather.cell.search.trace {
+        if let Some(trace) = &gather.search.trace {
             trace.flag_shard(shard as u32, SPAN_HEDGE_FIRED);
         }
         ds.enqueue(Job {
@@ -706,6 +808,98 @@ mod tests {
     use crate::client::Client;
     use crate::frontend::testing::{collection, module, storm, DIM};
     use crate::{serve, ServerConfig, ServerHandle};
+    use fbp_vecdb::{CollectionBuilder, MultiQueryScan, QueryBatch, QueryMetrics, ScanMode};
+    use feedbackbypass::KnnRequest;
+
+    /// An untraced k = 5 search at `point` under the uniform metric.
+    fn search(point: Vec<f64>) -> Search {
+        let req = KnnRequest::uniform(point);
+        let metric = req.metric(req.point.len()).unwrap();
+        Search {
+            req,
+            metric,
+            k: 5,
+            trace: None,
+        }
+    }
+
+    /// Every outcome a gather's reply sink fired with.
+    type Fired = Arc<Mutex<Vec<crate::frontend::Outcome>>>;
+
+    /// A gather whose reply lands in the returned list.
+    fn gather(point: Vec<f64>, shards: usize) -> (Arc<RouterGather>, Fired) {
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let gather = RouterGather::new(
+            search(point),
+            shards,
+            Duration::from_secs(5),
+            FailurePolicy::Strict,
+            Box::new({
+                let got = Arc::clone(&got);
+                move |outcome| got.lock().unwrap().push(outcome)
+            }),
+        );
+        (gather, got)
+    }
+
+    #[test]
+    fn gather_fires_once_after_all_shards_any_order() {
+        let (gather, got) = gather(vec![0.0, 0.0], 3);
+        // Real partials, cut the way a router deployment cuts rows: one
+        // keyed pass per two-row slice, offset to global rows.
+        let mut b = CollectionBuilder::new();
+        for i in 0..6 {
+            b.push_unlabelled(&[i as f64, 0.0]).unwrap();
+        }
+        let coll = b.build();
+        let metric = fbp_vecdb::WeightedEuclidean::uniform(2);
+        let q: &[f64] = &[0.0, 0.0];
+        let parts: Vec<ShardPartial> = (0..3)
+            .map(|s| {
+                let slice = coll.slice_rows(2 * s, 2 * s + 2);
+                MultiQueryScan::with_mode(&slice, ScanMode::Batched)
+                    .knn_keyed(&QueryBatch::new(&[q], QueryMetrics::Shared(&metric), 5))
+                    .remove(0)
+                    .offset(2 * s as u32)
+            })
+            .collect();
+        // Out-of-order delivery; the reply fires exactly once, on the
+        // last shard, and a duplicate delivery is dropped.
+        assert!(gather.complete_shard(2, Ok(parts[2].clone())));
+        assert!(got.lock().unwrap().is_empty());
+        assert!(gather.complete_shard(0, Ok(parts[0].clone())));
+        assert!(!gather.complete_shard(0, Ok(parts[0].clone())));
+        assert!(got.lock().unwrap().is_empty() && !gather.is_done());
+        assert!(gather.complete_shard(1, Ok(parts[1].clone())));
+        assert!(gather.is_done() && gather.resolved(1));
+        let mut outcomes = got.lock().unwrap();
+        assert_eq!(outcomes.len(), 1);
+        let merged = outcomes.pop().unwrap().unwrap().neighbors;
+        let indices: Vec<u32> = merged.iter().map(|n| n.index).collect();
+        assert_eq!(indices, vec![0, 1, 2, 3, 4]);
+        assert!(merged.windows(2).all(|w| w[0].dist <= w[1].dist));
+    }
+
+    #[test]
+    fn gather_propagates_shard_errors() {
+        // Under `Strict`, a failed shard refuses the whole gather with a
+        // typed error — never a silently narrowed answer.
+        let (gather, got) = gather(vec![0.0], 2);
+        let part = ShardPartial::from_entries(vec![(0.25, 0)], false).unwrap();
+        gather.complete_shard(0, Ok(part));
+        gather.complete_shard(1, Err("pass failed".into()));
+        let outcome = got.lock().unwrap().pop().unwrap();
+        match outcome {
+            Err(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::ShardUnavailable);
+                assert!(
+                    message.contains("[1]"),
+                    "names the missing shard: {message}"
+                );
+            }
+            _ => panic!("expected the shard error to refuse the gather"),
+        }
+    }
 
     /// The router twin of the shard server's test: after the storm, and
     /// after shutdown, neither load counter has leaked.

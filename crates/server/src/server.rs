@@ -1,43 +1,42 @@
-//! The shard server: the [`Backend`] that scatters each admitted search
-//! into in-process micro-batchers, the startup that builds them, and
+//! The shard server: the [`Backend`] that queues each admitted search
+//! into the server's micro-batcher, the startup that builds it, and
 //! the graceful-shutdown handle.
 //!
 //! The connection layer — accept loop, framing, sessions, `Knn`
 //! admission and the reply sink — is the shared front-end in
 //! [`crate::frontend`]. This backend adds:
 //!
-//! * **the scatter**: one micro-batcher and dispatcher thread per
-//!   internal shard ([`ServerConfig::shards`]); every admitted search
-//!   becomes a [`Gather`] cell enqueued into all of them, and the
-//!   dispatcher delivering the last partial merges and fires the reply;
+//! * **the scan**: one micro-batcher and one dispatcher thread; every
+//!   admitted search is queued once, and the dispatcher's coalesced
+//!   pass over the served rows (flat, or partitioned when
+//!   [`ServerConfig::partitions`] opted in) fires its reply;
 //! * **the router downstream surface**: `ShardKnn` is scanned inline
-//!   into a sessionless shard-local k-best under the caller's exact
-//!   metric, and with [`ServerConfig::row_offset`] set the served
-//!   collection acts as one slice of a larger router-fronted
-//!   deployment, answering with globally-offset indices (`ShardInfo`
-//!   reports the same offset);
-//! * **the disconnect hook**: a departing connection makes every
-//!   batcher re-read the live-connection count, since it may have been
-//!   the only thing holding a collection window open.
+//!   into a sessionless k-best under the caller's exact metric, and
+//!   with [`ServerConfig::row_offset`] set the served collection acts
+//!   as one slice of a larger router-fronted deployment, answering
+//!   with globally-offset indices (`ShardInfo` reports the same
+//!   offset);
+//! * **the disconnect hook**: a departing connection makes the batcher
+//!   re-read the live-connection count, since it may have been the only
+//!   thing holding a collection window open.
 //!
 //! `SnapshotModule` / `RestoreModule` read and replace the server's own
 //! learned module (a router never sends them: it owns the only module
 //! its deployment consults).
 
-use crate::batcher::{run_shard_dispatcher, serving_scan, Batcher, EnqueueError, Gather, Load};
+use crate::batcher::{run_dispatcher, Batcher, Load, ServedRows};
 use crate::frontend::{Backend, FrontEnd, Limits, ReplySink, Running, Search};
 use crate::metrics::Metrics;
 use crate::protocol::{ErrorCode, Response, DEFAULT_MAX_FRAME_LEN};
 use crate::sessions::{err, SessionStore};
 use fbp_vecdb::{
     Collection, PartitionConfig, PartitionedCollection, QueryBatch, QueryMetrics, ScanMode,
-    ShardedCollection, WeightedEuclidean,
+    WeightedEuclidean,
 };
 use feedbackbypass::{FeedbackConfig, SharedBypass};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Server tuning knobs.
@@ -72,35 +71,31 @@ pub struct ServerConfig {
     /// [`ServerConfig::target_fill`]).
     pub idle_gap: Duration,
     /// Admission bound on **in-flight requests**: a `Knn` counts
-    /// against this from admission until its gathered reply fires
-    /// (including while it is mid-scan), and one admitted request
-    /// occupies a slot in every shard's queue. Requests beyond it
-    /// answer [`ErrorCode::Busy`] before touching any queue, so a
-    /// request is either scattered to all shards or refused atomically.
+    /// against this from admission until its reply fires (including
+    /// while it is mid-scan). Requests beyond it answer
+    /// [`ErrorCode::Busy`] before touching the queue.
     pub queue_capacity: usize,
     /// Largest accepted frame payload.
     pub max_frame_len: u32,
     /// Scan execution mode for the coalesced passes. The default,
-    /// [`ScanMode::Auto`], decides per row range of each pass — a
-    /// shard's rows, or each surviving partition — and fans a range
-    /// out over the dispatcher's share of the cores only when its own
-    /// `rows × dim × queries` work clears the measured spawn break-even,
-    /// so a big flat pass uses an idle core while pruned partitions and
-    /// thin shard passes stay on the dispatcher thread. Every mode
+    /// [`ScanMode::Auto`], decides per row range of each pass — the
+    /// flat rows, or each surviving partition — and fans a range out
+    /// over the cores only when its own `rows × dim × queries` work
+    /// clears the measured spawn break-even, so a big flat pass uses an
+    /// idle core while pruned partitions stay on the dispatcher thread. Every mode
     /// answers the same bits. Every pass asks for the f32-rescore path,
     /// so a collection built with its f32 mirror streams it and one
     /// without runs the f64 path.
     pub scan_mode: ScanMode,
-    /// Collection shards (1 = flat serving). With `S > 1` the served
-    /// collection splits into `S` contiguous row shards at startup,
-    /// each with its **own micro-batcher and dispatcher thread** riding
-    /// the same `target_fill`/`max_wait`/`idle_gap` policy; every `Knn`
-    /// request scatters to all `S` queues and its reply is gathered
-    /// from the per-shard k-bests — bit-identical to flat serving, but
-    /// the scan bandwidth of a round scales with the shard count on a
-    /// multi-core host. Keep `S ≤ cores / CPU-per-pass`; each shard
-    /// pass also gets an even share of the machine for its own
-    /// parallelism.
+    /// Must be `1`: a server scans its rows in one pass, and
+    /// [`serve`] refuses any other value with
+    /// [`io::ErrorKind::InvalidInput`]. To cut rows across cores or
+    /// machines, run one server per row slice behind a router
+    /// ([`crate::route`]); to cut the work of one pass, use
+    /// [`ServerConfig::partitions`]. The field survives only because
+    /// the repository benchmark's adapter (`benchmark/src/adapter.rs`)
+    /// still names it; the next change to that benchmark deletes the
+    /// field together with the adapter's `shards: 1`.
     pub shards: usize,
     /// Global index of this server's first row, added to every entry a
     /// `ShardKnn` reply carries. A standalone server leaves it `0`; a
@@ -108,10 +103,10 @@ pub struct ServerConfig {
     /// of the full collection sets it so the router's gathered indices
     /// address the full key space.
     pub row_offset: usize,
-    /// Opt-in partition pruning: when set, every shard's rows are
+    /// Opt-in partition pruning: when set, the served rows are
     /// clustered into a [`PartitionedCollection`] layout once at
-    /// startup ([`ShardedCollection::build_partitions`]) and all shard
-    /// passes run through the partition-pruning scan — skipping
+    /// startup and every pass (and every `ShardKnn`) runs through the
+    /// partition-pruning scan — skipping
     /// partitions whose sound lower bound exceeds the running k-th key
     /// and counting the skips in
     /// [`StatsSnapshot::scan_partitions_pruned`](crate::protocol::StatsSnapshot).
@@ -160,18 +155,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// The shard server's backend: the internal shard split, one
-/// micro-batcher per shard (every admitted search is scattered into
-/// all of them), and the partition layouts both the dispatchers and
-/// `ShardKnn` scan.
-struct Shards {
-    batchers: Vec<Arc<Batcher<Arc<Gather>>>>,
-    sharded_coll: Arc<ShardedCollection>,
-    /// Per-shard partition layouts, built once at startup when
-    /// [`ServerConfig::partitions`] opted in (`parts[i]` reorders shard
-    /// `i`'s rows partition-contiguously; answers stay identical).
-    partitions: Option<Arc<Vec<PartitionedCollection>>>,
-    scan_mode: ScanMode,
+/// The shard server's backend: its one micro-batcher and the rows both
+/// the dispatcher and `ShardKnn` scan.
+struct Scanner {
+    batcher: Arc<Batcher<(Search, ReplySink)>>,
+    rows: Arc<ServedRows>,
     row_offset: usize,
 }
 
@@ -192,17 +180,15 @@ struct Shards {
 /// let bypass = SharedBypass::new(
 ///     FeedbackBypass::for_histograms(2, BypassConfig::default()).unwrap(),
 /// );
-/// // Two shards: two micro-batchers, two dispatcher threads, replies
-/// // gathered — results identical to `shards: 1`.
-/// let cfg = ServerConfig { shards: 2, ..Default::default() };
-/// let handle = serve("127.0.0.1:0", Arc::new(b.build()), bypass, cfg).unwrap();
+/// let handle = serve("127.0.0.1:0", Arc::new(b.build()), bypass, ServerConfig::default())
+///     .unwrap();
 /// assert!(handle.local_addr().port() != 0, "ephemeral port was bound");
 /// let stats = handle.stats();
-/// assert_eq!(stats.shards, 2);
+/// assert_eq!(stats.shards, 1);
 /// assert_eq!(stats.sessions_open, 0);
-/// handle.shutdown(); // joins the accept loop and both dispatchers
+/// handle.shutdown(); // joins the accept loop and the dispatcher
 /// ```
-pub struct ServerHandle(Running<Shards>);
+pub struct ServerHandle(Running<Scanner>);
 
 impl ServerHandle {
     /// The bound address (useful with port 0).
@@ -226,58 +212,52 @@ impl ServerHandle {
 /// Bind `addr` and start serving `coll` (searches) and `bypass`
 /// (predictions, learned-parameter inserts) with the given
 /// configuration. Returns once the listener is accepting.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidInput`] when [`ServerConfig::shards`] is not
+/// 1; otherwise whatever binding `addr` fails with.
 pub fn serve(
     addr: impl ToSocketAddrs,
     coll: Arc<Collection>,
     bypass: SharedBypass,
     cfg: ServerConfig,
 ) -> io::Result<ServerHandle> {
+    if cfg.shards != 1 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "shards = {}: a server scans its rows in one pass; cut rows across servers \
+                 with a router, or within one with partitions",
+                cfg.shards
+            ),
+        ));
+    }
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let shards = cfg.shards.max(1);
-    // The shard split happens once at startup: each shard copies its
-    // rows (and f32 mirror) into its own contiguous buffers, so the
-    // per-shard dispatchers stream disjoint memory. A flat server has
-    // nothing to separate and shares the collection it was given.
-    let sharded_coll = Arc::new(if shards == 1 {
-        ShardedCollection::whole(Arc::clone(&coll))
-    } else {
-        ShardedCollection::split(&coll, shards)
+    // The partition layout (opt-in) is a startup cost: the rows are
+    // clustered and reordered once, and every pass after that prunes
+    // against the same layout.
+    let rows = Arc::new(ServedRows {
+        partitions: (cfg.partitions.as_ref()).map(|p| PartitionedCollection::build(&coll, p)),
+        coll: Arc::clone(&coll),
+        scan_mode: cfg.scan_mode,
     });
-    // Partition layouts (opt-in) are likewise a startup cost: each
-    // shard's rows are clustered and reordered once, and every pass
-    // after that prunes against the same layout.
-    let partitions: Option<Arc<Vec<PartitionedCollection>>> = cfg
-        .partitions
-        .as_ref()
-        .map(|p| Arc::new(sharded_coll.build_partitions(p)));
     let load = Arc::new(Load::default());
-    let batchers: Vec<Arc<Batcher<Arc<Gather>>>> = (0..shards)
-        .map(|_| {
-            Arc::new(Batcher::new(
-                Arc::clone(&load),
-                cfg.max_batch,
-                cfg.target_fill,
-                cfg.max_wait,
-                cfg.idle_gap,
-            ))
-        })
-        .collect();
-    let metrics = Arc::new(Metrics::new(shards as u64));
-    let dispatchers: Vec<JoinHandle<()>> = batchers
-        .iter()
-        .enumerate()
-        .map(|(shard, batcher)| {
-            std::thread::spawn({
-                let batcher = Arc::clone(batcher);
-                let coll = Arc::clone(&sharded_coll);
-                let partitions = partitions.clone();
-                let metrics = Arc::clone(&metrics);
-                let scan_mode = cfg.scan_mode;
-                move || run_shard_dispatcher(shard, batcher, coll, partitions, scan_mode, metrics)
-            })
-        })
-        .collect();
+    let batcher = Arc::new(Batcher::new(
+        Arc::clone(&load),
+        cfg.max_batch,
+        cfg.target_fill,
+        cfg.max_wait,
+        cfg.idle_gap,
+    ));
+    let metrics = Arc::new(Metrics::new(1));
+    let dispatcher = std::thread::spawn({
+        let batcher = Arc::clone(&batcher);
+        let rows = Arc::clone(&rows);
+        let metrics = Arc::clone(&metrics);
+        move || run_dispatcher(batcher, rows, metrics)
+    });
     let front = FrontEnd::new(
         SessionStore::new(coll, bypass, cfg.feedback, Arc::clone(&metrics)),
         metrics,
@@ -289,11 +269,9 @@ pub fn serve(
             write_timeout: cfg.write_timeout,
             slow_trace_threshold: cfg.slow_trace_threshold,
         },
-        Shards {
-            batchers,
-            sharded_coll,
-            partitions,
-            scan_mode: cfg.scan_mode,
+        Scanner {
+            batcher,
+            rows,
             row_offset: cfg.row_offset,
         },
     );
@@ -301,37 +279,30 @@ pub fn serve(
         listener,
         addr,
         front,
-        dispatchers,
+        vec![dispatcher],
     )))
 }
 
-impl Backend for Shards {
+impl Backend for Scanner {
     const BUSY: &'static str = "batch queue full";
 
-    /// Scatter a gather cell into every shard's micro-batcher; the shard
-    /// dispatcher delivering the last partial merges and fires the
+    /// Queue the search for the dispatcher's next pass, which fires the
     /// reply.
     fn scatter(&self, search: Search, reply: ReplySink) {
-        let gather = Arc::new(Gather::new(search, self.batchers.len(), reply));
-        for (shard, batcher) in self.batchers.iter().enumerate() {
-            if let Err(EnqueueError::ShuttingDown) = batcher.enqueue(Arc::clone(&gather)) {
-                // Shutdown raced the scatter: deliver this shard's slot
-                // as an error so the gather still resolves exactly once
-                // (the reply becomes an `Internal` error frame).
-                gather.complete_shard(shard, Err("server shutting down".into()));
-            }
+        if let Err((_, reply)) = self.batcher.enqueue((search, reply)) {
+            // Shutdown raced the enqueue: the search still resolves
+            // exactly once, as an `Internal` error frame.
+            reply(Err(err(ErrorCode::Internal, "server shutting down")));
         }
     }
 
-    /// `ShardKnn`: a sessionless shard-local k-best under an explicit
-    /// metric — the frame a router scatters. The internal shards run as
-    /// one serial seeded gather
-    /// ([`ShardedScan::knn_keyed`](fbp_vecdb::ShardedScan::knn_keyed)):
-    /// the caller's cross-shard early-abandon `seed` caps the first
-    /// pass, each shard's k-th key tightens it for the next, and the
-    /// partials fold into one that stays in selection space, so the
-    /// router's gather merges it exactly like in-process partials. Every
-    /// entry's index is offset by [`ServerConfig::row_offset`].
+    /// `ShardKnn`: a sessionless k-best under an explicit metric — the
+    /// frame a router scatters. One keyed pass
+    /// ([`MultiQueryScan::knn_keyed`](fbp_vecdb::MultiQueryScan::knn_keyed))
+    /// runs with the caller's cross-shard early-abandon `seed` as its
+    /// cap, and the partial stays in selection space, so the router's
+    /// gather merges it with the other shards' partials. Every entry's
+    /// index is offset by [`ServerConfig::row_offset`].
     fn shard_knn(
         front: &FrontEnd<Self>,
         k: u32,
@@ -370,25 +341,16 @@ impl Backend for Shards {
         // A NaN seed would poison every key comparison; treat it as
         // unseeded.
         let cap = if seed.is_nan() { f64::INFINITY } else { seed };
-        let shards = &front.backend;
-        let scan = serving_scan(
-            &shards.sharded_coll,
-            shards.partitions.as_deref(),
-            shards.scan_mode,
-            &front.metrics,
-        );
+        let backend = &front.backend;
         let points = [point.as_slice()];
-        let batch = QueryBatch::new(&points, QueryMetrics::Shared(&metric), k);
-        let combined = scan.knn_keyed(&batch, Some(&[cap])).remove(0);
-        let offset = shards.row_offset as u32;
-        let entries: Vec<(f64, u32)> = combined
-            .entries()
-            .iter()
-            .map(|&(key, idx)| (key, idx + offset))
-            .collect();
+        let caps = [cap];
+        let batch = QueryBatch::new(&points, QueryMetrics::Shared(&metric), k).with_caps(&caps);
+        let partial = (backend.rows.scan(&front.metrics).knn_keyed(&batch))
+            .remove(0)
+            .offset(backend.row_offset as u32);
         Response::ShardPartial {
-            finished: combined.is_finished(),
-            entries,
+            finished: partial.is_finished(),
+            entries: partial.entries().to_vec(),
         }
     }
 
@@ -397,15 +359,11 @@ impl Backend for Shards {
     }
 
     fn on_disconnect(&self) {
-        for batcher in &self.batchers {
-            batcher.recheck();
-        }
+        self.batcher.recheck();
     }
 
     fn halt(&self) {
-        for batcher in &self.batchers {
-            batcher.shutdown();
-        }
+        self.batcher.shutdown();
     }
 }
 
@@ -423,7 +381,6 @@ mod tests {
         // runs into `Busy` refusals.
         let timer = Duration::from_secs(3);
         let cfg = ServerConfig {
-            shards: 2,
             max_wait: timer,
             idle_gap: timer,
             queue_capacity: 2,
@@ -452,5 +409,18 @@ mod tests {
         // server goes.
         handle.shutdown();
         assert_eq!(load.counts(), (0, 0));
+    }
+
+    #[test]
+    fn serve_refuses_every_shard_count_but_one() {
+        for shards in [0, 2, 3] {
+            let cfg = ServerConfig {
+                shards,
+                ..Default::default()
+            };
+            let refused = serve("127.0.0.1:0", Arc::new(collection()), module(), cfg);
+            let e = refused.err().expect("only shards = 1 is served");
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "shards = {shards}");
+        }
     }
 }

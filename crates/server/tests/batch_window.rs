@@ -15,9 +15,9 @@ use std::time::Duration;
 const DIM: usize = 8;
 const ROUNDS: usize = 200;
 
-/// Two lock-step clients against `shards` batchers; returns the stats
-/// and the idle gap (µs) none of their rounds may have sat out.
-fn closed_loop_pair(shards: usize) -> (fbp_server::StatsSnapshot, f64) {
+/// Two lock-step clients against one server; returns the stats and the
+/// idle gap (µs) none of their rounds may have sat out.
+fn closed_loop_pair() -> (fbp_server::StatsSnapshot, f64) {
     let mut b = CollectionBuilder::new().with_f32_mirror();
     for i in 0..2_000 {
         let v: Vec<f64> = (0..DIM)
@@ -36,7 +36,6 @@ fn closed_loop_pair(shards: usize) -> (fbp_server::StatsSnapshot, f64) {
         Arc::new(b.build()),
         bypass,
         ServerConfig {
-            shards,
             max_wait: Duration::from_secs(2),
             idle_gap,
             ..Default::default()
@@ -90,28 +89,10 @@ fn assert_no_round_sat_out_the_gap(stats: &fbp_server::StatsSnapshot, gap_us: f6
 
 #[test]
 fn two_closed_loop_clients_coalesce_without_sitting_out_the_gap() {
-    let (stats, gap_us) = closed_loop_pair(1);
+    let (stats, gap_us) = closed_loop_pair();
     assert!(
         stats.mean_batch_fill >= 1.9,
         "closed-loop pairs should share a pass: fill {:.2} over {} passes",
-        stats.mean_batch_fill,
-        stats.passes
-    );
-    assert_no_round_sat_out_the_gap(&stats, gap_us);
-}
-
-#[test]
-fn shard_batchers_close_on_the_same_server_wide_evidence() {
-    // Both shard batchers read one (in flight, live connections) pair.
-    // A request stays counted until its *last* shard delivered, so a
-    // batcher that runs ahead of its sibling can see the pair satisfied
-    // by a request it has already served and dispatch the other alone:
-    // the fill floor is looser than flat serving's, the wait bound is
-    // not.
-    let (stats, gap_us) = closed_loop_pair(2);
-    assert!(
-        stats.mean_batch_fill >= 1.5,
-        "fill {:.2} over {} passes",
         stats.mean_batch_fill,
         stats.passes
     );

@@ -1,8 +1,8 @@
 //! Wire-level pin of partition-pruned serving: deployments that opt
 //! into [`ServerConfig::partitions`] must answer **bit-identically** to
-//! their unpartitioned twins over real loopback sockets — through the
-//! in-process sharded server and through a router scattering to three
-//! partition-enabled shard servers — under a concurrent mix of batched
+//! their unpartitioned twins over real loopback sockets — through one
+//! server and through a router scattering to three partition-enabled
+//! shard servers — under a concurrent mix of batched
 //! k-NN requests, while the `scan_partitions_pruned` counter in the
 //! wire [`StatsSnapshot`](fbp_server::StatsSnapshot) proves the pruning
 //! actually engaged (sub-linear scans, identical answers).
@@ -96,7 +96,7 @@ fn assert_concurrent_wire_identical(a: SocketAddr, b: SocketAddr, threads: usize
     });
 }
 
-/// In-process sharded server with partitions vs its unpartitioned twin:
+/// A server with partitions vs its unpartitioned twin:
 /// identical replies under a concurrent batch mix; the partitioned
 /// deployment's wire stats must show partitions pruned, the twin's must
 /// not.
@@ -107,10 +107,7 @@ fn partitioned_server_wire_identical_and_prunes() {
         "127.0.0.1:0",
         Arc::clone(&coll),
         shared_module(),
-        ServerConfig {
-            shards: SHARDS,
-            ..Default::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
     let pruned = serve(
@@ -118,7 +115,6 @@ fn partitioned_server_wire_identical_and_prunes() {
         Arc::clone(&coll),
         shared_module(),
         ServerConfig {
-            shards: SHARDS,
             partitions: Some(partition_cfg()),
             ..Default::default()
         },
@@ -152,7 +148,7 @@ fn partitioned_server_wire_identical_and_prunes() {
 }
 
 /// Router over three partition-enabled shard servers vs an
-/// unpartitioned in-process oracle: identical replies under concurrent
+/// unpartitioned flat server: identical replies under concurrent
 /// clients, `scan_partitions_pruned > 0` on every shard server's wire
 /// stats, zero on the router (it scans nothing).
 #[test]
@@ -160,8 +156,7 @@ fn partitioned_router_matches_unpartitioned_oracle() {
     let coll = Arc::new(clustered_collection());
 
     // Three shard servers, each serving its contiguous slice with
-    // partition pruning enabled (the same split formula the in-process
-    // sharded server uses).
+    // partition pruning enabled.
     let mut shard_handles: Vec<ServerHandle> = Vec::new();
     let mut addrs: Vec<SocketAddr> = Vec::new();
     for i in 0..SHARDS {
@@ -192,10 +187,7 @@ fn partitioned_router_matches_unpartitioned_oracle() {
         "127.0.0.1:0",
         Arc::clone(&coll),
         shared_module(),
-        ServerConfig {
-            shards: SHARDS,
-            ..Default::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
 

@@ -2,8 +2,8 @@
 //! sockets:
 //!
 //! * **healthy path** — a router scattering to three remote shard
-//!   servers answers bit-identically to one in-process server running
-//!   `shards = 3`, through full interactive feedback loops;
+//!   servers answers bit-identically to one flat server over the whole
+//!   collection, through full interactive feedback loops;
 //! * **partial failure** — under injected downstream faults every
 //!   request resolves to one of the documented outcomes (a healed
 //!   retry, a hedged answer, a degraded merge equal to the
@@ -47,9 +47,7 @@ fn shared_module() -> SharedBypass {
     SharedBypass::new(FeedbackBypass::for_histograms(DIM, BypassConfig::default()).unwrap())
 }
 
-/// Row range shard `i` serves — the same split formula
-/// `ShardedCollection::split` uses, so the router-fronted deployment
-/// and the in-process `shards = SHARDS` server partition identically.
+/// Row range shard `i` serves: `SHARDS` balanced contiguous slices.
 fn shard_range(len: usize, i: usize) -> (usize, usize) {
     (i * len / SHARDS, (i + 1) * len / SHARDS)
 }
@@ -176,11 +174,11 @@ fn assert_neighbors_identical(got: &[Neighbor], want: &[Neighbor], ctx: &str) {
 }
 
 /// Healthy-path pin: a router over three remote shard servers is
-/// bit-identical to one in-process server with `shards = 3`, through
+/// bit-identical to one flat server over the whole collection, through
 /// fresh queries and full feedback loops (same flags, cycles,
 /// neighbors, and feedback acks round for round).
 #[test]
-fn healthy_router_matches_in_process_sharded_serving() {
+fn healthy_router_matches_one_flat_server() {
     let coll = Arc::new(collection());
     let (_shards, addrs) = start_shards(&coll);
     let router = start_router(
@@ -195,10 +193,7 @@ fn healthy_router_matches_in_process_sharded_serving() {
         "127.0.0.1:0",
         Arc::clone(&coll),
         shared_module(),
-        ServerConfig {
-            shards: SHARDS,
-            ..Default::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
 

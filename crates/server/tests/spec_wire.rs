@@ -74,8 +74,8 @@ fn example_spec(coll: &Collection, i: usize) -> QuerySpec {
         .unwrap()
 }
 
-/// One shard server per contiguous slice (the `ShardedCollection::split`
-/// formula) plus a router over them.
+/// One shard server per balanced contiguous slice plus a router over
+/// them.
 fn start_router(coll: &Arc<Collection>) -> (Vec<ServerHandle>, fbp_server::RouterHandle) {
     let mut handles = Vec::new();
     let mut addrs: Vec<SocketAddr> = Vec::new();

@@ -2,7 +2,7 @@
 //!
 //! * **Bit-identity** — a traced `KnnV2` answers exactly what the
 //!   untraced one answers (neighbors, flags, cycles), through a flat
-//!   sharded server *and* a router over three remote shard servers;
+//!   server *and* a router over three remote shard servers;
 //!   the only difference is the trailer.
 //! * **Self-consistency** — every report satisfies
 //!   `wall = gather + merge`, every span fits inside the gather
@@ -114,15 +114,14 @@ fn assert_self_consistent(trace: &TraceReport, ctx: &str) {
     );
 }
 
-/// Flat sharded server: a traced round is bit-identical to the
-/// untraced one, the trailer is self-consistent, one span per shard
-/// carries a real batch fill, and traced requests land in the ring
-/// while untraced ones never do.
+/// Flat server: a traced round is bit-identical to the untraced one,
+/// the trailer is self-consistent, its one span (shard 0, the
+/// dispatcher's pass) carries a real batch fill, and traced requests
+/// land in the ring while untraced ones never do.
 #[test]
 fn flat_traced_reply_is_identical_and_self_consistent() {
     let coll = Arc::new(collection());
     let cfg = ServerConfig {
-        shards: SHARDS,
         slow_trace_threshold: Duration::ZERO,
         ..Default::default()
     };
@@ -146,11 +145,8 @@ fn flat_traced_reply_is_identical_and_self_consistent() {
         assert!(a.trace.is_none(), "q{i}: untraced reply grew a trailer");
         let trace = b.trace.expect("traced reply must carry a trailer");
         assert_self_consistent(&trace, &format!("q{i}"));
-        assert_eq!(
-            trace.spans.len(),
-            SHARDS,
-            "q{i}: one span per shard dispatcher"
-        );
+        assert_eq!(trace.spans.len(), 1, "q{i}: one span, the dispatcher's");
+        assert_eq!(trace.spans[0].shard, 0, "q{i}: a server is shard 0");
         for span in &trace.spans {
             assert!(
                 span.batch_fill >= 1,
@@ -188,7 +184,7 @@ fn flat_traced_reply_is_identical_and_self_consistent() {
     );
 
     // Scan attribution surfaces in the wire stats: every request rode
-    // shard passes that streamed the whole collection at least once.
+    // a pass that streamed the whole collection at least once.
     let stats = handle.stats();
     assert!(
         stats.scan_rows_visited >= N as u64,
@@ -247,8 +243,8 @@ fn start_cluster(
     (handles, router)
 }
 
-/// Router tier: traced ≡ untraced bit-identity against the flat
-/// in-process `shards = 3` oracle, self-consistent trailers whose
+/// Router tier: traced ≡ untraced bit-identity against one flat
+/// server over the whole collection, self-consistent trailers whose
 /// spans carry downstream round trips (fill 0), and a working ring.
 /// Hedging is off: a leg that is merely late on a loaded host would
 /// otherwise fire a hedge and set a span flag, and this scenario
@@ -269,10 +265,7 @@ fn router_traced_reply_is_identical_and_self_consistent() {
         "127.0.0.1:0",
         Arc::clone(&coll),
         shared_module(),
-        ServerConfig {
-            shards: SHARDS,
-            ..Default::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
 

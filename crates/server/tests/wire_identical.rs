@@ -16,7 +16,7 @@
 use fbp_eval::sessions::{run_sessions, ServingMode, SessionsOptions};
 use fbp_eval::stream::query_order;
 use fbp_imagegen::{DatasetConfig, SyntheticDataset};
-use fbp_server::{serve, Client, ServerConfig};
+use fbp_server::{route, serve, Client, FailurePolicy, RouterConfig, ServerConfig, ServerHandle};
 use fbp_vecdb::{
     Collection, CollectionBuilder, KnnEngine, LinearScan, ScanMode, WeightedEuclidean,
 };
@@ -195,24 +195,44 @@ fn wire_feedback_loop_matches_in_process_sessions() {
     handle.shutdown();
 }
 
-/// Sharded serving (per-shard micro-batchers + gather) answers
-/// bit-identically to the flat per-query LinearScan, under concurrent
-/// batch mixes, for shard counts spanning the degenerate edges (more
-/// shards than queue depth, shards larger than k, empty tail shards).
+/// Sharded serving — a router over S shard servers, one contiguous row
+/// slice each — answers bit-identically to the flat per-query
+/// LinearScan, under concurrent request mixes, for slice counts
+/// spanning the edges (slices shorter than k, more slices than
+/// clients).
 #[test]
 fn sharded_serving_matches_linear_scan() {
     const DIM: usize = 16;
     const THREADS: usize = 6;
-    let coll = Arc::new(clustered_collection(700, DIM));
+    const N: usize = 700;
+    let coll = Arc::new(clustered_collection(N, DIM));
     for shards in [2usize, 3, 16] {
-        let cfg = ServerConfig {
-            shards,
-            max_batch: THREADS,
-            max_wait: Duration::from_millis(100),
+        let servers: Vec<ServerHandle> = (0..shards)
+            .map(|i| {
+                let (start, end) = (i * N / shards, (i + 1) * N / shards);
+                let cfg = ServerConfig {
+                    row_offset: start,
+                    ..Default::default()
+                };
+                let slice = Arc::new(coll.slice_rows(start, end));
+                serve("127.0.0.1:0", slice, shared_module(DIM), cfg).unwrap()
+            })
+            .collect();
+        let addrs: Vec<_> = servers.iter().map(ServerHandle::local_addr).collect();
+        let cfg = RouterConfig {
+            shard_timeout: Duration::from_secs(5),
+            policy: FailurePolicy::Strict,
             ..Default::default()
         };
-        let handle = serve("127.0.0.1:0", Arc::clone(&coll), shared_module(DIM), cfg).unwrap();
-        let addr = handle.local_addr();
+        let router = route(
+            "127.0.0.1:0",
+            &addrs,
+            Arc::clone(&coll),
+            shared_module(DIM),
+            cfg,
+        );
+        let router = router.unwrap();
+        let addr = router.local_addr();
         let barrier = Barrier::new(THREADS);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
@@ -230,6 +250,7 @@ fn sharded_serving_matches_linear_scan() {
                         let k = [1u32, 7, 50][i % 3];
                         let reply = client.knn(session, k, &q).unwrap();
                         let w = WeightedEuclidean::new(vec![1.0; DIM]).unwrap();
+                        assert!(!reply.degraded);
                         assert_eq!(
                             reply.neighbors,
                             single.knn(&q, k as usize, &w),
@@ -240,17 +261,22 @@ fn sharded_serving_matches_linear_scan() {
                 });
             }
         });
-        // The stats surface reports the shard topology, and every
-        // request rode exactly one pass per shard.
-        let stats = handle.stats();
+        // The stats surface reports the shard topology, and every shard
+        // server scanned its slice.
+        let stats = router.stats();
         assert_eq!(stats.shards, shards as u64);
         assert_eq!(stats.requests, (THREADS * 8) as u64);
-        assert!(
-            stats.passes >= shards as u64,
-            "shards={shards}: every shard must have dispatched at least once"
-        );
         assert_eq!(stats.protocol_errors, 0);
-        handle.shutdown();
+        router.shutdown();
+        for (i, server) in servers.into_iter().enumerate() {
+            let stats = server.stats();
+            assert_eq!(stats.shards, 1);
+            assert!(
+                stats.scan_rows_visited > 0,
+                "shards={shards}: shard {i} scanned"
+            );
+            server.shutdown();
+        }
     }
 }
 

@@ -22,7 +22,6 @@
 //! (`Distance::f32_key_bound`).
 
 use crate::{Result, VecdbError};
-use std::sync::Arc;
 
 /// Category identifier (index into the collection's category name table).
 pub type CategoryId = u32;
@@ -200,8 +199,8 @@ impl Collection {
     /// mirror bits equal the corresponding source-mirror bits; its
     /// `max_abs` is recomputed over the slice alone, which can only
     /// tighten the rounding bound the f32-rescore scans derive from it).
-    /// This is the shard-construction primitive of
-    /// [`ShardedCollection::split`].
+    /// This is how a router deployment cuts its rows: each shard server
+    /// serves one slice, with its first global row as its row offset.
     pub fn slice_rows(&self, start: usize, end: usize) -> Collection {
         assert!(start <= end && end <= self.len(), "row range out of bounds");
         let data = self.data[start * self.dim..end * self.dim].to_vec();
@@ -221,135 +220,6 @@ impl Collection {
             members_by_category,
             mirror,
         }
-    }
-}
-
-/// A [`Collection`] partitioned into `S` contiguous row shards.
-///
-/// Shard `i` owns the global rows `offset(i)..offset(i + 1)` as its own
-/// standalone `Collection` — its own contiguous f64 buffer and (when the
-/// source collection carried one) its own f32 mirror — so `S` scan
-/// passes can stream `S` disjoint buffers from `S` cores at once. The
-/// scatter/gather scan ([`ShardedScan`](crate::knn::ShardedScan)) runs
-/// every query against every shard and merges the per-shard k-bests in
-/// key space with the deterministic `(key, index)` order, which pins the
-/// merged answer bit-identical to the unsharded scan: per-row keys do
-/// not depend on where block or shard boundaries fall, and selection
-/// happens in the same key space either way.
-///
-/// Row splits are balanced (`shard i = rows ⌊i·len/S⌋..⌊(i+1)·len/S⌋`),
-/// so `S > len` simply leaves the tail shards empty — a legal,
-/// zero-work degenerate every consumer must tolerate.
-#[derive(Debug, Clone)]
-pub struct ShardedCollection {
-    /// `Arc` so the one-shard case can share the caller's collection
-    /// ([`Self::whole`]) instead of holding a second copy of every row.
-    shards: Vec<Arc<Collection>>,
-    /// Global start row per shard plus the total length (`S + 1`
-    /// entries, ascending): shard `i` covers `offsets[i]..offsets[i+1]`.
-    offsets: Vec<usize>,
-    dim: usize,
-}
-
-impl ShardedCollection {
-    /// Partition `coll` into `shard_count` contiguous row shards
-    /// (`shard_count` is clamped to at least 1). Each shard copies its
-    /// rows once; the source collection is left untouched.
-    pub fn split(coll: &Collection, shard_count: usize) -> Self {
-        let s = shard_count.max(1);
-        let len = coll.len();
-        let mut shards = Vec::with_capacity(s);
-        let mut offsets = Vec::with_capacity(s + 1);
-        for i in 0..s {
-            let start = i * len / s;
-            let end = (i + 1) * len / s;
-            offsets.push(start);
-            shards.push(Arc::new(coll.slice_rows(start, end)));
-        }
-        offsets.push(len);
-        ShardedCollection {
-            shards,
-            offsets,
-            dim: coll.dim(),
-        }
-    }
-
-    /// The one-shard split of `coll`, **sharing** it instead of copying
-    /// its rows: what `split(&coll, 1)` describes, at none of its
-    /// memory. A flat server holds the collection once this way, not
-    /// once for its sessions and once more for its only shard.
-    pub fn whole(coll: Arc<Collection>) -> Self {
-        ShardedCollection {
-            offsets: vec![0, coll.len()],
-            dim: coll.dim(),
-            shards: vec![coll],
-        }
-    }
-
-    /// Number of shards (at least 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Borrow shard `i`'s collection.
-    pub fn shard(&self, i: usize) -> &Collection {
-        &self.shards[i]
-    }
-
-    /// All shards in global row order.
-    pub fn shards(&self) -> &[Arc<Collection>] {
-        &self.shards
-    }
-
-    /// Global row index of shard `i`'s first row (shard `i` covers
-    /// `offset(i)..offset(i + 1)`; `offset(shard_count())` is the total
-    /// length). A shard-local result index plus this offset is the
-    /// global index the unsharded scan would report.
-    pub fn offset(&self, i: usize) -> usize {
-        self.offsets[i]
-    }
-
-    /// Total number of vectors across all shards.
-    pub fn len(&self) -> usize {
-        *self.offsets.last().expect("offsets non-empty")
-    }
-
-    /// True when every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Dimensionality of every vector (coherent across shards).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Build every shard's f32 mirror (idempotent per shard; a shard
-    /// shared through [`Self::whole`] is copied first if it needs one,
-    /// never mutated under its other owners).
-    pub fn ensure_f32_mirror(&mut self) {
-        for shard in &mut self.shards {
-            if !shard.has_f32_mirror() {
-                Arc::make_mut(shard).ensure_f32_mirror();
-            }
-        }
-    }
-
-    /// Heap bytes of all shards' vector payloads (f64 buffers plus f32
-    /// mirrors), same accounting as [`Collection::memory_bytes`].
-    pub fn memory_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.memory_bytes()).sum()
-    }
-
-    /// Build one [`PartitionedCollection`] per shard with the same
-    /// config (each shard's partitioning is local — its pruning bounds
-    /// and permutation speak shard-local row indices, which is exactly
-    /// what [`ShardedScan`](crate::knn::ShardedScan) globalizes).
-    pub fn build_partitions(&self, cfg: &PartitionConfig) -> Vec<PartitionedCollection> {
-        self.shards
-            .iter()
-            .map(|s| PartitionedCollection::build(s, cfg))
-            .collect()
     }
 }
 
@@ -1023,82 +893,6 @@ mod tests {
         assert!(!plain.build().slice_rows(0, 1).has_f32_mirror());
         // Empty slices are legal.
         assert_eq!(c.slice_rows(5, 5).len(), 0);
-    }
-
-    #[test]
-    fn sharded_split_covers_rows_contiguously() {
-        let mut b = CollectionBuilder::new();
-        for i in 0..10 {
-            b.push_unlabelled(&[i as f64]).unwrap();
-        }
-        let c = b.build();
-        for s in [1, 2, 3, 7, 10, 25] {
-            let sc = ShardedCollection::split(&c, s);
-            assert_eq!(sc.shard_count(), s);
-            assert_eq!(sc.len(), 10);
-            assert_eq!(sc.dim(), 1);
-            assert!(!sc.is_empty());
-            // Offsets tile the row space; every global row round-trips.
-            for i in 0..s {
-                let (lo, hi) = (sc.offset(i), sc.offset(i + 1));
-                assert_eq!(sc.shard(i).len(), hi - lo, "shards={s} shard {i}");
-                for local in 0..(hi - lo) {
-                    assert_eq!(sc.shard(i).vector(local), c.vector(lo + local));
-                }
-            }
-            assert_eq!(sc.offset(s), 10);
-            // S > len leaves (only) tail shards empty.
-            if s > 10 {
-                assert!(sc.shards().iter().any(|shard| shard.is_empty()));
-            }
-        }
-        // Degenerate: 0 clamps to 1 shard.
-        assert_eq!(ShardedCollection::split(&c, 0).shard_count(), 1);
-    }
-
-    #[test]
-    fn whole_shares_the_collection_and_matches_the_one_shard_split() {
-        let mut b = CollectionBuilder::new();
-        for i in 0..6 {
-            b.push_unlabelled(&[i as f64, 0.5]).unwrap();
-        }
-        let c = Arc::new(b.build());
-        let mut whole = ShardedCollection::whole(Arc::clone(&c));
-        let split = ShardedCollection::split(&c, 1);
-        assert!(Arc::ptr_eq(&whole.shards()[0], &c), "rows are not copied");
-        assert_eq!(whole.shard_count(), 1);
-        assert_eq!((whole.offset(0), whole.offset(1)), (0, 6));
-        assert_eq!((whole.len(), whole.dim()), (split.len(), split.dim()));
-        assert_eq!(whole.shard(0).vector(5), split.shard(0).vector(5));
-        // Mirroring a shared shard copies it; the other owner's
-        // collection is never mutated behind its back.
-        whole.ensure_f32_mirror();
-        assert!(whole.shard(0).has_f32_mirror() && !c.has_f32_mirror());
-    }
-
-    #[test]
-    fn sharded_mirror_and_memory_accounting() {
-        let mut b = CollectionBuilder::new();
-        for i in 0..6 {
-            b.push_unlabelled(&[i as f64, 0.5]).unwrap();
-        }
-        let c = b.build();
-        let mirrored = |sc: &ShardedCollection| sc.shards().iter().all(|s| s.has_f32_mirror());
-        let mut sc = ShardedCollection::split(&c, 4);
-        assert!(!mirrored(&sc));
-        assert_eq!(sc.memory_bytes(), c.memory_bytes());
-        sc.ensure_f32_mirror();
-        assert!(mirrored(&sc));
-        assert_eq!(sc.memory_bytes(), 6 * 2 * 8 + 6 * 2 * 4);
-        // Splitting a mirrored source mirrors every shard up front.
-        let mut mc = c.clone();
-        mc.ensure_f32_mirror();
-        assert!(mirrored(&ShardedCollection::split(&mc, 3)));
-        // An empty collection still splits into S (empty) shards.
-        let empty = ShardedCollection::split(&CollectionBuilder::new().build(), 3);
-        assert_eq!(empty.shard_count(), 3);
-        assert!(empty.is_empty());
-        assert_eq!(empty.len(), 0);
     }
 
     #[test]

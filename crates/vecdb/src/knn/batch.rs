@@ -1,11 +1,14 @@
 //! The one description of the retrieval operation (paper §2): a batch
 //! of query points, each under one member of a parameterised distance
-//! class, each asking for its own `k` nearest neighbours. Every scan
-//! engine (`MultiQueryScan` over a flat or partitioned layout,
-//! `ShardedScan`) has exactly one entry taking a [`QueryBatch`].
+//! class, each asking for its own `k` nearest neighbours, optionally
+//! with a sound pruning cap per query. `MultiQueryScan` answers it over
+//! a flat or partitioned layout, finished ([`MultiQueryScan::knn`]) or
+//! in key space ([`MultiQueryScan::knn_keyed`]).
+//!
+//! [`MultiQueryScan::knn`]: super::MultiQueryScan::knn
+//! [`MultiQueryScan::knn_keyed`]: super::MultiQueryScan::knn_keyed
 
-use super::multi::KeyedResults;
-use super::{finish_entries, Neighbor};
+use super::{finish_entries, Neighbor, ShardPartial};
 use crate::distance::{Distance, WeightedEuclidean};
 
 /// Which metric each query of a [`QueryBatch`] runs under.
@@ -25,14 +28,16 @@ pub enum QueryMetrics<'a> {
     Weighted(&'a [&'a WeightedEuclidean]),
 }
 
-/// A batch of k-NN queries: points, metric form, result counts.
-/// Borrowed slices only — building one costs no allocation.
+/// A batch of k-NN queries: points, metric form, result counts and
+/// optional pruning caps. Borrowed slices only — building one costs no
+/// allocation.
 #[derive(Clone, Copy)]
 pub struct QueryBatch<'a> {
     queries: &'a [&'a [f64]],
     metrics: QueryMetrics<'a>,
     k: usize,
     ks: Option<&'a [usize]>,
+    caps: Option<&'a [f64]>,
 }
 
 impl<'a> QueryBatch<'a> {
@@ -74,6 +79,7 @@ impl<'a> QueryBatch<'a> {
             metrics,
             k,
             ks: None,
+            caps: None,
         }
     }
 
@@ -91,14 +97,35 @@ impl<'a> QueryBatch<'a> {
         self
     }
 
+    /// Per-query **sound pruning caps** (`caps[i]` for `queries[i]`):
+    /// the caller guarantees `caps[i]` is an upper bound on the true
+    /// k-th key of query `i` over the rows the answer is merged across,
+    /// in the scan's selection space (surrogate keys, or distances for
+    /// a Scalar pass). A pass drops rows beyond a cap before its running
+    /// k-best would have, so a sound cap makes the pass cheaper and
+    /// never changes the merged answer; `+∞` is a no-op. The k-th key
+    /// of any row subset holding at least `k` rows
+    /// ([`ShardPartial::bound_key`]) is sound — the router seeds its
+    /// downstream calls this way. A cap below the true k-th key may
+    /// truncate the answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `caps` is not one per query.
+    pub fn with_caps(mut self, caps: &'a [f64]) -> Self {
+        assert_eq!(self.queries.len(), caps.len(), "one cap per query");
+        self.caps = Some(caps);
+        self
+    }
+
+    /// The per-query pruning caps, when given.
+    pub(crate) fn caps(&self) -> Option<&'a [f64]> {
+        self.caps
+    }
+
     /// Number of queries.
     pub(crate) fn len(&self) -> usize {
         self.queries.len()
-    }
-
-    /// Whether the batch holds no query.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.queries.is_empty()
     }
 
     /// The query points.
@@ -137,13 +164,12 @@ impl<'a> QueryBatch<'a> {
 
     /// Keys → distances, once, at the edge: finish every query's keyed
     /// k-best under its own metric.
-    pub(crate) fn finish(&self, keyed: KeyedResults) -> Vec<Vec<Neighbor>> {
-        let finished = keyed.finished;
-        keyed
-            .entries
-            .into_iter()
-            .enumerate()
-            .map(|(q, entries)| finish_entries(entries, finished, self.metric(q)))
+    pub(crate) fn finish(&self, keyed: Vec<ShardPartial>) -> Vec<Vec<Neighbor>> {
+        (keyed.into_iter().enumerate())
+            .map(|(q, partial)| {
+                let (entries, finished) = partial.into_parts();
+                finish_entries(entries, finished, self.metric(q))
+            })
             .collect()
     }
 }

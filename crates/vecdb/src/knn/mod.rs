@@ -3,18 +3,16 @@
 //! The paper asks one thing of its retrieval substrate (§2): the `k`
 //! nearest neighbours of a point under one member of a parameterised
 //! distance class. [`QueryBatch`] describes that operation — query
-//! points, a metric form ([`QueryMetrics`]), per-query result counts —
-//! and every scan engine has exactly **one** entry taking it:
-//!
-//! * [`MultiQueryScan::knn`] — one blocked pass over a [`Layout`]: a
-//!   flat collection is the one-partition layout, a partitioned one
-//!   skips partitions a per-class lower bound proves irrelevant, and
-//!   one partition walk serves both;
-//! * [`ShardedScan::knn`] — a serial, seeded gather over row shards
-//!   (flat or partitioned per shard), with [`ShardedScan::knn_keyed`]
-//!   as its key-space form, and [`ShardedScan::scan_shard`] for
-//!   schedulers that run each shard's pass themselves and merge the
-//!   key-space [`ShardPartial`]s with [`merge_partials`].
+//! points, a metric form ([`QueryMetrics`]), per-query result counts,
+//! optional sound pruning caps — and one engine answers it:
+//! [`MultiQueryScan::knn`], one blocked pass over a [`Layout`]. A flat
+//! collection is the one-partition layout, a partitioned one skips
+//! partitions a per-class lower bound proves irrelevant, and one
+//! partition walk serves both. [`MultiQueryScan::knn_keyed`] is the
+//! same pass stopped in key space: one [`ShardPartial`] per query,
+//! which a router deployment — rows cut into slices, one per shard
+//! server — offsets to global rows and merges with [`merge_partials`]
+//! (or [`merge_partials_policy`] when a slice may be missing).
 //!
 //! [`LinearScan`] ([`KnnEngine`]) is the single-query flat f64 reference
 //! every one of them is pinned bit-identical to, and the engine the
@@ -25,20 +23,19 @@
 //! are derived per query metric at query time.
 
 mod batch;
+mod gather;
 mod multi;
 mod partitioned;
 mod scan;
-mod sharded;
 mod stats;
 
 pub use batch::{QueryBatch, QueryMetrics};
+pub use gather::{
+    merge_partials, merge_partials_policy, DegradedGather, FailurePolicy, GatherError, ShardPartial,
+};
 pub use multi::MultiQueryScan;
 pub use partitioned::Layout;
 pub use scan::{LinearScan, ScanMode};
-pub use sharded::{
-    combine_partials, merge_partials, merge_partials_policy, DegradedGather, FailurePolicy,
-    GatherError, ShardPartial, ShardedScan,
-};
 pub use stats::{ScanStats, ScanStatsSink};
 
 use crate::collection::Collection;
@@ -171,10 +168,9 @@ impl KeyBand {
 /// guarantee) the result is identical to a full f64 scan — same indices,
 /// same key bits, same distances.
 /// The result stays one step short of finishing: the exact f64 k-best
-/// still in **key space**, so callers (the multi-query scan's public
-/// wrappers, the sharded scan's scatter stage) can merge several
-/// partial k-bests by `(key, index)` before paying the `finish_key`
-/// root.
+/// still in **key space**, so callers ([`MultiQueryScan::knn_keyed`]
+/// and the single-query scan) can merge several partial k-bests by
+/// `(key, index)` before paying the `finish_key` root.
 /// `perm` (when given) maps each candidate index before the push while
 /// the gather still reads `coll` by the *candidate* index — the
 /// partitioned scan's contract: candidates speak the reordered inner
@@ -196,9 +192,9 @@ pub(crate) fn rescore_f64_keyed(
     // Right-sized gather buffer: candidate pools are usually ~k rows, so
     // allocating (and page-touching) a full block's worth per call would
     // cost more than the gather itself. Filled by appending (pure
-    // memcpy) rather than zero-init + overwrite — the sharded scatter
-    // path runs one rescore per shard per query, so per-call buffer
-    // zeroing would multiply with the shard count for no benefit.
+    // memcpy) rather than zero-init + overwrite — a pass runs one
+    // rescore per query, so per-call buffer zeroing would multiply
+    // with the query count for no benefit.
     let chunk_rows = cands.len().clamp(1, BLOCK_ROWS);
     let mut rows: Vec<f64> = Vec::with_capacity(chunk_rows * dim);
     let mut keys = [0.0f64; BLOCK_ROWS];
@@ -297,12 +293,11 @@ impl ScanConfig<'_> {
     }
 
     /// The mode one contiguous row range runs in for `nq` concurrent
-    /// queries: `Auto` resolves **per range** — a flat layout's rows
-    /// (a collection, or one shard), or one surviving partition — to
-    /// Parallel iff the range's own `rows × dim × nq` work clears
-    /// [`PARALLEL_CUTOFF`], so more queries tip the same range into the
-    /// parallel regime sooner while the small ranges of a pruned or
-    /// sharded pass stay on the calling thread. Either way the range
+    /// queries: `Auto` resolves **per range** — a flat layout's rows,
+    /// or one surviving partition — to Parallel iff the range's own
+    /// `rows × dim × nq` work clears [`PARALLEL_CUTOFF`], so more
+    /// queries tip the same range into the parallel regime sooner while
+    /// the small ranges of a pruned pass stay on the calling thread. Either way the range
     /// runs the same kernels and selects the same bits
     /// (Batched ≡ Parallel).
     pub(crate) fn effective_mode(&self, rows: usize, dim: usize, nq: usize) -> ScanMode {
@@ -331,9 +326,9 @@ impl ScanConfig<'_> {
         }
     }
 
-    /// Count one seeded pass: the caller handed finite cross-request /
-    /// cross-shard caps, so this pass pruned against a bound tighter
-    /// than `+∞` from row one.
+    /// Count one seeded pass: the caller handed finite caps
+    /// ([`QueryBatch::with_caps`]), so this pass pruned against a bound
+    /// tighter than `+∞` from row one.
     pub(crate) fn record_seeded_pass(&self, caps: Option<&[f64]>) {
         if self.stats.is_some() && caps.is_some_and(|c| c.iter().any(|v| v.is_finite())) {
             self.record_stats(ScanStats {
@@ -491,8 +486,8 @@ impl KBest {
     }
 
     /// Consume into `(value, index)` entries sorted ascending by
-    /// `(value, index)` — the merge-ready keyed form the sharded scan
-    /// folds across shards before finishing.
+    /// `(value, index)` — the merge-ready keyed form a gather folds
+    /// across slices before finishing.
     pub(crate) fn into_sorted_entries(self) -> Vec<(f64, u32)> {
         let mut v: Vec<(f64, u32)> = self.heap.into_iter().map(|e| (e.dist, e.index)).collect();
         v.sort_unstable_by(|a, b| {

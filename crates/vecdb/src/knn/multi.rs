@@ -70,41 +70,11 @@ use super::partitioned::{all_prune, Layout};
 use super::stats::{ScanStats, ScanStatsSink};
 use super::{
     f32_bound_up, rescore_f64_keyed, KBest, KeyBand, Neighbor, Precision, QueryBatch, QueryMetrics,
-    ScanConfig, ScanMode, BLOCK_ROWS,
+    ScanConfig, ScanMode, ShardPartial, BLOCK_ROWS,
 };
 use crate::collection::Collection;
 use crate::distance::{kernels, Distance, F32KeyBound};
 use std::ops::Range;
-
-/// Keyed (pre-[`Distance::finish_key`]) results of one multi-query
-/// pass: one ascending `(value, index)` k-best per query, plus whether
-/// the values are already true distances (the Scalar reference pushes
-/// distances; the kernel paths push surrogate keys). This is the unit
-/// the sharded scatter/gather scan merges across shards **before**
-/// finishing, so selection happens in one key space end to end.
-pub(crate) struct KeyedResults {
-    /// Per query: `(value, local index)`, ascending by `(value, index)`.
-    pub entries: Vec<Vec<(f64, u32)>>,
-    /// True when values are distances (identity finish — Scalar mode).
-    pub finished: bool,
-}
-
-impl KeyedResults {
-    /// `nq` empty k-bests (an empty batch or an empty layout).
-    pub(crate) fn empty(nq: usize) -> Self {
-        KeyedResults {
-            entries: vec![Vec::new(); nq],
-            finished: true,
-        }
-    }
-
-    pub(crate) fn from_kbests(kbs: Vec<KBest>, finished: bool) -> Self {
-        KeyedResults {
-            entries: kbs.into_iter().map(KBest::into_sorted_entries).collect(),
-            finished,
-        }
-    }
-}
 
 /// Chunk scanner of a pass: scan a row range, folding hits into the
 /// running k-bests under the optional per-query caps. An f32 phase-1
@@ -208,28 +178,35 @@ impl<'a> MultiQueryScan<'a> {
     /// Panics when the queries' dimensionality differs from the
     /// collection's.
     pub fn knn(&self, batch: &QueryBatch<'_>) -> Vec<Vec<Neighbor>> {
-        batch.finish(self.knn_keyed(batch, None))
+        batch.finish(self.knn_keyed(batch))
     }
 
-    /// [`Self::knn`] stopped before the `finish_key` step: the pass's
-    /// exact k-bests in selection space, for the sharded scan's
-    /// per-shard scatter stage.
+    /// [`Self::knn`] stopped before the `finish_key` step: each query's
+    /// exact k-best over this layout in selection space, one
+    /// [`ShardPartial`] per query, speaking the layout's source row
+    /// numbering. A caller that scans a slice of a larger collection
+    /// [offsets](ShardPartial::offset) the partials to global rows and
+    /// merges the slices' partials with
+    /// [`merge_partials`](super::merge_partials) — bit-identical to
+    /// [`Self::knn`] over the unsliced collection.
     ///
-    /// `caps` (one per query, when given) are **sound pruning seeds**:
-    /// the caller guarantees `caps[q]` is an upper bound on the true
-    /// global k-th key of query `q` (in this pass's selection space),
-    /// so rows with larger values can be dropped before the running
-    /// k-best would have — the cross-shard bound-propagation lever.
-    /// Rows beyond a cap never enter the result, which is exactly why a
-    /// sound cap cannot change the merged global answer; an `INFINITY`
-    /// cap is a no-op.
-    pub(crate) fn knn_keyed(&self, batch: &QueryBatch<'_>, caps: Option<&[f64]>) -> KeyedResults {
+    /// The batch's caps ([`QueryBatch::with_caps`]) bound every query's
+    /// selection from row one: rows beyond a cap never enter the
+    /// result, which is exactly why a sound cap cannot change the
+    /// merged answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the queries' dimensionality differs from the
+    /// collection's.
+    pub fn knn_keyed(&self, batch: &QueryBatch<'_>) -> Vec<ShardPartial> {
         let coll = self.layout.coll;
         let (len, dim, nq) = (coll.len(), coll.dim(), batch.len());
         if nq == 0 || len == 0 {
-            return KeyedResults::empty(nq);
+            return keyed((0..nq).map(|_| KBest::new(0)).collect(), true);
         }
         let ks = batch.ks_for(len, dim);
+        let caps = batch.caps();
         self.cfg.record_seeded_pass(caps);
         let perm = self.layout.perm();
         if self.cfg.mode == ScanMode::Scalar {
@@ -249,7 +226,7 @@ impl<'a> MultiQueryScan<'a> {
         let (kbs, _) = self.with_scanner(batch, |scan| {
             self.drive(batch, &ks, &vec![KeyBand::EXACT; nq], caps, scan)
         });
-        KeyedResults::from_kbests(kbs, false)
+        keyed(kbs, false)
     }
 
     /// Lower `batch`'s metric form to the buffers its f64 kernels
@@ -732,7 +709,7 @@ fn scalar_reference(
     batch: &QueryBatch<'_>,
     ks: &[usize],
     caps: Option<&[f64]>,
-) -> KeyedResults {
+) -> Vec<ShardPartial> {
     let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
     for i in 0..coll.len() {
         let row = coll.vector(i);
@@ -748,7 +725,15 @@ fn scalar_reference(
         rows_visited: coll.len() as u64,
         ..Default::default()
     });
-    KeyedResults::from_kbests(kbs, true)
+    keyed(kbs, true)
+}
+
+/// One pass's k-bests as per-query partials; `finished` when the pass
+/// pushed true distances (the Scalar reference) rather than keys.
+fn keyed(kbs: Vec<KBest>, finished: bool) -> Vec<ShardPartial> {
+    (kbs.into_iter())
+        .map(|kb| ShardPartial::from_kbest(kb, finished))
+        .collect()
 }
 
 /// Phase 2 for a whole batch: exact f64 rescore of every query's
@@ -760,15 +745,13 @@ fn rescore(
     ks: &[usize],
     cands: &[Vec<u32>],
     perm: Option<&[u32]>,
-) -> KeyedResults {
-    KeyedResults {
-        entries: (batch.queries().iter().zip(ks).zip(cands).enumerate())
-            .map(|(q, ((query, &k), c))| {
-                rescore_f64_keyed(coll, query, batch.metric(q), c, k, perm).into_sorted_entries()
-            })
-            .collect(),
-        finished: false,
-    }
+) -> Vec<ShardPartial> {
+    (batch.queries().iter().zip(ks).zip(cands).enumerate())
+        .map(|(q, ((query, &k), c))| {
+            let kb = rescore_f64_keyed(coll, query, batch.metric(q), c, k, perm);
+            ShardPartial::from_kbest(kb, false)
+        })
+        .collect()
 }
 
 /// Query `q`'s phase-1 bound for the next block: `T + Δ(T)` of its
@@ -1001,11 +984,12 @@ fn filter_candidates(
     kept
 }
 
-/// Query `q`'s pruning cap: a caller-guaranteed upper bound on the
-/// true global k-th key, or `+∞` when no caps were provided. Taking
-/// `min(running threshold, cap)` everywhere a bound is formed can only
-/// drop rows that cannot appear in the merged global top-k, which is
-/// the entire soundness argument for cross-shard bound propagation.
+/// Query `q`'s pruning cap ([`QueryBatch::with_caps`]): a
+/// caller-guaranteed upper bound on the true global k-th key, or `+∞`
+/// when no caps were provided. Taking `min(running threshold, cap)`
+/// everywhere a bound is formed can only drop rows that cannot appear
+/// in the merged global top-k, which is the entire soundness argument
+/// for cross-slice bound propagation.
 #[inline]
 pub(crate) fn cap_of(caps: Option<&[f64]>, q: usize) -> f64 {
     caps.map_or(f64::INFINITY, |c| c[q])

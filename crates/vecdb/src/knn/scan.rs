@@ -24,8 +24,8 @@
 //!   is deterministic regardless of thread count or scheduling.
 //!
 //! [`ScanMode::Auto`] (the default) decides per contiguous row range —
-//! the collection's rows here; a shard's rows or one surviving
-//! partition in the multi-query and sharded scans — running the range
+//! the collection's rows here; the flat rows or one surviving partition
+//! in the multi-query scan — running the range
 //! Batched below [`PARALLEL_CUTOFF`] `rows × dim × queries` and
 //! Parallel at or above it.
 //!
@@ -54,7 +54,7 @@ use crate::distance::Distance;
 pub enum ScanMode {
     /// Pick [`ScanMode::Batched`] or [`ScanMode::Parallel`] for each
     /// contiguous row range a pass scans (a flat collection, a surviving
-    /// partition, a shard's rows) by that range's own
+    /// partition) by that range's own
     /// `rows × dim × queries` work.
     #[default]
     Auto,

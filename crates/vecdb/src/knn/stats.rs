@@ -4,10 +4,9 @@
 //! in the serving tier; this module answers the *work* side — how many
 //! rows a pass streamed, how often early abandonment actually bit, how
 //! much the f32 phase-1 filter saved the rescore, and whether
-//! cross-shard bound seeding engaged. A [`ScanStatsSink`] is a set of
+//! a caller's pruning caps engaged. A [`ScanStatsSink`] is a set of
 //! relaxed atomic counters a caller attaches to a scan
-//! ([`MultiQueryScan::with_scan_stats`](super::MultiQueryScan::with_scan_stats),
-//! [`ShardedScan::with_scan_stats`](super::ShardedScan::with_scan_stats));
+//! ([`MultiQueryScan::with_scan_stats`](super::MultiQueryScan::with_scan_stats));
 //! the scan accumulates plain local tallies during the pass and flushes
 //! them with a handful of `fetch_add`s at the end, so the per-row hot
 //! loops pay nothing and the per-pass cost is a few uncontended atomic
@@ -31,7 +30,8 @@ pub struct ScanStats {
     /// Phase-1 candidates that survived to the exact f64 rescore.
     pub candidates_rescored: u64,
     /// Passes whose selection bound was seeded by a finite
-    /// cross-request / cross-shard cap instead of starting at `+∞`.
+    /// cap ([`QueryBatch::with_caps`](super::QueryBatch::with_caps))
+    /// instead of starting at `+∞`.
     pub seed_prunes: u64,
     /// Partitions skipped outright because every query's sound lower
     /// bound exceeded its running selection bound or the query asked
@@ -49,8 +49,8 @@ impl ScanStats {
 }
 
 /// Lock-free accumulator for [`ScanStats`], shared across passes and
-/// threads: the parallel scan's workers and `S` concurrent shard
-/// dispatchers all flush into one sink with relaxed `fetch_add`s.
+/// threads: the parallel scan's workers and every pass a server runs
+/// all flush into one sink with relaxed `fetch_add`s.
 #[derive(Debug, Default)]
 pub struct ScanStatsSink {
     rows_visited: AtomicU64,

@@ -16,19 +16,16 @@
 //!   **Rui-Huang hierarchical** model;
 //! * [`knn`] — the retrieval operation, described once: a
 //!   [`knn::QueryBatch`] (query points, a shared / per-query / weighted
-//!   metric form, per-query `k`) answered by exactly one entry per
-//!   engine. [`knn::MultiQueryScan::knn`] answers the batch in one
-//!   blocked pass, amortizing memory traffic across the queries, over
-//!   a [`knn::Layout`]: a flat collection, or a
+//!   metric form, per-query `k`, optional pruning caps).
+//!   [`knn::MultiQueryScan::knn`] answers the batch in one blocked
+//!   pass, amortizing memory traffic across the queries, over a
+//!   [`knn::Layout`]: a flat collection, or a
 //!   [`collection::PartitionedCollection`], whose partitions a
-//!   per-class lower bound can prove irrelevant and skip; and
-//!   [`knn::ShardedScan`] runs it over the contiguous row shards of a
-//!   [`collection::ShardedCollection`] — one shard pass at a time for
-//!   the server's concurrent shard dispatchers
-//!   ([`knn::ShardedScan::scan_shard`]), or all of them in one serial
-//!   seeded gather ([`knn::ShardedScan::knn`]) — and merges the
-//!   per-shard k-bests in key space. All of them accept
-//!   [`knn::Precision::F32Rescore`]: phase 1 filters candidates over
+//!   per-class lower bound can prove irrelevant and skip;
+//!   [`knn::MultiQueryScan::knn_keyed`] stops the same pass in key
+//!   space, so the k-bests of row slices (a router's shard servers)
+//!   merge with [`knn::merge_partials`] into the unsliced answer. Every
+//!   scan accepts [`knn::Precision::F32Rescore`]: phase 1 filters candidates over
 //!   the collection's optional f32 mirror at half the bandwidth, phase
 //!   2 rescores them in f64 — queries, keys and returned distances stay
 //!   f64. Every layout, mode and precision answers bit-identically to
@@ -47,16 +44,15 @@ pub mod result;
 
 pub use collection::{
     CategoryId, Collection, CollectionBuilder, PartitionConfig, PartitionedCollection,
-    ShardedCollection,
 };
 pub use distance::{
     Distance, Euclidean, F32KeyBound, HierarchicalDistance, Lp, Manhattan, QuadraticDistance,
     WeightedEuclidean,
 };
 pub use knn::{
-    combine_partials, merge_partials, merge_partials_policy, DegradedGather, FailurePolicy,
-    GatherError, KnnEngine, Layout, LinearScan, MultiQueryScan, Neighbor, Precision, QueryBatch,
-    QueryMetrics, ScanMode, ScanStats, ScanStatsSink, ShardPartial, ShardedScan,
+    merge_partials, merge_partials_policy, DegradedGather, FailurePolicy, GatherError, KnnEngine,
+    Layout, LinearScan, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics, ScanMode,
+    ScanStats, ScanStatsSink, ShardPartial,
 };
 pub use result::ResultList;
 

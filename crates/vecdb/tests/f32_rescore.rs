@@ -2,9 +2,9 @@
 //! **bit-identical** neighbor indices and f64 distances to the pure-f64
 //! scan, across all four distance classes, Q ∈ {1, 16}, k ∈ {1, 10, 50},
 //! in every kernel mode and through every entry point (LinearScan,
-//! shared-metric multi, per-query-metric multi). The phase-1 f32 filter
-//! with its inflated bounds may only change *how much* the scan reads,
-//! never *what* it answers.
+//! shared-metric multi, per-query-metric multi), with and without sound
+//! pruning caps. The phase-1 f32 filter with its inflated bounds may
+//! only change *how much* the scan reads, never *what* it answers.
 
 use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
@@ -14,6 +14,9 @@ use fbp_vecdb::{
     QueryMetrics::{PerQuery, Shared, Weighted},
     ScanMode, WeightedEuclidean,
 };
+
+mod common;
+use common::sound_caps;
 
 const DIM: usize = 24;
 
@@ -65,6 +68,48 @@ fn distance_classes() -> Vec<Box<dyn Distance>> {
         Box::new(QuadraticDistance::new(&m).unwrap()),
         Box::new(h),
     ]
+}
+
+#[test]
+fn capped_f32_rescore_bit_identical_all_classes() {
+    // A cap tightens the phase-1 ceiling `T` from row one; the f32 band
+    // around it must still hold every true neighbour.
+    let coll = collection(1200, true);
+    let qs = queries(4);
+    let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
+    let ks = [1usize, 10, 50, 7];
+    let metrics: Vec<WeightedEuclidean> = (0..refs.len())
+        .map(|q| {
+            WeightedEuclidean::new((0..DIM).map(|i| 0.3 + ((q * 5 + i) % 4) as f64).collect())
+                .unwrap()
+        })
+        .collect();
+    let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let classes = distance_classes();
+    let mut batches: Vec<(String, QueryBatch<'_>)> = (classes.iter())
+        .map(|d| {
+            let batch = QueryBatch::new(&refs, Shared(&**d), 0).with_ks(&ks);
+            (d.name().to_string(), batch)
+        })
+        .collect();
+    batches.push((
+        "weighted".into(),
+        QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks),
+    ));
+    for (name, batch) in &batches {
+        let want = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(batch);
+        for mode in [ScanMode::Batched, ScanMode::Parallel] {
+            let scan = MultiQueryScan::with_mode(&coll, mode).with_precision(Precision::F32Rescore);
+            for round in 0..4 {
+                let caps = sound_caps(&coll, batch, &ks, false, round);
+                assert_eq!(
+                    scan.knn(&batch.with_caps(&caps)),
+                    want,
+                    "{name} mode={mode:?} round {round}: capped f32-rescore diverged"
+                );
+            }
+        }
+    }
 }
 
 #[test]

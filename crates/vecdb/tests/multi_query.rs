@@ -2,7 +2,8 @@
 //! **bit-identical** neighbor indices and distances to Q independent
 //! [`LinearScan`] runs in the same key-space mode, across all four
 //! distance classes and Q ∈ {1, 3, 16} — per-query early-abandon bounds,
-//! block boundaries and thread merges must never change an answer.
+//! block boundaries, thread merges and sound pruning caps must never
+//! change an answer.
 
 use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
@@ -12,6 +13,9 @@ use fbp_vecdb::{
     QueryMetrics::{PerQuery, Shared},
     ScanMode, WeightedEuclidean,
 };
+
+mod common;
+use common::sound_caps;
 
 const DIM: usize = 24;
 
@@ -61,6 +65,42 @@ fn distance_classes() -> Vec<Box<dyn Distance>> {
         Box::new(QuadraticDistance::new(&m).unwrap()),
         Box::new(h),
     ]
+}
+
+#[test]
+fn sound_caps_keep_answers_bit_identical() {
+    // Caps as a router seeds them: the k-th key of some row subset.
+    // Every mode, shared and per-query metric forms, per-query k.
+    let coll = collection(1200);
+    let qs = queries(3);
+    let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
+    let ks = [1usize, 10, 50];
+    let classes = distance_classes();
+    let dists: Vec<&dyn Distance> = classes[..3].iter().map(|d| &**d).collect();
+    let mut batches: Vec<(String, QueryBatch<'_>)> = (classes.iter())
+        .map(|d| {
+            let batch = QueryBatch::new(&refs, Shared(&**d), 0).with_ks(&ks);
+            (d.name().to_string(), batch)
+        })
+        .collect();
+    batches.push((
+        "per-query".into(),
+        QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks),
+    ));
+    for (name, batch) in &batches {
+        for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
+            let scan = MultiQueryScan::with_mode(&coll, mode);
+            let want = scan.knn(batch);
+            for round in 0..4 {
+                let caps = sound_caps(&coll, batch, &ks, mode == ScanMode::Scalar, round);
+                assert_eq!(
+                    scan.knn(&batch.with_caps(&caps)),
+                    want,
+                    "{name} mode={mode:?} round {round}: a sound cap changed the answer"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -5,9 +5,8 @@
 //! `k = usize::MAX` overflowed the `+ 1`.
 
 use fbp_vecdb::{
-    CollectionBuilder, Euclidean, KnnEngine, LinearScan, MultiQueryScan, PartitionConfig,
-    PartitionedCollection, Precision, QueryBatch, QueryMetrics::Shared, ScanMode,
-    ShardedCollection, ShardedScan,
+    merge_partials, CollectionBuilder, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
+    PartitionConfig, PartitionedCollection, Precision, QueryBatch, QueryMetrics::Shared, ScanMode,
 };
 
 #[test]
@@ -19,7 +18,11 @@ fn any_oversized_k_returns_every_row_on_every_front_end() {
     }
     let coll = b.build();
     let part = PartitionedCollection::build(&coll, &PartitionConfig::with_partitions(3));
-    let sharded = ShardedCollection::split(&coll, 3);
+    // The router's cut into three slices, each with its first row.
+    let slices: Vec<_> = [(0, 3), (3, 6), (6, ROWS)]
+        .into_iter()
+        .map(|(start, end)| (coll.slice_rows(start, end), start as u32))
+        .collect();
     let q: &[f64] = &[2.5, 1.0];
     let qs = [q];
     let all = LinearScan::with_mode(&coll, ScanMode::Batched).knn(q, ROWS, &Euclidean);
@@ -39,8 +42,14 @@ fn any_oversized_k_returns_every_row_on_every_front_end() {
                 assert_eq!(flat.knn(&per_query), expect, "flat with_ks {ctx}");
                 let pruned = MultiQueryScan::with_mode(&part, mode).with_precision(precision);
                 assert_eq!(pruned.knn(&batch), expect, "partitioned {ctx}");
-                let scatter = ShardedScan::with_mode(&sharded, mode).with_precision(precision);
-                assert_eq!(scatter.knn(&batch), expect, "sharded {ctx}");
+                let parts: Vec<_> = (slices.iter())
+                    .map(|(slice, offset)| {
+                        let scan = MultiQueryScan::with_mode(slice, mode).with_precision(precision);
+                        scan.knn_keyed(&batch).remove(0).offset(*offset)
+                    })
+                    .collect();
+                let merged = merge_partials(&parts, k, &Euclidean);
+                assert_eq!(merged, all, "sliced {ctx}");
             }
         }
     }

@@ -4,19 +4,24 @@
 //! [`MultiQueryScan`] — across all distance classes (including ones
 //! with no sound partition bound, which must fall back to the flat
 //! pass), both precisions, Scalar/Batched/Parallel, per-query metrics
-//! and ks, through [`ShardedScan`], and across the degenerate layout
-//! edges (empty partitions, one-row partitions, more partitions than
-//! rows, k > len, k = 0 "prunes everything"). Partition pruning is a
-//! rows-visited knob, never a result knob.
+//! and ks, under sound pruning caps, per row slice of a router
+//! deployment merged with [`merge_partials`], and across the degenerate
+//! layout edges (empty partitions, one-row partitions, more partitions
+//! than rows, k > len, k = 0 "prunes everything"). Partition pruning is
+//! a rows-visited knob, never a result knob.
 
 use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{Chebyshev, FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
-    Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
-    PartitionConfig, PartitionedCollection, Precision, QuadraticDistance, QueryBatch,
+    merge_partials, Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, Layout,
+    LinearScan, MultiQueryScan, Neighbor, PartitionConfig, PartitionedCollection, Precision,
+    QuadraticDistance, QueryBatch,
     QueryMetrics::{PerQuery, Shared, Weighted},
-    ScanMode, ScanStatsSink, ShardedCollection, ShardedScan, WeightedEuclidean,
+    ScanMode, ScanStatsSink, ShardPartial, WeightedEuclidean,
 };
+
+mod common;
+use common::sound_caps;
 
 const DIM: usize = 24;
 const N: usize = 900;
@@ -290,33 +295,81 @@ fn pruning_engages_and_stays_sublinear_on_clustered_data() {
     }
 }
 
+/// The router's cut of `coll` into `s` contiguous slices, each with its
+/// first global row.
+fn router_cut(coll: &Collection, s: usize) -> Vec<(Collection, u32)> {
+    let len = coll.len();
+    (0..s)
+        .map(|i| {
+            let (start, end) = (i * len / s, (i + 1) * len / s);
+            (coll.slice_rows(start, end), start as u32)
+        })
+        .collect()
+}
+
+/// What a router over one shard server per slice answers: the slices
+/// scanned in turn, each capped by the tightest k-th key the earlier
+/// slices delivered (the router's seed), offset to global rows and
+/// merged per query (`ks[q]` under `dists[q]`).
+fn router_answer(
+    slices: &[(Layout<'_>, u32)],
+    mode: ScanMode,
+    precision: Precision,
+    batch: &QueryBatch<'_>,
+    ks: &[usize],
+    dists: &[&dyn Distance],
+) -> Vec<Vec<Neighbor>> {
+    let mut caps = vec![f64::INFINITY; ks.len()];
+    let mut parts: Vec<Vec<ShardPartial>> = Vec::new();
+    for &(layout, offset) in slices {
+        let scan = MultiQueryScan::with_mode(layout, mode).with_precision(precision);
+        let got: Vec<ShardPartial> = (scan.knn_keyed(&batch.with_caps(&caps)).into_iter())
+            .map(|p| p.offset(offset))
+            .collect();
+        for ((cap, part), &k) in caps.iter_mut().zip(&got).zip(ks) {
+            if let Some(bound) = part.bound_key(k) {
+                *cap = cap.min(bound);
+            }
+        }
+        parts.push(got);
+    }
+    (0..ks.len())
+        .map(|q| merge_partials(parts.iter().map(|p| &p[q]), ks[q], dists[q]))
+        .collect()
+}
+
 #[test]
 fn sharded_partitioned_bit_identical() {
-    // The full composition: sharded scatter/gather where every shard
-    // pass runs the partition-pruning scan, cross-shard seeds included
-    // — against the unpartitioned sharded scan and the flat scan.
+    // The full composition: a router deployment whose shard servers each
+    // partition their slice, seeds included — against the unpartitioned
+    // slices and the flat scan.
     let coll = clustered_collection(N, 12, true);
     let qs = queries(4);
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     for &s in &[1usize, 3] {
-        let sharded = ShardedCollection::split(&coll, s);
-        let parts = sharded.build_partitions(&PartitionConfig::with_partitions(16));
+        let cut = router_cut(&coll, s);
+        let parts: Vec<PartitionedCollection> = cut.iter().map(|(c, _)| layout(c, 16)).collect();
+        let plain: Vec<(Layout<'_>, u32)> = cut.iter().map(|(c, o)| (c.into(), *o)).collect();
+        let pruned: Vec<(Layout<'_>, u32)> = (parts.iter().zip(&cut))
+            .map(|(p, (_, o))| (p.into(), *o))
+            .collect();
         for dist in distance_classes() {
+            let dists = [&*dist; 4];
             for precision in [Precision::F64, Precision::F32Rescore] {
                 for mode in [ScanMode::Batched, ScanMode::Parallel] {
-                    let plain = ShardedScan::with_mode(&sharded, mode).with_precision(precision);
-                    let pruned = plain.with_partitions(&parts);
                     let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
                     for k in [1usize, 10, 50] {
-                        let got = pruned.knn(&QueryBatch::new(&refs, Shared(&*dist), k));
+                        let batch = QueryBatch::new(&refs, Shared(&*dist), k);
+                        let ks = [k; 4];
+                        let got = router_answer(&pruned, mode, precision, &batch, &ks, &dists);
                         assert_eq!(
                             got,
-                            plain.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
-                            "S={s} k={k} mode={mode:?} precision={precision:?} (vs sharded)"
+                            router_answer(&plain, mode, precision, &batch, &ks, &dists),
+                            "S={s} k={k} mode={mode:?} precision={precision:?} (vs sliced)"
                         );
                         assert_eq!(
                             got,
-                            flat.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
+                            flat.knn(&batch),
                             "S={s} k={k} mode={mode:?} precision={precision:?} (vs flat)"
                         );
                     }
@@ -329,8 +382,12 @@ fn sharded_partitioned_bit_identical() {
 #[test]
 fn sharded_partitioned_per_query_and_weighted() {
     let coll = clustered_collection(N, 12, true);
-    let sharded = ShardedCollection::split(&coll, 3);
-    let parts = sharded.build_partitions(&PartitionConfig::with_partitions(16));
+    let cut = router_cut(&coll, 3);
+    let parts: Vec<PartitionedCollection> = cut.iter().map(|(c, _)| layout(c, 16)).collect();
+    let plain: Vec<(Layout<'_>, u32)> = cut.iter().map(|(c, o)| (c.into(), *o)).collect();
+    let pruned: Vec<(Layout<'_>, u32)> = (parts.iter().zip(&cut))
+        .map(|(p, (_, o))| (p.into(), *o))
+        .collect();
     let qs = queries(5);
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let classes = distance_classes();
@@ -345,20 +402,52 @@ fn sharded_partitioned_per_query_and_weighted() {
         })
         .collect();
     let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
+    let mdists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
+    let per_query = QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks);
     let weighted = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
+    let mode = ScanMode::Batched;
     for precision in [Precision::F64, Precision::F32Rescore] {
-        let plain = ShardedScan::with_mode(&sharded, ScanMode::Batched).with_precision(precision);
-        let pruned = plain.with_partitions(&parts);
         assert_eq!(
-            pruned.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
-            plain.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
+            router_answer(&pruned, mode, precision, &per_query, &ks, &dists),
+            router_answer(&plain, mode, precision, &per_query, &ks, &dists),
             "per-query precision={precision:?}"
         );
         assert_eq!(
-            pruned.knn(&weighted),
-            plain.knn(&weighted),
+            router_answer(&pruned, mode, precision, &weighted, &ks, &mdists),
+            router_answer(&plain, mode, precision, &weighted, &ks, &mdists),
             "weighted precision={precision:?}"
         );
+    }
+}
+
+#[test]
+fn capped_partitioned_passes_bit_identical() {
+    // A cap also tightens the partition skip rule from the first
+    // partition on; no partition holding a true neighbour may go.
+    let coll = clustered_collection(N, 12, true);
+    let parts = layout(&coll, 16);
+    let qs = queries(4);
+    let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
+    let ks = [1usize, 10, 50, 0];
+    for dist in distance_classes() {
+        let batch = QueryBatch::new(&refs, Shared(&*dist), 0).with_ks(&ks);
+        for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
+            for precision in [Precision::F64, Precision::F32Rescore] {
+                let want = MultiQueryScan::with_mode(&coll, mode)
+                    .with_precision(precision)
+                    .knn(&batch);
+                let scan = MultiQueryScan::with_mode(&parts, mode).with_precision(precision);
+                for round in 0..3 {
+                    let caps = sound_caps(&coll, &batch, &ks, mode == ScanMode::Scalar, round);
+                    assert_eq!(
+                        scan.knn(&batch.with_caps(&caps)),
+                        want,
+                        "{} mode={mode:?} precision={precision:?} round {round}",
+                        dist.name()
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -5,16 +5,16 @@
 //! bit-identical distances) with the missing shards reported; under
 //! `Strict`, any missing shard must always refuse with a typed
 //! [`GatherError`] naming them. Checked across all four distance
-//! classes and both precisions — the policy layer must be as
-//! result-transparent as the sharding layer beneath it.
+//! classes and both precisions, over the row slices a router deployment
+//! serves (one keyed pass per slice, offset to global rows) — the
+//! policy layer must be as result-transparent as the cut beneath it.
 
 use fbp_linalg::Matrix;
 use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     merge_partials_policy, Collection, CollectionBuilder, Distance, Euclidean, FailurePolicy,
-    KnnEngine, LinearScan, Neighbor, Precision, QuadraticDistance, QueryBatch,
-    QueryMetrics::Shared, ScanMode, ShardPartial, ShardedCollection, ShardedScan,
-    WeightedEuclidean,
+    KnnEngine, LinearScan, MultiQueryScan, Neighbor, Precision, QuadraticDistance, QueryBatch,
+    QueryMetrics::Shared, ScanMode, ShardPartial, WeightedEuclidean,
 };
 use proptest::prelude::*;
 
@@ -53,8 +53,20 @@ fn points_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.0..1.0f64, DIM), 6..80)
 }
 
+/// The router's cut of `coll` into `shards` contiguous slices, each
+/// with its first global row.
+fn router_cut(coll: &Collection, shards: usize) -> Vec<(Collection, u32)> {
+    let len = coll.len();
+    (0..shards)
+        .map(|s| {
+            let (start, end) = (s * len / shards, (s + 1) * len / shards);
+            (coll.slice_rows(start, end), start as u32)
+        })
+        .collect()
+}
+
 /// The global row indices the surviving shards cover, under the
-/// `ShardedCollection::split` partition.
+/// router's cut.
 fn surviving_rows(len: usize, shards: usize, surviving_mask: &[bool]) -> Vec<usize> {
     let mut rows = Vec::new();
     for (s, &alive) in surviving_mask.iter().enumerate() {
@@ -93,21 +105,21 @@ fn flat_oracle(
 
 /// Per-shard partials for one query, with dropped shards as `None`.
 fn scatter_with_failures(
-    sharded: &ShardedCollection,
+    cut: &[(Collection, u32)],
     q: &[f64],
     k: usize,
     dist: &dyn Distance,
     precision: Precision,
     surviving_mask: &[bool],
 ) -> Vec<Option<ShardPartial>> {
-    let scan = ShardedScan::with_mode(sharded, ScanMode::Batched).with_precision(precision);
-    surviving_mask
-        .iter()
-        .enumerate()
-        .map(|(s, &alive)| {
+    (cut.iter().zip(surviving_mask))
+        .map(|((slice, offset), &alive)| {
             alive.then(|| {
-                scan.scan_shard(s, &QueryBatch::new(&[q], Shared(dist), k), None)
+                let scan =
+                    MultiQueryScan::with_mode(slice, ScanMode::Batched).with_precision(precision);
+                (scan.knn_keyed(&QueryBatch::new(&[q], Shared(dist), k)))
                     .remove(0)
+                    .offset(*offset)
             })
         })
         .collect()
@@ -129,7 +141,7 @@ proptest! {
         k in 1usize..12,
     ) {
         let coll = build_collection(&points);
-        let sharded = ShardedCollection::split(&coll, shards);
+        let cut = router_cut(&coll, shards);
         // At least one survivor (an all-dead mask is the Strict-like
         // refusal case, covered below).
         let mut mask: Vec<bool> = (0..shards).map(|s| mask_seed & (1 << s) != 0).collect();
@@ -146,7 +158,7 @@ proptest! {
         for dist in distance_classes() {
             for precision in [Precision::F64, Precision::F32Rescore] {
                 let partials =
-                    scatter_with_failures(&sharded, &q, k, dist.as_ref(), precision, &mask);
+                    scatter_with_failures(&cut, &q, k, dist.as_ref(), precision, &mask);
                 let gathered = merge_partials_policy(
                     &partials,
                     k,
@@ -185,7 +197,7 @@ proptest! {
         k in 1usize..12,
     ) {
         let coll = build_collection(&points);
-        let sharded = ShardedCollection::split(&coll, shards);
+        let cut = router_cut(&coll, shards);
         let min_shards = 1 + (min_shards - 1) % shards;
         let mask: Vec<bool> = (0..shards).map(|s| mask_seed & (1 << s) != 0).collect();
         let survivors = mask.iter().filter(|&&a| a).count();
@@ -199,7 +211,7 @@ proptest! {
         for dist in distance_classes() {
             for precision in [Precision::F64, Precision::F32Rescore] {
                 let partials =
-                    scatter_with_failures(&sharded, &q, k, dist.as_ref(), precision, &mask);
+                    scatter_with_failures(&cut, &q, k, dist.as_ref(), precision, &mask);
                 let outcome = merge_partials_policy(
                     &partials,
                     k,
@@ -237,13 +249,13 @@ proptest! {
         k in 1usize..12,
     ) {
         let coll = build_collection(&points);
-        let sharded = ShardedCollection::split(&coll, shards);
+        let cut = router_cut(&coll, shards);
         let drop = drop % shards;
         let mask: Vec<bool> = (0..shards).map(|s| s != drop).collect();
         for dist in distance_classes() {
             for precision in [Precision::F64, Precision::F32Rescore] {
                 let partials =
-                    scatter_with_failures(&sharded, &q, k, dist.as_ref(), precision, &mask);
+                    scatter_with_failures(&cut, &q, k, dist.as_ref(), precision, &mask);
                 let refused = merge_partials_policy(
                     &partials,
                     k,
@@ -259,7 +271,7 @@ proptest! {
                 // and reports nothing missing.
                 let all = vec![true; shards];
                 let complete =
-                    scatter_with_failures(&sharded, &q, k, dist.as_ref(), precision, &all);
+                    scatter_with_failures(&cut, &q, k, dist.as_ref(), precision, &all);
                 let gathered = merge_partials_policy(
                     &complete,
                     k,

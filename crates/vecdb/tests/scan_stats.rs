@@ -1,14 +1,15 @@
 //! Scan-path counter suite: attaching a [`ScanStatsSink`] to a
-//! [`MultiQueryScan`] / [`ShardedScan`] must populate the work counters
+//! [`MultiQueryScan`] — flat, or one pass per row slice — must populate
+//! the work counters
 //! (rows streamed, blocks abandoned, f32 filter/rescore volumes, seeded
 //! passes) while leaving every answer **bit-identical** to the
 //! uninstrumented scan — observability is a read-only tap, never a
 //! result knob.
 
 use fbp_vecdb::{
-    CollectionBuilder, MultiQueryScan, Precision, QueryBatch,
+    merge_partials, CollectionBuilder, MultiQueryScan, Precision, QueryBatch,
     QueryMetrics::{Shared, Weighted},
-    ScanMode, ScanStatsSink, ShardedCollection, ShardedScan, WeightedEuclidean,
+    ScanMode, ScanStatsSink, WeightedEuclidean,
 };
 
 const DIM: usize = 24;
@@ -128,19 +129,32 @@ fn weighted_per_query_counters_match_generic_behaviour() {
 
 #[test]
 fn sharded_scan_attributes_every_shard_pass() {
+    // One keyed pass per third of the rows, as three shard servers
+    // sharing one sink would run them.
     let coll = collection(N);
     let qs = queries(2);
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let w = metric();
-    let sharded = ShardedCollection::split(&coll, 3);
-    let plain = ShardedScan::new(&sharded).knn(&QueryBatch::new(&refs, Shared(&w), 10));
+    let batch = QueryBatch::new(&refs, Shared(&w), 10);
+    let plain = MultiQueryScan::new(&coll).knn(&batch);
     let sink = ScanStatsSink::new();
-    let traced = ShardedScan::new(&sharded)
-        .with_scan_stats(&sink)
-        .knn(&QueryBatch::new(&refs, Shared(&w), 10));
+    let parts: Vec<_> = (0..3)
+        .map(|s| {
+            let slice = coll.slice_rows(s * N / 3, (s + 1) * N / 3);
+            (MultiQueryScan::new(&slice)
+                .with_scan_stats(&sink)
+                .knn_keyed(&batch)
+                .into_iter())
+            .map(|p| p.offset((s * N / 3) as u32))
+            .collect::<Vec<_>>()
+        })
+        .collect();
+    let traced: Vec<_> = (0..refs.len())
+        .map(|q| merge_partials(parts.iter().map(|p| &p[q]), 10, &w))
+        .collect();
     assert_eq!(plain, traced);
-    // Every shard pass flushes into the one shared sink: the three
-    // disjoint shard passes stream the whole collection exactly once.
+    // Every slice pass flushes into the one shared sink: the three
+    // disjoint passes stream the whole collection exactly once.
     assert_eq!(sink.snapshot().rows_visited, N as u64);
 }
 
@@ -151,20 +165,22 @@ fn seeded_shard_pass_counts_a_seed_prune_and_keeps_the_answer() {
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let w = metric();
     let k = 10usize;
-    let sharded = ShardedCollection::split(&coll, 3);
-    let scan = ShardedScan::new(&sharded);
-    // Unseeded shard-0 pass: its k-th key upper-bounds the global k-th,
-    // so it is a sound cap for a re-run of the same pass.
-    let unseeded = scan.scan_shard(0, &QueryBatch::new(&refs, Shared(&w), k), None);
-    let cap = unseeded[0].bound_key(k).expect("shard 0 holds >= k rows");
+    let slice = coll.slice_rows(0, N / 3);
+    let scan = MultiQueryScan::new(&slice);
+    // Unseeded pass over the first slice: its k-th key upper-bounds the
+    // global k-th, so it is a sound cap for a re-run of the same pass.
+    let unseeded = scan.knn_keyed(&QueryBatch::new(&refs, Shared(&w), k));
+    let cap = unseeded[0].bound_key(k).expect("the slice holds >= k rows");
     for weighted in [false, true] {
         let sink = ScanStatsSink::new();
         let traced = scan.with_scan_stats(&sink);
-        let seeded = if weighted {
-            traced.scan_shard(0, &QueryBatch::new(&refs, Weighted(&[&w]), k), Some(&[cap]))
+        let wrefs = [&w];
+        let batch = if weighted {
+            QueryBatch::new(&refs, Weighted(&wrefs), k)
         } else {
-            traced.scan_shard(0, &QueryBatch::new(&refs, Shared(&w), k), Some(&[cap]))
+            QueryBatch::new(&refs, Shared(&w), k)
         };
+        let seeded = traced.knn_keyed(&batch.with_caps(&[cap]));
         assert_eq!(
             seeded[0].entries()[..k],
             unseeded[0].entries()[..k],
@@ -172,15 +188,11 @@ fn seeded_shard_pass_counts_a_seed_prune_and_keeps_the_answer() {
         );
         let s = sink.snapshot();
         assert_eq!(s.seed_prunes, 1, "weighted={weighted}");
-        assert_eq!(s.rows_visited, sharded.shard(0).len() as u64);
+        assert_eq!(s.rows_visited, slice.len() as u64);
         // An infinite cap is a no-op and must not count as seeding.
-        let seeded_inf = traced.scan_shard(
-            0,
-            &QueryBatch::new(&refs, Shared(&w), k),
-            Some(&[f64::INFINITY]),
-        )[0]
-        .clone();
-        assert_eq!(seeded_inf.entries(), unseeded[0].entries());
+        let batch = QueryBatch::new(&refs, Shared(&w), k);
+        let seeded_inf = traced.knn_keyed(&batch.with_caps(&[f64::INFINITY]));
+        assert_eq!(seeded_inf[0].entries(), unseeded[0].entries());
         assert_eq!(sink.snapshot().seed_prunes, 1, "INFINITY cap not counted");
     }
 }

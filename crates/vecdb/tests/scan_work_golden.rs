@@ -21,10 +21,10 @@
 //! exactly the bits — of the `Shared` batch under that one metric.
 
 use fbp_vecdb::{
-    Collection, CollectionBuilder, Distance, KnnEngine, LinearScan, MultiQueryScan, Neighbor,
-    PartitionConfig, PartitionedCollection, Precision, QueryBatch,
+    merge_partials, Collection, CollectionBuilder, Distance, KnnEngine, LinearScan, MultiQueryScan,
+    Neighbor, PartitionConfig, PartitionedCollection, Precision, QueryBatch,
     QueryMetrics::{PerQuery, Shared, Weighted},
-    ScanMode, ScanStats, ScanStatsSink, ShardedCollection, ShardedScan, WeightedEuclidean,
+    ScanMode, ScanStats, ScanStatsSink, ShardPartial, WeightedEuclidean,
 };
 
 const DIM: usize = 16;
@@ -88,12 +88,49 @@ fn metrics() -> Vec<WeightedEuclidean> {
         .collect()
 }
 
+/// The scanned layout: the whole collection, flat or partitioned, or
+/// the router's cut of it into `SHARDS` row slices, each flat or
+/// partitioned — what a router over `SHARDS` shard servers scans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Layout {
     Flat,
     Partitioned,
     Sharded,
     ShardedPartitioned,
+}
+
+/// The router's answer over `slices` (each slice's layout and first
+/// global row): the slices in turn, each pass capped by the tightest
+/// k-th key the earlier slices delivered (the router's seed), one
+/// worker each, offset to global rows and merged under each query's
+/// metric.
+fn routed(
+    slices: &[(fbp_vecdb::Layout<'_>, u32)],
+    precision: Precision,
+    sink: &ScanStatsSink,
+    batch: &QueryBatch<'_>,
+    metrics: &[WeightedEuclidean],
+) -> Vec<Vec<Neighbor>> {
+    let mut caps = vec![f64::INFINITY; NQ];
+    let mut parts: Vec<Vec<ShardPartial>> = Vec::new();
+    for &(layout, offset) in slices {
+        let scan = MultiQueryScan::with_mode(layout, ScanMode::Batched)
+            .with_precision(precision)
+            .with_thread_budget(1)
+            .with_scan_stats(sink);
+        let got: Vec<ShardPartial> = (scan.knn_keyed(&batch.with_caps(&caps)).into_iter())
+            .map(|p| p.offset(offset))
+            .collect();
+        for (cap, part) in caps.iter_mut().zip(&got) {
+            if let Some(bound) = part.bound_key(K) {
+                *cap = cap.min(bound);
+            }
+        }
+        parts.push(got);
+    }
+    (0..NQ)
+        .map(|q| merge_partials(parts.iter().map(|p| &p[q]), K, &metrics[q]))
+        .collect()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,7 +146,7 @@ enum Form {
 /// answers already checked against per-query flat f64 `LinearScan`s.
 /// A Batched pass covers all four layouts; a Parallel or Auto pass
 /// covers the flat and partitioned ones at a budget of two workers (the
-/// sharded layouts pin their own one-worker scatter).
+/// sliced layouts pin their own one-worker passes).
 fn cells(
     precision: Precision,
     mode: ScanMode,
@@ -117,8 +154,20 @@ fn cells(
     let coll = collection();
     let cfg = PartitionConfig::with_partitions(PARTITIONS);
     let part = PartitionedCollection::build(&coll, &cfg);
-    let sharded = ShardedCollection::split(&coll, SHARDS);
-    let shard_parts = sharded.build_partitions(&cfg);
+    let cut: Vec<(Collection, u32)> = (0..SHARDS)
+        .map(|i| {
+            let (start, end) = (i * N / SHARDS, (i + 1) * N / SHARDS);
+            (coll.slice_rows(start, end), start as u32)
+        })
+        .collect();
+    let cut_parts: Vec<PartitionedCollection> = (cut.iter())
+        .map(|(slice, _)| PartitionedCollection::build(slice, &cfg))
+        .collect();
+    let sliced: Vec<(fbp_vecdb::Layout<'_>, u32)> =
+        cut.iter().map(|(c, o)| (c.into(), *o)).collect();
+    let sliced_parts: Vec<(fbp_vecdb::Layout<'_>, u32)> = (cut_parts.iter().zip(&cut))
+        .map(|(p, (_, o))| (p.into(), *o))
+        .collect();
     let queries = queries();
     let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
     let diverged = metrics();
@@ -157,12 +206,6 @@ fn cells(
                 K,
             );
             let sink = ScanStatsSink::new();
-            // One scatter worker: shards run in order, so the cross-shard
-            // seeds (and with them the abandon counts) are deterministic.
-            let scatter = ShardedScan::with_mode(&sharded, ScanMode::Batched)
-                .with_precision(precision)
-                .with_thread_budget(1)
-                .with_scan_stats(&sink);
             let answers = match layout {
                 Layout::Flat => MultiQueryScan::with_mode(&coll, mode)
                     .with_precision(precision)
@@ -174,8 +217,12 @@ fn cells(
                     .with_thread_budget(2)
                     .with_scan_stats(&sink)
                     .knn(&batch),
-                Layout::Sharded => scatter.knn(&batch),
-                Layout::ShardedPartitioned => scatter.with_partitions(&shard_parts).knn(&batch),
+                // Slices run in order, so the cross-slice seeds (and
+                // with them the abandon counts) are deterministic.
+                Layout::Sharded => routed(&sliced, precision, &sink, &batch, metrics),
+                Layout::ShardedPartitioned => {
+                    routed(&sliced_parts, precision, &sink, &batch, metrics)
+                }
             };
             for (q, (query, got)) in refs.iter().zip(&answers).enumerate() {
                 let expect = reference.knn(query, K, &metrics[q]);

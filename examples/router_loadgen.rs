@@ -83,9 +83,7 @@ fn shared_module() -> SharedBypass {
     SharedBypass::new(FeedbackBypass::for_unit_cube(DIM, BypassConfig::default()).unwrap())
 }
 
-/// Row range shard `i` serves — the `ShardedCollection::split` formula,
-/// so the router-fronted deployment partitions exactly like in-process
-/// sharded serving.
+/// Row range shard `i` serves: `SHARDS` balanced contiguous slices.
 fn shard_range(len: usize, i: usize) -> (usize, usize) {
     (i * len / SHARDS, (i + 1) * len / SHARDS)
 }

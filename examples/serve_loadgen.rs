@@ -10,8 +10,7 @@
 //! passes by the micro-batcher.
 //!
 //! Run with: `cargo run --release --example serve_loadgen`
-//! (`FBP_BENCH_FAST=1` for the short CI smoke burst; `FBP_SERVE_SHARDS=S`
-//! sets the shard count of the third, sharded configuration — default 2.)
+//! (`FBP_BENCH_FAST=1` for the short CI smoke burst.)
 
 use fbp_server::{run_loadgen, serve, Client, LoadgenOptions, LoadgenReport, ServerConfig};
 use fbp_vecdb::{CategoryId, Collection, CollectionBuilder, KnnEngine, LinearScan, ScanMode};
@@ -55,18 +54,12 @@ fn collection(n: usize) -> Collection {
     b.build()
 }
 
-fn run_config(
-    coll: &Arc<Collection>,
-    queries: &[Vec<f64>],
-    max_batch: usize,
-    shards: usize,
-) -> LoadgenReport {
+fn run_config(coll: &Arc<Collection>, queries: &[Vec<f64>], max_batch: usize) -> LoadgenReport {
     let bypass = SharedBypass::new(
         FeedbackBypass::for_unit_cube(DIM, BypassConfig::default()).expect("unit-cube module"),
     );
     let cfg = ServerConfig {
         max_batch,
-        shards,
         feedback: FeedbackConfig {
             k: K as usize,
             ..Default::default()
@@ -136,18 +129,9 @@ fn main() {
         "{:<24} {:>9} {:>8} {:>13} {:>9} {:>9} {:>11}",
         "config", "searches", "queries", "searches/sec", "p50 µs", "p99 µs", "batch fill"
     );
-    let shards = std::env::var("FBP_SERVE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let sharded_name = format!("micro-batch, {shards} shards");
     let mut reports = Vec::new();
-    for (name, max_batch, shards) in [
-        ("no batching (max=1)", 1, 1),
-        ("adaptive micro-batch", 16, 1),
-        (sharded_name.as_str(), 16, shards),
-    ] {
-        let r = run_config(&coll, &queries, max_batch, shards);
+    for (name, max_batch) in [("no batching (max=1)", 1), ("adaptive micro-batch", 16)] {
+        let r = run_config(&coll, &queries, max_batch);
         println!(
             "{name:<24} {:>9} {:>8} {:>13.0} {:>9.0} {:>9.0} {:>11.2}",
             r.searches,
@@ -159,10 +143,6 @@ fn main() {
         );
         // Server-side accounting must agree with the client's view.
         assert_eq!(r.server.requests, r.searches, "dropped or phantom requests");
-        // Every request rides exactly one pass per shard, so per-shard
-        // passes are bounded by requests × shards (and can exceed plain
-        // requests once S > 1).
-        assert!(r.server.passes <= r.server.requests * r.server.shards);
         assert_eq!(r.server.protocol_errors, 0, "clean traffic only");
         assert_eq!(r.server.sessions_open, 0, "sessions must be closed");
         reports.push(r);

@@ -1,12 +1,9 @@
 //! Criterion micro-benchmarks for the distance-function classes of §2:
-//! per-evaluation cost of L2, weighted L2, quadratic (Mahalanobis) and
-//! the Rui-Huang hierarchical model at the paper's dimensionality.
+//! per-evaluation cost of L2 and weighted L2 at the paper's
+//! dimensionality.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fbp_linalg::Matrix;
-use fbp_vecdb::{
-    Distance, Euclidean, HierarchicalDistance, Manhattan, QuadraticDistance, WeightedEuclidean,
-};
+use fbp_vecdb::{Distance, Euclidean, WeightedEuclidean};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Duration;
@@ -45,30 +42,10 @@ fn bench_distances(c: &mut Criterion) {
     };
 
     run(&mut group, "euclidean", &Euclidean);
-    run(&mut group, "manhattan", &Manhattan);
     run(
         &mut group,
         "weighted_euclidean",
-        &WeightedEuclidean::new(weights.clone()).unwrap(),
-    );
-    // SPD matrix: diag + small symmetric off-diagonal noise.
-    let mut m = Matrix::from_diag(&weights);
-    for i in 0..DIM {
-        for j in (i + 1)..DIM {
-            let v = 0.01 * ((i * j) % 5) as f64;
-            m[(i, j)] = v;
-            m[(j, i)] = v;
-        }
-    }
-    run(
-        &mut group,
-        "quadratic",
-        &QuadraticDistance::new(&m).unwrap(),
-    );
-    run(
-        &mut group,
-        "hierarchical_4_features",
-        &HierarchicalDistance::uniform(DIM, 4).unwrap(),
+        &WeightedEuclidean::new(weights).unwrap(),
     );
     group.finish();
 }
@@ -119,11 +96,6 @@ fn bench_batch_kernels(c: &mut Criterion) {
 
     run(&mut group, "euclidean", &Euclidean);
     run(&mut group, "weighted_euclidean", &weighted);
-    run(
-        &mut group,
-        "hierarchical_4_features",
-        &HierarchicalDistance::uniform(DIM, 4).unwrap(),
-    );
     group.finish();
 }
 

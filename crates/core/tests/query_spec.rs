@@ -15,15 +15,13 @@
 //!   paths ride the same invariant over the wire and are pinned by the
 //!   server crate's `spec_wire` tests.)
 //! * **Derived anchors scan identically under every distance class ×
-//!   both precisions.** Euclidean, weighted-Euclidean, hierarchical,
-//!   and quadratic scans of a spec's derived anchor return the same
-//!   neighbors at `F64` and `F32Rescore`.
+//!   both precisions.** Euclidean and weighted-Euclidean scans (mildly
+//!   varied and log-spread weights) of a spec's derived anchor return
+//!   the same neighbors at `F64` and `F32Rescore`.
 
-use fbp_linalg::Matrix;
-use fbp_vecdb::distance::FeatureSpan;
 use fbp_vecdb::{
-    CollectionBuilder, Distance, Euclidean, HierarchicalDistance, KnnEngine, LinearScan,
-    MultiQueryScan, Precision, QuadraticDistance, ScanMode, WeightedEuclidean,
+    CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan, Precision,
+    ScanMode, WeightedEuclidean,
 };
 use feedbackbypass::{BypassConfig, FeedbackBypass, QuerySpec, RocchioWeights, SharedBypass};
 use proptest::prelude::*;
@@ -273,21 +271,17 @@ proptest! {
 
         let coll = collection();
         let w: Vec<f64> = (0..DIM).map(|i| 0.5 + i as f64).collect();
+        // Learned-looking weights: log-spread over e^±4.6 around
+        // geometric mean 1.
+        let ln_w: Vec<f64> = (0..DIM)
+            .map(|i| 4.6 * ((i * 29) as f64 * 0.77).sin())
+            .collect();
+        let mean = ln_w.iter().sum::<f64>() / DIM as f64;
+        let skewed: Vec<f64> = ln_w.iter().map(|l| (l - mean).exp()).collect();
         let classes: Vec<Box<dyn Distance>> = vec![
             Box::new(Euclidean),
-            Box::new(WeightedEuclidean::new(w.clone()).unwrap()),
-            Box::new(
-                HierarchicalDistance::new(
-                    vec![FeatureSpan::new(0, 3), FeatureSpan::new(3, DIM)],
-                    vec![2.0, 0.5],
-                    w,
-                )
-                .unwrap(),
-            ),
-            Box::new(
-                QuadraticDistance::new(&Matrix::from_diag(&[1.0, 2.0, 0.5, 3.0, 1.5, 0.75]))
-                    .unwrap(),
-            ),
+            Box::new(WeightedEuclidean::new(w).unwrap()),
+            Box::new(WeightedEuclidean::new(skewed).unwrap()),
         ];
         for class in &classes {
             let f64_scan =

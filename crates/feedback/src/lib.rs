@@ -10,9 +10,8 @@
 //!   MindReader/ISF98 *optimal* point (Equation 2 of the paper: the
 //!   score-weighted average of the good results);
 //! * a **new distance function** — [`reweight()`]: the MARS rule
-//!   `wᵢ = 1/σᵢ` or the ISF98-optimal `wᵢ ∝ 1/σᵢ²`, with full-covariance
-//!   (Mahalanobis) re-weighting in [`covariance`] and the Rui-Huang
-//!   two-level scheme in [`hierarchical`];
+//!   `wᵢ = 1/σᵢ` or the ISF98-optimal `wᵢ ∝ 1/σᵢ²`, the per-component
+//!   weights of the weighted-Euclidean class the module learns;
 //!
 //! then re-runs the query until the result list stops changing
 //! ([`loop_driver`], the paper's §5 protocol). [`oracle`] supplies the
@@ -21,8 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod covariance;
-pub mod hierarchical;
 pub mod loop_driver;
 pub mod movement;
 pub mod oracle;

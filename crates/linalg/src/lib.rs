@@ -10,8 +10,6 @@
 //! * LU decomposition with partial pivoting for solving the barycentric
 //!   coordinate systems of the Simplex Tree and for determinants
 //!   ([`lu`]),
-//! * Cholesky decomposition for Mahalanobis (quadratic-form) distances
-//!   learned from feedback covariance matrices ([`cholesky`]),
 //! * streaming statistics (mean, variance) used by the re-weighting
 //!   feedback strategies ([`stats`]).
 //!
@@ -24,13 +22,11 @@
 // iterator chains, which matters when verifying against the math.
 #![allow(clippy::needless_range_loop)]
 
-pub mod cholesky;
 pub mod lu;
 pub mod matrix;
 pub mod stats;
 pub mod vector;
 
-pub use cholesky::Cholesky;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use stats::RunningStats;
@@ -41,11 +37,6 @@ pub enum LinalgError {
     /// Matrix is singular (or numerically so) at the given pivot step.
     Singular {
         /// Elimination step at which the pivot vanished.
-        step: usize,
-    },
-    /// Matrix is not positive definite at the given pivot step.
-    NotPositiveDefinite {
-        /// Pivot index at which positive definiteness failed.
         step: usize,
     },
     /// Operand shapes are incompatible for the requested operation.
@@ -62,9 +53,6 @@ impl std::fmt::Display for LinalgError {
         match self {
             LinalgError::Singular { step } => {
                 write!(f, "matrix is singular at elimination step {step}")
-            }
-            LinalgError::NotPositiveDefinite { step } => {
-                write!(f, "matrix is not positive definite at pivot {step}")
             }
             LinalgError::ShapeMismatch { expected, got } => write!(
                 f,

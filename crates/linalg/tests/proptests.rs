@@ -1,6 +1,6 @@
 //! Property-based tests for the linear algebra kernels.
 
-use fbp_linalg::{lu, vector, Cholesky, Lu, Matrix};
+use fbp_linalg::{lu, vector, Lu, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a well-conditioned n×n matrix (random entries + diagonal boost).
@@ -11,18 +11,6 @@ fn regular_matrix(n: usize) -> impl Strategy<Value = Matrix> {
             m[(i, i)] += 2.0 * n as f64;
         }
         m
-    })
-}
-
-/// Strategy: a symmetric positive-definite matrix via AᵀA + εI.
-fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
-    prop::collection::vec(-1.0..1.0f64, n * n).prop_map(move |data| {
-        let a = Matrix::from_vec(n, n, data);
-        let mut s = a.transpose().matmul(&a).unwrap();
-        for i in 0..n {
-            s[(i, i)] += 0.5;
-        }
-        s
     })
 }
 
@@ -55,36 +43,6 @@ proptest! {
         let lhs = lu::det(&ab);
         let rhs = lu::det(&a) * lu::det(&b);
         prop_assert!((lhs - rhs).abs() <= 1e-6 * rhs.abs().max(1.0));
-    }
-
-    #[test]
-    fn cholesky_reconstructs(a in spd_matrix(5)) {
-        let ch = Cholesky::factor(&a).unwrap();
-        prop_assert!(ch.reconstruct().max_abs_diff(&a) < 1e-9);
-    }
-
-    #[test]
-    fn cholesky_quadratic_form_nonnegative(
-        a in spd_matrix(4),
-        x in prop::collection::vec(-5.0..5.0f64, 4),
-    ) {
-        let ch = Cholesky::factor(&a).unwrap();
-        let q = ch.quadratic_form(&x).unwrap();
-        prop_assert!(q >= 0.0);
-        let explicit = a.quadratic_form(&x, &x).unwrap();
-        prop_assert!((q - explicit).abs() < 1e-8 * explicit.abs().max(1.0));
-    }
-
-    #[test]
-    fn cholesky_solve_agrees_with_lu(
-        a in spd_matrix(4),
-        b in prop::collection::vec(-5.0..5.0f64, 4),
-    ) {
-        let via_chol = Cholesky::factor(&a).unwrap().solve(&b).unwrap();
-        let via_lu = lu::solve(&a, &b).unwrap();
-        for i in 0..4 {
-            prop_assert!((via_chol[i] - via_lu[i]).abs() < 1e-7);
-        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::protocol::{
 use crate::sessions::{err, ExampleSets, SessionStore};
 use crate::trace::{RequestTrace, TraceRing};
 use fbp_vecdb::{DegradedGather, WeightedEuclidean};
-use feedbackbypass::{KnnRequest, QuerySpec, RequestError, RocchioWeights};
+use feedbackbypass::{BypassError, KnnRequest, QuerySpec, RequestError, RocchioWeights};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -451,7 +451,7 @@ impl<B: Backend> FrontEnd<B> {
             Ok(m) => m,
             Err(e) => {
                 self.metrics.record_protocol_error();
-                return Some(err(ErrorCode::BadRequest, e.to_string()));
+                return Some(err(metric_error_code(&e), e.to_string()));
             }
         };
         if let Some(refusal) = self.backend.refuse_early() {
@@ -555,6 +555,17 @@ impl<B: Backend> Drop for LiveConnection<'_, B> {
     fn drop(&mut self) {
         self.0.load.disconnect();
         self.0.backend.on_disconnect();
+    }
+}
+
+/// The wire code of a [`KnnRequest::metric`] refusal: typed request
+/// errors map through [`error_code_for`], as a `KnnV2` spec's do, and
+/// only untyped ones fall back to `BadRequest`.
+fn metric_error_code(e: &BypassError) -> ErrorCode {
+    match e {
+        BypassError::Request(e) => error_code_for(e),
+        BypassError::DimMismatch { .. } => ErrorCode::DimMismatch,
+        _ => ErrorCode::BadRequest,
     }
 }
 
@@ -741,5 +752,42 @@ pub(crate) mod testing {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// No wire input reaches a `KnnRequest::metric` refusal in
+    /// `admit_knn` (the session store swaps degenerate predicted weights
+    /// for uniform ones first), so the mapping is pinned here: a bad
+    /// weight answers `BadWeight`, exactly the code `error_code_for`
+    /// gives a `KnnV2` spec with the same defect.
+    #[test]
+    fn metric_refusals_carry_their_typed_codes() {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let req = KnnRequest {
+                point: vec![0.5; 3],
+                weights: vec![1.0, bad, 1.0],
+                k: None,
+            };
+            let e = req.metric(3).unwrap_err();
+            let typed = RequestError::BadWeight {
+                index: 1,
+                value: bad,
+            };
+            assert_eq!(metric_error_code(&e), ErrorCode::BadWeight, "w={bad}");
+            assert_eq!(metric_error_code(&e), error_code_for(&typed), "w={bad}");
+        }
+        let short = KnnRequest {
+            point: vec![0.5; 3],
+            weights: vec![1.0; 2],
+            k: None,
+        };
+        let e = short.metric(3).unwrap_err();
+        assert_eq!(metric_error_code(&e), ErrorCode::DimMismatch);
+        let untyped = BypassError::BadQuery("not a histogram".into());
+        assert_eq!(metric_error_code(&untyped), ErrorCode::BadRequest);
     }
 }

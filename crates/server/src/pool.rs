@@ -192,8 +192,7 @@ impl Downstream {
                 return;
             }
         }
-        job.gather
-            .complete_shard(self.shard, Err("router shutting down".into()));
+        job.gather.complete_shard(self.shard, None);
     }
 
     /// Stop accepting; wake every worker. Queued jobs are still drained
@@ -249,10 +248,7 @@ impl Downstream {
             // the deadline — and record nothing, the breaker already
             // tripped.
             gather.trace_span(self.shard, None, SPAN_FAST_DEGRADED | SPAN_FAILED);
-            gather.complete_shard(
-                self.shard,
-                Err(format!("shard {} ejected from the scatter set", self.shard)),
-            );
+            gather.complete_shard(self.shard, None);
             return;
         }
         let deadline = gather.deadline();
@@ -276,13 +272,8 @@ impl Downstream {
             }
             self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
             self.health.record_failure(Instant::now());
-            let what = if fault == Some(FaultMode::BlackHole) {
-                "black-holed past its deadline"
-            } else {
-                "down: every connect refused until the deadline"
-            };
             gather.trace_span(self.shard, Some(started), SPAN_FAILED);
-            gather.complete_shard(self.shard, Err(format!("shard {} {what}", self.shard)));
+            gather.complete_shard(self.shard, None);
             return;
         }
         if let Some(FaultMode::Delay(d)) = fault {
@@ -298,7 +289,7 @@ impl Downstream {
         loop {
             if self.shutting_down() {
                 gather.trace_span(self.shard, Some(started), SPAN_FAILED);
-                gather.complete_shard(self.shard, Err("router shutting down".into()));
+                gather.complete_shard(self.shard, None);
                 return;
             }
             if gather.resolved(self.shard) {
@@ -309,7 +300,7 @@ impl Downstream {
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                 self.health.record_failure(now);
                 gather.trace_span(self.shard, Some(started), SPAN_FAILED);
-                gather.complete_shard(self.shard, Err(format!("shard {} timed out", self.shard)));
+                gather.complete_shard(self.shard, None);
                 return;
             }
             let remaining = deadline - now;
@@ -441,14 +432,14 @@ impl Downstream {
                                                 if job.hedge { SPAN_HEDGE_WON } else { 0 },
                                             );
                                             let first =
-                                                gather.complete_shard(self.shard, Ok(partial));
+                                                gather.complete_shard(self.shard, Some(partial));
                                             if first && job.hedge {
                                                 self.stats
                                                     .hedges_won
                                                     .fetch_add(1, Ordering::Relaxed);
                                             }
                                         }
-                                        Err(e) => {
+                                        Err(_) => {
                                             // The host is up but serving
                                             // garbage: a data-plane
                                             // failure the breaker must
@@ -459,43 +450,25 @@ impl Downstream {
                                                 Some(started),
                                                 SPAN_FAILED,
                                             );
-                                            gather.complete_shard(
-                                                self.shard,
-                                                Err(format!(
-                                                    "shard {} malformed partial: {e}",
-                                                    self.shard
-                                                )),
-                                            );
+                                            gather.complete_shard(self.shard, None);
                                         }
                                     }
                                     return;
                                 }
-                                Response::Error { code, message } => {
+                                Response::Error { .. } => {
                                     // The shard answered with a typed
                                     // refusal; retrying the same request
                                     // cannot help. The host is alive —
                                     // liveness-wise this is a success.
                                     self.health.record_success();
                                     gather.trace_span(self.shard, Some(started), SPAN_FAILED);
-                                    gather.complete_shard(
-                                        self.shard,
-                                        Err(format!(
-                                            "shard {} error [{code}]: {message}",
-                                            self.shard
-                                        )),
-                                    );
+                                    gather.complete_shard(self.shard, None);
                                     return;
                                 }
-                                other => {
+                                _ => {
                                     self.health.record_failure(Instant::now());
                                     gather.trace_span(self.shard, Some(started), SPAN_FAILED);
-                                    gather.complete_shard(
-                                        self.shard,
-                                        Err(format!(
-                                            "shard {} unexpected reply: {other:?}",
-                                            self.shard
-                                        )),
-                                    );
+                                    gather.complete_shard(self.shard, None);
                                     return;
                                 }
                             }

@@ -302,24 +302,20 @@ impl RouterGather {
         }
     }
 
-    /// Record `shard`'s outcome (an error leaves its slot empty, for
-    /// the failure policy to judge); returns whether this call was the
-    /// one recorded. Duplicate deliveries (a hedge losing to its
+    /// Record `shard`'s outcome (`None`, a failed call, leaves its slot
+    /// empty for the failure policy to judge); returns whether this call
+    /// was the one recorded. Duplicate deliveries (a hedge losing to its
     /// primary, a backstop racing a worker) are dropped. The delivery
     /// that resolves the last slot merges the partials under the
     /// failure policy (outside the lock) and fires the reply.
-    pub(crate) fn complete_shard(
-        &self,
-        shard: usize,
-        outcome: Result<ShardPartial, String>,
-    ) -> bool {
+    pub(crate) fn complete_shard(&self, shard: usize, outcome: Option<ShardPartial>) -> bool {
         let fire = {
             let mut g = self.state.lock().expect("gather lock");
             if g.delivered[shard] {
                 return false;
             }
             g.delivered[shard] = true;
-            if let Ok(partial) = outcome {
+            if let Some(partial) = outcome {
                 if let Some(bound) = partial.bound_key(self.search.k) {
                     self.offer_seed(bound);
                 }
@@ -592,12 +588,7 @@ fn run_sweeper(front: &FrontEnd<Router>) {
                 for shard in 0..router.downstreams.len() {
                     if !gather.resolved(shard) {
                         gather.trace_span(shard, None, SPAN_FAILED);
-                        gather.complete_shard(
-                            shard,
-                            Err(format!(
-                                "shard {shard} undelivered past deadline (backstop)"
-                            )),
-                        );
+                        gather.complete_shard(shard, None);
                     }
                 }
             }
@@ -611,7 +602,7 @@ fn run_sweeper(front: &FrontEnd<Router>) {
     for gather in live {
         for shard in 0..router.downstreams.len() {
             if !gather.resolved(shard) {
-                gather.complete_shard(shard, Err("router shutting down".into()));
+                gather.complete_shard(shard, None);
             }
         }
     }
@@ -763,10 +754,7 @@ impl Backend for Router {
                 // known to be dead.
                 ds.health.note_fast_degrade();
                 gather.trace_span(ds.shard, None, SPAN_FAST_DEGRADED | SPAN_FAILED);
-                gather.complete_shard(
-                    ds.shard,
-                    Err(format!("shard {} ejected from the scatter set", ds.shard)),
-                );
+                gather.complete_shard(ds.shard, None);
             }
         }
     }
@@ -865,12 +853,12 @@ mod tests {
             .collect();
         // Out-of-order delivery; the reply fires exactly once, on the
         // last shard, and a duplicate delivery is dropped.
-        assert!(gather.complete_shard(2, Ok(parts[2].clone())));
+        assert!(gather.complete_shard(2, Some(parts[2].clone())));
         assert!(got.lock().unwrap().is_empty());
-        assert!(gather.complete_shard(0, Ok(parts[0].clone())));
-        assert!(!gather.complete_shard(0, Ok(parts[0].clone())));
+        assert!(gather.complete_shard(0, Some(parts[0].clone())));
+        assert!(!gather.complete_shard(0, Some(parts[0].clone())));
         assert!(got.lock().unwrap().is_empty() && !gather.is_done());
-        assert!(gather.complete_shard(1, Ok(parts[1].clone())));
+        assert!(gather.complete_shard(1, Some(parts[1].clone())));
         assert!(gather.is_done() && gather.resolved(1));
         let mut outcomes = got.lock().unwrap();
         assert_eq!(outcomes.len(), 1);
@@ -886,8 +874,8 @@ mod tests {
         // typed error — never a silently narrowed answer.
         let (gather, got) = gather(vec![0.0], 2);
         let part = ShardPartial::from_entries(vec![(0.25, 0)], false).unwrap();
-        gather.complete_shard(0, Ok(part));
-        gather.complete_shard(1, Err("pass failed".into()));
+        gather.complete_shard(0, Some(part));
+        gather.complete_shard(1, None);
         let outcome = got.lock().unwrap().pop().unwrap();
         match outcome {
             Err(Response::Error { code, message }) => {

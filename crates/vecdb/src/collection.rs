@@ -268,9 +268,7 @@ impl Collection {
 ///   collection, for every distance class, precision, scan mode and
 ///   `k` — pruning only skips partitions *proven* (by each class's
 ///   [`partition_lower_key`](crate::Distance::partition_lower_key)
-///   certificate) unable to contain a top-`k` row. Classes that cannot
-///   certify a sound lower bound are scanned flat, per class and
-///   explicitly — a query under such a class simply never prunes.
+///   certificate) unable to contain a top-`k` row.
 /// * **Determinism.** The build is a pure function of the source
 ///   collection and this config: seeding is deterministic (`seed`
 ///   drives a splitmix64 stream), Lloyd iterations resolve assignment

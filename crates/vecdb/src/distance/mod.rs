@@ -2,17 +2,12 @@
 //!
 //! All retrieval in FeedbackBypass happens under a *parameterized class*
 //! of distance functions; the feedback loop adjusts the parameters, and
-//! the Simplex Tree stores them. The classes implemented here are the
-//! ones the paper discusses:
+//! the Simplex Tree stores them. This crate serves one class family:
 //!
-//! * [`Lp`] norms — `L1` Manhattan, `L2` Euclidean (the default distance
-//!   in the paper's experiments), general `p`;
 //! * [`WeightedEuclidean`] — Equation 1, the class learned in the paper's
-//!   evaluation;
-//! * [`QuadraticDistance`] — Mahalanobis-style forms
-//!   `√((p−q)ᵀ·W·(p−q))` with SPD `W` (paper §2);
-//! * [`HierarchicalDistance`] — the Rui-Huang model \[RH00\]: a weighted
-//!   combination of per-feature quadratic distances.
+//!   evaluation, and the metric every serving path builds;
+//! * [`Euclidean`] — its uniform member (`wᵢ ≡ 1`), the default distance
+//!   in the paper's experiments.
 //!
 //! # Batch kernels and surrogate keys
 //!
@@ -22,12 +17,12 @@
 //! down:
 //!
 //! 1. **Ranking never needs the true distance.** Each class here has a
-//!    cheap *surrogate key* — a strictly increasing function of the
-//!    distance (the squared form for the L2 family, the `p`-th power sum
-//!    for general `Lp`) — and ranking by key is identical to ranking by
-//!    distance. Engines therefore collect `(key, index)` candidates via
-//!    [`Distance::eval_key`] and pay [`Distance::finish_key`] (the
-//!    `sqrt`/`powf`) only for the final `k` winners.
+//!    cheap *surrogate key* — the squared distance, a strictly
+//!    increasing function of it — and ranking by key is identical to
+//!    ranking by distance. Engines therefore collect `(key, index)`
+//!    candidates via [`Distance::eval_key`] and pay
+//!    [`Distance::finish_key`] (the `sqrt`) only for the final `k`
+//!    winners.
 //!
 //! 2. **Candidates arrive in contiguous blocks.** A linear scan (and an
 //!    index leaf) evaluates one query against many stored vectors that
@@ -35,7 +30,7 @@
 //!    evaluates a whole block per virtual call, replacing per-vector
 //!    `dyn` dispatch with a tight, auto-vectorizable kernel. The batch
 //!    call also takes the caller's current pruning `bound` (in key
-//!    space): because every class accumulates a non-negative sum, a
+//!    space): because both classes accumulate a non-negative sum, a
 //!    kernel may *early-abandon* a row once its partial sum exceeds the
 //!    bound, writing `f64::INFINITY` instead of the exact key.
 //!
@@ -48,7 +43,7 @@
 //! # f32 scanning with exact rescore
 //!
 //! Because the scans are memory-bandwidth-bound at low query counts,
-//! classes may additionally expose **f32 kernels**
+//! both classes also expose **f32 kernels**
 //! ([`Distance::eval_key_batch_f32`] / [`Distance::eval_key_multi_f32`])
 //! that filter candidates against the collection's half-width f32
 //! mirror, plus a **rounding bound** ([`Distance::f32_key_bound`]): a
@@ -63,15 +58,11 @@
 //! with the exact f64 kernels, so returned results are identical to a
 //! pure f64 scan.
 
-mod hierarchical;
+mod euclidean;
 pub(crate) mod kernels;
-mod lp;
-mod quadratic;
 mod weighted;
 
-pub use hierarchical::{FeatureSpan, HierarchicalDistance};
-pub use lp::{Chebyshev, Euclidean, Lp, Manhattan};
-pub use quadratic::QuadraticDistance;
+pub use euclidean::Euclidean;
 pub use weighted::WeightedEuclidean;
 
 /// The per-query-weight f32 multi kernel, public only for timing
@@ -82,10 +73,10 @@ pub use kernels::weighted_sq_multi_block_f32;
 
 /// A distance function over equal-length `f64` vectors.
 ///
-/// Implementations must be symmetric and satisfy `d(x, x) = 0`; the
-/// metric ones (all of the above with positive parameters) also satisfy
-/// the triangle inequality, which the triangle path of the partition
-/// bounds ([`Distance::partition_lower_key`]) relies on.
+/// Implemented by [`Euclidean`] and [`WeightedEuclidean`] only. Both are
+/// metrics: symmetric, `d(x, x) = 0`, and obeying the triangle
+/// inequality, which the partition bounds
+/// ([`Distance::partition_lower_key`]) rely on.
 pub trait Distance: Send + Sync {
     /// Evaluate `d(a, b)`.
     fn eval(&self, a: &[f64], b: &[f64]) -> f64;
@@ -93,39 +84,19 @@ pub trait Distance: Send + Sync {
     /// Human-readable name for reports.
     fn name(&self) -> &str;
 
-    /// Distortion bounds relative to the *unweighted Euclidean* metric:
-    /// factors `(lo, hi)` with `lo·d₂(a,b) ≤ d(a,b) ≤ hi·d₂(a,b)` for all
-    /// `a, b`, when such global factors exist.
-    ///
-    /// Partition layouts clustered under plain Euclidean use `lo` to
-    /// prune exactly for re-weighted queries: any candidate with
-    /// `lo · d₂(q, x) > r` certainly has `d(q, x) > r`.
-    fn euclidean_distortion(&self) -> Option<(f64, f64)> {
-        None
-    }
-
     /// Rank-preserving surrogate key for `d(a, b)`: a strictly increasing
     /// function of the distance that is cheaper to compute (the squared
-    /// distance for the L2 family). Defaults to the distance itself.
-    #[inline]
-    fn eval_key(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.eval(a, b)
-    }
+    /// distance).
+    fn eval_key(&self, a: &[f64], b: &[f64]) -> f64;
 
     /// Recover the true distance from a surrogate key
     /// (`finish_key(eval_key(a, b)) == eval(a, b)`). Must be increasing
     /// and map `+∞` to `+∞`.
-    #[inline]
-    fn finish_key(&self, key: f64) -> f64 {
-        key
-    }
+    fn finish_key(&self, key: f64) -> f64;
 
     /// Map a true-distance threshold into key space: the inverse of
     /// [`Self::finish_key`], so `d ≤ r ⇔ eval_key ≤ key_of_dist(r)`.
-    #[inline]
-    fn key_of_dist(&self, dist: f64) -> f64 {
-        dist
-    }
+    fn key_of_dist(&self, dist: f64) -> f64;
 
     /// Batch version of [`Self::eval_key`]: write each row's surrogate
     /// key to `out`. `bound` is the caller's current pruning threshold in
@@ -134,21 +105,7 @@ pub trait Distance: Send + Sync {
     /// `bound` and write `f64::INFINITY` for it — callers must therefore
     /// only use `out[i] ≤ bound` rows. Exact keys are written for all
     /// rows when `bound == f64::INFINITY`.
-    fn eval_key_batch(
-        &self,
-        query: &[f64],
-        block: &[f64],
-        dim: usize,
-        bound: f64,
-        out: &mut [f64],
-    ) {
-        let _ = bound;
-        debug_assert_eq!(query.len(), dim);
-        debug_assert_eq!(block.len(), dim * out.len());
-        for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-            *slot = self.eval_key(query, row);
-        }
-    }
+    fn eval_key_batch(&self, query: &[f64], block: &[f64], dim: usize, bound: f64, out: &mut [f64]);
 
     /// Multi-query version of [`Self::eval_key_batch`]: evaluate `Q`
     /// queries (`queries` is `Q × dim` row-major) against one block in a
@@ -159,12 +116,11 @@ pub trait Distance: Send + Sync {
     /// single-query batch call, applied per query.
     ///
     /// This is the memory-amortization hook for concurrent feedback
-    /// sessions: a specialized kernel loads each block row once and
-    /// scores it against every query while it is hot, dropping collection
-    /// bytes per query by ~Q×. Keys must be bit-identical to `Q`
-    /// independent [`Self::eval_key_batch`] calls for rows that survive
-    /// their query's bound (the default implementation delegates to
-    /// exactly those calls).
+    /// sessions: the kernel loads each block row once and scores it
+    /// against every query while it is hot, dropping collection bytes per
+    /// query by ~Q×. Keys must be bit-identical to `Q` independent
+    /// [`Self::eval_key_batch`] calls for rows that survive their query's
+    /// bound.
     fn eval_key_multi(
         &self,
         queries: &[f64],
@@ -172,19 +128,7 @@ pub trait Distance: Send + Sync {
         dim: usize,
         bounds: &[f64],
         out: &mut [f64],
-    ) {
-        debug_assert!(dim > 0);
-        debug_assert_eq!(queries.len(), bounds.len() * dim);
-        debug_assert_eq!(out.len() * dim, bounds.len() * block.len());
-        let rows = block.len() / dim;
-        for ((query, &bound), out_row) in queries
-            .chunks_exact(dim)
-            .zip(bounds.iter())
-            .zip(out.chunks_exact_mut(rows.max(1)))
-        {
-            self.eval_key_batch(query, block, dim, bound, &mut out_row[..rows]);
-        }
-    }
+    );
 
     /// f32 scanning support: a key-relative rounding bound.
     ///
@@ -199,27 +143,21 @@ pub trait Distance: Send + Sync {
     /// ```
     ///
     /// The f32-rescore scan path relies on this bound for exactness — an
-    /// understated `Δ` silently drops true neighbors — so implementations
-    /// must derive it from worst-case rounding analysis of their actual
-    /// f32 kernel (the suite property-tests the inequality), and must
-    /// return `None` whenever no finite bound is sound — in particular
-    /// when the worst-case key could overflow f32 to `+∞` (the internal
+    /// understated `Δ` silently drops true neighbors — so it is derived
+    /// from worst-case rounding analysis of the actual f32 kernel
+    /// (`weighted_f32_bound`; the suite property-tests the inequality).
+    /// `None` means no finite bound is sound — in particular when the
+    /// worst-case key could overflow f32 to `+∞` (the internal
     /// `F32_KEY_OVERFLOW_GUARD` threshold), since a saturated `key32`
-    /// breaks the inequality by an unbounded amount. `None` — also the
-    /// default, declaring "no f32 kernel" — makes scans fall back to the
-    /// always-correct f64 path.
-    fn f32_key_bound(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
-        let _ = (dim, max_abs);
-        None
-    }
+    /// breaks the inequality by an unbounded amount — and makes scans
+    /// fall back to the always-correct f64 path.
+    fn f32_key_bound(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound>;
 
     /// f32 variant of [`Self::eval_key_batch`]: surrogate keys for one
     /// query against a row-major **f32** block (the collection's mirror),
     /// with the same early-abandon contract in f32 key space. Only called
     /// by the scan engines when [`Self::f32_key_bound`] returns a finite
-    /// bound; the default is a reference loop that evaluates each row
-    /// through the f64 key path on widened inputs (correct, but paying
-    /// f64 compute — real implementations use the f32 kernels).
+    /// bound.
     fn eval_key_batch_f32(
         &self,
         query: &[f32],
@@ -227,25 +165,11 @@ pub trait Distance: Send + Sync {
         dim: usize,
         bound: f32,
         out: &mut [f32],
-    ) {
-        let _ = bound;
-        debug_assert_eq!(query.len(), dim);
-        debug_assert_eq!(block.len(), dim * out.len());
-        let q64: Vec<f64> = query.iter().map(|&v| v as f64).collect();
-        let mut r64 = vec![0.0f64; dim];
-        for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-            for (d, &s) in r64.iter_mut().zip(row.iter()) {
-                *d = s as f64;
-            }
-            *slot = self.eval_key(&q64, &r64) as f32;
-        }
-    }
+    );
 
     /// f32 variant of [`Self::eval_key_multi`]: `Q` queries against one
-    /// f32 mirror block in a single pass (same layouts, f32 key space).
-    /// The default delegates to per-query [`Self::eval_key_batch_f32`]
-    /// calls; specialized kernels keep the row-outer loop so each mirror
-    /// row is read once for all queries.
+    /// f32 mirror block in a single pass (same layouts, f32 key space),
+    /// each mirror row read once for all queries.
     fn eval_key_multi_f32(
         &self,
         queries: &[f32],
@@ -253,54 +177,20 @@ pub trait Distance: Send + Sync {
         dim: usize,
         bounds: &[f32],
         out: &mut [f32],
-    ) {
-        debug_assert!(dim > 0);
-        debug_assert_eq!(queries.len(), bounds.len() * dim);
-        debug_assert_eq!(out.len() * dim, bounds.len() * block.len());
-        let rows = block.len() / dim;
-        for ((query, &bound), out_row) in queries
-            .chunks_exact(dim)
-            .zip(bounds.iter())
-            .zip(out.chunks_exact_mut(rows.max(1)))
-        {
-            self.eval_key_batch_f32(query, block, dim, bound, &mut out_row[..rows]);
-        }
-    }
+    );
 
     /// Partition-pruning support: a sound **key-space lower bound** on
     /// `eval_key(query, x)` over *every* vector `x` within Euclidean
-    /// distance `radius_l2` of `centroid` — or `None` when this class
-    /// cannot certify one.
+    /// distance `radius_l2` of `centroid`.
     ///
     /// The partitioned scan prunes a whole partition when this bound
     /// exceeds the running k-th key, so soundness is load-bearing: an
-    /// overstated bound silently drops true neighbors. The default
-    /// derivation uses the distortion route only — with
-    /// `lo·d₂(a,b) ≤ d(a,b)` ([`Self::euclidean_distortion`]) and the
-    /// Euclidean triangle inequality `d₂(q,x) ≥ d₂(q,c) − r`:
-    ///
-    /// ```text
-    /// d(q, x) ≥ lo·d₂(q, x) ≥ lo·(d₂(q, c) − radius_l2)
-    /// ```
-    ///
-    /// mapped into key space via [`Self::key_of_dist`] after the
-    /// magnitude-scaled rounding deflation of `partition_safe_lower`
-    /// (never negative, so the mapped key is always valid). Classes whose
-    /// own distance satisfies the triangle inequality override this with
-    /// the tighter two-path bound (`metric_partition_lower`); classes
-    /// with no positive `lo` (Chebyshev, generic `Lp`, quadratic forms
-    /// whose certified spectrum touches zero) return `None` and the scan
-    /// must fall back to the flat pass for them — per class and explicit,
-    /// never assumed.
-    fn partition_lower_key(&self, query: &[f64], centroid: &[f64], radius_l2: f64) -> Option<f64> {
-        let (lo, _) = self.euclidean_distortion()?;
-        if !lo.is_finite() || lo <= 0.0 {
-            return None;
-        }
-        let d2 = sq_dist(query, centroid).sqrt();
-        let lb = partition_safe_lower(lo * (d2 - radius_l2), lo * (d2 + radius_l2));
-        Some(self.key_of_dist(lb))
-    }
+    /// overstated bound silently drops true neighbors. Each class derives
+    /// it from the triangle inequality (`d(q,x) ≥ d(q,c) − r` and its
+    /// weighted analogues), deflated against rounding by
+    /// `partition_safe_lower` (never negative, so the mapped key is
+    /// always valid).
+    fn partition_lower_key(&self, query: &[f64], centroid: &[f64], radius_l2: f64) -> f64;
 }
 
 /// Deflate a computed partition lower bound `raw` against floating-point
@@ -315,31 +205,6 @@ pub trait Distance: Send + Sync {
 #[inline]
 pub(crate) fn partition_safe_lower(raw: f64, scale: f64) -> f64 {
     (raw - 1e-9 * scale.abs()).max(0.0)
-}
-
-/// Two-path partition lower bound (in **distance** space) for classes
-/// whose distance is itself a metric, each path deflated by
-/// [`partition_safe_lower`]:
-///
-/// * distortion path — `lo·(d₂(q,c) − r)`, sound whenever
-///   `lo·d₂ ≤ d` (never needs `d`'s own triangle inequality);
-/// * metric path — `d(q,c) − hi·r`, sound because `d` obeys the
-///   triangle inequality and every member satisfies `d(c,x) ≤ hi·r`
-///   (from `d ≤ hi·d₂` and `d₂(c,x) ≤ r`). Skipped when `hi` is not
-///   finite (e.g. Manhattan's unknown-dimension upper factor).
-///
-/// The max of two sound lower bounds is sound; the metric path usually
-/// wins when the weights are anisotropic and the query sits far from
-/// the centroid along a heavy axis.
-#[inline]
-pub(crate) fn metric_partition_lower(dqc: f64, lo: f64, hi: f64, d2qc: f64, radius_l2: f64) -> f64 {
-    let a = partition_safe_lower(lo * (d2qc - radius_l2), lo * (d2qc + radius_l2));
-    let b = if hi.is_finite() {
-        partition_safe_lower(dqc - hi * radius_l2, dqc + hi * radius_l2)
-    } else {
-        0.0
-    };
-    a.max(b)
 }
 
 /// A monotone, key-relative bound on an f32 key's rounding error:
@@ -358,8 +223,7 @@ pub(crate) fn metric_partition_lower(dqc: f64, lo: f64, hi: f64, d2qc: f64, radi
 /// second-order remainders are absolute (`abs`). `max` is a
 /// key-independent ceiling — each class's worst case over every key its
 /// data can produce — so `Δ` never exceeds it. A min of two sound,
-/// monotone bounds is sound and monotone; a class whose error is not
-/// key-relative sets `rel = sqrt = 0` and `abs = max`.
+/// monotone bounds is sound and monotone.
 ///
 /// Every coefficient carries a factor-2 margin over the derived error,
 /// which also absorbs the f64 reference key's own (far smaller)
@@ -469,8 +333,7 @@ pub(crate) fn f32_gamma(k: f64) -> f64 {
 pub(crate) const F32_KEY_OVERFLOW_GUARD: f64 = f32::MAX as f64 / 16.0;
 
 /// The [`F32KeyBound`] of the diagonal weighted-squared family
-/// (`Σ wᵢ·(aᵢ−bᵢ)²`, covering Euclidean via `w ≡ 1` and hierarchical via
-/// the flattened effective weights), at dimensionality `dim` with
+/// (`Σ wᵢ·(aᵢ−bᵢ)²`, covering Euclidean via `w ≡ 1`), at dimensionality `dim` with
 /// component magnitudes ≤ `max_abs`, weight sum `w_sum = Σ wᵢ` and
 /// weights in `[w_min, w_max]` — or `None` when no finite bound is
 /// sound: the worst-case key could overflow f32
@@ -659,10 +522,8 @@ pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 
 #[cfg(test)]
 mod batch_contract_tests {
-    use super::test_support::sample_points;
-    use super::{
-        Distance, Euclidean, FeatureSpan, HierarchicalDistance, Lp, Manhattan, WeightedEuclidean,
-    };
+    use super::test_support::{log_spread_weights, sample_points};
+    use super::{Distance, Euclidean, WeightedEuclidean};
 
     /// Every implementation must satisfy the batch/surrogate-key
     /// contract: finished `eval_key_batch` rows match per-pair `eval`
@@ -720,34 +581,21 @@ mod batch_contract_tests {
     fn all_classes_satisfy_batch_contract() {
         const DIM: usize = 7;
         check_batch_contract(&Euclidean, DIM);
-        check_batch_contract(&Manhattan, DIM); // default impls
-        check_batch_contract(&Lp::new(3.0).unwrap(), DIM);
         let w: Vec<f64> = (0..DIM).map(|i| 0.5 + i as f64).collect();
-        check_batch_contract(&WeightedEuclidean::new(w.clone()).unwrap(), DIM);
-        let h = HierarchicalDistance::new(
-            vec![FeatureSpan::new(0, 3), FeatureSpan::new(3, DIM)],
-            vec![2.0, 0.5],
-            w,
-        )
-        .unwrap();
-        check_batch_contract(&h, DIM);
-        let m = fbp_linalg::Matrix::from_diag(&[1.0, 2.0, 0.5, 3.0, 1.5, 0.75, 2.5]);
-        check_batch_contract(&super::QuadraticDistance::new(&m).unwrap(), DIM);
+        check_batch_contract(&WeightedEuclidean::new(w).unwrap(), DIM);
+        check_batch_contract(&log_spread_weights(DIM), DIM);
     }
 }
 
 #[cfg(test)]
 mod partition_bound_tests {
-    use super::test_support::sample_points;
-    use super::{
-        Chebyshev, Distance, Euclidean, FeatureSpan, HierarchicalDistance, Lp, Manhattan,
-        QuadraticDistance, WeightedEuclidean,
-    };
+    use super::test_support::{log_spread_weights, sample_points};
+    use super::{Distance, Euclidean, WeightedEuclidean};
 
     /// Soundness per class: with any sample point as centroid and the
     /// max member Euclidean distance as radius, the reported key-space
     /// lower bound never exceeds any member's true key.
-    fn check_partition_bound_sound(d: &dyn Distance, dim: usize, expect_bound: bool) {
+    fn check_partition_bound_sound(d: &dyn Distance, dim: usize) {
         let pts = sample_points(dim);
         for centroid in &pts {
             let radius = pts
@@ -755,58 +603,27 @@ mod partition_bound_tests {
                 .map(|p| super::sq_dist(centroid, p).sqrt())
                 .fold(0.0, f64::max);
             for query in &pts {
-                match d.partition_lower_key(query, centroid, radius) {
-                    None => assert!(!expect_bound, "{}: expected a sound bound", d.name()),
-                    Some(lb) => {
-                        assert!(expect_bound, "{}: expected None (flat fallback)", d.name());
-                        assert!(lb >= 0.0 && lb.is_finite(), "{}: bad bound {lb}", d.name());
-                        for member in &pts {
-                            let key = d.eval_key(query, member);
-                            assert!(
-                                lb <= key,
-                                "{}: partition lower bound {lb} exceeds member key {key}",
-                                d.name()
-                            );
-                        }
-                    }
+                let lb = d.partition_lower_key(query, centroid, radius);
+                assert!(lb >= 0.0 && lb.is_finite(), "{}: bad bound {lb}", d.name());
+                for member in &pts {
+                    let key = d.eval_key(query, member);
+                    assert!(
+                        lb <= key,
+                        "{}: partition lower bound {lb} exceeds member key {key}",
+                        d.name()
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn partition_bounds_sound_or_explicitly_absent_per_class() {
+    fn partition_bounds_sound_per_class() {
         const DIM: usize = 7;
-        check_partition_bound_sound(&Euclidean, DIM, true);
-        check_partition_bound_sound(&Manhattan, DIM, true);
-        // No positive Euclidean distortion floor ⇒ explicit flat fallback.
-        check_partition_bound_sound(&Chebyshev, DIM, false);
-        check_partition_bound_sound(&Lp::new(3.0).unwrap(), DIM, false);
+        check_partition_bound_sound(&Euclidean, DIM);
         let w: Vec<f64> = (0..DIM).map(|i| 0.5 + i as f64).collect();
-        check_partition_bound_sound(&WeightedEuclidean::new(w.clone()).unwrap(), DIM, true);
-        let h = HierarchicalDistance::new(
-            vec![FeatureSpan::new(0, 3), FeatureSpan::new(3, DIM)],
-            vec![2.0, 0.5],
-            w,
-        )
-        .unwrap();
-        check_partition_bound_sound(&h, DIM, true);
-        let m = fbp_linalg::Matrix::from_diag(&[1.0, 2.0, 0.5, 3.0, 1.5, 0.75, 2.5]);
-        check_partition_bound_sound(&QuadraticDistance::new(&m).unwrap(), DIM, true);
-    }
-
-    #[test]
-    fn quadratic_without_positive_spectrum_reports_no_bound() {
-        // PD matrix ([[2,2],[2,3]]: det 2, λ_min ≈ 0.44) whose
-        // Gershgorin row estimate still touches zero (row 0: 2 − |2|),
-        // so the *certified* floor is 0 ⇒ no sound bound, flat
-        // fallback — explicitly, never assumed.
-        let m = fbp_linalg::Matrix::from_rows(&[&[2.0, 2.0], &[2.0, 3.0]]);
-        let q = QuadraticDistance::new(&m).unwrap();
-        assert!(q.euclidean_distortion().is_none());
-        assert!(q
-            .partition_lower_key(&[1.0, -1.0], &[0.0, 0.0], 0.5)
-            .is_none());
+        check_partition_bound_sound(&WeightedEuclidean::new(w).unwrap(), DIM);
+        check_partition_bound_sound(&log_spread_weights(DIM), DIM);
     }
 
     #[test]
@@ -815,7 +632,7 @@ mod partition_bound_tests {
         // sit within the documented 1e-9-scaled margin of the true key.
         let q = vec![1.0, 2.0, 3.0];
         let c = vec![-0.5, 0.25, 1.0];
-        let lb = Euclidean.partition_lower_key(&q, &c, 0.0).unwrap();
+        let lb = Euclidean.partition_lower_key(&q, &c, 0.0);
         let key = Euclidean.eval_key(&q, &c);
         assert!(lb <= key);
         let dist = key.sqrt();
@@ -832,7 +649,7 @@ mod partition_bound_tests {
         let query = [10.0, 0.0];
         let centroid = [0.0, 0.0];
         let radius = 1.0;
-        let lb = w.partition_lower_key(&query, &centroid, radius).unwrap();
+        let lb = w.partition_lower_key(&query, &centroid, radius);
         // Distortion route alone: lo = √0.01 = 0.1 ⇒ d ≥ 0.1·(10−1) = 0.9.
         // Triangle route: d(q,c) = 100, hi = 10 ⇒ d ≥ 100 − 10 = 90.
         let weak = w.key_of_dist(0.9);
@@ -844,7 +661,18 @@ mod partition_bound_tests {
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use super::Distance;
+    use super::{Distance, WeightedEuclidean};
+
+    /// Learned-looking weights: log-spread over `e^±4.6` around geometric
+    /// mean 1, so `w_max ≫ mean w` — the skewed metric a converged
+    /// feedback loop produces.
+    pub fn log_spread_weights(dim: usize) -> WeightedEuclidean {
+        let ln_w: Vec<f64> = (0..dim)
+            .map(|i| 4.6 * ((i * 29) as f64 * 0.77).sin())
+            .collect();
+        let mean = ln_w.iter().sum::<f64>() / dim as f64;
+        WeightedEuclidean::new(ln_w.iter().map(|l| (l - mean).exp()).collect()).unwrap()
+    }
 
     /// Generic metric-axiom probe used by the per-class test modules.
     pub fn check_metric_axioms<D: Distance>(d: &D, pts: &[Vec<f64>], tol: f64) {

@@ -5,7 +5,7 @@
 //! L2W(p, q; W) = ( Σᵢ wᵢ·(pᵢ − qᵢ)² )^½ ,   wᵢ > 0
 //! ```
 
-use super::{kernels, Distance, F32KeyBound};
+use super::{kernels, partition_safe_lower, Distance, F32KeyBound};
 use crate::{Result, VecdbError};
 
 /// Weighted Euclidean distance with strictly positive per-component
@@ -105,21 +105,24 @@ impl Distance for WeightedEuclidean {
         "weighted-euclidean"
     }
 
-    fn euclidean_distortion(&self) -> Option<(f64, f64)> {
-        // √w_min·d₂ ≤ d_W ≤ √w_max·d₂, componentwise bound.
-        Some((self.min_w.sqrt(), self.max_w.sqrt()))
-    }
-
-    /// Two-path bound: `d_W` is a norm-induced metric, so the triangle
-    /// route `d_W(q,c) − √w_max·r` composes with the distortion route;
-    /// the triangle route wins when the query's displacement from the
-    /// centroid lies along heavy axes.
-    fn partition_lower_key(&self, query: &[f64], centroid: &[f64], radius_l2: f64) -> Option<f64> {
+    /// Two-path bound, each path deflated by `partition_safe_lower`:
+    ///
+    /// * distortion path — `√w_min·(d₂(q,c) − r)`, sound because
+    ///   `√w_min·d₂ ≤ d_W` componentwise;
+    /// * triangle path — `d_W(q,c) − √w_max·r`, sound because `d_W` is a
+    ///   norm-induced metric and every member has
+    ///   `d_W(c,x) ≤ √w_max·d₂(c,x) ≤ √w_max·r`.
+    ///
+    /// The max of two sound lower bounds is sound; the triangle path wins
+    /// when the query's displacement from the centroid lies along heavy
+    /// axes.
+    fn partition_lower_key(&self, query: &[f64], centroid: &[f64], radius_l2: f64) -> f64 {
         let d2 = super::sq_dist(query, centroid).sqrt();
         let dqc = self.eval(query, centroid);
-        let lb =
-            super::metric_partition_lower(dqc, self.min_w.sqrt(), self.max_w.sqrt(), d2, radius_l2);
-        Some(self.key_of_dist(lb))
+        let (lo, hi) = (self.min_w.sqrt(), self.max_w.sqrt());
+        let distortion = partition_safe_lower(lo * (d2 - radius_l2), lo * (d2 + radius_l2));
+        let triangle = partition_safe_lower(dqc - hi * radius_l2, dqc + hi * radius_l2);
+        self.key_of_dist(distortion.max(triangle))
     }
 
     #[inline]
@@ -219,8 +222,10 @@ mod tests {
 
     #[test]
     fn distortion_bounds_hold() {
+        // √w_min·d₂ ≤ d_W ≤ √w_max·d₂: the factors both partition-bound
+        // paths rest on.
         let w = WeightedEuclidean::new(vec![0.25, 4.0, 1.0]).unwrap();
-        let (lo, hi) = w.euclidean_distortion().unwrap();
+        let (lo, hi) = (w.min_weight().sqrt(), w.max_weight().sqrt());
         assert_eq!(lo, 0.5);
         assert_eq!(hi, 2.0);
         let e = Euclidean;

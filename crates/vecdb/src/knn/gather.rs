@@ -23,7 +23,7 @@
 //!   pass.
 //!
 //! The consistency suite (`crates/vecdb/tests/sharded.rs`) pins this
-//! across all four distance classes, both precisions, and slice counts
+//! across both distance classes, both precisions, and slice counts
 //! up to one row per slice.
 
 use super::{finish_entries, KBest, Neighbor};

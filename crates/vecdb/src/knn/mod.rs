@@ -62,10 +62,10 @@ use crate::distance::{Distance, F32KeyBound};
 ///   survivors from the f64 buffer with the exact kernels, so the
 ///   returned indices *and* distances are identical to an [`Precision::F64`]
 ///   scan. Requires the collection's mirror
-///   ([`Collection::ensure_f32_mirror`]) and a distance class with an f32
-///   kernel; otherwise — and in `ScanMode::Scalar`, the reference
-///   baseline — the scan silently runs the f64 path, so requesting
-///   `F32Rescore` is always safe.
+///   ([`Collection::ensure_f32_mirror`]) and a finite rounding bound for
+///   the data's magnitude; otherwise — and in `ScanMode::Scalar`, the
+///   reference baseline — the scan silently runs the f64 path, so
+///   requesting `F32Rescore` is always safe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Single-phase pure-f64 scan.
@@ -99,9 +99,9 @@ pub(crate) fn f32_bound_up(bound: f64) -> f32 {
 /// key-relative rounding bound `Δ` ([`F32KeyBound`]) and the reverse
 /// bound `Δ'` ([`F32KeyBound::reverse`]), formed once per pass. Every
 /// consumer of the bound — the phase-1 block bounds, the final candidate
-/// filter, the partition skip rule, the fan-out snapshot caps and the
-/// two-phase range scan — reads it through the two uses here, so the
-/// containment argument lives in one place:
+/// filter, the partition skip rule and the fan-out snapshot caps — reads
+/// it through the two uses here, so the containment argument lives in
+/// one place:
 ///
 /// * [`Self::ceiling`] — `T = min(t + Δ'(t), cap)`. With `τ32` the k-th
 ///   smallest f32 key and `τ64` the k-th smallest f64 key of the layout,
@@ -110,8 +110,8 @@ pub(crate) fn f32_bound_up(bound: f64) -> f32 {
 ///   `key64 ≤ key32 + Δ'(key32) ≤ τ32 + Δ'(τ32)`, so
 ///   `τ64 ≤ τ32 + Δ'(τ32) ≤ t + Δ'(t)` by monotonicity; a cap is a
 ///   caller-guaranteed bound on `τ64` in f64-key space. Hence `τ64 ≤ T`.
-/// * [`Self::inflate`] — `b ↦ b + Δ(b)`: a row with `key64 ≤ b` has
-///   `key32 ≤ key64 + Δ(key64) ≤ b + Δ(b)`, again by monotonicity.
+/// * [`Self::admit_bound`] — `T ↦ T + Δ(T)`: a row with `key64 ≤ T` has
+///   `key32 ≤ key64 + Δ(key64) ≤ T + Δ(T)`, again by monotonicity.
 ///
 /// A true neighbour has `key64 ≤ τ64 ≤ T`, so `key32 ≤ T + Δ(T)`: phase 1
 /// and the final filter, both run at [`Self::admit_bound`]
@@ -147,16 +147,11 @@ impl KeyBand {
         (threshold + self.reverse.at(threshold)).min(cap)
     }
 
-    /// `b + Δ(b)`: the largest f32 key a row with `key64 ≤ b` can have.
-    #[inline]
-    pub(crate) fn inflate(&self, bound: f64) -> f64 {
-        bound + self.forward.at(bound)
-    }
-
     /// `T + Δ(T)`: the f32-key bound every true neighbour stays under.
     #[inline]
     pub(crate) fn admit_bound(&self, threshold: f64, cap: f64) -> f64 {
-        self.inflate(self.ceiling(threshold, cap))
+        let ceiling = self.ceiling(threshold, cap);
+        ceiling + self.forward.at(ceiling)
     }
 }
 
@@ -381,9 +376,6 @@ pub trait KnnEngine {
         k: usize,
         dist: &dyn Distance,
     ) -> (Vec<Neighbor>, SearchStats);
-
-    /// All neighbors within `radius` (inclusive), sorted ascending.
-    fn range(&self, query: &[f64], radius: f64, dist: &dyn Distance) -> Vec<Neighbor>;
 
     /// Engine name for reports.
     fn name(&self) -> &str;

@@ -22,7 +22,7 @@
 //! * `Shared` — Q queries under **one metric** (a Q-sweep, or sessions
 //!   that have not diverged yet; an all-equal `Weighted` batch is this
 //!   form too). One multi-query kernel call per block.
-//! * `PerQuery` — each query under **its own metric**, any classes.
+//! * `PerQuery` — each query under **its own metric**, either class.
 //!   Shares the block pass; each query's distance runs its single-query
 //!   batch kernel on the hot block.
 //! * `Weighted` — per-query weighted-Euclidean metrics (sessions whose
@@ -36,8 +36,8 @@
 //! only drop rows that could never enter that query's k-best, and the
 //! parallel path merges per-thread candidates by ascending
 //! `(key, index)` exactly like the single-query scan. The consistency
-//! suite (`crates/vecdb/tests/multi_query.rs`) pins this across all four
-//! distance classes.
+//! suite (`crates/vecdb/tests/multi_query.rs`) pins this across both
+//! distance classes, uniform and skewed weights.
 //!
 //! # Precision
 //!
@@ -110,8 +110,8 @@ impl<'a> MultiQueryScan<'a> {
 
     /// Select the scan precision ([`Precision::F32Rescore`] silently
     /// degrades to the f64 path when the collection has no mirror or the
-    /// distance class has no f32 kernel — results are identical either
-    /// way, only bandwidth differs).
+    /// data's magnitude admits no finite f32 rounding bound — results are
+    /// identical either way, only bandwidth differs).
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.cfg.precision = precision;
         self
@@ -144,9 +144,9 @@ impl<'a> MultiQueryScan<'a> {
     /// this collection, when every precondition for the two-phase scan
     /// holds: `F32Rescore` requested, mirror present, and —
     /// all-or-nothing, so the block loop reads exactly one of the two
-    /// buffers — **every** query's class exposes an f32 kernel with a
-    /// finite bound for this data/query magnitude.
-    pub(crate) fn f32_bands(&self, batch: &QueryBatch<'_>) -> Option<Vec<KeyBand>> {
+    /// buffers — **every** query's metric has a finite f32 rounding bound
+    /// for this data/query magnitude.
+    fn f32_bands(&self, batch: &QueryBatch<'_>) -> Option<Vec<KeyBand>> {
         if self.cfg.precision != Precision::F32Rescore {
             return None;
         }

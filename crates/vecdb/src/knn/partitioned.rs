@@ -35,10 +35,7 @@
 //!   members have `key64 ≥ lb > T ≥ τ64`, hence are not in the true
 //!   top-k, and the surviving candidate pool keeps the same superset
 //!   guarantee the flat f32 pass proves.
-//! * Queries whose class reports no sound bound (`None`) never prune
-//!   anything — they force the flat pass over every partition, per
-//!   class and explicitly. `k = 0` queries need nothing and always
-//!   "agree" to skip.
+//! * `k = 0` queries need nothing and always "agree" to skip.
 //!
 //! Because a partitioned pass pushes **original** row indices during
 //! selection (via the layout's permutation) and a k-best's content is
@@ -93,9 +90,9 @@ impl<'a> Layout<'a> {
     }
 
     /// Per-(partition, query) key-space lower bounds, row-major by
-    /// partition (`lbs[p · nq + q]`). `None` ⇔ query `q`'s class
-    /// certifies no bound and can never prune partition `p`; the flat
-    /// layout's one partition is all `None`.
+    /// partition (`lbs[p · nq + q]`). `None` ⇔ partition `p` is empty
+    /// (skipped, never counted as pruned) or the layout is flat (its one
+    /// partition is all `None` and never prunes).
     pub(crate) fn lower_bounds(&self, batch: &QueryBatch<'_>) -> Vec<Option<f64>> {
         let Some(part) = self.part else {
             return vec![None; batch.len()];
@@ -107,7 +104,7 @@ impl<'a> Layout<'a> {
                 lbs.push(if part.rows(p).is_empty() {
                     None // empty partitions are skipped, not "pruned"
                 } else {
-                    batch.metric(q).partition_lower_key(query, centroid, radius)
+                    Some(batch.metric(q).partition_lower_key(query, centroid, radius))
                 });
             }
         }
@@ -115,7 +112,7 @@ impl<'a> Layout<'a> {
     }
 
     /// Partition visit order: ascending by the min-over-queries lower
-    /// bound (unboundable queries sort a partition first). Visiting
+    /// bound (`None` sorts a partition first). Visiting
     /// likely-near partitions first tightens every threshold as early
     /// as possible, maximizing later prunes; by the module invariant
     /// the order itself can never change an answer.

@@ -6,9 +6,7 @@
 //! bit-identical to each other (same kernels, deterministic merge);
 //! Scalar produces the same ranking with distances matching to ~1e-12
 //! (its reference implementation accumulates sequentially, the kernels
-//! 8-wide, so last-ulp rounding may differ — and, for `range`, boundary
-//! membership of a candidate sitting exactly on the radius can differ
-//! between Scalar and the key-space modes by that same ulp):
+//! 8-wide, so last-ulp rounding may differ):
 //!
 //! * [`ScanMode::Scalar`] — one `dyn Distance::eval` per vector, a `sqrt`
 //!   per candidate. Kept in-tree as the reference the kernel paths are
@@ -34,17 +32,12 @@
 //! phase-1 filter over the collection's f32 mirror (half the scan bytes
 //! — the dominant cost on a bandwidth-bound host) and rescore the
 //! surviving candidates in f64, returning results identical to the pure
-//! f64 scan. This covers `range` queries too: phase 1 filters against
-//! the radius bound `B` inflated to `B + Δ(B)` by the class's rounding
-//! bound, phase 2
-//! re-applies the exact bound, so membership on the radius boundary is
-//! decided by the same f64 kernel keys as the single-phase scan. Scalar
-//! mode deliberately ignores the knob — it *is* the reference the other
-//! paths are pinned against.
+//! f64 scan. Scalar mode deliberately ignores the knob — it *is* the
+//! reference the other paths are pinned against.
 
 use super::{
-    f32_bound_up, KBest, KeyBand, KnnEngine, MultiQueryScan, Neighbor, Precision, QueryBatch,
-    QueryMetrics, ScanConfig, SearchStats, BLOCK_ROWS,
+    KBest, KnnEngine, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics, ScanConfig,
+    SearchStats, BLOCK_ROWS,
 };
 use crate::collection::Collection;
 use crate::distance::Distance;
@@ -89,8 +82,8 @@ impl<'a> LinearScan<'a> {
 
     /// Select the scan precision. [`Precision::F32Rescore`] silently
     /// degrades to the f64 path when the collection has no mirror, the
-    /// distance class exposes no f32 kernel, or the mode is Scalar —
-    /// results are identical in every case.
+    /// data's magnitude admits no finite f32 rounding bound, or the mode
+    /// is Scalar — results are identical in every case.
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.cfg.precision = precision;
         self
@@ -160,126 +153,6 @@ impl<'a> LinearScan<'a> {
             .pop()
             .unwrap_or_default()
     }
-
-    /// The containment band of an f32 phase-1 under `dist`, when every
-    /// precondition for a two-phase range scan holds — the multi-query
-    /// scan's rule, for a batch of this one query.
-    fn f32_band(&self, dist: &dyn Distance, query: &[f64]) -> Option<KeyBand> {
-        MultiQueryScan::with_config(self.coll.into(), self.cfg)
-            .f32_bands(&QueryBatch::new(&[query], QueryMetrics::Shared(dist), 0))?
-            .pop()
-    }
-
-    /// Two-phase range scan: phase 1 streams the f32 mirror collecting
-    /// every row whose f32 key lands under the radius bound `B` inflated
-    /// to `B + Δ(B)` ([`KeyBand::inflate`]), phase 2 gather-rescores the
-    /// candidates with the exact f64 batch kernel and applies the
-    /// *uninflated* key bound — results (membership, indices, distances)
-    /// identical to the single-phase f64 pass.
-    ///
-    /// Why the forward inflation alone suffices (the k-NN paths also need
-    /// the reverse bound for their running threshold): the range bound
-    /// `B = key_of_dist(radius)` is fixed and exact. Every row obeys
-    /// `|key32 − key64| ≤ Δ(key64)` with `Δ` monotone, so a true member
-    /// (`key64 ≤ B`) always has `key32 ≤ B + Δ(B)`; its monotone f32
-    /// prefix sums never exceed its final `key32`, so the kernel cannot
-    /// abandon it and the filter admits it into the candidate pool.
-    fn range_f32_rescore(
-        &self,
-        query: &[f64],
-        radius: f64,
-        dist: &dyn Distance,
-        band: &KeyBand,
-    ) -> Vec<Neighbor> {
-        let dim = self.coll.dim();
-        let bound = dist.key_of_dist(radius);
-        let inflated = band.inflate(bound);
-        let inflated32 = f32_bound_up(inflated);
-        let q32: Vec<f32> = query.iter().map(|&v| v as f32).collect();
-
-        // A range result set is unbounded — once a large share of the
-        // collection passes the phase-1 filter, the gather-rescore costs
-        // more than the single-phase f64 scan would have, so bail to it.
-        // (The partial phase 1 is wasted, but it is at most half the f64
-        // pass's bytes.)
-        let candidate_cap = self.coll.len() / 4;
-
-        // Phase 1: f32 filter over the mirror.
-        let mut cands: Vec<u32> = Vec::new();
-        let mut keys32 = [0.0f32; BLOCK_ROWS];
-        let mut start = 0;
-        while start < self.coll.len() {
-            let end = (start + BLOCK_ROWS).min(self.coll.len());
-            let n = end - start;
-            let block = self
-                .coll
-                .block_f32(start, end)
-                .expect("f32 path requires the mirror");
-            dist.eval_key_batch_f32(&q32, block, dim, inflated32, &mut keys32[..n]);
-            for (offset, &key) in keys32[..n].iter().enumerate() {
-                if (key as f64) <= inflated {
-                    cands.push((start + offset) as u32);
-                }
-            }
-            if cands.len() > candidate_cap {
-                return self.range_f64_keyspace(query, radius, dist);
-            }
-            start = end;
-        }
-
-        // Phase 2: exact f64 rescore of the candidates, uninflated bound.
-        let mut out = Vec::new();
-        if dim == 0 {
-            return out;
-        }
-        let mut rows = vec![0.0f64; BLOCK_ROWS * dim];
-        let mut keys = [0.0f64; BLOCK_ROWS];
-        for chunk in cands.chunks(BLOCK_ROWS) {
-            let n = chunk.len();
-            for (slot, &i) in rows.chunks_exact_mut(dim).zip(chunk.iter()) {
-                slot.copy_from_slice(self.coll.vector(i as usize));
-            }
-            dist.eval_key_batch(query, &rows[..n * dim], dim, bound, &mut keys[..n]);
-            for (&i, &key) in chunk.iter().zip(keys.iter()) {
-                if key <= bound {
-                    out.push(Neighbor {
-                        index: i,
-                        dist: dist.finish_key(key),
-                    });
-                }
-            }
-        }
-        out.sort_unstable_by(Neighbor::total_cmp);
-        out
-    }
-
-    /// Single-phase key-space range scan over the f64 buffer:
-    /// `d ≤ r ⇔ key ≤ key_of_dist(r)`; abandoned rows come back `+∞`
-    /// and can never pass the bound.
-    fn range_f64_keyspace(&self, query: &[f64], radius: f64, dist: &dyn Distance) -> Vec<Neighbor> {
-        let dim = self.coll.dim();
-        let bound = dist.key_of_dist(radius);
-        let mut out = Vec::new();
-        let mut keys = [0.0f64; BLOCK_ROWS];
-        let mut start = 0;
-        while start < self.coll.len() {
-            let end = (start + BLOCK_ROWS).min(self.coll.len());
-            let n = end - start;
-            let block = self.coll.block(start, end);
-            dist.eval_key_batch(query, block, dim, bound, &mut keys[..n]);
-            for (offset, &key) in keys[..n].iter().enumerate() {
-                if key <= bound {
-                    out.push(Neighbor {
-                        index: (start + offset) as u32,
-                        dist: dist.finish_key(key),
-                    });
-                }
-            }
-            start = end;
-        }
-        out.sort_unstable_by(Neighbor::total_cmp);
-        out
-    }
 }
 
 impl KnnEngine for LinearScan<'_> {
@@ -306,30 +179,6 @@ impl KnnEngine for LinearScan<'_> {
                 distance_evals: self.coll.len() as u64,
             },
         )
-    }
-
-    fn range(&self, query: &[f64], radius: f64, dist: &dyn Distance) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        if self.effective_mode() == ScanMode::Scalar {
-            for i in 0..self.coll.len() {
-                let d = dist.eval(query, self.coll.vector(i));
-                if d <= radius {
-                    out.push(Neighbor {
-                        index: i as u32,
-                        dist: d,
-                    });
-                }
-            }
-        } else if let Some(band) = self.f32_band(dist, query) {
-            // Two-phase mirror scan: f32 filter under the inflated radius
-            // bound, exact f64 rescore of the candidates (bails back to
-            // the single-phase pass for bulky result sets).
-            return self.range_f32_rescore(query, radius, dist, &band);
-        } else {
-            return self.range_f64_keyspace(query, radius, dist);
-        }
-        out.sort_unstable_by(Neighbor::total_cmp);
-        out
     }
 
     fn name(&self) -> &str {
@@ -402,17 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn range_query_inclusive() {
-        let c = grid_collection();
-        let scan = LinearScan::new(&c);
-        let res = scan.range(&[0.0, 0.0], 1.0, &Euclidean);
-        // (0,0), (1,0), (0,1) at distances 0, 1, 1.
-        assert_eq!(res.len(), 3);
-        assert_eq!(res[0].dist, 0.0);
-        assert_eq!(res[1].dist, 1.0);
-    }
-
-    #[test]
     fn stats_count_all_evals() {
         let c = grid_collection();
         let scan = LinearScan::new(&c);
@@ -458,14 +296,6 @@ mod tests {
             // merge is deterministic, results bit-identical.
             assert_eq!(batched, parallel, "k={k}");
         }
-        // Range queries agree across modes too (same tolerance contract).
-        let r_scalar = LinearScan::with_mode(&c, ScanMode::Scalar).range(&q, 4.0, &weighted);
-        let r_batched = LinearScan::with_mode(&c, ScanMode::Batched).range(&q, 4.0, &weighted);
-        assert_eq!(r_scalar.len(), r_batched.len());
-        for (a, b) in r_scalar.iter().zip(r_batched.iter()) {
-            assert_eq!(a.index, b.index);
-            assert!((a.dist - b.dist).abs() <= 1e-12);
-        }
     }
 
     #[test]
@@ -485,7 +315,6 @@ mod tests {
         for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
             let scan = LinearScan::with_mode(&c, mode);
             assert!(scan.knn(&[], 5, &Euclidean).is_empty());
-            assert!(scan.range(&[], 1.0, &Euclidean).is_empty());
         }
     }
 }

@@ -10,10 +10,9 @@
 //! * [`collection`] — flat, cache-friendly storage of feature vectors with
 //!   category labels (the evaluation needs the labels as its relevance
 //!   oracle);
-//! * [`distance`] — the distance-function classes the paper discusses:
-//!   `Lp` norms, **weighted Euclidean** (Equation 1, the class used in the
-//!   paper's experiments), **Mahalanobis / quadratic forms**, and the
-//!   **Rui-Huang hierarchical** model;
+//! * [`distance`] — the one distance-function class the system learns
+//!   and serves: **weighted Euclidean** (Equation 1, the class used in the
+//!   paper's experiments), with plain Euclidean as its uniform member;
 //! * [`knn`] — the retrieval operation, described once: a
 //!   [`knn::QueryBatch`] (query points, a shared / per-query / weighted
 //!   metric form, per-query `k`, optional pruning caps).
@@ -45,10 +44,7 @@ pub mod result;
 pub use collection::{
     CategoryId, Collection, CollectionBuilder, PartitionConfig, PartitionedCollection,
 };
-pub use distance::{
-    Distance, Euclidean, F32KeyBound, HierarchicalDistance, Lp, Manhattan, QuadraticDistance,
-    WeightedEuclidean,
-};
+pub use distance::{Distance, Euclidean, F32KeyBound, WeightedEuclidean};
 pub use knn::{
     merge_partials, merge_partials_policy, DegradedGather, FailurePolicy, GatherError, KnnEngine,
     Layout, LinearScan, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics, ScanMode,
@@ -66,8 +62,7 @@ pub enum VecdbError {
         /// Dimensionality actually supplied.
         got: usize,
     },
-    /// Invalid distance parameterization (non-positive weights, non-SPD
-    /// matrix, bad feature partition...).
+    /// Invalid parameters (non-positive weights, malformed partials...).
     BadParameters(String),
     /// Operation requires a non-empty collection.
     EmptyCollection,

@@ -1,6 +1,23 @@
 //! Helpers shared by the vecdb integration suites.
 
-use fbp_vecdb::{Collection, CollectionBuilder, MultiQueryScan, QueryBatch, ScanMode};
+// Each suite compiles this module on its own and uses a subset of it.
+#![allow(dead_code)]
+
+use fbp_vecdb::{
+    Collection, CollectionBuilder, MultiQueryScan, QueryBatch, ScanMode, WeightedEuclidean,
+};
+
+/// Learned-looking weights over `dim` components: log-spread over
+/// `e^±4.6` around geometric mean 1 (the shape a converged feedback loop
+/// stores), so `w_max ≫ mean w` — the skewed metric the suites run next
+/// to uniform and mildly varied weights.
+pub fn log_spread_weights(dim: usize) -> WeightedEuclidean {
+    let ln_w: Vec<f64> = (0..dim)
+        .map(|i| 4.6 * ((i * 29) as f64 * 0.77).sin())
+        .collect();
+    let mean = ln_w.iter().sum::<f64>() / dim as f64;
+    WeightedEuclidean::new(ln_w.iter().map(|l| (l - mean).exp()).collect()).unwrap()
+}
 
 /// Sound pruning caps for `batch` over `coll`, in the selection space
 /// of a kernel pass (surrogate keys) or of a Scalar one (distances):

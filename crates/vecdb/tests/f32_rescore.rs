@@ -1,22 +1,21 @@
 //! f32-rescore consistency suite: `Precision::F32Rescore` must return
 //! **bit-identical** neighbor indices and f64 distances to the pure-f64
-//! scan, across all four distance classes, Q ∈ {1, 16}, k ∈ {1, 10, 50},
+//! scan, across both distance classes (uniform, varied and log-spread
+//! weights), Q ∈ {1, 16}, k ∈ {1, 10, 50},
 //! in every kernel mode and through every entry point (LinearScan,
 //! shared-metric multi, per-query-metric multi), with and without sound
 //! pruning caps. The phase-1 f32 filter with its inflated bounds may
 //! only change *how much* the scan reads, never *what* it answers.
 
-use fbp_linalg::Matrix;
-use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
-    Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, Manhattan,
-    MultiQueryScan, Precision, QuadraticDistance, QueryBatch,
+    Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
+    Precision, QueryBatch,
     QueryMetrics::{PerQuery, Shared, Weighted},
     ScanMode, WeightedEuclidean,
 };
 
 mod common;
-use common::sound_caps;
+use common::{log_spread_weights, sound_caps};
 
 const DIM: usize = 24;
 
@@ -49,24 +48,14 @@ fn queries(nq: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// All four distance classes, in key-comparable parameterizations.
+/// Both distance classes: Euclidean, mildly varied weights, and
+/// log-spread learned-looking weights.
 fn distance_classes() -> Vec<Box<dyn Distance>> {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
-    let spans = vec![FeatureSpan::new(0, 8), FeatureSpan::new(8, DIM)];
-    let h = HierarchicalDistance::new(spans, vec![1.5, 0.75], w.clone()).unwrap();
-    let mut m = Matrix::identity(DIM);
-    for i in 0..DIM {
-        m[(i, i)] = 0.5 + (i % 4) as f64;
-        if i + 1 < DIM {
-            m[(i, i + 1)] = 0.1;
-            m[(i + 1, i)] = 0.1;
-        }
-    }
     vec![
         Box::new(Euclidean),
         Box::new(WeightedEuclidean::new(w).unwrap()),
-        Box::new(QuadraticDistance::new(&m).unwrap()),
-        Box::new(h),
+        Box::new(log_spread_weights(DIM)),
     ]
 }
 
@@ -180,69 +169,6 @@ fn per_query_metrics_f32_rescore_bit_identical() {
 }
 
 #[test]
-fn range_f32_rescore_bit_identical_all_classes() {
-    let coll = collection(1500, true);
-    let qs = queries(3);
-    for dist in distance_classes() {
-        for q in &qs {
-            // Radii spanning empty → sparse → bulky result sets, derived
-            // from the actual neighbor distances so every class gets
-            // non-trivial membership (including one radius sitting
-            // exactly ON a neighbor distance — boundary membership must
-            // be decided identically by both precisions).
-            let nn = LinearScan::with_mode(&coll, ScanMode::Batched).knn(q, 50, &*dist);
-            let radii = [
-                nn[0].dist * 0.5,
-                nn[9].dist,
-                nn[49].dist * 1.1,
-                f64::INFINITY,
-            ];
-            for (ri, &radius) in radii.iter().enumerate() {
-                for mode in [ScanMode::Batched, ScanMode::Parallel] {
-                    let f64_res = LinearScan::with_mode(&coll, mode).range(q, radius, &*dist);
-                    let f32_res = LinearScan::with_mode(&coll, mode)
-                        .with_precision(Precision::F32Rescore)
-                        .range(q, radius, &*dist);
-                    assert_eq!(
-                        f32_res,
-                        f64_res,
-                        "{} radius#{ri} mode={mode:?}: f32-rescore range diverged",
-                        dist.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn range_f32_rescore_fallbacks_match_f64() {
-    // No mirror, unsupported class (Manhattan), and Scalar mode must all
-    // transparently serve the f64 range answer.
-    let unmirrored = collection(400, false);
-    let mirrored = collection(400, true);
-    let q = queries(1).pop().unwrap();
-    let w = WeightedEuclidean::new((0..DIM).map(|i| 0.5 + (i % 3) as f64).collect()).unwrap();
-    let radius = 1.5;
-    let expect = LinearScan::with_mode(&unmirrored, ScanMode::Batched).range(&q, radius, &w);
-    let no_mirror = LinearScan::with_mode(&unmirrored, ScanMode::Batched)
-        .with_precision(Precision::F32Rescore)
-        .range(&q, radius, &w);
-    assert_eq!(no_mirror, expect);
-    let manhattan_f64 =
-        LinearScan::with_mode(&mirrored, ScanMode::Batched).range(&q, radius, &Manhattan);
-    let manhattan_f32 = LinearScan::with_mode(&mirrored, ScanMode::Batched)
-        .with_precision(Precision::F32Rescore)
-        .range(&q, radius, &Manhattan);
-    assert_eq!(manhattan_f32, manhattan_f64);
-    let scalar = LinearScan::with_mode(&mirrored, ScanMode::Scalar)
-        .with_precision(Precision::F32Rescore)
-        .range(&q, radius, &w);
-    let scalar_f64 = LinearScan::with_mode(&mirrored, ScanMode::Scalar).range(&q, radius, &w);
-    assert_eq!(scalar, scalar_f64);
-}
-
-#[test]
 fn weighted_per_query_f32_rescore_bit_identical() {
     let coll = collection(1100, true);
     let qs = queries(5);
@@ -282,21 +208,6 @@ fn f32_rescore_without_mirror_falls_back_to_f64() {
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let w = WeightedEuclidean::new((0..DIM).map(|i| 0.5 + (i % 3) as f64).collect()).unwrap();
     let batch = QueryBatch::new(&refs, Shared(&w), 9);
-    let f64_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
-    let f32_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
-        .with_precision(Precision::F32Rescore)
-        .knn(&batch);
-    assert_eq!(f32_res, f64_res);
-}
-
-#[test]
-fn f32_rescore_unsupported_class_falls_back_to_f64() {
-    // Manhattan has no f32 kernel (no `f32_key_bound`): requesting
-    // F32Rescore must transparently serve the f64 answer.
-    let coll = collection(400, true);
-    let qs = queries(2);
-    let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
-    let batch = QueryBatch::new(&refs, Shared(&Manhattan), 5);
     let f64_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
     let f32_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
         .with_precision(Precision::F32Rescore)
@@ -412,8 +323,7 @@ fn f32_rescore_survives_sub_f32_ties() {
 /// The axis [`assert_weighted_edge_matches_f64`] quantizes.
 const COARSE: usize = 3;
 
-/// `F32Rescore` against `F64` for one Shared weighted pass (and its
-/// hierarchical twin, whose effective weights are the same vector) over
+/// `F32Rescore` against `F64` for one Shared weighted pass over
 /// 2,000 × 24-d uniform rows scaled by `scale`, `k = 10`, Batched.
 /// Component [`COARSE`] is snapped to quarters and the query sits on
 /// one, so a quarter of the rows differ from it by exactly 0 there.
@@ -431,18 +341,14 @@ fn assert_weighted_edge_matches_f64(weights: Vec<f64>, scale: f64, case: &str) {
     q[COARSE] = 0.5;
     let q: Vec<f64> = q.iter().map(|x| x * scale).collect();
     let refs = [q.as_slice()];
-    let w = WeightedEuclidean::new(weights.clone()).unwrap();
-    let spans = vec![FeatureSpan::new(0, 8), FeatureSpan::new(8, DIM)];
-    let h = HierarchicalDistance::new(spans, vec![1.0, 1.0], weights).unwrap();
-    for dist in [&w as &dyn Distance, &h] {
-        let batch = QueryBatch::new(&refs, Shared(dist), 10);
-        let f64_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
-        let f32_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
-            .with_precision(Precision::F32Rescore)
-            .knn(&batch);
-        assert_eq!(f64_res[0].len(), 10, "{case} {}", dist.name());
-        assert_eq!(f32_res, f64_res, "{case} {}", dist.name());
-    }
+    let w = WeightedEuclidean::new(weights).unwrap();
+    let batch = QueryBatch::new(&refs, Shared(&w), 10);
+    let f64_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
+    let f32_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
+        .with_precision(Precision::F32Rescore)
+        .knn(&batch);
+    assert_eq!(f64_res[0].len(), 10, "{case}");
+    assert_eq!(f32_res, f64_res, "{case}");
 }
 
 /// Every weight `1e-45` rounds to an f32 subnormal, where f32 rounding
@@ -469,32 +375,4 @@ fn f32_rescore_weight_beyond_f32_max_matches_f64() {
     let mut w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
     w[COARSE] = 1e39;
     assert_weighted_edge_matches_f64(w, 1e-3, "weight beyond f32::MAX");
-}
-
-/// The quadratic-form twin of
-/// [`f32_rescore_underflowing_squares_match_f64`]: rows and query scaled
-/// so every f32 square `y²` of the transformed difference underflows,
-/// where only an absolute underflow term keeps the bound sound.
-#[test]
-fn f32_rescore_quadratic_underflowing_squares_match_f64() {
-    let quad = distance_classes().swap_remove(2);
-    assert_eq!(quad.name(), "quadratic");
-    for scale in [1e-22, 1e-23] {
-        let unit = collection(2000, false);
-        let mut b = CollectionBuilder::new().with_f32_mirror();
-        for i in 0..unit.len() {
-            b.push_unlabelled(&unit.vector(i).iter().map(|x| x * scale).collect::<Vec<_>>())
-                .unwrap();
-        }
-        let coll = b.build();
-        let q: Vec<f64> = queries(1)[0].iter().map(|x| x * scale).collect();
-        let refs = [q.as_slice()];
-        let batch = QueryBatch::new(&refs, Shared(&*quad), 10);
-        let f64_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched).knn(&batch);
-        let f32_res = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
-            .with_precision(Precision::F32Rescore)
-            .knn(&batch);
-        assert_eq!(f64_res[0].len(), 10, "scale {scale}");
-        assert_eq!(f32_res, f64_res, "scale {scale}");
-    }
 }

@@ -1,21 +1,20 @@
 //! Multi-query scan consistency suite: [`MultiQueryScan`] must return
 //! **bit-identical** neighbor indices and distances to Q independent
-//! [`LinearScan`] runs in the same key-space mode, across all four
-//! distance classes and Q ∈ {1, 3, 16} — per-query early-abandon bounds,
+//! [`LinearScan`] runs in the same key-space mode, across both
+//! distance classes (uniform, varied and log-spread weights) and
+//! Q ∈ {1, 3, 16} — per-query early-abandon bounds,
 //! block boundaries, thread merges and sound pruning caps must never
 //! change an answer.
 
-use fbp_linalg::Matrix;
-use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
-    QuadraticDistance, QueryBatch,
+    QueryBatch,
     QueryMetrics::{PerQuery, Shared},
     ScanMode, WeightedEuclidean,
 };
 
 mod common;
-use common::sound_caps;
+use common::{log_spread_weights, sound_caps};
 
 const DIM: usize = 24;
 
@@ -46,24 +45,14 @@ fn queries(nq: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// All four distance classes, in key-comparable parameterizations.
+/// Both distance classes: Euclidean, mildly varied weights, and
+/// log-spread learned-looking weights.
 fn distance_classes() -> Vec<Box<dyn Distance>> {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
-    let spans = vec![FeatureSpan::new(0, 8), FeatureSpan::new(8, DIM)];
-    let h = HierarchicalDistance::new(spans, vec![1.5, 0.75], w.clone()).unwrap();
-    let mut m = Matrix::identity(DIM);
-    for i in 0..DIM {
-        m[(i, i)] = 0.5 + (i % 4) as f64;
-        if i + 1 < DIM {
-            m[(i, i + 1)] = 0.1;
-            m[(i + 1, i)] = 0.1;
-        }
-    }
     vec![
         Box::new(Euclidean),
         Box::new(WeightedEuclidean::new(w).unwrap()),
-        Box::new(QuadraticDistance::new(&m).unwrap()),
-        Box::new(h),
+        Box::new(log_spread_weights(DIM)),
     ]
 }
 

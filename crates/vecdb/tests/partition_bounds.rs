@@ -2,25 +2,17 @@
 //! inequality the whole sub-linear scan stands on:
 //!
 //! For any random collection, partition layout, and query, and for
-//! every distance class that reports a partition bound at all,
-//! [`Distance::partition_lower_key`] must **never exceed any member
+//! both distance classes, [`Distance::partition_lower_key`] must
+//! **never exceed any member
 //! row's true key**: `lb(q, partition) ≤ eval_key(q, row)` for every
 //! row the partition holds. A violation would let the pruned scan skip
 //! a true neighbor — silently, which is why this layer is pinned by
 //! properties rather than examples.
-//!
-//! Classes that certify *no* sound bound (`Chebyshev`, general `Lp`,
-//! quadratic forms whose certified spectrum floor touches zero) must
-//! say so (`None`) for every input — and the partitioned scan must
-//! still answer through them bit-identically to the flat scan, i.e.
-//! fall back rather than guess.
 
-use fbp_linalg::Matrix;
-use fbp_vecdb::distance::{Chebyshev, FeatureSpan, Lp};
 use fbp_vecdb::{
-    Collection, CollectionBuilder, Distance, Euclidean, HierarchicalDistance, Manhattan,
-    MultiQueryScan, PartitionConfig, PartitionedCollection, Precision, QuadraticDistance,
-    QueryBatch, QueryMetrics::Shared, ScanMode, WeightedEuclidean,
+    Collection, CollectionBuilder, Distance, Euclidean, MultiQueryScan, PartitionConfig,
+    PartitionedCollection, Precision, QueryBatch, QueryMetrics::Shared, ScanMode,
+    WeightedEuclidean,
 };
 use proptest::prelude::*;
 
@@ -45,39 +37,11 @@ fn weights_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.05..20.0f64, DIM)
 }
 
-/// Classes that must report a sound bound on every input.
-fn bounded_classes(w: &[f64]) -> Vec<Box<dyn Distance>> {
-    let spans = vec![FeatureSpan::new(0, 2), FeatureSpan::new(2, DIM)];
-    let h = HierarchicalDistance::new(spans, vec![1.5, 0.75], w.to_vec()).unwrap();
-    let mut m = Matrix::identity(DIM);
-    for i in 0..DIM {
-        m[(i, i)] = w[i] + 0.5;
-    }
+/// Both distance classes, the weighted one under random weights.
+fn classes(w: &[f64]) -> Vec<Box<dyn Distance>> {
     vec![
         Box::new(Euclidean),
-        Box::new(Manhattan),
         Box::new(WeightedEuclidean::new(w.to_vec()).unwrap()),
-        Box::new(QuadraticDistance::new(&m).unwrap()),
-        Box::new(h),
-    ]
-}
-
-/// Classes that must certify "no sound bound" on every input.
-fn unbounded_classes() -> Vec<Box<dyn Distance>> {
-    // An SPD matrix whose Gershgorin floor is exactly zero: PD (det 2),
-    // but the *certified* spectrum bound cannot separate it from
-    // singular — the class must refuse to prune rather than trust an
-    // uncertified eigenvalue.
-    let m = Matrix::from_rows(&[
-        &[2.0, 2.0, 0.0, 0.0][..],
-        &[2.0, 3.0, 0.0, 0.0][..],
-        &[0.0, 0.0, 1.0, 0.0][..],
-        &[0.0, 0.0, 0.0, 1.0][..],
-    ]);
-    vec![
-        Box::new(Chebyshev),
-        Box::new(Lp::new(3.0).unwrap()),
-        Box::new(QuadraticDistance::new(&m).unwrap()),
     ]
 }
 
@@ -96,18 +60,9 @@ proptest! {
         let cfg = PartitionConfig { partitions, seed, ..PartitionConfig::default() };
         let part = PartitionedCollection::build(&coll, &cfg);
         let inner = part.collection();
-        for dist in bounded_classes(&w) {
+        for dist in classes(&w) {
             for p in 0..part.partition_count() {
-                let Some(lb) =
-                    dist.partition_lower_key(&q, part.centroid(p), part.radius(p))
-                else {
-                    prop_assert!(
-                        false,
-                        "{} must bound every partition",
-                        dist.name()
-                    );
-                    unreachable!()
-                };
+                let lb = dist.partition_lower_key(&q, part.centroid(p), part.radius(p));
                 for r in part.rows(p) {
                     let key = dist.eval_key(&q, inner.vector(r));
                     prop_assert!(
@@ -123,26 +78,8 @@ proptest! {
         }
     }
 
-    // Classes without a sound bound must say `None` — for every
-    // geometry, not just convenient ones.
-    #[test]
-    fn unbounded_classes_always_report_none(
-        centroid in prop::collection::vec(-8.0..8.0f64, DIM),
-        q in prop::collection::vec(-10.0..10.0f64, DIM),
-        radius in 0.0..16.0f64,
-    ) {
-        for dist in unbounded_classes() {
-            prop_assert!(
-                dist.partition_lower_key(&q, &centroid, radius).is_none(),
-                "{} has no sound partition bound and must certify that",
-                dist.name()
-            );
-        }
-    }
-
     // End-to-end soundness, both precisions: the pruned scan equals
-    // the flat scan on random inputs — for classes *with* bounds
-    // (pruning engages) and *without* (the flat fallback engages).
+    // the flat scan on random inputs.
     #[test]
     fn partitioned_scan_matches_flat_on_random_inputs(
         points in points_strategy(),
@@ -156,9 +93,7 @@ proptest! {
         let cfg = PartitionConfig { partitions, seed, ..PartitionConfig::default() };
         let part = PartitionedCollection::build(&coll, &cfg);
         let refs: Vec<&[f64]> = vec![&q];
-        let mut classes = bounded_classes(&w);
-        classes.extend(unbounded_classes());
-        for dist in classes {
+        for dist in classes(&w) {
             for precision in [Precision::F64, Precision::F32Rescore] {
                 let pruned = MultiQueryScan::with_mode(&part, ScanMode::Batched)
                     .with_precision(precision);

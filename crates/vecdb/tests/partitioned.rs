@@ -1,27 +1,24 @@
 //! Partition-pruning bit-identity suite: [`MultiQueryScan`] over a
 //! [`PartitionedCollection`] must return **bit-identical** neighbor
 //! indices and f64 distances to the flat [`LinearScan`] /
-//! [`MultiQueryScan`] — across all distance classes (including ones
-//! with no sound partition bound, which must fall back to the flat
-//! pass), both precisions, Scalar/Batched/Parallel, per-query metrics
+//! [`MultiQueryScan`] — across both distance classes (uniform, varied
+//! and log-spread weights), both precisions, Scalar/Batched/Parallel, per-query metrics
 //! and ks, under sound pruning caps, per row slice of a router
 //! deployment merged with [`merge_partials`], and across the degenerate
 //! layout edges (empty partitions, one-row partitions, more partitions
 //! than rows, k > len, k = 0 "prunes everything"). Partition pruning is
 //! a rows-visited knob, never a result knob.
 
-use fbp_linalg::Matrix;
-use fbp_vecdb::distance::{Chebyshev, FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     merge_partials, Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, Layout,
     LinearScan, MultiQueryScan, Neighbor, PartitionConfig, PartitionedCollection, Precision,
-    QuadraticDistance, QueryBatch,
+    QueryBatch,
     QueryMetrics::{PerQuery, Shared, Weighted},
     ScanMode, ScanStatsSink, ShardPartial, WeightedEuclidean,
 };
 
 mod common;
-use common::sound_caps;
+use common::{log_spread_weights, sound_caps};
 
 const DIM: usize = 24;
 const N: usize = 900;
@@ -69,26 +66,14 @@ fn queries(nq: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The distance classes, including `Chebyshev` — which certifies no
-/// partition bound and must transparently run the flat pass.
+/// Both distance classes: Euclidean, mildly varied weights, and
+/// log-spread learned-looking weights.
 fn distance_classes() -> Vec<Box<dyn Distance>> {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
-    let spans = vec![FeatureSpan::new(0, 8), FeatureSpan::new(8, DIM)];
-    let h = HierarchicalDistance::new(spans, vec![1.5, 0.75], w.clone()).unwrap();
-    let mut m = Matrix::identity(DIM);
-    for i in 0..DIM {
-        m[(i, i)] = 0.5 + (i % 4) as f64;
-        if i + 1 < DIM {
-            m[(i, i + 1)] = 0.1;
-            m[(i + 1, i)] = 0.1;
-        }
-    }
     vec![
         Box::new(Euclidean),
         Box::new(WeightedEuclidean::new(w).unwrap()),
-        Box::new(QuadraticDistance::new(&m).unwrap()),
-        Box::new(h),
-        Box::new(Chebyshev),
+        Box::new(log_spread_weights(DIM)),
     ]
 }
 

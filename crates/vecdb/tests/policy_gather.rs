@@ -4,19 +4,20 @@
 //! exactly the surviving shards' rows (no phantom rows, no lost rows,
 //! bit-identical distances) with the missing shards reported; under
 //! `Strict`, any missing shard must always refuse with a typed
-//! [`GatherError`] naming them. Checked across all four distance
-//! classes and both precisions, over the row slices a router deployment
+//! [`GatherError`] naming them. Checked across both distance classes
+//! (uniform, varied and log-spread weights) and both precisions, over the row slices a router deployment
 //! serves (one keyed pass per slice, offset to global rows) — the
 //! policy layer must be as result-transparent as the cut beneath it.
 
-use fbp_linalg::Matrix;
-use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     merge_partials_policy, Collection, CollectionBuilder, Distance, Euclidean, FailurePolicy,
-    KnnEngine, LinearScan, MultiQueryScan, Neighbor, Precision, QuadraticDistance, QueryBatch,
-    QueryMetrics::Shared, ScanMode, ShardPartial, WeightedEuclidean,
+    KnnEngine, LinearScan, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics::Shared,
+    ScanMode, ShardPartial, WeightedEuclidean,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::log_spread_weights;
 
 const DIM: usize = 6;
 
@@ -28,24 +29,14 @@ fn build_collection(points: &[Vec<f64>]) -> Collection {
     b.build()
 }
 
-/// All four distance classes, parameterized for `DIM`.
+/// Both distance classes: Euclidean, mildly varied weights, and
+/// log-spread learned-looking weights.
 fn distance_classes() -> Vec<Box<dyn Distance>> {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 3) as f64).collect();
-    let spans = vec![FeatureSpan::new(0, 3), FeatureSpan::new(3, DIM)];
-    let h = HierarchicalDistance::new(spans, vec![1.5, 0.75], w.clone()).unwrap();
-    let mut m = Matrix::identity(DIM);
-    for i in 0..DIM {
-        m[(i, i)] = 0.5 + (i % 4) as f64;
-        if i + 1 < DIM {
-            m[(i, i + 1)] = 0.1;
-            m[(i + 1, i)] = 0.1;
-        }
-    }
     vec![
         Box::new(Euclidean),
         Box::new(WeightedEuclidean::new(w).unwrap()),
-        Box::new(QuadraticDistance::new(&m).unwrap()),
-        Box::new(h),
+        Box::new(log_spread_weights(DIM)),
     ]
 }
 
@@ -186,7 +177,7 @@ proptest! {
     // ejected subset and any `min_shards` floor: enough survivors must
     // merge bit-identically to the surviving-shard oracle with the
     // ejected shards reported, too few must refuse with a typed error
-    // naming them — across all four distance classes × both precisions.
+    // naming them — across both distance classes × both precisions.
     #[test]
     fn ejected_shards_degrade_to_oracle_or_refuse_at_the_floor(
         points in points_strategy(),

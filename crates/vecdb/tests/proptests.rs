@@ -1,17 +1,18 @@
-//! Property-based tests: range queries must agree with the k-NN ranking,
-//! distances must obey their distortion contracts (the partition bounds
-//! rest on them), and the f32-rescore machinery must obey its rounding-bound
-//! contract (`|key32 − key64| ≤ Δ(key64)` for the key-relative
-//! `f32_key_bound`, and its reverse) — the inequalities the two-phase
-//! scan's exactness proof stands on.
+//! Property-based tests: weighted distances must obey their distortion
+//! contract (the partition bounds rest on it), and the f32-rescore
+//! machinery must obey its rounding-bound contract
+//! (`|key32 − key64| ≤ Δ(key64)` for the key-relative `f32_key_bound`,
+//! and its reverse) — the inequalities the two-phase scan's exactness
+//! proof stands on.
 
-use fbp_linalg::{Cholesky, Matrix};
-use fbp_vecdb::distance::FeatureSpan;
 use fbp_vecdb::{
-    Collection, CollectionBuilder, Distance, Euclidean, HierarchicalDistance, KnnEngine,
-    LinearScan, Precision, QuadraticDistance, ScanMode, WeightedEuclidean,
+    Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, Precision, ScanMode,
+    WeightedEuclidean,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::log_spread_weights;
 
 const DIM: usize = 4;
 
@@ -43,19 +44,6 @@ fn scalar_diagonal_slack(dim: usize, w: &[f64], max_abs: f64) -> f64 {
     let relative = u * w_sum * (max_abs * max_abs) * (29.0 + 4.1 * n);
     let underflow = eta * (w_sum * (9.0 * max_abs + 1.0) + 2.0 * n);
     2.0 * (relative + underflow)
-}
-
-/// The same for a quadratic form with Cholesky factor entries ≤ `l_max`
-/// (it carried no underflow term, so it is only a reference where no
-/// square underflows).
-fn scalar_quadratic_slack(dim: usize, l_max: f64, max_abs: f64) -> f64 {
-    let u = 1.0 / (1u64 << 24) as f64;
-    let n = dim as f64;
-    let e_y = u * l_max * max_abs * n * (8.5 + 2.01 * n);
-    let y_hi = 2.01 * l_max * max_abs * n + e_y;
-    let per_sq = u * y_hi * y_hi + 2.1 * e_y * y_hi;
-    let accum = n * u * n * y_hi * y_hi;
-    2.0 * (n * per_sq + accum)
 }
 
 /// For one (query, row) pair under `dist`, with keys computed exactly as
@@ -144,29 +132,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn range_queries_agree(
-        points in points_strategy(),
-        q in prop::collection::vec(0.0..1.0f64, DIM),
-        w in weights_strategy(),
-        radius in 0.05..1.0f64,
-    ) {
-        let coll = build_collection(&points);
-        let dist = WeightedEuclidean::new(w).unwrap();
-        // A range answer is the within-radius prefix of the full ranking.
-        let scan = LinearScan::new(&coll);
-        let mut ranked = scan.knn(&q, coll.len(), &dist);
-        ranked.retain(|n| n.dist <= radius);
-        prop_assert_eq!(scan.range(&q, radius, &dist), ranked);
-    }
-
-    #[test]
     fn weighted_distortion_contract(
         a in prop::collection::vec(-2.0..2.0f64, DIM),
         b in prop::collection::vec(-2.0..2.0f64, DIM),
         w in weights_strategy(),
     ) {
+        // √w_min·d₂ ≤ d_W ≤ √w_max·d₂.
         let dist = WeightedEuclidean::new(w).unwrap();
-        let (lo, hi) = dist.euclidean_distortion().unwrap();
+        let (lo, hi) = (dist.min_weight().sqrt(), dist.max_weight().sqrt());
         let dw = dist.eval(&a, &b);
         let d2 = Euclidean.eval(&a, &b);
         prop_assert!(dw >= lo * d2 - 1e-9);
@@ -174,52 +147,25 @@ proptest! {
     }
 
     #[test]
-    fn quadratic_distortion_contract(
-        a in prop::collection::vec(-2.0..2.0f64, 3),
-        b in prop::collection::vec(-2.0..2.0f64, 3),
-        diag in prop::collection::vec(0.5..4.0f64, 3),
-        off in -0.2..0.2f64,
-    ) {
-        // Diagonally dominant ⇒ SPD with positive Gershgorin lower bound.
-        let mut m = Matrix::from_diag(&diag);
-        m[(0, 1)] = off;
-        m[(1, 0)] = off;
-        let q = QuadraticDistance::new(&m).unwrap();
-        if let Some((lo, hi)) = q.euclidean_distortion() {
-            let dq = q.eval(&a, &b);
-            let d2 = Euclidean.eval(&a, &b);
-            prop_assert!(dq >= lo * d2 - 1e-9);
-            prop_assert!(dq <= hi * d2 + 1e-9);
-        }
-    }
-
-    #[test]
     fn f32_key_bound_is_sound_all_classes(
         a in prop::collection::vec(-3.0..3.0f64, DIM),
         b in prop::collection::vec(-3.0..3.0f64, DIM),
         w in weights_strategy(),
-        diag in prop::collection::vec(0.5..4.0f64, DIM),
-        off in -0.2..0.2f64,
         regime in 0usize..5,
         nudge in prop::collection::vec(-1.0..1.0f64, DIM),
     ) {
         // The inequalities every phase-1 candidate-containment argument
-        // rests on, for all four f32-capable distance classes, in five
-        // regimes: the plain ranges; near-zero keys (b ≈ a, differences
-        // below f32 resolution); data whose f32 squares underflow;
-        // subnormal f32 data; magnitudes just under the overflow guard.
-        let spans = vec![FeatureSpan::new(0, 2), FeatureSpan::new(2, DIM)];
-        let feature_weights = [1.7, 0.6];
+        // rests on, for both distance classes (random and log-spread
+        // weights), in five regimes: the plain ranges; near-zero keys
+        // (b ≈ a, differences below f32 resolution); data whose f32
+        // squares underflow; subnormal f32 data; magnitudes just under
+        // the overflow guard.
         let weighted = WeightedEuclidean::new(w.clone()).unwrap();
-        let h = HierarchicalDistance::new(spans, feature_weights.to_vec(), w.clone()).unwrap();
-        let mut m = Matrix::from_diag(&diag);
-        m[(0, 1)] = off;
-        m[(1, 0)] = off;
-        let quad = QuadraticDistance::new(&m).unwrap();
+        let skewed = log_spread_weights(DIM);
         let scale = match regime {
             2 => 1e-22,
             3 => 1e-40,
-            4 => near_guard_scale(&[&Euclidean, &weighted, &h, &quad]),
+            4 => near_guard_scale(&[&Euclidean, &weighted, &skewed]),
             _ => 1.0,
         };
         let a: Vec<f64> = a.iter().map(|v| v * scale).collect();
@@ -229,18 +175,6 @@ proptest! {
             b.iter().map(|v| v * scale).collect()
         };
         let max_abs = a.iter().chain(&b).fold(0.0f64, |m, v| m.max(v.abs()));
-        let effective: Vec<f64> = w
-            .iter()
-            .enumerate()
-            .map(|(i, wi)| feature_weights[usize::from(i >= 2)] * wi)
-            .collect();
-        let l_max = Cholesky::factor(&m)
-            .unwrap()
-            .l()
-            .as_slice()
-            .iter()
-            .fold(0.0f64, |acc, v| acc.max(v.abs()));
-        let no_underflow = regime != 2 && regime != 3;
         assert_key_within_bound(
             &Euclidean,
             &a,
@@ -253,12 +187,11 @@ proptest! {
             &b,
             Some(scalar_diagonal_slack(DIM, &w, max_abs)),
         )?;
-        assert_key_within_bound(&h, &a, &b, Some(scalar_diagonal_slack(DIM, &effective, max_abs)))?;
         assert_key_within_bound(
-            &quad,
+            &skewed,
             &a,
             &b,
-            no_underflow.then(|| scalar_quadratic_slack(DIM, l_max, max_abs)),
+            Some(scalar_diagonal_slack(DIM, skewed.weights(), max_abs)),
         )?;
     }
 
@@ -284,21 +217,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn hierarchical_reduces_to_weighted(
-        a in prop::collection::vec(-2.0..2.0f64, DIM),
-        b in prop::collection::vec(-2.0..2.0f64, DIM),
-        w in weights_strategy(),
-    ) {
-        // One feature spanning everything with unit feature weight must
-        // equal plain weighted Euclidean.
-        let h = HierarchicalDistance::new(
-            vec![fbp_vecdb::distance::FeatureSpan::new(0, DIM)],
-            vec![1.0],
-            w.clone(),
-        )
-        .unwrap();
-        let we = WeightedEuclidean::new(w).unwrap();
-        prop_assert!((h.eval(&a, &b) - we.eval(&a, &b)).abs() < 1e-9);
-    }
 }

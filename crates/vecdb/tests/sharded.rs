@@ -4,19 +4,21 @@
 //! ([`MultiQueryScan::knn_keyed`]), offset to global rows and merged
 //! with [`merge_partials`], must return **bit-identical** neighbor
 //! indices and f64 distances to the unsliced [`LinearScan`] /
-//! [`MultiQueryScan`], across all four distance classes, both
+//! [`MultiQueryScan`], across both distance classes (uniform, varied
+//! and log-spread weights), both
 //! precisions, and the slice-boundary edges — S ∈ {1, 3, len}, S > len
 //! (empty slices), k larger than any single slice, and per-query k.
 //! Cutting the rows is a deployment knob, never a result knob.
 
-use fbp_linalg::Matrix;
-use fbp_vecdb::distance::{FeatureSpan, HierarchicalDistance};
 use fbp_vecdb::{
     merge_partials, Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan,
-    MultiQueryScan, Neighbor, Precision, QuadraticDistance, QueryBatch,
+    MultiQueryScan, Neighbor, Precision, QueryBatch,
     QueryMetrics::{PerQuery, Shared, Weighted},
     ScanMode, ShardPartial, WeightedEuclidean,
 };
+
+mod common;
+use common::log_spread_weights;
 
 const DIM: usize = 24;
 const N: usize = 900;
@@ -50,24 +52,14 @@ fn queries(nq: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// All four distance classes, in key-comparable parameterizations.
+/// Both distance classes: Euclidean, mildly varied weights, and
+/// log-spread learned-looking weights.
 fn distance_classes() -> Vec<Box<dyn Distance>> {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
-    let spans = vec![FeatureSpan::new(0, 8), FeatureSpan::new(8, DIM)];
-    let h = HierarchicalDistance::new(spans, vec![1.5, 0.75], w.clone()).unwrap();
-    let mut m = Matrix::identity(DIM);
-    for i in 0..DIM {
-        m[(i, i)] = 0.5 + (i % 4) as f64;
-        if i + 1 < DIM {
-            m[(i, i + 1)] = 0.1;
-            m[(i + 1, i)] = 0.1;
-        }
-    }
     vec![
         Box::new(Euclidean),
         Box::new(WeightedEuclidean::new(w).unwrap()),
-        Box::new(QuadraticDistance::new(&m).unwrap()),
-        Box::new(h),
+        Box::new(log_spread_weights(DIM)),
     ]
 }
 

@@ -24,10 +24,6 @@ fn assert_error<E: std::error::Error + Send + Sync + 'static>(e: E, needle: &str
 fn linalg_errors_display() {
     assert_error(LinalgError::Singular { step: 3 }, "singular");
     assert_error(
-        LinalgError::NotPositiveDefinite { step: 1 },
-        "positive definite",
-    );
-    assert_error(
         LinalgError::ShapeMismatch {
             expected: (2, 2),
             got: (2, 3),

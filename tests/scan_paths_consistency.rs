@@ -1,11 +1,7 @@
 //! The linear scan must answer identically across its scalar, batched,
 //! and parallel execution paths.
 
-use fbp_linalg::Matrix;
-use fbp_vecdb::{
-    Distance, HierarchicalDistance, KnnEngine, LinearScan, QuadraticDistance, ScanMode,
-    WeightedEuclidean,
-};
+use fbp_vecdb::{Distance, KnnEngine, LinearScan, ScanMode, WeightedEuclidean};
 
 /// Deterministic pseudo-random vectors (xorshift-free LCG; no rand
 /// dependency needed for the root integration tests).
@@ -21,8 +17,8 @@ fn pseudo_random(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
 }
 
 /// The batched/parallel fast paths must reproduce the scalar per-vector
-/// baseline exactly: same indices, distances within 1e-12, across all
-/// four distance classes and k ∈ {1, 10, 100}.
+/// baseline exactly: same indices, distances within 1e-12, across both
+/// distance classes (uniform and skewed weights) and k ∈ {1, 10, 100}.
 #[test]
 fn scan_paths_identical_across_distance_classes() {
     const DIM: usize = 40;
@@ -36,29 +32,15 @@ fn scan_paths_identical_across_distance_classes() {
     let queries = pseudo_random(8, DIM, 91);
 
     let weights: Vec<f64> = (0..DIM).map(|i| 0.2 + (i % 9) as f64 * 0.7).collect();
-    let weighted = WeightedEuclidean::new(weights.clone()).unwrap();
-    // Diagonally dominant SPD matrix: diag weights + small symmetric
-    // off-diagonal couplings.
-    let mut m = Matrix::from_diag(&weights);
-    for i in 0..DIM {
-        for j in (i + 1)..DIM {
-            let v = 0.004 * ((i * j) % 7) as f64;
-            m[(i, j)] = v;
-            m[(j, i)] = v;
-        }
-    }
-    let quadratic = QuadraticDistance::new(&m).unwrap();
-    let hierarchical = HierarchicalDistance::new(
-        vec![
-            fbp_vecdb::distance::FeatureSpan::new(0, 16),
-            fbp_vecdb::distance::FeatureSpan::new(16, 40),
-        ],
-        vec![2.0, 0.5],
-        weights.clone(),
-    )
-    .unwrap();
-    let distances: [&dyn Distance; 4] =
-        [&fbp_vecdb::Euclidean, &weighted, &quadratic, &hierarchical];
+    let weighted = WeightedEuclidean::new(weights).unwrap();
+    // Learned-looking weights: log-spread over e^±4.6 around geometric
+    // mean 1, so w_max ≫ mean w.
+    let ln_w: Vec<f64> = (0..DIM)
+        .map(|i| 4.6 * ((i * 29) as f64 * 0.77).sin())
+        .collect();
+    let mean = ln_w.iter().sum::<f64>() / DIM as f64;
+    let skewed = WeightedEuclidean::new(ln_w.iter().map(|l| (l - mean).exp()).collect()).unwrap();
+    let distances: [&dyn Distance; 3] = [&fbp_vecdb::Euclidean, &weighted, &skewed];
 
     let scalar = LinearScan::with_mode(&coll, ScanMode::Scalar);
     let batched = LinearScan::with_mode(&coll, ScanMode::Batched);

@@ -444,6 +444,26 @@ mod tests {
     }
 
     #[test]
+    fn admitted_request_still_on_its_way_keeps_the_window_open() {
+        // Both connections have a request admitted, but only the first
+        // is in the queue: the second is between admission and its
+        // enqueue, so it will land, and the first must wait for it.
+        let (load, b) = rig(2, NEVER, NEVER);
+        let _first = admit(&load, &b, 1);
+        let _second = load.admit(usize::MAX).expect("unbounded admission");
+        std::thread::scope(|scope| {
+            let rx = dispatcher(scope, &b, 1);
+            // A head start for the dispatcher to look at the queue. The
+            // verdict is the batch's content, which a correct rule makes
+            // [1, 2] whether or not it looked before the second enqueue.
+            let early = rx.recv_timeout(Duration::from_millis(100)).ok();
+            b.enqueue(2).unwrap();
+            let (batch, _) = early.unwrap_or_else(|| rx.recv_timeout(NEVER * 2).unwrap());
+            assert_eq!(batch.unwrap(), [1, 2], "dispatched without its batch-mate");
+        });
+    }
+
+    #[test]
     fn idle_third_connection_keeps_the_gap_wait() {
         let gap = Duration::from_millis(30);
         let (load, b) = rig(3, NEVER, gap);

@@ -19,18 +19,23 @@
 //! *Possible* is decided from evidence, not from a timer. The protocol
 //! allows **at most one `Knn` in flight per connection** (replies are
 //! written by the dispatcher onto the connection's socket, so a client
-//! must read one before sending the next), hence once the admitted,
-//! unanswered requests number at least the live connections
-//! ([`Load::every_conn_waiting`]) every client is blocked on a reply and
-//! the only thing a longer window can add is latency. The window closes
-//! at that instant — two closed-loop clients coalesce into fill 2 and
-//! dispatch the moment the second request lands, a lone client never
-//! pays a gap. The timers still govern whenever some connection is idle
-//! or busy with a non-`Knn` round trip (feedback, stats): a lone request
-//! then pays at most one idle gap; in the bursty think-time regime the
-//! gap cutoff dispatches the moment a burst ends; under saturation the
-//! batcher is work-conserving and its fill self-tunes to
-//! `arrival rate × pass time`.
+//! must read one before sending the next), hence once the queued
+//! requests number at least the live connections every client is
+//! blocked on a reply and the only thing a longer window can add is
+//! latency. The window closes at that instant — two closed-loop clients
+//! coalesce into fill 2 and dispatch the moment the second request
+//! lands, a lone client never pays a gap. The count is the queue
+//! itself, read under the batcher lock: a request admitted but not yet
+//! enqueued is still on its way, and closing on it would dispatch its
+//! batch-mate alone. (The dispatcher fires a pass's replies before it
+//! collects the next batch, so while it collects, every admitted,
+//! unanswered request is queued or about to be.) The timers still
+//! govern whenever some connection is idle or busy with a non-`Knn`
+//! round trip (feedback, stats): a lone request then pays at most one
+//! idle gap; in the bursty think-time regime the gap cutoff dispatches
+//! the moment a burst ends; under saturation the batcher is
+//! work-conserving and its fill self-tunes to `arrival rate × pass
+//! time`.
 //!
 //! The dispatcher runs each request's reply sink (session bookkeeping,
 //! encoding, the socket write) right after the pass, so no extra thread
@@ -53,17 +58,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// The two server-wide counts the window-close rule reads: admitted
-/// `Knn` requests whose reply has not fired, and connections whose
-/// thread is alive. The front-end owns the writes (on a router it is
-/// also the admission bound and nothing else reads it); a server's
-/// [`Batcher`] holds the same `Arc` and only reads.
+/// Two server-wide counts: admitted `Knn` requests whose reply has not
+/// fired (the admission bound) and connections whose thread is alive
+/// (what the window-close rule compares the queue with). The front-end
+/// owns the writes; a server's [`Batcher`] holds the same `Arc` and
+/// only reads `live_conns`.
 ///
-/// A leak would fail silently in either direction — `inflight` stuck
-/// high keeps every window closed (no coalescing), `live_conns` stuck
-/// high never closes one early (the old timer wait) — so both are
-/// released by drop guards only: [`InFlight`] here, the connection
-/// thread's guard in the front-end (which also tells the backend).
+/// A leak would fail silently — `inflight` stuck high refuses
+/// admissions, `live_conns` stuck high never closes a window early (the
+/// timer wait) — so both are released by drop guards only: [`InFlight`]
+/// here, the connection thread's guard in the front-end (which also
+/// tells the backend).
 #[derive(Default)]
 pub(crate) struct Load {
     inflight: AtomicUsize,
@@ -96,13 +101,9 @@ impl Load {
         self.live_conns.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Whether every live connection already has its one allowed `Knn`
-    /// admitted and unanswered — no further arrival is possible until a
-    /// reply fires. Also true when connections died with their requests
-    /// still queued (`inflight > live_conns`): nobody is left to wait
-    /// for.
-    pub(crate) fn every_conn_waiting(&self) -> bool {
-        self.inflight.load(Ordering::SeqCst) >= self.live_conns.load(Ordering::SeqCst)
+    /// Connections whose thread is alive right now.
+    pub(crate) fn live_conns(&self) -> usize {
+        self.live_conns.load(Ordering::SeqCst)
     }
 
     /// `(inflight, live_conns)` right now.
@@ -166,7 +167,7 @@ impl<T> Batcher<T> {
 
     /// Enqueue one item (stamped now); once shutting down, the item is
     /// handed back instead. The item's [`InFlight`] claim must already
-    /// be held, so the dispatcher this wakes sees it counted.
+    /// be held: admission bounds what the queue can hold.
     pub(crate) fn enqueue(&self, item: T) -> Result<(), T> {
         let mut g = self.inner.lock().expect("batcher lock");
         if g.shutdown {
@@ -199,8 +200,10 @@ impl<T> Batcher<T> {
     ///
     /// Collection policy, from the first queued item: hold the batch
     /// open **only while the batch is below `target_fill` and another
-    /// arrival is possible** ([`Load::every_conn_waiting`] is false),
-    /// and within that, dispatch as soon as one of
+    /// arrival is possible** — fewer items queued than live connections
+    /// (more queued means connections died with their requests in the
+    /// queue: nobody is left to wait for) — and within that, dispatch
+    /// as soon as one of
     ///
     /// * `max_wait` elapsed since the oldest queued item, or
     /// * no new item arrived for `idle_gap` — think-time traffic is
@@ -225,7 +228,10 @@ impl<T> Batcher<T> {
         let deadline = g.queue.front().expect("non-empty").0 + self.max_wait;
         let mut seen = 0;
         let mut gap_end = deadline;
-        while g.queue.len() < self.target_fill && !g.shutdown && !self.load.every_conn_waiting() {
+        while g.queue.len() < self.target_fill
+            && !g.shutdown
+            && g.queue.len() < self.load.live_conns()
+        {
             if g.queue.len() > seen {
                 // A new arrival restarts the idle-gap clock.
                 seen = g.queue.len();

@@ -157,8 +157,10 @@ impl SessionStore {
     /// metric — the same fallback the in-process loop driver applies).
     /// `query` is already lowered — for `KnnV2` it is the derived
     /// Rocchio anchor, so this path is identical for both opcodes.
-    /// Degenerate predicted weights fall back to uniform. `Err` carries
-    /// the ready-to-send error response.
+    /// A predicted point with a non-finite component falls back to the
+    /// query and uniform weights, like a failed prediction; degenerate
+    /// predicted weights fall back to uniform. `Err` carries the
+    /// ready-to-send error response.
     pub(crate) fn resolve_knn(
         &self,
         conn_id: u64,
@@ -188,9 +190,11 @@ impl SessionStore {
         let (point, weights) = match resolved {
             Some(params) => params,
             None => {
+                // A prediction with a non-finite point (a restored image
+                // may store any offset) searches like a failed one.
                 let (point, weights) = match self.bypass.predict(&query) {
-                    Ok(p) => (p.point, p.weights),
-                    Err(_) => (query.clone(), vec![1.0; dim]),
+                    Ok(p) if p.point.iter().all(|v| v.is_finite()) => (p.point, p.weights),
+                    _ => (query.clone(), vec![1.0; dim]),
                 };
                 let mut sessions = self.sessions.lock().expect("sessions lock");
                 let Some(sess) = owned_session(&mut sessions, session, conn_id) else {

@@ -3,7 +3,9 @@
 //! never panics, never a wedged batcher, never a leaked session.
 
 use fbp_server::{serve, Client, ClientError, ErrorCode, ServerConfig};
-use fbp_vecdb::{Collection, CollectionBuilder};
+use fbp_vecdb::{
+    Collection, CollectionBuilder, KnnEngine, LinearScan, ScanMode, WeightedEuclidean,
+};
 use feedbackbypass::{BypassConfig, FeedbackBypass, SharedBypass};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -243,6 +245,18 @@ fn mid_request_disconnect_does_not_poison_the_batcher() {
     handle.shutdown();
 }
 
+/// Re-seal a module image's FNV-1a checksum (its last eight bytes, over
+/// everything after the mapping tag) after editing its body.
+fn reseal(image: &mut [u8]) {
+    let body_end = image.len() - 8;
+    let sum = image[1..body_end]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    image[body_end..].copy_from_slice(&sum.to_le_bytes());
+}
+
 #[test]
 fn hostile_module_image_is_a_coded_error_not_an_abort() {
     // An empty 4-d module with its vertex count set to u32::MAX and the
@@ -250,11 +264,6 @@ fn hostile_module_image_is_a_coded_error_not_an_abort() {
     // that claim ~160 GB of vertices. The decoder must refuse the count
     // before allocating for it, or the allocation failure aborts the
     // whole server.
-    fn fnv1a(data: &[u8]) -> u64 {
-        data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
     let mut image = FeedbackBypass::for_histograms(5, BypassConfig::default())
         .unwrap()
         .to_bytes();
@@ -263,9 +272,7 @@ fn hostile_module_image_is_a_coded_error_not_an_abort() {
     // counters, then the vertex count.
     let vertex_count_at = 1 + 4 + 4 + 1 + 4 + 8 + 8 + 4 * 8 + 2 + 3 * 8;
     image[vertex_count_at..vertex_count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let body_end = image.len() - 8;
-    let sum = fnv1a(&image[1..body_end]);
-    image[body_end..].copy_from_slice(&sum.to_le_bytes());
+    reseal(&mut image);
 
     let handle = start_server(ServerConfig::default());
     let addr = handle.local_addr();
@@ -326,4 +333,47 @@ fn shutdown_with_live_connections_and_queued_work_is_clean() {
         "shutdown took {:?}",
         t0.elapsed()
     );
+}
+
+#[test]
+fn non_finite_predicted_point_falls_back_to_the_query() {
+    // A module that learned one query's offsets, then had them replaced
+    // by +∞ in its image and the checksum re-sealed: the image reader
+    // checks structure and checksum, not values, so the restore
+    // succeeds. A prediction with a non-finite point must search like a
+    // failed prediction — the query point under the uniform metric —
+    // not rank every row at distance ∞.
+    let q = [1.0 / DIM as f64; DIM];
+    let delta = [0.0123, -0.0234, 0.0345, -0.0156, 0.0067];
+    let qopt: Vec<f64> = (0..DIM)
+        .map(|i| q[i] + delta.get(i).copied().unwrap_or(0.0))
+        .collect();
+    let mut module = FeedbackBypass::for_histograms(DIM, BypassConfig::default()).unwrap();
+    module.insert(&q, &qopt, &[1.0; DIM]).unwrap();
+    let mut image = module.to_bytes();
+    for i in 0..delta.len() {
+        // The stored offset is `qopt − q`, computed as the insert does.
+        let stored = (qopt[i] - q[i]).to_le_bytes();
+        let at: Vec<usize> = (0..image.len() - 8)
+            .filter(|&o| image[o..o + 8] == stored)
+            .collect();
+        assert_eq!(at.len(), 1, "offset {i} is stored once");
+        image[at[0]..at[0] + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
+    }
+    reseal(&mut image);
+
+    let handle = start_server(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.restore_module(&image).unwrap();
+    let (session, _) = client.open_session().unwrap();
+    let reply = client.knn(session, 5, &q).unwrap();
+    let coll = collection();
+    let expect = LinearScan::with_mode(&coll, ScanMode::Batched).knn(
+        &q,
+        5,
+        &WeightedEuclidean::uniform(DIM),
+    );
+    assert_eq!(reply.neighbors, expect);
+    client.close_session(session).unwrap();
+    handle.shutdown();
 }

@@ -1,9 +1,9 @@
-//! Criterion micro-benchmarks for the distance-function classes of §2:
-//! per-evaluation cost of L2 and weighted L2 at the paper's
-//! dimensionality.
+//! Criterion micro-benchmarks for the weighted-Euclidean class of §2:
+//! per-evaluation cost at the paper's dimensionality, under uniform
+//! weights (plain Euclidean) and under varied weights.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fbp_vecdb::{Distance, Euclidean, WeightedEuclidean};
+use fbp_vecdb::{Distance, WeightedEuclidean};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Duration;
@@ -28,7 +28,7 @@ fn bench_distances(c: &mut Criterion) {
 
     let run = |group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>,
                name: &str,
-               dist: &dyn Distance| {
+               dist: &WeightedEuclidean| {
         let pts = &pts;
         group.bench_function(name, |b| {
             let mut i = 0;
@@ -41,7 +41,7 @@ fn bench_distances(c: &mut Criterion) {
         });
     };
 
-    run(&mut group, "euclidean", &Euclidean);
+    run(&mut group, "uniform", &WeightedEuclidean::uniform(DIM));
     run(
         &mut group,
         "weighted_euclidean",
@@ -68,9 +68,9 @@ fn bench_batch_kernels(c: &mut Criterion) {
 
     let run = |group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>,
                name: &str,
-               dist: &dyn Distance| {
+               dist: &WeightedEuclidean| {
         let mut out = vec![0.0; ROWS];
-        // Scalar loop through the `dyn` vtable, one call per row.
+        // Scalar loop, one `eval` call per row.
         group.bench_function(format!("{name}/scalar_eval_loop"), |b| {
             b.iter(|| {
                 for (row, slot) in block.chunks_exact(DIM).zip(out.iter_mut()) {
@@ -94,7 +94,7 @@ fn bench_batch_kernels(c: &mut Criterion) {
         });
     };
 
-    run(&mut group, "euclidean", &Euclidean);
+    run(&mut group, "uniform", &WeightedEuclidean::uniform(DIM));
     run(&mut group, "weighted_euclidean", &weighted);
     group.finish();
 }

@@ -19,9 +19,8 @@ use fbp_bench::{emit, is_fast, time_median_ns, write_bench_json};
 use fbp_eval::report::Figure;
 use fbp_eval::Series;
 use fbp_vecdb::{
-    CollectionBuilder, Distance, KnnEngine, LinearScan, MultiQueryScan, Precision, QueryBatch,
-    QueryMetrics::{PerQuery, Shared},
-    ScanMode, WeightedEuclidean,
+    CollectionBuilder, KnnEngine, LinearScan, MultiQueryScan, Precision, QueryBatch,
+    QueryMetrics::Shared, ScanMode, WeightedEuclidean,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
@@ -59,12 +58,6 @@ fn main() {
     let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
     let weights: Vec<f64> = (0..DIM).map(|_| rng.gen_range(0.3..3.0)).collect();
     let weighted = WeightedEuclidean::new(weights).unwrap();
-    // Heterogeneous per-session metrics for the diverged-serving point.
-    let session_metrics: Vec<WeightedEuclidean> = (0..TOTAL_QUERIES)
-        .map(|_| {
-            WeightedEuclidean::new((0..DIM).map(|_| rng.gen_range(0.3..3.0)).collect()).unwrap()
-        })
-        .collect();
 
     let (warmup, samples) = if is_fast() { (1, 5) } else { (3, 15) };
     eprintln!(
@@ -110,19 +103,6 @@ fn main() {
         sweeps.push((precision, sweep));
     }
 
-    // Diverged sessions: every query under its own metric, Q = 16.
-    let dists: Vec<&dyn Distance> = session_metrics.iter().map(|m| m as &dyn Distance).collect();
-    let multi = MultiQueryScan::with_mode(&coll, ScanMode::Batched);
-    let per_query_ns = time_median_ns(warmup, samples, || {
-        for (batch, dist_batch) in refs.chunks(16).zip(dists.chunks(16)) {
-            black_box(
-                multi
-                    .knn(&QueryBatch::new(batch, PerQuery(dist_batch), K))
-                    .len(),
-            );
-        }
-    }) / TOTAL_QUERIES as f64;
-
     let data_bytes = coll.memory_bytes() - coll.mirror_bytes();
     println!("multi-query scan, {N} × {DIM}-d weighted-Euclidean, k = {K}");
     println!(
@@ -145,7 +125,6 @@ fn main() {
             row(&format!("multi-query {tag} shared Q={q}"), ns);
         }
     }
-    row("multi-query own metrics Q=16", per_query_ns);
     println!(
         "f32-rescore speedup at Q=1: {:.2}x (bandwidth floor would be ~2x)",
         linear_ns / linear_f32_ns
@@ -203,7 +182,6 @@ fn main() {
             "\"linear_scan_ns_per_query\":{:.1},",
             "\"linear_scan_f32_ns_per_query\":{:.1},",
             "\"f32_rescore_speedup_q1\":{:.3},",
-            "\"per_query_metrics_q16_ns_per_query\":{:.1},",
             "\"qsweep\":[{}]}}\n"
         ),
         N,
@@ -215,7 +193,6 @@ fn main() {
         linear_ns,
         linear_f32_ns,
         linear_ns / linear_f32_ns,
-        per_query_ns,
         qsweep_json.join(",")
     ));
 }

@@ -14,14 +14,14 @@
 //!   explicit metric weights in the mix. (The sharded server and router
 //!   paths ride the same invariant over the wire and are pinned by the
 //!   server crate's `spec_wire` tests.)
-//! * **Derived anchors scan identically under every distance class ×
-//!   both precisions.** Euclidean and weighted-Euclidean scans (mildly
+//! * **Derived anchors scan identically under every weight shape ×
+//!   both precisions.** Weighted-Euclidean scans (uniform, mildly
 //!   varied and log-spread weights) of a spec's derived anchor return
 //!   the same neighbors at `F64` and `F32Rescore`.
 
 use fbp_vecdb::{
-    CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan, Precision,
-    ScanMode, WeightedEuclidean,
+    CollectionBuilder, KnnEngine, LinearScan, MultiQueryScan, Precision, ScanMode,
+    WeightedEuclidean,
 };
 use feedbackbypass::{BypassConfig, FeedbackBypass, QuerySpec, RocchioWeights, SharedBypass};
 use proptest::prelude::*;
@@ -278,10 +278,10 @@ proptest! {
             .collect();
         let mean = ln_w.iter().sum::<f64>() / DIM as f64;
         let skewed: Vec<f64> = ln_w.iter().map(|l| (l - mean).exp()).collect();
-        let classes: Vec<Box<dyn Distance>> = vec![
-            Box::new(Euclidean),
-            Box::new(WeightedEuclidean::new(w).unwrap()),
-            Box::new(WeightedEuclidean::new(skewed).unwrap()),
+        let classes: Vec<WeightedEuclidean> = vec![
+            WeightedEuclidean::uniform(DIM),
+            WeightedEuclidean::new(w).unwrap(),
+            WeightedEuclidean::new(skewed).unwrap(),
         ];
         for class in &classes {
             let f64_scan =
@@ -289,10 +289,10 @@ proptest! {
             let rescore = LinearScan::with_mode(&coll, ScanMode::Auto)
                 .with_precision(Precision::F32Rescore);
             prop_assert_eq!(
-                f64_scan.knn(q, 10, class.as_ref()),
-                rescore.knn(q, 10, class.as_ref()),
-                "{} diverged between precisions",
-                class.name()
+                f64_scan.knn(q, 10, class),
+                rescore.knn(q, 10, class),
+                "weights {:?} diverged between precisions",
+                class.weights()
             );
         }
     }

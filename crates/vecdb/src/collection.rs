@@ -412,6 +412,9 @@ impl PartitionedCollection {
             }
             s
         };
+        // Squared Euclidean keys through the unit-weight kernel (`(1·d)·d`
+        // is exact, so these are the plain sum's bits).
+        let unit = vec![1.0f64; dim];
         let mut keys = vec![0.0f64; p * PART_BLOCK];
         let bounds = vec![f64::INFINITY; p];
         for _ in 0..cfg.lloyd_iters {
@@ -421,7 +424,9 @@ impl PartitionedCollection {
             while start < sample_n {
                 let end = (start + PART_BLOCK).min(sample_n);
                 let rows = end - start;
-                crate::distance::kernels::l2_sq_multi_block(
+                crate::distance::kernels::weighted_sq_multi_block(
+                    &unit,
+                    0,
                     &centroids,
                     &sample[start * dim..end * dim],
                     dim,
@@ -481,7 +486,9 @@ impl PartitionedCollection {
                 while start < rows_range.end {
                     let end = (start + PART_BLOCK).min(rows_range.end);
                     let rows = end - start;
-                    crate::distance::kernels::l2_sq_multi_block(
+                    crate::distance::kernels::weighted_sq_multi_block(
+                        &unit,
+                        0,
                         &centroids,
                         coll.block(start, end),
                         dim,

@@ -1,5 +1,8 @@
-//! Blocked distance kernels shared by the [`super::Distance`]
-//! implementations.
+//! Blocked weighted squared-Euclidean kernels behind
+//! [`WeightedEuclidean`](super::WeightedEuclidean) and the scans: every
+//! key is `Σ wᵢ·(qᵢ − rᵢ)²`, and the unweighted sum is its `w ≡ 1` case
+//! (`(1·d)·d` is exact, and nothing contracts it to a fused
+//! multiply-add, so unit weights give the plain sum's f64 bits).
 //!
 //! The per-row inner loops are unrolled 8-wide over independent
 //! accumulators — enough parallel chains for LLVM to
@@ -27,15 +30,14 @@
 //! under monotone rounding), so early abandonment against an *inflated*
 //! bound can only drop rows whose full f32 key also exceeds that bound,
 //! and a given (query, row) pair gets the same f32 key from the batch,
-//! multi and one-row entry points. On FMA hosts the weighted multi kernel
-//! scores a block in register tiles — 4 queries × 2 rows (eight FMA
-//! chains), then 2 × 2, then the row pair for an odd query, then single
-//! rows for an odd row — and on AVX-512F hosts a batch of
-//! [`ROWS_IN_LANES_MIN_QUERIES`] or more weighted queries
-//! ([`L2_ROWS_IN_LANES_MIN_QUERIES`] or more L2 queries) in
-//! rows-in-lanes order: sixteen rows per vector, transposed once per
-//! block group. Every shape gives each pair the key bits of
-//! the one-query row kernels: the same per-chunk FMA order, the same
+//! multi and one-row entry points. On FMA hosts the multi kernel scores
+//! a block in register tiles — 4 queries × 2 rows (eight FMA chains),
+//! then 2 × 2, then the row pair for an odd query, then single rows for
+//! an odd row — and on AVX-512F hosts a batch of
+//! [`ROWS_IN_LANES_MIN_QUERIES`] or more queries in rows-in-lanes order:
+//! sixteen rows per vector, transposed once per block group. Every shape
+//! gives each pair the key bits of the one-query row kernels: the same
+//! per-chunk FMA order, the same
 //! reduction tree (the 4×2 tile reduces its eight accumulators in one
 //! transposed pass whose lane `i` is exactly the one-row tree of
 //! accumulator `i`; a row lane joins its eight residue partials in that
@@ -54,10 +56,9 @@ pub(crate) const LANES: usize = 8;
 /// horizontal reduction eats the wider-register win at dim ≈ 64.
 pub(crate) const LANES_F32: usize = 8;
 
-/// Queries at which the weighted f32 multi kernel (per-query or shared
-/// weights) switches, on AVX-512F + FMA hosts, from the register tiles
-/// to the rows-in-lanes order (see the `f32_intr` module);
-/// [`L2_ROWS_IN_LANES_MIN_QUERIES`] is the L2 kernel's. Break-even on a
+/// Queries at which the f32 multi kernel (per-query or shared weights)
+/// switches, on AVX-512F + FMA hosts, from the register tiles to the
+/// rows-in-lanes order (see the `f32_intr` module). Break-even on a
 /// 2-vCPU AVX-512 x86-64 host: fastest of 60 same-process alternations
 /// per cell, rows-in-lanes ns over tile ns per (query, row), and how
 /// many of the 60 alternations rows in lanes won:
@@ -70,31 +71,18 @@ pub(crate) const LANES_F32: usize = 8;
 /// | shared    | 50k × 32   | ×1.15 3/60  | ×1.19 3/60  | ×1.16 6/60  | ×0.79 60/60 | ×0.71 54/60 |
 /// | shared    | 16k × 32   | ×1.18 4/60  | ×1.29 1/60  | ×1.21 3/60  | ×0.82 55/60 | ×0.85 58/60 |
 /// | shared    | 120k × 64  | ×0.94 39/60 | ×0.92 59/60 | ×0.81 60/60 | ×0.83 60/60 | ×0.84 60/60 |
-/// | L2        | 50k × 32   | ×0.95 56/60 | ×0.80 60/60 | ×0.66 60/60 | ×0.45 60/60 | ×0.39 60/60 |
-/// | L2        | 16k × 32   | ×0.98 54/60 | ×0.99 55/60 | ×0.49 60/60 | ×0.36 60/60 | ×0.35 60/60 |
-/// | L2        | 120k × 64  | ×1.00 42/60 | ×0.80 60/60 | ×0.67 60/60 | ×0.65 60/60 | ×0.66 60/60 |
 ///
 /// A second run put every cell on the same side of ×1 but the Q = 1
 /// per-query and the Q = 8 shared cell at 120k × 64 (×0.88 and ×1.00).
 /// The transposed group pays off only when many queries share it. The
-/// weighted kernels' 4×2 tile already shares each row load across four
-/// queries, so at 32-d rows in lanes loses below 8 queries and wins
-/// from 8 up (at 64-d it wins from 2 or 4). From 8 up the
-/// per-query-weight scan also drops its separate admit pass
-/// (`weighted_sq_multi_admit_f32`). `kernel_timing.rs`'s
+/// 4×2 tile already shares each row load across four queries, so at
+/// 32-d rows in lanes loses below 8 queries and wins from 8 up (at 64-d
+/// it wins from 2 or 4). From 8 up the f32 scan also drops its separate
+/// admit pass (`weighted_sq_multi_admit_f32`). `kernel_timing.rs`'s
 /// ignored `time_per_query_weight_multi_kernel` reprints the half of
 /// this comparison from each cutoff up on any host (below a cutoff
 /// both of its columns run the tiles).
 pub(crate) const ROWS_IN_LANES_MIN_QUERIES: usize = 8;
-
-/// Queries at which the L2 f32 multi kernel switches to the
-/// rows-in-lanes order (break-even in the table on
-/// [`ROWS_IN_LANES_MIN_QUERIES`]). The L2 dimensions-in-lanes kernel
-/// has no query tile, so rows in lanes wins from 2 queries; the cutoff
-/// sits at 4, where it won every alternation at every shape
-/// (×0.49–0.67), and keeps the 1–2-query batches of the serving paths
-/// on the kernel they had.
-pub(crate) const L2_ROWS_IN_LANES_MIN_QUERIES: usize = 4;
 
 /// Components accumulated between early-abandon bound checks (f64).
 const SEGMENT: usize = 64;
@@ -134,28 +122,6 @@ fn weighted_sq_seg(w: &[f64], q: &[f64], r: &[f64]) -> f64 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
-/// Sum of `(q − r)²` over one segment (8-wide unrolled).
-#[inline(always)]
-fn l2_sq_seg(q: &[f64], r: &[f64]) -> f64 {
-    let n = q.len();
-    let r = &r[..n];
-    let mut acc = [0.0f64; LANES];
-    let mut qc = q.chunks_exact(LANES);
-    let mut rc = r.chunks_exact(LANES);
-    for (qs, rs) in (&mut qc).zip(&mut rc) {
-        for l in 0..LANES {
-            let d = qs[l] - rs[l];
-            acc[l] += d * d;
-        }
-    }
-    let mut tail = 0.0;
-    for (x, y) in qc.remainder().iter().zip(rc.remainder().iter()) {
-        let d = x - y;
-        tail += d * d;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
-}
-
 // The row functions below all accumulate segment-by-segment so that the
 // bounded and unbounded paths produce BIT-IDENTICAL sums for rows that
 // survive the bound — passes mixing the two paths (the rescore pushes
@@ -171,20 +137,6 @@ pub(crate) fn weighted_sq_row(w: &[f64], q: &[f64], r: &[f64]) -> f64 {
     while i < n {
         let end = (i + SEGMENT).min(n);
         acc += weighted_sq_seg(&w[i..end], &q[i..end], &r[i..end]);
-        i = end;
-    }
-    acc
-}
-
-/// Sum of `(q − r)²` over one row.
-#[inline(always)]
-pub(crate) fn l2_sq_row(q: &[f64], r: &[f64]) -> f64 {
-    let n = q.len();
-    let mut acc = 0.0;
-    let mut i = 0;
-    while i < n {
-        let end = (i + SEGMENT).min(n);
-        acc += l2_sq_seg(&q[i..end], &r[i..end]);
         i = end;
     }
     acc
@@ -208,36 +160,11 @@ fn weighted_sq_row_bounded(w: &[f64], q: &[f64], r: &[f64], bound: f64) -> f64 {
     acc
 }
 
-#[inline(always)]
-fn l2_sq_row_bounded(q: &[f64], r: &[f64], bound: f64) -> f64 {
-    let n = q.len();
-    let mut acc = 0.0;
-    let mut i = 0;
-    while i < n {
-        let end = (i + SEGMENT).min(n);
-        acc += l2_sq_seg(&q[i..end], &r[i..end]);
-        if acc > bound {
-            return f64::INFINITY;
-        }
-        i = end;
-    }
-    acc
-}
-
 /// Per-(query, row) computation shared by the single- and multi-query
 /// block kernels: bounded accumulation when a finite bound can pay for
 /// its branches, exact accumulation otherwise. Rows that survive a bound
 /// get BIT-IDENTICAL sums on either path (see above), so multi-query
 /// scans carrying per-query bounds agree exactly with per-query scans.
-#[inline(always)]
-fn l2_sq_pair(q: &[f64], r: &[f64], bound: f64) -> f64 {
-    if bound.is_finite() && q.len() > SEGMENT {
-        l2_sq_row_bounded(q, r, bound)
-    } else {
-        l2_sq_row(q, r)
-    }
-}
-
 #[inline(always)]
 fn weighted_sq_pair(w: &[f64], q: &[f64], r: &[f64], bound: f64) -> f64 {
     if bound.is_finite() && q.len() > SEGMENT {
@@ -247,25 +174,11 @@ fn weighted_sq_pair(w: &[f64], q: &[f64], r: &[f64], bound: f64) -> f64 {
     }
 }
 
-/// Squared-Euclidean keys for a row-major block (portable body).
+/// Weighted squared-Euclidean keys for a row-major block (portable body).
 ///
 /// Abandonment only pays once a row spans multiple segments; exact keys
 /// are cheaper than branchy ones for short rows. The mode branch is
 /// hoisted out of the row loop.
-#[inline(always)]
-fn l2_sq_block_impl(query: &[f64], block: &[f64], dim: usize, bound: f64, out: &mut [f64]) {
-    if bound.is_finite() && dim > SEGMENT {
-        for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-            *slot = l2_sq_row_bounded(query, row, bound);
-        }
-    } else {
-        for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-            *slot = l2_sq_row(query, row);
-        }
-    }
-}
-
-/// Weighted squared-Euclidean keys for a row-major block (portable body).
 #[inline(always)]
 fn weighted_sq_block_impl(
     weights: &[f64],
@@ -286,30 +199,19 @@ fn weighted_sq_block_impl(
     }
 }
 
-/// Squared-Euclidean keys for Q queries × one row-major block (portable
-/// body). `queries` is `Q × dim` row-major; `bounds` holds one pruning
-/// threshold per query; `out` is `Q × rows` row-major per query
-/// (`out[q·rows + r]`).
+/// Weighted squared-Euclidean keys for Q queries × one row-major block
+/// (portable body). `queries` is `Q × dim` row-major; `bounds` holds one
+/// pruning threshold per query; `out` is `Q × rows` row-major per query
+/// (`out[q·rows + r]`). `w_stride` selects the weight layout: `0` shares
+/// one `dim`-long weight row across all queries (one metric, many
+/// queries), `dim` gives each query its own weight row (per-session
+/// learned metrics).
 ///
 /// The row loop is OUTER: each block row is loaded once and scored
 /// against every query while it sits in registers/L1, so collection
 /// bytes per query drop by ~Q× versus Q separate block passes. Each
 /// (query, row) pair accumulates exactly like the single-query kernel,
 /// so surviving keys are bit-identical to Q independent passes.
-#[inline(always)]
-fn l2_sq_multi_impl(queries: &[f64], block: &[f64], dim: usize, bounds: &[f64], out: &mut [f64]) {
-    let rows = block.len().checked_div(dim).unwrap_or(0);
-    for (r, row) in block.chunks_exact(dim).enumerate() {
-        for (q, query) in queries.chunks_exact(dim).enumerate() {
-            out[q * rows + r] = l2_sq_pair(query, row, bounds[q]);
-        }
-    }
-}
-
-/// Weighted squared-Euclidean keys for Q queries × one block (portable
-/// body). `w_stride` selects the weight layout: `0` shares one `dim`-long
-/// weight row across all queries (one metric, many queries), `dim` gives
-/// each query its own weight row (per-session learned metrics).
 #[inline(always)]
 fn weighted_sq_multi_impl(
     weights: &[f64],
@@ -379,28 +281,6 @@ mod f32_plain {
         reduce_f32(&acc) + tail
     }
 
-    /// Sum of `(q − r)²` over one segment (8-wide unrolled).
-    #[inline(always)]
-    fn l2_sq_seg(q: &[f32], r: &[f32]) -> f32 {
-        let n = q.len();
-        let r = &r[..n];
-        let mut acc = [0.0f32; LANES_F32];
-        let mut qc = q.chunks_exact(LANES_F32);
-        let mut rc = r.chunks_exact(LANES_F32);
-        for (qs, rs) in (&mut qc).zip(&mut rc) {
-            for l in 0..LANES_F32 {
-                let d = qs[l] - rs[l];
-                acc[l] += d * d;
-            }
-        }
-        let mut tail = 0.0f32;
-        for (x, y) in qc.remainder().iter().zip(rc.remainder().iter()) {
-            let d = x - y;
-            tail += d * d;
-        }
-        reduce_f32(&acc) + tail
-    }
-
     /// Two rows' `w·(q − r)²` segment sums, interleaved: the
     /// per-row FP dependency chain is the latency bottleneck of
     /// the f32 pass, so a row pair keeps two independent chains
@@ -442,41 +322,6 @@ mod f32_plain {
         (reduce_f32(&acc0) + tail0, reduce_f32(&acc1) + tail1)
     }
 
-    /// Two rows' `(q − r)²` segment sums, interleaved (see
-    /// [`weighted_sq_seg2`]).
-    #[inline(always)]
-    fn l2_sq_seg2(q: &[f32], r0: &[f32], r1: &[f32]) -> (f32, f32) {
-        let n = q.len();
-        let (r0, r1) = (&r0[..n], &r1[..n]);
-        let mut acc0 = [0.0f32; LANES_F32];
-        let mut acc1 = [0.0f32; LANES_F32];
-        let mut qc = q.chunks_exact(LANES_F32);
-        let mut rc0 = r0.chunks_exact(LANES_F32);
-        let mut rc1 = r1.chunks_exact(LANES_F32);
-        for ((qs, rs0), rs1) in (&mut qc).zip(&mut rc0).zip(&mut rc1) {
-            for l in 0..LANES_F32 {
-                let d0 = qs[l] - rs0[l];
-                acc0[l] += d0 * d0;
-                let d1 = qs[l] - rs1[l];
-                acc1[l] += d1 * d1;
-            }
-        }
-        let mut tail0 = 0.0f32;
-        let mut tail1 = 0.0f32;
-        for ((x, y0), y1) in qc
-            .remainder()
-            .iter()
-            .zip(rc0.remainder().iter())
-            .zip(rc1.remainder().iter())
-        {
-            let d0 = x - y0;
-            tail0 += d0 * d0;
-            let d1 = x - y1;
-            tail1 += d1 * d1;
-        }
-        (reduce_f32(&acc0) + tail0, reduce_f32(&acc1) + tail1)
-    }
-
     /// Two full rows, interleaved; bit-identical per row to
     /// [`weighted_sq_row`].
     #[inline(always)]
@@ -495,24 +340,6 @@ mod f32_plain {
         (acc0, acc1)
     }
 
-    /// Two full rows, interleaved; bit-identical per row to
-    /// [`l2_sq_row`].
-    #[inline(always)]
-    fn l2_sq_row2(q: &[f32], r0: &[f32], r1: &[f32]) -> (f32, f32) {
-        let n = q.len();
-        let mut acc0 = 0.0f32;
-        let mut acc1 = 0.0f32;
-        let mut i = 0;
-        while i < n {
-            let end = (i + SEGMENT).min(n);
-            let (s0, s1) = l2_sq_seg2(&q[i..end], &r0[i..end], &r1[i..end]);
-            acc0 += s0;
-            acc1 += s1;
-            i = end;
-        }
-        (acc0, acc1)
-    }
-
     /// Sum of `w·(q − r)²` over one row.
     #[inline(always)]
     pub(super) fn weighted_sq_row(w: &[f32], q: &[f32], r: &[f32]) -> f32 {
@@ -522,20 +349,6 @@ mod f32_plain {
         while i < n {
             let end = (i + SEGMENT).min(n);
             acc += weighted_sq_seg(&w[i..end], &q[i..end], &r[i..end]);
-            i = end;
-        }
-        acc
-    }
-
-    /// Sum of `(q − r)²` over one row.
-    #[inline(always)]
-    pub(super) fn l2_sq_row(q: &[f32], r: &[f32]) -> f32 {
-        let n = q.len();
-        let mut acc = 0.0f32;
-        let mut i = 0;
-        while i < n {
-            let end = (i + SEGMENT).min(n);
-            acc += l2_sq_seg(&q[i..end], &r[i..end]);
             i = end;
         }
         acc
@@ -558,64 +371,11 @@ mod f32_plain {
     }
 
     #[inline(always)]
-    fn l2_sq_row_bounded(q: &[f32], r: &[f32], bound: f32) -> f32 {
-        let n = q.len();
-        let mut acc = 0.0f32;
-        let mut i = 0;
-        while i < n {
-            let end = (i + SEGMENT).min(n);
-            acc += l2_sq_seg(&q[i..end], &r[i..end]);
-            if acc > bound {
-                return f32::INFINITY;
-            }
-            i = end;
-        }
-        acc
-    }
-
-    #[inline(always)]
-    fn l2_sq_pair(q: &[f32], r: &[f32], bound: f32) -> f32 {
-        if bound.is_finite() && q.len() > SEGMENT {
-            l2_sq_row_bounded(q, r, bound)
-        } else {
-            l2_sq_row(q, r)
-        }
-    }
-
-    #[inline(always)]
     fn weighted_sq_pair(w: &[f32], q: &[f32], r: &[f32], bound: f32) -> f32 {
         if bound.is_finite() && q.len() > SEGMENT {
             weighted_sq_row_bounded(w, q, r, bound)
         } else {
             weighted_sq_row(w, q, r)
-        }
-    }
-
-    /// Squared-Euclidean f32 keys for a row-major f32 block.
-    #[inline(always)]
-    pub(super) fn l2_sq_block(
-        query: &[f32],
-        block: &[f32],
-        dim: usize,
-        bound: f32,
-        out: &mut [f32],
-    ) {
-        if bound.is_finite() && dim > SEGMENT {
-            for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-                *slot = l2_sq_row_bounded(query, row, bound);
-            }
-        } else {
-            let mut pairs = block.chunks_exact(2 * dim);
-            let mut slots = out.chunks_exact_mut(2);
-            for (pair, slot) in (&mut pairs).zip(&mut slots) {
-                let (a, b) = l2_sq_row2(query, &pair[..dim], &pair[dim..]);
-                slot[0] = a;
-                slot[1] = b;
-            }
-            let rem = pairs.remainder();
-            if let Some(slot) = slots.into_remainder().first_mut() {
-                *slot = l2_sq_row(query, &rem[..dim]);
-            }
         }
     }
 
@@ -648,26 +408,8 @@ mod f32_plain {
         }
     }
 
-    /// Squared-Euclidean f32 keys for Q queries × one block
-    /// (row-outer like the f64 multi kernel).
-    #[inline(always)]
-    pub(super) fn l2_sq_multi(
-        queries: &[f32],
-        block: &[f32],
-        dim: usize,
-        bounds: &[f32],
-        out: &mut [f32],
-    ) {
-        let rows = block.len().checked_div(dim).unwrap_or(0);
-        for (r, row) in block.chunks_exact(dim).enumerate() {
-            for (q, query) in queries.chunks_exact(dim).enumerate() {
-                out[q * rows + r] = l2_sq_pair(query, row, bounds[q]);
-            }
-        }
-    }
-
-    /// Weighted squared-Euclidean f32 keys for Q queries × one
-    /// block (`w_stride` as in the f64 multi kernel).
+    /// Weighted squared-Euclidean f32 keys for Q queries × one block
+    /// (row-outer, `w_stride` as in the f64 multi kernel).
     #[inline(always)]
     pub(super) fn weighted_sq_multi(
         weights: &[f32],
@@ -705,24 +447,20 @@ mod f32_plain {
 // block, and it has two evaluation orders:
 //
 // * Dimensions in lanes (every FMA host): a 256-bit accumulator holds
-//   eight dimension residues of one (query, row) key. The weighted
-//   kernel register-blocks queries × rows: 4×2 tiles (eight FMA chains,
-//   each row loaded once for four queries, eight keys reduced by six
-//   `hadd`s, two `permute2f128`s and one add), then a 2×2 tile, the
-//   row-pair kernel and single rows for what is left over. The L2
-//   kernel scores each row pair against one query at a time.
+//   eight dimension residues of one (query, row) key. The kernel
+//   register-blocks queries × rows: 4×2 tiles (eight FMA chains, each
+//   row loaded once for four queries, eight keys reduced by six `hadd`s,
+//   two `permute2f128`s and one add), then a 2×2 tile, the row-pair
+//   kernel and single rows for what is left over.
 // * Rows in lanes (AVX-512F hosts, batches of at least
-//   `ROWS_IN_LANES_MIN_QUERIES` weighted or `L2_ROWS_IN_LANES_MIN_QUERIES`
-//   L2 queries): a 16×16 in-register transpose turns each 16-row group
-//   into one 512-bit vector per dimension, once for the whole batch;
-//   every query then keeps eight residue partials per row lane and
-//   joins them with seven vector adds, so one vector holds sixteen
-//   finished keys. The transpose costs more than the reductions it
-//   saves until about eight queries share a group of the weighted
-//   kernel, and four of the L2 kernel, which shares no row load across
-//   queries (the table on `ROWS_IN_LANES_MIN_QUERIES`). A scan can
-//   compare the sixteen keys with its bound before they leave the
-//   register.
+//   `ROWS_IN_LANES_MIN_QUERIES` queries): a 16×16 in-register transpose
+//   turns each 16-row group into one 512-bit vector per dimension, once
+//   for the whole batch; every query then keeps eight residue partials
+//   per row lane and joins them with seven vector adds, so one vector
+//   holds sixteen finished keys. The transpose costs more than the
+//   reductions it saves until about eight queries share a group (the
+//   table on `ROWS_IN_LANES_MIN_QUERIES`). A scan can compare the
+//   sixteen keys with its bound before they leave the register.
 //
 // Neither order changes the arithmetic of one key: lane `r` of a
 // dimensions-in-lanes accumulator and partial `r` of a row lane see the
@@ -942,56 +680,6 @@ mod f32_intr {
         sums
     }
 
-    /// One row of `Σ (q−r)²`.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn l2_row(q: &[f32], r: &[f32]) -> f32 {
-        let dim = q.len();
-        let chunks = dim / 8;
-        let mut acc = _mm256_setzero_ps();
-        for c in 0..chunks {
-            let o = c * 8;
-            let d = _mm256_sub_ps(
-                _mm256_loadu_ps(q.as_ptr().add(o)),
-                _mm256_loadu_ps(r.as_ptr().add(o)),
-            );
-            acc = _mm256_fmadd_ps(d, d, acc);
-        }
-        let mut sum = reduce(acc);
-        for i in chunks * 8..dim {
-            let d = q[i] - r[i];
-            sum = d.mul_add(d, sum);
-        }
-        sum
-    }
-
-    /// Two rows of `Σ (q−r)²` in flight.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn l2_row2(q: &[f32], r0: &[f32], r1: &[f32]) -> (f32, f32) {
-        let dim = q.len();
-        let chunks = dim / 8;
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        for c in 0..chunks {
-            let o = c * 8;
-            let vq = _mm256_loadu_ps(q.as_ptr().add(o));
-            let d0 = _mm256_sub_ps(vq, _mm256_loadu_ps(r0.as_ptr().add(o)));
-            acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-            let d1 = _mm256_sub_ps(vq, _mm256_loadu_ps(r1.as_ptr().add(o)));
-            acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-        }
-        let mut sum0 = reduce(acc0);
-        let mut sum1 = reduce(acc1);
-        for i in chunks * 8..dim {
-            let d0 = q[i] - r0[i];
-            sum0 = d0.mul_add(d0, sum0);
-            let d1 = q[i] - r1[i];
-            sum1 = d1.mul_add(d1, sum1);
-        }
-        (sum0, sum1)
-    }
-
     /// Weighted block kernel: row pairs, remainder row single.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn weighted_sq_block(
@@ -1012,59 +700,6 @@ mod f32_intr {
         let rem = pairs.remainder();
         if let Some(slot) = slots.into_remainder().first_mut() {
             *slot = weighted_row(weights, query, &rem[..dim]);
-        }
-    }
-
-    /// L2 block kernel: row pairs, remainder row single.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn l2_sq_block(
-        query: &[f32],
-        block: &[f32],
-        dim: usize,
-        _bound: f32,
-        out: &mut [f32],
-    ) {
-        let mut pairs = block.chunks_exact(2 * dim);
-        let mut slots = out.chunks_exact_mut(2);
-        for (pair, slot) in (&mut pairs).zip(&mut slots) {
-            let (a, b) = l2_row2(query, &pair[..dim], &pair[dim..]);
-            slot[0] = a;
-            slot[1] = b;
-        }
-        let rem = pairs.remainder();
-        if let Some(slot) = slots.into_remainder().first_mut() {
-            *slot = l2_row(query, &rem[..dim]);
-        }
-    }
-
-    /// L2 multi kernel: row-pair outer, queries inner (each mirror row
-    /// pair is scored against every query while hot), per-(query, row)
-    /// arithmetic identical to the batch kernel's.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn l2_sq_multi(
-        queries: &[f32],
-        block: &[f32],
-        dim: usize,
-        bounds: &[f32],
-        out: &mut [f32],
-    ) {
-        let rows = block.len().checked_div(dim).unwrap_or(0);
-        let nq = bounds.len();
-        let mut pairs = block.chunks_exact(2 * dim);
-        let mut r = 0;
-        for pair in &mut pairs {
-            for (q, query) in queries.chunks_exact(dim).enumerate() {
-                let (a, b) = l2_row2(query, &pair[..dim], &pair[dim..]);
-                out[q * rows + r] = a;
-                out[q * rows + r + 1] = b;
-            }
-            r += 2;
-        }
-        let rem = pairs.remainder();
-        if r < rows {
-            for q in 0..nq {
-                out[q * rows + r] = l2_row(&queries[q * dim..(q + 1) * dim], &rem[..dim]);
-            }
         }
     }
 
@@ -1227,26 +862,21 @@ mod f32_intr {
     /// Sixteen keys of one query against a transposed lane group: lane
     /// `l` accumulates the dims `i ≡ r (mod 8)` of row `l` in partial
     /// `r` with the same FMAs, in the same order, as accumulator lane
-    /// `r` of [`weighted_row`] (of [`l2_row`] when `!WEIGHTED`), joins
-    /// the partials in [`reduce`]'s tree `((p0+p1)+(p2+p3)) +
-    /// ((p4+p5)+(p6+p7))` and adds the `dim % 8` tail per lane — so
-    /// every lane carries the bits the row-major kernels give its row.
+    /// `r` of [`weighted_row`], joins the partials in [`reduce`]'s tree
+    /// `((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7))` and adds the `dim % 8`
+    /// tail per lane — so every lane carries the bits the row-major
+    /// kernels give its row.
     ///
     /// # Safety
     ///
-    /// The host supports AVX-512F and FMA; `q` (and `w` when
-    /// `WEIGHTED`) point at `dim` floats and `t` at `dim × 16`.
+    /// The host supports AVX-512F and FMA; `w` and `q` point at `dim`
+    /// floats and `t` at `dim × 16`.
     #[inline]
     #[target_feature(enable = "avx512f,fma")]
-    unsafe fn lane_keys<const WEIGHTED: bool>(
-        w: *const f32,
-        q: *const f32,
-        t: *const f32,
-        dim: usize,
-    ) -> __m512 {
+    unsafe fn lane_keys(w: *const f32, q: *const f32, t: *const f32, dim: usize) -> __m512 {
         #[inline]
         #[target_feature(enable = "avx512f,fma")]
-        unsafe fn term<const WEIGHTED: bool>(
+        unsafe fn term(
             w: *const f32,
             q: *const f32,
             t: *const f32,
@@ -1254,17 +884,13 @@ mod f32_intr {
             acc: __m512,
         ) -> __m512 {
             let d = _mm512_sub_ps(_mm512_set1_ps(*q.add(i)), _mm512_loadu_ps(t.add(i * GROUP)));
-            if WEIGHTED {
-                _mm512_fmadd_ps(_mm512_set1_ps(*w.add(i)), _mm512_mul_ps(d, d), acc)
-            } else {
-                _mm512_fmadd_ps(d, d, acc)
-            }
+            _mm512_fmadd_ps(_mm512_set1_ps(*w.add(i)), _mm512_mul_ps(d, d), acc)
         }
         let chunks = dim / 8;
         let mut p = [_mm512_setzero_ps(); 8];
         for c in 0..chunks {
             for (r, acc) in p.iter_mut().enumerate() {
-                *acc = term::<WEIGHTED>(w, q, t, c * 8 + r, *acc);
+                *acc = term(w, q, t, c * 8 + r, *acc);
             }
         }
         let mut keys = _mm512_add_ps(
@@ -1272,7 +898,7 @@ mod f32_intr {
             _mm512_add_ps(_mm512_add_ps(p[4], p[5]), _mm512_add_ps(p[6], p[7])),
         );
         for i in chunks * 8..dim {
-            keys = term::<WEIGHTED>(w, q, t, i, keys);
+            keys = term(w, q, t, i, keys);
         }
         keys
     }
@@ -1290,17 +916,16 @@ mod f32_intr {
     /// load across four queries; this order shares one transposed group
     /// across the whole batch and reduces sixteen keys with seven adds,
     /// so it wins once a batch holds enough queries
-    /// ([`super::ROWS_IN_LANES_MIN_QUERIES`],
-    /// [`super::L2_ROWS_IN_LANES_MIN_QUERIES`]).
+    /// ([`super::ROWS_IN_LANES_MIN_QUERIES`]).
     ///
     /// # Safety
     ///
     /// The host supports AVX-512F and FMA; `queries` holds `nq × dim`
-    /// floats, `weights` `(nq − 1)·w_stride + dim` when `WEIGHTED`, and
-    /// `block` a whole number of `dim`-float rows.
+    /// floats, `weights` `(nq − 1)·w_stride + dim`, and `block` a whole
+    /// number of `dim`-float rows.
     #[inline]
     #[target_feature(enable = "avx512f,fma")]
-    unsafe fn lanes_multi<const WEIGHTED: bool>(
+    unsafe fn lanes_multi(
         weights: &[f32],
         w_stride: usize,
         queries: &[f32],
@@ -1327,12 +952,8 @@ mod f32_intr {
                 _mm_prefetch::<_MM_HINT_T0>((line as *const f32).cast());
             }
             for q in 0..nq {
-                let w = if WEIGHTED {
-                    weights.as_ptr().add(q * w_stride)
-                } else {
-                    weights.as_ptr()
-                };
-                let keys = lane_keys::<WEIGHTED>(w, queries.as_ptr().add(q * dim), t.as_ptr(), dim);
+                let w = weights.as_ptr().add(q * w_stride);
+                let keys = lane_keys(w, queries.as_ptr().add(q * dim), t.as_ptr(), dim);
                 visit(q, row0, valid, keys);
             }
         }
@@ -1359,7 +980,7 @@ mod f32_intr {
     ) {
         let rows = block.len().checked_div(dim).unwrap_or(0);
         let keys = out.as_mut_ptr();
-        lanes_multi::<true>(
+        lanes_multi(
             weights,
             w_stride,
             queries,
@@ -1370,37 +991,6 @@ mod f32_intr {
                 // SAFETY: AVX-512F is this function's precondition; `out`
                 // holds `nq × rows` keys and `r + valid ≤ rows`, so the
                 // masked store writes only keys `q·rows + r..q·rows + r + valid`.
-                unsafe { _mm512_mask_storeu_ps(keys.add(q * rows + r), group_mask(valid), k) }
-            },
-        );
-    }
-
-    /// Rows-in-lanes L2 keys, every key written to `out` (`q·rows + r`).
-    ///
-    /// # Safety
-    ///
-    /// The host supports AVX-512F and FMA, and the slices hold the
-    /// lengths `super::l2_sq_multi_block_f32` asserts.
-    #[target_feature(enable = "avx512f,fma")]
-    pub(super) unsafe fn l2_sq_multi_lanes(
-        queries: &[f32],
-        block: &[f32],
-        dim: usize,
-        bounds: &[f32],
-        out: &mut [f32],
-    ) {
-        let rows = block.len().checked_div(dim).unwrap_or(0);
-        let keys = out.as_mut_ptr();
-        lanes_multi::<false>(
-            queries,
-            0,
-            queries,
-            block,
-            dim,
-            bounds.len(),
-            |q, r, valid, k| {
-                // SAFETY: AVX-512F is this function's precondition; `out`
-                // holds `nq × rows` keys and `r + valid ≤ rows`.
                 unsafe { _mm512_mask_storeu_ps(keys.add(q * rows + r), group_mask(valid), k) }
             },
         );
@@ -1428,7 +1018,7 @@ mod f32_intr {
     ) -> bool {
         let nq = lane_bounds.len();
         let mut failed = false;
-        lanes_multi::<true>(
+        lanes_multi(
             weights,
             w_stride,
             queries,
@@ -1529,18 +1119,7 @@ mod dispatch {
     }
 
     macro_rules! isa_versions {
-        ($feature:literal, $l2:ident, $weighted:ident, $l2_multi:ident, $weighted_multi:ident) => {
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn $l2(
-                query: &[f64],
-                block: &[f64],
-                dim: usize,
-                bound: f64,
-                out: &mut [f64],
-            ) {
-                super::l2_sq_block_impl(query, block, dim, bound, out);
-            }
-
+        ($feature:literal, $weighted:ident, $weighted_multi:ident) => {
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn $weighted(
                 weights: &[f64],
@@ -1551,17 +1130,6 @@ mod dispatch {
                 out: &mut [f64],
             ) {
                 super::weighted_sq_block_impl(weights, query, block, dim, bound, out);
-            }
-
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn $l2_multi(
-                queries: &[f64],
-                block: &[f64],
-                dim: usize,
-                bounds: &[f64],
-                out: &mut [f64],
-            ) {
-                super::l2_sq_multi_impl(queries, block, dim, bounds, out);
             }
 
             #[target_feature(enable = $feature)]
@@ -1580,39 +1148,15 @@ mod dispatch {
         };
     }
 
-    isa_versions!(
-        "avx2",
-        l2_avx2,
-        weighted_avx2,
-        l2_multi_avx2,
-        weighted_multi_avx2
-    );
-    isa_versions!(
-        "avx512f",
-        l2_avx512,
-        weighted_avx512,
-        l2_multi_avx512,
-        weighted_multi_avx512
-    );
+    isa_versions!("avx2", weighted_avx2, weighted_multi_avx2);
+    isa_versions!("avx512f", weighted_avx512, weighted_multi_avx512);
 
     // f32 ISA versions of the portable `f32_plain` chain — used on
     // AVX2/AVX-512 hosts WITHOUT the FMA feature. FMA-capable hosts
     // never reach these: the dispatchers below route them to the
     // `f32_intr` intrinsics instead.
     macro_rules! isa_versions_f32 {
-        ($feature:literal, $chain:ident, $l2:ident, $weighted:ident, $l2_multi:ident,
-         $weighted_multi:ident) => {
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn $l2(
-                query: &[f32],
-                block: &[f32],
-                dim: usize,
-                bound: f32,
-                out: &mut [f32],
-            ) {
-                super::$chain::l2_sq_block(query, block, dim, bound, out);
-            }
-
+        ($feature:literal, $chain:ident, $weighted:ident, $weighted_multi:ident) => {
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn $weighted(
                 weights: &[f32],
@@ -1623,17 +1167,6 @@ mod dispatch {
                 out: &mut [f32],
             ) {
                 super::$chain::weighted_sq_block(weights, query, block, dim, bound, out);
-            }
-
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn $l2_multi(
-                queries: &[f32],
-                block: &[f32],
-                dim: usize,
-                bounds: &[f32],
-                out: &mut [f32],
-            ) {
-                super::$chain::l2_sq_multi(queries, block, dim, bounds, out);
             }
 
             #[target_feature(enable = $feature)]
@@ -1657,29 +1190,15 @@ mod dispatch {
     isa_versions_f32!(
         "avx2",
         f32_plain,
-        l2_f32_avx2,
         weighted_f32_avx2,
-        l2_multi_f32_avx2,
         weighted_multi_f32_avx2
     );
     isa_versions_f32!(
         "avx512f",
         f32_plain,
-        l2_f32_avx512,
         weighted_f32_avx512,
-        l2_multi_f32_avx512,
         weighted_multi_f32_avx512
     );
-
-    #[inline]
-    pub(super) fn l2(query: &[f64], block: &[f64], dim: usize, bound: f64, out: &mut [f64]) {
-        match level() {
-            // SAFETY: the matching CPU feature was detected above.
-            AVX512 => unsafe { l2_avx512(query, block, dim, bound, out) },
-            AVX2 => unsafe { l2_avx2(query, block, dim, bound, out) },
-            _ => super::l2_sq_block_impl(query, block, dim, bound, out),
-        }
-    }
 
     #[inline]
     pub(super) fn weighted(
@@ -1695,22 +1214,6 @@ mod dispatch {
             AVX512 => unsafe { weighted_avx512(weights, query, block, dim, bound, out) },
             AVX2 => unsafe { weighted_avx2(weights, query, block, dim, bound, out) },
             _ => super::weighted_sq_block_impl(weights, query, block, dim, bound, out),
-        }
-    }
-
-    #[inline]
-    pub(super) fn l2_multi(
-        queries: &[f64],
-        block: &[f64],
-        dim: usize,
-        bounds: &[f64],
-        out: &mut [f64],
-    ) {
-        match level() {
-            // SAFETY: the matching CPU feature was detected above.
-            AVX512 => unsafe { l2_multi_avx512(queries, block, dim, bounds, out) },
-            AVX2 => unsafe { l2_multi_avx2(queries, block, dim, bounds, out) },
-            _ => super::l2_sq_multi_impl(queries, block, dim, bounds, out),
         }
     }
 
@@ -1737,19 +1240,6 @@ mod dispatch {
     }
 
     #[inline]
-    pub(super) fn l2_f32(query: &[f32], block: &[f32], dim: usize, bound: f32, out: &mut [f32]) {
-        match (level(), has_fma()) {
-            // SAFETY: the matching CPU features were detected above.
-            (AVX512 | AVX2, true) => unsafe {
-                super::f32_intr::l2_sq_block(query, block, dim, bound, out)
-            },
-            (AVX512, false) => unsafe { l2_f32_avx512(query, block, dim, bound, out) },
-            (AVX2, false) => unsafe { l2_f32_avx2(query, block, dim, bound, out) },
-            _ => super::f32_plain::l2_sq_block(query, block, dim, bound, out),
-        }
-    }
-
-    #[inline]
     pub(super) fn weighted_f32(
         weights: &[f32],
         query: &[f32],
@@ -1768,30 +1258,6 @@ mod dispatch {
             },
             (AVX2, false) => unsafe { weighted_f32_avx2(weights, query, block, dim, bound, out) },
             _ => super::f32_plain::weighted_sq_block(weights, query, block, dim, bound, out),
-        }
-    }
-
-    #[inline]
-    pub(super) fn l2_multi_f32(
-        queries: &[f32],
-        block: &[f32],
-        dim: usize,
-        bounds: &[f32],
-        out: &mut [f32],
-    ) {
-        match (level(), has_fma()) {
-            // SAFETY: AVX-512F and FMA were detected; the caller asserted
-            // the query, block and key lengths the kernel reads.
-            (AVX512, true) if bounds.len() >= super::L2_ROWS_IN_LANES_MIN_QUERIES => unsafe {
-                super::f32_intr::l2_sq_multi_lanes(queries, block, dim, bounds, out)
-            },
-            // SAFETY: the matching CPU features were detected above.
-            (AVX512 | AVX2, true) => unsafe {
-                super::f32_intr::l2_sq_multi(queries, block, dim, bounds, out)
-            },
-            (AVX512, false) => unsafe { l2_multi_f32_avx512(queries, block, dim, bounds, out) },
-            (AVX2, false) => unsafe { l2_multi_f32_avx2(queries, block, dim, bounds, out) },
-            _ => super::f32_plain::l2_sq_multi(queries, block, dim, bounds, out),
         }
     }
 
@@ -1832,20 +1298,6 @@ mod dispatch {
     }
 }
 
-/// Squared-Euclidean keys for a row-major block.
-pub(crate) fn l2_sq_block(query: &[f64], block: &[f64], dim: usize, bound: f64, out: &mut [f64]) {
-    debug_assert_eq!(query.len(), dim);
-    debug_assert_eq!(block.len(), dim * out.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        dispatch::l2(query, block, dim, bound, out)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        l2_sq_block_impl(query, block, dim, bound, out)
-    }
-}
-
 /// Weighted squared-Euclidean keys for a row-major block.
 pub(crate) fn weighted_sq_block(
     weights: &[f64],
@@ -1868,33 +1320,12 @@ pub(crate) fn weighted_sq_block(
     }
 }
 
-/// Squared-Euclidean keys for `Q` queries against one row-major block in
-/// a single pass (each block row read once for all queries). `queries`
-/// is `Q × dim`, `bounds` is `Q` per-query key-space thresholds, `out`
-/// is `Q × rows` row-major per query.
-pub(crate) fn l2_sq_multi_block(
-    queries: &[f64],
-    block: &[f64],
-    dim: usize,
-    bounds: &[f64],
-    out: &mut [f64],
-) {
-    let nq = bounds.len();
-    debug_assert_eq!(queries.len(), nq * dim);
-    debug_assert_eq!(out.len() * dim, nq * block.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        dispatch::l2_multi(queries, block, dim, bounds, out)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        l2_sq_multi_impl(queries, block, dim, bounds, out)
-    }
-}
-
-/// Weighted squared-Euclidean keys for `Q` queries against one block in
-/// a single pass. `w_stride = 0` shares one weight row across queries;
-/// `w_stride = dim` gives each query its own row of `weights`.
+/// Weighted squared-Euclidean keys for `Q` queries against one
+/// row-major block in a single pass (each block row read once for all
+/// queries). `queries` is `Q × dim`, `bounds` is `Q` per-query key-space
+/// thresholds, `out` is `Q × rows` row-major per query. `w_stride = 0`
+/// shares one weight row across queries; `w_stride = dim` gives each
+/// query its own row of `weights`.
 pub(crate) fn weighted_sq_multi_block(
     weights: &[f64],
     w_stride: usize,
@@ -1919,9 +1350,10 @@ pub(crate) fn weighted_sq_multi_block(
     }
 }
 
-/// Squared-Euclidean f32 keys for a row-major f32 block (the phase-1
-/// filter of the f32-rescore scan).
-pub(crate) fn l2_sq_block_f32(
+/// Weighted squared-Euclidean f32 keys for a row-major f32 block (the
+/// phase-1 filter of the f32-rescore scan).
+pub(crate) fn weighted_sq_block_f32(
+    weights: &[f32],
     query: &[f32],
     block: &[f32],
     dim: usize,
@@ -1932,28 +1364,6 @@ pub(crate) fn l2_sq_block_f32(
     // vector loads, so the length contract must hold even when
     // debug_asserts compile out. Checked once per block call.
     assert_eq!(query.len(), dim);
-    assert_eq!(block.len(), dim * out.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        dispatch::l2_f32(query, block, dim, bound, out)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        f32_plain::l2_sq_block(query, block, dim, bound, out)
-    }
-}
-
-/// Weighted squared-Euclidean f32 keys for a row-major f32 block.
-pub(crate) fn weighted_sq_block_f32(
-    weights: &[f32],
-    query: &[f32],
-    block: &[f32],
-    dim: usize,
-    bound: f32,
-    out: &mut [f32],
-) {
-    // Release-mode asserts: see `l2_sq_block_f32`.
-    assert_eq!(query.len(), dim);
     assert_eq!(weights.len(), dim);
     assert_eq!(block.len(), dim * out.len());
     #[cfg(target_arch = "x86_64")]
@@ -1963,29 +1373,6 @@ pub(crate) fn weighted_sq_block_f32(
     #[cfg(not(target_arch = "x86_64"))]
     {
         f32_plain::weighted_sq_block(weights, query, block, dim, bound, out)
-    }
-}
-
-/// Squared-Euclidean f32 keys for `Q` queries against one f32 block in a
-/// single pass (layouts as in [`l2_sq_multi_block`]).
-pub(crate) fn l2_sq_multi_block_f32(
-    queries: &[f32],
-    block: &[f32],
-    dim: usize,
-    bounds: &[f32],
-    out: &mut [f32],
-) {
-    let nq = bounds.len();
-    // Release-mode asserts: see `l2_sq_block_f32`.
-    assert_eq!(queries.len(), nq * dim);
-    assert_eq!(out.len() * dim, nq * block.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        dispatch::l2_multi_f32(queries, block, dim, bounds, out)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        f32_plain::l2_sq_multi(queries, block, dim, bounds, out)
     }
 }
 
@@ -2008,7 +1395,7 @@ pub fn weighted_sq_multi_block_f32(
     out: &mut [f32],
 ) {
     let nq = bounds.len();
-    // Release-mode asserts: see `l2_sq_block_f32`.
+    // Release-mode asserts: see `weighted_sq_block_f32`.
     assert!(w_stride == 0 || w_stride == dim);
     assert_eq!(queries.len(), nq * dim);
     assert_eq!(weights.len(), if w_stride == 0 { dim } else { nq * dim });
@@ -2023,7 +1410,7 @@ pub fn weighted_sq_multi_block_f32(
     }
 }
 
-/// Whether the weighted f32 multi kernel scores a batch of `nq` queries
+/// Whether the f32 multi kernel scores a batch of `nq` queries
 /// in the rows-in-lanes order on this host ([`ROWS_IN_LANES_MIN_QUERIES`]),
 /// which is when [`weighted_sq_multi_admit_f32`] may run.
 pub(crate) fn rows_in_lanes(nq: usize) -> bool {
@@ -2064,7 +1451,7 @@ pub(crate) fn weighted_sq_multi_admit_f32(
         rows_in_lanes(nq),
         "the rows-in-lanes kernel does not serve this batch"
     );
-    // Release-mode asserts: see `l2_sq_block_f32`.
+    // Release-mode asserts: see `weighted_sq_block_f32`.
     assert!(w_stride == 0 || w_stride == dim);
     assert_eq!(queries.len(), nq * dim);
     assert_eq!(weights.len(), if w_stride == 0 { dim } else { nq * dim });
@@ -2110,8 +1497,9 @@ mod tests {
             let got = weighted_sq_row(&w, &q, &r);
             let want = naive_weighted(&w, &q, &r);
             assert!((got - want).abs() < 1e-12 * want.max(1.0), "dim {dim}");
-            let got2 = l2_sq_row(&q, &r);
-            let want2 = naive_weighted(&vec![1.0; dim], &q, &r);
+            // Unit weights give the plain Euclidean sum.
+            let got2 = weighted_sq_row(&vec![1.0; dim], &q, &r);
+            let want2: f64 = q.iter().zip(&r).map(|(x, y)| (x - y) * (x - y)).sum();
             assert!((got2 - want2).abs() < 1e-12 * want2.max(1.0), "dim {dim}");
         }
     }
@@ -2124,10 +1512,6 @@ mod tests {
         let block: Vec<f64> = (0..rows * dim).map(|i| (i as f64 * 0.3).sin()).collect();
         let w: Vec<f64> = (0..dim).map(|i| 1.0 + (i % 3) as f64).collect();
         let mut out = vec![0.0; rows];
-        l2_sq_block(&q, &block, dim, f64::INFINITY, &mut out);
-        for (i, row) in block.chunks_exact(dim).enumerate() {
-            assert_eq!(out[i], l2_sq_row(&q, row));
-        }
         weighted_sq_block(&w, &q, &block, dim, f64::INFINITY, &mut out);
         for (i, row) in block.chunks_exact(dim).enumerate() {
             assert_eq!(out[i], weighted_sq_row(&w, &q, row));
@@ -2145,20 +1529,9 @@ mod tests {
         let per_q_w: Vec<f64> = (0..nq * dim).map(|i| 0.5 + (i % 7) as f64).collect();
         let bounds = vec![f64::INFINITY; nq];
         let mut single = vec![0.0; rows];
-        // L2 multi vs per-query single blocks: bit-identical.
         let mut multi = vec![0.0; nq * rows];
-        l2_sq_multi_block(&queries, &block, dim, &bounds, &mut multi);
-        for q in 0..nq {
-            l2_sq_block(
-                &queries[q * dim..(q + 1) * dim],
-                &block,
-                dim,
-                f64::INFINITY,
-                &mut single,
-            );
-            assert_eq!(&multi[q * rows..(q + 1) * rows], &single[..], "l2 q{q}");
-        }
-        // Weighted multi, shared weights (stride 0).
+        // Multi vs per-query single blocks, bit-identical: shared
+        // weights (stride 0).
         weighted_sq_multi_block(&shared_w, 0, &queries, &block, dim, &bounds, &mut multi);
         for q in 0..nq {
             weighted_sq_block(
@@ -2193,14 +1566,23 @@ mod tests {
         let nq = 3;
         let queries = vec![0.0; nq * dim];
         let block: Vec<f64> = (0..rows * dim).map(|i| (i % 13) as f64 * 0.21).collect();
+        let unit = vec![1.0; dim];
         let mut exact = vec![0.0; nq * rows];
-        l2_sq_multi_block(&queries, &block, dim, &[f64::INFINITY; 3], &mut exact);
+        weighted_sq_multi_block(
+            &unit,
+            0,
+            &queries,
+            &block,
+            dim,
+            &[f64::INFINITY; 3],
+            &mut exact,
+        );
         // Distinct bound per query: tight, median, infinite.
         let mut sorted: Vec<f64> = exact[..rows].to_vec();
         sorted.sort_by(f64::total_cmp);
         let bounds = [sorted[2], sorted[rows / 2], f64::INFINITY];
         let mut bounded = vec![0.0; nq * rows];
-        l2_sq_multi_block(&queries, &block, dim, &bounds, &mut bounded);
+        weighted_sq_multi_block(&unit, 0, &queries, &block, dim, &bounds, &mut bounded);
         for q in 0..nq {
             for r in 0..rows {
                 let (e, b) = (exact[q * rows + r], bounded[q * rows + r]);
@@ -2240,17 +1622,6 @@ mod tests {
                     "dim {dim} {name}: f32 {approx} vs f64 {exact}"
                 );
             }
-            l2_sq_block_f32(&q32, &r32, dim, f32::INFINITY, &mut dispatched);
-            for (name, approx) in [
-                ("plain", f32_plain::l2_sq_row(&q32, &r32)),
-                ("dispatched", dispatched[0]),
-            ] {
-                let exact = l2_sq_row(&q, &r);
-                assert!(
-                    (exact - approx as f64).abs() <= 1e-4 * exact.max(1.0),
-                    "dim {dim} {name}: l2 f32 {approx} vs f64 {exact}"
-                );
-            }
         }
     }
 
@@ -2266,11 +1637,6 @@ mod tests {
         let w: Vec<f32> = (0..dim).map(|i| 1.0 + (i % 3) as f32).collect();
         let mut out = vec![0.0f32; rows];
         let mut one = [0.0f32; 1];
-        l2_sq_block_f32(&q, &block, dim, f32::INFINITY, &mut out);
-        for (i, row) in block.chunks_exact(dim).enumerate() {
-            l2_sq_block_f32(&q, row, dim, f32::INFINITY, &mut one);
-            assert_eq!(out[i], one[0]);
-        }
         weighted_sq_block_f32(&w, &q, &block, dim, f32::INFINITY, &mut out);
         for (i, row) in block.chunks_exact(dim).enumerate() {
             weighted_sq_block_f32(&w, &q, row, dim, f32::INFINITY, &mut one);
@@ -2317,10 +1683,9 @@ mod tests {
 
     #[test]
     fn f32_multi_blocks_match_single_query_blocks() {
-        // Every kernel shape the multi kernels may pick (query tiles,
-        // row pairs, an odd trailing row, the `dim % 8` tail, and from
-        // `ROWS_IN_LANES_MIN_QUERIES` weighted or
-        // `L2_ROWS_IN_LANES_MIN_QUERIES` L2 queries on AVX-512F hosts the
+        // Every kernel shape the multi kernel may pick (query tiles, row
+        // pairs, an odd trailing row, the `dim % 8` tail, and from
+        // `ROWS_IN_LANES_MIN_QUERIES` queries on AVX-512F hosts the
         // rows-in-lanes order with its 16-wide transpose tail and
         // partial row groups) must give each (query, row) pair the key
         // bits a single-query block call gives it, wherever the block
@@ -2346,15 +1711,6 @@ mod tests {
                 let mut multi = vec![0.0f32; nq * rows];
                 let span = |q: usize| q * dim..(q + 1) * dim;
                 let shape = format!("nq {nq} dim {dim} rows {rows} offset {offset}");
-                l2_sq_multi_block_f32(&queries, block, dim, &bounds, &mut multi);
-                for q in 0..nq {
-                    l2_sq_block_f32(&queries[span(q)], block, dim, f32::INFINITY, &mut single);
-                    assert_eq!(
-                        bits(&multi[q * rows..(q + 1) * rows]),
-                        bits(&single),
-                        "l2 {shape} q{q}"
-                    );
-                }
                 weighted_sq_multi_block_f32(
                     &shared_w, 0, &queries, block, dim, &bounds, &mut multi,
                 );
@@ -2395,69 +1751,51 @@ mod tests {
         }
     }
 
-    /// The f64 single-query block kernels as one ISA build: the `(l2,
-    /// weighted)` keys of `block`.
-    fn f64_blocks(
+    /// The f64 single-query block kernel as one ISA build: the keys of
+    /// `block`.
+    fn f64_block(
         isa: &str,
         w: &[f64],
         q: &[f64],
         block: &[f64],
         dim: usize,
         bound: f64,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let rows = block.len() / dim;
-        let (mut l2, mut weighted) = (vec![0.0; rows], vec![0.0; rows]);
+    ) -> Vec<f64> {
+        let mut keys = vec![0.0; block.len() / dim];
         match isa {
             // SAFETY (both arms): an ISA is listed only once its feature
             // was detected.
             #[cfg(target_arch = "x86_64")]
-            "avx2" => unsafe {
-                dispatch::l2_avx2(q, block, dim, bound, &mut l2);
-                dispatch::weighted_avx2(w, q, block, dim, bound, &mut weighted);
-            },
+            "avx2" => unsafe { dispatch::weighted_avx2(w, q, block, dim, bound, &mut keys) },
             #[cfg(target_arch = "x86_64")]
-            "avx512f" => unsafe {
-                dispatch::l2_avx512(q, block, dim, bound, &mut l2);
-                dispatch::weighted_avx512(w, q, block, dim, bound, &mut weighted);
-            },
-            _ => {
-                l2_sq_block_impl(q, block, dim, bound, &mut l2);
-                weighted_sq_block_impl(w, q, block, dim, bound, &mut weighted);
-            }
+            "avx512f" => unsafe { dispatch::weighted_avx512(w, q, block, dim, bound, &mut keys) },
+            _ => weighted_sq_block_impl(w, q, block, dim, bound, &mut keys),
         }
-        (l2, weighted)
+        keys
     }
 
-    /// [`f64_blocks`] for the portable f32 chain's ISA builds (what
+    /// [`f64_block`] for the portable f32 chain's ISA builds (what
     /// non-FMA hosts run), keys widened to f64 (exactly).
-    fn f32_plain_blocks(
+    fn f32_plain_block(
         isa: &str,
         w: &[f32],
         q: &[f32],
         block: &[f32],
         dim: usize,
         bound: f32,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let rows = block.len() / dim;
-        let (mut l2, mut weighted) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+    ) -> Vec<f64> {
+        let mut keys = vec![0.0f32; block.len() / dim];
         match isa {
-            // SAFETY (both arms): as in `f64_blocks`.
+            // SAFETY (both arms): as in `f64_block`.
             #[cfg(target_arch = "x86_64")]
-            "avx2" => unsafe {
-                dispatch::l2_f32_avx2(q, block, dim, bound, &mut l2);
-                dispatch::weighted_f32_avx2(w, q, block, dim, bound, &mut weighted);
-            },
+            "avx2" => unsafe { dispatch::weighted_f32_avx2(w, q, block, dim, bound, &mut keys) },
             #[cfg(target_arch = "x86_64")]
             "avx512f" => unsafe {
-                dispatch::l2_f32_avx512(q, block, dim, bound, &mut l2);
-                dispatch::weighted_f32_avx512(w, q, block, dim, bound, &mut weighted);
+                dispatch::weighted_f32_avx512(w, q, block, dim, bound, &mut keys)
             },
-            _ => {
-                f32_plain::l2_sq_block(q, block, dim, bound, &mut l2);
-                f32_plain::weighted_sq_block(w, q, block, dim, bound, &mut weighted);
-            }
+            _ => f32_plain::weighted_sq_block(w, q, block, dim, bound, &mut keys),
         }
-        (widen(&l2), widen(&weighted))
+        widen(&keys)
     }
 
     fn widen(keys: &[f32]) -> Vec<f64> {
@@ -2524,53 +1862,35 @@ mod tests {
                 let (q, w) = (widen(&q32), widen(&w32));
 
                 let block = unaligned(&mut buf64, rows * dim, offset, |i| (i as f64 * 0.3).sin());
-                let l2_rows: Vec<f64> = (0..rows)
-                    .map(|r| l2_sq_row(&q, &block[row_at(r)]))
-                    .collect();
                 let w_rows: Vec<f64> = (0..rows)
                     .map(|r| weighted_sq_row(&w, &q, &block[row_at(r)]))
                     .collect();
                 for &isa in &isas {
-                    for (lb, wb) in [
-                        (f64::INFINITY, f64::INFINITY),
-                        (median(&l2_rows), median(&w_rows)),
-                    ] {
-                        let what = format!("f64 {isa} {shape} bounds {lb}/{wb}");
-                        let (l2, _) = f64_blocks(isa, &w, &q, block, dim, lb);
-                        assert_block_keys(&l2, &l2_rows, lb, &format!("l2 {what}"));
-                        let (_, weighted) = f64_blocks(isa, &w, &q, block, dim, wb);
-                        assert_block_keys(&weighted, &w_rows, wb, &format!("weighted {what}"));
+                    for bound in [f64::INFINITY, median(&w_rows)] {
+                        let keys = f64_block(isa, &w, &q, block, dim, bound);
+                        let what = format!("f64 {isa} {shape} bound {bound}");
+                        assert_block_keys(&keys, &w_rows, bound, &what);
                     }
                 }
 
                 let block = unaligned(&mut buf32, rows * dim, offset, |i| (i as f32 * 0.3).sin());
-                let l2_rows: Vec<f64> = (0..rows)
-                    .map(|r| f32_plain::l2_sq_row(&q32, &block[row_at(r)]) as f64)
-                    .collect();
                 let w_rows: Vec<f64> = (0..rows)
                     .map(|r| f32_plain::weighted_sq_row(&w32, &q32, &block[row_at(r)]) as f64)
                     .collect();
                 for &isa in &isas {
-                    for (lb, wb) in [
-                        (f64::INFINITY, f64::INFINITY),
-                        (median(&l2_rows), median(&w_rows)),
-                    ] {
-                        let what = format!("f32 {isa} {shape} bounds {lb}/{wb}");
-                        let (l2, _) = f32_plain_blocks(isa, &w32, &q32, block, dim, lb as f32);
-                        assert_block_keys(&l2, &l2_rows, lb, &format!("l2 {what}"));
-                        let (_, weighted) =
-                            f32_plain_blocks(isa, &w32, &q32, block, dim, wb as f32);
-                        assert_block_keys(&weighted, &w_rows, wb, &format!("weighted {what}"));
+                    for bound in [f64::INFINITY, median(&w_rows)] {
+                        let keys = f32_plain_block(isa, &w32, &q32, block, dim, bound as f32);
+                        let what = format!("f32 {isa} {shape} bound {bound}");
+                        assert_block_keys(&keys, &w_rows, bound, &what);
                     }
                 }
 
                 #[cfg(target_arch = "x86_64")]
                 if avx2 && fma {
-                    let (mut l2, mut weighted) = (vec![0.0f32; rows], vec![0.0f32; rows]);
-                    // SAFETY: avx2 + fma were detected above; `l2` and
-                    // `weighted` hold one key per block row.
+                    let mut weighted = vec![0.0f32; rows];
+                    // SAFETY: avx2 + fma were detected above; `weighted`
+                    // holds one key per block row.
                     unsafe {
-                        f32_intr::l2_sq_block(&q32, block, dim, f32::INFINITY, &mut l2);
                         f32_intr::weighted_sq_block(
                             &w32,
                             &q32,
@@ -2582,26 +1902,16 @@ mod tests {
                     }
                     let w_min = w.iter().cloned().fold(f64::INFINITY, f64::min);
                     let w_max = w.iter().cloned().fold(0.0, f64::max);
-                    let l2_delta = weighted_f32_bound(dim, dim as f64, 1.0, 1.0, 1.0).unwrap();
-                    let w_delta =
-                        weighted_f32_bound(dim, w.iter().sum(), w_min, w_max, 1.0).unwrap();
+                    let delta = weighted_f32_bound(dim, w.iter().sum(), w_min, w_max, 1.0).unwrap();
                     for r in 0..rows {
                         let row = widen(&block[row_at(r)]);
-                        for (label, intr, plain, delta) in [
-                            ("l2", l2[r], l2_rows[r], l2_delta.at(l2_sq_row(&q, &row))),
-                            (
-                                "weighted",
-                                weighted[r],
-                                w_rows[r],
-                                w_delta.at(weighted_sq_row(&w, &q, &row)),
-                            ),
-                        ] {
-                            let gap = (intr as f64 - plain).abs();
-                            assert!(
-                                gap <= delta,
-                                "f32 intrinsics {label} {shape} row {r}: |{intr} − {plain}| = {gap} over Δ {delta}"
-                            );
-                        }
+                        let (intr, plain) = (weighted[r], w_rows[r]);
+                        let delta = delta.at(weighted_sq_row(&w, &q, &row));
+                        let gap = (intr as f64 - plain).abs();
+                        assert!(
+                            gap <= delta,
+                            "f32 intrinsics {shape} row {r}: |{intr} − {plain}| = {gap} over Δ {delta}"
+                        );
                     }
                 }
             }
@@ -2613,16 +1923,17 @@ mod tests {
         let dim = 96; // > SEGMENT so the bounded path engages
         let rows = 32;
         let q = vec![0.0f32; dim];
+        let unit = vec![1.0f32; dim];
         let block: Vec<f32> = (0..rows * dim).map(|i| (i % 13) as f32 * 0.21).collect();
         let mut exact = vec![0.0f32; rows];
-        l2_sq_block_f32(&q, &block, dim, f32::INFINITY, &mut exact);
+        weighted_sq_block_f32(&unit, &q, &block, dim, f32::INFINITY, &mut exact);
         let bound = {
             let mut s = exact.clone();
             s.sort_by(f32::total_cmp);
             s[rows / 2]
         };
         let mut bounded = vec![0.0f32; rows];
-        l2_sq_block_f32(&q, &block, dim, bound, &mut bounded);
+        weighted_sq_block_f32(&unit, &q, &block, dim, bound, &mut bounded);
         for (e, b) in exact.iter().zip(bounded.iter()) {
             if *e <= bound {
                 assert_eq!(e, b, "rows within the bound must be exact");
@@ -2637,16 +1948,17 @@ mod tests {
         let dim = 48;
         let rows = 32;
         let q = vec![0.0; dim];
+        let unit = vec![1.0; dim];
         let block: Vec<f64> = (0..rows * dim).map(|i| (i % 13) as f64 * 0.21).collect();
         let mut exact = vec![0.0; rows];
-        l2_sq_block(&q, &block, dim, f64::INFINITY, &mut exact);
+        weighted_sq_block(&unit, &q, &block, dim, f64::INFINITY, &mut exact);
         let bound = {
             let mut s = exact.clone();
             s.sort_by(f64::total_cmp);
             s[rows / 2]
         };
         let mut bounded = vec![0.0; rows];
-        l2_sq_block(&q, &block, dim, bound, &mut bounded);
+        weighted_sq_block(&unit, &q, &block, dim, bound, &mut bounded);
         for (e, b) in exact.iter().zip(bounded.iter()) {
             if *e <= bound {
                 assert_eq!(e, b, "rows within the bound must be exact");

@@ -1,13 +1,12 @@
-//! Distance-function classes (paper §2).
+//! The distance-function class (paper §2).
 //!
 //! All retrieval in FeedbackBypass happens under a *parameterized class*
 //! of distance functions; the feedback loop adjusts the parameters, and
-//! the Simplex Tree stores them. This crate serves one class family:
-//!
-//! * [`WeightedEuclidean`] — Equation 1, the class learned in the paper's
-//!   evaluation, and the metric every serving path builds;
-//! * [`Euclidean`] — its uniform member (`wᵢ ≡ 1`), the default distance
-//!   in the paper's experiments.
+//! the Simplex Tree stores them. This crate serves one class and one
+//! type: [`WeightedEuclidean`], Equation 1, the class learned in the
+//! paper's evaluation. Plain Euclidean distance, the default in the
+//! paper's experiments, is its uniform member
+//! ([`WeightedEuclidean::uniform`], `wᵢ ≡ 1`).
 //!
 //! # Batch kernels and surrogate keys
 //!
@@ -24,18 +23,20 @@
 //!    [`Distance::finish_key`] (the `sqrt`) only for the final `k`
 //!    winners.
 //!
-//! 2. **Candidates arrive in contiguous blocks.** A linear scan (and an
-//!    index leaf) evaluates one query against many stored vectors that
-//!    sit back-to-back in a row-major buffer. [`Distance::eval_key_batch`]
-//!    evaluates a whole block per virtual call, replacing per-vector
-//!    `dyn` dispatch with a tight, auto-vectorizable kernel. The batch
-//!    call also takes the caller's current pruning `bound` (in key
-//!    space): because both classes accumulate a non-negative sum, a
-//!    kernel may *early-abandon* a row once its partial sum exceeds the
-//!    bound, writing `f64::INFINITY` instead of the exact key.
+//! 2. **Candidates arrive in contiguous blocks.** A linear scan
+//!    evaluates one query against many stored vectors that sit
+//!    back-to-back in a row-major buffer. [`Distance::eval_key_batch`]
+//!    evaluates a whole block per call with a tight, auto-vectorizable
+//!    kernel; the multi-query scan scores one block against many
+//!    queries (one weight row each, or one shared) in a single kernel
+//!    call. The batch call also takes the caller's current pruning
+//!    `bound` (in key space): because the key is a sum of non-negative
+//!    terms, a kernel may *early-abandon* a row once its partial sum
+//!    exceeds the bound, writing `f64::INFINITY` instead of the exact
+//!    key.
 //!
-//! The contract tying it together: for every implementation,
-//! `finish_key(eval_key(a, b)) == eval(a, b)` (up to float rounding),
+//! The contract tying it together: `finish_key(eval_key(a, b)) ==
+//! eval(a, b)` (up to float rounding),
 //! `eval_key` is strictly increasing in `eval`, and
 //! [`Distance::key_of_dist`] maps a true-distance threshold into key
 //! space (so `d(a, b) ≤ r ⇔ eval_key(a, b) ≤ key_of_dist(r)`).
@@ -43,10 +44,10 @@
 //! # f32 scanning with exact rescore
 //!
 //! Because the scans are memory-bandwidth-bound at low query counts,
-//! both classes also expose **f32 kernels**
-//! ([`Distance::eval_key_batch_f32`] / [`Distance::eval_key_multi_f32`])
-//! that filter candidates against the collection's half-width f32
-//! mirror, plus a **rounding bound** ([`Distance::f32_key_bound`]): a
+//! the class also has **f32 kernels** ([`Distance::eval_key_batch_f32`]
+//! and the multi-query kernel the scan calls) that filter candidates
+//! against the collection's half-width f32 mirror, plus a **rounding
+//! bound** ([`Distance::f32_key_bound`]): a
 //! monotone, key-relative [`F32KeyBound`] `Δ` with
 //! `|key32(a, b) − key64(a, b)| ≤ Δ(key64(a, b))` for all vectors whose
 //! components are bounded by the given magnitude. The two-phase
@@ -58,11 +59,9 @@
 //! with the exact f64 kernels, so returned results are identical to a
 //! pure f64 scan.
 
-mod euclidean;
 pub(crate) mod kernels;
 mod weighted;
 
-pub use euclidean::Euclidean;
 pub use weighted::WeightedEuclidean;
 
 /// The per-query-weight f32 multi kernel, public only for timing
@@ -73,10 +72,11 @@ pub use kernels::weighted_sq_multi_block_f32;
 
 /// A distance function over equal-length `f64` vectors.
 ///
-/// Implemented by [`Euclidean`] and [`WeightedEuclidean`] only. Both are
-/// metrics: symmetric, `d(x, x) = 0`, and obeying the triangle
-/// inequality, which the partition bounds
-/// ([`Distance::partition_lower_key`]) rely on.
+/// Implemented by [`WeightedEuclidean`] only, a metric: symmetric,
+/// `d(x, x) = 0`, and obeying the triangle inequality, which the
+/// partition bounds ([`Distance::partition_lower_key`]) rely on. The
+/// scans take `&WeightedEuclidean` directly; the trait is the
+/// interface its single-query kernels are named through.
 pub trait Distance: Send + Sync {
     /// Evaluate `d(a, b)`.
     fn eval(&self, a: &[f64], b: &[f64]) -> f64;
@@ -106,29 +106,6 @@ pub trait Distance: Send + Sync {
     /// only use `out[i] ≤ bound` rows. Exact keys are written for all
     /// rows when `bound == f64::INFINITY`.
     fn eval_key_batch(&self, query: &[f64], block: &[f64], dim: usize, bound: f64, out: &mut [f64]);
-
-    /// Multi-query version of [`Self::eval_key_batch`]: evaluate `Q`
-    /// queries (`queries` is `Q × dim` row-major) against one block in a
-    /// single pass, writing surrogate keys to `out` (`Q × rows` row-major
-    /// per query, so query `q`'s key for block row `r` lands at
-    /// `out[q·rows + r]`). `bounds` carries one key-space pruning
-    /// threshold per query with the same early-abandon contract as the
-    /// single-query batch call, applied per query.
-    ///
-    /// This is the memory-amortization hook for concurrent feedback
-    /// sessions: the kernel loads each block row once and scores it
-    /// against every query while it is hot, dropping collection bytes per
-    /// query by ~Q×. Keys must be bit-identical to `Q` independent
-    /// [`Self::eval_key_batch`] calls for rows that survive their query's
-    /// bound.
-    fn eval_key_multi(
-        &self,
-        queries: &[f64],
-        block: &[f64],
-        dim: usize,
-        bounds: &[f64],
-        out: &mut [f64],
-    );
 
     /// f32 scanning support: a key-relative rounding bound.
     ///
@@ -167,26 +144,14 @@ pub trait Distance: Send + Sync {
         out: &mut [f32],
     );
 
-    /// f32 variant of [`Self::eval_key_multi`]: `Q` queries against one
-    /// f32 mirror block in a single pass (same layouts, f32 key space),
-    /// each mirror row read once for all queries.
-    fn eval_key_multi_f32(
-        &self,
-        queries: &[f32],
-        block: &[f32],
-        dim: usize,
-        bounds: &[f32],
-        out: &mut [f32],
-    );
-
     /// Partition-pruning support: a sound **key-space lower bound** on
     /// `eval_key(query, x)` over *every* vector `x` within Euclidean
     /// distance `radius_l2` of `centroid`.
     ///
     /// The partitioned scan prunes a whole partition when this bound
     /// exceeds the running k-th key, so soundness is load-bearing: an
-    /// overstated bound silently drops true neighbors. Each class derives
-    /// it from the triangle inequality (`d(q,x) ≥ d(q,c) − r` and its
+    /// overstated bound silently drops true neighbors. It is derived
+    /// from the triangle inequality (`d(q,x) ≥ d(q,c) − r` and its
     /// weighted analogues), deflated against rounding by
     /// `partition_safe_lower` (never negative, so the mapped key is
     /// always valid).
@@ -213,7 +178,7 @@ pub(crate) fn partition_safe_lower(raw: f64, scale: f64) -> f64 {
 /// Δ(key) = min(rel·key + sqrt·√key + abs, max)
 /// ```
 ///
-/// [`Distance::f32_key_bound`] returns one per (class, dimensionality,
+/// [`Distance::f32_key_bound`] returns one per (metric, dimensionality,
 /// magnitude) with `|key32 − key64| ≤ Δ(key64)` for every pair of
 /// vectors it covers. The three coefficients follow the shape of f32
 /// rounding on a key that is a sum of non-negative terms: the
@@ -221,7 +186,7 @@ pub(crate) fn partition_safe_lower(raw: f64, scale: f64) -> f64 {
 /// the inputs enters each term through a cross term `∝ √termᵢ`, which
 /// sums to `∝ √key` by Cauchy–Schwarz (`sqrt`), and underflow plus the
 /// second-order remainders are absolute (`abs`). `max` is a
-/// key-independent ceiling — each class's worst case over every key its
+/// key-independent ceiling — the metric's worst case over every key its
 /// data can produce — so `Δ` never exceeds it. A min of two sound,
 /// monotone bounds is sound and monotone.
 ///
@@ -325,15 +290,15 @@ pub(crate) fn f32_gamma(k: f64) -> f64 {
 /// f32 computation stays *finite*: a key that overflows to `+∞` while
 /// its f64 counterpart stays finite violates `|key32 − key64| ≤ Δ` by an
 /// unbounded amount, and the candidate filter would silently drop that
-/// row. Any class whose worst-case key (intermediates included) could
+/// row. A metric whose worst-case key (intermediates included) could
 /// cross this line must return `None` from
 /// [`Distance::f32_key_bound`] — the scan then runs the pure-f64 path,
 /// which is always correct. The 16× headroom under `f32::MAX` generously
 /// absorbs accumulation-order overshoot.
 pub(crate) const F32_KEY_OVERFLOW_GUARD: f64 = f32::MAX as f64 / 16.0;
 
-/// The [`F32KeyBound`] of the diagonal weighted-squared family
-/// (`Σ wᵢ·(aᵢ−bᵢ)²`, covering Euclidean via `w ≡ 1`), at dimensionality `dim` with
+/// The [`F32KeyBound`] of the weighted squared sum `Σ wᵢ·(aᵢ−bᵢ)²`
+/// (plain Euclidean is `w ≡ 1`), at dimensionality `dim` with
 /// component magnitudes ≤ `max_abs`, weight sum `w_sum = Σ wᵢ` and
 /// weights in `[w_min, w_max]` — or `None` when no finite bound is
 /// sound: the worst-case key could overflow f32
@@ -502,13 +467,8 @@ mod slack_tests {
     }
 }
 
-/// Squared Euclidean distance helper shared by implementations: the
-/// *reference* sequential accumulation. `Distance::eval` deliberately
-/// stays on this simple form — it is the measurable scalar baseline the
-/// batched kernels are benchmarked against — while the engines' key
-/// paths use the unrolled kernels in [`kernels`]. The two may differ in
-/// the last ulp (different summation order); the consistency suite pins
-/// them to 1e-12.
+/// Unweighted squared Euclidean distance, sequentially accumulated: the
+/// `d₂(q, c)` the partition bounds measure centroid radii in.
 #[inline]
 pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -523,14 +483,14 @@ pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod batch_contract_tests {
     use super::test_support::{log_spread_weights, sample_points};
-    use super::{Distance, Euclidean, WeightedEuclidean};
+    use super::{kernels, Distance, WeightedEuclidean};
 
-    /// Every implementation must satisfy the batch/surrogate-key
-    /// contract: finished `eval_key_batch` rows match per-pair `eval`
-    /// (to rounding), `finish_key ∘ eval_key == eval`, `key_of_dist` inverts
-    /// `finish_key`, and `eval_key_multi` is bit-identical to independent
-    /// `eval_key_batch` calls per query.
-    fn check_batch_contract(d: &dyn Distance, dim: usize) {
+    /// Every metric must satisfy the batch/surrogate-key contract:
+    /// finished `eval_key_batch` rows match per-pair `eval` (to
+    /// rounding), `finish_key ∘ eval_key == eval`, `key_of_dist` inverts
+    /// `finish_key`, and the shared-weight multi kernel the scans call is
+    /// bit-identical to independent `eval_key_batch` calls per query.
+    fn check_batch_contract(d: &WeightedEuclidean, dim: usize) {
         let pts = sample_points(dim);
         let query = &pts[0];
         let block: Vec<f64> = pts[1..].iter().flat_map(|p| p.iter().copied()).collect();
@@ -542,14 +502,23 @@ mod batch_contract_tests {
         let nq = 3.min(pts.len());
         let queries: Vec<f64> = pts[..nq].iter().flat_map(|p| p.iter().copied()).collect();
         let mut multi = vec![0.0; nq * rows];
-        d.eval_key_multi(&queries, &block, dim, &vec![f64::INFINITY; nq], &mut multi);
+        let bounds = vec![f64::INFINITY; nq];
+        kernels::weighted_sq_multi_block(
+            d.weights(),
+            0,
+            &queries,
+            &block,
+            dim,
+            &bounds,
+            &mut multi,
+        );
         let mut single = vec![0.0; rows];
         for (q, qv) in pts[..nq].iter().enumerate() {
             d.eval_key_batch(qv, &block, dim, f64::INFINITY, &mut single);
             assert_eq!(
                 &multi[q * rows..(q + 1) * rows],
                 &single[..],
-                "{}: eval_key_multi row {q} disagrees with eval_key_batch",
+                "{}: multi-kernel row {q} disagrees with eval_key_batch",
                 d.name()
             );
         }
@@ -580,7 +549,7 @@ mod batch_contract_tests {
     #[test]
     fn all_classes_satisfy_batch_contract() {
         const DIM: usize = 7;
-        check_batch_contract(&Euclidean, DIM);
+        check_batch_contract(&WeightedEuclidean::uniform(DIM), DIM);
         let w: Vec<f64> = (0..DIM).map(|i| 0.5 + i as f64).collect();
         check_batch_contract(&WeightedEuclidean::new(w).unwrap(), DIM);
         check_batch_contract(&log_spread_weights(DIM), DIM);
@@ -590,12 +559,12 @@ mod batch_contract_tests {
 #[cfg(test)]
 mod partition_bound_tests {
     use super::test_support::{log_spread_weights, sample_points};
-    use super::{Distance, Euclidean, WeightedEuclidean};
+    use super::{Distance, WeightedEuclidean};
 
-    /// Soundness per class: with any sample point as centroid and the
-    /// max member Euclidean distance as radius, the reported key-space
-    /// lower bound never exceeds any member's true key.
-    fn check_partition_bound_sound(d: &dyn Distance, dim: usize) {
+    /// Soundness per weight shape: with any sample point as centroid and
+    /// the max member Euclidean distance as radius, the reported
+    /// key-space lower bound never exceeds any member's true key.
+    fn check_partition_bound_sound(d: &WeightedEuclidean, dim: usize) {
         let pts = sample_points(dim);
         for centroid in &pts {
             let radius = pts
@@ -620,7 +589,7 @@ mod partition_bound_tests {
     #[test]
     fn partition_bounds_sound_per_class() {
         const DIM: usize = 7;
-        check_partition_bound_sound(&Euclidean, DIM);
+        check_partition_bound_sound(&WeightedEuclidean::uniform(DIM), DIM);
         let w: Vec<f64> = (0..DIM).map(|i| 0.5 + i as f64).collect();
         check_partition_bound_sound(&WeightedEuclidean::new(w).unwrap(), DIM);
         check_partition_bound_sound(&log_spread_weights(DIM), DIM);
@@ -632,12 +601,13 @@ mod partition_bound_tests {
         // sit within the documented 1e-9-scaled margin of the true key.
         let q = vec![1.0, 2.0, 3.0];
         let c = vec![-0.5, 0.25, 1.0];
-        let lb = Euclidean.partition_lower_key(&q, &c, 0.0);
-        let key = Euclidean.eval_key(&q, &c);
+        let uniform = WeightedEuclidean::uniform(3);
+        let lb = uniform.partition_lower_key(&q, &c, 0.0);
+        let key = uniform.eval_key(&q, &c);
         assert!(lb <= key);
         let dist = key.sqrt();
         let deflated = dist - 1e-9 * dist;
-        assert!(lb >= Euclidean.key_of_dist(deflated) * (1.0 - 1e-12));
+        assert!(lb >= uniform.key_of_dist(deflated) * (1.0 - 1e-12));
     }
 
     #[test]
@@ -674,7 +644,7 @@ pub(crate) mod test_support {
         WeightedEuclidean::new(ln_w.iter().map(|l| (l - mean).exp()).collect()).unwrap()
     }
 
-    /// Generic metric-axiom probe used by the per-class test modules.
+    /// Metric-axiom probe of the distance tests.
     pub fn check_metric_axioms<D: Distance>(d: &D, pts: &[Vec<f64>], tol: f64) {
         for a in pts {
             assert!(

@@ -151,17 +151,6 @@ impl Distance for WeightedEuclidean {
         kernels::weighted_sq_block(&self.weights, query, block, dim, bound, out);
     }
 
-    fn eval_key_multi(
-        &self,
-        queries: &[f64],
-        block: &[f64],
-        dim: usize,
-        bounds: &[f64],
-        out: &mut [f64],
-    ) {
-        kernels::weighted_sq_multi_block(&self.weights, 0, queries, block, dim, bounds, out);
-    }
-
     fn f32_key_bound(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
         super::weighted_f32_bound(dim, self.sum_w, self.min_w, self.max_w, max_abs)
     }
@@ -176,40 +165,27 @@ impl Distance for WeightedEuclidean {
     ) {
         kernels::weighted_sq_block_f32(&self.weights_f32, query, block, dim, bound, out);
     }
-
-    fn eval_key_multi_f32(
-        &self,
-        queries: &[f32],
-        block: &[f32],
-        dim: usize,
-        bounds: &[f32],
-        out: &mut [f32],
-    ) {
-        kernels::weighted_sq_multi_block_f32(
-            &self.weights_f32,
-            0,
-            queries,
-            block,
-            dim,
-            bounds,
-            out,
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::sq_dist;
     use crate::distance::test_support::{check_metric_axioms, sample_points};
-    use crate::distance::Euclidean;
 
     #[test]
     fn uniform_equals_euclidean() {
+        // Unit weights give the plain Euclidean distance, the naive sum.
+        assert_eq!(
+            WeightedEuclidean::uniform(2).eval(&[0.0, 0.0], &[3.0, 4.0]),
+            5.0
+        );
+        assert_eq!(WeightedEuclidean::uniform(1).eval(&[1.0], &[1.0]), 0.0);
         let w = WeightedEuclidean::uniform(3);
-        let e = Euclidean;
         let a = [1.0, -2.0, 0.5];
         let b = [0.0, 1.0, 2.0];
-        assert!((w.eval(&a, &b) - e.eval(&a, &b)).abs() < 1e-12);
+        let naive = (1.0f64 + 9.0 + 2.25).sqrt();
+        assert!((w.eval(&a, &b) - naive).abs() < 1e-12);
     }
 
     #[test]
@@ -228,10 +204,9 @@ mod tests {
         let (lo, hi) = (w.min_weight().sqrt(), w.max_weight().sqrt());
         assert_eq!(lo, 0.5);
         assert_eq!(hi, 2.0);
-        let e = Euclidean;
         for pts in sample_points(3).windows(2) {
             let dw = w.eval(&pts[0], &pts[1]);
-            let d2 = e.eval(&pts[0], &pts[1]);
+            let d2 = sq_dist(&pts[0], &pts[1]).sqrt();
             assert!(dw >= lo * d2 - 1e-12, "lower bound violated");
             assert!(dw <= hi * d2 + 1e-12, "upper bound violated");
         }
@@ -250,6 +225,7 @@ mod tests {
     fn metric_axioms_hold() {
         let w = WeightedEuclidean::new(vec![0.5, 2.0, 1.0, 3.0]).unwrap();
         check_metric_axioms(&w, &sample_points(4), 1e-9);
+        check_metric_axioms(&WeightedEuclidean::uniform(4), &sample_points(4), 1e-9);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The one description of the retrieval operation (paper §2): a batch
-//! of query points, each under one member of a parameterised distance
-//! class, each asking for its own `k` nearest neighbours, optionally
-//! with a sound pruning cap per query. `MultiQueryScan` answers it over
+//! of query points, each under one weighted-Euclidean metric, each
+//! asking for its own `k` nearest neighbours, optionally with a sound
+//! pruning cap per query. `MultiQueryScan` answers it over
 //! a flat or partitioned layout, finished ([`MultiQueryScan::knn`]) or
 //! in key space ([`MultiQueryScan::knn_keyed`]).
 //!
@@ -9,22 +9,20 @@
 //! [`MultiQueryScan::knn_keyed`]: super::MultiQueryScan::knn_keyed
 
 use super::{finish_entries, Neighbor, ShardPartial};
-use crate::distance::{Distance, WeightedEuclidean};
+use crate::distance::WeightedEuclidean;
+use std::borrow::Cow;
 
 /// Which metric each query of a [`QueryBatch`] runs under.
 #[derive(Clone, Copy)]
 pub enum QueryMetrics<'a> {
-    /// One metric for the whole batch — the multi-query kernels score a
-    /// block against every query in one call.
-    Shared(&'a dyn Distance),
-    /// `dists[i]` for `queries[i]`, any classes — the block read is
-    /// shared, each query runs its own batch kernel on the hot block.
-    PerQuery(&'a [&'a dyn Distance]),
-    /// Per-query weighted-Euclidean metrics (concurrent sessions whose
-    /// learned weights diverged) — every layout's pass rides the
-    /// per-query-weight multi kernels. When every weight vector is
-    /// equal the batch **is** a [`Self::Shared`] one and runs as one;
-    /// [`QueryBatch::new`] is the only place that is detected.
+    /// One metric for the whole batch: the multi-query kernels read one
+    /// shared weight row.
+    Shared(&'a WeightedEuclidean),
+    /// `metrics[i]` for `queries[i]` (concurrent sessions whose learned
+    /// weights diverged): the multi-query kernels read one weight row
+    /// per query. When every weight vector is equal the batch **is** a
+    /// [`Self::Shared`] one and runs as one; [`QueryBatch::new`] is the
+    /// only place that is detected.
     Weighted(&'a [&'a WeightedEuclidean]),
 }
 
@@ -46,7 +44,7 @@ impl<'a> QueryBatch<'a> {
     /// # Panics
     ///
     /// Panics when a per-query metric list is not one per query, the
-    /// queries disagree on dimensionality, or a weighted metric's
+    /// queries disagree on dimensionality, or a per-query metric's
     /// weight count differs from it.
     pub fn new(queries: &'a [&'a [f64]], metrics: QueryMetrics<'a>, k: usize) -> Self {
         let dim = queries.first().map_or(0, |q| q.len());
@@ -56,10 +54,6 @@ impl<'a> QueryBatch<'a> {
         );
         let metrics = match metrics {
             QueryMetrics::Shared(_) => metrics,
-            QueryMetrics::PerQuery(dists) => {
-                assert_eq!(queries.len(), dists.len(), "one distance per query");
-                metrics
-            }
             QueryMetrics::Weighted(ms) => {
                 assert_eq!(queries.len(), ms.len(), "one metric per query");
                 assert!(
@@ -68,7 +62,7 @@ impl<'a> QueryBatch<'a> {
                 );
                 match ms.split_first() {
                     Some((first, rest)) if rest.iter().all(|m| m.weights() == first.weights()) => {
-                        QueryMetrics::Shared(*first)
+                        QueryMetrics::Shared(first)
                     }
                     _ => metrics,
                 }
@@ -139,11 +133,28 @@ impl<'a> QueryBatch<'a> {
     }
 
     /// Query `q`'s metric.
-    pub(crate) fn metric(&self, q: usize) -> &'a dyn Distance {
+    pub(crate) fn metric(&self, q: usize) -> &'a WeightedEuclidean {
         match self.metrics {
-            QueryMetrics::Shared(d) => d,
-            QueryMetrics::PerQuery(dists) => dists[q],
+            QueryMetrics::Shared(m) => m,
             QueryMetrics::Weighted(ms) => ms[q],
+        }
+    }
+
+    /// The batch's weights lowered, once per pass, to the layout of the
+    /// multi-query kernels: `(weights, w_stride)` with `row` read from
+    /// each metric — the one shared row borrowed with `w_stride = 0`, or
+    /// every query's row concatenated with `w_stride = dim`.
+    pub(crate) fn lowered<T: Clone>(
+        &self,
+        row: impl Fn(&'a WeightedEuclidean) -> &'a [T],
+    ) -> (Cow<'a, [T]>, usize) {
+        match self.metrics {
+            QueryMetrics::Shared(m) => (Cow::Borrowed(row(m)), 0),
+            QueryMetrics::Weighted(ms) => {
+                let flat: Vec<T> = ms.iter().flat_map(|m| row(m).iter().cloned()).collect();
+                let dim = self.queries.first().map_or(0, |q| q.len());
+                (Cow::Owned(flat), dim)
+            }
         }
     }
 

@@ -18,16 +18,17 @@
 //! * The gather folds those partials through one [`KBest`] per query by
 //!   ascending `(key, index)` — the same deterministic order the
 //!   parallel scan's per-thread merge uses — and only the final winners
-//!   pay [`Distance::finish_key`]. Selection thus happens in the same
+//!   pay [`Distance::finish_key`](crate::Distance::finish_key).
+//!   Selection thus happens in the same
 //!   space, over the same key bits, with the same tie-break as one flat
 //!   pass.
 //!
 //! The consistency suite (`crates/vecdb/tests/sharded.rs`) pins this
-//! across both distance classes, both precisions, and slice counts
-//! up to one row per slice.
+//! across uniform, varied and skewed weights, both precisions, and
+//! slice counts up to one row per slice.
 
 use super::{finish_entries, KBest, Neighbor};
-use crate::distance::Distance;
+use crate::distance::WeightedEuclidean;
 use crate::VecdbError;
 
 /// One query's k-best over one row set, still in selection space:
@@ -122,7 +123,8 @@ impl ShardPartial {
 /// fold every entry through one k-best by ascending `(key, index)` —
 /// shards cover disjoint rows, so this reproduces exactly the selection
 /// one flat pass over the concatenated rows would make — then finish
-/// the winners with `dist` ([`Distance::finish_key`], or the identity
+/// the winners with `dist`
+/// ([`Distance::finish_key`](crate::Distance::finish_key), or the identity
 /// for Scalar-mode partials). The partials may arrive in any shard
 /// order; the result does not depend on it. `k` is caller input and
 /// never sizes an allocation beyond the entries the partials hold.
@@ -135,7 +137,7 @@ impl ShardPartial {
 pub fn merge_partials<'p>(
     partials: impl IntoIterator<Item = &'p ShardPartial>,
     k: usize,
-    dist: &dyn Distance,
+    dist: &WeightedEuclidean,
 ) -> Vec<Neighbor> {
     let partials: Vec<&ShardPartial> = partials.into_iter().collect();
     let held = partials.iter().map(|p| p.entries.len()).sum::<usize>();
@@ -237,7 +239,7 @@ impl DegradedGather {
 pub fn merge_partials_policy(
     partials: &[Option<ShardPartial>],
     k: usize,
-    dist: &dyn Distance,
+    dist: &WeightedEuclidean,
     policy: FailurePolicy,
 ) -> std::result::Result<DegradedGather, GatherError> {
     let missing_shards: Vec<u32> = partials

@@ -7,7 +7,7 @@
 //! optional sound pruning caps — and one engine answers it:
 //! [`MultiQueryScan::knn`], one blocked pass over a [`Layout`]. A flat
 //! collection is the one-partition layout, a partitioned one skips
-//! partitions a per-class lower bound proves irrelevant, and one
+//! partitions a per-query lower bound proves irrelevant, and one
 //! partition walk serves both. [`MultiQueryScan::knn_keyed`] is the
 //! same pass stopped in key space: one [`ShardPartial`] per query,
 //! which a router deployment — rows cut into slices, one per shard
@@ -39,7 +39,7 @@ pub use scan::{LinearScan, ScanMode};
 pub use stats::{ScanStats, ScanStatsSink};
 
 use crate::collection::Collection;
-use crate::distance::{Distance, F32KeyBound};
+use crate::distance::{Distance, F32KeyBound, WeightedEuclidean};
 
 /// Numeric precision of the scan engines' candidate filtering.
 ///
@@ -53,7 +53,7 @@ use crate::distance::{Distance, F32KeyBound};
 ///   memory-bandwidth-bound at low query counts) through the f32 kernels,
 ///   early-abandoning against the running k-best threshold `t` turned
 ///   into a ceiling `T = t + Δ'(t)` on the true k-th f64 key and
-///   inflated to `T + Δ(T)` by the class's monotone, key-relative
+///   inflated to `T + Δ(T)` by the metric's monotone, key-relative
 ///   rounding bound `Δ(key)` ([`Distance::f32_key_bound`], reversed by
 ///   [`F32KeyBound::reverse`]) — enough to guarantee the surviving
 ///   candidates contain the true f64 top-k, with a band whose width
@@ -95,7 +95,7 @@ pub(crate) fn f32_bound_up(bound: f64) -> f32 {
     }
 }
 
-/// The containment band of one query's f32 phase 1: its class's
+/// The containment band of one query's f32 phase 1: its metric's
 /// key-relative rounding bound `Δ` ([`F32KeyBound`]) and the reverse
 /// bound `Δ'` ([`F32KeyBound::reverse`]), formed once per pass. Every
 /// consumer of the bound — the phase-1 block bounds, the final candidate
@@ -132,7 +132,7 @@ impl KeyBand {
         reverse: F32KeyBound::ZERO,
     };
 
-    /// The band of a class's finite rounding bound.
+    /// The band of a metric's finite rounding bound.
     pub(crate) fn new(bound: F32KeyBound) -> Self {
         KeyBand {
             forward: bound,
@@ -174,7 +174,7 @@ impl KeyBand {
 pub(crate) fn rescore_f64_keyed(
     coll: &Collection,
     query: &[f64],
-    dist: &dyn Distance,
+    dist: &WeightedEuclidean,
     cands: &[u32],
     k: usize,
     perm: Option<&[u32]>,
@@ -216,7 +216,7 @@ pub(crate) fn rescore_f64_keyed(
 pub(crate) fn finish_entries(
     entries: Vec<(f64, u32)>,
     finished: bool,
-    dist: &dyn Distance,
+    dist: &WeightedEuclidean,
 ) -> Vec<Neighbor> {
     let mut v: Vec<Neighbor> = entries
         .into_iter()
@@ -235,7 +235,7 @@ pub(crate) fn finish_entries(
 
 /// Rows evaluated per batched kernel invocation (shared by
 /// [`LinearScan`] and [`MultiQueryScan`]). Large enough to amortize the
-/// virtual call, small enough that a block's keys stay in L1 and the
+/// call and the bound refresh, small enough that a block's keys stay in L1 and the
 /// k-best thresholds refresh frequently for early abandonment.
 pub(crate) const BLOCK_ROWS: usize = 256;
 
@@ -367,14 +367,14 @@ pub trait KnnEngine {
     /// The `k` nearest neighbors of `query` under `dist`, sorted by
     /// ascending `(dist, index)`. Returns fewer than `k` when the
     /// collection is smaller.
-    fn knn(&self, query: &[f64], k: usize, dist: &dyn Distance) -> Vec<Neighbor>;
+    fn knn(&self, query: &[f64], k: usize, dist: &WeightedEuclidean) -> Vec<Neighbor>;
 
     /// Like [`Self::knn`] but also reports work counters.
     fn knn_with_stats(
         &self,
         query: &[f64],
         k: usize,
-        dist: &dyn Distance,
+        dist: &WeightedEuclidean,
     ) -> (Vec<Neighbor>, SearchStats);
 
     /// Engine name for reports.

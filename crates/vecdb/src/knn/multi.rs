@@ -7,28 +7,22 @@
 //! sessions issues many k-NN queries against the *same* collection at
 //! once, so [`MultiQueryScan`] amortizes that traffic: each block of
 //! [`BLOCK_ROWS`] vectors is loaded once and scored against every
-//! pending query while it is hot (via
-//! [`Distance::eval_key_multi`]), dropping collection bytes per query by
+//! pending query while it is hot, dropping collection bytes per query by
 //! ~Q× until the scan turns compute-bound.
 //!
 //! One entry, [`MultiQueryScan::knn`], takes a [`QueryBatch`] and runs
 //! over a [`Layout`]: a flat [`Collection`] (one partition) or a
 //! [`PartitionedCollection`](crate::collection::PartitionedCollection),
-//! whose partitions a per-class lower bound can prove irrelevant (see
+//! whose partitions a per-query lower bound can prove irrelevant (see
 //! the [`partitioned`](super::partitioned) module for the proof). One
-//! partition walk serves either layout, in both precisions; the batch's
-//! metric form picks the kernels of the pass, in every layout:
-//!
-//! * `Shared` — Q queries under **one metric** (a Q-sweep, or sessions
-//!   that have not diverged yet; an all-equal `Weighted` batch is this
-//!   form too). One multi-query kernel call per block.
-//! * `PerQuery` — each query under **its own metric**, either class.
-//!   Shares the block pass; each query's distance runs its single-query
-//!   batch kernel on the hot block.
-//! * `Weighted` — per-query weighted-Euclidean metrics (sessions whose
-//!   learned weights diverged): every block goes through the Q×row
-//!   multi kernels in their per-query-weight layout (`w_stride = dim`),
-//!   one register-blocked call per block instead of one per query.
+//! partition walk serves either layout, and one chunk scanner per
+//! precision serves every batch: the batch's metric form is lowered once
+//! per pass to the weight layout of the Q×row multi kernels
+//! ([`QueryBatch::lowered`]) — one shared weight row (`Shared`: a
+//! Q-sweep, sessions that have not diverged yet, an all-equal
+//! `Weighted` batch; `w_stride = 0`) or one row per query (`Weighted`:
+//! sessions whose learned weights diverged; `w_stride = dim`) — and
+//! every block is one register-blocked kernel call for all queries.
 //!
 //! Results are **bit-identical** to Q independent `LinearScan` runs in
 //! the same key-space mode: every (query, row) key is computed by the
@@ -36,8 +30,8 @@
 //! only drop rows that could never enter that query's k-best, and the
 //! parallel path merges per-thread candidates by ascending
 //! `(key, index)` exactly like the single-query scan. The consistency
-//! suite (`crates/vecdb/tests/multi_query.rs`) pins this across both
-//! distance classes, uniform and skewed weights.
+//! suite (`crates/vecdb/tests/multi_query.rs`) pins this across uniform,
+//! varied and skewed weights.
 //!
 //! # Precision
 //!
@@ -52,7 +46,7 @@
 //! than the largest key the data could produce, a small k-th key gets a
 //! correspondingly narrow band. The inflation makes
 //! the candidate set a guaranteed superset of the true f64 top-k (see
-//! the proof on [`MultiQueryScan::scan_range_shared_f32`]), so results
+//! the proof on [`MultiQueryScan::scan_range_f32`]), so results
 //! remain bit-identical to the pure-f64 scan while the bulk of the pass
 //! moves half the bytes.
 //!
@@ -61,10 +55,10 @@
 //! that admit nothing with one test, and the exact f64 comparison
 //! ([`admit_run`]) runs on the set lanes only, so the candidate pools,
 //! the k-bests and the `blocks_abandoned` count are those of a
-//! row-by-row loop. A per-query-weight f32 batch that takes the
-//! rows-in-lanes kernel skips the key buffer: the kernel builds a
-//! 16-lane mask per query and row group while the keys are still in
-//! register, and only groups with a set lane reach [`admit_run`].
+//! row-by-row loop. An f32 batch that takes the rows-in-lanes kernel
+//! skips the key buffer: the kernel builds a 16-lane mask per query and
+//! row group while the keys are still in register, and only groups with
+//! a set lane reach [`admit_run`].
 
 use super::partitioned::{all_prune, Layout};
 use super::stats::{ScanStats, ScanStatsSink};
@@ -73,7 +67,7 @@ use super::{
     ScanConfig, ScanMode, ShardPartial, BLOCK_ROWS,
 };
 use crate::collection::Collection;
-use crate::distance::{kernels, Distance, F32KeyBound};
+use crate::distance::{kernels, Distance, F32KeyBound, WeightedEuclidean};
 use std::ops::Range;
 
 /// Chunk scanner of a pass: scan a row range, folding hits into the
@@ -156,14 +150,15 @@ impl<'a> MultiQueryScan<'a> {
             .iter()
             .flat_map(|q| q.iter())
             .fold(m_coll, |m, &v| m.max(v.abs()));
-        let band = |dist: &dyn Distance| {
-            dist.f32_key_bound(self.layout.coll.dim(), m)
+        let band = |metric: &WeightedEuclidean| {
+            metric
+                .f32_key_bound(self.layout.coll.dim(), m)
                 .filter(F32KeyBound::is_finite)
                 .map(KeyBand::new)
         };
         match batch.metrics() {
-            QueryMetrics::Shared(dist) => band(dist).map(|b| vec![b; batch.len()]),
-            _ => (0..batch.len()).map(|q| band(batch.metric(q))).collect(),
+            QueryMetrics::Shared(metric) => band(metric).map(|b| vec![b; batch.len()]),
+            QueryMetrics::Weighted(metrics) => metrics.iter().map(|m| band(m)).collect(),
         }
     }
 
@@ -214,8 +209,12 @@ impl<'a> MultiQueryScan<'a> {
             return scalar_reference(coll, perm, &self.cfg, batch, &ks, caps);
         }
         if let Some(bands) = self.f32_bands(batch) {
-            let (kbs, cands) = self.with_f32_scanner(batch, &bands, &ks, |scan| {
-                self.drive(batch, &ks, &bands, caps, scan)
+            // Queries and weights rounded once to the layout the mirror
+            // kernels consume; candidates speak scanned-row indices.
+            let q32 = flatten_f32(batch.queries());
+            let (w32, w_stride) = batch.lowered(WeightedEuclidean::weights_f32);
+            let (kbs, cands) = self.drive(batch, &ks, &bands, caps, &|rows, kbs, cands, caps| {
+                self.scan_range_f32(&q32, &w32, w_stride, &bands, &ks, rows, kbs, cands, caps)
             });
             let cands = filter_candidates(&kbs, &bands, cands, caps, self.cfg.stats);
             // Gather by scanned-row index, push under the original index
@@ -223,83 +222,13 @@ impl<'a> MultiQueryScan<'a> {
             return rescore(coll, batch, &ks, &cands, perm);
         }
         // The f64 pass is the f32 one at the exact band (`T = min(t, cap)`).
-        let (kbs, _) = self.with_scanner(batch, |scan| {
-            self.drive(batch, &ks, &vec![KeyBand::EXACT; nq], caps, scan)
+        let q = flatten(batch.queries());
+        let (w, w_stride) = batch.lowered(WeightedEuclidean::weights);
+        let exact = vec![KeyBand::EXACT; nq];
+        let (kbs, _) = self.drive(batch, &ks, &exact, caps, &|rows, kbs, _, caps| {
+            self.scan_range(&q, &w, w_stride, rows, kbs, caps, perm)
         });
         keyed(kbs, false)
-    }
-
-    /// Lower `batch`'s metric form to the buffers its f64 kernels
-    /// consume — once per pass — and hand `drive` the chunk scanner of
-    /// that form. The layout's permutation maps every pushed row to its
-    /// original index.
-    fn with_scanner<R>(
-        &self,
-        batch: &QueryBatch<'_>,
-        drive: impl FnOnce(&ChunkScan<'_>) -> R,
-    ) -> R {
-        let (queries, perm) = (batch.queries(), self.layout.perm());
-        match batch.metrics() {
-            QueryMetrics::Shared(dist) => {
-                let flat = flatten(queries);
-                drive(&|rows, kbs, _, caps| {
-                    self.scan_range_shared(&flat, dist, rows, kbs, caps, perm)
-                })
-            }
-            QueryMetrics::PerQuery(dists) => drive(&|rows, kbs, _, caps| {
-                self.scan_range_per_query(queries, dists, rows, kbs, caps, perm)
-            }),
-            QueryMetrics::Weighted(metrics) => {
-                let flat_q = flatten(queries);
-                let flat_w: Vec<f64> = metrics.iter().flat_map(|m| m.weights().to_vec()).collect();
-                drive(&|rows, kbs, _, caps| {
-                    self.scan_range_weighted(&flat_q, &flat_w, rows, kbs, caps, perm)
-                })
-            }
-        }
-    }
-
-    /// The f32 phase-1 counterpart of [`Self::with_scanner`]: queries
-    /// (and weights) rounded once to the layout the mirror kernels
-    /// consume; candidates speak scanned-row indices (the rescore
-    /// applies the permutation).
-    fn with_f32_scanner<R>(
-        &self,
-        batch: &QueryBatch<'_>,
-        bands: &[KeyBand],
-        ks: &[usize],
-        drive: impl FnOnce(&ChunkScan<'_>) -> R,
-    ) -> R {
-        let queries = batch.queries();
-        match batch.metrics() {
-            QueryMetrics::Shared(dist) => {
-                let flat32 = flatten_f32(queries);
-                drive(&|rows, kbs, cands, caps| {
-                    self.scan_range_shared_f32(&flat32, dist, &bands[0], ks, rows, kbs, cands, caps)
-                })
-            }
-            QueryMetrics::PerQuery(dists) => {
-                let q32s: Vec<Vec<f32>> = queries
-                    .iter()
-                    .map(|q| q.iter().map(|&v| v as f32).collect())
-                    .collect();
-                drive(&|rows, kbs, cands, caps| {
-                    self.scan_range_per_query_f32(&q32s, dists, bands, ks, rows, kbs, cands, caps)
-                })
-            }
-            QueryMetrics::Weighted(metrics) => {
-                let flat_q32 = flatten_f32(queries);
-                let flat_w32: Vec<f32> = metrics
-                    .iter()
-                    .flat_map(|m| m.weights_f32().to_vec())
-                    .collect();
-                drive(&|rows, kbs, cands, caps| {
-                    self.scan_range_weighted_f32(
-                        &flat_q32, &flat_w32, bands, ks, rows, kbs, cands, caps,
-                    )
-                })
-            }
-        }
     }
 
     /// Walk `rows` in [`BLOCK_ROWS`] blocks: `block(start, end)` scores
@@ -325,20 +254,43 @@ impl<'a> MultiQueryScan<'a> {
             .expect("f32 path requires the mirror")
     }
 
-    /// Per-query-weight f32 phase-1: one register-blocked multi-kernel
-    /// call scores the mirror block against all queries, each pruned by
-    /// its own band's `T + Δ(T)` (same containment argument as
-    /// [`Self::scan_range_shared_f32`], per query). When the batch takes
-    /// the rows-in-lanes kernel ([`kernels::rows_in_lanes`]), the keys
-    /// never leave the registers: the kernel masks each query's 16-row
-    /// group against its lane bound and only a group with a set lane
-    /// reaches [`admit_run`], so the pools, the k-bests and the vote
-    /// equal those of [`admit_block`] over the written keys.
+    /// The f32 phase-1 over one contiguous index range of the mirror:
+    /// one register-blocked multi-kernel call per block scores it
+    /// against every query (weights `w32` at `w_stride`, as
+    /// [`QueryBatch::lowered`] laid them out), each query pruned by its
+    /// own band's `T + Δ(T)` ([`KeyBand::admit_bound`]); every row whose
+    /// f32 key lands under its query's bound is recorded in that query's
+    /// candidate list (`kbs` tracks f32 keys only to tighten the bounds
+    /// as the pass advances). When the batch takes the rows-in-lanes
+    /// kernel ([`kernels::rows_in_lanes`]), the keys never leave the
+    /// registers: the kernel masks each query's 16-row group against its
+    /// lane bound and only a group with a set lane reaches
+    /// [`admit_run`], so the pools, the k-bests and the vote equal those
+    /// of [`admit_block`] over the written keys.
+    ///
+    /// Why `T + Δ(T)` suffices (per query; `τ64` = the k-th smallest true
+    /// f64 key, `τ32` = the k-th smallest f32 key, `t` = the running
+    /// threshold, `Δ(key)` the metric's monotone key-relative bound with
+    /// `|key32 − key64| ≤ Δ(key64)`, `Δ'` its reverse with
+    /// `key64 ≤ key32 + Δ'(key32)`): the running threshold is the k-th
+    /// best f32 key *pushed so far*, which can never undershoot `τ32`,
+    /// and the k rows realizing `τ32` witness
+    /// `τ64 ≤ τ32 + Δ'(τ32) ≤ t + Δ'(t)`; with the cap, `τ64 ≤ T =
+    /// min(t + Δ'(t), cap)`. A true top-k row (ties included) has
+    /// `key64 ≤ τ64 ≤ T`, so `key32 ≤ key64 + Δ(key64) ≤ T + Δ(T)` by
+    /// monotonicity. The per-block bound therefore keeps every such row:
+    /// its monotone f32 prefix sums never exceed its final
+    /// `key32 ≤ bound`, so the kernel cannot abandon it, and the
+    /// `key32 ≤ bound` filter admits it into `cands` (with its f32 key,
+    /// so [`filter_candidates`] can re-apply the same test against the
+    /// *final* — tightest — threshold before the rescore pays any
+    /// scattered f64 reads).
     #[allow(clippy::too_many_arguments)]
-    fn scan_range_weighted_f32(
+    fn scan_range_f32(
         &self,
-        flat_q32: &[f32],
-        flat_w32: &[f32],
+        q32: &[f32],
+        w32: &[f32],
+        w_stride: usize,
         bands: &[KeyBand],
         ks: &[usize],
         rows: Range<usize>,
@@ -368,9 +320,9 @@ impl<'a> MultiQueryScan<'a> {
             if in_register {
                 let mut failed = false;
                 let unset = kernels::weighted_sq_multi_admit_f32(
-                    flat_w32,
-                    dim,
-                    flat_q32,
+                    w32,
+                    w_stride,
+                    q32,
                     block,
                     dim,
                     &bounds32,
@@ -382,9 +334,9 @@ impl<'a> MultiQueryScan<'a> {
                 return unset || failed;
             }
             kernels::weighted_sq_multi_block_f32(
-                flat_w32,
-                dim,
-                flat_q32,
+                w32,
+                w_stride,
+                q32,
                 block,
                 dim,
                 &bounds32,
@@ -394,12 +346,20 @@ impl<'a> MultiQueryScan<'a> {
         });
     }
 
-    /// Per-query-weight f64 pass through the same multi-kernel layout.
-    /// `perm` as on [`Self::scan_range_shared`].
-    fn scan_range_weighted(
+    /// The f64 blocked pass over one contiguous index range: refresh
+    /// every query's bound per block, score the block against all
+    /// queries in one multi-kernel call (weights `w` at `w_stride`, as
+    /// [`QueryBatch::lowered`] laid them out), push surrogate keys.
+    /// `perm` (when given) maps each scanned row index before the push —
+    /// the partitioned layout's reorder-transparency: selection
+    /// tie-breaks then happen in the *original* index space, which is
+    /// what pins partitioned answers bit-identical to flat ones.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_range(
         &self,
-        flat_q: &[f64],
-        flat_w: &[f64],
+        q: &[f64],
+        w: &[f64],
+        w_stride: usize,
         rows: Range<usize>,
         kbs: &mut [KBest],
         caps: Option<&[f64]>,
@@ -415,171 +375,15 @@ impl<'a> MultiQueryScan<'a> {
                 *b = kb.threshold().min(cap_of(caps, q));
             }
             kernels::weighted_sq_multi_block(
-                flat_w,
-                dim,
-                flat_q,
+                w,
+                w_stride,
+                q,
                 self.layout.coll.block(start, end),
                 dim,
                 &bounds,
                 &mut keys[..nq * n],
             );
             admit_block(&keys[..nq * n], &bounds, start, perm, kbs, None)
-        });
-    }
-
-    /// Shared-metric blocked pass over one contiguous index range:
-    /// refresh every query's bound per block, evaluate the block against
-    /// all queries in one kernel call, push surrogate keys. `perm`
-    /// (when given) maps each scanned row index before the push — the
-    /// partitioned layout's reorder-transparency: selection tie-breaks
-    /// then happen in the *original* index space, which is what pins
-    /// partitioned answers bit-identical to flat ones.
-    fn scan_range_shared(
-        &self,
-        flat_queries: &[f64],
-        dist: &dyn Distance,
-        rows: Range<usize>,
-        kbs: &mut [KBest],
-        caps: Option<&[f64]>,
-        perm: Option<&[u32]>,
-    ) {
-        let dim = self.layout.coll.dim();
-        let nq = kbs.len();
-        let mut keys = vec![0.0f64; nq * BLOCK_ROWS];
-        let mut bounds = vec![f64::INFINITY; nq];
-        self.for_each_block(rows, |start, end| {
-            let n = end - start;
-            for (q, (b, kb)) in bounds.iter_mut().zip(kbs.iter()).enumerate() {
-                *b = kb.threshold().min(cap_of(caps, q));
-            }
-            let block = self.layout.coll.block(start, end);
-            dist.eval_key_multi(flat_queries, block, dim, &bounds, &mut keys[..nq * n]);
-            admit_block(&keys[..nq * n], &bounds, start, perm, kbs, None)
-        });
-    }
-
-    /// Shared-metric f32 phase-1 over one contiguous index range of the
-    /// mirror: per-query bounds `T + Δ(T)` ([`KeyBand::admit_bound`]),
-    /// every row whose f32 key lands under its query's bound recorded in
-    /// that query's candidate list (`kbs` tracks f32 keys only to tighten
-    /// the bounds as the pass advances).
-    ///
-    /// Why `T + Δ(T)` suffices (per query; `τ64` = the k-th smallest true
-    /// f64 key, `τ32` = the k-th smallest f32 key, `t` = the running
-    /// threshold, `Δ(key)` the class's monotone key-relative bound with
-    /// `|key32 − key64| ≤ Δ(key64)`, `Δ'` its reverse with
-    /// `key64 ≤ key32 + Δ'(key32)`): the running threshold is the k-th
-    /// best f32 key *pushed so far*, which can never undershoot `τ32`,
-    /// and the k rows realizing `τ32` witness
-    /// `τ64 ≤ τ32 + Δ'(τ32) ≤ t + Δ'(t)`; with the cap, `τ64 ≤ T =
-    /// min(t + Δ'(t), cap)`. A true top-k row (ties included) has
-    /// `key64 ≤ τ64 ≤ T`, so `key32 ≤ key64 + Δ(key64) ≤ T + Δ(T)` by
-    /// monotonicity. The per-block bound therefore keeps every such row:
-    /// its monotone f32 prefix sums never exceed its final
-    /// `key32 ≤ bound`, so the kernel cannot abandon it, and the
-    /// `key32 ≤ bound` filter admits it into `cands` (with its f32 key,
-    /// so [`filter_candidates`] can re-apply the same test against the
-    /// *final* — tightest — threshold before the rescore pays any
-    /// scattered f64 reads).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_range_shared_f32(
-        &self,
-        flat_q32: &[f32],
-        dist: &dyn Distance,
-        band: &KeyBand,
-        ks: &[usize],
-        rows: Range<usize>,
-        kbs: &mut [KBest],
-        cands: &mut [Vec<(u32, f32)>],
-        caps: Option<&[f64]>,
-    ) {
-        let dim = self.layout.coll.dim();
-        let nq = kbs.len();
-        let mut keys = vec![0.0f32; nq * BLOCK_ROWS];
-        let mut bounds64 = vec![f64::INFINITY; nq];
-        let mut bounds32 = vec![f32::INFINITY; nq];
-        self.for_each_block(rows, |start, end| {
-            let n = end - start;
-            for (q, ((b64, b32), (kb, &k))) in bounds64
-                .iter_mut()
-                .zip(bounds32.iter_mut())
-                .zip(kbs.iter().zip(ks.iter()))
-                .enumerate()
-            {
-                *b64 = phase1_bound(kb, k, cap_of(caps, q), band);
-                *b32 = f32_bound_up(*b64);
-            }
-            let block = self.block_f32(start, end);
-            dist.eval_key_multi_f32(flat_q32, block, dim, &bounds32, &mut keys[..nq * n]);
-            admit_block(&keys[..nq * n], &bounds64, start, None, kbs, Some(cands))
-        });
-    }
-
-    /// Per-query-metric f32 phase-1: one shared mirror-block read, one
-    /// f32 batch kernel call per (query, block), each query pruned by
-    /// its own band's `T + Δ(T)` (same containment argument as
-    /// [`Self::scan_range_shared_f32`], per query).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_range_per_query_f32(
-        &self,
-        q32s: &[Vec<f32>],
-        dists: &[&dyn Distance],
-        bands: &[KeyBand],
-        ks: &[usize],
-        rows: Range<usize>,
-        kbs: &mut [KBest],
-        cands: &mut [Vec<(u32, f32)>],
-        caps: Option<&[f64]>,
-    ) {
-        let dim = self.layout.coll.dim();
-        let mut keys = [0.0f32; BLOCK_ROWS];
-        self.for_each_block(rows, |start, end| {
-            let n = end - start;
-            let block = self.block_f32(start, end);
-            let mut abandoned = false;
-            for (q, ((q32, d), (kb, cand))) in q32s
-                .iter()
-                .zip(dists.iter())
-                .zip(kbs.iter_mut().zip(cands.iter_mut()))
-                .enumerate()
-            {
-                let bound64 = phase1_bound(kb, ks[q], cap_of(caps, q), &bands[q]);
-                d.eval_key_batch_f32(q32, block, dim, f32_bound_up(bound64), &mut keys[..n]);
-                abandoned |= admit(&keys[..n], bound64, start, None, kb, Some(cand));
-            }
-            abandoned
-        });
-    }
-
-    /// Per-query-metric blocked pass: one shared block read, one
-    /// single-query batch kernel call per (query, block) on the hot
-    /// block. `perm` as on [`Self::scan_range_shared`].
-    fn scan_range_per_query(
-        &self,
-        queries: &[&[f64]],
-        dists: &[&dyn Distance],
-        rows: Range<usize>,
-        kbs: &mut [KBest],
-        caps: Option<&[f64]>,
-        perm: Option<&[u32]>,
-    ) {
-        let dim = self.layout.coll.dim();
-        let mut keys = [0.0f64; BLOCK_ROWS];
-        self.for_each_block(rows, |start, end| {
-            let n = end - start;
-            let block = self.layout.coll.block(start, end);
-            let mut abandoned = false;
-            for (qi, ((q, d), kb)) in queries
-                .iter()
-                .zip(dists.iter())
-                .zip(kbs.iter_mut())
-                .enumerate()
-            {
-                let bound = kb.threshold().min(cap_of(caps, qi));
-                d.eval_key_batch(q, block, dim, bound, &mut keys[..n]);
-                abandoned |= admit(&keys[..n], bound, start, perm, kb, None);
-            }
-            abandoned
         });
     }
 
@@ -697,7 +501,7 @@ fn fan_out(
     });
 }
 
-/// The Scalar reference pass: one `dyn Distance::eval` per (row, query),
+/// The Scalar reference pass: one [`Distance::eval`] per (row, query),
 /// true distances pushed (`finished = true`), no kernels, no pruning
 /// beyond the caller's caps — the anchor every kernel path is compared
 /// against. `perm` (the partitioned layout's reorder map) makes it push
@@ -949,7 +753,7 @@ fn admit_block<K: AdmitKey>(
 /// row — so most of the pool is stale by the end. The final threshold is
 /// the k-th smallest f32 key pushed, which never undershoots the true
 /// k-th smallest f32 key, so the argument on
-/// [`MultiQueryScan::scan_range_shared_f32`] applies verbatim and the
+/// [`MultiQueryScan::scan_range_f32`] applies verbatim and the
 /// filtered pool still contains the true f64 top-k — while the rescore
 /// now gathers ~k scattered rows instead of hundreds.
 fn filter_candidates(
@@ -1019,8 +823,7 @@ mod tests {
     use super::super::{KnnEngine, LinearScan};
     use super::*;
     use crate::collection::CollectionBuilder;
-    use crate::distance::{Euclidean, WeightedEuclidean};
-    use QueryMetrics::{PerQuery, Shared, Weighted};
+    use QueryMetrics::{Shared, Weighted};
 
     fn pseudo_random_collection(n: usize, dim: usize) -> Collection {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -1075,11 +878,11 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
+        let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
         for mode in [ScanMode::Batched, ScanMode::Parallel] {
             let multi = MultiQueryScan::with_mode(&c, mode).knn(&QueryBatch::new(
                 &refs,
-                PerQuery(&dists),
+                Weighted(&mrefs),
                 5,
             ));
             for ((q, d), res) in refs.iter().zip(metrics.iter()).zip(multi.iter()) {
@@ -1093,13 +896,18 @@ mod tests {
     fn empty_inputs() {
         let c = pseudo_random_collection(50, 4);
         let scan = MultiQueryScan::new(&c);
+        let uniform = WeightedEuclidean::uniform(4);
         assert!(scan
-            .knn(&QueryBatch::new(&[], Shared(&Euclidean), 3))
+            .knn(&QueryBatch::new(&[], Shared(&uniform), 3))
             .is_empty());
         let empty = CollectionBuilder::new().build();
         let scan = MultiQueryScan::new(&empty);
         let q: &[f64] = &[];
-        let res = scan.knn(&QueryBatch::new(&[q, q], Shared(&Euclidean), 3));
+        let res = scan.knn(&QueryBatch::new(
+            &[q, q],
+            Shared(&WeightedEuclidean::uniform(0)),
+            3,
+        ));
         assert_eq!(res, vec![Vec::new(), Vec::new()]);
     }
 
@@ -1109,10 +917,11 @@ mod tests {
         let queries = sample_queries(2, 6);
         let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
         let scan = MultiQueryScan::with_mode(&c, ScanMode::Batched);
-        for res in scan.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 0)) {
+        let uniform = WeightedEuclidean::uniform(6);
+        for res in scan.knn(&QueryBatch::new(&refs, Shared(&uniform), 0)) {
             assert!(res.is_empty());
         }
-        for res in scan.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 100)) {
+        for res in scan.knn(&QueryBatch::new(&refs, Shared(&uniform), 100)) {
             assert_eq!(res.len(), 30);
             for w in res.windows(2) {
                 assert!(w[0].dist <= w[1].dist);
@@ -1143,10 +952,10 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
+        let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
         for mode in [ScanMode::Batched, ScanMode::Parallel] {
             let multi = MultiQueryScan::with_mode(&c, mode)
-                .knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks));
+                .knn(&QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks));
             for (((q, d), res), &k) in refs
                 .iter()
                 .zip(metrics.iter())
@@ -1170,13 +979,15 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
         let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
         let ks = [1usize, 10, 50, 7, 3];
         for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
             let scan = MultiQueryScan::with_mode(&c, mode);
             let specialized = scan.knn(&QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks));
-            let generic = scan.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks));
+            // The generic form: each query alone, a one-metric batch.
+            let generic: Vec<Vec<Neighbor>> = (refs.iter().zip(&mrefs).zip(&ks))
+                .flat_map(|((q, m), &k)| scan.knn(&QueryBatch::new(&[q], Shared(m), k)))
+                .collect();
             assert_eq!(specialized, generic, "mode {mode:?}");
             for ((q, m), (res, &k)) in refs
                 .iter()
@@ -1310,7 +1121,7 @@ mod tests {
     }
 
     /// The in-register group admit of the rows-in-lanes kernel
-    /// (`scan_range_weighted_f32`'s path from
+    /// (`scan_range_f32`'s path from
     /// `ROWS_IN_LANES_MIN_QUERIES` queries) against the row-by-row loop
     /// over the keys the writing kernel scores: same votes, pools and
     /// k-bests. Rows holding a NaN score NaN keys and rows of huge
@@ -1464,7 +1275,8 @@ mod tests {
         }
         let queries = sample_queries(nq, dim);
         let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
-        let batch = QueryBatch::new(&refs, Shared(&Euclidean), 10);
+        let uniform = WeightedEuclidean::uniform(dim);
+        let batch = QueryBatch::new(&refs, Shared(&uniform), 10);
         let run = |mode| {
             let sink = ScanStatsSink::new();
             let answers = MultiQueryScan::with_mode(&part, mode)
@@ -1488,9 +1300,10 @@ mod tests {
         let unbudgeted = MultiQueryScan::with_mode(&c, ScanMode::Parallel);
         let budgeted = MultiQueryScan::with_mode(&c, ScanMode::Parallel).with_thread_budget(2);
         let one = MultiQueryScan::with_mode(&c, ScanMode::Parallel).with_thread_budget(1);
-        let a = unbudgeted.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 9));
-        let b = budgeted.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 9));
-        let c2 = one.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 9));
+        let uniform = WeightedEuclidean::uniform(12);
+        let a = unbudgeted.knn(&QueryBatch::new(&refs, Shared(&uniform), 9));
+        let b = budgeted.knn(&QueryBatch::new(&refs, Shared(&uniform), 9));
+        let c2 = one.knn(&QueryBatch::new(&refs, Shared(&uniform), 9));
         assert_eq!(a, b);
         assert_eq!(a, c2);
     }

@@ -7,9 +7,9 @@
 //! bound of `None`, which never prunes. A [`PartitionedCollection`] is
 //! the many-partition layout: its rows are partition-contiguous, so each
 //! surviving partition is one contiguous block scan, and the pass
-//! **skips** any partition whose per-class key-space lower bound
-//! ([`Distance::partition_lower_key`](crate::distance::Distance::partition_lower_key))
-//! exceeds every query's running selection bound. Either way the same
+//! **skips** any partition whose per-query key-space lower bound
+//! ([`Distance::partition_lower_key`]) exceeds every query's running
+//! selection bound. Either way the same
 //! loop runs the same kernels, key spaces, `(key, index)` tie-breaks,
 //! `F32Rescore` two-phase machinery and `caps` seeding — a weighted
 //! batch keeps its per-query-weight multi kernels inside partitions
@@ -28,7 +28,7 @@
 //! * f32 phase-1 — the running threshold `t` lives in f32-key space,
 //!   while `lb` is exact. `t` never undershoots `τ32` (the true k-th
 //!   f32 key), and every row obeys `key64 ≤ key32 + Δ'(key32)` (the
-//!   reverse of the class's key-relative bound
+//!   reverse of the metric's key-relative bound
 //!   `Distance::f32_key_bound`, monotone), so
 //!   `τ64 ≤ τ32 + Δ'(τ32) ≤ t + Δ'(t)`: skip iff
 //!   `lb > T = min(t + Δ'(t), cap_q)` ([`KeyBand::ceiling`]). Skipped
@@ -48,6 +48,7 @@
 use super::multi::cap_of;
 use super::{KBest, KeyBand, QueryBatch};
 use crate::collection::{Collection, PartitionedCollection};
+use crate::distance::Distance;
 use std::ops::Range;
 
 /// The row layout a [`MultiQueryScan`](super::MultiQueryScan) pass

@@ -8,11 +8,11 @@
 //! (its reference implementation accumulates sequentially, the kernels
 //! 8-wide, so last-ulp rounding may differ):
 //!
-//! * [`ScanMode::Scalar`] — one `dyn Distance::eval` per vector, a `sqrt`
+//! * [`ScanMode::Scalar`] — one [`Distance::eval`] per vector, a `sqrt`
 //!   per candidate. Kept in-tree as the reference the kernel paths are
 //!   pinned against (`tests/scan_paths_consistency.rs`).
 //! * [`ScanMode::Batched`] — blocks of [`BLOCK_ROWS`] vectors go through
-//!   [`Distance::eval_key_batch`]: one virtual call per block, surrogate
+//!   [`Distance::eval_key_batch`]: one kernel call per block, surrogate
 //!   keys instead of distances (no `sqrt`), early abandonment against the
 //!   running k-best threshold inside the kernel. Only the final `k`
 //!   winners pay [`Distance::finish_key`].
@@ -40,7 +40,7 @@ use super::{
     SearchStats, BLOCK_ROWS,
 };
 use crate::collection::Collection;
-use crate::distance::Distance;
+use crate::distance::{Distance, WeightedEuclidean};
 
 /// Execution strategy for [`LinearScan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,7 +51,8 @@ pub enum ScanMode {
     /// `rows × dim × queries` work.
     #[default]
     Auto,
-    /// Per-vector `dyn` dispatch with a `sqrt` per candidate (baseline).
+    /// One sequentially accumulated `eval` with a `sqrt` per candidate
+    /// (baseline).
     Scalar,
     /// Blocked surrogate-key kernels, single-threaded.
     Batched,
@@ -104,8 +105,8 @@ impl<'a> LinearScan<'a> {
         self.cfg.effective_mode(self.coll.len(), self.coll.dim(), 1)
     }
 
-    /// Baseline path: one virtual `eval` (with its `sqrt`) per vector.
-    fn knn_scalar(&self, query: &[f64], k: usize, dist: &dyn Distance) -> Vec<Neighbor> {
+    /// Baseline path: one `eval` (with its `sqrt`) per vector.
+    fn knn_scalar(&self, query: &[f64], k: usize, dist: &WeightedEuclidean) -> Vec<Neighbor> {
         let mut kb = KBest::new(k);
         for i in 0..self.coll.len() {
             kb.push(i as u32, dist.eval(query, self.coll.vector(i)));
@@ -115,7 +116,7 @@ impl<'a> LinearScan<'a> {
 
     /// Batched path: blocks through the key kernel, surrogate keys into
     /// one k-best, only the winners pay `finish_key`.
-    fn knn_batched(&self, query: &[f64], k: usize, dist: &dyn Distance) -> Vec<Neighbor> {
+    fn knn_batched(&self, query: &[f64], k: usize, dist: &WeightedEuclidean) -> Vec<Neighbor> {
         let dim = self.coll.dim();
         let mut kb = KBest::new(k);
         let mut keys = [0.0f64; BLOCK_ROWS];
@@ -144,7 +145,7 @@ impl<'a> LinearScan<'a> {
         &self,
         query: &[f64],
         k: usize,
-        dist: &dyn Distance,
+        dist: &WeightedEuclidean,
         mode: ScanMode,
     ) -> Vec<Neighbor> {
         let cfg = ScanConfig { mode, ..self.cfg };
@@ -158,7 +159,7 @@ impl<'a> LinearScan<'a> {
 impl KnnEngine for LinearScan<'_> {
     /// `k` is clamped to the collection (`k` larger than it returns
     /// every row), so no caller-supplied `k` ever sizes a heap.
-    fn knn(&self, query: &[f64], k: usize, dist: &dyn Distance) -> Vec<Neighbor> {
+    fn knn(&self, query: &[f64], k: usize, dist: &WeightedEuclidean) -> Vec<Neighbor> {
         let k = k.min(self.coll.len());
         match (self.effective_mode(), self.cfg.precision) {
             (ScanMode::Scalar, _) => self.knn_scalar(query, k, dist),
@@ -171,7 +172,7 @@ impl KnnEngine for LinearScan<'_> {
         &self,
         query: &[f64],
         k: usize,
-        dist: &dyn Distance,
+        dist: &WeightedEuclidean,
     ) -> (Vec<Neighbor>, SearchStats) {
         (
             self.knn(query, k, dist),
@@ -190,7 +191,10 @@ impl KnnEngine for LinearScan<'_> {
 mod tests {
     use super::*;
     use crate::collection::CollectionBuilder;
-    use crate::distance::{Euclidean, WeightedEuclidean};
+
+    fn uniform() -> WeightedEuclidean {
+        WeightedEuclidean::uniform(2)
+    }
 
     fn grid_collection() -> Collection {
         let mut b = CollectionBuilder::new();
@@ -206,7 +210,7 @@ mod tests {
     fn knn_finds_nearest_grid_points() {
         let c = grid_collection();
         let scan = LinearScan::new(&c);
-        let res = scan.knn(&[0.1, 0.1], 3, &Euclidean);
+        let res = scan.knn(&[0.1, 0.1], 3, &uniform());
         assert_eq!(res.len(), 3);
         // Closest is (0,0), then (1,0) and (0,1) (tie).
         assert_eq!(res[0].index, 0);
@@ -219,7 +223,7 @@ mod tests {
     fn k_larger_than_collection() {
         let c = grid_collection();
         let scan = LinearScan::new(&c);
-        let res = scan.knn(&[0.0, 0.0], 100, &Euclidean);
+        let res = scan.knn(&[0.0, 0.0], 100, &uniform());
         assert_eq!(res.len(), 25);
         // Sorted ascending.
         for w in res.windows(2) {
@@ -231,7 +235,7 @@ mod tests {
     fn k_zero_is_empty() {
         let c = grid_collection();
         let scan = LinearScan::new(&c);
-        assert!(scan.knn(&[0.0, 0.0], 0, &Euclidean).is_empty());
+        assert!(scan.knn(&[0.0, 0.0], 0, &uniform()).is_empty());
     }
 
     #[test]
@@ -241,8 +245,8 @@ mod tests {
         b.push_unlabelled(&[0.0, 1.1]).unwrap(); // index 1
         let c = b.build();
         let scan = LinearScan::new(&c);
-        // Euclidean: point 0 is closer to origin.
-        let r1 = scan.knn(&[0.0, 0.0], 1, &Euclidean);
+        // Unweighted: point 0 is closer to origin.
+        let r1 = scan.knn(&[0.0, 0.0], 1, &uniform());
         assert_eq!(r1[0].index, 0);
         // Heavy weight on x flips the ranking.
         let w = WeightedEuclidean::new(vec![100.0, 1.0]).unwrap();
@@ -254,7 +258,7 @@ mod tests {
     fn stats_count_all_evals() {
         let c = grid_collection();
         let scan = LinearScan::new(&c);
-        let (_, stats) = scan.knn_with_stats(&[0.0, 0.0], 2, &Euclidean);
+        let (_, stats) = scan.knn_with_stats(&[0.0, 0.0], 2, &uniform());
         assert_eq!(stats.distance_evals, 25);
     }
 
@@ -314,7 +318,7 @@ mod tests {
         let c = CollectionBuilder::new().build();
         for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
             let scan = LinearScan::with_mode(&c, mode);
-            assert!(scan.knn(&[], 5, &Euclidean).is_empty());
+            assert!(scan.knn(&[], 5, &WeightedEuclidean::uniform(0)).is_empty());
         }
     }
 }

@@ -11,16 +11,17 @@
 //!   category labels (the evaluation needs the labels as its relevance
 //!   oracle);
 //! * [`distance`] — the one distance-function class the system learns
-//!   and serves: **weighted Euclidean** (Equation 1, the class used in the
-//!   paper's experiments), with plain Euclidean as its uniform member;
+//!   and serves, and its one type: **weighted Euclidean** (Equation 1,
+//!   the class used in the paper's experiments), with plain Euclidean
+//!   as its uniform member ([`WeightedEuclidean::uniform`]);
 //! * [`knn`] — the retrieval operation, described once: a
-//!   [`knn::QueryBatch`] (query points, a shared / per-query / weighted
-//!   metric form, per-query `k`, optional pruning caps).
+//!   [`knn::QueryBatch`] (query points, one shared metric or one per
+//!   query, per-query `k`, optional pruning caps).
 //!   [`knn::MultiQueryScan::knn`] answers the batch in one blocked
 //!   pass, amortizing memory traffic across the queries, over a
 //!   [`knn::Layout`]: a flat collection, or a
 //!   [`collection::PartitionedCollection`], whose partitions a
-//!   per-class lower bound can prove irrelevant and skip;
+//!   per-query lower bound can prove irrelevant and skip;
 //!   [`knn::MultiQueryScan::knn_keyed`] stops the same pass in key
 //!   space, so the k-bests of row slices (a router's shard servers)
 //!   merge with [`knn::merge_partials`] into the unsliced answer. Every
@@ -44,7 +45,7 @@ pub mod result;
 pub use collection::{
     CategoryId, Collection, CollectionBuilder, PartitionConfig, PartitionedCollection,
 };
-pub use distance::{Distance, Euclidean, F32KeyBound, WeightedEuclidean};
+pub use distance::{Distance, F32KeyBound, WeightedEuclidean};
 pub use knn::{
     merge_partials, merge_partials_policy, DegradedGather, FailurePolicy, GatherError, KnnEngine,
     Layout, LinearScan, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics, ScanMode,

@@ -8,9 +8,9 @@
 //! only change *how much* the scan reads, never *what* it answers.
 
 use fbp_vecdb::{
-    Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
-    Precision, QueryBatch,
-    QueryMetrics::{PerQuery, Shared, Weighted},
+    Collection, CollectionBuilder, Distance, KnnEngine, LinearScan, MultiQueryScan, Precision,
+    QueryBatch,
+    QueryMetrics::{Shared, Weighted},
     ScanMode, WeightedEuclidean,
 };
 
@@ -48,14 +48,14 @@ fn queries(nq: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Both distance classes: Euclidean, mildly varied weights, and
-/// log-spread learned-looking weights.
-fn distance_classes() -> Vec<Box<dyn Distance>> {
+/// The weight shapes every suite runs: uniform (plain Euclidean),
+/// mildly varied, and log-spread learned-looking weights.
+fn distance_classes() -> Vec<WeightedEuclidean> {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
     vec![
-        Box::new(Euclidean),
-        Box::new(WeightedEuclidean::new(w).unwrap()),
-        Box::new(log_spread_weights(DIM)),
+        WeightedEuclidean::uniform(DIM),
+        WeightedEuclidean::new(w).unwrap(),
+        log_spread_weights(DIM),
     ]
 }
 
@@ -77,7 +77,7 @@ fn capped_f32_rescore_bit_identical_all_classes() {
     let classes = distance_classes();
     let mut batches: Vec<(String, QueryBatch<'_>)> = (classes.iter())
         .map(|d| {
-            let batch = QueryBatch::new(&refs, Shared(&**d), 0).with_ks(&ks);
+            let batch = QueryBatch::new(&refs, Shared(d), 0).with_ks(&ks);
             (d.name().to_string(), batch)
         })
         .collect();
@@ -109,10 +109,10 @@ fn linear_scan_f32_rescore_bit_identical_all_classes() {
         for q in &qs {
             for k in [1usize, 10, 50] {
                 for mode in [ScanMode::Batched, ScanMode::Parallel] {
-                    let f64_res = LinearScan::with_mode(&coll, mode).knn(q, k, &*dist);
+                    let f64_res = LinearScan::with_mode(&coll, mode).knn(q, k, &dist);
                     let f32_res = LinearScan::with_mode(&coll, mode)
                         .with_precision(Precision::F32Rescore)
-                        .knn(q, k, &*dist);
+                        .knn(q, k, &dist);
                     assert_eq!(
                         f32_res,
                         f64_res,
@@ -134,7 +134,7 @@ fn multi_query_f32_rescore_bit_identical_all_classes() {
             let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
             for k in [1usize, 10, 50] {
                 for mode in [ScanMode::Batched, ScanMode::Parallel] {
-                    let batch = QueryBatch::new(&refs, Shared(&*dist), k);
+                    let batch = QueryBatch::new(&refs, Shared(&dist), k);
                     let f64_res = MultiQueryScan::with_mode(&coll, mode).knn(&batch);
                     let f32_res = MultiQueryScan::with_mode(&coll, mode)
                         .with_precision(Precision::F32Rescore)
@@ -157,9 +157,9 @@ fn per_query_metrics_f32_rescore_bit_identical() {
     let owned = distance_classes();
     let qs = queries(owned.len());
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
-    let dists: Vec<&dyn Distance> = owned.iter().map(|d| &**d).collect();
+    let dists: Vec<&WeightedEuclidean> = owned.iter().collect();
     for mode in [ScanMode::Batched, ScanMode::Parallel] {
-        let batch = QueryBatch::new(&refs, PerQuery(&dists), 20);
+        let batch = QueryBatch::new(&refs, Weighted(&dists), 20);
         let f64_res = MultiQueryScan::with_mode(&coll, mode).knn(&batch);
         let f32_res = MultiQueryScan::with_mode(&coll, mode)
             .with_precision(Precision::F32Rescore)
@@ -219,10 +219,11 @@ fn f32_rescore_without_mirror_falls_back_to_f64() {
 fn f32_rescore_scalar_mode_ignores_precision() {
     let coll = collection(300, true);
     let q = queries(1).pop().unwrap();
-    let f64_res = LinearScan::with_mode(&coll, ScanMode::Scalar).knn(&q, 7, &Euclidean);
+    let f64_res =
+        LinearScan::with_mode(&coll, ScanMode::Scalar).knn(&q, 7, &WeightedEuclidean::uniform(DIM));
     let f32_res = LinearScan::with_mode(&coll, ScanMode::Scalar)
         .with_precision(Precision::F32Rescore)
-        .knn(&q, 7, &Euclidean);
+        .knn(&q, 7, &WeightedEuclidean::uniform(DIM));
     assert_eq!(f32_res, f64_res);
 }
 
@@ -284,10 +285,10 @@ fn f32_rescore_huge_magnitudes_fall_back_to_f64() {
             "{}: bound must be refused near f32 overflow",
             dist.name()
         );
-        let f64_res = LinearScan::with_mode(&coll, ScanMode::Batched).knn(&q, 10, &*dist);
+        let f64_res = LinearScan::with_mode(&coll, ScanMode::Batched).knn(&q, 10, &dist);
         let f32_res = LinearScan::with_mode(&coll, ScanMode::Batched)
             .with_precision(Precision::F32Rescore)
-            .knn(&q, 10, &*dist);
+            .knn(&q, 10, &dist);
         assert_eq!(f32_res, f64_res, "{}", dist.name());
     }
 }

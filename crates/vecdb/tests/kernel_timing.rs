@@ -4,8 +4,8 @@
 
 use fbp_vecdb::distance::weighted_sq_multi_block_f32;
 use fbp_vecdb::{
-    CollectionBuilder, Distance, Euclidean, MultiQueryScan, Precision, QueryBatch,
-    QueryMetrics::Weighted, ScanMode, WeightedEuclidean,
+    CollectionBuilder, Distance, MultiQueryScan, Precision, QueryBatch, QueryMetrics::Weighted,
+    ScanMode, WeightedEuclidean,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -61,11 +61,9 @@ fn min_ns(reps: usize, mut f: impl FnMut()) -> f64 {
 #[derive(Clone, Copy)]
 enum MultiKernel {
     /// Weighted, one weight vector per query (`w_stride = dim`).
-    PerQuery,
+    PerQueryWeights,
     /// Weighted, one weight vector for the batch (`w_stride = 0`).
     Shared,
-    /// Squared Euclidean.
-    L2,
 }
 
 /// The Q×row table of the f32 phase 1: ns per (query, row) for one
@@ -73,13 +71,12 @@ enum MultiKernel {
 /// calls per block, the two ways a scan can score Q diverged
 /// per-query-weight sessions. The `tile` column scores the same batch
 /// as sub-batches too small for the rows-in-lanes order, which always
-/// take the register tiles; on an AVX-512F + FMA host a weighted batch
-/// of `ROWS_IN_LANES_MIN_QUERIES` (8) or more queries and an L2 batch
-/// of `L2_ROWS_IN_LANES_MIN_QUERIES` (4) or more take the rows-in-lanes
-/// order instead, so `tile/multi` from there up is the break-even
-/// behind those cutoffs, per kernel: per-query weights, shared weights
-/// and L2 (below a cutoff both of its columns run the tiles and the
-/// ratio reads ~1).
+/// take the register tiles; on an AVX-512F + FMA host a batch of
+/// `ROWS_IN_LANES_MIN_QUERIES` (8) or more queries takes the
+/// rows-in-lanes order instead, so `tile/multi` from there up is the
+/// break-even behind that cutoff, per weight layout: per-query weights
+/// and shared weights (below the cutoff both of its columns run the
+/// tiles and the ratio reads ~1).
 #[test]
 #[ignore]
 fn time_per_query_weight_multi_kernel() {
@@ -91,11 +88,11 @@ fn time_per_query_weight_multi_kernel() {
     #[cfg(not(target_arch = "x86_64"))]
     let avx512f = false;
     println!(
-        "host avx512f+fma: {avx512f} (rows-in-lanes at Q >= 8 weighted, Q >= 4 L2: {})",
+        "host avx512f+fma: {avx512f} (rows-in-lanes at Q >= 8: {})",
         if avx512f { "yes" } else { "no, tiles only" }
     );
     println!(
-        "{:>3} {:>3} {:>14} {:>14} {:>15} {:>10} {:>8} {:>17} {:>13}",
+        "{:>3} {:>3} {:>14} {:>14} {:>15} {:>10} {:>8} {:>17}",
         "D",
         "Q",
         "tile ns/q·row",
@@ -103,8 +100,7 @@ fn time_per_query_weight_multi_kernel() {
         "single ns/q·row",
         "tile/multi",
         "speedup",
-        "shared tile/multi",
-        "L2 tile/multi"
+        "shared tile/multi"
     );
     for dim in [32usize, 64] {
         let block: Vec<f32> = (0..N * dim)
@@ -139,7 +135,7 @@ fn time_per_query_weight_multi_kernel() {
                         let (q, b) = (black_box(&queries[lo * dim..hi * dim]), &bounds[lo..hi]);
                         let keys = &mut keys[..(hi - lo) * n];
                         match kernel {
-                            MultiKernel::PerQuery => weighted_sq_multi_block_f32(
+                            MultiKernel::PerQueryWeights => weighted_sq_multi_block_f32(
                                 &weights[lo * dim..hi * dim],
                                 dim,
                                 q,
@@ -157,7 +153,6 @@ fn time_per_query_weight_multi_kernel() {
                                 b,
                                 keys,
                             ),
-                            MultiKernel::L2 => Euclidean.eval_key_multi_f32(q, rows, dim, b, keys),
                         }
                     }
                     black_box(&out);
@@ -174,14 +169,10 @@ fn time_per_query_weight_multi_kernel() {
             };
             // Alternate every timing each rep, so a noisy stretch of a
             // shared host lands on all of them alike. Tiles: sub-batches
-            // of 4 weighted queries, of 3 L2 queries.
-            let kernels = [
-                (MultiKernel::PerQuery, 4),
-                (MultiKernel::Shared, 4),
-                (MultiKernel::L2, 3),
-            ];
-            let mut tile = [f64::INFINITY; 3];
-            let mut multi = [f64::INFINITY; 3];
+            // of 4 queries.
+            let kernels = [(MultiKernel::PerQueryWeights, 4), (MultiKernel::Shared, 4)];
+            let mut tile = [f64::INFINITY; 2];
+            let mut multi = [f64::INFINITY; 2];
             let mut single = f64::INFINITY;
             for _ in 0..REPS {
                 for (i, &(kernel, sub)) in kernels.iter().enumerate() {
@@ -192,14 +183,13 @@ fn time_per_query_weight_multi_kernel() {
             }
             let per = (nq * N) as f64;
             println!(
-                "{dim:>3} {nq:>3} {:>14.3} {:>14.3} {:>15.3} {:>10.2} {:>8.2} {:>17.2} {:>13.2}",
+                "{dim:>3} {nq:>3} {:>14.3} {:>14.3} {:>15.3} {:>10.2} {:>8.2} {:>17.2}",
                 tile[0] / per,
                 multi[0] / per,
                 single / per,
                 tile[0] / multi[0],
                 single / multi[0],
-                tile[1] / multi[1],
-                tile[2] / multi[2]
+                tile[1] / multi[1]
             );
         }
     }

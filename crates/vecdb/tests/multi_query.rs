@@ -7,9 +7,8 @@
 //! change an answer.
 
 use fbp_vecdb::{
-    Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
-    QueryBatch,
-    QueryMetrics::{PerQuery, Shared},
+    Collection, CollectionBuilder, Distance, KnnEngine, LinearScan, MultiQueryScan, QueryBatch,
+    QueryMetrics::{Shared, Weighted},
     ScanMode, WeightedEuclidean,
 };
 
@@ -45,14 +44,14 @@ fn queries(nq: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Both distance classes: Euclidean, mildly varied weights, and
-/// log-spread learned-looking weights.
-fn distance_classes() -> Vec<Box<dyn Distance>> {
+/// The weight shapes every suite runs: uniform (plain Euclidean),
+/// mildly varied, and log-spread learned-looking weights.
+fn distance_classes() -> Vec<WeightedEuclidean> {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
     vec![
-        Box::new(Euclidean),
-        Box::new(WeightedEuclidean::new(w).unwrap()),
-        Box::new(log_spread_weights(DIM)),
+        WeightedEuclidean::uniform(DIM),
+        WeightedEuclidean::new(w).unwrap(),
+        log_spread_weights(DIM),
     ]
 }
 
@@ -65,16 +64,16 @@ fn sound_caps_keep_answers_bit_identical() {
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let ks = [1usize, 10, 50];
     let classes = distance_classes();
-    let dists: Vec<&dyn Distance> = classes[..3].iter().map(|d| &**d).collect();
+    let dists: Vec<&WeightedEuclidean> = classes[..3].iter().collect();
     let mut batches: Vec<(String, QueryBatch<'_>)> = (classes.iter())
         .map(|d| {
-            let batch = QueryBatch::new(&refs, Shared(&**d), 0).with_ks(&ks);
+            let batch = QueryBatch::new(&refs, Shared(d), 0).with_ks(&ks);
             (d.name().to_string(), batch)
         })
         .collect();
     batches.push((
         "per-query".into(),
-        QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks),
+        QueryBatch::new(&refs, Weighted(&dists), 0).with_ks(&ks),
     ));
     for (name, batch) in &batches {
         for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
@@ -102,10 +101,10 @@ fn shared_metric_bit_identical_to_independent_scans() {
             for k in [1usize, 10, 50] {
                 let expected: Vec<_> = refs
                     .iter()
-                    .map(|q| LinearScan::with_mode(&coll, ScanMode::Batched).knn(q, k, &*dist))
+                    .map(|q| LinearScan::with_mode(&coll, ScanMode::Batched).knn(q, k, &dist))
                     .collect();
                 for mode in [ScanMode::Batched, ScanMode::Parallel] {
-                    let batch = QueryBatch::new(&refs, Shared(&*dist), k);
+                    let batch = QueryBatch::new(&refs, Shared(&dist), k);
                     let got = MultiQueryScan::with_mode(&coll, mode).knn(&batch);
                     assert_eq!(
                         got,
@@ -125,10 +124,10 @@ fn scalar_mode_matches_scalar_linear_scan() {
     for dist in distance_classes() {
         let qs = queries(3);
         let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
-        let batch = QueryBatch::new(&refs, Shared(&*dist), 12);
+        let batch = QueryBatch::new(&refs, Shared(&dist), 12);
         let got = MultiQueryScan::with_mode(&coll, ScanMode::Scalar).knn(&batch);
         for (q, res) in refs.iter().zip(got.iter()) {
-            let expected = LinearScan::with_mode(&coll, ScanMode::Scalar).knn(q, 12, &*dist);
+            let expected = LinearScan::with_mode(&coll, ScanMode::Scalar).knn(q, 12, &dist);
             assert_eq!(res, &expected, "{}: scalar multi diverged", dist.name());
         }
     }
@@ -141,12 +140,12 @@ fn per_query_metrics_bit_identical_to_independent_scans() {
     let owned = distance_classes();
     let qs = queries(owned.len());
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
-    let dists: Vec<&dyn Distance> = owned.iter().map(|d| &**d).collect();
+    let dists: Vec<&WeightedEuclidean> = owned.iter().collect();
     for mode in [ScanMode::Batched, ScanMode::Parallel] {
-        let batch = QueryBatch::new(&refs, PerQuery(&dists), 20);
+        let batch = QueryBatch::new(&refs, Weighted(&dists), 20);
         let got = MultiQueryScan::with_mode(&coll, mode).knn(&batch);
         for ((q, d), res) in refs.iter().zip(dists.iter()).zip(got.iter()) {
-            let expected = LinearScan::with_mode(&coll, ScanMode::Batched).knn(q, 20, *d);
+            let expected = LinearScan::with_mode(&coll, ScanMode::Batched).knn(q, 20, d);
             assert_eq!(res, &expected, "{} mode={mode:?}", d.name());
         }
     }

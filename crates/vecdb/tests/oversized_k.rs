@@ -5,8 +5,9 @@
 //! `k = usize::MAX` overflowed the `+ 1`.
 
 use fbp_vecdb::{
-    merge_partials, CollectionBuilder, Euclidean, KnnEngine, LinearScan, MultiQueryScan,
-    PartitionConfig, PartitionedCollection, Precision, QueryBatch, QueryMetrics::Shared, ScanMode,
+    merge_partials, CollectionBuilder, KnnEngine, LinearScan, MultiQueryScan, PartitionConfig,
+    PartitionedCollection, Precision, QueryBatch, QueryMetrics::Shared, ScanMode,
+    WeightedEuclidean,
 };
 
 #[test]
@@ -25,18 +26,19 @@ fn any_oversized_k_returns_every_row_on_every_front_end() {
         .collect();
     let q: &[f64] = &[2.5, 1.0];
     let qs = [q];
-    let all = LinearScan::with_mode(&coll, ScanMode::Batched).knn(q, ROWS, &Euclidean);
+    let uniform = WeightedEuclidean::uniform(2);
+    let all = LinearScan::with_mode(&coll, ScanMode::Batched).knn(q, ROWS, &uniform);
     assert_eq!(all.len(), ROWS);
     let expect = std::slice::from_ref(&all);
     for k in [ROWS + 1, usize::MAX / 64, usize::MAX] {
-        let batch = QueryBatch::new(&qs, Shared(&Euclidean), k);
+        let batch = QueryBatch::new(&qs, Shared(&uniform), k);
         let ks = [k];
-        let per_query = QueryBatch::new(&qs, Shared(&Euclidean), 0).with_ks(&ks);
+        let per_query = QueryBatch::new(&qs, Shared(&uniform), 0).with_ks(&ks);
         for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
             for precision in [Precision::F64, Precision::F32Rescore] {
                 let ctx = format!("k={k} {mode:?} {precision:?}");
                 let linear = LinearScan::with_mode(&coll, mode).with_precision(precision);
-                assert_eq!(linear.knn(q, k, &Euclidean), all, "linear {ctx}");
+                assert_eq!(linear.knn(q, k, &uniform), all, "linear {ctx}");
                 let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
                 assert_eq!(flat.knn(&batch), expect, "flat {ctx}");
                 assert_eq!(flat.knn(&per_query), expect, "flat with_ks {ctx}");
@@ -48,7 +50,7 @@ fn any_oversized_k_returns_every_row_on_every_front_end() {
                         scan.knn_keyed(&batch).remove(0).offset(*offset)
                     })
                     .collect();
-                let merged = merge_partials(&parts, k, &Euclidean);
+                let merged = merge_partials(&parts, k, &uniform);
                 assert_eq!(merged, all, "sliced {ctx}");
             }
         }

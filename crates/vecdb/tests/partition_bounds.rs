@@ -2,7 +2,7 @@
 //! inequality the whole sub-linear scan stands on:
 //!
 //! For any random collection, partition layout, and query, and for
-//! both distance classes, [`Distance::partition_lower_key`] must
+//! uniform and random weights, [`Distance::partition_lower_key`] must
 //! **never exceed any member
 //! row's true key**: `lb(q, partition) ≤ eval_key(q, row)` for every
 //! row the partition holds. A violation would let the pruned scan skip
@@ -10,7 +10,7 @@
 //! properties rather than examples.
 
 use fbp_vecdb::{
-    Collection, CollectionBuilder, Distance, Euclidean, MultiQueryScan, PartitionConfig,
+    Collection, CollectionBuilder, Distance, MultiQueryScan, PartitionConfig,
     PartitionedCollection, Precision, QueryBatch, QueryMetrics::Shared, ScanMode,
     WeightedEuclidean,
 };
@@ -37,11 +37,11 @@ fn weights_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.05..20.0f64, DIM)
 }
 
-/// Both distance classes, the weighted one under random weights.
-fn classes(w: &[f64]) -> Vec<Box<dyn Distance>> {
+/// Uniform weights (plain Euclidean) and random weights.
+fn classes(w: &[f64]) -> Vec<WeightedEuclidean> {
     vec![
-        Box::new(Euclidean),
-        Box::new(WeightedEuclidean::new(w.to_vec()).unwrap()),
+        WeightedEuclidean::uniform(DIM),
+        WeightedEuclidean::new(w.to_vec()).unwrap(),
     ]
 }
 
@@ -70,7 +70,7 @@ proptest! {
                         "{}: partition {p} lb {lb} exceeds member {r} key {key} \
                          (centroid dist {}, radius {})",
                         dist.name(),
-                        Euclidean.eval(&q, part.centroid(p)),
+                        WeightedEuclidean::uniform(DIM).eval(&q, part.centroid(p)),
                         part.radius(p),
                     );
                 }
@@ -100,8 +100,8 @@ proptest! {
                 let flat = MultiQueryScan::with_mode(&coll, ScanMode::Batched)
                     .with_precision(precision);
                 prop_assert_eq!(
-                    pruned.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
-                    flat.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
+                    pruned.knn(&QueryBatch::new(&refs, Shared(&dist), k)),
+                    flat.knn(&QueryBatch::new(&refs, Shared(&dist), k)),
                     "{} k={} precision={:?}", dist.name(), k, precision
                 );
             }

@@ -10,10 +10,9 @@
 //! a rows-visited knob, never a result knob.
 
 use fbp_vecdb::{
-    merge_partials, Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, Layout,
-    LinearScan, MultiQueryScan, Neighbor, PartitionConfig, PartitionedCollection, Precision,
-    QueryBatch,
-    QueryMetrics::{PerQuery, Shared, Weighted},
+    merge_partials, Collection, CollectionBuilder, Distance, KnnEngine, Layout, LinearScan,
+    MultiQueryScan, Neighbor, PartitionConfig, PartitionedCollection, Precision, QueryBatch,
+    QueryMetrics::{Shared, Weighted},
     ScanMode, ScanStatsSink, ShardPartial, WeightedEuclidean,
 };
 
@@ -66,14 +65,14 @@ fn queries(nq: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Both distance classes: Euclidean, mildly varied weights, and
-/// log-spread learned-looking weights.
-fn distance_classes() -> Vec<Box<dyn Distance>> {
+/// The weight shapes every suite runs: uniform (plain Euclidean),
+/// mildly varied, and log-spread learned-looking weights.
+fn distance_classes() -> Vec<WeightedEuclidean> {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
     vec![
-        Box::new(Euclidean),
-        Box::new(WeightedEuclidean::new(w).unwrap()),
-        Box::new(log_spread_weights(DIM)),
+        WeightedEuclidean::uniform(DIM),
+        WeightedEuclidean::new(w).unwrap(),
+        log_spread_weights(DIM),
     ]
 }
 
@@ -97,8 +96,8 @@ fn partitioned_knn_bit_identical_all_classes_both_precisions() {
                         let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
                         for k in [1usize, 10, 50] {
                             assert_eq!(
-                                pruned.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
-                                flat.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
+                                pruned.knn(&QueryBatch::new(&refs, Shared(&dist), k)),
+                                flat.knn(&QueryBatch::new(&refs, Shared(&dist), k)),
                                 "P={p} Q={nq} k={k} mode={mode:?} precision={precision:?}"
                             );
                         }
@@ -122,9 +121,9 @@ fn scalar_reference_matches_flat_scalar() {
     for dist in distance_classes() {
         for (q, res) in refs
             .iter()
-            .zip(pruned.knn(&QueryBatch::new(&refs, Shared(&*dist), 7)))
+            .zip(pruned.knn(&QueryBatch::new(&refs, Shared(&dist), 7)))
         {
-            assert_eq!(res, flat.knn(q, 7, &*dist));
+            assert_eq!(res, flat.knn(q, 7, &dist));
         }
     }
 }
@@ -138,8 +137,8 @@ fn per_query_metrics_and_ks_bit_identical() {
     let classes = distance_classes();
     // Cycle the classes across queries — mixed bound/no-bound in one
     // pass — and vary k per query, with a k = 0 and a k > len edge in.
-    let dists: Vec<&dyn Distance> = (0..refs.len())
-        .map(|q| &*classes[q % classes.len()])
+    let dists: Vec<&WeightedEuclidean> = (0..refs.len())
+        .map(|q| &classes[q % classes.len()])
         .collect();
     let ks: Vec<usize> = vec![1, 10, 0, 50, N + 7, 3];
     for precision in [Precision::F64, Precision::F32Rescore] {
@@ -147,8 +146,8 @@ fn per_query_metrics_and_ks_bit_identical() {
             let pruned = MultiQueryScan::with_mode(&part, mode).with_precision(precision);
             let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
             assert_eq!(
-                pruned.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
-                flat.knn(&QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks)),
+                pruned.knn(&QueryBatch::new(&refs, Weighted(&dists), 0).with_ks(&ks)),
+                flat.knn(&QueryBatch::new(&refs, Weighted(&dists), 0).with_ks(&ks)),
                 "mode={mode:?} precision={precision:?}"
             );
         }
@@ -203,8 +202,8 @@ fn degenerate_layouts_bit_identical() {
                     MultiQueryScan::with_mode(&coll, ScanMode::Batched).with_precision(precision);
                 for k in [1usize, 10, 25] {
                     assert_eq!(
-                        pruned.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
-                        flat.knn(&QueryBatch::new(&refs, Shared(&*dist), k)),
+                        pruned.knn(&QueryBatch::new(&refs, Shared(&dist), k)),
+                        flat.knn(&QueryBatch::new(&refs, Shared(&dist), k)),
                         "P={p} k={k} precision={precision:?}"
                     );
                 }
@@ -220,7 +219,11 @@ fn empty_collection_and_k_zero() {
     let pruned = MultiQueryScan::new(&part);
     let q = vec![0.0; 0];
     assert_eq!(
-        pruned.knn(&QueryBatch::new(&[&q], Shared(&Euclidean), 3)),
+        pruned.knn(&QueryBatch::new(
+            &[&q],
+            Shared(&WeightedEuclidean::uniform(DIM)),
+            3
+        )),
         vec![Vec::new()]
     );
 
@@ -234,8 +237,16 @@ fn empty_collection_and_k_zero() {
     let pruned = MultiQueryScan::with_mode(&part, ScanMode::Batched).with_scan_stats(&sink);
     let flat = MultiQueryScan::with_mode(&coll, ScanMode::Batched);
     assert_eq!(
-        pruned.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 0)),
-        flat.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 0))
+        pruned.knn(&QueryBatch::new(
+            &refs,
+            Shared(&WeightedEuclidean::uniform(DIM)),
+            0
+        )),
+        flat.knn(&QueryBatch::new(
+            &refs,
+            Shared(&WeightedEuclidean::uniform(DIM)),
+            0
+        ))
     );
     // All-zero k prunes every partition outright: nothing scanned.
     let stats = sink.snapshot();
@@ -263,8 +274,16 @@ fn pruning_engages_and_stays_sublinear_on_clustered_data() {
             .with_scan_stats(&sink);
         let flat = MultiQueryScan::with_mode(&coll, ScanMode::Batched).with_precision(precision);
         assert_eq!(
-            pruned.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 10)),
-            flat.knn(&QueryBatch::new(&refs, Shared(&Euclidean), 10))
+            pruned.knn(&QueryBatch::new(
+                &refs,
+                Shared(&WeightedEuclidean::uniform(DIM)),
+                10
+            )),
+            flat.knn(&QueryBatch::new(
+                &refs,
+                Shared(&WeightedEuclidean::uniform(DIM)),
+                10
+            ))
         );
         let stats = sink.snapshot();
         assert!(
@@ -316,7 +335,7 @@ fn router_answer(
     precision: Precision,
     batch: &QueryBatch<'_>,
     ks: &[usize],
-    dists: &[&dyn Distance],
+    dists: &[&WeightedEuclidean],
 ) -> Vec<Vec<Neighbor>> {
     let mut caps = vec![f64::INFINITY; ks.len()];
     let mut parts: Vec<Vec<ShardPartial>> = Vec::new();
@@ -353,12 +372,12 @@ fn sharded_partitioned_bit_identical() {
             .map(|(p, (_, o))| (p.into(), *o))
             .collect();
         for dist in distance_classes() {
-            let dists = [&*dist; 4];
+            let dists = [&dist; 4];
             for precision in [Precision::F64, Precision::F32Rescore] {
                 for mode in [ScanMode::Batched, ScanMode::Parallel] {
                     let flat = MultiQueryScan::with_mode(&coll, mode).with_precision(precision);
                     for k in [1usize, 10, 50] {
-                        let batch = QueryBatch::new(&refs, Shared(&*dist), k);
+                        let batch = QueryBatch::new(&refs, Shared(&dist), k);
                         let ks = [k; 4];
                         let got = router_answer(&pruned, mode, precision, &batch, &ks, &dists);
                         assert_eq!(
@@ -390,8 +409,8 @@ fn sharded_partitioned_per_query_and_weighted() {
     let qs = queries(5);
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let classes = distance_classes();
-    let dists: Vec<&dyn Distance> = (0..refs.len())
-        .map(|q| &*classes[q % classes.len()])
+    let dists: Vec<&WeightedEuclidean> = (0..refs.len())
+        .map(|q| &classes[q % classes.len()])
         .collect();
     let ks: Vec<usize> = vec![1, 7, 0, 50, 3];
     let metrics: Vec<WeightedEuclidean> = (0..refs.len())
@@ -401,8 +420,7 @@ fn sharded_partitioned_per_query_and_weighted() {
         })
         .collect();
     let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
-    let mdists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
-    let per_query = QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks);
+    let per_query = QueryBatch::new(&refs, Weighted(&dists), 0).with_ks(&ks);
     let weighted = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
     let mode = ScanMode::Batched;
     for precision in [Precision::F64, Precision::F32Rescore] {
@@ -412,8 +430,8 @@ fn sharded_partitioned_per_query_and_weighted() {
             "per-query precision={precision:?}"
         );
         assert_eq!(
-            router_answer(&pruned, mode, precision, &weighted, &ks, &mdists),
-            router_answer(&plain, mode, precision, &weighted, &ks, &mdists),
+            router_answer(&pruned, mode, precision, &weighted, &ks, &mrefs),
+            router_answer(&plain, mode, precision, &weighted, &ks, &mrefs),
             "weighted precision={precision:?}"
         );
     }
@@ -429,7 +447,7 @@ fn capped_partitioned_passes_bit_identical() {
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();
     let ks = [1usize, 10, 50, 0];
     for dist in distance_classes() {
-        let batch = QueryBatch::new(&refs, Shared(&*dist), 0).with_ks(&ks);
+        let batch = QueryBatch::new(&refs, Shared(&dist), 0).with_ks(&ks);
         for mode in [ScanMode::Scalar, ScanMode::Batched, ScanMode::Parallel] {
             for precision in [Precision::F64, Precision::F32Rescore] {
                 let want = MultiQueryScan::with_mode(&coll, mode)

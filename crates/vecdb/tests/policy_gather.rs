@@ -10,9 +10,9 @@
 //! policy layer must be as result-transparent as the cut beneath it.
 
 use fbp_vecdb::{
-    merge_partials_policy, Collection, CollectionBuilder, Distance, Euclidean, FailurePolicy,
-    KnnEngine, LinearScan, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics::Shared,
-    ScanMode, ShardPartial, WeightedEuclidean,
+    merge_partials_policy, Collection, CollectionBuilder, Distance, FailurePolicy, KnnEngine,
+    LinearScan, MultiQueryScan, Neighbor, Precision, QueryBatch, QueryMetrics::Shared, ScanMode,
+    ShardPartial, WeightedEuclidean,
 };
 use proptest::prelude::*;
 
@@ -29,14 +29,14 @@ fn build_collection(points: &[Vec<f64>]) -> Collection {
     b.build()
 }
 
-/// Both distance classes: Euclidean, mildly varied weights, and
-/// log-spread learned-looking weights.
-fn distance_classes() -> Vec<Box<dyn Distance>> {
+/// The weight shapes every suite runs: uniform (plain Euclidean),
+/// mildly varied, and log-spread learned-looking weights.
+fn distance_classes() -> Vec<WeightedEuclidean> {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 3) as f64).collect();
     vec![
-        Box::new(Euclidean),
-        Box::new(WeightedEuclidean::new(w).unwrap()),
-        Box::new(log_spread_weights(DIM)),
+        WeightedEuclidean::uniform(DIM),
+        WeightedEuclidean::new(w).unwrap(),
+        log_spread_weights(DIM),
     ]
 }
 
@@ -76,7 +76,7 @@ fn flat_oracle(
     rows: &[usize],
     q: &[f64],
     k: usize,
-    dist: &dyn Distance,
+    dist: &WeightedEuclidean,
     precision: Precision,
 ) -> Vec<Neighbor> {
     let mut b = CollectionBuilder::new().with_f32_mirror();
@@ -99,7 +99,7 @@ fn scatter_with_failures(
     cut: &[(Collection, u32)],
     q: &[f64],
     k: usize,
-    dist: &dyn Distance,
+    dist: &WeightedEuclidean,
     precision: Precision,
     surviving_mask: &[bool],
 ) -> Vec<Option<ShardPartial>> {
@@ -149,11 +149,11 @@ proptest! {
         for dist in distance_classes() {
             for precision in [Precision::F64, Precision::F32Rescore] {
                 let partials =
-                    scatter_with_failures(&cut, &q, k, dist.as_ref(), precision, &mask);
+                    scatter_with_failures(&cut, &q, k, &dist, precision, &mask);
                 let gathered = merge_partials_policy(
                     &partials,
                     k,
-                    dist.as_ref(),
+                    &dist,
                     FailurePolicy::Degraded { min_shards: 1 },
                 )
                 .expect("enough survivors for the floor");
@@ -162,7 +162,7 @@ proptest! {
                     gathered.is_degraded(),
                     !expected_missing.is_empty()
                 );
-                let oracle = flat_oracle(&coll, &rows, &q, k, dist.as_ref(), precision);
+                let oracle = flat_oracle(&coll, &rows, &q, k, &dist, precision);
                 prop_assert_eq!(
                     &gathered.neighbors, &oracle,
                     "{} at {:?}: degraded merge diverged from the surviving flat scan",
@@ -202,18 +202,18 @@ proptest! {
         for dist in distance_classes() {
             for precision in [Precision::F64, Precision::F32Rescore] {
                 let partials =
-                    scatter_with_failures(&cut, &q, k, dist.as_ref(), precision, &mask);
+                    scatter_with_failures(&cut, &q, k, &dist, precision, &mask);
                 let outcome = merge_partials_policy(
                     &partials,
                     k,
-                    dist.as_ref(),
+                    &dist,
                     FailurePolicy::Degraded { min_shards },
                 );
                 if survivors >= min_shards {
                     let gathered = outcome.expect("survivors meet the floor");
                     prop_assert_eq!(&gathered.missing_shards, &ejected);
                     prop_assert_eq!(gathered.is_degraded(), !ejected.is_empty());
-                    let oracle = flat_oracle(&coll, &rows, &q, k, dist.as_ref(), precision);
+                    let oracle = flat_oracle(&coll, &rows, &q, k, &dist, precision);
                     prop_assert_eq!(
                         &gathered.neighbors, &oracle,
                         "{} at {:?}: ejection merge diverged from the surviving oracle",
@@ -246,11 +246,11 @@ proptest! {
         for dist in distance_classes() {
             for precision in [Precision::F64, Precision::F32Rescore] {
                 let partials =
-                    scatter_with_failures(&cut, &q, k, dist.as_ref(), precision, &mask);
+                    scatter_with_failures(&cut, &q, k, &dist, precision, &mask);
                 let refused = merge_partials_policy(
                     &partials,
                     k,
-                    dist.as_ref(),
+                    &dist,
                     FailurePolicy::Strict,
                 )
                 .expect_err("a missing shard must refuse under Strict");
@@ -262,11 +262,11 @@ proptest! {
                 // and reports nothing missing.
                 let all = vec![true; shards];
                 let complete =
-                    scatter_with_failures(&cut, &q, k, dist.as_ref(), precision, &all);
+                    scatter_with_failures(&cut, &q, k, &dist, precision, &all);
                 let gathered = merge_partials_policy(
                     &complete,
                     k,
-                    dist.as_ref(),
+                    &dist,
                     FailurePolicy::Strict,
                 )
                 .expect("no shard missing");

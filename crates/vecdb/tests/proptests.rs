@@ -6,7 +6,7 @@
 //! proof stands on.
 
 use fbp_vecdb::{
-    Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan, Precision, ScanMode,
+    Collection, CollectionBuilder, Distance, KnnEngine, LinearScan, Precision, ScanMode,
     WeightedEuclidean,
 };
 use proptest::prelude::*;
@@ -52,7 +52,7 @@ fn scalar_diagonal_slack(dim: usize, w: &[f64], max_abs: f64) -> f64 {
 /// `key64 ≤ key32 + Δ'(key32)`, `Δ` monotone over probe keys around
 /// both, and — when `scalar` is given — `Δ ≤ scalar` at every probe.
 fn assert_key_within_bound(
-    dist: &dyn Distance,
+    dist: &WeightedEuclidean,
     q: &[f64],
     row: &[f64],
     scalar: Option<f64>,
@@ -117,7 +117,7 @@ fn assert_key_within_bound(
 /// The largest power of two `s` for which every class below still
 /// offers f32 scanning on data of magnitude `3·s` — magnitudes just
 /// under the overflow guard.
-fn near_guard_scale(classes: &[&dyn Distance]) -> f64 {
+fn near_guard_scale(classes: &[&WeightedEuclidean]) -> f64 {
     let mut s = 2f64.powi(64);
     while classes
         .iter()
@@ -141,7 +141,7 @@ proptest! {
         let dist = WeightedEuclidean::new(w).unwrap();
         let (lo, hi) = (dist.min_weight().sqrt(), dist.max_weight().sqrt());
         let dw = dist.eval(&a, &b);
-        let d2 = Euclidean.eval(&a, &b);
+        let d2 = WeightedEuclidean::uniform(DIM).eval(&a, &b);
         prop_assert!(dw >= lo * d2 - 1e-9);
         prop_assert!(dw <= hi * d2 + 1e-9);
     }
@@ -155,8 +155,8 @@ proptest! {
         nudge in prop::collection::vec(-1.0..1.0f64, DIM),
     ) {
         // The inequalities every phase-1 candidate-containment argument
-        // rests on, for both distance classes (random and log-spread
-        // weights), in five regimes: the plain ranges; near-zero keys
+        // rests on, for uniform, random and log-spread weights, in five
+        // regimes: the plain ranges; near-zero keys
         // (b ≈ a, differences below f32 resolution); data whose f32
         // squares underflow; subnormal f32 data; magnitudes just under
         // the overflow guard.
@@ -165,7 +165,7 @@ proptest! {
         let scale = match regime {
             2 => 1e-22,
             3 => 1e-40,
-            4 => near_guard_scale(&[&Euclidean, &weighted, &skewed]),
+            4 => near_guard_scale(&[&WeightedEuclidean::uniform(DIM), &weighted, &skewed]),
             _ => 1.0,
         };
         let a: Vec<f64> = a.iter().map(|v| v * scale).collect();
@@ -176,7 +176,7 @@ proptest! {
         };
         let max_abs = a.iter().chain(&b).fold(0.0f64, |m, v| m.max(v.abs()));
         assert_key_within_bound(
-            &Euclidean,
+            &WeightedEuclidean::uniform(DIM),
             &a,
             &b,
             Some(scalar_diagonal_slack(DIM, &[1.0; DIM], max_abs)),

@@ -21,9 +21,9 @@
 //! exactly the bits — of the `Shared` batch under that one metric.
 
 use fbp_vecdb::{
-    merge_partials, Collection, CollectionBuilder, Distance, KnnEngine, LinearScan, MultiQueryScan,
-    Neighbor, PartitionConfig, PartitionedCollection, Precision, QueryBatch,
-    QueryMetrics::{PerQuery, Shared, Weighted},
+    merge_partials, Collection, CollectionBuilder, KnnEngine, LinearScan, MultiQueryScan, Neighbor,
+    PartitionConfig, PartitionedCollection, Precision, QueryBatch,
+    QueryMetrics::{Shared, Weighted},
     ScanMode, ScanStats, ScanStatsSink, ShardPartial, WeightedEuclidean,
 };
 
@@ -136,7 +136,6 @@ fn routed(
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Form {
     Shared,
-    PerQuery,
     Weighted,
     WeightedAllEqual,
 }
@@ -184,23 +183,16 @@ fn cells(
     };
     let mut cells = Vec::new();
     for &layout in layouts {
-        for form in [
-            Form::Shared,
-            Form::PerQuery,
-            Form::Weighted,
-            Form::WeightedAllEqual,
-        ] {
+        for form in [Form::Shared, Form::Weighted, Form::WeightedAllEqual] {
             let metrics = match form {
                 Form::Shared | Form::WeightedAllEqual => &equal,
-                Form::PerQuery | Form::Weighted => &diverged,
+                Form::Weighted => &diverged,
             };
-            let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
             let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
             let batch = QueryBatch::new(
                 &refs,
                 match form {
                     Form::Shared => Shared(&equal[0]),
-                    Form::PerQuery => PerQuery(&dists),
                     Form::Weighted | Form::WeightedAllEqual => Weighted(&mrefs),
                 },
                 K,
@@ -240,7 +232,7 @@ fn cells(
 /// filters and rescores nothing. The counters are block- and
 /// partition-granular, and on this data every metric form abandons in
 /// the same blocks and prunes the same partitions, so one row per
-/// layout covers all four forms. Auto shares the Batched rows.
+/// layout covers all three forms. Auto shares the Batched rows.
 fn golden_f64(layout: Layout, mode: ScanMode) -> ScanStats {
     let (rows_visited, blocks_abandoned, seed_prunes, partitions_pruned) = match (mode, layout) {
         (ScanMode::Parallel, Layout::Flat) => (6000, 22, 0, 0),

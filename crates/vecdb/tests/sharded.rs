@@ -11,9 +11,9 @@
 //! Cutting the rows is a deployment knob, never a result knob.
 
 use fbp_vecdb::{
-    merge_partials, Collection, CollectionBuilder, Distance, Euclidean, KnnEngine, LinearScan,
-    MultiQueryScan, Neighbor, Precision, QueryBatch,
-    QueryMetrics::{PerQuery, Shared, Weighted},
+    merge_partials, Collection, CollectionBuilder, KnnEngine, LinearScan, MultiQueryScan, Neighbor,
+    Precision, QueryBatch,
+    QueryMetrics::{Shared, Weighted},
     ScanMode, ShardPartial, WeightedEuclidean,
 };
 
@@ -52,14 +52,14 @@ fn queries(nq: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Both distance classes: Euclidean, mildly varied weights, and
-/// log-spread learned-looking weights.
-fn distance_classes() -> Vec<Box<dyn Distance>> {
+/// The weight shapes every suite runs: uniform (plain Euclidean),
+/// mildly varied, and log-spread learned-looking weights.
+fn distance_classes() -> Vec<WeightedEuclidean> {
     let w: Vec<f64> = (0..DIM).map(|i| 0.4 + (i % 6) as f64).collect();
     vec![
-        Box::new(Euclidean),
-        Box::new(WeightedEuclidean::new(w).unwrap()),
-        Box::new(log_spread_weights(DIM)),
+        WeightedEuclidean::uniform(DIM),
+        WeightedEuclidean::new(w).unwrap(),
+        log_spread_weights(DIM),
     ]
 }
 
@@ -101,7 +101,7 @@ fn scatter<'c>(
 fn gather(
     parts: &[Vec<ShardPartial>],
     ks: &[usize],
-    dists: &[&dyn Distance],
+    dists: &[&WeightedEuclidean],
 ) -> Vec<Vec<Neighbor>> {
     (0..ks.len())
         .map(|q| merge_partials(parts.iter().map(|p| &p[q]), ks[q], dists[q]))
@@ -124,11 +124,11 @@ fn sharded_knn_bit_identical_all_classes_both_precisions() {
                     let scan = |c| MultiQueryScan::with_mode(c, mode).with_precision(precision);
                     let flat = LinearScan::with_mode(&coll, mode).with_precision(precision);
                     for k in [1usize, 10, 50] {
-                        let batch = QueryBatch::new(&refs, Shared(&*dist), k);
+                        let batch = QueryBatch::new(&refs, Shared(&dist), k);
                         let parts = scatter(&sliced, scan, &batch);
-                        let got = gather(&parts, &[k, k], &[&*dist, &*dist]);
+                        let got = gather(&parts, &[k, k], &[&dist, &dist]);
                         for (q, res) in refs.iter().zip(got.iter()) {
-                            let expect = flat.knn(q, k, &*dist);
+                            let expect = flat.knn(q, k, &dist);
                             assert_eq!(
                                 res, &expect,
                                 "S={s} k={k} mode={mode:?} precision={precision:?}"
@@ -151,15 +151,15 @@ fn scalar_mode_merges_in_distance_space() {
     let sliced = slices(&coll, 3);
     let flat = LinearScan::with_mode(&coll, ScanMode::Scalar);
     for dist in distance_classes() {
-        let batch = QueryBatch::new(&refs, Shared(&*dist), 7);
+        let batch = QueryBatch::new(&refs, Shared(&dist), 7);
         let parts = scatter(
             &sliced,
             |c| MultiQueryScan::with_mode(c, ScanMode::Scalar),
             &batch,
         );
         assert!(parts.iter().flatten().all(ShardPartial::is_finished));
-        for (q, res) in refs.iter().zip(gather(&parts, &[7, 7], &[&*dist, &*dist])) {
-            assert_eq!(res, flat.knn(q, 7, &*dist));
+        for (q, res) in refs.iter().zip(gather(&parts, &[7, 7], &[&dist, &dist])) {
+            assert_eq!(res, flat.knn(q, 7, &dist));
         }
     }
 }
@@ -196,13 +196,16 @@ fn empty_shards_and_k_beyond_shard_len() {
     let parts = scatter(
         &empty,
         MultiQueryScan::new,
-        &QueryBatch::new(&[eq], Shared(&Euclidean), 5),
+        &QueryBatch::new(&[eq], Shared(&WeightedEuclidean::uniform(DIM)), 5),
     );
-    assert_eq!(gather(&parts, &[5], &[&Euclidean]), vec![Vec::new()]);
+    assert_eq!(
+        gather(&parts, &[5], &[&WeightedEuclidean::uniform(DIM)]),
+        vec![Vec::new()]
+    );
     let parts = scatter(
         &empty,
         MultiQueryScan::new,
-        &QueryBatch::new(&[], Shared(&Euclidean), 5),
+        &QueryBatch::new(&[], Shared(&WeightedEuclidean::uniform(DIM)), 5),
     );
     assert!(parts.iter().all(Vec::is_empty));
 }
@@ -218,7 +221,6 @@ fn per_query_k_and_per_query_metrics_match_flat() {
             WeightedEuclidean::new((0..DIM).map(|i| 0.3 + ((q + i) % 4) as f64).collect()).unwrap()
         })
         .collect();
-    let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
     let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
     let weighted = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
     for s in slice_counts(N) {
@@ -235,16 +237,9 @@ fn per_query_k_and_per_query_metrics_match_flat() {
                 flat.knn(&shared),
                 "shared metric S={s} precision={precision:?}"
             );
-            // Per-query generic metrics.
-            let per_query = QueryBatch::new(&refs, PerQuery(&dists), 0).with_ks(&ks);
+            // Per-query metrics (the serving path).
             assert_eq!(
-                gather(&scatter(&sliced, scan, &per_query), &ks, &dists),
-                flat.knn(&per_query),
-                "per-query dists S={s} precision={precision:?}"
-            );
-            // Per-query weighted metrics (the serving fast path).
-            assert_eq!(
-                gather(&scatter(&sliced, scan, &weighted), &ks, &dists),
+                gather(&scatter(&sliced, scan, &weighted), &ks, &mrefs),
                 flat.knn(&weighted),
                 "per-query weighted S={s} precision={precision:?}"
             );
@@ -288,7 +283,6 @@ fn seeded_scans_stay_bit_identical() {
             WeightedEuclidean::new((0..DIM).map(|i| 0.3 + ((q + i) % 4) as f64).collect()).unwrap()
         })
         .collect();
-    let dists: Vec<&dyn Distance> = metrics.iter().map(|m| m as &dyn Distance).collect();
     let ks = [10usize, 50];
     let mrefs: Vec<&WeightedEuclidean> = metrics.iter().collect();
     let batch = QueryBatch::new(&refs, Weighted(&mrefs), 0).with_ks(&ks);
@@ -312,7 +306,7 @@ fn seeded_scans_stay_bit_identical() {
                 let mut parts = vec![p0.clone()];
                 parts.extend(scatter(&sliced[1..], scan, &batch.with_caps(&caps)));
                 assert_eq!(
-                    gather(&parts, &ks, &dists),
+                    gather(&parts, &ks, &mrefs),
                     expect,
                     "S={s} caps={caps:?} precision={precision:?}: seeded pass diverged"
                 );

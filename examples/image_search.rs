@@ -119,7 +119,7 @@ fn main() {
     );
 
     // How different are the predicted parameters?
-    let moved: f64 = fbp_vecdb::Euclidean.eval(&q, &pred.point);
+    let moved: f64 = WeightedEuclidean::uniform(q.len()).eval(&q, &pred.point);
     let w_spread = pred.weights.iter().cloned().fold(0.0_f64, f64::max)
         / pred.weights.iter().cloned().fold(f64::INFINITY, f64::min);
     println!("predicted parameters: query moved by {moved:.4}, weight spread {w_spread:.1}×");

@@ -17,8 +17,8 @@ fn pseudo_random(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
 }
 
 /// The batched/parallel fast paths must reproduce the scalar per-vector
-/// baseline exactly: same indices, distances within 1e-12, across both
-/// distance classes (uniform and skewed weights) and k ∈ {1, 10, 100}.
+/// baseline exactly: same indices, distances within 1e-12, across
+/// uniform, varied and skewed weights and k ∈ {1, 10, 100}.
 #[test]
 fn scan_paths_identical_across_distance_classes() {
     const DIM: usize = 40;
@@ -40,7 +40,8 @@ fn scan_paths_identical_across_distance_classes() {
         .collect();
     let mean = ln_w.iter().sum::<f64>() / DIM as f64;
     let skewed = WeightedEuclidean::new(ln_w.iter().map(|l| (l - mean).exp()).collect()).unwrap();
-    let distances: [&dyn Distance; 3] = [&fbp_vecdb::Euclidean, &weighted, &skewed];
+    let uniform = WeightedEuclidean::uniform(DIM);
+    let distances = [&uniform, &weighted, &skewed];
 
     let scalar = LinearScan::with_mode(&coll, ScanMode::Scalar);
     let batched = LinearScan::with_mode(&coll, ScanMode::Batched);

@@ -31,7 +31,7 @@
 //! A server scans its rows in one pass per batch. Rows are cut two
 //! ways, never both inside one process: **within** a server by opt-in
 //! partitions ([`ServerConfig::partitions`]), which let a pass skip
-//! clusters a per-class lower bound proves irrelevant, and **across**
+//! clusters a per-query lower bound proves irrelevant, and **across**
 //! servers by the router tier below, each shard server serving one
 //! contiguous row slice. Either cut answers bit-identically to one flat
 //! server; see `ARCHITECTURE.md` at the repository root for the

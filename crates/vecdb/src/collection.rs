@@ -265,8 +265,8 @@ impl Collection {
 /// * **Answer transparency.** Partitioning never changes an answer.
 ///   Every scan over the partitioned collection returns indices and
 ///   distances bit-identical to the flat scan over the source
-///   collection, for every distance class, precision, scan mode and
-///   `k` — pruning only skips partitions *proven* (by each class's
+///   collection, for every metric, precision, scan mode and `k` —
+///   pruning only skips partitions *proven* (by each query metric's
 ///   [`partition_lower_key`](crate::Distance::partition_lower_key)
 ///   certificate) unable to contain a top-`k` row.
 /// * **Determinism.** The build is a pure function of the source

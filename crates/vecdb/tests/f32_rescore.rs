@@ -1,7 +1,7 @@
 //! f32-rescore consistency suite: `Precision::F32Rescore` must return
 //! **bit-identical** neighbor indices and f64 distances to the pure-f64
-//! scan, across both distance classes (uniform, varied and log-spread
-//! weights), Q ∈ {1, 16}, k ∈ {1, 10, 50},
+//! scan, across uniform, varied and log-spread
+//! weights, Q ∈ {1, 16}, k ∈ {1, 10, 50},
 //! in every kernel mode and through every entry point (LinearScan,
 //! shared-metric multi, per-query-metric multi), with and without sound
 //! pruning caps. The phase-1 f32 filter with its inflated bounds may

@@ -1,7 +1,7 @@
 //! Multi-query scan consistency suite: [`MultiQueryScan`] must return
 //! **bit-identical** neighbor indices and distances to Q independent
-//! [`LinearScan`] runs in the same key-space mode, across both
-//! distance classes (uniform, varied and log-spread weights) and
+//! [`LinearScan`] runs in the same key-space mode, across
+//! uniform, varied and log-spread weights and
 //! Q ∈ {1, 3, 16} — per-query early-abandon bounds,
 //! block boundaries, thread merges and sound pruning caps must never
 //! change an answer.
@@ -136,7 +136,7 @@ fn scalar_mode_matches_scalar_linear_scan() {
 #[test]
 fn per_query_metrics_bit_identical_to_independent_scans() {
     let coll = collection(1000);
-    // Heterogeneous per-query metrics, one from each class where cheap.
+    // Heterogeneous per-query metrics, one of each weight shape.
     let owned = distance_classes();
     let qs = queries(owned.len());
     let refs: Vec<&[f64]> = qs.iter().map(Vec::as_slice).collect();

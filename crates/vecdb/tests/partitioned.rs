@@ -1,8 +1,8 @@
 //! Partition-pruning bit-identity suite: [`MultiQueryScan`] over a
 //! [`PartitionedCollection`] must return **bit-identical** neighbor
 //! indices and f64 distances to the flat [`LinearScan`] /
-//! [`MultiQueryScan`] — across both distance classes (uniform, varied
-//! and log-spread weights), both precisions, Scalar/Batched/Parallel, per-query metrics
+//! [`MultiQueryScan`] — across uniform, varied
+//! and log-spread weights, both precisions, Scalar/Batched/Parallel, per-query metrics
 //! and ks, under sound pruning caps, per row slice of a router
 //! deployment merged with [`merge_partials`], and across the degenerate
 //! layout edges (empty partitions, one-row partitions, more partitions

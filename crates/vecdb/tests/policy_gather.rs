@@ -4,7 +4,7 @@
 //! exactly the surviving shards' rows (no phantom rows, no lost rows,
 //! bit-identical distances) with the missing shards reported; under
 //! `Strict`, any missing shard must always refuse with a typed
-//! [`GatherError`] naming them. Checked across both distance classes
+//! [`GatherError`] naming them. Checked across uniform, varied and log-spread weights
 //! (uniform, varied and log-spread weights) and both precisions, over the row slices a router deployment
 //! serves (one keyed pass per slice, offset to global rows) — the
 //! policy layer must be as result-transparent as the cut beneath it.
@@ -177,7 +177,7 @@ proptest! {
     // ejected subset and any `min_shards` floor: enough survivors must
     // merge bit-identically to the surviving-shard oracle with the
     // ejected shards reported, too few must refuse with a typed error
-    // naming them — across both distance classes × both precisions.
+    // naming them — across every weight shape × both precisions.
     #[test]
     fn ejected_shards_degrade_to_oracle_or_refuse_at_the_floor(
         points in points_strategy(),

@@ -4,8 +4,8 @@
 //! ([`MultiQueryScan::knn_keyed`]), offset to global rows and merged
 //! with [`merge_partials`], must return **bit-identical** neighbor
 //! indices and f64 distances to the unsliced [`LinearScan`] /
-//! [`MultiQueryScan`], across both distance classes (uniform, varied
-//! and log-spread weights), both
+//! [`MultiQueryScan`], across uniform, varied
+//! and log-spread weights, both
 //! precisions, and the slice-boundary edges — S ∈ {1, 3, len}, S > len
 //! (empty slices), k larger than any single slice, and per-query k.
 //! Cutting the rows is a deployment knob, never a result knob.

@@ -64,9 +64,8 @@ mod weighted;
 
 pub use weighted::WeightedEuclidean;
 
-/// The per-query-weight f32 multi kernel, public only for timing
-/// harnesses outside the crate; scans reach it through
-/// `QueryMetrics::Weighted`.
+/// The f32 multi kernel, public only for timing harnesses outside the
+/// crate; every f32 scan pass reaches it through its `QueryBatch`.
 #[doc(hidden)]
 pub use kernels::weighted_sq_multi_block_f32;
 

@@ -235,8 +235,9 @@ pub(crate) fn finish_entries(
 
 /// Rows evaluated per batched kernel invocation (shared by
 /// [`LinearScan`] and [`MultiQueryScan`]). Large enough to amortize the
-/// call and the bound refresh, small enough that a block's keys stay in L1 and the
-/// k-best thresholds refresh frequently for early abandonment.
+/// call and the bound refresh, small enough that a block's keys stay in
+/// L1 and the k-best thresholds refresh frequently for early
+/// abandonment.
 pub(crate) const BLOCK_ROWS: usize = 256;
 
 /// Work (`rows × dim × queries`) at which [`ScanMode::Auto`] fans one
